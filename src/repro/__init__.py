@@ -17,7 +17,8 @@ Quickstart::
 
 :func:`repro.api.run` is the single run entry point; it also threads
 observability (``trace=``, ``metrics=`` — see :mod:`repro.obs`),
-sampled simulation (``sampling=``), and result caching (``cache=``).
+sampled simulation (``sampling=``), and result caching
+(``execution=ExecutionConfig(cache=...)``).
 """
 
 from repro.common import (IQParams, ProcessorParams, StatGroup,

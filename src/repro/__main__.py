@@ -21,8 +21,8 @@ Commands:
   artifacts
 
 Every simulation command accepts the same common flags — ``--backend
-SPEC`` (execution backend: ``local-process``, ``local-shm``,
-``ssh:hosta,hostb``; see docs/fabric.md), ``--jobs N`` (worker fan-out
+SPEC`` (execution backend: ``local-process`` or ``ssh:hosta,hostb``;
+see docs/fabric.md), ``--jobs N`` (worker fan-out
 where the command has independent cells), ``--no-cache`` (skip the
 on-disk result/checkpoint cache), ``--progress SECONDS`` (heartbeat on
 stderr), and ``--json PATH`` (machine-readable artifact alongside the
@@ -53,8 +53,8 @@ def _common_parent() -> argparse.ArgumentParser:
     group = parent.add_argument_group("common options")
     group.add_argument("--backend", default="local-process", metavar="SPEC",
                        help="execution backend for independent cells: "
-                            "local-process (default), local-shm, or "
-                            "ssh:host1,host2 (see docs/fabric.md)")
+                            "local-process (default) or ssh:host1,host2 "
+                            "(see docs/fabric.md)")
     group.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="concurrent workers for independent cells "
                             "(default: serial; bench defaults to all cores)")

@@ -13,10 +13,10 @@ features that used to require picking the right helper by hand:
   ``RunResult.metrics``;
 * **sampled simulation** — ``sampling=`` switches to the SMARTS-style
   interval sampler and returns its extrapolated result;
-* **result caching** — ``cache=`` consults a
-  :class:`~repro.harness.cache.ResultCache` (only for plain runs:
-  traced or metered runs always simulate, because their value *is*
-  the instrumentation).
+* **result caching** — ``execution=ExecutionConfig(cache=...)``
+  consults a :class:`~repro.harness.cache.ResultCache` (only for plain
+  runs: traced or metered runs always simulate, because their value
+  *is* the instrumentation).
 
 This is the only simulation entry point — the deprecated ``run_workload``
 shim has been removed.  The job service (:mod:`repro.service`) builds on
@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 from repro.common.errors import ConfigurationError
 from repro.common.params import ProcessorParams
-from repro.fabric.base import UNSET, merge_legacy_kwargs
+from repro.fabric.base import ExecutionConfig
 from repro.harness.runner import RunResult, resolve_workload
 from repro.isa.executor import execute
 from repro.pipeline.processor import Processor
@@ -53,9 +53,7 @@ def run(params: ProcessorParams, workload, *,
         trace=None,
         metrics=None,
         sampling=None,
-        execution=None,
-        jobs=UNSET,
-        cache=UNSET,
+        execution: Optional[ExecutionConfig] = None,
         progress=None,
         progress_interval: float = 5.0) -> RunResult:
     """Simulate ``workload`` under ``params`` and return a RunResult.
@@ -83,25 +81,21 @@ def run(params: ProcessorParams, workload, *,
         A :class:`~repro.sampling.SamplingConfig` switches to sampled
         simulation (mutually exclusive with ``trace``/``metrics``).
     execution:
-        An optional :class:`~repro.fabric.ExecutionConfig` carrying the
-        worker count (for the sampling path's window fan-out) and the
-        result cache — the same object :meth:`Sweep.run` and
-        :meth:`Experiment.run` accept.
-    jobs / cache:
-        Deprecated spelling of ``execution=`` (one release of grace).
-        ``jobs`` is the sampling fan-out worker count (a plain run is a
-        single cell and ignores it); ``cache`` is a
-        :class:`~repro.harness.cache.ResultCache` consulted for plain
-        runs (no trace, no metrics) and populated on miss.  On the
-        sampling path, a ``CheckpointStore`` is forwarded to the
-        sampler; other cache objects are ignored there.
+        An optional :class:`~repro.fabric.ExecutionConfig` — the same
+        object :meth:`Sweep.run` and :meth:`Experiment.run` accept.  Its
+        ``cache`` is a :class:`~repro.harness.cache.ResultCache`
+        consulted for plain runs (no trace, no metrics) and populated on
+        miss; on the sampling path a ``CheckpointStore`` there is
+        forwarded to the sampler and other cache objects are ignored.
+        Its ``jobs`` is the sampling path's window fan-out worker count
+        (a plain run is a single cell and ignores it).
     progress / progress_interval:
         Heartbeat callback receiving
         :class:`~repro.pipeline.processor.ProgressTick` records roughly
         every ``progress_interval`` wall-clock seconds.
     """
-    execution = merge_legacy_kwargs(execution, where="repro.api.run",
-                                    jobs=jobs, cache=cache)
+    if execution is None:
+        execution = ExecutionConfig()
     jobs = execution.jobs
     cache = execution.cache
     if sampling is not None:

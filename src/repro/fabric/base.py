@@ -1,8 +1,8 @@
 """The :class:`ExecutionBackend` protocol, registry, and config.
 
 The fabric turns "how cells get executed" into a pluggable choice.  A
-backend owns worker resources (a process pool, a set of fork-server
-children, channels to other machines) and exposes one small surface::
+backend owns worker resources (a process pool, channels to other
+machines) and exposes one small surface::
 
     capacity()                      how many cells may be in flight
     submit(spec) -> handle          start one simulation cell
@@ -16,7 +16,8 @@ children, channels to other machines) and exposes one small surface::
 
 Handles are duck-typed (see :mod:`repro.fabric.handles`).  Backends
 register themselves by name; :func:`create_backend` resolves a spec
-string like ``"local-shm"`` or ``"ssh:hosta,hostb"`` into an instance.
+string like ``"local-process"`` or ``"ssh:hosta,hostb"`` into an
+instance.
 
 Every backend must be *bit-identical* to serial execution: a worker
 computes exactly what ``repro.api.run`` would in-process.  The
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
-from repro.fabric.cells import RunSpec, default_jobs
+from repro.fabric.cells import RunSpec
 
 
 class ExecutionBackend:
@@ -41,7 +42,7 @@ class ExecutionBackend:
     and retries none of this layer needs to know about.
     """
 
-    #: Registry name ("local-process", "local-shm", "ssh", ...).
+    #: Registry name ("local-process", "ssh", ...).
     name: str = ""
 
     def capacity(self) -> int:
@@ -105,7 +106,7 @@ def backend_names() -> Tuple[str, ...]:
 def parse_backend_spec(spec: str) -> Tuple[str, dict]:
     """Split a backend spec string into (name, options).
 
-    ``"local-shm"`` -> ``("local-shm", {})``;
+    ``"local-process"`` -> ``("local-process", {})``;
     ``"ssh:hosta,hostb"`` -> ``("ssh", {"hosts": ["hosta", "hostb"]})``.
     """
     name, _, arg = spec.partition(":")
@@ -142,21 +143,21 @@ def create_backend(spec: str = "local-process", *,
 class ExecutionConfig:
     """How a grid (or a single run) should execute.
 
-    Collapses the old ``jobs=``/``cache=``/``progress=`` kwarg sprawl
-    into one object every entry point accepts::
+    The one spelling of worker count, cache, and placement that every
+    entry point accepts::
 
-        grid = sweep.run(execution=ExecutionConfig(backend="local-shm",
-                                                   jobs=4, cache=cache))
+        grid = sweep.run(execution=ExecutionConfig(jobs=4, cache=cache))
 
-    ``backend`` is a spec string (``"local-process"``, ``"local-shm"``,
+    ``backend`` is a spec string (``"local-process"``,
     ``"ssh:hosta,hostb"``) or a ready :class:`ExecutionBackend`
-    instance.  ``jobs=None`` means the caller's historical default
-    (1 for grids; ``REPRO_JOBS``/CPU count for backends created bare).
+    instance.  ``jobs=None`` means the caller's default (1 for grids;
+    :func:`~repro.fabric.cells.default_jobs` for backends created bare).
     ``journal`` is an optional path: the driver then records cell
     states (pending/running/done-in-cache) in an append-only JSONL
     journal so a killed sweep resumes without re-executing done cells
     (requires ``cache``).  ``options`` passes backend-specific knobs
-    (e.g. ``hosts=[...]`` for ``ssh``).
+    (``start_method=`` for ``local-process``, ``hosts=[...]`` for
+    ``ssh``).
     """
 
     backend: object = "local-process"
@@ -177,41 +178,3 @@ class ExecutionConfig:
         return create_backend(self.backend or "local-process",
                               jobs=self.resolve_jobs(default_jobs_to),
                               **self.options)
-
-
-#: Sentinel distinguishing "caller did not pass this deprecated kwarg".
-UNSET = object()
-
-
-def merge_legacy_kwargs(execution: Optional[ExecutionConfig], *,
-                        where: str,
-                        jobs=UNSET, cache=UNSET,
-                        progress=UNSET) -> ExecutionConfig:
-    """Fold deprecated ``jobs=``/``cache=``/``progress=`` kwargs into an
-    :class:`ExecutionConfig`, warning once per call site.
-
-    Mirrors the ``run_workload`` deprecation path: old kwargs keep
-    working for one release, explicit ``execution=`` wins on conflict.
-    """
-    legacy = {name: value for name, value in
-              (("jobs", jobs), ("cache", cache), ("progress", progress))
-              if value is not UNSET}
-    if legacy:
-        import warnings
-        names = ", ".join(f"{name}=" for name in sorted(legacy))
-        warnings.warn(
-            f"{where}: {names} {'are' if len(legacy) > 1 else 'is'} "
-            f"deprecated; pass execution=ExecutionConfig(...) instead "
-            f"(see docs/fabric.md)",
-            DeprecationWarning, stacklevel=3)
-    if execution is None:
-        execution = ExecutionConfig()
-        for name, value in legacy.items():
-            setattr(execution, name, value)
-    return execution
-
-
-def default_jobs_hint() -> int:
-    """Re-export of :func:`repro.fabric.cells.default_jobs` for callers
-    that only import this module."""
-    return default_jobs()

@@ -1,14 +1,11 @@
 """Cell primitives shared by every execution backend.
 
 A *cell* is one independent simulation: a :class:`RunSpec` carries
-everything a worker — local process, fork-server child, or a worker on
-another machine — needs to reproduce it bit-identically.  This module
-also owns the worker entry points (module-level, picklable, so they
-survive the ``spawn`` start method) and the JSON wire form the ``ssh``
-backend ships cells in.
-
-Moved here from ``repro.harness.parallel`` when the execution layer
-became the pluggable fabric; the old module re-exports these names.
+everything a worker — a local pool process or a worker on another
+machine — needs to reproduce it bit-identically.  This module also owns
+the worker entry points (module-level, picklable, so they survive the
+``spawn`` start method) and the JSON wire form the ``ssh`` backend ships
+cells in.
 """
 
 from __future__ import annotations
@@ -40,12 +37,6 @@ class RunSpec:
     #: metered cell always simulates — the cache is never consulted,
     #: because the time series is part of the result.
     metrics: Optional[object] = None
-    #: Trace-artifact destination for the async submit path (``.jsonl``
-    #: streams JSONL, else Chrome JSON).  Like ``metrics``, a traced
-    #: cell always simulates.
-    trace_path: Optional[str] = None
-    #: Heartbeat cadence (seconds) on the async submit path.
-    progress_interval: float = 0.5
 
     def cache_kwargs(self) -> dict:
         return {"max_instructions": self.max_instructions,
@@ -73,10 +64,11 @@ CellResult = Union[RunResult, CellError]
 
 
 def default_jobs() -> int:
-    """Worker count when the caller does not specify one."""
-    env = os.environ.get("REPRO_JOBS", "")
-    if env:
-        return max(1, int(env))
+    """Worker count when the caller does not specify one: the CPUs this
+    process may run on (its affinity mask where the platform has one),
+    so a process pinned to one CPU runs its cells in-process."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
 
 
@@ -114,9 +106,7 @@ def spec_to_dict(spec: RunSpec) -> dict:
             "max_instructions": spec.max_instructions,
             "scale": spec.scale,
             "max_cycles": spec.max_cycles,
-            "warm_code": spec.warm_code,
-            "trace_path": spec.trace_path,
-            "progress_interval": spec.progress_interval}
+            "warm_code": spec.warm_code}
 
 
 def spec_from_dict(data: dict) -> RunSpec:
@@ -189,32 +179,6 @@ def _handle_worker(conn, func: Callable, item, label: str) -> None:
             pass
     finally:
         conn.close()
-
-
-def _run_spec_task(spec: RunSpec, emit: Callable[[dict], None]):
-    """Execute one RunSpec with heartbeat forwarding (async submit path).
-
-    ``spec.trace_path``, when set, lands the run's event stream in that
-    file (JSONL for ``.jsonl`` paths, Chrome trace JSON otherwise) — the
-    artifact side-channel the job service serves back to clients.
-    """
-    from repro import api
-
-    def tick(t) -> None:
-        emit({"cycle": t.cycle, "committed": t.committed,
-              "elapsed_seconds": round(t.elapsed_seconds, 3),
-              "kcycles_per_sec": round(t.kcycles_per_sec, 3)})
-
-    return api.run(spec.params, spec.workload,
-                   config_label=spec.config_label,
-                   scale=spec.scale,
-                   max_instructions=spec.max_instructions,
-                   max_cycles=spec.max_cycles,
-                   warm_code=spec.warm_code,
-                   metrics=spec.metrics,
-                   trace=spec.trace_path or None,
-                   progress=tick,
-                   progress_interval=spec.progress_interval)
 
 
 def relabel(result: RunResult, config_label: str) -> RunResult:

@@ -1,8 +1,8 @@
 """The fabric driver: cache, journal, and ordering over any backend.
 
 :class:`Executor` is what grid-shaped callers (sweeps, experiments,
-surrogate pruning, the CLI) use.  It owns everything backends should
-not have to know about:
+surrogate pruning, sampling, validation campaigns, the CLI) use.  It
+owns everything backends should not have to know about:
 
 * **Caching** — each cell is looked up in the
   :class:`~repro.harness.cache.ResultCache` first; only cold cells are
@@ -17,8 +17,11 @@ not have to know about:
   never an exception out of the batch.
 * **Backend lifetime** — a spec-string backend is created per batch and
   always closed; a live :class:`ExecutionBackend` instance passed in
-  ``ExecutionConfig.backend`` is borrowed, not owned (the job service
-  keeps one for its whole life).
+  ``ExecutionConfig.backend`` is borrowed, not owned.
+
+:meth:`Executor.run_specs` runs simulation cells on the configured
+backend; :meth:`Executor.map` runs any picklable callable on a
+``local-process`` pool.  Both go through one submit/retire loop.
 """
 
 from __future__ import annotations
@@ -28,11 +31,10 @@ from collections import deque
 from typing import Callable, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.fabric.base import ExecutionBackend, ExecutionConfig
-from repro.fabric.cells import (CellResult, RunSpec, _run_spec_task,
-                                default_jobs, relabel)
+from repro.fabric.base import ExecutionConfig
+from repro.fabric.cells import CellResult, RunSpec, default_jobs, relabel
 from repro.fabric.journal import SweepJournal
-from repro.fabric.local import run_task_batch, submit_detached
+from repro.fabric.local import LocalProcessBackend
 from repro.harness.runner import RunResult
 
 #: Poll cadence of the submit/retire loop, seconds.
@@ -87,40 +89,28 @@ class Executor:
         backend = self.execution.make_backend(
             default_jobs_to=default_jobs())
         owned = backend is not self.execution.backend
-        pending = deque(cold)
-        inflight: dict = {}              # handle -> (index, spec, key)
-        retired = 0
+
+        def submit(cell):
+            _index, spec, key = cell
+            if journal is not None and key is not None:
+                journal.record(key, "running", spec.label)
+            return backend.submit(spec)
+
+        def retire(cell, value) -> None:
+            index, spec, key = cell
+            if isinstance(value, RunResult):
+                if key is not None:
+                    self.cache.put(key, value)
+                value = relabel(value, spec.config_label)
+                if journal is not None and key is not None:
+                    journal.record(key, "done")
+            elif journal is not None and key is not None:
+                journal.record(key, "failed")
+            results[index] = value
+
         try:
-            while pending or inflight:
-                while pending and len(inflight) < backend.capacity():
-                    index, spec, key = pending.popleft()
-                    if journal is not None and key is not None:
-                        journal.record(key, "running", spec.label)
-                    inflight[backend.submit(spec)] = (index, spec, key)
-                backend.tick()
-                done = [handle for handle in inflight if handle.poll()]
-                if not done:
-                    time.sleep(_POLL_SLEEP)
-                    continue
-                for handle in done:
-                    index, spec, key = inflight.pop(handle)
-                    value = handle.result()
-                    handle.close()
-                    if isinstance(value, RunResult):
-                        if key is not None:
-                            self.cache.put(key, value)
-                        value = relabel(value, spec.config_label)
-                        if journal is not None and key is not None:
-                            journal.record(key, "done")
-                    elif journal is not None and key is not None:
-                        journal.record(key, "failed")
-                    results[index] = value
-                    retired += 1
-                    if progress is not None:
-                        progress(retired, len(cold))
+            self._drive(backend, cold, submit, retire, progress)
             self.merged_entries = backend.merge_cache(self.cache)
-            self.fell_back_to_serial = self.fell_back_to_serial or bool(
-                getattr(backend, "fell_back_to_serial", False))
         finally:
             if owned:
                 backend.close()
@@ -128,8 +118,8 @@ class Executor:
     def _key_for(self, spec: RunSpec) -> Optional[str]:
         if self.cache is None or not hasattr(self.cache, "key_for"):
             return None
-        if spec.metrics is not None or spec.trace_path is not None:
-            return None                  # artifacts are part of the result
+        if spec.metrics is not None:
+            return None                  # the time series is the result
         return self.cache.key_for(spec.workload, spec.params,
                                   **spec.cache_kwargs())
 
@@ -151,31 +141,58 @@ class Executor:
             labels: Optional[Sequence[str]] = None) -> List:
         """Apply ``func`` to every item in parallel, in input order.
 
-        Generic callables cannot ship off-host, so this always runs on
-        a local one-shot pool (serial fallback included) regardless of
-        the configured backend.
+        Generic callables cannot ship off-host, so this runs on a
+        ``local-process`` pool whatever the configured backend, with
+        that backend's serial fallback (``jobs=1``, payloads that do not
+        pickle).  A failed item is a :class:`CellError` in its slot.
         """
-        results, fell_back = run_task_batch(
-            func, items, labels,
-            jobs=self.execution.resolve_jobs(default_jobs()),
-            start_method=self.execution.options.get("start_method"),
-            progress=self.execution.progress)
-        self.fell_back_to_serial = self.fell_back_to_serial or fell_back
+        if labels is None:
+            labels = [f"task[{index}]" for index in range(len(items))]
+        jobs = self.execution.resolve_jobs(default_jobs())
+        backend = LocalProcessBackend(
+            jobs=min(jobs, max(1, len(items))),
+            start_method=self.execution.options.get("start_method"))
+        results: List = [None] * len(items)
+
+        def submit(index):
+            return backend.submit_call(func, items[index], labels[index])
+
+        def retire(index, value) -> None:
+            results[index] = value
+
+        try:
+            self._drive(backend, range(len(items)), submit, retire,
+                        self.execution.progress)
+        finally:
+            backend.close()
         return results
 
-    # ------------------------------------------------------------ submit --
-    def submit(self, func: Callable, item, *, label: str = "task"):
-        """One cancellable task in a dedicated worker process."""
-        return submit_detached(
-            func, item, label=label,
-            start_method=self.execution.options.get("start_method"))
-
-    def submit_spec(self, spec: RunSpec):
-        """One cell, asynchronously, with heartbeat ticks and hard-kill
-        cancel (the job service's run path)."""
-        return self.submit(_run_spec_task, spec, label=spec.label)
-
-    def close(self) -> None:
-        """Release a borrowed backend if the config carries an instance."""
-        if isinstance(self.execution.backend, ExecutionBackend):
-            self.execution.backend.close()
+    # -------------------------------------------------------------- loop --
+    def _drive(self, backend, work: Sequence, submit: Callable,
+               retire: Callable, progress) -> None:
+        """Keep up to ``backend.capacity()`` items of ``work`` in flight
+        until all are retired.  ``submit(item)`` starts one and returns
+        its handle; ``retire(item, value)`` takes its result;
+        ``progress(done, total)`` counts retirements."""
+        pending = deque(work)
+        inflight: dict = {}              # handle -> item
+        retired = 0
+        while pending or inflight:
+            while pending and len(inflight) < backend.capacity():
+                item = pending.popleft()
+                inflight[submit(item)] = item
+            backend.tick()
+            done = [handle for handle in inflight if handle.poll()]
+            if not done:
+                time.sleep(_POLL_SLEEP)
+                continue
+            for handle in done:
+                item = inflight.pop(handle)
+                value = handle.result()
+                handle.close()
+                retire(item, value)
+                retired += 1
+                if progress is not None:
+                    progress(retired, len(work))
+        self.fell_back_to_serial = self.fell_back_to_serial or bool(
+            getattr(backend, "fell_back_to_serial", False))

@@ -23,6 +23,7 @@ worker cannot be killed per-task).
 from __future__ import annotations
 
 from concurrent.futures import CancelledError, Future, TimeoutError as _FutureTimeout
+from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional
 
 from repro.fabric.cells import CellError
@@ -185,6 +186,9 @@ class FutureHandle:
             raise TimeoutError(f"{self.label}: still running") from None
         except CancelledError:
             return CellError(label=self.label, error="cancelled")
+        except BrokenProcessPool:
+            return CellError(label=self.label,
+                             error="worker process died (BrokenProcessPool)")
         except Exception as exc:        # noqa: BLE001 — per-cell surface
             return CellError(label=self.label,
                              error=f"{type(exc).__name__}: {exc}")

@@ -18,18 +18,18 @@ them (the result comes from the cache; if the entry was evicted the
 cell simply runs again).  ``failed`` and ``running`` cells re-run —
 ``running`` means the previous process died mid-cell.
 
-Same discipline as the service's job journal (PR 8): every append is
-fsync'd before the state is acted on, replay tolerates a torn final
-line (a crash mid-append), and compaction rewrites atomically via
-``os.replace``.
+The durability rules — fsync'd appends that heal a torn tail, replay
+that skips torn and foreign lines, atomic compaction — belong to
+:class:`~repro.common.jsonl.JsonlLog`, shared with the job service's
+journal.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 from typing import Dict, Optional
+
+from repro.common.jsonl import JsonlLog
 
 #: Terminal-success states: the cell's result is in the cache.
 DONE_STATES = ("done", "cached")
@@ -37,63 +37,40 @@ DONE_STATES = ("done", "cached")
 _STATES = ("pending", "running", "cached", "done", "failed")
 
 
+def _entry(key: str, state: str, label: Optional[str]) -> Dict[str, str]:
+    entry = {"key": key, "state": state}
+    if label:
+        entry["label"] = label
+    return entry
+
+
 class SweepJournal:
     """Append-only per-cell state journal for resumable sweeps."""
 
     def __init__(self, path: os.PathLike) -> None:
-        self.path = Path(path)
+        self._log = JsonlLog(path)
+        self.path = self._log.path
         #: Latest state per key, as replayed at open + appended since.
         self.states: Dict[str, str] = {}
-        #: Label per key (from the first "pending" record), for reports.
+        #: Label per key (from the first record carrying one), for reports.
         self.labels: Dict[str, str] = {}
-        #: A crash mid-append leaves a torn line with no newline; the
-        #: next append must start a fresh line or it glues onto it.
-        self._heal_tail = False
-        if self.path.exists():
-            self._replay()
+        for entry in self._log.replay():
+            key, state = entry.get("key"), entry.get("state")
+            if isinstance(key, str) and state in _STATES:
+                self._fold(key, state, entry.get("label"))
 
-    # ------------------------------------------------------------ replay --
-    def _replay(self) -> None:
-        try:
-            raw = self.path.read_text()
-        except OSError:
-            return
-        self._heal_tail = bool(raw) and not raw.endswith("\n")
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                key, state = record["key"], record["state"]
-            except (ValueError, KeyError, TypeError):
-                continue                 # torn tail or foreign line
-            if state not in _STATES:
-                continue
-            self.states[key] = state
-            label = record.get("label")
-            if label:
-                self.labels.setdefault(key, label)
+    def _fold(self, key: str, state: str, label: Optional[str]) -> None:
+        self.states[key] = state
+        if label:
+            self.labels.setdefault(key, label)
 
-    # ------------------------------------------------------------ append --
     def record(self, key: str, state: str,
                label: Optional[str] = None) -> None:
         """Append one state change (fsync'd before returning)."""
         if state not in _STATES:
             raise ValueError(f"unknown journal state {state!r}")
-        entry: Dict[str, str] = {"key": key, "state": state}
-        if label:
-            entry["label"] = label
-            self.labels.setdefault(key, label)
-        self.states[key] = state
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as handle:
-            if self._heal_tail:
-                handle.write("\n")
-                self._heal_tail = False
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        self._fold(key, state, label)
+        self._log.append(_entry(key, state, label))
 
     # ----------------------------------------------------------- queries --
     def done(self, key: str) -> bool:
@@ -109,17 +86,8 @@ class SweepJournal:
     # ----------------------------------------------------------- compact --
     def compact(self) -> None:
         """Rewrite as one line per key (latest state), atomically."""
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with open(tmp, "w") as handle:
-            for key, state in self.states.items():
-                entry = {"key": key, "state": state}
-                label = self.labels.get(key)
-                if label:
-                    entry["label"] = label
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
+        self._log.rewrite(_entry(key, state, self.labels.get(key))
+                          for key, state in self.states.items())
 
     def __repr__(self) -> str:
         return f"SweepJournal({self.path}, {self.counts()})"

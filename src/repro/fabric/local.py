@@ -1,14 +1,15 @@
-"""The ``local-process`` backend: the spawn-safe pool behind the protocol.
+"""The ``local-process`` backend: a spawn-safe process pool on this host.
 
-This is the refactored form of the original ``ParallelExecutor``
-machinery — a :class:`concurrent.futures.ProcessPoolExecutor` for cell
-batches, dedicated worker processes for cancellable tasks — with the
-same degradation ladder: ``jobs=1`` runs in-process, a payload that
-fails to pickle or a pool that cannot start falls back to serial, a
-worker that raises (or dies) surfaces as a per-cell
-:class:`~repro.fabric.cells.CellError`, never a hung sweep.  Results
-are bit-identical to serial execution by construction (workers share no
-state; every cell rebuilds its program from the workload registry).
+Cells and generic calls run on a
+:class:`concurrent.futures.ProcessPoolExecutor`; cancellable tasks each
+get a dedicated worker process.  The backend degrades rather than
+fails: ``jobs=1`` runs in-process, a payload that fails to pickle or a
+pool that cannot start falls back to serial, a pool broken by a dead
+worker is replaced at the next submission, and a worker that raises
+(or dies) surfaces as a per-cell :class:`~repro.fabric.cells.CellError`,
+never a hung sweep.  Results are bit-identical to serial execution by
+construction (workers share no state; every cell rebuilds its program
+from the workload registry).
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 from repro.fabric.base import ExecutionBackend, register_backend
-from repro.fabric.cells import (CellError, RunSpec, _execute_spec,
-                                _guarded_call, _handle_worker, default_jobs)
+from repro.fabric.cells import (RunSpec, _execute_spec, _guarded_call,
+                                _handle_worker, default_jobs)
 from repro.fabric.handles import CellHandle, CompletedHandle, FutureHandle
 
 
@@ -46,66 +47,6 @@ def submit_detached(func: Callable, item, *, label: str = "task",
     return CellHandle(label, process, parent)
 
 
-def run_task_batch(func: Callable, items: Sequence,
-                   labels: Optional[Sequence[str]] = None, *,
-                   jobs: int,
-                   start_method: Optional[str] = None,
-                   progress: Optional[Callable[[int, int], None]] = None
-                   ) -> Tuple[List, bool]:
-    """Apply ``func`` to every item over a one-shot pool, in input order.
-
-    The batch-map primitive behind ``Executor.map`` (and the deprecated
-    ``ParallelExecutor.map``): a fresh pool per call, serial fallback on
-    unpicklable payloads or a pool that cannot start, per-cell errors.
-    Returns ``(results, fell_back_to_serial)``.
-    """
-    if labels is None:
-        labels = [f"task[{index}]" for index in range(len(items))]
-    payloads = [(func, item, label) for item, label in zip(items, labels)]
-
-    def serial() -> List:
-        results = []
-        for payload in payloads:
-            results.append(_guarded_call(payload))
-            if progress is not None:
-                progress(len(results), len(payloads))
-        return results
-
-    if jobs <= 1 or len(payloads) <= 1:
-        return serial(), False
-    try:
-        pickle.dumps(payloads)
-    except Exception:
-        return serial(), True
-    workers = min(jobs, len(payloads))
-    context = (multiprocessing.get_context(start_method)
-               if start_method else None)
-    results: List = [None] * len(payloads)
-    try:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=context) as pool:
-            futures = [pool.submit(_guarded_call, payload)
-                       for payload in payloads]
-            for index, future in enumerate(futures):
-                try:
-                    results[index] = future.result()
-                except BrokenProcessPool:
-                    results[index] = CellError(
-                        label=labels[index],
-                        error="worker process died (BrokenProcessPool)")
-                except Exception as exc:   # noqa: BLE001
-                    results[index] = CellError(
-                        label=labels[index],
-                        error=f"{type(exc).__name__}: {exc}")
-                if progress is not None:
-                    progress(index + 1, len(payloads))
-    except (OSError, BrokenProcessPool):
-        # Pool could not start at all (fd limits, sandboxing):
-        # degrade to serial rather than fail the sweep.
-        return serial(), True
-    return results, False
-
-
 class LocalProcessBackend(ExecutionBackend):
     """Single-host process-pool backend (the default)."""
 
@@ -125,19 +66,42 @@ class LocalProcessBackend(ExecutionBackend):
         return self.jobs
 
     def submit(self, spec: RunSpec):
-        return self._submit_payload(_execute_spec, spec, spec.label)
+        return self.submit_call(_execute_spec, spec, spec.label)
 
     def submit_task(self, func: Callable, item, *, label: str = "task"):
         return submit_detached(func, item, label=label,
                                start_method=self.start_method)
 
-    def merge_cache(self, cache) -> int:
-        return 0                         # workers share the local cache
-
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
+
+    def submit_call(self, func: Callable, item, label: str):
+        """Start ``func(item)`` on the pool; a handle whose result is the
+        return value or a :class:`~repro.fabric.cells.CellError`."""
+        payload = (func, item, label)
+        if self.jobs <= 1:               # serial by request, not fallback
+            return CompletedHandle(label, _guarded_call(payload))
+        try:
+            pickle.dumps(payload)
+        except Exception:
+            self.fell_back_to_serial = True
+            return CompletedHandle(label, _guarded_call(payload))
+        for _attempt in range(2):
+            pool = self._ensure_pool()
+            if pool is None:
+                break
+            try:
+                return FutureHandle(label, pool.submit(_guarded_call,
+                                                       payload))
+            except BrokenProcessPool:
+                self.close()             # a worker died: start a new pool
+            except (RuntimeError, OSError):
+                self._pool_broken = True
+                break
+        self.fell_back_to_serial = True
+        return CompletedHandle(label, _guarded_call(payload))
 
     # --------------------------------------------------------- internals --
     def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
@@ -150,27 +114,6 @@ class LocalProcessBackend(ExecutionBackend):
             except (OSError, BrokenProcessPool):
                 self._pool_broken = True
         return self._pool
-
-    def _submit_payload(self, func: Callable, item, label: str):
-        payload = (func, item, label)
-        if self.jobs <= 1:               # serial by request, not fallback
-            return CompletedHandle(label, _guarded_call(payload))
-        try:
-            pickle.dumps(payload)
-        except Exception:
-            self.fell_back_to_serial = True
-            return CompletedHandle(label, _guarded_call(payload))
-        pool = self._ensure_pool()
-        if pool is None:
-            self.fell_back_to_serial = True
-            return CompletedHandle(label, _guarded_call(payload))
-        try:
-            future = pool.submit(_guarded_call, payload)
-        except (RuntimeError, OSError, BrokenProcessPool):
-            self._pool_broken = True
-            self.fell_back_to_serial = True
-            return CompletedHandle(label, _guarded_call(payload))
-        return FutureHandle(label, future)
 
 
 register_backend("local-process", LocalProcessBackend)

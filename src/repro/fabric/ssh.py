@@ -310,7 +310,6 @@ class SSHBackend(ExecutionBackend):
         self.worker_cache_dir = worker_cache_dir
         self._channels: List[_Channel] = []
         self._spawned = 0                # round-robin cursor over hosts
-        self.fell_back_to_serial = False
         from repro.harness.cache import source_version_token
         self._token = source_version_token()
 

@@ -90,16 +90,13 @@ def _serve_run(send, cache: ResultCache, session: Dict[str, dict],
               "error": f"{type(exc).__name__}: {exc}",
               "details": traceback.format_exc()})
         return
-    key = None
-    if spec.trace_path is None:          # traced cells always simulate
-        key = cache.key_for(spec.workload, spec.params,
-                            **spec.cache_kwargs())
-        hit = cache.get(key)
-        if hit is not None:
-            session[key] = result_to_dict(hit)
-            send({"op": "done", "id": request_id,
-                  "result": result_to_dict(hit), "cached": True})
-            return
+    key = cache.key_for(spec.workload, spec.params, **spec.cache_kwargs())
+    hit = cache.get(key)
+    if hit is not None:
+        session[key] = result_to_dict(hit)
+        send({"op": "done", "id": request_id,
+              "result": result_to_dict(hit), "cached": True})
+        return
     try:
         result = _execute_spec(spec)
     except Exception as exc:            # noqa: BLE001 — surfaced per-cell
@@ -108,9 +105,8 @@ def _serve_run(send, cache: ResultCache, session: Dict[str, dict],
               "details": traceback.format_exc()})
         return
     payload = result_to_dict(result)
-    if key is not None:
-        cache.put(key, result)
-        session[key] = payload
+    cache.put(key, result)
+    session[key] = payload
     send({"op": "done", "id": request_id, "result": payload,
           "cached": False})
 

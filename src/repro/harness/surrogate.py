@@ -492,7 +492,6 @@ def prune_and_run(cells: Sequence[Cell], *,
                   max_instructions: Optional[int] = None,
                   budgets: Optional[Dict[str, int]] = None,
                   execution=None,
-                  jobs: int = 1, cache=None,
                   progress: Optional[Callable[[str], None]] = None,
                   surrogate: Optional[Surrogate] = None) -> PruneOutcome:
     """Run a grid with the surrogate as a pruning pre-pass.
@@ -509,10 +508,13 @@ def prune_and_run(cells: Sequence[Cell], *,
     best (i.e. cells within the error band of the Pareto front, plus
     anything too uncertain to rule out).  Phase 3 simulates the kept
     cells; pruned cells are filled with :func:`surrogate_result`.
+    ``execution`` (an :class:`~repro.fabric.ExecutionConfig`; serial and
+    uncached by default) places the simulated cells, and its ``cache``
+    feeds phase 0.
     """
     if execution is None:
         from repro.fabric import ExecutionConfig
-        execution = ExecutionConfig(jobs=jobs, cache=cache)
+        execution = ExecutionConfig(jobs=1)
     cache = execution.cache
     if surrogate is None:
         surrogate = Surrogate(max_instructions=max_instructions)
@@ -617,7 +619,6 @@ def validation_report(workloads: Sequence[str],
                       grid_configs: Sequence[Tuple[str, ProcessorParams]], *,
                       max_instructions: Optional[int] = None,
                       execution=None,
-                      jobs: int = 1, cache=None,
                       progress: Optional[Callable[[str], None]] = None
                       ) -> dict:
     """Predicted-vs-simulated IPC over a full grid (JSON-serializable).
@@ -633,7 +634,7 @@ def validation_report(workloads: Sequence[str],
                          for label, params in grid_configs]
     if execution is None:
         from repro.fabric import ExecutionConfig
-        execution = ExecutionConfig(jobs=jobs, cache=cache)
+        execution = ExecutionConfig(jobs=1)
     simulated = _run_cells(cells, lambda _w: max_instructions,
                            execution=execution, progress=progress)
     surrogate = Surrogate(max_instructions=max_instructions)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.params import ProcessorParams
-from repro.fabric.base import UNSET, merge_legacy_kwargs
+from repro.fabric.base import ExecutionConfig
 from repro.harness.reporting import format_table
 from repro.harness.runner import RunResult
 from repro.workloads import WORKLOADS
@@ -132,24 +132,20 @@ class Sweep:
         self._configs.append((label, params))
         return self
 
-    def run(self, metric: str = "ipc", *, execution=None,
-            jobs=UNSET, cache=UNSET, sampling=None, sampling_scale: int = 1,
+    def run(self, metric: str = "ipc", *,
+            execution: Optional[ExecutionConfig] = None,
+            sampling=None, sampling_scale: int = 1,
             metrics=None, surrogate: bool = False) -> SweepGrid:
         """Run every (workload, config) cell and collect the grid.
 
         ``execution`` is an optional
         :class:`~repro.fabric.ExecutionConfig` selecting the execution
-        backend (``local-process``, ``local-shm``, ``ssh:host,...``),
-        worker count, result cache, and (optionally) a resumable sweep
-        journal.  The default runs serially on ``local-process``.
-
-        ``jobs=``/``cache=`` are the deprecated spelling of the same
-        thing (one release of grace, mirroring the ``run_workload``
-        path): ``jobs`` > 1 fans the cells out over the backend (cells
-        are independent; results are deterministic and ordered either
-        way), ``cache`` is an optional
-        :class:`~repro.harness.cache.ResultCache`; cached cells skip
-        simulation entirely.
+        backend (``local-process``, ``ssh:host,...``), worker count,
+        result cache, and (optionally) a resumable sweep journal.  The
+        default runs serially on ``local-process`` without a cache.
+        ``jobs`` > 1 fans the cells out over the backend (cells are
+        independent; results are deterministic and ordered either way);
+        cached cells skip simulation entirely.
 
         ``sampling`` is an optional
         :class:`~repro.sampling.SamplingConfig`: when given, every cell
@@ -176,8 +172,8 @@ class Sweep:
         """
         if not self._configs:
             raise ValueError("no configurations added")
-        execution = merge_legacy_kwargs(execution, where="Sweep.run",
-                                        jobs=jobs, cache=cache)
+        if execution is None:
+            execution = ExecutionConfig()
         if metrics is not None and sampling is not None:
             from repro.common.errors import ConfigurationError
             raise ConfigurationError(

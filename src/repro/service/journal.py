@@ -13,102 +13,79 @@ so after a ``kill -9`` the journal never *under*-reports: a job may be
 re-run (its execution was in flight) but is never lost, and a terminal
 state is never forgotten.
 
-:func:`JobJournal.replay` folds the lines back into job records,
-tolerating a torn final line (the one partial write a crash can leave).
-On startup the service compacts: terminal jobs beyond a keep-bound are
-dropped and the file is rewritten via ``os.replace``.
+:func:`JobJournal.replay` folds the lines back into job records.  On
+startup the service compacts: terminal jobs beyond a keep-bound are
+dropped and the file is rewritten atomically.  The durability rules —
+torn-tail healing and skipping, fsync, ``os.replace`` — belong to
+:class:`~repro.common.jsonl.JsonlLog`, shared with the sweep journal.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
+from repro.common.jsonl import JsonlLog
 from repro.service.jobs import TERMINAL_STATES
+
+#: Submission-record fields, journaled on a job's first line.
+_RECORD_FIELDS = ("kind", "key", "tenant", "payload", "cost", "timeout",
+                  "parent", "shared_with", "dedupe", "artifact",
+                  "submitted_at")
+
+#: Fields a later line may update on the folded record.
+_DELTA_FIELDS = ("error", "result_key", "artifact", "dedupe",
+                 "shared_with", "started_at")
+
+
+def _log(path, fsync: bool = True) -> JsonlLog:
+    return JsonlLog(path, fsync=fsync, separators=(",", ":"))
 
 
 class JobJournal:
     """Append-only JSONL journal for job state transitions."""
 
     def __init__(self, path, *, fsync: bool = True) -> None:
-        self.path = Path(path)
-        self.fsync = fsync
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        #: Torn trailing lines dropped by the last replay (diagnostic).
-        self.torn_lines = 0
+        self._log = _log(path, fsync)
+        self.path = self._log.path
 
     # ------------------------------------------------------------- write --
     def append(self, job_id: str, state: str, **extra) -> None:
         """Durably record that ``job_id`` entered ``state``."""
         line = {"job": job_id, "state": state, "t": round(time.time(), 3)}
         line.update(extra)
-        self._fh.write(json.dumps(line, sort_keys=True,
-                                  separators=(",", ":")) + "\n")
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        self._log.append(line)
 
     def submitted(self, job) -> None:
         """First line for a job: the full record, enough to re-create it."""
         self.append(job.id, job.state, record={
-            "kind": job.kind, "key": job.key, "tenant": job.tenant,
-            "payload": job.payload, "cost": job.cost,
-            "timeout": job.timeout, "parent": job.parent,
-            "shared_with": job.shared_with, "dedupe": job.dedupe,
-            "artifact": job.artifact,
-            "submitted_at": job.submitted_at,
-        })
-
-    def close(self) -> None:
-        try:
-            self._fh.close()
-        except OSError:
-            pass
+            name: getattr(job, name) for name in _RECORD_FIELDS})
 
     # -------------------------------------------------------------- read --
     @staticmethod
     def replay(path) -> Dict[str, dict]:
-        """Fold a journal into ``{job_id: folded}`` submission order.
+        """Fold a journal into ``{job_id: folded}`` in submission order.
 
         Each folded record is the submission ``record`` plus the latest
         ``state`` (and any terminal extras such as ``error``).  Lines for
         unknown jobs (submission line itself torn away — cannot happen
-        with fsync'd appends, but tolerated) and the one possibly-partial
-        final line are skipped, never fatal.
+        with fsync'd appends, but tolerated) are skipped, never fatal.
         """
-        path = Path(path)
         jobs: Dict[str, dict] = {}
-        if not path.exists():
-            return jobs
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    line = json.loads(raw)
-                except json.JSONDecodeError:
-                    continue            # torn tail of a crashed append
-                job_id = line.get("job")
-                state = line.get("state")
-                if not job_id or not state:
-                    continue
-                if job_id not in jobs:
-                    record = line.get("record")
-                    if not isinstance(record, dict):
-                        continue        # delta for a job we never saw
+        for line in _log(path).replay():
+            job_id, state = line.get("job"), line.get("state")
+            if not job_id or not state:
+                continue
+            folded = jobs.get(job_id)
+            if folded is None:
+                record = line.get("record")
+                if isinstance(record, dict):   # else: a delta, job unseen
                     jobs[job_id] = dict(record, id=job_id, state=state)
-                else:
-                    folded = jobs[job_id]
-                    folded["state"] = state
-                    for extra in ("error", "result_key", "artifact",
-                                  "dedupe", "shared_with", "started_at"):
-                        if extra in line:
-                            folded[extra] = line[extra]
+                continue
+            folded["state"] = state
+            for name in _DELTA_FIELDS:
+                if name in line:
+                    folded[name] = line[name]
         return jobs
 
     # --------------------------------------------------------- compaction --
@@ -119,7 +96,6 @@ class JobJournal:
         Called on startup, before resuming: bounds journal growth across
         restarts without ever dropping work the server still owes.
         """
-        before = self.path.stat().st_size if self.path.exists() else 0
         jobs = self.replay(self.path)
         live = {job_id: folded for job_id, folded in jobs.items()
                 if folded["state"] not in TERMINAL_STATES}
@@ -127,25 +103,16 @@ class JobJournal:
                     if folded["state"] in TERMINAL_STATES]
         kept = dict(terminal[-keep_terminal:] if keep_terminal else [])
         kept.update(live)
-
-        self._fh.close()
-        tmp = self.path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for job_id, folded in kept.items():
-                state = folded["state"]
-                record = {key: folded.get(key) for key in
-                          ("kind", "key", "tenant", "payload", "cost",
-                           "timeout", "parent", "shared_with", "dedupe",
-                           "artifact", "submitted_at")}
-                line = {"job": job_id, "state": state, "record": record}
-                for extra in ("error", "result_key", "started_at"):
-                    if folded.get(extra) is not None:
-                        line[extra] = folded[extra]
-                fh.write(json.dumps(line, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        self.compacted_bytes = max(0, before - self.path.stat().st_size)
+        self._log.rewrite(_compacted(job_id, folded)
+                          for job_id, folded in kept.items())
         return kept
+
+
+def _compacted(job_id: str, folded: dict) -> dict:
+    """One line carrying a folded job: its record plus terminal extras."""
+    line = {"job": job_id, "state": folded["state"],
+            "record": {name: folded.get(name) for name in _RECORD_FIELDS}}
+    for extra in ("error", "result_key", "started_at"):
+        if folded.get(extra) is not None:
+            line[extra] = folded[extra]
+    return line

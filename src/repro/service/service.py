@@ -59,7 +59,7 @@ class ServiceConfig:
     #: Concurrent simulation workers (execution slots).
     jobs: int = 2
     #: Execution-backend spec placing jobs (see :mod:`repro.fabric`):
-    #: ``"local-process"``, ``"local-shm"``, ``"ssh:hosta,hostb"``.
+    #: ``"local-process"`` or ``"ssh:hosta,hostb"``.
     backend: str = "local-process"
     #: Backend-specific knobs forwarded to the factory.
     backend_options: Dict[str, object] = field(default_factory=dict)
@@ -709,7 +709,6 @@ class SimulationService:
             handle.close()
         self.running.clear()
         self.fabric.close()
-        self.journal.close()
 
     # ------------------------------------------------------------- routes --
     def handle(self, method: str, path: str, query: Dict[str, str],

@@ -1,29 +1,27 @@
-"""ExecutionConfig, the backend registry, and the one-release
-deprecation shims over the old ``jobs=``/``cache=`` kwarg sprawl."""
+"""ExecutionConfig, the backend registry, default_jobs, and cache merging."""
 
 import dataclasses
-import warnings
+import os
 
 import pytest
 
 from repro import api
 from repro.common.errors import ConfigurationError
-from repro.fabric import (ExecutionBackend, ExecutionConfig,
-                          LocalProcessBackend, backend_names,
-                          create_backend, merge_legacy_kwargs,
+from repro.fabric import (CompletedHandle, ExecutionBackend,
+                          ExecutionConfig, LocalProcessBackend,
+                          backend_names, create_backend, default_jobs,
                           parse_backend_spec)
 from repro.harness import configs
 from repro.harness.cache import ResultCache
 from repro.harness.runner import RunResult
-from repro.harness.sweep import Sweep
 
 
 class TestBackendSpec:
     def test_builtins_are_registered(self):
-        assert {"local-process", "local-shm", "ssh"} <= set(backend_names())
+        assert backend_names() == ("local-process", "ssh")
 
     def test_parse_plain_and_ssh_specs(self):
-        assert parse_backend_spec("local-shm") == ("local-shm", {})
+        assert parse_backend_spec("local-process") == ("local-process", {})
         assert parse_backend_spec("ssh:hosta,hostb") == \
             ("ssh", {"hosts": ["hosta", "hostb"]})
         assert parse_backend_spec("ssh: a , b ") == \
@@ -31,7 +29,7 @@ class TestBackendSpec:
 
     def test_non_ssh_argument_is_rejected(self):
         with pytest.raises(ConfigurationError, match="takes no ':'"):
-            parse_backend_spec("local-shm:8")
+            parse_backend_spec("local-process:8")
 
     def test_unknown_backend_lists_registered(self):
         with pytest.raises(ConfigurationError, match="local-process"):
@@ -69,51 +67,6 @@ class TestExecutionConfig:
         finally:
             backend.close()
 
-
-class TestLegacyKwargs:
-    def test_merge_warns_and_folds(self):
-        cache = ResultCache(enabled=False)
-        with pytest.warns(DeprecationWarning, match="docs/fabric.md"):
-            execution = merge_legacy_kwargs(None, where="somewhere",
-                                            jobs=4, cache=cache)
-        assert execution.jobs == 4
-        assert execution.cache is cache
-
-    def test_explicit_execution_wins_over_legacy(self):
-        explicit = ExecutionConfig(jobs=8)
-        with pytest.warns(DeprecationWarning):
-            merged = merge_legacy_kwargs(explicit, where="somewhere",
-                                         jobs=2)
-        assert merged is explicit
-        assert merged.jobs == 8
-
-    def test_no_legacy_kwargs_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            execution = merge_legacy_kwargs(None, where="somewhere")
-        assert execution.jobs is None
-
-    def test_parallel_executor_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.fabric"):
-            from repro.harness.parallel import ParallelExecutor
-            executor = ParallelExecutor(2)
-        assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
-
-    def test_sweep_run_jobs_kwarg_warns(self, tmp_path):
-        sweep = Sweep(workloads=["twolf"], max_instructions=800)
-        sweep.add_config("ideal-32", configs.ideal(32))
-        with pytest.warns(DeprecationWarning, match="Sweep.run"):
-            grid = sweep.run(jobs=1,
-                             cache=ResultCache(tmp_path / "cache"))
-        assert grid.results["twolf"]["ideal-32"].ipc > 0
-
-    def test_api_run_cache_kwarg_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="api.run"):
-            result = api.run(configs.ideal(32), "twolf",
-                             max_instructions=600,
-                             cache=ResultCache(tmp_path / "cache"))
-        assert result.ipc > 0
-
     def test_api_run_execution_config(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         first = api.run(configs.ideal(32), "twolf", max_instructions=600,
@@ -122,6 +75,31 @@ class TestLegacyKwargs:
                          execution=ExecutionConfig(cache=cache))
         assert cache.hits == 1
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
+
+
+class TestDefaultJobs:
+    def test_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert default_jobs() == 3
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert default_jobs() == 6
+
+    def test_one_usable_cpu_means_in_process_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        backend = create_backend("local-process")
+        try:
+            assert backend.capacity() == 1
+            handle = backend.submit_call(_double, 21, "double")
+            assert isinstance(handle, CompletedHandle)
+            assert handle.result() == 42
+            assert not backend.fell_back_to_serial
+        finally:
+            backend.close()
 
 
 def _double(x):

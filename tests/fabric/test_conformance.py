@@ -1,11 +1,12 @@
 """Backend conformance suite.
 
 Every registered backend must (a) produce bit-identical results to
-serial in-process execution, in input order; (b) honour the hard-kill
-task contract (cancel and worker death settle the handle, never hang);
-(c) recover from a dead worker — the next submission gets a fresh one.
-Backends a platform cannot provide (e.g. ``local-shm`` without fork)
-skip rather than fail.
+serial in-process execution, in input order; (b) honour the task
+contract (results and heartbeats come back, a raising task is a
+``CellError``, cancel is a hard kill, worker death settles the handle
+and never hangs); (c) recover from a dead worker — the next submission
+gets a fresh one.  Backends a platform cannot provide skip rather than
+fail.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ from repro.harness.runner import RunResult
 
 #: Spec strings the suite conforms. ``ssh:local`` is the transport-free
 #: form of the ssh backend: same worker, same JSONL wire, no ssh.
-BACKENDS = ["local-process", "local-shm", "ssh:local"]
+BACKENDS = ["local-process", "ssh:local"]
 
 
 def _grid_specs():
@@ -87,6 +88,15 @@ class TestBitIdentity:
 
 
 # ------------------------------------------------------- task contract --
+def _emit_and_return(item, emit):
+    emit({"step": 1})
+    return item * 10
+
+
+def _fail_task(item, emit):
+    raise RuntimeError(f"kaput {item}")
+
+
 def _sleep_forever(item, emit):
     emit({"started": True})
     while True:
@@ -107,6 +117,28 @@ def _wait(predicate, timeout=30.0, message="condition"):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestTaskContract:
+    def test_result_and_ticks(self, backend):
+        back = _backend_or_skip(backend)
+        try:
+            handle = back.submit_task(_emit_and_return, 7, label="x")
+            assert handle.result(timeout=30) == 70
+            assert handle.poll()
+            assert handle.ticks() == [{"step": 1}]
+            assert handle.ticks() == []         # drained
+        finally:
+            back.close()
+
+    def test_exception_is_a_cell_error(self, backend):
+        back = _backend_or_skip(backend)
+        try:
+            handle = back.submit_task(_fail_task, 3, label="bad")
+            result = handle.result(timeout=30)
+            assert isinstance(result, CellError)
+            assert "kaput 3" in result.error
+            assert not handle.cancelled
+        finally:
+            back.close()
+
     def test_cancel_is_a_hard_kill(self, backend):
         back = _backend_or_skip(backend)
         try:
@@ -154,18 +186,21 @@ class TestWorkerDeathMidCell:
     handle settles with a CellError and the backend recovers — the next
     submission gets a fresh worker."""
 
-    def test_shm_worker_death(self):
-        back = _backend_or_skip("local-shm")
+    def test_local_process_worker_death(self):
+        # jobs=2: with one worker the cell would run in-process.
+        back = _backend_or_skip("local-process", jobs=2)
         try:
             handle = back.submit(_long_spec())
-            back._workers[0].process.kill()
-            _wait(handle.poll, message="shm death report")
+            _wait(lambda: back._pool._processes, message="pool workers")
+            for process in list(back._pool._processes.values()):
+                process.kill()
+            _wait(handle.poll, message="pool death report")
             result = handle.result()
             assert isinstance(result, CellError)
             assert "died" in result.error
-            back.tick()                     # reaps the corpse
             retry = back.submit(_small_spec()).result(timeout=120)
             assert isinstance(retry, RunResult), retry
+            assert not back.fell_back_to_serial   # a fresh pool ran it
         finally:
             back.close()
 

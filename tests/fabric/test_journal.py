@@ -1,6 +1,8 @@
 """SweepJournal unit tests: replay, torn tails, compaction."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -86,3 +88,28 @@ class TestCompact:
         assert by_key["k1"]["state"] == "done"
         assert by_key["k1"]["label"] == "twolf/ideal-32"
         assert SweepJournal(path).states == journal.states
+
+
+class TestOnDiskFormat:
+    """A journal written before both journals shared one JSONL primitive
+    replays to the same state, and new records keep its line spelling
+    (the CI resume check greps for ``"state": "done"``)."""
+
+    FIXTURE = Path(__file__).with_name("sweep_journal_v1.jsonl")
+
+    def test_older_journal_replays_and_stays_appendable(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        shutil.copy(self.FIXTURE, path)
+        journal = SweepJournal(path)
+        assert journal.states == {"k-aaa": "done", "k-bbb": "failed",
+                                  "k-ccc": "cached", "k-ddd": "done",
+                                  "k-eee": "running"}
+        assert journal.labels == {"k-aaa": "twolf/ideal-32",
+                                  "k-bbb": "twolf/seg-64",
+                                  "k-ccc": "swim/ideal-32",
+                                  "k-ddd": "swim/seg-64",
+                                  "k-eee": "gcc/ideal-32"}
+        journal.record("k-eee", "done")
+        assert path.read_text().splitlines()[-1] == \
+            '{"key": "k-eee", "state": "done"}'
+        assert SweepJournal(path).states == dict(journal.states)

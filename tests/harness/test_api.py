@@ -6,6 +6,7 @@ import pytest
 
 from repro import api
 from repro.common.errors import ConfigurationError
+from repro.fabric import ExecutionConfig
 from repro.harness import configs
 from repro.harness.cache import ResultCache
 from repro.obs import MetricsCollector, MetricsConfig, RingBufferTracer
@@ -97,25 +98,31 @@ class TestSampling:
 class TestCache:
     def test_populates_and_hits(self):
         cache = ResultCache()
-        cold = api.run(PARAMS, "twolf", max_instructions=1200, cache=cache)
+        cold = api.run(PARAMS, "twolf", max_instructions=1200, execution=ExecutionConfig(cache=cache))
         files = sorted(cache.directory.glob("*.json"))
         assert len(files) == 1
-        warm = api.run(PARAMS, "twolf", max_instructions=1200, cache=cache)
+        warm = api.run(PARAMS, "twolf", max_instructions=1200, execution=ExecutionConfig(cache=cache))
         assert (warm.ipc, warm.cycles) == (cold.ipc, cold.cycles)
         assert sorted(cache.directory.glob("*.json")) == files
 
     def test_hit_restores_config_label(self):
         cache = ResultCache()
-        api.run(PARAMS, "twolf", max_instructions=1200, cache=cache)
+        api.run(PARAMS, "twolf", max_instructions=1200, execution=ExecutionConfig(cache=cache))
         warm = api.run(PARAMS, "twolf", max_instructions=1200,
-                       cache=cache, config_label="renamed")
+                       execution=ExecutionConfig(cache=cache), config_label="renamed")
         assert warm.config == "renamed"
 
     def test_instrumented_runs_skip_cache(self):
         cache = ResultCache()
-        api.run(PARAMS, "twolf", max_instructions=1200, cache=cache,
+        api.run(PARAMS, "twolf", max_instructions=1200, execution=ExecutionConfig(cache=cache),
                 metrics=100)
         assert not list(cache.directory.glob("*.json"))
+
+    def test_cache_kwarg_is_rejected(self):
+        """``execution=`` is the one spelling; the old keyword is gone."""
+        with pytest.raises(TypeError):
+            api.run(PARAMS, "twolf", max_instructions=1200,
+                    cache=ResultCache())
 
 
 class TestShimRemoved:

@@ -17,10 +17,11 @@ class TestBench:
         assert path.name.startswith("BENCH_")
         on_disk = json.loads(path.read_text())
         for key in ("schema", "date", "machine", "serial",
-                    "serial_geomean", "sweep", "fabric", "sampling",
+                    "serial_geomean", "sweep", "sampling",
                     "metrics", "surrogate", "profile"):
             assert key in on_disk
-        assert on_disk["schema"] == 8
+        assert on_disk["schema"] == 9
+        assert "fabric" not in on_disk
         assert on_disk["machine"]["cpu_count"] >= 1
         # Host-speed calibration reference (fixed pure-Python spin).
         assert on_disk["machine"]["calibration_seconds"] > 0
@@ -43,14 +44,8 @@ class TestBench:
         assert sweep["serial_seconds"] > 0
         assert sweep["cache_hits"] == sweep["cells"]
         assert 0 < sweep["cached_fraction_of_cold"]
-        # Schema 7: the execution backend the sweep ran on, plus the
-        # per-backend dispatch-overhead comparison.
+        # Schema 7: the execution backend the sweep ran on.
         assert sweep["backend"] == "local-process"
-        fabric = on_disk["fabric"]
-        assert fabric["cells"] >= 16
-        for name in ("local-process", "local-shm"):
-            row = fabric["backends"][name]
-            assert "skipped" in row or row["seconds_per_cell"] > 0
         sampling = on_disk["sampling"]
         assert sampling["sampled_seconds"] > 0
         assert sampling["full_seconds"] > 0
@@ -91,7 +86,7 @@ class TestBench:
         diff = compare_with(str(path), data["serial"])
         assert set(diff) == {"previous_schema", "kcycles_speedup",
                              "epi_ratio", "kernels_mismatch"}
-        assert diff["previous_schema"] == 8
+        assert diff["previous_schema"] == 9
         assert diff["kernels_mismatch"] == {}   # same backend both sides
         assert set(diff["kcycles_speedup"]) == set(data["serial"])
         assert set(diff["epi_ratio"]) == set(data["serial"])

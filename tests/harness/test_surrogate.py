@@ -15,6 +15,7 @@ Three things are pinned here (see docs/models.md):
 import pytest
 
 from repro import api
+from repro.fabric import ExecutionConfig
 from repro.harness import configs
 from repro.harness.surrogate import (SURROGATE_ERROR_BOUND,
                                      SurrogatePrediction, Surrogate,
@@ -69,7 +70,8 @@ def test_calibration_reproduces_the_anchor():
 
 def test_validation_report_meets_the_error_bound():
     report = validation_report(["gcc", "swim"], default_grid()[:4],
-                               max_instructions=BUDGET, jobs=2)
+                               max_instructions=BUDGET,
+                               execution=ExecutionConfig(jobs=2))
     assert report["error_bound"] == SURROGATE_ERROR_BOUND
     assert report["within_bound"], (
         f"mean |error| {report['mean_abs_rel_error']:.1%} exceeds "
@@ -149,7 +151,8 @@ def test_cached_cells_anchor_without_simulation(tmp_path, monkeypatch):
 
     cache = ResultCache(tmp_path)
     cells = [("twolf", label, params) for label, params in PRUNE_CONFIGS]
-    first = prune_and_run(cells, max_instructions=BUDGET, cache=cache)
+    first = prune_and_run(cells, max_instructions=BUDGET,
+                          execution=ExecutionConfig(cache=cache))
     assert first.anchors, "cold pass must simulate anchors"
 
     batches = []
@@ -160,7 +163,8 @@ def test_cached_cells_anchor_without_simulation(tmp_path, monkeypatch):
         return real_run_cells(cells_arg, *args, **kwargs)
 
     monkeypatch.setattr(surrogate_mod, "_run_cells", counting)
-    second = prune_and_run(cells, max_instructions=BUDGET, cache=cache)
+    second = prune_and_run(cells, max_instructions=BUDGET,
+                          execution=ExecutionConfig(cache=cache))
     assert all(not batch for batch in batches), batches
     assert not second.anchors          # nothing left to anchor-simulate
     # Calibration really happened (phase 0), not just a lucky prune.

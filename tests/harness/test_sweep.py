@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from repro.fabric import ExecutionConfig
 from repro.harness import configs
 from repro.harness.sweep import Sweep, SweepGrid
 
@@ -125,7 +126,7 @@ class TestSampledSweep:
                                   measure_instructions=300)
         serial = self._sweep().run(sampling=sampling, sampling_scale=2)
         fanned = self._sweep().run(sampling=sampling, sampling_scale=2,
-                                   jobs=2)
+                                   execution=ExecutionConfig(jobs=2))
         for label in serial.config_labels:
             assert dataclasses.asdict(serial.results["twolf"][label]) == \
                 dataclasses.asdict(fanned.results["twolf"][label])

@@ -1,6 +1,7 @@
 """The fsync'd job journal: replay, torn tails, and compaction."""
 
 import json
+from pathlib import Path
 
 from repro.service.journal import JobJournal
 from repro.service.jobs import Job
@@ -22,7 +23,6 @@ class TestReplay:
         journal.append("j-000001", "running", started_at=12.5)
         journal.append("j-000001", "done")
         journal.submitted(_job("j-000002", tenant="bob"))
-        journal.close()
 
         folded = JobJournal.replay(path)
         assert folded["j-000001"]["state"] == "done"
@@ -39,11 +39,23 @@ class TestReplay:
         journal = JobJournal(path)
         journal.submitted(_job("j-000001"))
         journal.append("j-000001", "running")
-        journal.close()
         with open(path, "a") as handle:
             handle.write('{"job": "j-000001", "state": "do')  # crash here
         folded = JobJournal.replay(path)
         assert folded["j-000001"]["state"] == "running"
+
+    def test_append_after_a_torn_tail_survives_replay(self, tmp_path):
+        """A crash mid-append leaves a line without a newline; the next
+        process's first append must start a fresh line instead of gluing
+        its record onto the fragment (where replay would drop both)."""
+        path = tmp_path / "journal.jsonl"
+        JobJournal(path).submitted(_job("j-000001"))
+        with open(path, "a") as handle:
+            handle.write('{"job": "j-000001", "state": "do')  # crash here
+        JobJournal(path).submitted(_job("j-000002"))
+        folded = JobJournal.replay(path)
+        assert folded["j-000001"]["state"] == "pending"
+        assert folded["j-000002"]["state"] == "pending"
 
     def test_artifact_is_in_the_submission_record(self, tmp_path):
         """A traced job's artifact is journaled at submission, not only
@@ -55,7 +67,6 @@ class TestReplay:
         folded = JobJournal.replay(path)
         assert folded["j-000001"]["artifact"] == "j-000001.jsonl"
         journal.compact()
-        journal.close()
         compacted = JobJournal.replay(path)
         assert compacted["j-000001"]["artifact"] == "j-000001.jsonl"
 
@@ -65,7 +76,6 @@ class TestReplay:
         journal.submitted(_job("j-000001"))
         journal.append("j-000001", "failed", error="boom",
                        artifact="j-000001.jsonl")
-        journal.close()
         folded = JobJournal.replay(path)
         assert folded["j-000001"]["error"] == "boom"
         assert folded["j-000001"]["artifact"] == "j-000001.jsonl"
@@ -81,7 +91,6 @@ class TestCompaction:
             if index <= 8:
                 journal.append(job_id, "done")
         kept = journal.compact(keep_terminal=3)
-        journal.close()
         # 2 live + the 3 most recent terminal survive.
         assert set(kept) == {"j-000006", "j-000007", "j-000008",
                              "j-000009", "j-000010"}
@@ -97,7 +106,6 @@ class TestCompaction:
         journal.append("j-000001", "running", started_at=3.0)
         journal.compact()
         journal.append("j-000001", "done")
-        journal.close()
         folded = JobJournal.replay(path)
         record = folded["j-000001"]
         assert record["cost"] == 42.0
@@ -111,6 +119,33 @@ class TestCompaction:
         journal.submitted(_job("j-000001"))
         journal.append("j-000001", "done")
         journal.compact()
-        journal.close()
         for line in path.read_text().splitlines():
             json.loads(line)
+
+
+class TestOnDiskFormat:
+    """A journal written before both journals shared one JSONL primitive
+    replays to the same jobs, and new lines keep the compact spelling."""
+
+    FIXTURE = Path(__file__).with_name("job_journal_v1.jsonl")
+
+    def test_older_journal_replays_to_the_same_jobs(self):
+        folded = JobJournal.replay(self.FIXTURE)
+        assert {job_id: record["state"]
+                for job_id, record in folded.items()} == {
+            "j-000001": "done", "j-000002": "failed",
+            "j-000003": "running", "j-000004": "cancelled",
+            "j-000005": "pending"}
+        assert folded["j-000001"]["started_at"] == 101.0
+        assert folded["j-000001"]["result_key"] == "key-1"
+        assert folded["j-000002"]["error"] == "boom"
+        assert folded["j-000003"]["artifact"] == "j-000003.jsonl"
+        assert folded["j-000004"]["shared_with"] == "j-000003"
+        assert folded["j-000005"]["tenant"] == "dave"
+
+    def test_new_lines_keep_the_compact_spelling(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        JobJournal(path, fsync=False).append("j-000001", "done")
+        line = path.read_text()
+        assert line.startswith('{"job":"j-000001","state":"done","t":')
+        assert line.endswith("}\n")

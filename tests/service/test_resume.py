@@ -35,7 +35,7 @@ class TestResume:
         svc1 = SimulationService(_config(tmp_path))
         a = svc1.submit(dict(CELL, max_instructions=2001))
         b = svc1.submit(dict(CELL, max_instructions=2002), tenant="bob")
-        svc1.journal.close()           # crash: nothing ever ran
+        # crash: svc1 is abandoned before anything ran
 
         svc2 = SimulationService(_config(tmp_path))
         try:
@@ -69,7 +69,6 @@ class TestResume:
         svc1.journal.append = crash_before_terminal
         client1.wait(job["id"], timeout=90)
         assert svc1.cache.get(svc1.jobs[job["id"]].key) is not None
-        svc1.journal.close()
 
         svc2 = SimulationService(_config(tmp_path))
         try:
@@ -90,7 +89,6 @@ class TestResume:
         primary = svc1.submit(CELL, tenant="alice")
         twin = svc1.submit(CELL, tenant="bob")
         assert twin.dedupe == "inflight"
-        svc1.journal.close()
 
         svc2 = SimulationService(_config(tmp_path))
         try:
@@ -114,7 +112,7 @@ class TestResume:
         svc1 = SimulationService(_config(tmp_path))
         job = svc1.submit(dict(CELL, trace="jsonl"))
         assert job.artifact
-        svc1.journal.close()           # crash before it ever ran
+        # crash: svc1 is abandoned before the job ever ran
 
         svc2 = SimulationService(_config(tmp_path))
         try:
