@@ -13,8 +13,9 @@ fills through a callback; line transfers are serialized on a
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.events import EventQueue
 from repro.common.params import CacheParams
@@ -81,7 +82,11 @@ class Cache:
         self._sets: List[List[List]] = [[] for _ in range(self._num_sets)]
         self._mshrs: Dict[int, _MSHR] = {}
         # Requests waiting for a free MSHR (back-pressure from next level).
-        self._mshr_queue: List[Tuple[int, bool, LineCallback, ]] = []
+        self._mshr_queue: Deque[Tuple[int, bool, LineCallback]] = deque()
+        #: Bumped by every change that can turn a rejected :meth:`access`
+        #: into an accepted one (an MSHR freeing, a line becoming
+        #: resident); the LSQ compares it to skip provably futile retries.
+        self.version = 0
 
         self.stat_accesses = stats.counter(f"{name}.accesses")
         self.stat_hits = stats.counter(f"{name}.hits")
@@ -144,15 +149,26 @@ class Cache:
         return False
 
     # ------------------------------------------------------------ access --
+    def rejects(self, addr: int) -> bool:
+        """Would :meth:`access` to ``addr`` be rejected right now (all
+        MSHRs busy, line neither resident nor in flight)?  A rejection is
+        counted in ``mshr_full_retries`` exactly as :meth:`access` counts
+        it, without building a request."""
+        if len(self._mshrs) < self.params.mshr_entries:
+            return False
+        line = self.line_addr(addr)
+        if line in self._mshrs or self._find_no_lru(line) is not None:
+            return False
+        self.stat_mshr_full.inc()
+        return True
+
     def access(self, request: MemRequest) -> bool:
         """Core-side access.  Returns False if the request must retry
         (no MSHR available for a new miss).  Rejected attempts are not
         counted as accesses, so replays do not inflate the access stats."""
-        line = self.line_addr(request.addr)
-        if (self._find_no_lru(line) is None and line not in self._mshrs
-                and len(self._mshrs) >= self.params.mshr_entries):
-            self.stat_mshr_full.inc()
+        if self.rejects(request.addr):
             return False
+        line = self.line_addr(request.addr)
         self.stat_accesses.inc()
         request.issued_cycle = self._events.now
 
@@ -244,6 +260,7 @@ class Cache:
         self._events.schedule(delay, lambda: self._install(line, fill_level))
 
     def _install(self, line: int, fill_level: str) -> None:
+        self.version += 1
         mshr = self._mshrs.pop(line)
         cache_set = self._sets[self._set_index(line)]
         if len(cache_set) >= self.params.assoc:
@@ -258,7 +275,7 @@ class Cache:
 
     def _drain_mshr_queue(self) -> None:
         while self._mshr_queue and len(self._mshrs) < self.params.mshr_entries:
-            line, is_write, callback = self._mshr_queue.pop(0)
+            line, is_write, callback = self._mshr_queue.popleft()
             if self._find(line) is not None:
                 # Filled while queued: a (late) hit.
                 self.stat_hits.inc()
@@ -288,6 +305,7 @@ class Cache:
         if len(sets) != self._num_sets:
             raise ValueError(f"{self.name}: snapshot has {len(sets)} sets, "
                              f"this cache has {self._num_sets}")
+        self.version += 1
         self._sets = [[list(entry)[:2] for entry in cache_set]
                       for cache_set in sets]
 
@@ -297,6 +315,7 @@ class Cache:
         line = self.line_addr(addr)
         if self._find(line) is not None:
             return
+        self.version += 1
         cache_set = self._sets[self._set_index(line)]
         if len(cache_set) >= self.params.assoc:
             cache_set.pop()

@@ -32,6 +32,9 @@ from repro.obs.events import TraceEvent
 #: Latency of a store-to-load forward, matched to the L1D hit latency.
 FORWARD_LATENCY = 3
 
+#: Outcomes of :meth:`LoadStoreQueue._issue_to_cache`.
+_ISSUED, _NO_PORT, _NO_MSHR = range(3)
+
 
 class LSQEntry:
     """One in-flight memory operation."""
@@ -74,6 +77,7 @@ class LoadStoreQueue:
         self.size = size
         self.policy = policy
         self._memory = memory
+        self._l1d = memory.l1d
         self._events = events
         self.iq = iq                     # set by the processor after build
         self.fu_pool = fu_pool
@@ -94,6 +98,11 @@ class LoadStoreQueue:
         self._candidates: Deque[LSQEntry] = deque()
         # Loads with known addresses waiting for earlier store addresses.
         self._frontier_blocked: List = []     # heap of (seq, entry)
+        # The first ``_refused`` candidates were refused an L1D MSHR at
+        # L1D version ``_refused_version`` and will be again until that
+        # version moves (see :meth:`cycle`).
+        self._refused = 0
+        self._refused_version = -1
         # Dispatch stalls until this cycle after a mis-speculation.
         self.violation_flush_until = 0
         #: Observability sink (see :mod:`repro.obs`); installed by the
@@ -111,6 +120,10 @@ class LoadStoreQueue:
             "lsq.forwards", "loads satisfied by store-to-load forwarding")
         self.stat_conflict_waits = stats.counter(
             "lsq.conflict_waits", "loads that waited on an earlier store")
+        self.stat_dropped_store_writes = stats.counter(
+            "lsq.dropped_store_writes",
+            "committed store writes the L1D rejected (MSHRs full) and that "
+            "were never retried")
         self.stat_occupancy = stats.distribution("lsq.occupancy")
 
     # ------------------------------------------------------------ space --
@@ -170,6 +183,8 @@ class LoadStoreQueue:
         entry.word_addr = inst.mem_addr // WORD_BYTES
         entry.addr_ready_cycle = cycle
         if entry.is_store:
+            # A newly placed store may conflict with a refused load.
+            self._refused = 0
             self._known_stores.add(entry.seq)
             self._stores_by_word.setdefault(
                 self._timing_key(entry), []).append(entry)
@@ -279,13 +294,33 @@ class LoadStoreQueue:
 
     # -------------------------------------------------------- load issue --
     def cycle(self, now: int) -> None:
-        """Attempt to issue every candidate load."""
+        """Attempt to issue every candidate load.
+
+        A load refused an MSHR stays refused until the L1D's version
+        moves (a fill or warming), so the leading candidates refused on
+        an earlier cycle are counted as refused again without an attempt.
+        Nothing else can change their outcome: new candidates queue
+        behind them; only a newly placed store can give one a conflict
+        (``address_ready`` resets the count); and a refusal claims no
+        cache port while ports free every cycle, so each would find a
+        free port.  The loads refused this cycle extend that prefix: a
+        load that finds no port comes after all of them, as a port taken
+        stays taken until the next cycle.
+        """
         self.stat_occupancy.sample(len(self._order))
-        if not self._candidates:
+        candidates = self._candidates
+        if not candidates:
             return
+        l1d = self._l1d
+        refused = self._refused if self._refused_version == l1d.version else 0
+        if refused:
+            l1d.stat_mshr_full.inc(refused)
+            if refused == len(candidates):
+                return
+            candidates.rotate(-refused)     # attempt only those behind
         retry: List[LSQEntry] = []
-        while self._candidates:
-            entry = self._candidates.popleft()
+        for _ in range(len(candidates) - refused):
+            entry = candidates.popleft()
             if entry.issued:
                 continue
             blocker = self._conflicting_store(entry)
@@ -301,9 +336,14 @@ class LoadStoreQueue:
                     self.stat_conflict_waits.inc()
                     blocker.waiting_loads.append(entry)
                 continue
-            if not self._issue_to_cache(entry, now):
+            outcome = self._issue_to_cache(entry, now)
+            if outcome != _ISSUED:
+                if outcome == _NO_MSHR:
+                    refused += 1
                 retry.append(entry)
-        self._candidates.extend(retry)
+        candidates.extend(retry)
+        self._refused = refused
+        self._refused_version = l1d.version
 
     def _conflicting_store(self, load: LSQEntry) -> Optional[LSQEntry]:
         """Youngest earlier un-committed store to the same word, if any.
@@ -343,11 +383,14 @@ class LoadStoreQueue:
 
         self._events.schedule_at(done, complete)
 
-    def _issue_to_cache(self, load: LSQEntry, now: int) -> bool:
+    def _issue_to_cache(self, load: LSQEntry, now: int) -> int:
+        """Send ``load`` to the L1D: ``_ISSUED``, or why it must retry."""
         if self.fu_pool is not None and not any(
                 self.fu_pool.can_accept(FUClass.MEM_PORT, now, cluster)
                 for cluster in range(self.fu_pool.clusters)):
-            return False
+            return _NO_PORT
+        if self._l1d.rejects(load.addr):
+            return _NO_MSHR
         inst = load.inst
 
         def on_complete(request: MemRequest) -> None:
@@ -363,17 +406,17 @@ class LoadStoreQueue:
             if self.iq is not None:
                 self.iq.notify_load_miss(inst, self._events.now)
 
-        request = MemRequest(addr=load.addr, is_write=False,
-                             on_complete=on_complete, on_miss=on_miss)
-        if not self._memory.data_access(request):
-            return False            # MSHRs full; retry next cycle
+        # Accepted: ``rejects`` just said an MSHR or the line is there.
+        self._memory.data_access(MemRequest(
+            addr=load.addr, is_write=False,
+            on_complete=on_complete, on_miss=on_miss))
         if self.fu_pool is not None:
             self.fu_pool.try_cache_port(now)
         load.issued = True
         if self.memdep is not None:
             self._issued_loads_by_word.setdefault(
                 self._timing_key(load), []).append(load)
-        return True
+        return _ISSUED
 
     # -------------------------------------------------------- invariants --
     def check(self, now: int) -> None:
@@ -417,27 +460,29 @@ class LoadStoreQueue:
                         del self._issued_loads_by_word[
                             self._timing_key(entry)]
             return
-        if entry.is_store:
-            key = self._timing_key(entry)
-            stores = self._stores_by_word.get(key)
-            if stores and entry in stores:
-                stores.remove(entry)
-                if not stores:
-                    del self._stores_by_word[key]
-            if self.policy != "conservative":
-                true_key = self._true_key(entry)
-                true_stores = self._true_stores_by_word.get(true_key)
-                if true_stores and entry in true_stores:
-                    true_stores.remove(entry)
-                    if not true_stores:
-                        del self._true_stores_by_word[true_key]
-            if self.memdep is not None:
-                self.memdep.store_left(inst.pc, entry)
-            # Fire-and-forget write access (write-allocate).
-            self._memory.data_access(MemRequest(addr=entry.addr,
-                                                is_write=True))
-            # Any loads still parked (dispatched after completion raced the
-            # commit) go back to candidates; they will re-run the conflict
-            # check and read the cache.
-            self._candidates.extend(entry.waiting_loads)
-            entry.waiting_loads = []
+        key = self._timing_key(entry)
+        stores = self._stores_by_word.get(key)
+        if stores and entry in stores:
+            stores.remove(entry)
+            if not stores:
+                del self._stores_by_word[key]
+        if self.policy != "conservative":
+            true_key = self._true_key(entry)
+            true_stores = self._true_stores_by_word.get(true_key)
+            if true_stores and entry in true_stores:
+                true_stores.remove(entry)
+                if not true_stores:
+                    del self._true_stores_by_word[true_key]
+        if self.memdep is not None:
+            self.memdep.store_left(inst.pc, entry)
+        # Fire-and-forget write access (write-allocate).  A write the L1D
+        # rejects for want of an MSHR is lost, not retried: a known
+        # modelling divergence, counted here (see EXPERIMENTS.md).
+        if not self._memory.data_access(MemRequest(addr=entry.addr,
+                                                   is_write=True)):
+            self.stat_dropped_store_writes.inc()
+        # Any loads still parked (dispatched after completion raced the
+        # commit) go back to candidates; they will re-run the conflict
+        # check and read the cache.
+        self._candidates.extend(entry.waiting_loads)
+        entry.waiting_loads = []

@@ -135,6 +135,35 @@ class TestMSHRLimits:
         _, _, accepted = issue(l1, 9999 * 64 % 1024)
         assert accepted
 
+    def test_rejects_only_new_lines_when_full(self):
+        events, stats, l1, _ = make_system()
+        l1.warm_line(8 * 64)
+        for line in range(4):
+            issue(l1, line * 64)
+        assert not l1.rejects(8 * 64 + 8)       # resident
+        assert not l1.rejects(2 * 64 + 8)       # in flight: a delayed hit
+        assert stats.get("l1d.mshr_full_retries") == 0
+        assert l1.rejects(5 * 64)               # needs a fifth MSHR
+        assert stats.get("l1d.mshr_full_retries") == 1
+        _, _, accepted = issue(l1, 2 * 64 + 8)
+        assert accepted
+        assert stats.get("l1d.delayed_hits") == 1
+
+    def test_version_moves_with_fills_and_warming(self):
+        events, _, l1, _ = make_system()
+        issue(l1, 0)
+        start = l1.version
+        events.advance_to(1000)                 # the fill installs
+        filled = l1.version
+        assert filled > start
+        l1.warm_line(0)                         # already resident
+        assert l1.version == filled
+        l1.warm_line(64)
+        assert l1.version > filled
+        warmed = l1.version
+        l1.load_tag_state(l1.tag_state())
+        assert l1.version > warmed
+
 
 class TestLRUAndWritebacks:
     def test_lru_evicts_least_recent(self):

@@ -10,11 +10,18 @@ constant number of steps.
 
 import dataclasses
 
+import pytest
+
 from repro import api
 from repro.common import ProcessorParams, ideal_iq_params
 from repro.harness import configs
 from repro.isa import ProgramBuilder, R, execute
+from repro.memory.cache import Cache
+from repro.obs import RingBufferTracer, dump_jsonl
 from repro.pipeline import Processor
+from repro.pipeline.lsq import LoadStoreQueue
+from repro.workloads import WorkloadSpec
+from repro.workloads.synthetic import SyntheticProfile, build_synthetic
 
 
 def _run(factory, workload, event_driven):
@@ -61,3 +68,86 @@ def test_miss_shadow_crossed_in_constant_steps():
     assert skipped >= 1000       # ... and was fast-forwarded, not stepped
     assert total - skipped < 120  # active cycles: dispatch burst + wakeup
     assert processor.stats.get("skip.windows") < 40
+
+
+# ---------------------------------------------------------------------------
+# MSHR-full retry storms: a large window keeps more independent misses
+# ready than the L1D has MSHRs, so most LSQ cycles hold loads the L1D
+# refuses.  The LSQ counts the loads it knows will be refused again
+# instead of re-offering them; that must change nothing, with skip-ahead
+# on or off, and these cells must keep reaching it.
+
+_SCATTER_2MB = SyntheticProfile(
+    name="scatter-2mb", iterations=200, loads_per_iteration=2,
+    stores_per_iteration=1, footprint_words=1 << 18,
+    access_pattern="scatter", fp_chain_depth=3, fp_parallel_ops=3,
+    int_ops=2, seed=5)
+
+
+def _scatter_workload():
+    return WorkloadSpec(_SCATTER_2MB.name,
+                        lambda scale=1: build_synthetic(_SCATTER_2MB),
+                        default_instructions=1600, is_fp=True,
+                        warm_data=False, description="scatter over 2 MB")
+
+
+_STORMS = [
+    pytest.param(configs.ideal(512), "equake", 1500, id="equake-ideal-512"),
+    pytest.param(configs.ideal(256), _scatter_workload(), 1600,
+                 id="scatter-2mb-ideal-256"),
+]
+
+
+def _traced(params, workload, instructions, event_driven):
+    tracer = RingBufferTracer()
+    result = api.run(params.replace(event_driven=event_driven,
+                                    check_invariants=True),
+                     workload, max_instructions=instructions, trace=tracer)
+    return result, dump_jsonl(tracer.events)
+
+
+@pytest.mark.parametrize("params,workload,instructions", _STORMS)
+def test_retry_storm_bit_identity(params, workload, instructions):
+    on, trace_on = _traced(params, workload, instructions, True)
+    off, trace_off = _traced(params, workload, instructions, False)
+    assert on.cycles == off.cycles
+    assert on.instructions == off.instructions
+    strip = lambda stats: {key: value for key, value in stats.items()
+                           if not key.startswith("skip.")}
+    assert strip(on.stats) == strip(off.stats)
+    assert trace_on == trace_off
+    assert on.stats["l1d.mshr_full_retries"] > 0
+
+
+@pytest.mark.parametrize("params,workload,instructions", _STORMS + [
+    pytest.param(configs.ideal(512).replace(mem_dep_policy="store_sets"),
+                 "equake", 1500, id="equake-ideal-512-store-sets"),
+])
+def test_retry_storm_matches_exhaustive_retry(monkeypatch, params, workload,
+                                              instructions):
+    """Counting known refusals is exact: forgetting the refused loads
+    before every LSQ cycle (every candidate attempted in full) changes no
+    cycle, stat or trace event."""
+    attempts = []
+    rejects = Cache.rejects
+
+    def counted(cache, addr):
+        attempts[-1] += 1
+        return rejects(cache, addr)
+
+    monkeypatch.setattr(Cache, "rejects", counted)
+    attempts.append(0)
+    fast = _traced(params, workload, instructions, True)
+    cycle = LoadStoreQueue.cycle
+
+    def exhaustive(lsq, now):
+        lsq._refused = 0
+        cycle(lsq, now)
+
+    monkeypatch.setattr(LoadStoreQueue, "cycle", exhaustive)
+    attempts.append(0)
+    slow = _traced(params, workload, instructions, True)
+    assert fast[0].cycles == slow[0].cycles
+    assert fast[0].stats == slow[0].stats
+    assert fast[1] == slow[1]
+    assert attempts[0] < attempts[1] / 2    # refusals were counted
