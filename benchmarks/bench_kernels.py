@@ -44,24 +44,13 @@ MODE_QUEUED = 0
 
 
 class MicroEntry:
-    """Minimal stand-in for an IQ entry: the engine only mirrors
-    ``segment``; ``slot`` lets the driver free segment-0 arrivals."""
+    """Minimal stand-in for an IQ entry: ``slot`` lets the loop free
+    segment-0 arrivals."""
 
-    __slots__ = ("segment", "slot")
+    __slots__ = ("slot",)
 
     def __init__(self):
-        self.segment = -1
         self.slot = -1
-
-
-class MicroChain:
-    """Minimal stand-in for a chain: the engine mirrors these two."""
-
-    __slots__ = ("head_segment", "base")
-
-    def __init__(self, head_segment, base):
-        self.head_segment = head_segment
-        self.base = base
 
 
 def _thresholds(num_segments):
@@ -117,8 +106,7 @@ def bench_notify(rounds, members=256, sweeps=16):
     for _ in range(rounds):
         eng = kernels.make_engine(num_segments, cap * num_segments,
                                   _thresholds(num_segments))
-        chain = MicroChain(top, 2 * top)
-        cslot = eng.alloc_chain(chain, MODE_QUEUED, 2 * top, top)
+        cslot = eng.alloc_chain(MODE_QUEUED, 2 * top, top)
         for seq in range(members):
             seg = 1 + seq % top
             eng.insert_entry(MicroEntry(), seq, seg, -1, cslot,

@@ -1,93 +1,95 @@
 #!/usr/bin/env python3
 """Walk through the paper's Figure 1 worked example.
 
-Builds the nine-instruction code sequence from Figure 1(a) through the
-dispatch-stage machinery — chain creation, the register information table,
-and delay-value assignment — then prints the delay values and the segment
-placement of Figure 1(b), and finally demonstrates the self-timed
-countdown after chain head i0 issues (section 3.2's narrative).
+Dispatches the nine-instruction code sequence from Figure 1(a) into a
+three-segment ``SegmentedIQ`` (thresholds 2 / 4 / 6) and lets it promote
+without issuing: once the two chain heads reach segment 0, the queue
+holds the delay values and segment placement of Figure 1(b).  Then chain
+head i0 issues and its members self-time down the queue while i1's chain
+waits (section 3.2's narrative).
+
+    PYTHONPATH=src python examples/paper_figure1.py
 """
 
-from repro.common import StatGroup
-from repro.core.segmented.chains import ChainManager
-from repro.core.segmented.links import combined_delay
-from repro.core.segmented.register_info import RegisterInfoTable
+from repro.common import StatGroup, segmented_iq_params
+from repro.core.iq_base import Operand
+from repro.core.segmented import SegmentedIQ
 from repro.isa import Instruction, Opcode
 from repro.isa.instruction import DynInst
 
-# (name, text, dest reg, source regs, latency, is chain head)
+# (name, text, opcode, dest reg, source regs, latency, is chain head)
 EXAMPLE = [
-    ("i0", "add *,* -> r1 ", 1, (), 1, True),
-    ("i1", "mul *,* -> r2 ", 2, (), 2, True),
-    ("i2", "add r2,* -> r4", 4, (2,), 1, False),
-    ("i3", "mul r4,* -> r6", 6, (4,), 2, False),
-    ("i4", "mul r6,* -> r8", 8, (6,), 2, False),
-    ("i5", "add r1,* -> r3", 3, (1,), 1, False),
-    ("i6", "add r3,* -> r5", 5, (3,), 1, False),
-    ("i7", "add r5,* -> r7", 7, (5,), 1, False),
-    ("i8", "add r6,r7-> r9", 9, (6, 7), 1, False),
+    ("i0", "add *,* -> r1 ", Opcode.ADD, 1, (), 1, True),
+    ("i1", "mul *,* -> r2 ", Opcode.MUL, 2, (), 2, True),
+    ("i2", "add r2,* -> r4", Opcode.ADD, 4, (2,), 1, False),
+    ("i3", "mul r4,* -> r6", Opcode.MUL, 6, (4,), 2, False),
+    ("i4", "mul r6,* -> r8", Opcode.MUL, 8, (6,), 2, False),
+    ("i5", "add r1,* -> r3", Opcode.ADD, 3, (1,), 1, False),
+    ("i6", "add r3,* -> r5", Opcode.ADD, 5, (3,), 1, False),
+    ("i7", "add r5,* -> r7", Opcode.ADD, 7, (5,), 1, False),
+    ("i8", "add r6,r7-> r9", Opcode.ADD, 9, (6, 7), 1, False),
 ]
 
-THRESHOLDS = (2, 4, 6)      # segment 0, 1, 2 admission thresholds
 
-
-def segment_for(delay: int) -> int:
-    for segment, threshold in enumerate(THRESHOLDS):
-        if delay < threshold:
-            return segment
-    return len(THRESHOLDS) - 1
+def dispatch_example():
+    """Dispatch Figure 1 into the top segment at cycle 0 (no bypass or
+    pushdown; the left/right predictor picks i8's r6 operand)."""
+    params = segmented_iq_params(48, 16, None, hmp=False, lrp=True,
+                                 pushdown=False, bypass=False)
+    iq = SegmentedIQ(params, issue_width=8, stats=StatGroup())
+    iq.in_flight = 1        # nothing issues: keep deadlock recovery quiet
+    producers = {}
+    entries = {}
+    for seq, (name, _text, opcode, dest, srcs, latency, is_head) in \
+            enumerate(EXAMPLE):
+        inst = DynInst(seq=seq, pc=seq, static=Instruction(
+            opcode=opcode, dest=dest, srcs=srcs))
+        inst.latency = latency          # Figure 1's MUL takes 2 cycles
+        if is_head:
+            # The model makes only loads and two-chain instructions
+            # chain heads; Figure 1's heads are an add and a mul.
+            plan = iq._plan(inst, 0)
+            plan.needs_chain = True
+            plan.head_latency = latency
+        operands = [Operand(reg, producers[reg], None) for reg in srcs]
+        entries[name] = iq.dispatch(inst, operands, now=0)
+        producers[dest] = inst
+    return iq, entries
 
 
 def main() -> None:
-    chains = ChainManager(None, StatGroup())
-    rit = RegisterInfoTable()
-    placements = []
-    chain_of = {}
+    iq, entries = dispatch_example()
+    for cycle in range(1, 6):
+        iq.cycle(cycle)
 
-    for seq, (name, text, dest, srcs, latency, is_head) in enumerate(EXAMPLE):
-        inst = DynInst(seq=seq, pc=seq, static=Instruction(
-            opcode=Opcode.ADD, dest=dest, srcs=srcs))
-        links = [link for link in (rit.link_for(reg, 0) for reg in srcs)
-                 if link is not None]
-        if name == "i8":
-            # Figure 1(b): the left/right predictor assigns i8 to the r6
-            # chain (the later-arriving operand).
-            links = [max(links, key=lambda l: l.dh)]
-        delay = combined_delay(links, 0)
-        if is_head:
-            chain = chains.allocate(inst, head_segment=0,
-                                    head_latency=latency)
-            rit.set_chained(dest, inst, chain, latency)
-        else:
-            governing = max(links, key=lambda l: l.dh)
-            chain = governing.chain
-            rit.set_chained(dest, inst, chain, governing.dh + latency)
-        chain_of[name] = chain
-        placements.append((name, text, latency, delay, segment_for(delay)))
-
-    print("Figure 1(a): delay values assigned at dispatch\n")
-    print(f"  {'inst':<4} {'code':<16} {'latency':>7} {'delay':>6} {'segment':>8}")
-    for name, text, latency, delay, segment in placements:
-        print(f"  {name:<4} {text:<16} {latency:>7} {delay:>6} {segment:>8}")
+    print("Figure 1(a): delay values once both heads sit in segment 0\n")
+    print(f"  {'inst':<4} {'code':<16} {'latency':>7} {'delay':>6} "
+          f"{'segment':>8}")
+    for name, text, _opcode, _dest, _srcs, latency, _head in EXAMPLE:
+        entry = entries[name]
+        print(f"  {name:<4} {text:<16} {latency:>7} "
+              f"{iq.delay_of(entry):>6} {iq.segment_of(entry):>8}")
 
     print("\nFigure 1(b): instructions per segment "
           "(thresholds 2 / 4 / 6)\n")
-    for segment in reversed(range(3)):
-        members = [name for name, _, _, _, s in placements if s == segment]
+    for segment in reversed(range(iq.num_segments)):
+        members = [name for name, entry in entries.items()
+                   if iq.segment_of(entry) == segment]
         print(f"  segment {segment}: {', '.join(members)}")
 
-    print("\nSection 3.2: chain head i0 issues; its chain self-times.\n")
-    chain_a = chain_of["i0"]
-    chain_a.on_head_issued(now=0)
-    for cycle in range(4):
-        d5 = chain_a.member_delay(1, cycle)     # i5, dh = 1
-        d6 = chain_a.member_delay(2, cycle)     # i6, dh = 2
-        d7 = chain_a.member_delay(3, cycle)     # i7, dh = 3
-        d2 = chain_of["i1"].member_delay(2, cycle)   # i2 on chain B: frozen
-        print(f"  cycle {cycle}: i5={d5} i6={d6} i7={d7}   "
-              f"(i2 on i1's chain stays at {d2})")
-    print("\ni5/i6/i7 gradually promote into segment 0 and issue, while "
-          "i1's chain waits — exactly Figure 1's narrative.")
+    print("\nSection 3.2: chain head i0 issues at cycle 6; its chain "
+          "self-times.\n")
+    iq.select_issue(6, lambda inst: inst.seq == 0)
+    for cycle in range(6, 10):
+        iq.cycle(cycle)
+        row = "  ".join(
+            f"{name}={iq.delay_of(entries[name])}"
+            f"@seg{iq.segment_of(entries[name])}"
+            for name in ("i5", "i6", "i7", "i2"))
+        print(f"  cycle {cycle}: {row}")
+    print("\ni5/i6/i7 count down into segment 0 and become issue "
+          "candidates, while i1's chain (i2) waits — exactly Figure 1's "
+          "narrative.")
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ class IQEntry:
         self.operands = operands
         self.issued = False
         self.chain_state = None      # used by the segmented IQ
-        self.segment = -1            # used by the segmented IQ
+        self.segment = -1            # placement marker (see segment_of)
         self.queue_cycle = -1
         self.unknown_count = 0
         ready = 0
@@ -191,6 +191,12 @@ class InstructionQueue(abc.ABC):
         live entries override this; the invariant checker uses it for the
         ROB/IQ membership agreement check."""
         return iter(())
+
+    def segment_of(self, entry: IQEntry) -> int:
+        """The entry's placement marker for tracing and invariant checks:
+        its own ``entry.segment`` field here; the segmented IQ overrides
+        it with the segment its engine records."""
+        return entry.segment
 
     def notify_load_miss(self, inst: DynInst, now: int) -> None:
         """A load detected a cache miss (segmented IQ: suspend self-timing)."""

@@ -4,15 +4,14 @@ from repro.core.segmented.chains import Chain, ChainManager
 from repro.core.segmented.kernels import (PyKernelEngine, backend,
                                           make_engine, set_backend)
 from repro.core.segmented.links import (NEVER, ChainLink, CountdownLink,
-                                        combined_delay, combined_eligible_at)
-from repro.core.segmented.queue import PREDICTED_LOAD_LATENCY, SegmentedIQ
+                                        combined_delay)
+from repro.core.segmented.queue import (PREDICTED_LOAD_LATENCY, SegmentedIQ,
+                                        SegmentState)
 from repro.core.segmented.register_info import RegisterInfoTable, RITEntry
-from repro.core.segmented.segment import Segment, SegmentState
 
 __all__ = [
     "Chain", "ChainLink", "ChainManager", "CountdownLink", "NEVER",
     "PREDICTED_LOAD_LATENCY", "PyKernelEngine", "RITEntry",
-    "RegisterInfoTable", "Segment", "SegmentState", "SegmentedIQ",
-    "backend", "combined_delay", "combined_eligible_at", "make_engine",
-    "set_backend",
+    "RegisterInfoTable", "SegmentState", "SegmentedIQ", "backend",
+    "combined_delay", "make_engine", "set_backend",
 ]

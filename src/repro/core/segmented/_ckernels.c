@@ -4,10 +4,13 @@
  * a CPython extension type: the same struct-of-arrays columns, the same
  * packed-integer heaps (the heap routines replicate CPython's heapq
  * sift functions exactly, so even the internal heap layouts match the
- * pure-Python backend), the same eager object mirrors.  Any semantic
+ * pure-Python backend).  The columns are the only copy of the segmented
+ * IQ's scheduling and chain state: nothing is written back onto entry
+ * or chain objects, and chains are not held at all.  Any semantic
  * change must be made in kernels.py first and transliterated here; the
  * conformance suite (tests/core/test_kernels.py) asserts bit-identity
- * between the two backends.
+ * between the two backends and tests/core/test_engine_parity.py checks
+ * them call for call.
  *
  * Build: python -m repro.core.segmented.build
  */
@@ -24,9 +27,6 @@
 #define SLOT_BITS 20
 #define SLOT_MASK ((1LL << SLOT_BITS) - 1)
 
-static PyObject *str_segment;       /* "segment" */
-static PyObject *str_head_segment;  /* "head_segment" */
-static PyObject *str_base;          /* "base" */
 static PyObject *str_inst;          /* "inst" */
 static PyObject *str_static;        /* "static" */
 static PyObject *str_opcode;        /* "opcode" */
@@ -42,11 +42,8 @@ static PyObject *str_unknown_count; /* "unknown_count" */
 static PyObject *str_ready_cycle;   /* "ready_cycle" */
 static PyObject *str_links_priv;    /* "_links" */
 static PyObject *str_own_chain;     /* "own_chain" */
-static PyObject *str_eligible_at;   /* "eligible_at" */
 static PyObject *str_lrp_choice;    /* "lrp_choice" */
 static PyObject *str_lrp_consulted; /* "lrp_consulted" */
-static PyObject *str_pushdown;      /* "pushdown" */
-static PyObject *str_ready_seg;     /* "ready_seg" */
 static PyObject *str_slot;          /* "slot" */
 static PyObject *str_countdown_ready; /* "countdown_ready" */
 static PyObject *str_chain_pairs;   /* "chain_pairs" */
@@ -68,8 +65,6 @@ static PyObject *str_value_ready_cycle; /* "value_ready_cycle" */
 static PyObject *str_srcs;          /* "srcs" */
 static PyObject *str_is_mem;        /* "is_mem" */
 static PyObject *str_freed;         /* "freed" */
-static PyObject *str_member_delay;  /* "member_delay" */
-static PyObject *never_obj;         /* PyLong(1 << 60), the NEVER sentinel */
 static PyObject *zero_obj;          /* PyLong(0) */
 
 /* Fused FU acquisition for Engine.issue_select (defined with the
@@ -228,7 +223,6 @@ typedef struct {
     i64vec *readys;             /* ready heaps of (seq<<20)|slot */
     /* chain columns (cslot-indexed, never recycled) */
     Py_ssize_t c_len, c_cap;
-    PyObject **c_obj;
     int64_t *c_mode, *c_base, *c_hseg;
     i64vec *c_members;          /* packed (seq<<20)|slot member keys */
     /* segment-0 issue heaps: pending (when<<20)|slot maturities and
@@ -282,7 +276,6 @@ engine_grow_chains(Engine *self, Py_ssize_t need)
     Py_ssize_t cap = self->c_cap ? self->c_cap : 64;
     while (cap < need)
         cap *= 2;
-    GROW_COL(c_obj, PyObject *);
     GROW_COL(c_mode, int64_t);
     GROW_COL(c_base, int64_t);
     GROW_COL(c_hseg, int64_t);
@@ -327,10 +320,10 @@ members_remove(Engine *self, int64_t seg, int64_t slot)
         self->m_prev[next] = prev;
 }
 
-/* -------------------------------------------------- object mirrors --- */
+/* -------------------------------------------------- attribute stores --- */
 
 static inline int
-mirror_set(PyObject *obj, PyObject *name, int64_t value)
+attr_set_i64(PyObject *obj, PyObject *name, int64_t value)
 {
     PyObject *num = PyLong_FromLongLong((long long)value);
     if (num == NULL)
@@ -431,7 +424,7 @@ notify_chain(Engine *self, int64_t cslot)
         int64_t key = keys[i];
         int64_t slot = key & SLOT_MASK;
         if (e_seq[slot] != key >> SLOT_BITS)
-            continue;           /* issued or recycled: unsubscribe */
+            continue;           /* issued or recycled: drop the key */
         keys[kept++] = key;
         int64_t seg = e_seg[slot];
         if (seg == 0)
@@ -595,16 +588,12 @@ oldest_ineligible_raw(Engine *self, int64_t seg, int64_t now,
     return 0;
 }
 
-/* The in-engine queued-own-chain head promotion (mirrors + notify). */
+/* The in-engine queued-own-chain head promotion (columns + notify). */
 static int
 own_chain_promoted(Engine *self, int64_t own, int64_t dk)
 {
     self->c_hseg[own] = dk;
     self->c_base[own] = 2 * dk;
-    PyObject *chain = self->c_obj[own];
-    if (mirror_set(chain, str_head_segment, dk) < 0
-        || mirror_set(chain, str_base, 2 * dk) < 0)
-        return -1;
     return notify_chain(self, own);
 }
 
@@ -697,8 +686,6 @@ Engine_traverse(Engine *self, visitproc visit, void *arg)
     Py_VISIT(self->events);
     for (Py_ssize_t i = 0; i < self->e_len; i++)
         Py_VISIT(self->e_obj[i]);
-    for (Py_ssize_t i = 0; i < self->c_len; i++)
-        Py_VISIT(self->c_obj[i]);
     Py_VISIT(self->adm_ss_cls);
     Py_VISIT(self->adm_rit_cls);
     Py_VISIT(self->adm_iqe_cls);
@@ -712,8 +699,6 @@ Engine_clear(Engine *self)
     Py_CLEAR(self->events);
     for (Py_ssize_t i = 0; i < self->e_len; i++)
         Py_CLEAR(self->e_obj[i]);
-    for (Py_ssize_t i = 0; i < self->c_len; i++)
-        Py_CLEAR(self->c_obj[i]);
     Py_CLEAR(self->adm_ss_cls);
     Py_CLEAR(self->adm_rit_cls);
     Py_CLEAR(self->adm_iqe_cls);
@@ -750,7 +735,6 @@ Engine_dealloc(Engine *self)
         for (Py_ssize_t i = 0; i < self->num_segments; i++)
             iv_free(&self->readys[i]);
     PyMem_Free(self->heaps); PyMem_Free(self->readys);
-    PyMem_Free(self->c_obj);
     PyMem_Free(self->c_mode); PyMem_Free(self->c_base);
     PyMem_Free(self->c_hseg);
     if (self->c_members != NULL)
@@ -821,15 +805,12 @@ Engine_threshold(Engine *self, PyObject *arg)
 static PyObject *
 Engine_alloc_chain(Engine *self, PyObject *args)
 {
-    PyObject *obj;
     long long mode, base, head_segment;
-    if (!PyArg_ParseTuple(args, "OLLL", &obj, &mode, &base, &head_segment))
+    if (!PyArg_ParseTuple(args, "LLL", &mode, &base, &head_segment))
         return NULL;
     Py_ssize_t cslot = self->c_len;
     if (cslot >= self->c_cap && engine_grow_chains(self, cslot + 1) < 0)
         return PyErr_NoMemory();
-    Py_INCREF(obj);
-    self->c_obj[cslot] = obj;
     self->c_mode[cslot] = (int64_t)mode;
     self->c_base[cslot] = (int64_t)base;
     self->c_hseg[cslot] = (int64_t)head_segment;
@@ -853,15 +834,37 @@ Engine_chain_set(Engine *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* One column cell as a Python int: the readers behind SegmentedIQ.
+ * segment_of (e_seg) and the Chain properties (c_mode/c_base/c_hseg). */
 static PyObject *
-Engine_chain_info(Engine *self, PyObject *arg)
+column_read(const int64_t *column, Py_ssize_t len, PyObject *arg)
 {
-    Py_ssize_t cslot = PyNumber_AsSsize_t(arg, PyExc_IndexError);
-    if (cslot == -1 && PyErr_Occurred())
+    Py_ssize_t index = PyNumber_AsSsize_t(arg, PyExc_IndexError);
+    if (index == -1 && PyErr_Occurred())
         return NULL;
-    return Py_BuildValue("(LLL)", (long long)self->c_mode[cslot],
-                         (long long)self->c_base[cslot],
-                         (long long)self->c_hseg[cslot]);
+    if (index < 0 || index >= len) {
+        PyErr_SetString(PyExc_IndexError, "engine column index out of range");
+        return NULL;
+    }
+    return PyLong_FromLongLong((long long)column[index]);
+}
+
+static PyObject *
+Engine_mode_of(Engine *self, PyObject *arg)
+{
+    return column_read(self->c_mode, self->c_len, arg);
+}
+
+static PyObject *
+Engine_base_of(Engine *self, PyObject *arg)
+{
+    return column_read(self->c_base, self->c_len, arg);
+}
+
+static PyObject *
+Engine_hseg_of(Engine *self, PyObject *arg)
+{
+    return column_read(self->c_hseg, self->c_len, arg);
 }
 
 /* ----------------------------------------------------------- entries -- */
@@ -899,8 +902,6 @@ insert_entry_raw(Engine *self, PyObject *obj, int64_t seq, int64_t seg,
     self->e_own[slot] = own;
     self->e_crit0[slot] = 0;
     self->e_crit1[slot] = 0;
-    if (mirror_set(obj, str_segment, seg) < 0)
-        return -1;
     int64_t key = (seq << SLOT_BITS) | slot;
     if (c0 >= 0 && iv_push(&self->c_members[c0], key) < 0) {
         PyErr_NoMemory();
@@ -1029,7 +1030,7 @@ Engine_admit(Engine *self, PyObject *const *args, Py_ssize_t nargs)
     Py_DECREF(seq_obj);
     if (PyObject_SetAttr(entry, str_operands, operands) < 0
         || PyObject_SetAttr(entry, str_issued, Py_False) < 0
-        || mirror_set(entry, str_queue_cycle, now) < 0)
+        || attr_set_i64(entry, str_queue_cycle, now) < 0)
         goto fail;
 
     /* One pass over the operands: count unknown sources and take the
@@ -1058,8 +1059,8 @@ Engine_admit(Engine *self, PyObject *const *args, Py_ssize_t nargs)
         }
         Py_DECREF(rc);
     }
-    if (mirror_set(entry, str_unknown_count, unknown) < 0
-        || mirror_set(entry, str_ready_cycle, ready) < 0)
+    if (attr_set_i64(entry, str_unknown_count, unknown) < 0
+        || attr_set_i64(entry, str_ready_cycle, ready) < 0)
         goto fail;
 
     PyObject *cd_obj = PyObject_GetAttr(plan, str_countdown_ready);
@@ -1076,7 +1077,7 @@ Engine_admit(Engine *self, PyObject *const *args, Py_ssize_t nargs)
         goto fail;
     }
 
-    /* SegmentState, slot-for-slot (SegmentState.from_packed twin). */
+    /* SegmentState, slot-for-slot (the SegmentedIQ.dispatch stores). */
     state = plain_new(self->adm_ss_cls);
     if (state == NULL)
         goto fail_cd;
@@ -1096,9 +1097,6 @@ Engine_admit(Engine *self, PyObject *const *args, Py_ssize_t nargs)
         goto fail_cd;
     if (PyObject_SetAttr(state, str_links_priv, Py_None) < 0
         || PyObject_SetAttr(state, str_own_chain, chain) < 0
-        || PyObject_SetAttr(state, str_eligible_at, never_obj) < 0
-        || PyObject_SetAttr(state, str_pushdown, Py_False) < 0
-        || mirror_set(state, str_ready_seg, -1) < 0
         || PyObject_SetAttr(state, str_countdown_ready, cd_obj) < 0
         || PyObject_SetAttr(state, str_chain_pairs, pairs) < 0
         || PyObject_SetAttr(entry, str_chain_state, state) < 0)
@@ -1184,14 +1182,14 @@ Engine_admit(Engine *self, PyObject *const *args, Py_ssize_t nargs)
                                     c0, dh0, c1, dh1, own, now);
     if (slot < 0)
         goto fail;
-    if (mirror_set(state, str_slot, slot) < 0)
+    if (attr_set_i64(state, str_slot, slot) < 0)
         goto fail;
 
     /* queue._occupancy += 1; stat_dispatched.inc() */
     {
         int64_t occ;
         if (attr_i64(queue, str_occupancy_priv, &occ) < 0
-            || mirror_set(queue, str_occupancy_priv, occ + 1) < 0)
+            || attr_set_i64(queue, str_occupancy_priv, occ + 1) < 0)
             goto fail;
     }
     if (counter_inc1(self->adm_stat) < 0)
@@ -1247,7 +1245,7 @@ Engine_admit(Engine *self, PyObject *const *args, Py_ssize_t nargs)
         Py_DECREF(hl);
         if (rc_set < 0
             || PyObject_SetAttr(rentry, str_chain, chain) < 0
-            || mirror_set(rentry, str_expected_ready, 0) < 0)
+            || attr_set_i64(rentry, str_expected_ready, 0) < 0)
             goto fail;
     } else {
         /* Deepest producing pair by strict depth (first wins ties). */
@@ -1288,17 +1286,17 @@ Engine_admit(Engine *self, PyObject *const *args, Py_ssize_t nargs)
             rc_set = PyObject_SetAttr(rentry, str_chain, deep_chain);
             Py_DECREF(deep_chain);
             if (rc_set < 0
-                || mirror_set(rentry, str_dh, deep_dh + own_latency) < 0
-                || mirror_set(rentry, str_expected_ready, 0) < 0)
+                || attr_set_i64(rentry, str_dh, deep_dh + own_latency) < 0
+                || attr_set_i64(rentry, str_expected_ready, 0) < 0)
                 goto fail;
         } else {
             int64_t expected = now + 1;
             if (countdown > expected)
                 expected = countdown;
             if (PyObject_SetAttr(rentry, str_chain, Py_None) < 0
-                || mirror_set(rentry, str_dh, 0) < 0
-                || mirror_set(rentry, str_expected_ready,
-                              expected + own_latency) < 0)
+                || attr_set_i64(rentry, str_dh, 0) < 0
+                || attr_set_i64(rentry, str_expected_ready,
+                                expected + own_latency) < 0)
                 goto fail;
         }
     }
@@ -1445,17 +1443,33 @@ Engine_plan_links(Engine *self, PyObject *const *args, Py_ssize_t nargs)
                     goto fail;
             } else {
                 /* Chain wire freed: value trails the written-back head
-                 * by at most dh self-timed cycles. */
-                PyObject *md = PyObject_CallMethodObjArgs(
-                    rchain, str_member_delay, dh, now_obj, NULL);
-                Py_DECREF(dh);
+                 * by at most dh self-timed cycles (Chain.member_delay
+                 * over the chain's columns). */
+                int64_t cs;
+                int rc_cs = attr_i64(rchain, str_cslot, &cs);
                 Py_DECREF(rchain);
-                if (md == NULL)
+                if (rc_cs < 0) {
+                    Py_DECREF(dh);
                     goto fail;
-                int64_t mdv = (int64_t)PyLong_AsLongLong(md);
-                Py_DECREF(md);
-                if (mdv == -1 && PyErr_Occurred())
+                }
+                int64_t dhv = (int64_t)PyLong_AsLongLong(dh);
+                Py_DECREF(dh);
+                if (dhv == -1 && PyErr_Occurred())
                     goto fail;
+                if (cs < 0 || cs >= self->c_len) {
+                    PyErr_SetString(PyExc_IndexError,
+                                    "plan_links: chain cslot out of range");
+                    goto fail;
+                }
+                int64_t mode = self->c_mode[cs], base = self->c_base[cs];
+                int64_t mdv;
+                if (mode == 0)
+                    mdv = base + dhv;
+                else {
+                    mdv = mode == 1 ? base + dhv - now : dhv - base;
+                    if (mdv < 0)
+                        mdv = 0;
+                }
                 PyObject *val = PyLong_FromLongLong(now + mdv);
                 if (val == NULL)
                     goto fail;
@@ -1523,8 +1537,6 @@ Engine_attach(Engine *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "LLL", &slot, &seg, &now))
         return NULL;
     self->e_seg[slot] = (int64_t)seg;
-    if (mirror_set(self->e_obj[slot], str_segment, (int64_t)seg) < 0)
-        return NULL;
     members_append(self, (int64_t)seg, (int64_t)slot);
     self->occ[seg]++;
     if (seg > 0 && schedule_slot(self, (int64_t)slot, (int64_t)seg,
@@ -1544,6 +1556,12 @@ Engine_entry_obj(Engine *self, PyObject *arg)
         Py_RETURN_NONE;
     Py_INCREF(obj);
     return obj;
+}
+
+static PyObject *
+Engine_seg_of(Engine *self, PyObject *arg)
+{
+    return column_read(self->e_seg, self->e_len, arg);
 }
 
 static PyObject *
@@ -1778,8 +1796,6 @@ Engine_promote_all(Engine *self, PyObject *args)
                     e_seg[slot] = (int64_t)dk;
                     members_append(self, (int64_t)dk, slot);
                     PyObject *obj = self->e_obj[slot];
-                    if (mirror_set(obj, str_segment, (int64_t)dk) < 0)
-                        goto fail;
                     /* Inlined destination schedule (see kernels.py for
                      * why the ready residency is set unconditionally). */
                     int64_t when = eligible_when(self, slot, threshold,
@@ -1819,8 +1835,6 @@ Engine_promote_all(Engine *self, PyObject *args)
                     e_seg[slot] = 0;
                     members_append(self, 0, slot);
                     PyObject *obj = self->e_obj[slot];
-                    if (mirror_set(obj, str_segment, 0) < 0)
-                        goto fail;
                     if (collect) {
                         PyObject *ev = Py_BuildValue("(Onii)", obj,
                                                      (Py_ssize_t)k, 0, 0);
@@ -1863,8 +1877,6 @@ Engine_promote_all(Engine *self, PyObject *args)
                 members_append(self, (int64_t)dk, slot);
                 occ[dk]++;
                 PyObject *obj = self->e_obj[slot];
-                if (mirror_set(obj, str_segment, (int64_t)dk) < 0)
-                    goto fail;
                 pushdowns++;
                 if (dk && schedule_slot(self, slot, (int64_t)dk, now) < 0)
                     goto fail;
@@ -2117,7 +2129,9 @@ static PyMethodDef Engine_methods[] = {
     {"threshold", (PyCFunction)Engine_threshold, METH_O, NULL},
     {"alloc_chain", (PyCFunction)Engine_alloc_chain, METH_VARARGS, NULL},
     {"chain_set", (PyCFunction)Engine_chain_set, METH_VARARGS, NULL},
-    {"chain_info", (PyCFunction)Engine_chain_info, METH_O, NULL},
+    {"mode_of", (PyCFunction)Engine_mode_of, METH_O, NULL},
+    {"base_of", (PyCFunction)Engine_base_of, METH_O, NULL},
+    {"hseg_of", (PyCFunction)Engine_hseg_of, METH_O, NULL},
     {"insert_entry", (PyCFunction)Engine_insert_entry, METH_VARARGS,
      NULL},
     {"bind_admit", (PyCFunction)Engine_bind_admit, METH_VARARGS, NULL},
@@ -2127,6 +2141,7 @@ static PyMethodDef Engine_methods[] = {
     {"detach", (PyCFunction)Engine_detach, METH_O, NULL},
     {"attach", (PyCFunction)Engine_attach, METH_VARARGS, NULL},
     {"entry_obj", (PyCFunction)Engine_entry_obj, METH_O, NULL},
+    {"seg_of", (PyCFunction)Engine_seg_of, METH_O, NULL},
     {"slot_seq", (PyCFunction)Engine_slot_seq, METH_O, NULL},
     {"p0_push", (PyCFunction)Engine_p0_push, METH_VARARGS, NULL},
     {"p0_next", (PyCFunction)Engine_p0_next, METH_O, NULL},
@@ -3181,15 +3196,12 @@ static struct PyModuleDef ckernels_module = {
 PyMODINIT_FUNC
 PyInit__ckernels(void)
 {
-    str_segment = PyUnicode_InternFromString("segment");
-    str_head_segment = PyUnicode_InternFromString("head_segment");
-    str_base = PyUnicode_InternFromString("base");
     str_inst = PyUnicode_InternFromString("inst");
     str_static = PyUnicode_InternFromString("static");
     str_opcode = PyUnicode_InternFromString("opcode");
     str_cluster = PyUnicode_InternFromString("cluster");
     str_inc = PyUnicode_InternFromString("inc");
-    if (!str_segment || !str_head_segment || !str_base || !str_inst
+    if (!str_inst
         || !str_static || !str_opcode || !str_cluster || !str_inc)
         return NULL;
     str_seq = PyUnicode_InternFromString("seq");
@@ -3201,11 +3213,8 @@ PyInit__ckernels(void)
     str_ready_cycle = PyUnicode_InternFromString("ready_cycle");
     str_links_priv = PyUnicode_InternFromString("_links");
     str_own_chain = PyUnicode_InternFromString("own_chain");
-    str_eligible_at = PyUnicode_InternFromString("eligible_at");
     str_lrp_choice = PyUnicode_InternFromString("lrp_choice");
     str_lrp_consulted = PyUnicode_InternFromString("lrp_consulted");
-    str_pushdown = PyUnicode_InternFromString("pushdown");
-    str_ready_seg = PyUnicode_InternFromString("ready_seg");
     str_slot = PyUnicode_InternFromString("slot");
     str_countdown_ready = PyUnicode_InternFromString("countdown_ready");
     str_chain_pairs = PyUnicode_InternFromString("chain_pairs");
@@ -3227,21 +3236,18 @@ PyInit__ckernels(void)
     str_srcs = PyUnicode_InternFromString("srcs");
     str_is_mem = PyUnicode_InternFromString("is_mem");
     str_freed = PyUnicode_InternFromString("freed");
-    str_member_delay = PyUnicode_InternFromString("member_delay");
-    never_obj = PyLong_FromLongLong(1LL << 60);
     zero_obj = PyLong_FromLong(0);
     if (!str_seq || !str_operands || !str_issued || !str_chain_state
         || !str_queue_cycle || !str_unknown_count || !str_ready_cycle
-        || !str_links_priv || !str_own_chain || !str_eligible_at
-        || !str_lrp_choice || !str_lrp_consulted || !str_pushdown
-        || !str_ready_seg || !str_slot || !str_countdown_ready
+        || !str_links_priv || !str_own_chain
+        || !str_lrp_choice || !str_lrp_consulted
+        || !str_slot || !str_countdown_ready
         || !str_chain_pairs || !str_cslot || !str_producer
         || !str_waiters || !str_dest || !str_thread || !str_is_load
         || !str_latency || !str_head_latency || !str_chain || !str_dh
         || !str_expected_ready || !str_occupancy_priv || !str_reg
         || !str_penalty || !str_value_ready_cycle || !str_srcs
-        || !str_is_mem || !str_freed || !str_member_delay || !never_obj
-        || !zero_obj)
+        || !str_is_mem || !str_freed || !zero_obj)
         return NULL;
     if (PyType_Ready(&EngineType) < 0)
         return NULL;

@@ -4,7 +4,20 @@ Compiles ``_ckernels.c`` into an extension module next to this file so
 ``from repro.core.segmented import _ckernels`` succeeds and the ``auto``
 backend (see :mod:`repro.core.segmented.kernels`) picks it up.  Usage::
 
-    python -m repro.core.segmented.build
+    python -m repro.core.segmented.build [--sanitize]
+
+``--sanitize`` builds with AddressSanitizer and UndefinedBehaviorSanitizer
+for checking the extension's memory and reference-count handling.  The
+sanitizer runtimes must then be loaded first, e.g.::
+
+    ASAN=$(gcc -print-file-name=libasan.so)
+    UBSAN=$(gcc -print-file-name=libubsan.so)
+    LD_PRELOAD="$ASAN:$UBSAN" ASAN_OPTIONS=detect_leaks=0 \\
+        REPRO_KERNELS=compiled python -m pytest \\
+        tests/core/test_kernels.py tests/core/test_engine_parity.py
+
+Rebuild without the flag afterwards: a sanitized extension does not load
+in a plain interpreter.
 
 Only a C compiler and the Python headers are required — no build system
 and no third-party packages.  When either is missing the build fails
@@ -13,12 +26,17 @@ with a clear message and the pure-Python backend keeps working.
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import shlex
 import subprocess
 import sys
 import sysconfig
 from typing import List, Optional
+
+#: Compiler flags of an ``--sanitize`` build (in place of ``-O2``).
+SANITIZE_FLAGS = ["-O1", "-g", "-fno-omit-frame-pointer",
+                  "-fsanitize=address,undefined"]
 
 
 def _compiler() -> List[str]:
@@ -29,14 +47,14 @@ def _compiler() -> List[str]:
     return ["cc"]
 
 
-def build(verbose: bool = True) -> pathlib.Path:
+def build(verbose: bool = True, sanitize: bool = False) -> pathlib.Path:
     """Compile ``_ckernels.c``; returns the built extension's path."""
     package_dir = pathlib.Path(__file__).resolve().parent
     source = package_dir / "_ckernels.c"
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
     target = package_dir / f"_ckernels{suffix}"
-    command = _compiler() + [
-        "-O2", "-fPIC", "-shared",
+    command = _compiler() + (SANITIZE_FLAGS if sanitize else ["-O2"]) + [
+        "-fPIC", "-shared",
         f"-I{sysconfig.get_paths()['include']}",
         str(source), "-o", str(target),
     ]
@@ -52,9 +70,11 @@ def build(verbose: bool = True) -> pathlib.Path:
     return target
 
 
-def ensure_built(verbose: bool = False) -> Optional[pathlib.Path]:
+def ensure_built(verbose: bool = False,
+                 strict: bool = False) -> Optional[pathlib.Path]:
     """Build unless an up-to-date extension already exists; returns the
-    extension path, or None when no compiler toolchain is available."""
+    extension path, or None when no compiler toolchain is available
+    (``strict`` raises the build failure instead)."""
     package_dir = pathlib.Path(__file__).resolve().parent
     source = package_dir / "_ckernels.c"
     suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
@@ -65,14 +85,22 @@ def ensure_built(verbose: bool = False) -> Optional[pathlib.Path]:
     try:
         return build(verbose=verbose)
     except (RuntimeError, OSError) as exc:
+        if strict:
+            raise
         if verbose:
             print(f"kernel backend unavailable: {exc}", file=sys.stderr)
         return None
 
 
-def main() -> int:
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.core.segmented.build",
+        description="Compile the segmented-IQ kernel extension in place.")
+    parser.add_argument("--sanitize", action="store_true",
+                        help="build with -fsanitize=address,undefined")
+    args = parser.parse_args(argv)
     try:
-        target = build(verbose=True)
+        target = build(verbose=True, sanitize=args.sanitize)
     except (RuntimeError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1

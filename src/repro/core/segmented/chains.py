@@ -22,7 +22,7 @@ DESIGN.md records this simplification.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.stats import StatGroup
@@ -31,17 +31,18 @@ from repro.obs.events import TraceEvent
 
 
 class Chain:
-    """One dependence chain: head status plus the member notification list."""
+    """One dependence chain: the head's issue/suspension history plus a
+    handle on the chain's columns in the kernel engine."""
 
-    __slots__ = ("chain_id", "head", "head_segment", "head_latency",
-                 "issued_cycle", "suspended_since", "suspended_accum",
-                 "freed", "members", "cluster", "mode", "base", "on_event",
+    __slots__ = ("chain_id", "head", "head_latency", "issued_cycle",
+                 "suspended_since", "suspended_accum", "freed", "cluster",
                  "engine", "cslot")
 
-    #: ``mode``/``base`` cache the member-delay algebra so followers can
-    #: evaluate their delay in one arithmetic step instead of re-deriving
-    #: the chain state on every examination (the incremental-wakeup hot
-    #: path).  They change only inside the four event methods below:
+    #: The member-delay algebra lives in the engine's chain columns
+    #: ``(mode, base, head_segment)``, the only copy of that state.  The
+    #: engine moves a queued head's segment itself as the head promotes;
+    #: the four event methods below publish every other change through
+    #: ``engine.chain_set`` and wake the members with ``engine.notify``:
     #:
     #: * ``MODE_QUEUED``    — delay = base + dh       (base = 2*head_segment)
     #: * ``MODE_TICKING``   — delay = max(0, base + dh - now)
@@ -52,11 +53,10 @@ class Chain:
     MODE_TICKING = 1
     MODE_SUSPENDED = 2
 
-    def __init__(self, chain_id: int, head: DynInst, head_segment: int,
-                 head_latency: int = 0) -> None:
+    def __init__(self, chain_id: int, head: DynInst, engine,
+                 head_segment: int, head_latency: int = 0) -> None:
         self.chain_id = chain_id
         self.head = head
-        self.head_segment = head_segment
         #: Predicted latency of the head's value from its issue; members'
         #: dh values are at least this.  Used for the resume catch-up.
         self.head_latency = head_latency
@@ -68,23 +68,23 @@ class Chain:
         # "chains seem to form a natural unit for assignment to
         # function-unit clusters").  Inherited from the head.
         self.cluster = head.cluster
-        self.mode = Chain.MODE_QUEUED
-        self.base = 2 * head_segment
-        # Subscribers notified on every chain status change so member
-        # entries can reschedule their promotion eligibility.  With an
-        # ``on_event`` dispatcher installed (the IQ hot path) members are
-        # opaque payloads passed to it; otherwise they are plain zero-arg
-        # callbacks.  Either returns True to stay subscribed.
-        self.on_event: Optional[Callable] = None
-        self.members: List = []
-        # Kernel-engine registration (see repro.core.segmented.kernels):
-        # when set, _notify publishes (mode, base, head_segment) into the
-        # engine's chain columns and fans the wakeup out over its packed
-        # member list instead of Python subscriber objects.
-        self.engine = None
-        self.cslot = -1
+        self.engine = engine
+        self.cslot = engine.alloc_chain(Chain.MODE_QUEUED, 2 * head_segment,
+                                        head_segment)
 
     # ------------------------------------------------------------ state --
+    @property
+    def head_segment(self) -> int:
+        return self.engine.hseg_of(self.cslot)
+
+    @property
+    def mode(self) -> int:
+        return self.engine.mode_of(self.cslot)
+
+    @property
+    def base(self) -> int:
+        return self.engine.base_of(self.cslot)
+
     @property
     def issued(self) -> bool:
         return self.issued_cycle is not None
@@ -105,42 +105,34 @@ class Chain:
     def member_delay(self, dh: int, now: int) -> int:
         """Current delay value of a member ``dh`` behind the head."""
         mode = self.mode
+        base = self.base
         if mode == 0:                       # queued
-            return self.base + dh
+            return base + dh
         if mode == 1:                       # self-timed countdown
-            delay = self.base + dh - now
+            delay = base + dh - now
         else:                               # suspended (frozen)
-            delay = dh - self.base
+            delay = dh - base
         return delay if delay > 0 else 0
-
-    def delay_is_static(self) -> bool:
-        """True when member delays do not change with time (head queued or
-        chain suspended)."""
-        return self.issued_cycle is None or self.suspended_since is not None
 
     # ----------------------------------------------------------- events --
     def on_head_promoted(self, new_segment: int) -> None:
-        self.head_segment = new_segment
+        """A queued head moved outside the engine's own promotion sweep
+        (deadlock recovery)."""
         if self.issued_cycle is None:
-            self.base = 2 * new_segment
-        self._notify()
+            self._publish(Chain.MODE_QUEUED, 2 * new_segment, new_segment)
 
     def on_head_issued(self, now: int) -> None:
         if self.issued_cycle is None:
             self.issued_cycle = now
-            self.head_segment = 0
-            self.mode = Chain.MODE_TICKING
-            self.base = now + self.suspended_accum
-            self._notify()
+            self._publish(Chain.MODE_TICKING, now + self.suspended_accum)
 
     def suspend(self, now: int) -> None:
         """Head will not complete on schedule (cache miss detected)."""
         if self.issued_cycle is None or self.suspended_since is not None:
             return
         self.suspended_since = now
-        self.mode = Chain.MODE_SUSPENDED
-        self.base = now - self.issued_cycle - self.suspended_accum
-        self._notify()
+        self._publish(Chain.MODE_SUSPENDED,
+                      now - self.issued_cycle - self.suspended_accum)
 
     def resume(self, now: int) -> None:
         """Head completed; members resume counting down.
@@ -161,34 +153,14 @@ class Chain:
         shortfall = self.head_latency - self.self_elapsed(now)
         if shortfall > 0:
             self.suspended_accum -= shortfall
-        self.mode = Chain.MODE_TICKING
-        self.base = self.issued_cycle + self.suspended_accum
-        self._notify()
+        self._publish(Chain.MODE_TICKING,
+                      self.issued_cycle + self.suspended_accum)
 
-    def _notify(self) -> None:
-        engine = self.engine
-        if engine is not None:
-            engine.chain_set(self.cslot, self.mode, self.base,
-                             self.head_segment)
-            engine.notify(self.cslot)
-        members = self.members
-        if not members:
-            return
-        self.members = []
-        on_event = self.on_event
-        if on_event is not None:
-            kept = [member for member in members if on_event(member)]
-        else:
-            kept = [callback for callback in members if callback()]
-        # Subscribers return True to stay subscribed.
-        if self.members:
-            kept += self.members       # re-subscriptions during notify
-        self.members = kept
-
-    def subscribe(self, member) -> None:
-        """Add a subscriber: an ``on_event`` payload (usually an IQ entry)
-        when a dispatcher is installed, else a zero-arg callback."""
-        self.members.append(member)
+    def _publish(self, mode: int, base: int, head_segment: int = 0) -> None:
+        """Write the new delay constants and wake the members (an issued
+        head always sits at segment 0)."""
+        self.engine.chain_set(self.cslot, mode, base, head_segment)
+        self.engine.notify(self.cslot)
 
     def __repr__(self) -> str:
         state = ("suspended" if self.suspended
@@ -213,8 +185,6 @@ class ChainManager:
         self.peak_in_use = 0
         #: Observability sink (installed via SegmentedIQ.attach_tracer).
         self.tracer = None
-        #: Dispatcher copied onto every allocated chain (see Chain.on_event).
-        self.on_member_event: Optional[Callable] = None
 
     @property
     def active_count(self) -> int:
@@ -223,9 +193,10 @@ class ChainManager:
     def has_free(self) -> bool:
         return self.max_chains is None or len(self._active) < self.max_chains
 
-    def allocate(self, head: DynInst, head_segment: int,
+    def allocate(self, head: DynInst, engine, head_segment: int,
                  head_latency: int = 0, now: int = 0) -> Optional[Chain]:
-        """Create a chain rooted at ``head``; None if no wire is free."""
+        """Create a chain rooted at ``head`` (queued in ``head_segment``)
+        with its columns in ``engine``; None if no wire is free."""
         if not self.has_free():
             self.stat_alloc_failures.inc()
             return None
@@ -234,8 +205,7 @@ class ChainManager:
         else:
             chain_id = self._next_id
             self._next_id += 1
-        chain = Chain(chain_id, head, head_segment, head_latency)
-        chain.on_event = self.on_member_event
+        chain = Chain(chain_id, head, engine, head_segment, head_latency)
         self._active[chain_id] = chain
         self.stat_allocated.inc()
         if len(self._active) > self.peak_in_use:

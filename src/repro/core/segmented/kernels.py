@@ -1,10 +1,8 @@
-"""Struct-of-arrays kernel engine for the segmented IQ hot loops.
+"""Struct-of-arrays kernel engine: the segmented IQ's state of record.
 
 The segmented model's active-cycle work — promote/schedule selection,
-``pop_eligible``, and chain-event wakeup fan-out — used to walk per-entry
-Python objects (``IQEntry``/``SegmentState``/``Chain``) and heaps of
-tuples.  This module restructures that state into parallel primitive
-arrays indexed by *slot* (entries) and *cslot* (chains):
+``pop_eligible``, and chain-event wakeup fan-out — runs over parallel
+primitive arrays indexed by *slot* (entries) and *cslot* (chains):
 
 * entry columns: sequence number, segment index, eligibility cycle,
   ready-heap residency, compiled countdown arrival, up to two
@@ -17,11 +15,12 @@ arrays indexed by *slot* (entries) and *cslot* (chains):
   and the two-stage maturity/ready heaps as heaps of packed integers
   ``(when << SLOT_BITS) | slot`` and ``(seq << SLOT_BITS) | slot``.
 
-The engine also holds the entry/chain *objects* and eagerly mirrors the
-state the rest of the system reads back onto them (``entry.segment``;
-``chain.head_segment``/``chain.base`` on in-engine head promotions), so
-tracers, invariant checks, and tests observe exactly what the object
-model maintained.
+These columns are the only copy of that state.  The engine holds each
+buffered entry's ``IQEntry`` (handed back by issue, promotion and the
+membership readers) but writes nothing onto it; readers ask the engine
+instead (``seg_of`` for an entry's segment, ``hseg_of``/``mode_of``/
+``base_of`` behind the ``Chain`` properties).  Chains are not held at
+all: a ``Chain`` keeps its ``cslot``, and the engine forgets the object.
 
 Two interchangeable backends implement the same engine contract:
 
@@ -42,15 +41,15 @@ Semantics notes (shared by both backends):
 
 * ``NEVER`` eligibility records are never pushed; maturity records are
   pushed lazily and invalidated by the ``(segment, eligible_at)``
-  staleness test, exactly like the tuple heaps they replace.  Packed
-  maturity keys drop the sequence number: a record surviving slot reuse
-  aliases onto the new occupant only when every staleness check passes,
-  which makes it an exact duplicate of the occupant's own record — the
-  ready-residency test then suppresses it, so aliasing is benign.
+  staleness test.  Packed maturity keys drop the sequence number: a
+  record surviving slot reuse aliases onto the new occupant only when
+  every staleness check passes, which makes it an exact duplicate of the
+  occupant's own record — the ready-residency test then suppresses it,
+  so aliasing is benign.
 * The engine keeps its own ``now``, updated only where ``SegmentedIQ``
   assigns ``self.now`` (``select_issue``, ``cycle``, ``skip_cycles``) —
   chain events delivered between cycles (load suspend/resume) must see
-  the *previous* cycle's clock, as the object model did.
+  the *previous* cycle's clock.
 * The *critical base* filter: a queued chain's promotion broadcast can
   only un-block a member whose link satisfies ``base + dh < threshold``.
   Members parked at ``NEVER`` whose link still fails that test are
@@ -84,7 +83,7 @@ class PyKernelEngine:
         "e_obj", "e_seq", "e_seg", "e_elig", "e_rseg", "e_cd",
         "e_c0", "e_dh0", "e_c1", "e_dh1", "e_own", "e_crit0", "e_crit1",
         "free_slots", "occ", "heaps", "readys", "members", "free_prev",
-        "c_obj", "c_mode", "c_base", "c_hseg", "c_members",
+        "c_mode", "c_base", "c_hseg", "c_members",
         "p0heap", "r0heap",
     )
 
@@ -120,15 +119,13 @@ class PyKernelEngine:
         self.free_prev = [capacity] * num_segments
         # Chain columns (cslot-indexed; cslots are never recycled — a
         # freed chain's frozen constants keep serving late followers).
-        self.c_obj: List = []
         self.c_mode: List[int] = []
         self.c_base: List[int] = []
         self.c_hseg: List[int] = []
         self.c_members: List[List[int]] = []
         # Segment-0 issue scheduling on actual readiness: pending records
         # ``(ready_cycle << SLOT_BITS) | slot`` mature into the ready heap
-        # of ``(seq << SLOT_BITS) | slot`` keys (the packed twin of the
-        # old (ready, seq, entry) / (seq, entry) tuple heaps).
+        # of ``(seq << SLOT_BITS) | slot`` keys.
         self.p0heap: List[int] = []
         self.r0heap: List[int] = []
 
@@ -154,10 +151,8 @@ class PyKernelEngine:
         return self.thr[index]
 
     # ------------------------------------------------------------ chains --
-    def alloc_chain(self, obj, mode: int, base: int,
-                    head_segment: int) -> int:
+    def alloc_chain(self, mode: int, base: int, head_segment: int) -> int:
         cslot = len(self.c_mode)
-        self.c_obj.append(obj)
         self.c_mode.append(mode)
         self.c_base.append(base)
         self.c_hseg.append(head_segment)
@@ -170,8 +165,14 @@ class PyKernelEngine:
         self.c_base[cslot] = base
         self.c_hseg[cslot] = head_segment
 
-    def chain_info(self, cslot: int) -> Tuple[int, int, int]:
-        return self.c_mode[cslot], self.c_base[cslot], self.c_hseg[cslot]
+    def mode_of(self, cslot: int) -> int:
+        return self.c_mode[cslot]
+
+    def base_of(self, cslot: int) -> int:
+        return self.c_base[cslot]
+
+    def hseg_of(self, cslot: int) -> int:
+        return self.c_hseg[cslot]
 
     # ----------------------------------------------------------- entries --
     def insert_entry(self, obj, seq: int, seg: int, cd: int, c0: int,
@@ -207,7 +208,6 @@ class PyKernelEngine:
             self.e_own.append(own)
             self.e_crit0.append(0)
             self.e_crit1.append(0)
-        obj.segment = seg
         key = (seq << SLOT_BITS) | slot
         if c0 >= 0:
             self.c_members[c0].append(key)
@@ -234,7 +234,6 @@ class PyKernelEngine:
 
     def attach(self, slot: int, seg: int, now: int) -> None:
         self.e_seg[slot] = seg
-        self.e_obj[slot].segment = seg
         self.members[seg][slot] = None
         self.occ[seg] += 1
         if seg > 0:
@@ -242,6 +241,9 @@ class PyKernelEngine:
 
     def entry_obj(self, slot: int):
         return self.e_obj[slot]
+
+    def seg_of(self, slot: int) -> int:
+        return self.e_seg[slot]
 
     def slot_seq(self, slot: int) -> int:
         return self.e_seq[slot]
@@ -309,8 +311,10 @@ class PyKernelEngine:
 
     # ------------------------------------------------------- eligibility --
     def _eligible_when(self, slot: int, threshold: int, now: int) -> int:
-        """The promote-eligibility cycle (Segment.schedule's algebra) and
-        the critical-base refresh, shared by every (re)schedule path."""
+        """The promote-eligibility cycle — the first cycle the max over
+        the entry's links drops below ``threshold``, NEVER while a static
+        (queued or suspended) link still fails it — and the critical-base
+        refresh, shared by every (re)schedule path."""
         dh0 = self.e_dh0[slot]
         dh1 = self.e_dh1[slot]
         self.e_crit0[slot] = threshold - dh0
@@ -344,8 +348,8 @@ class PyKernelEngine:
         return when
 
     def _schedule(self, slot: int, seg: int, now: int) -> None:
-        """Segment.schedule: recompute eligibility on arrival in ``seg``
-        (unconditional maturity push, like the object model's insert)."""
+        """Recompute eligibility on arrival in ``seg`` (unconditional
+        maturity push)."""
         when = self._eligible_when(slot, self.thr[seg], now)
         self.e_elig[slot] = when
         if when <= now:
@@ -360,10 +364,9 @@ class PyKernelEngine:
                 heappush(self.heaps[seg], (when << SLOT_BITS) | slot)
 
     def notify(self, cslot: int) -> None:
-        """Chain-event fan-out (the old ``_on_chain_event`` inlined over
-        the member list): reschedule every live member, pruning issued
-        ones, with duplicate-push suppression and the critical-base
-        filter."""
+        """Chain-event fan-out over the member list: reschedule every
+        live member, pruning issued ones, with duplicate-push suppression
+        and the critical-base filter."""
         members = self.c_members[cslot]
         if not members:
             return
@@ -384,7 +387,7 @@ class PyKernelEngine:
         for key in members:
             slot = key & SLOT_MASK
             if e_seq[slot] != key >> SLOT_BITS:
-                continue            # issued or recycled: unsubscribe
+                continue            # issued or recycled: drop the key
             keep(key)
             seg = e_seg[slot]
             if seg == 0:
@@ -417,9 +420,11 @@ class PyKernelEngine:
 
     # --------------------------------------------------------- selection --
     def pop_eligible(self, seg: int, now: int, limit: int) -> List[int]:
-        """Segment.pop_eligible over packed heaps: graduate matured
-        records into the ready heap, then take the ``limit`` oldest valid
-        candidates (returned as slots, oldest first)."""
+        """Up to ``limit`` eligible entries of ``seg``, oldest first (as
+        slots).  Two stages: matured records graduate from the maturity
+        heap into the ready heap, then the ``limit`` oldest valid
+        candidates are taken; the rest stay in the ready heap for the next
+        cycle, so a promotion backlog is never re-scanned or re-sorted."""
         heap = self.heaps[seg]
         ready = self.readys[seg]
         e_seq = self.e_seq
@@ -474,7 +479,9 @@ class PyKernelEngine:
         return out
 
     def _next_eligible_cycle(self, seg: int, now: int) -> int:
-        """Segment.next_eligible_cycle with lazy stale-top discards."""
+        """Earliest cycle any occupant of ``seg`` could promote out, or
+        NEVER, discarding stale heap tops (behaviour-neutral: pop_eligible
+        would skip them anyway)."""
         ready = self.readys[seg]
         e_seq = self.e_seq
         e_seg = self.e_seg
@@ -515,10 +522,9 @@ class PyKernelEngine:
         Returns ``(promotions, pushdowns, seg0_entries)`` where
         ``seg0_entries`` are the entry objects that arrived in segment 0
         this sweep, in arrival order (the queue enters them into its
-        issue scheduling).  ``entry.segment`` and queued own-chain
-        ``head_segment``/``base`` mirrors are updated in place; trace
-        events accumulate in the event buffer when collection is on, in
-        exactly the object model's emission order.
+        issue scheduling).  A moved entry that heads a queued chain
+        re-broadcasts its new segment; trace events accumulate in the
+        event buffer when collection is on, in the order of the moves.
         """
         cap = self.cap
         occ = self.occ
@@ -531,7 +537,6 @@ class PyKernelEngine:
         e_elig = self.e_elig
         e_rseg = self.e_rseg
         e_own = self.e_own
-        c_obj = self.c_obj
         c_mode = self.c_mode
         c_base = self.c_base
         c_hseg = self.c_hseg
@@ -568,8 +573,6 @@ class PyKernelEngine:
                         del source_members[slot]
                         e_seg[slot] = dk
                         dest_members[slot] = None
-                        obj = e_obj[slot]
-                        obj.segment = dk
                         # Inlined destination schedule.  pop_eligible
                         # just cleared this entry's ready residency; a
                         # chain broadcast from an earlier entry in this
@@ -586,14 +589,11 @@ class PyKernelEngine:
                             heappush(dest_heap,
                                      (when << SLOT_BITS) | slot)
                         if collect:
-                            events.append((obj, k, dk, 0))
+                            events.append((e_obj[slot], k, dk, 0))
                         own = e_own[slot]
                         if own >= 0 and c_mode[own] == 0:
                             c_hseg[own] = dk
                             c_base[own] = 2 * dk
-                            chain = c_obj[own]
-                            chain.head_segment = dk
-                            chain.base = 2 * dk
                             self.notify(own)
                 else:
                     for slot in promoted:
@@ -601,16 +601,12 @@ class PyKernelEngine:
                         e_seg[slot] = 0
                         dest_members[slot] = None
                         obj = e_obj[slot]
-                        obj.segment = 0
                         if collect:
                             events.append((obj, k, 0, 0))
                         own = e_own[slot]
                         if own >= 0 and c_mode[own] == 0:
                             c_hseg[own] = 0
                             c_base[own] = 0
-                            chain = c_obj[own]
-                            chain.head_segment = 0
-                            chain.base = 0
                             self.notify(own)
                         seg0.append(obj)
                 occ[k] -= len(promoted)
@@ -636,7 +632,6 @@ class PyKernelEngine:
                     dest_members[slot] = None
                     occ[dk] += 1
                     obj = e_obj[slot]
-                    obj.segment = dk
                     pushdowns += 1
                     if dk:
                         self._schedule(slot, dk, now)
@@ -646,9 +641,6 @@ class PyKernelEngine:
                     if own >= 0 and c_mode[own] == 0:
                         c_hseg[own] = dk
                         c_base[own] = 2 * dk
-                        chain = c_obj[own]
-                        chain.head_segment = dk
-                        chain.base = 2 * dk
                         self.notify(own)
                     if dk == 0:
                         seg0.append(obj)

@@ -14,8 +14,6 @@ operand governs promotion, paper section 3.2).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.segmented.chains import Chain
 
 #: Sentinel for "this link cannot become eligible until a chain event".
@@ -34,22 +32,6 @@ class ChainLink:
     def delay(self, now: int) -> int:
         return self.chain.member_delay(self.dh, now)
 
-    def eligible_at(self, threshold: int, now: int) -> int:
-        """First cycle this link's delay drops below ``threshold``, given
-        current knowledge; NEVER if it needs a chain event first."""
-        chain = self.chain
-        mode = chain.mode
-        if mode == 1:
-            # Self-timed: delay = max(0, base + dh - now) falls by one per
-            # cycle, so it first drops below the threshold at the cycle
-            # where base + dh - when == threshold - 1.
-            when = chain.base + self.dh - threshold + 1
-            return when if when > now else now
-        # Queued or suspended: the delay is static until a chain event.
-        current = (chain.base + self.dh if mode == 0
-                   else self.dh - chain.base)
-        return now if current < threshold else NEVER
-
     def __repr__(self) -> str:
         return f"ChainLink(chain={self.chain.chain_id}, dh={self.dh})"
 
@@ -65,12 +47,6 @@ class CountdownLink:
     def delay(self, now: int) -> int:
         return max(0, self.ready_at - now)
 
-    def eligible_at(self, threshold: int, now: int) -> int:
-        # delay = max(0, ready_at - now) counts down one per cycle, so the
-        # eligibility cycle is a constant independent of ``now``.
-        when = self.ready_at - threshold + 1
-        return when if when > now else now
-
     def __repr__(self) -> str:
         return f"CountdownLink(ready_at={self.ready_at})"
 
@@ -84,14 +60,3 @@ def combined_delay(links, now: int) -> int:
             worst = value
     return worst
 
-
-def combined_eligible_at(links, threshold: int, now: int) -> int:
-    """First cycle every link's delay is below ``threshold``."""
-    worst = now
-    for link in links:
-        when = link.eligible_at(threshold, now)
-        if when > worst:
-            worst = when
-            if worst >= NEVER:
-                return NEVER
-    return worst

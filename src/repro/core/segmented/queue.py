@@ -8,12 +8,13 @@ as their delay drops below each segment threshold, and issue out of segment
 conventional IQ.  Enhancements: pushdown (4.1), hit/miss and left/right
 predictors (4.3-4.4), and deadlock detection/recovery (4.5).
 
-The active-cycle state (segment membership, eligibility, the promotion
-heaps, chain delay constants) lives in a struct-of-arrays kernel engine
-(:mod:`repro.core.segmented.kernels`, optionally compiled); this class
-keeps the policy — dispatch planning, predictors, issue scheduling,
-deadlock recovery, resizing — and the object mirrors the rest of the
-system reads (``entry.segment``, chain broadcast state).
+The segmented-IQ state (segment membership, eligibility, the promotion
+heaps, chain delay constants) lives only in a struct-of-arrays kernel
+engine (:mod:`repro.core.segmented.kernels`, optionally compiled); this
+class keeps the policy — dispatch planning, predictors, issue
+scheduling, deadlock recovery, resizing — and reads the engine back for
+everything else (:meth:`SegmentedIQ.segment_of`, the ``Chain``
+properties).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.core.segmented.kernels import make_engine
 from repro.core.segmented.links import (NEVER, ChainLink, CountdownLink,
                                         combined_delay)
 from repro.core.segmented.register_info import RegisterInfoTable, RITEntry
-from repro.core.segmented.segment import SegmentState
 
 #: object.__new__, hoisted: the dispatch path builds its IQEntry /
 #: SegmentState / RITEntry with direct slot stores instead of running
@@ -64,6 +64,37 @@ class DispatchPlan:
         self.lrp_choice = lrp_choice
         self.lrp_consulted = lrp_consulted
         self.head_latency = head_latency
+
+
+class SegmentState:
+    """Per-entry segmented-IQ dispatch record (``entry.chain_state``).
+
+    Written once at dispatch and never changed afterwards: the packed
+    links (``countdown_ready`` and the ``(chain, dh)`` ``chain_pairs``),
+    the entry's own chain, the left/right-predictor choice, and the
+    engine ``slot`` holding the entry's scheduling state.  Built with
+    direct slot stores by ``SegmentedIQ.dispatch`` and its compiled
+    twin, ``engine.admit``.
+    """
+
+    __slots__ = ("_links", "own_chain", "lrp_choice", "lrp_consulted",
+                 "countdown_ready", "chain_pairs", "slot")
+
+    @property
+    def links(self):
+        """Link objects for the diagnostic readers (invariant checks,
+        threshold refits, delay_of).  Rebuilt on demand from the packed
+        form; equivalent under every consumer because the entry delay is
+        the max over links and multiple countdowns collapse to the max."""
+        links = self._links
+        if links is None:
+            links = []
+            if self.countdown_ready >= 0:
+                links.append(CountdownLink(self.countdown_ready))
+            for chain, dh in self.chain_pairs:
+                links.append(ChainLink(chain, dh))
+            self._links = links
+        return links
 
 
 class SegmentView:
@@ -228,9 +259,8 @@ class SegmentedIQ(InstructionQueue):
             # objects here.
             links = []
             reg_base = inst.thread * 64      # _reg_key, inlined
-            # RegisterInfoTable.link_for, inlined (two dispatch-planning
-            # calls per instruction make the method dispatch + re-entry
-            # visible).
+            # The RIT read: classify each source's producer as exactly
+            # known, a live chain, a freed chain, or chainless.
             rit_entries = self.rit._entries
             for reg in iq_regs:
                 if reg == 0:
@@ -361,12 +391,10 @@ class SegmentedIQ(InstructionQueue):
 
         chain = None
         if plan.needs_chain:
-            chain = self.chains.allocate(inst, target,
+            chain = self.chains.allocate(inst, engine, target,
                                          plan.head_latency, now=now)
             if chain is None:
                 raise SimulationError("dispatch without a free chain wire")
-            chain.engine = engine
-            chain.cslot = engine.alloc_chain(chain, 0, 2 * target, target)
             self._head_chains[inst.seq] = chain
             self.stat_chain_heads.inc()
 
@@ -378,16 +406,15 @@ class SegmentedIQ(InstructionQueue):
                                 plan, chain, target, now)
 
         # IQEntry / SegmentState construction with direct slot stores
-        # (exact inlining of IQEntry.__init__, SegmentState.from_packed
-        # and register_operand_wakeups: one pass over the operands, no
-        # constructor frames — this path runs once per simulated
-        # instruction).
+        # (exact inlining of IQEntry.__init__ and the operand-wakeup
+        # subscription: one pass over the operands, no constructor frames
+        # — this path runs once per simulated instruction).  The entry's
+        # segment lives in the engine only (see segment_of).
         entry = _new(IQEntry)
         entry.inst = inst
         entry.seq = inst.seq
         entry.operands = operands
         entry.issued = False
-        entry.segment = -1
         entry.queue_cycle = now
         unknown = 0
         ready = 0
@@ -404,17 +431,14 @@ class SegmentedIQ(InstructionQueue):
         state = _new(SegmentState)
         state._links = None
         state.own_chain = chain
-        state.eligible_at = NEVER
         state.lrp_choice = plan.lrp_choice
         state.lrp_consulted = plan.lrp_consulted
-        state.pushdown = False
-        state.ready_seg = -1
         state.countdown_ready = countdown
         state.chain_pairs = pairs
         entry.chain_state = state
         if unknown:
-            # One subscription triple per unknown operand (see
-            # InstructionQueue._subscribe).
+            # One wakeup triple per unknown operand (the base class's
+            # operand-wakeup registration, inlined).
             for index, operand in enumerate(operands):
                 if operand.ready_cycle is None:
                     operand.producer.waiters.append((self, entry, index))
@@ -476,8 +500,10 @@ class SegmentedIQ(InstructionQueue):
 
     # ----------------------------------------------------------- wakeup --
     def on_entry_ready_known(self, entry: IQEntry) -> None:
-        if entry.segment == 0 and not entry.issued:
-            self._engine.p0_push(entry.chain_state.slot, entry.ready_cycle)
+        if not entry.issued:
+            slot = entry.chain_state.slot
+            if self._engine.seg_of(slot) == 0:
+                self._engine.p0_push(slot, entry.ready_cycle)
 
     # ------------------------------------------------------------ issue --
     def select_issue(self, now: int, acquire_fu) -> List[IQEntry]:
@@ -822,17 +848,20 @@ class SegmentedIQ(InstructionQueue):
             yield from engine.entries_of(seg)
 
     def check(self, now: int) -> None:
-        """Segmented-IQ invariants (see docs/validation.md):
+        """Segmented-IQ invariants over the engine state (see
+        docs/validation.md):
 
-        * per-segment capacity and membership consistency (including the
-          ``entry.segment`` mirrors the engine maintains);
+        * per-segment capacity, and membership consistency: every slot a
+          segment lists records that segment (``seg_of``) and holds a
+          live, un-issued entry under its own sequence number;
         * the occupancy counter equals the sum of segment occupancies;
         * admission thresholds grow monotonically with segment index;
         * chain-wire pool bounded, every active chain consistent;
         * a queued chain head's broadcast segment agrees with the segment
-          its entry actually occupies (the delay algebra
-          ``2 * head_segment + dh`` reads the broadcast value, so a
-          missed promotion notification corrupts every member's delay);
+          its entry actually occupies, and its delay constants are the
+          queued algebra's (``base == 2 * head_segment``; members read
+          ``2 * head_segment + dh``, so a missed promotion broadcast
+          corrupts every member's delay);
         * no entry follows a chain that was freed before its head issued.
         """
         from repro.common.errors import InvariantViolation
@@ -854,10 +883,11 @@ class SegmentedIQ(InstructionQueue):
                     raise InvariantViolation(
                         f"segment {k} keys entry #{entry.seq} "
                         f"under seq {seq}")
-                if entry.segment != k:
+                seg = engine.seg_of(slot)
+                if seg != k:
                     raise InvariantViolation(
                         f"entry #{entry.seq} thinks it is in segment "
-                        f"{entry.segment} but occupies segment {k}")
+                        f"{seg} but occupies segment {k}")
                 if entry.issued:
                     raise InvariantViolation(
                         f"issued entry #{entry.seq} still occupies "
@@ -878,12 +908,20 @@ class SegmentedIQ(InstructionQueue):
         self.chains.check(now, self.num_segments)
         for entry in self.iter_entries():
             own = entry.chain_state.own_chain
-            if own is not None and not own.issued \
-                    and own.head_segment != entry.segment:
-                raise InvariantViolation(
-                    f"chain {own.chain_id} broadcasts head segment "
-                    f"{own.head_segment} but head #{entry.seq} occupies "
-                    f"segment {entry.segment} at cycle {now}")
+            if own is not None and not own.issued:
+                seg = self.segment_of(entry)
+                head_segment = own.head_segment
+                if head_segment != seg:
+                    raise InvariantViolation(
+                        f"chain {own.chain_id} broadcasts head segment "
+                        f"{head_segment} but head #{entry.seq} occupies "
+                        f"segment {seg} at cycle {now}")
+                if (own.mode != Chain.MODE_QUEUED
+                        or own.base != 2 * head_segment):
+                    raise InvariantViolation(
+                        f"queued chain {own.chain_id} broadcasts mode "
+                        f"{own.mode} base {own.base}, not the queued "
+                        f"delay 2 * {head_segment} at cycle {now}")
             for link in entry.chain_state.links:
                 if (isinstance(link, ChainLink) and link.chain.freed
                         and not link.chain.issued):
@@ -893,6 +931,10 @@ class SegmentedIQ(InstructionQueue):
                         f"issued, at cycle {now}")
 
     # ------------------------------------------------------------- debug --
+    def segment_of(self, entry: IQEntry) -> int:
+        """Segment a buffered entry occupies (read from the engine)."""
+        return self._engine.seg_of(entry.chain_state.slot)
+
     def delay_of(self, entry: IQEntry) -> int:
         """Current delay value of an entry (for tests and examples)."""
         return combined_delay(entry.chain_state.links, self.now)

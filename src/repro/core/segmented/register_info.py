@@ -5,18 +5,17 @@ register will be produced: the chain that produces it, the expected latency
 of the value relative to the chain head's issue, and — for chainless
 producers — the absolute cycle the value is expected to become available.
 The dispatch stage reads it to assign chains and initial delay values, and
-writes the destination entry of every dispatched instruction.
+writes the destination entry of every dispatched instruction (both in
+``SegmentedIQ``: ``_plan`` reads, ``dispatch`` writes; the compiled
+engine's ``plan_links``/``admit`` are their twins).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.core.segmented.chains import Chain
-from repro.core.segmented.links import ChainLink, CountdownLink
 from repro.isa.instruction import DynInst
-
-Link = Union[ChainLink, CountdownLink]
 
 
 class RITEntry:
@@ -33,57 +32,10 @@ class RITEntry:
 
 
 class RegisterInfoTable:
-    """Maps architected registers to their producing chain and latency."""
+    """Maps architected registers to their producing chain and latency.
+
+    Keys are ``thread * 64 + reg`` so SMT threads never alias each
+    other's registers."""
 
     def __init__(self) -> None:
         self._entries: Dict[int, RITEntry] = {}
-
-    def link_for(self, reg: int, now: int) -> Optional[Link]:
-        """Build the delay link for reading ``reg`` at dispatch time.
-
-        Returns None when the value is (or is about to be) available —
-        i.e. the operand does not constrain the instruction's delay.
-        """
-        if reg == 0:
-            return None
-        entry = self._entries.get(reg)
-        if entry is None:
-            return None
-        producer = entry.producer
-        if producer.value_ready_cycle is not None:
-            # Exact knowledge: the producer already issued (or completed).
-            if producer.value_ready_cycle <= now:
-                return None
-            return CountdownLink(producer.value_ready_cycle)
-        if entry.chain is not None and not entry.chain.freed:
-            return ChainLink(entry.chain, entry.dh)
-        if entry.chain is not None:
-            # Chain wire already freed: the head wrote back, so the value
-            # trails it by at most dh self-timed cycles.
-            return CountdownLink(now + entry.chain.member_delay(entry.dh, now))
-        if entry.expected_ready <= now:
-            return None
-        return CountdownLink(entry.expected_ready)
-
-    def chain_of(self, reg: int) -> Optional[Chain]:
-        """The (live) chain expected to produce ``reg``, if any."""
-        entry = self._entries.get(reg)
-        if entry is None or entry.chain is None or entry.chain.freed:
-            return None
-        if entry.producer.value_ready_cycle is not None:
-            return None
-        return entry.chain
-
-    def set_chained(self, reg: int, producer: DynInst, chain: Chain,
-                    dh: int) -> None:
-        """Record that ``reg`` will be produced ``dh`` behind ``chain``."""
-        if reg == 0:
-            return
-        self._entries[reg] = RITEntry(producer, chain, dh, 0)
-
-    def set_countdown(self, reg: int, producer: DynInst,
-                      expected_ready: int) -> None:
-        """Record a chainless producer with a predicted ready cycle."""
-        if reg == 0:
-            return
-        self._entries[reg] = RITEntry(producer, None, 0, expected_ready)

@@ -650,7 +650,7 @@ class Processor:
                 own_chain = getattr(entry.chain_state, "own_chain", None)
                 tracer.emit(TraceEvent(
                     cycle=now, kind="dispatch", seq=inst.seq, pc=inst.pc,
-                    op=inst.static.opcode.value, seg=entry.segment,
+                    op=inst.static.opcode.value, seg=iq.segment_of(entry),
                     dst=inst.dest if inst.dest is not None else -1,
                     chain=own_chain.chain_id
                     if own_chain is not None else -1))

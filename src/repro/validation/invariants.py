@@ -78,16 +78,17 @@ class InvariantChecker:
         segments: Dict[int, int] = {}
         delays: Dict[int, int] = {}
         for entry in iq.iter_entries():
-            segments[entry.seq] = entry.segment
+            segment = iq.segment_of(entry)
+            segments[entry.seq] = segment
             delay = combined_delay(entry.chain_state.links, now)
             delays[entry.seq] = delay
             if recovered:
                 continue          # state still recorded; comparisons skipped
             previous_segment = self._last_segment.get(entry.seq)
-            if previous_segment is not None and entry.segment > previous_segment:
+            if previous_segment is not None and segment > previous_segment:
                 raise InvariantViolation(
                     f"entry #{entry.seq} moved up from segment "
-                    f"{previous_segment} to {entry.segment} at cycle {now} "
+                    f"{previous_segment} to {segment} at cycle {now} "
                     f"without a deadlock recovery")
             previous_delay = self._last_delay.get(entry.seq)
             if previous_delay is not None and delay > previous_delay:

@@ -1,8 +1,40 @@
 """Shared fixtures and program helpers for the test suite."""
 
+import importlib.util
+import os
+import pathlib
+
 import pytest
 
-from repro.common import ProcessorParams, StatGroup, ideal_iq_params
+
+def _build_kernels():
+    """Compile the kernel extension if it is missing or stale.
+
+    This runs before anything imports ``repro``, whose import binds the
+    compiled stat primitives.  A checkout with a C compiler thus runs the
+    py-vs-compiled parity tests instead of skipping them.  Under
+    ``REPRO_KERNELS=compiled`` a failed build ends the session with the
+    compiler's error.
+    """
+    path = (pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+            / "core" / "segmented" / "build.py")
+    spec = importlib.util.spec_from_file_location("_kernel_build", path)
+    build = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build)
+    strict = os.environ.get("REPRO_KERNELS", "").strip().lower() == "compiled"
+    try:
+        build.ensure_built(strict=strict)
+    except (RuntimeError, OSError) as exc:
+        pytest.exit("REPRO_KERNELS=compiled, but the kernel backend did "
+                    f"not build:\n{exc}")
+
+
+_build_kernels()
+
+from repro.common import (ProcessorParams, StatGroup,  # noqa: E402
+                          ideal_iq_params)
+from repro.isa import F, ProgramBuilder, R, execute  # noqa: E402
+from repro.pipeline import Processor  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -13,8 +45,6 @@ def _isolated_result_cache(tmp_path, monkeypatch):
     from (or pollute) the invoking user's real ``~/.cache/repro``.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
-from repro.isa import F, ProgramBuilder, R, execute
-from repro.pipeline import Processor
 
 
 def daxpy_program(n=64, stride=1, name="daxpy"):

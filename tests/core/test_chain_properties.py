@@ -2,17 +2,16 @@
 
 These are the core data structures of the paper's design; hypothesis
 drives them through arbitrary event sequences and checks the invariants
-the promotion logic relies on.
+the promotion logic relies on.  Both live in the kernel engine's columns,
+so the tests run over the pure-Python reference engine.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import StatGroup
-from repro.core.iq_base import IQEntry, Operand
 from repro.core.segmented.chains import Chain, ChainManager
-from repro.core.segmented.links import NEVER, ChainLink, CountdownLink
-from repro.core.segmented.segment import Segment, SegmentState
+from repro.core.segmented.kernels import PyKernelEngine
 from repro.isa import Instruction, Opcode
 from repro.isa.instruction import DynInst
 
@@ -29,7 +28,9 @@ chain_event = st.sampled_from(["promote", "issue", "suspend", "resume",
 
 def replay(events, head_segment=8, head_latency=4):
     """Apply an event script; returns the chain and the final time."""
-    chain = Chain(0, make_inst(), head_segment, head_latency)
+    engine = PyKernelEngine(head_segment + 1, 8,
+                            list(range(0, 2 * head_segment + 2, 2)))
+    chain = Chain(0, make_inst(), engine, head_segment, head_latency)
     now = 0
     for event in events:
         now += 1
@@ -108,10 +109,11 @@ class TestChainManagerProperties:
            st.integers(min_value=1, max_value=8))
     def test_usage_never_exceeds_limit(self, script, limit):
         manager = ChainManager(limit, StatGroup())
+        engine = PyKernelEngine(2, 8, [0, 2])
         live = []
         for index, action in enumerate(script):
             if action == "alloc":
-                chain = manager.allocate(make_inst(index), 0)
+                chain = manager.allocate(make_inst(index), engine, 0)
                 if chain is not None:
                     live.append(chain)
             elif live:
@@ -123,36 +125,36 @@ class TestChainManagerProperties:
     @given(st.integers(min_value=1, max_value=6))
     def test_ids_unique_among_live_chains(self, limit):
         manager = ChainManager(limit, StatGroup())
-        live = [manager.allocate(make_inst(i), 0) for i in range(limit)]
+        engine = PyKernelEngine(2, 8, [0, 2])
+        live = [manager.allocate(make_inst(i), engine, 0)
+                for i in range(limit)]
         ids = [chain.chain_id for chain in live]
         assert len(set(ids)) == len(ids)
         manager.free(live[0])
-        replacement = manager.allocate(make_inst(99), 0)
+        replacement = manager.allocate(make_inst(99), engine, 0)
         assert replacement.chain_id not in {c.chain_id for c in live[1:]}
 
 
 class TestSegmentHeapProperties:
-    def make_entry(self, seq, ready_at):
-        inst = make_inst(seq)
-        entry = IQEntry(inst, [Operand(reg=2, ready_cycle=0)])
-        entry.chain_state = SegmentState([CountdownLink(ready_at)], None)
-        return entry
+    """The two-stage maturity/ready heaps behind promotion select."""
+
+    def insert(self, engine, seg, seq, ready_at, now=0):
+        """An entry whose only link is a countdown to ``ready_at``."""
+        return engine.insert_entry(object(), seq, seg, ready_at, -1, 0,
+                                   -1, 0, -1, now)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.integers(min_value=0, max_value=50),
                               st.integers(min_value=0, max_value=40)),
                     min_size=1, max_size=32, unique_by=lambda t: t[0]))
     def test_pop_eligible_returns_exactly_the_due_entries(self, specs):
-        segment = Segment(index=2, capacity=64, promote_threshold=4)
-        entries = {}
+        engine = PyKernelEngine(3, 64, [0, 2, 4])
         for seq, ready_at in specs:
-            entry = self.make_entry(seq, ready_at)
-            segment.insert(entry, now=0)
-            entries[seq] = (entry, ready_at)
+            self.insert(engine, 2, seq, ready_at)
         probe = 20
-        eligible = segment.pop_eligible(probe, len(entries))
-        eligible_seqs = {entry.seq for entry in eligible}
-        for seq, (entry, ready_at) in entries.items():
+        eligible = engine.pop_eligible(2, probe, len(specs))
+        eligible_seqs = {engine.e_seq[slot] for slot in eligible}
+        for seq, ready_at in specs:
             # Eligible iff delay(probe) < threshold, i.e. countdown has
             # fallen below 4 by the probe cycle.
             due = max(0, ready_at - probe) < 4
@@ -162,11 +164,11 @@ class TestSegmentHeapProperties:
     @given(st.lists(st.integers(min_value=0, max_value=60), min_size=1,
                     max_size=20, unique=True))
     def test_pop_eligible_is_oldest_first(self, seqs):
-        segment = Segment(index=1, capacity=32, promote_threshold=100)
+        engine = PyKernelEngine(2, 32, [0, 100])
         for seq in seqs:
-            segment.insert(self.make_entry(seq, 0), now=0)
-        eligible = segment.pop_eligible(5, len(seqs))
-        assert [entry.seq for entry in eligible] == sorted(seqs)
+            self.insert(engine, 1, seq, 0)
+        eligible = engine.pop_eligible(1, 5, len(seqs))
+        assert [engine.e_seq[slot] for slot in eligible] == sorted(seqs)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=60), min_size=2,
@@ -174,21 +176,20 @@ class TestSegmentHeapProperties:
     def test_unpromoted_candidates_persist_across_pops(self, seqs):
         # The ready heap is maintained across cycles: a pop bounded by the
         # promotion budget leaves the rest in place, still oldest-first.
-        segment = Segment(index=1, capacity=32, promote_threshold=100)
+        engine = PyKernelEngine(2, 32, [0, 100])
         for seq in seqs:
-            segment.insert(self.make_entry(seq, 0), now=0)
+            self.insert(engine, 1, seq, 0)
         budget = len(seqs) // 2
-        first = segment.pop_eligible(5, budget)
-        again = segment.pop_eligible(5, len(seqs))
-        assert [e.seq for e in first] == sorted(seqs)[:budget]
-        assert [e.seq for e in again] == sorted(seqs)[budget:]
+        first = engine.pop_eligible(1, 5, budget)
+        again = engine.pop_eligible(1, 5, len(seqs))
+        assert [engine.e_seq[s] for s in first] == sorted(seqs)[:budget]
+        assert [engine.e_seq[s] for s in again] == sorted(seqs)[budget:]
 
     def test_duplicate_heap_records_do_not_duplicate_promotion(self):
-        segment = Segment(index=1, capacity=32, promote_threshold=100)
-        entry = self.make_entry(0, 0)
-        segment.insert(entry, now=0)
-        segment.schedule(entry, now=0)     # duplicate heap push
-        segment.schedule(entry, now=0)
-        eligible = segment.pop_eligible(1, 5)
-        assert eligible.count(entry) == 1
-        assert segment.pop_eligible(1, 5) == []
+        engine = PyKernelEngine(2, 32, [0, 2])
+        slot = self.insert(engine, 1, 0, 10)      # matures at cycle 9
+        engine.reschedule_all(0)                  # duplicate heap pushes
+        engine.reschedule_all(0)
+        assert len(engine.heaps[1]) == 3
+        assert engine.pop_eligible(1, 9, 5) == [slot]
+        assert engine.pop_eligible(1, 9, 5) == []

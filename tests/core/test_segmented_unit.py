@@ -35,21 +35,21 @@ class TestDispatchTargeting:
     def test_empty_queue_bypasses_to_segment_zero(self):
         iq = make_iq()
         entry = dispatch_ready(iq, 0)
-        assert entry.segment == 0
+        assert iq.segment_of(entry) == 0
         assert iq.stats.get("iq.bypass_dispatches") == 1
 
     def test_without_bypass_dispatch_lands_on_top(self):
         iq = make_iq(bypass=False)
         entry = dispatch_ready(iq, 0)
-        assert entry.segment == iq.num_segments - 1
+        assert iq.segment_of(entry) == iq.num_segments - 1
 
     def test_dispatch_follows_highest_nonempty(self):
         iq = make_iq()
         first = dispatch_ready(iq, 0)
-        assert first.segment == 0
+        assert iq.segment_of(first) == 0
         second = dispatch_ready(iq, 1)
         # Segment 0 is the highest non-empty and has room.
-        assert second.segment == 0
+        assert iq.segment_of(second) == 0
 
     def test_full_highest_spills_to_segment_above(self):
         iq = make_iq(size=64, segment_size=32)
@@ -57,7 +57,7 @@ class TestDispatchTargeting:
             dispatch_ready(iq, seq)
         assert iq.segments[0].is_full
         spill = dispatch_ready(iq, 99)
-        assert spill.segment == 1
+        assert iq.segment_of(spill) == 1
 
     def test_completely_full_queue_refuses(self):
         iq = make_iq(size=64, segment_size=32)
@@ -79,9 +79,12 @@ class TestIssueFromSegmentZero:
         for seq in range(32):
             dispatch_ready(iq, seq)
         upper = dispatch_ready(iq, 50)
-        assert upper.segment == 1
+        assert iq.segment_of(upper) == 1
+        before = {entry.seq: iq.segment_of(entry)
+                  for entry in iq.iter_entries()}
         issued = iq.select_issue(1, lambda inst: True)
-        assert all(entry.segment == 0 for entry in issued)
+        assert issued
+        assert all(before[entry.seq] == 0 for entry in issued)
 
     def test_chain_head_issue_starts_self_timing(self):
         iq = make_iq(hmp=False)
@@ -101,14 +104,14 @@ class TestPromotion:
         for seq in range(32):
             dispatch_ready(iq, seq)
         upper = dispatch_ready(iq, 50)
-        assert upper.segment == 1
+        assert iq.segment_of(upper) == 1
         # Drain segment 0 so slots open, then run promotion cycles.
         for cycle in range(1, 20):
             iq.select_issue(cycle, lambda inst: True)
             iq.cycle(cycle)
-            if upper.segment == 0:
+            if iq.segment_of(upper) == 0:
                 break
-        assert upper.segment == 0
+        assert iq.segment_of(upper) == 0
 
     def test_promotion_never_overfills_destination(self):
         iq = make_iq(size=64, segment_size=32)

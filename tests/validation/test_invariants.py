@@ -6,7 +6,7 @@ import pytest
 from repro.common import StatGroup, segmented_iq_params
 from repro.common.errors import InvariantViolation
 from repro.core.iq_base import IQEntry, Operand
-from repro.core.segmented import SegmentedIQ
+from repro.core.segmented import SegmentedIQ, kernels
 from repro.core.segmented.chains import Chain
 from repro.isa import Instruction, Opcode
 from repro.isa.instruction import DynInst
@@ -15,8 +15,14 @@ from repro.validation.invariants import InvariantChecker
 
 
 def make_iq(size=64, segment_size=32, max_chains=None, **kwargs):
+    """A segmented IQ over the pure-Python engine, whose columns the
+    tests below can corrupt directly."""
     params = segmented_iq_params(size, segment_size, max_chains, **kwargs)
-    return SegmentedIQ(params, issue_width=8, stats=StatGroup())
+    kernels.set_backend("py")
+    try:
+        return SegmentedIQ(params, issue_width=8, stats=StatGroup())
+    finally:
+        kernels.set_backend(None)
 
 
 def ready_inst(seq):
@@ -76,8 +82,9 @@ class TestSegmentedIQChecks:
     def test_segment_membership_mismatch_fires(self):
         iq = make_iq()
         entry = dispatch_ready(iq, 0)
-        entry.segment = 1                # entry lies about its segment
-        with pytest.raises(InvariantViolation, match="segment"):
+        # The entry's segment column disagrees with segment membership.
+        iq._engine.e_seg[entry.chain_state.slot] = 1
+        with pytest.raises(InvariantViolation, match="thinks it is in"):
             iq.check(now=0)
 
     def test_issued_entry_still_occupying_fires(self):
@@ -94,8 +101,18 @@ class TestSegmentedIQChecks:
         entry = iq.dispatch(load, [Operand(reg=0, ready_cycle=0)], now=0)
         chain = entry.chain_state.own_chain
         assert chain is not None
-        chain.head_segment += 1          # missed promotion notification
-        with pytest.raises(InvariantViolation, match="broadcasts"):
+        iq._engine.c_hseg[chain.cslot] += 1   # missed promotion broadcast
+        with pytest.raises(InvariantViolation, match="broadcasts head"):
+            iq.check(now=0)
+
+    def test_queued_head_base_disagreement_fires(self):
+        iq = make_iq(hmp=False)
+        load = DynInst(seq=0, pc=0, static=Instruction(
+            opcode=Opcode.LD, dest=1, srcs=(0,)))
+        entry = iq.dispatch(load, [Operand(reg=0, ready_cycle=0)], now=0)
+        chain = entry.chain_state.own_chain
+        iq._engine.c_base[chain.cslot] = 2    # not 2 * head segment 0
+        with pytest.raises(InvariantViolation, match="queued delay"):
             iq.check(now=0)
 
 
@@ -108,14 +125,14 @@ class TestChainChecks:
         iq.select_issue(1, lambda inst: True)
         chain = entry.chain_state.own_chain
         assert chain.issued
-        chain.head_segment = 2
+        iq._engine.c_hseg[chain.cslot] = 2
         with pytest.raises(InvariantViolation, match="must be 0"):
             iq.chains.check(now=2)
 
     def test_suspended_before_issue_fires(self):
-        chain = Chain(0, ready_inst(0), head_segment=1)
-        chain.suspended_since = 5        # suspend() would refuse this
         manager_iq = make_iq(hmp=False)
+        chain = Chain(0, ready_inst(0), manager_iq._engine, head_segment=1)
+        chain.suspended_since = 5        # suspend() would refuse this
         manager_iq.chains._active[0] = chain
         with pytest.raises(InvariantViolation, match="suspended"):
             manager_iq.chains.check(now=6)
