@@ -12,8 +12,7 @@ Commands:
 * ``segments`` — segment-occupancy heatmap from the metrics sampler
 * ``validate`` — differential-oracle fuzzing campaign (docs/validation.md)
 * ``surrogate`` — analytical-IPC surrogate validation report: predicted
-  vs simulated IPC over the bench grid (docs/models.md)
-* ``bench``   — simulator throughput + sweep scaling (docs/performance.md)
+  vs simulated IPC over the reference grid (docs/models.md)
 * ``serve``   — start the simulation job service (docs/service.md)
 * ``submit`` / ``status`` / ``cancel`` / ``fetch`` — job-service client:
   submit run/sample/surrogate/sweep jobs to a served instance, poll or
@@ -57,7 +56,7 @@ def _common_parent() -> argparse.ArgumentParser:
                             "(see docs/fabric.md)")
     group.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="concurrent workers for independent cells "
-                            "(default: serial; bench defaults to all cores)")
+                            "(default: serial)")
     group.add_argument("--no-cache", action="store_true",
                        help="skip the on-disk result/checkpoint cache")
     group.add_argument("--progress", type=float, default=0.0,
@@ -438,32 +437,6 @@ def cmd_surrogate(args) -> int:
     return 0 if report["within_bound"] else 1
 
 
-def cmd_bench(args) -> int:
-    from repro.harness.bench import (profile_serial_cell, render_summary,
-                                     run_bench)
-
-    if args.profile:
-        budget = (args.instructions if args.instructions is not None
-                  else 20_000)
-        workload = (args.workloads.split(",")[0] if args.workloads
-                    else "gcc")
-        print(profile_serial_cell(workload=workload,
-                                  max_instructions=budget))
-        return 0
-    path, data = run_bench(
-        jobs=args.jobs, quick=args.quick,
-        workloads=args.workloads.split(",") if args.workloads else None,
-        max_instructions=args.instructions,
-        out_dir=args.out, compare=args.compare or None,
-        backend=args.backend,
-        progress=lambda line: print(f"  {line}...", file=sys.stderr))
-    print(render_summary(data))
-    print(f"\nartifact written to {path}", file=sys.stderr)
-    if args.json:
-        _write_json(args.json, data)
-    return 0
-
-
 def cmd_serve(args) -> int:
     import asyncio
 
@@ -685,23 +658,6 @@ def main(argv=None) -> int:
     reproduce_parser.add_argument("--budget", type=float, default=1.0,
                                   help="instruction-budget multiplier")
 
-    bench_parser = sub.add_parser(
-        "bench", help="measure simulator throughput and sweep scaling",
-        parents=[common])
-    bench_parser.add_argument("--quick", action="store_true",
-                              help="small grid / budgets (CI smoke mode)")
-    bench_parser.add_argument("--workloads", default="",
-                              help="comma-separated workload subset")
-    bench_parser.add_argument("--instructions", type=int, default=None,
-                              help="per-run instruction budget")
-    bench_parser.add_argument("--out", default=".",
-                              help="directory for BENCH_<date>.json")
-    bench_parser.add_argument("--compare", default="",
-                              help="older BENCH_*.json to diff against")
-    bench_parser.add_argument("--profile", action="store_true",
-                              help="cProfile one serial cell (top-20 "
-                                   "cumulative) instead of the full bench")
-
     validate_parser = sub.add_parser(
         "validate",
         help="differential-oracle fuzzing across every IQ model",
@@ -834,7 +790,7 @@ def main(argv=None) -> int:
     handler = {"list": cmd_list, "run": cmd_run, "sample": cmd_sample,
                "sweep": cmd_sweep, "disasm": cmd_disasm, "trace": cmd_trace,
                "segments": cmd_segments, "reproduce": cmd_reproduce,
-               "validate": cmd_validate, "bench": cmd_bench,
+               "validate": cmd_validate,
                "surrogate": cmd_surrogate, "serve": cmd_serve,
                "submit": cmd_submit, "status": cmd_status,
                "cancel": cmd_cancel, "fetch": cmd_fetch,

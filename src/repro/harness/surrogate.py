@@ -46,8 +46,7 @@ Entry points:
   :meth:`repro.harness.sweep.Sweep.run` and
   :class:`repro.harness.experiments.ExperimentRunner`;
 * :func:`validation_report` — predicted-vs-simulated comparison over a
-  grid, behind ``python -m repro surrogate`` and the bench artifact's
-  ``surrogate`` section.
+  grid, behind ``python -m repro surrogate``.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from repro.workloads import WORKLOADS
 
 #: Documented accuracy contract: mean absolute relative IPC error of the
 #: calibrated surrogate versus full-detail simulation, over the non-anchor
-#: cells of the bench grid (see ``validation_report``).  CI asserts the
+#: cells of :func:`default_grid` (see ``validation_report``).  CI asserts the
 #: bound on every run; ``tests/harness/test_surrogate.py`` enforces it on
 #: a representative grid.
 SURROGATE_ERROR_BOUND = 0.25
@@ -603,7 +602,7 @@ def prune_and_run(cells: Sequence[Cell], *,
 
 # --------------------------------------------------------------- validation
 def default_grid() -> List[Tuple[str, ProcessorParams]]:
-    """The bench grid the surrogate's accuracy contract is scored on:
+    """The grid the surrogate's accuracy contract is scored on:
     two sizes of each scalable kind plus the paper-adjacent baselines."""
     from repro.harness import configs
     return [("ideal-32", configs.ideal(32)),

@@ -4,8 +4,8 @@ Where :mod:`repro.obs.events` captures *every* microarchitectural event,
 the metrics layer takes a cheap reading every ``interval`` cycles —
 windowed IPC, issue-slot utilization, per-segment IQ occupancy,
 chain-wire utilization, ROB/LSQ pressure — and accumulates plain time
-series.  The report lands in ``RunResult.metrics``, in the bench JSON
-artifact, and as counter tracks in the Chrome trace.
+series.  The report lands in ``RunResult.metrics`` and as counter
+tracks in the Chrome trace.
 
 Like tracing, metrics are zero-overhead when off: the processor holds a
 ``None`` collector and the per-cycle cost is one attribute check.
@@ -112,7 +112,7 @@ class MetricsCollector:
 
 
 def summarize(report: Optional[Dict]) -> Dict[str, float]:
-    """Mean of every scalar series — the digest the bench JSON embeds."""
+    """Mean of every scalar series: a one-number digest per series."""
     if not report:
         return {}
     out: Dict[str, float] = {}

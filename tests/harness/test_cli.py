@@ -88,8 +88,8 @@ class TestCLI:
         assert json.loads(out.read_text())["traceEvents"]
 
     def test_common_flags_accepted_uniformly(self, capsys, tmp_path):
-        """--jobs/--no-cache/--progress/--json parse on run/bench/sample/
-        validate/trace alike (shared parent parsers)."""
+        """--jobs/--no-cache/--progress/--json parse on run and validate
+        alike (shared parent parsers)."""
         out = tmp_path / "run.json"
         assert main(["run", "twolf", "--instructions", "800",
                      "--jobs", "1", "--no-cache", "--progress", "0",
@@ -144,20 +144,6 @@ class TestCLI:
         assert main(["sweep", "twolf", "--sizes", "32",
                      "--instructions", "1200", "--no-cache"]) == 0
         assert not list(cache_dir.glob("*.json"))
-
-    def test_bench_quick(self, capsys, tmp_path):
-        assert main(["bench", "--quick", "--jobs", "2",
-                     "--workloads", "twolf", "--instructions", "400",
-                     "--out", str(tmp_path)]) == 0
-        artifacts = list(tmp_path.glob("BENCH_*.json"))
-        assert len(artifacts) == 1
-        data = json.loads(artifacts[0].read_text())
-        assert data["schema"] == 9
-        assert data["sweep"]["cache_hits"] == data["sweep"]["cells"]
-        assert data["sampling"]["detail_cycle_ratio"] > 1
-        assert data["surrogate"]["scored_cells"] > 0
-        out = capsys.readouterr().out
-        assert "serial throughput" in out
 
     def test_surrogate_report(self, capsys, tmp_path):
         out_path = tmp_path / "surrogate.json"
