@@ -19,14 +19,13 @@ Commands:
   stream their progress, cancel them, download results and trace
   artifacts
 
-Every simulation command accepts the same common flags — ``--backend
-SPEC`` (execution backend: ``local-process`` or ``ssh:hosta,hostb``;
-see docs/fabric.md), ``--jobs N`` (worker fan-out
-where the command has independent cells), ``--no-cache`` (skip the
-on-disk result/checkpoint cache), ``--progress SECONDS`` (heartbeat on
-stderr), and ``--json PATH`` (machine-readable artifact alongside the
-rendered report) — via shared argparse parent parsers, and routes
-simulations through :func:`repro.api.run`.
+Every simulation command accepts the same common flags — ``--jobs N``
+(worker fan-out where the command has independent cells; see
+docs/fabric.md), ``--no-cache`` (skip the on-disk result/checkpoint
+cache), ``--progress SECONDS`` (heartbeat on stderr), and ``--json
+PATH`` (machine-readable artifact alongside the rendered report) — via
+shared argparse parent parsers, and routes simulations through
+:func:`repro.api.run`.
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ def _common_parent() -> argparse.ArgumentParser:
     """Flags every simulation command accepts uniformly."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("common options")
-    group.add_argument("--backend", default="local-process", metavar="SPEC",
-                       help="execution backend for independent cells: "
-                            "local-process (default) or ssh:host1,host2 "
-                            "(see docs/fabric.md)")
     group.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="concurrent workers for independent cells "
                             "(default: serial)")
@@ -139,8 +134,7 @@ def _jobs(args, default: int = 1) -> int:
 def _execution(args, default_jobs: int = 1, journal=None):
     """An :class:`ExecutionConfig` from the shared CLI flags."""
     from repro.fabric import ExecutionConfig
-    return ExecutionConfig(backend=getattr(args, "backend", "local-process"),
-                           jobs=_jobs(args, default_jobs),
+    return ExecutionConfig(jobs=_jobs(args, default_jobs),
                            cache=_make_cache(args), journal=journal)
 
 
@@ -450,7 +444,6 @@ def cmd_serve(args) -> int:
             weights[tenant.strip()] = float(weight or 1.0)
     config = ServiceConfig(
         store_dir=args.store, jobs=_jobs(args, default=2),
-        backend=args.backend,
         max_depth=args.max_depth, max_tenant_depth=args.max_tenant_depth,
         default_timeout=args.timeout, weights=weights,
         journal_fsync=not args.no_fsync,

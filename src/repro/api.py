@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 from repro.common.errors import ConfigurationError
 from repro.common.params import ProcessorParams
-from repro.fabric.base import ExecutionConfig
+from repro.fabric.executor import ExecutionConfig
 from repro.harness.runner import RunResult, resolve_workload
 from repro.isa.executor import execute
 from repro.pipeline.processor import Processor

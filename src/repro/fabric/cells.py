@@ -1,23 +1,19 @@
-"""Cell primitives shared by every execution backend.
+"""Cell primitives of the execution fabric.
 
 A *cell* is one independent simulation: a :class:`RunSpec` carries
-everything a worker — a local pool process or a worker on another
-machine — needs to reproduce it bit-identically.  This module also owns
-the worker entry points (module-level, picklable, so they survive the
-``spawn`` start method) and the JSON wire form the ``ssh`` backend ships
-cells in.
+everything a pool worker needs to reproduce it bit-identically.  This
+module also owns the worker entry points (module-level, picklable, so
+they survive the ``spawn`` start method).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple, Union
 
-from repro.common.params import (BranchPredictorParams, CacheParams,
-                                 IQParams, MemoryParams, ProcessorParams)
+from repro.common.params import ProcessorParams
 from repro.harness.runner import RunResult
 
 
@@ -70,64 +66,6 @@ def default_jobs() -> int:
     if hasattr(os, "sched_getaffinity"):
         return max(1, len(os.sched_getaffinity(0)))
     return os.cpu_count() or 1
-
-
-# ----------------------------------------------------------- wire format --
-def params_to_dict(params: ProcessorParams) -> dict:
-    """JSON-ready form of a parameter tree (inverse of
-    :func:`params_from_dict`)."""
-    return dataclasses.asdict(params)
-
-
-def params_from_dict(data: dict) -> ProcessorParams:
-    """Rebuild a :class:`ProcessorParams` from :func:`params_to_dict`.
-
-    Field-exact: both ends must run the same source version (the ``ssh``
-    backend's hello handshake checks the source token), so an unknown
-    field is a hard error rather than something to silently drop.
-    """
-    data = dict(data)
-    data["iq"] = IQParams(**data["iq"])
-    memory = dict(data["memory"])
-    for level in ("l1i", "l1d", "l2"):
-        memory[level] = CacheParams(**memory[level])
-    data["memory"] = MemoryParams(**memory)
-    data["branch"] = BranchPredictorParams(**data["branch"])
-    return ProcessorParams(**data)
-
-
-def spec_to_dict(spec: RunSpec) -> dict:
-    """JSON wire form of a cell (``metrics`` is not serializable and is
-    rejected by backends that ship cells off-host)."""
-    return {"workload": spec.workload,
-            "params": params_to_dict(spec.params),
-            "config_label": spec.config_label,
-            "seed": spec.seed,
-            "max_instructions": spec.max_instructions,
-            "scale": spec.scale,
-            "max_cycles": spec.max_cycles,
-            "warm_code": spec.warm_code}
-
-
-def spec_from_dict(data: dict) -> RunSpec:
-    data = dict(data)
-    data["params"] = params_from_dict(data["params"])
-    return RunSpec(**data)
-
-
-def result_to_dict(result: RunResult) -> dict:
-    return {"workload": result.workload, "config": result.config,
-            "ipc": result.ipc, "cycles": result.cycles,
-            "instructions": result.instructions, "stats": result.stats,
-            "metrics": result.metrics}
-
-
-def result_from_dict(data: dict) -> RunResult:
-    return RunResult(workload=data["workload"], config=data["config"],
-                     ipc=data["ipc"], cycles=data["cycles"],
-                     instructions=data["instructions"],
-                     stats=data.get("stats") or {},
-                     metrics=data.get("metrics"))
 
 
 # ------------------------------------------------------- worker functions --
@@ -202,23 +140,3 @@ def raise_on_errors(results, what: str) -> None:
     raise RuntimeError(f"{len(errors)} of {len(results)} {what} cells "
                        f"failed: {summary}")
 
-
-#: Functions the remote worker may be asked to run by qualified name
-#: (``module:function``).  Off-host task submission is restricted to
-#: this allowlist — the wire protocol must never become an arbitrary
-#: code-execution channel, even between trusting hosts.
-REMOTE_TASKS = {
-    "repro.service.jobs:execute_job",
-}
-
-
-def task_name(func: Callable) -> str:
-    return f"{func.__module__}:{func.__qualname__}"
-
-
-def resolve_remote_task(name: str) -> Callable:
-    if name not in REMOTE_TASKS:
-        raise ValueError(f"task {name!r} is not a registered remote task")
-    module_name, func_name = name.split(":", 1)
-    import importlib
-    return getattr(importlib.import_module(module_name), func_name)

@@ -1,8 +1,10 @@
-"""The fabric driver: cache, journal, and ordering over any backend.
+"""The fabric driver: cache, journal, and ordering over a process pool.
 
 :class:`Executor` is what grid-shaped callers (sweeps, experiments,
-surrogate pruning, sampling, validation campaigns, the CLI) use.  It
-owns everything backends should not have to know about:
+surrogate pruning, sampling, validation campaigns, the CLI) use, and
+:class:`ExecutionConfig` is the one spelling of worker count, cache and
+journal they all accept.  The executor owns everything the
+:class:`~repro.fabric.local.LocalProcessBackend` pool does not:
 
 * **Caching** — each cell is looked up in the
   :class:`~repro.harness.cache.ResultCache` first; only cold cells are
@@ -15,23 +17,20 @@ owns everything backends should not have to know about:
 * **Ordering** — results return in input order regardless of worker
   completion order; a failed cell is a :class:`CellError` in its slot,
   never an exception out of the batch.
-* **Backend lifetime** — a spec-string backend is created per batch and
-  always closed; a live :class:`ExecutionBackend` instance passed in
-  ``ExecutionConfig.backend`` is borrowed, not owned.
 
-:meth:`Executor.run_specs` runs simulation cells on the configured
-backend; :meth:`Executor.map` runs any picklable callable on a
-``local-process`` pool.  Both go through one submit/retire loop.
+:meth:`Executor.run_specs` runs simulation cells and
+:meth:`Executor.map` runs any picklable callable.  Both go through one
+submit/retire loop over a pool created and closed per batch.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.fabric.base import ExecutionConfig
 from repro.fabric.cells import CellResult, RunSpec, default_jobs, relabel
 from repro.fabric.journal import SweepJournal
 from repro.fabric.local import LocalProcessBackend
@@ -41,8 +40,44 @@ from repro.harness.runner import RunResult
 _POLL_SLEEP = 0.001
 
 
+@dataclass
+class ExecutionConfig:
+    """How a grid (or a single run) should execute.
+
+    The one spelling of worker count, cache, and journal that every
+    entry point accepts::
+
+        grid = sweep.run(execution=ExecutionConfig(jobs=4, cache=cache))
+
+    ``jobs=None`` means the caller's default (1 for grids;
+    :func:`~repro.fabric.cells.default_jobs` for ``Executor``).
+    ``journal`` is an optional path: the driver then records cell
+    states (pending/running/done-in-cache) in an append-only JSONL
+    journal so a killed sweep resumes without re-executing done cells
+    (requires ``cache``).
+    """
+
+    #: Only "local-process"; kept because bench/workload.py passes it.
+    backend: str = "local-process"
+    jobs: Optional[int] = None
+    cache: object = None
+    progress: Optional[Callable] = None
+    journal: Optional[object] = None
+
+    def __post_init__(self) -> None:
+        if self.backend != "local-process":
+            raise ConfigurationError(
+                f"unknown execution backend {self.backend!r}; the only "
+                f"backend is 'local-process'")
+
+    def resolve_jobs(self, default: int = 1) -> int:
+        if self.jobs is None:
+            return default
+        return max(1, int(self.jobs))
+
+
 class Executor:
-    """Cache-, journal-, and order-aware batch driver over a backend."""
+    """Cache-, journal-, and order-aware batch driver over a pool."""
 
     def __init__(self, execution: Optional[ExecutionConfig] = None) -> None:
         self.execution = execution if execution is not None \
@@ -50,8 +85,6 @@ class Executor:
         self.cache = self.execution.cache
         #: True when any batch degraded to in-process serial execution.
         self.fell_back_to_serial = False
-        #: Worker-cache entries merged back by the last ``run_specs``.
-        self.merged_entries = 0
 
     # ------------------------------------------------------------- specs --
     def run_specs(self, specs: Sequence[RunSpec],
@@ -86,11 +119,7 @@ class Executor:
         return results
 
     def _run_cold(self, cold, results, journal, progress) -> None:
-        backend = self.execution.make_backend(
-            default_jobs_to=default_jobs())
-        owned = backend is not self.execution.backend
-
-        def submit(cell):
+        def submit(backend, cell):
             _index, spec, key = cell
             if journal is not None and key is not None:
                 journal.record(key, "running", spec.label)
@@ -108,12 +137,8 @@ class Executor:
                 journal.record(key, "failed")
             results[index] = value
 
-        try:
-            self._drive(backend, cold, submit, retire, progress)
-            self.merged_entries = backend.merge_cache(self.cache)
-        finally:
-            if owned:
-                backend.close()
+        self._drive(self.execution.resolve_jobs(default_jobs()), cold,
+                    submit, retire, progress)
 
     def _key_for(self, spec: RunSpec) -> Optional[str]:
         if self.cache is None or not hasattr(self.cache, "key_for"):
@@ -141,58 +166,52 @@ class Executor:
             labels: Optional[Sequence[str]] = None) -> List:
         """Apply ``func`` to every item in parallel, in input order.
 
-        Generic callables cannot ship off-host, so this runs on a
-        ``local-process`` pool whatever the configured backend, with
-        that backend's serial fallback (``jobs=1``, payloads that do not
-        pickle).  A failed item is a :class:`CellError` in its slot.
+        Runs in-process when one worker is asked for or a payload does
+        not pickle.  A failed item is a :class:`CellError` in its slot.
         """
         if labels is None:
             labels = [f"task[{index}]" for index in range(len(items))]
         jobs = self.execution.resolve_jobs(default_jobs())
-        backend = LocalProcessBackend(
-            jobs=min(jobs, max(1, len(items))),
-            start_method=self.execution.options.get("start_method"))
         results: List = [None] * len(items)
 
-        def submit(index):
+        def submit(backend, index):
             return backend.submit_call(func, items[index], labels[index])
 
         def retire(index, value) -> None:
             results[index] = value
 
-        try:
-            self._drive(backend, range(len(items)), submit, retire,
-                        self.execution.progress)
-        finally:
-            backend.close()
+        self._drive(min(jobs, max(1, len(items))), range(len(items)),
+                    submit, retire, self.execution.progress)
         return results
 
     # -------------------------------------------------------------- loop --
-    def _drive(self, backend, work: Sequence, submit: Callable,
+    def _drive(self, jobs: int, work: Sequence, submit: Callable,
                retire: Callable, progress) -> None:
-        """Keep up to ``backend.capacity()`` items of ``work`` in flight
-        until all are retired.  ``submit(item)`` starts one and returns
-        its handle; ``retire(item, value)`` takes its result;
-        ``progress(done, total)`` counts retirements."""
+        """Keep up to ``jobs`` items of ``work`` in flight on a fresh
+        pool until all are retired.  ``submit(backend, item)`` starts
+        one and returns its handle; ``retire(item, value)`` takes its
+        result; ``progress(done, total)`` counts retirements."""
+        backend = LocalProcessBackend(jobs=jobs)
         pending = deque(work)
         inflight: dict = {}              # handle -> item
         retired = 0
-        while pending or inflight:
-            while pending and len(inflight) < backend.capacity():
-                item = pending.popleft()
-                inflight[submit(item)] = item
-            backend.tick()
-            done = [handle for handle in inflight if handle.poll()]
-            if not done:
-                time.sleep(_POLL_SLEEP)
-                continue
-            for handle in done:
-                item = inflight.pop(handle)
-                value = handle.result()
-                handle.close()
-                retire(item, value)
-                retired += 1
-                if progress is not None:
-                    progress(retired, len(work))
-        self.fell_back_to_serial = self.fell_back_to_serial or bool(
-            getattr(backend, "fell_back_to_serial", False))
+        try:
+            while pending or inflight:
+                while pending and len(inflight) < backend.jobs:
+                    item = pending.popleft()
+                    inflight[submit(backend, item)] = item
+                done = [handle for handle in inflight if handle.poll()]
+                if not done:
+                    time.sleep(_POLL_SLEEP)
+                    continue
+                for handle in done:
+                    item = inflight.pop(handle)
+                    value = handle.result()
+                    handle.close()
+                    retire(item, value)
+                    retired += 1
+                    if progress is not None:
+                        progress(retired, len(work))
+        finally:
+            backend.close()
+        self.fell_back_to_serial |= backend.fell_back_to_serial

@@ -1,14 +1,14 @@
-"""Cell handles: the uniform async surface every backend returns.
+"""Cell handles: the uniform async surface of submitted work.
 
-``ExecutionBackend.submit`` and ``submit_task`` hand back a handle the
-driver (or the job service's event loop) polls.  All handles share one
-duck-typed contract:
+``LocalProcessBackend.submit`` / ``submit_call`` and ``submit_detached``
+hand back a handle the driver (or the job service's event loop) polls.
+All handles share one duck-typed contract:
 
 * ``poll()``    — non-blocking; True once a result (or failure) exists;
 * ``ticks()``   — progress payloads accumulated since the last call;
 * ``result(timeout=None)`` — the value, a :class:`CellError`, blocking
   up to ``timeout``;
-* ``cancel()``  — stop the work (hard kill where the backend can);
+* ``cancel()``  — stop the work (a hard kill for :class:`CellHandle`);
 * ``close()``   — release resources;
 * ``label`` / ``cancelled`` attributes.
 
@@ -22,8 +22,10 @@ worker cannot be killed per-task).
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import CancelledError, Future, TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 from typing import List, Optional
 
 from repro.fabric.cells import CellError
@@ -108,11 +110,18 @@ class CellHandle:
         return out
 
     def result(self, timeout: Optional[float] = None):
-        """Block (up to ``timeout``) for the result; raises on timeout."""
-        if not self._finished:
-            self._process.join(timeout)
-            if not self.poll():
+        """Block (up to ``timeout``) for the result; raises on timeout.
+
+        Waits on the pipe, not on the process: a worker whose result is
+        larger than the pipe buffer cannot exit until it is read.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while not self.poll():
+            remaining = None if deadline is None \
+                else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
                 raise TimeoutError(f"{self.label}: still running")
+            wait([self._conn, self._process.sentinel], remaining)
         return self._result
 
     # ------------------------------------------------------ cancellation --
@@ -164,8 +173,8 @@ class FutureHandle:
 
     Cancellation is best-effort: a not-yet-started future is dropped,
     but a pool worker cannot be killed per-task.  Batch sweeps never
-    need the hard kill; callers that do (the job service) use the
-    dedicated-process ``submit_task`` path instead.
+    need the hard kill; callers that do (the job service) use
+    :func:`~repro.fabric.local.submit_detached` instead.
     """
 
     def __init__(self, label: str, future: Future) -> None:

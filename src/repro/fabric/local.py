@@ -1,15 +1,17 @@
 """The ``local-process`` backend: a spawn-safe process pool on this host.
 
-Cells and generic calls run on a
-:class:`concurrent.futures.ProcessPoolExecutor`; cancellable tasks each
-get a dedicated worker process.  The backend degrades rather than
-fails: ``jobs=1`` runs in-process, a payload that fails to pickle or a
-pool that cannot start falls back to serial, a pool broken by a dead
-worker is replaced at the next submission, and a worker that raises
-(or dies) surfaces as a per-cell :class:`~repro.fabric.cells.CellError`,
-never a hung sweep.  Results are bit-identical to serial execution by
-construction (workers share no state; every cell rebuilds its program
-from the workload registry).
+The one way cells and tasks execute.  Cells and generic calls run on a
+:class:`concurrent.futures.ProcessPoolExecutor`
+(:class:`LocalProcessBackend`); a cancellable task gets a dedicated
+worker process of its own (:func:`submit_detached`, the job service's
+hard-kill seam).  The pool degrades rather than fails: ``jobs=1`` runs
+in-process, a payload that fails to pickle or a pool that cannot start
+falls back to serial, a pool broken by a dead worker is replaced at the
+next submission, and a worker that raises (or dies) surfaces as a
+per-cell :class:`~repro.fabric.cells.CellError`, never a hung sweep.
+Results are bit-identical to serial execution by construction (workers
+share no state; every cell rebuilds its program from the workload
+registry).
 """
 
 from __future__ import annotations
@@ -20,14 +22,13 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional
 
-from repro.fabric.base import ExecutionBackend, register_backend
 from repro.fabric.cells import (RunSpec, _execute_spec, _guarded_call,
                                 _handle_worker, default_jobs)
 from repro.fabric.handles import CellHandle, CompletedHandle, FutureHandle
 
 
-def submit_detached(func: Callable, item, *, label: str = "task",
-                    start_method: Optional[str] = None) -> CellHandle:
+def submit_detached(func: Callable, item, *,
+                    label: str = "task") -> CellHandle:
     """Start ``func(item, emit)`` in its own dedicated worker process.
 
     Returns a :class:`CellHandle` immediately; the caller polls or
@@ -37,20 +38,17 @@ def submit_detached(func: Callable, item, *, label: str = "task",
     cancellation a hard kill, the contract the job service's timeouts
     and aborts need.
     """
-    context = multiprocessing.get_context(start_method)
-    parent, child = context.Pipe(duplex=False)
-    process = context.Process(target=_handle_worker,
-                              args=(child, func, item, label),
-                              daemon=True)
+    parent, child = multiprocessing.Pipe(duplex=False)
+    process = multiprocessing.Process(target=_handle_worker,
+                                      args=(child, func, item, label),
+                                      daemon=True)
     process.start()
     child.close()
     return CellHandle(label, process, parent)
 
 
-class LocalProcessBackend(ExecutionBackend):
-    """Single-host process-pool backend (the default)."""
-
-    name = "local-process"
+class LocalProcessBackend:
+    """Single-host process pool that runs cells and generic calls."""
 
     def __init__(self, *, jobs: Optional[int] = None,
                  start_method: Optional[str] = None) -> None:
@@ -61,16 +59,9 @@ class LocalProcessBackend(ExecutionBackend):
         #: True when any cell degraded to in-process serial execution.
         self.fell_back_to_serial = False
 
-    # --------------------------------------------------------- protocol --
-    def capacity(self) -> int:
-        return self.jobs
-
     def submit(self, spec: RunSpec):
+        """Start one simulation cell; returns a handle immediately."""
         return self.submit_call(_execute_spec, spec, spec.label)
-
-    def submit_task(self, func: Callable, item, *, label: str = "task"):
-        return submit_detached(func, item, label=label,
-                               start_method=self.start_method)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -115,5 +106,3 @@ class LocalProcessBackend(ExecutionBackend):
                 self._pool_broken = True
         return self._pool
 
-
-register_backend("local-process", LocalProcessBackend)

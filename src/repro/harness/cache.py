@@ -293,25 +293,6 @@ class ResultCache:
             except OSError:
                 pass
 
-    def merge(self, entries) -> int:
-        """Adopt ``(key, RunResult)`` pairs computed elsewhere.
-
-        The cache-merge half of the execution fabric: a multi-host
-        backend pulls what its workers computed (under the same source
-        token, so the keys align) back into the submitting side's
-        store.  Existing entries are left alone; returns the number of
-        new entries written.
-        """
-        if not self.enabled:
-            return 0
-        merged = 0
-        for key, result in entries:
-            if self._path(key).exists():
-                continue
-            self.put(key, result)
-            merged += 1
-        return merged
-
     def __repr__(self) -> str:
         state = "on" if self.enabled else "off"
         return (f"ResultCache({self.directory}, {state}, "

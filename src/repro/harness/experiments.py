@@ -56,8 +56,8 @@ class ExperimentRunner:
         if execution is None:
             from repro.fabric import ExecutionConfig
             execution = ExecutionConfig()
-        #: The fabric placement for this experiment's cells (backend,
-        #: worker count, cache).
+        #: The fabric placement for this experiment's cells (worker
+        #: count, cache).
         self.execution = execution
         self.jobs = execution.resolve_jobs(1)
         #: Optional SamplingConfig: estimate every cell by interval
@@ -104,10 +104,8 @@ class ExperimentRunner:
             self.progress(f"{workload}/{config_key}")
         from repro.fabric import (ExecutionConfig, Executor, RunSpec,
                                   raise_on_errors)
-        executor = Executor(ExecutionConfig(backend=self.execution.backend,
-                                            jobs=1,
-                                            cache=self.execution.cache,
-                                            options=self.execution.options))
+        executor = Executor(ExecutionConfig(jobs=1,
+                                            cache=self.execution.cache))
         if self.sampling is not None:
             from repro.sampling.sampler import run_sampled_cell
             spec = self._sampled_spec(workload, config_key, params_factory())
@@ -216,8 +214,8 @@ class Experiment:
         """Returns (rendered report, raw data dict).
 
         ``execution`` is an optional
-        :class:`~repro.fabric.ExecutionConfig` choosing the execution
-        backend, worker count, and result cache for the experiment's
+        :class:`~repro.fabric.ExecutionConfig` choosing the worker
+        count and result cache for the experiment's
         grid: ``jobs`` > 1 fans the grid out in parallel, ``cache``
         reuses results across invocations (see
         :mod:`repro.harness.cache`).  ``sampling`` estimates every cell

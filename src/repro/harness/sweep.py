@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.params import ProcessorParams
-from repro.fabric.base import ExecutionConfig
+from repro.fabric.executor import ExecutionConfig
 from repro.harness.reporting import format_table
 from repro.harness.runner import RunResult
 from repro.workloads import WORKLOADS
@@ -139,13 +139,12 @@ class Sweep:
         """Run every (workload, config) cell and collect the grid.
 
         ``execution`` is an optional
-        :class:`~repro.fabric.ExecutionConfig` selecting the execution
-        backend (``local-process``, ``ssh:host,...``), worker count,
-        result cache, and (optionally) a resumable sweep journal.  The
-        default runs serially on ``local-process`` without a cache.
-        ``jobs`` > 1 fans the cells out over the backend (cells are
-        independent; results are deterministic and ordered either way);
-        cached cells skip simulation entirely.
+        :class:`~repro.fabric.ExecutionConfig` selecting the worker
+        count, result cache, and (optionally) a resumable sweep journal.
+        The default runs serially without a cache.  ``jobs`` > 1 fans
+        the cells out over a process pool (cells are independent;
+        results are deterministic and ordered either way); cached cells
+        skip simulation entirely.
 
         ``sampling`` is an optional
         :class:`~repro.sampling.SamplingConfig`: when given, every cell

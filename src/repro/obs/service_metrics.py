@@ -4,8 +4,7 @@ The cycle-level metrics in :mod:`repro.obs.metrics` describe *one
 simulation*; this module describes the *service around many of them* —
 queue depth, dedupe effectiveness, per-tenant wait times, rejection and
 timeout counts.  Kept in obs (rather than the service package) so the
-service core stays importable without the observability layer and the
-counters stay reusable by future fabric backends.
+service core stays importable without the observability layer.
 
 Counters are monotonic; gauges are supplied by the caller at snapshot
 time (the service knows its live queue, the metrics object does not).

@@ -364,8 +364,8 @@ def result_to_dict(result) -> dict:
 
 # ---------------------------------------------------------- worker entry --
 def execute_job(payload: dict, emit) -> dict:
-    """Run one job inside a fabric worker (a dedicated process for the
-    local backends, a remote channel for ``ssh``); ``emit`` streams
+    """Run one job inside its dedicated worker process
+    (:func:`repro.fabric.local.submit_detached`); ``emit`` streams
     heartbeat dicts back to the service.
 
     Module-level and dict-in/dict-out so it pickles under any start

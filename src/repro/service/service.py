@@ -17,7 +17,7 @@ Life of a job::
        ├─ admission (depth/cost) ──────► AdmissionError  (HTTP 429)
        │
        └─ journal "pending", queue (SFQ)
-              step(): pop → re-check cache → place on the fabric backend
+              step(): pop → re-check cache → start a worker process
               step(): drain heartbeats → events ring
               step(): done/failed/timeout → journal terminal, store
                       result by key, fan out to attached jobs
@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.fabric import CellError, create_backend
+from repro.fabric import CellError
+from repro.fabric.local import submit_detached
 from repro.harness.cache import GCPolicy, ResultCache, prune_dir
 from repro.harness.runner import RunResult
 from repro.obs.service_metrics import ServiceMetrics
@@ -58,11 +59,6 @@ class ServiceConfig:
     store_dir: Path
     #: Concurrent simulation workers (execution slots).
     jobs: int = 2
-    #: Execution-backend spec placing jobs (see :mod:`repro.fabric`):
-    #: ``"local-process"`` or ``"ssh:hosta,hostb"``.
-    backend: str = "local-process"
-    #: Backend-specific knobs forwarded to the factory.
-    backend_options: Dict[str, object] = field(default_factory=dict)
     #: Admission bounds (queue-wide, per-tenant, per-job cost).
     max_depth: int = 64
     max_tenant_depth: Optional[int] = 32
@@ -102,15 +98,13 @@ class SimulationService:
         self.cache = ResultCache(root / "cache", gc_policy=config.gc_policy)
         self.journal = JobJournal(root / "journal.jsonl",
                                   fsync=config.journal_fsync)
-        self.fabric = create_backend(config.backend, jobs=config.jobs,
-                                     **config.backend_options)
         self.scheduler = FairScheduler(
             max_depth=config.max_depth,
             max_tenant_depth=config.max_tenant_depth,
             max_cost=config.max_cost, weights=config.weights)
         self.metrics = ServiceMetrics()
         self.jobs: Dict[str, Job] = {}
-        #: job id -> fabric handle of its in-flight execution.
+        #: job id -> worker handle of its in-flight execution.
         self.running: Dict[str, object] = {}
         #: key -> job id owning the (single) in-flight/pending execution.
         self._inflight: Dict[str, str] = {}
@@ -502,7 +496,7 @@ class SimulationService:
 
     def _fill_slots(self) -> int:
         launched = 0
-        while len(self.running) < self.fabric.capacity():
+        while len(self.running) < max(1, self.config.jobs):
             job_id = self.scheduler.pop()
             if job_id is None:
                 break
@@ -531,7 +525,7 @@ class SimulationService:
             self.metrics.incr("executions")
             self.metrics.observe_wait(job.tenant,
                                       job.started_at - job.submitted_at)
-            self.running[job.id] = self.fabric.submit_task(
+            self.running[job.id] = submit_detached(
                 execute_job, payload, label=label)
             job.add_event("started")
             launched += 1
@@ -708,7 +702,6 @@ class SimulationService:
         for handle in self.running.values():
             handle.close()
         self.running.clear()
-        self.fabric.close()
 
     # ------------------------------------------------------------- routes --
     def handle(self, method: str, path: str, query: Dict[str, str],

@@ -1,4 +1,4 @@
-"""ExecutionConfig, the backend registry, default_jobs, and cache merging."""
+"""ExecutionConfig and default_jobs."""
 
 import dataclasses
 import os
@@ -7,41 +7,10 @@ import pytest
 
 from repro import api
 from repro.common.errors import ConfigurationError
-from repro.fabric import (CompletedHandle, ExecutionBackend,
-                          ExecutionConfig, LocalProcessBackend,
-                          backend_names, create_backend, default_jobs,
-                          parse_backend_spec)
+from repro.fabric import (CompletedHandle, ExecutionConfig, Executor,
+                          LocalProcessBackend, default_jobs)
 from repro.harness import configs
 from repro.harness.cache import ResultCache
-from repro.harness.runner import RunResult
-
-
-class TestBackendSpec:
-    def test_builtins_are_registered(self):
-        assert backend_names() == ("local-process", "ssh")
-
-    def test_parse_plain_and_ssh_specs(self):
-        assert parse_backend_spec("local-process") == ("local-process", {})
-        assert parse_backend_spec("ssh:hosta,hostb") == \
-            ("ssh", {"hosts": ["hosta", "hostb"]})
-        assert parse_backend_spec("ssh: a , b ") == \
-            ("ssh", {"hosts": ["a", "b"]})
-
-    def test_non_ssh_argument_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="takes no ':'"):
-            parse_backend_spec("local-process:8")
-
-    def test_unknown_backend_lists_registered(self):
-        with pytest.raises(ConfigurationError, match="local-process"):
-            create_backend("teleport")
-
-    def test_create_backend_honours_jobs(self):
-        backend = create_backend("local-process", jobs=3)
-        try:
-            assert isinstance(backend, LocalProcessBackend)
-            assert backend.capacity() == 3
-        finally:
-            backend.close()
 
 
 class TestExecutionConfig:
@@ -51,21 +20,12 @@ class TestExecutionConfig:
         assert ExecutionConfig(jobs=2).resolve_jobs(default=4) == 2
         assert ExecutionConfig(jobs=0).resolve_jobs() == 1
 
-    def test_make_backend_passes_instances_through(self):
-        class Stub(ExecutionBackend):
-            def close(self):
-                pass
-
-        stub = Stub()
-        assert ExecutionConfig(backend=stub).make_backend() is stub
-
-    def test_make_backend_from_spec_string(self):
-        backend = ExecutionConfig(backend="local-process",
-                                  jobs=2).make_backend()
-        try:
-            assert backend.capacity() == 2
-        finally:
-            backend.close()
+    def test_only_local_process_is_accepted(self):
+        with pytest.raises(ConfigurationError, match="local-process"):
+            ExecutionConfig(backend="ssh:x")
+        executor = Executor(ExecutionConfig(backend="local-process", jobs=2))
+        assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
+        assert not executor.fell_back_to_serial
 
     def test_api_run_execution_config(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -91,9 +51,9 @@ class TestDefaultJobs:
     def test_one_usable_cpu_means_in_process_serial(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-        backend = create_backend("local-process")
+        backend = LocalProcessBackend()
         try:
-            assert backend.capacity() == 1
+            assert backend.jobs == 1
             handle = backend.submit_call(_double, 21, "double")
             assert isinstance(handle, CompletedHandle)
             assert handle.result() == 42
@@ -105,24 +65,3 @@ class TestDefaultJobs:
 def _double(x):
     return x * 2
 
-
-def _result(workload="twolf", config="ideal-32", ipc=1.25):
-    return RunResult(workload=workload, config=config, ipc=ipc,
-                     cycles=800, instructions=1000,
-                     stats={"iq.occupancy": 11.5, "commit.total": 1000})
-
-
-class TestCacheMerge:
-    def test_merge_adopts_new_entries_once(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        result = _result()
-        assert cache.merge([("k1", result)]) == 1
-        assert cache.merge([("k1", result), ("k2", _result(ipc=2.0))]) == 1
-        hit = cache.get("k1")
-        assert hit is not None and hit.ipc == result.ipc
-        assert hit.stats == result.stats
-
-    def test_merge_on_disabled_cache_is_a_noop(self, tmp_path):
-        cache = ResultCache(tmp_path, enabled=False)
-        assert cache.merge([("k1", _result())]) == 0
-        assert cache.get("k1") is None

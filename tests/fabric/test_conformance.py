@@ -1,12 +1,11 @@
-"""Backend conformance suite.
+"""Execution conformance suite.
 
-Every registered backend must (a) produce bit-identical results to
-serial in-process execution, in input order; (b) honour the task
-contract (results and heartbeats come back, a raising task is a
-``CellError``, cancel is a hard kill, worker death settles the handle
-and never hangs); (c) recover from a dead worker — the next submission
-gets a fresh one.  Backends a platform cannot provide skip rather than
-fail.
+The ``local-process`` pool must (a) produce bit-identical results to
+serial in-process execution, in input order; (b) recover from a dead
+worker — the next submission gets a fresh one.  A detached task (the
+job service's unit of work) must honour the task contract: results and
+heartbeats come back, a raising task is a ``CellError``, cancel is a
+hard kill, worker death settles the handle and never hangs.
 """
 
 import dataclasses
@@ -14,16 +13,18 @@ import time
 
 import pytest
 
-from repro.common.errors import ConfigurationError
-from repro.fabric import (CellError, ExecutionConfig, Executor, RunSpec,
-                          create_backend, raise_on_errors)
+from repro.fabric import (CellError, ExecutionConfig, Executor,
+                          LocalProcessBackend, RunSpec, raise_on_errors)
+from repro.fabric.local import submit_detached
 from repro.harness import configs
 from repro.harness.cache import ResultCache
 from repro.harness.runner import RunResult
 
-#: Spec strings the suite conforms. ``ssh:local`` is the transport-free
-#: form of the ssh backend: same worker, same JSONL wire, no ssh.
-BACKENDS = ["local-process", "ssh:local"]
+#: Backends the suite conforms.
+BACKENDS = ["local-process"]
+
+#: How each backend starts a detached task (the job service's unit).
+TASK_SUBMITTERS = {"local-process": submit_detached}
 
 
 def _grid_specs():
@@ -36,13 +37,6 @@ def _grid_specs():
     return [RunSpec(workload, params, config_label=label,
                     max_instructions=1200)
             for workload, label, params in cells]
-
-
-def _backend_or_skip(spec: str, jobs: int = 1):
-    try:
-        return create_backend(spec, jobs=jobs)
-    except ConfigurationError as exc:
-        pytest.skip(f"{spec}: {exc}")
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +53,7 @@ class TestBitIdentity:
     def test_matches_serial_in_input_order(self, backend, serial_results):
         specs = _grid_specs()
         executor = Executor(ExecutionConfig(backend=backend, jobs=2))
-        try:
-            results = executor.run_specs(specs)
-        except ConfigurationError as exc:
-            pytest.skip(f"{backend}: {exc}")
+        results = executor.run_specs(specs)
         raise_on_errors(results, backend)
         for spec, got, want in zip(specs, results, serial_results):
             assert got.workload == spec.workload
@@ -71,15 +62,12 @@ class TestBitIdentity:
                 f"{spec.label} diverged between serial and {backend}"
 
     def test_cache_round_trip(self, backend, tmp_path):
-        """A backend-executed cell lands in the cache; the rerun is a
-        hit that needs no backend at all."""
+        """An executed cell lands in the cache; the rerun is a hit that
+        needs no worker at all."""
         cache = ResultCache(tmp_path / "cache")
         spec = _grid_specs()[0]
         execution = ExecutionConfig(backend=backend, jobs=1, cache=cache)
-        try:
-            [first] = Executor(execution).run_specs([spec])
-        except ConfigurationError as exc:
-            pytest.skip(f"{backend}: {exc}")
+        [first] = Executor(execution).run_specs([spec])
         assert isinstance(first, RunResult), first
         [second] = Executor(ExecutionConfig(jobs=1,
                                             cache=cache)).run_specs([spec])
@@ -108,6 +96,10 @@ def _die_silently(item, emit):
     os._exit(3)
 
 
+def _big_result(item, emit):
+    return "x" * item
+
+
 def _wait(predicate, timeout=30.0, message="condition"):
     deadline = time.time() + timeout
     while not predicate():
@@ -118,55 +110,49 @@ def _wait(predicate, timeout=30.0, message="condition"):
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestTaskContract:
     def test_result_and_ticks(self, backend):
-        back = _backend_or_skip(backend)
-        try:
-            handle = back.submit_task(_emit_and_return, 7, label="x")
-            assert handle.result(timeout=30) == 70
-            assert handle.poll()
-            assert handle.ticks() == [{"step": 1}]
-            assert handle.ticks() == []         # drained
-        finally:
-            back.close()
+        handle = TASK_SUBMITTERS[backend](_emit_and_return, 7, label="x")
+        assert handle.result(timeout=30) == 70
+        assert handle.poll()
+        assert handle.ticks() == [{"step": 1}]
+        assert handle.ticks() == []         # drained
 
     def test_exception_is_a_cell_error(self, backend):
-        back = _backend_or_skip(backend)
-        try:
-            handle = back.submit_task(_fail_task, 3, label="bad")
-            result = handle.result(timeout=30)
-            assert isinstance(result, CellError)
-            assert "kaput 3" in result.error
-            assert not handle.cancelled
-        finally:
-            back.close()
+        handle = TASK_SUBMITTERS[backend](_fail_task, 3, label="bad")
+        result = handle.result(timeout=30)
+        assert isinstance(result, CellError)
+        assert "kaput 3" in result.error
+        assert not handle.cancelled
 
     def test_cancel_is_a_hard_kill(self, backend):
-        back = _backend_or_skip(backend)
-        try:
-            handle = back.submit_task(_sleep_forever, 0, label="spin")
-            # Wait until the worker proves it started, then kill it.
-            deadline = time.time() + 30
-            while not handle.ticks():
-                assert time.time() < deadline, "no heartbeat from worker"
-                time.sleep(0.01)
-            assert back.cancel(handle)
-            result = handle.result(timeout=10)
-            assert isinstance(result, CellError)
-            assert result.error == "cancelled"
-            assert handle.cancelled
-            assert not handle.cancel()      # idempotent once settled
-        finally:
-            back.close()
+        handle = TASK_SUBMITTERS[backend](_sleep_forever, 0, label="spin")
+        # Wait until the worker proves it started, then kill it.
+        _wait(handle.ticks, message="heartbeat from worker")
+        assert handle.cancel()
+        result = handle.result(timeout=10)
+        assert isinstance(result, CellError)
+        assert result.error == "cancelled"
+        assert handle.cancelled
+        assert not handle.cancel()      # idempotent once settled
 
     def test_worker_death_is_reported_not_hung(self, backend):
-        back = _backend_or_skip(backend)
+        handle = TASK_SUBMITTERS[backend](_die_silently, 0, label="dead")
+        _wait(handle.poll, message="death report")
+        result = handle.result()
+        assert isinstance(result, CellError)
+        assert "died" in result.error
+
+    def test_result_larger_than_the_pipe_buffer(self, backend):
+        """The worker blocks sending a result bigger than the pipe
+        buffer until the parent reads it, so ``result()`` must read
+        while it waits instead of waiting for the worker to exit."""
+        handle = TASK_SUBMITTERS[backend](_big_result, 1_000_000, label="big")
         try:
-            handle = back.submit_task(_die_silently, 0, label="dead")
-            _wait(handle.poll, message="death report")
-            result = handle.result()
-            assert isinstance(result, CellError)
-            assert "died" in result.error
+            start = time.monotonic()
+            value = handle.result(timeout=30)
+            assert time.monotonic() - start < 5.0
+            assert value == "x" * 1_000_000
         finally:
-            back.close()
+            handle.close()
 
 
 # ----------------------------------------------- mid-cell worker death --
@@ -183,12 +169,12 @@ def _small_spec():
 
 class TestWorkerDeathMidCell:
     """Kill the worker while a *cell* (not a task) is computing: the
-    handle settles with a CellError and the backend recovers — the next
+    handle settles with a CellError and the pool recovers — the next
     submission gets a fresh worker."""
 
     def test_local_process_worker_death(self):
         # jobs=2: with one worker the cell would run in-process.
-        back = _backend_or_skip("local-process", jobs=2)
+        back = LocalProcessBackend(jobs=2)
         try:
             handle = back.submit(_long_spec())
             _wait(lambda: back._pool._processes, message="pool workers")
@@ -201,57 +187,5 @@ class TestWorkerDeathMidCell:
             retry = back.submit(_small_spec()).result(timeout=120)
             assert isinstance(retry, RunResult), retry
             assert not back.fell_back_to_serial   # a fresh pool ran it
-        finally:
-            back.close()
-
-    def test_ssh_channel_death(self):
-        back = _backend_or_skip("ssh:local")
-        try:
-            handle = back.submit(_long_spec())
-            back._channels[0].process.kill()
-            _wait(handle.poll, message="channel death report")
-            result = handle.result()
-            assert isinstance(result, CellError)
-            assert "died" in result.error
-            back.tick()
-            retry = back.submit(_small_spec()).result(timeout=120)
-            assert isinstance(retry, RunResult), retry
-        finally:
-            back.close()
-
-
-# ------------------------------------------------------- ssh specifics --
-class TestSSHBackend:
-    def test_rejects_metered_cells(self):
-        back = _backend_or_skip("ssh:local")
-        try:
-            metered = dataclasses.replace(_small_spec(), metrics=200)
-            with pytest.raises(ConfigurationError, match="metered cells"):
-                back.submit(metered)
-        finally:
-            back.close()
-
-    def test_merges_worker_cache_entries(self, tmp_path):
-        back = _backend_or_skip("ssh:local")
-        back.close()
-        try:
-            back = create_backend(
-                "ssh:local", jobs=1,
-                worker_cache_dir=str(tmp_path / "worker-cache"))
-        except ConfigurationError as exc:
-            pytest.skip(str(exc))
-        try:
-            spec = _small_spec()
-            result = back.submit(spec).result(timeout=180)
-            assert isinstance(result, RunResult), result
-            local = ResultCache(tmp_path / "local-cache")
-            assert back.merge_cache(local) == 1
-            key = local.key_for(spec.workload, spec.params,
-                                **spec.cache_kwargs())
-            hit = local.get(key)
-            assert hit is not None
-            assert dataclasses.asdict(hit) == dataclasses.asdict(result)
-            # Entries already present are left alone on a second merge.
-            assert back.merge_cache(local) == 0
         finally:
             back.close()

@@ -11,8 +11,8 @@ import dataclasses
 
 import pytest
 
-from repro.fabric import (CellError, ExecutionConfig, Executor, RunSpec,
-                          raise_on_errors)
+from repro.fabric import (CellError, ExecutionConfig, Executor,
+                          LocalProcessBackend, RunSpec, raise_on_errors)
 from repro.harness import configs
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import EXPERIMENTS
@@ -84,11 +84,15 @@ class TestDeterminism:
 
     def test_spawn_start_method_matches_serial(self):
         spec = _small_spec()
-        serial = _executor(1).run_specs([spec, spec])
-        spawned = _executor(2, options={"start_method": "spawn"}).run_specs(
-            [spec, spec])
-        raise_on_errors(spawned, "spawn")
-        assert dataclasses.asdict(serial[0]) == dataclasses.asdict(spawned[0])
+        serial = _executor(1).run_specs([spec])
+        backend = LocalProcessBackend(jobs=2, start_method="spawn")
+        try:
+            spawned = backend.submit(spec).result(timeout=120)
+        finally:
+            backend.close()
+        assert isinstance(spawned, RunResult), spawned
+        assert not backend.fell_back_to_serial
+        assert dataclasses.asdict(serial[0]) == dataclasses.asdict(spawned)
 
     def test_experiment_parallel_matches_serial(self):
         experiment = EXPERIMENTS["headline"]
