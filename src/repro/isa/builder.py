@@ -29,12 +29,12 @@ operations (the segment base is folded into the immediate displacement).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.common.errors import ProgramError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import WORD_BYTES, Opcode
-from repro.isa.program import DataSegment, Program
+from repro.isa.program import DataSegment, Program, Value
 
 Target = Union[str, int]
 
@@ -50,11 +50,11 @@ class ProgramBuilder:
         self._targets: List[Optional[Target]] = []
         self._segments: Dict[str, DataSegment] = {}
         self._next_base = 0
-        self._initial_data: Dict[int, float] = {}
+        self._image: List[Value] = []     # dense data image from word 0
 
     # ------------------------------------------------------------- data --
     def alloc(self, name: str, words: int, *, align_bytes: int = 64,
-              init: Optional[List[float]] = None) -> DataSegment:
+              init: Optional[Sequence[Value]] = None) -> DataSegment:
         """Allocate a named array of ``words`` 8-byte words.
 
         Segments are aligned to ``align_bytes`` (cache-line aligned by
@@ -68,18 +68,23 @@ class ProgramBuilder:
         segment = DataSegment(name=name, base=base, words=words)
         self._segments[name] = segment
         self._next_base = base + segment.bytes
-        if init is not None:
-            if len(init) > words:
-                raise ProgramError(
-                    f"init data for {name!r} longer than segment")
-            first_word = base // WORD_BYTES
-            for offset, value in enumerate(init):
-                self._initial_data[first_word + offset] = value
+        if init is not None and len(init) > words:
+            raise ProgramError(f"init data for {name!r} longer than segment")
+        if init:
+            self._write(base // WORD_BYTES, init)
         return segment
 
-    def set_word(self, segment: DataSegment, index: int, value: float) -> None:
+    def set_word(self, segment: DataSegment, index: int, value: Value) -> None:
         """Set the initial value of one element of ``segment``."""
-        self._initial_data[segment.addr(index) // WORD_BYTES] = value
+        self._write(segment.addr(index) // WORD_BYTES, (value,))
+
+    def _write(self, first_word: int, values: Sequence[Value]) -> None:
+        """Store ``values`` into the image from ``first_word`` on, filling
+        any gap before it with int ``0`` (the value of unset memory)."""
+        image = self._image
+        if len(image) < first_word:
+            image.extend([0] * (first_word - len(image)))
+        image[first_word:first_word + len(values)] = values
 
     # ------------------------------------------------------------ labels --
     def label(self, name: str) -> None:
@@ -261,7 +266,7 @@ class ProgramBuilder:
             labels=dict(self._labels),
             segments=dict(self._segments),
             memory_words=-(-self._next_base // WORD_BYTES),
-            initial_data=dict(self._initial_data),
+            initial_memory=list(self._image),
             name=self.name)
         program.validate()
         return program

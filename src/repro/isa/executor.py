@@ -13,7 +13,7 @@ Numeric representation: registers and memory words hold plain Python
 numbers, and the *type* of every cell is deterministic — integer opcodes
 always write ``int`` (operands are coerced with ``int()``), floating-point
 opcodes always write ``float``, and uninitialized cells are the integer
-``0`` in both the register file and memory.  ``Program.initial_data``
+``0`` in both the register file and memory.  ``Program.initial_memory``
 values are stored exactly as the workload builder provided them.  This
 type-stability is load-bearing for the sampling subsystem: architectural
 checkpoints serialize state as canonical JSON, and a byte-stable encoding
@@ -23,15 +23,12 @@ requires int-ness/float-ness of every cell to be reproducible
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional
 
 from repro.common.errors import ExecutionError
 from repro.isa.instruction import DynInst, Instruction
 from repro.isa.opcodes import NUM_REGS, WORD_BYTES, Opcode
-from repro.isa.program import Program
-
-#: One architectural word: ``int`` from integer ops, ``float`` from FP ops.
-Value = Union[int, float]
+from repro.isa.program import Program, Value
 
 
 class MachineState:
@@ -46,13 +43,10 @@ class MachineState:
     def __init__(self, program: Program) -> None:
         self.program = program
         self.regs: List[Value] = [0] * NUM_REGS
-        self.memory: List[Value] = [0] * max(1, program.memory_words)
-        for word, value in program.initial_data.items():
-            if not 0 <= word < len(self.memory):
-                raise ExecutionError(
-                    f"initial data word {word} outside memory "
-                    f"({len(self.memory)} words)")
-            self.memory[word] = value
+        # Program.validate() bounds the image by memory_words.
+        image = program.initial_memory
+        self.memory: List[Value] = image + [0] * (
+            max(1, program.memory_words) - len(image))
         self.pc = 0
         self.halted = False
         self.instruction_count = 0

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Union
 
 from repro.common.errors import ProgramError
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import WORD_BYTES
+
+#: One architectural word: ``int`` from integer ops, ``float`` from FP ops.
+Value = Union[int, float]
 
 
 @dataclass
@@ -36,15 +39,17 @@ class Program:
     """A complete program: code, labels, and data layout.
 
     ``memory_words`` is the total size of the data memory the program needs;
-    ``initial_data`` maps word index -> initial value for any words that must
-    be non-zero before execution starts.
+    ``initial_memory`` is the data image execution starts from: a dense
+    list of words from word 0 up to the last word the builder initialised
+    (explicit zeros included), each value kept exactly as given.  Words
+    past its end are not stored and start as the integer ``0``.
     """
 
     instructions: List[Instruction]
     labels: Dict[str, int] = field(default_factory=dict)
     segments: Dict[str, DataSegment] = field(default_factory=dict)
     memory_words: int = 0
-    initial_data: Dict[int, float] = field(default_factory=dict)
+    initial_memory: List[Value] = field(default_factory=list)
     name: str = "program"
 
     def __len__(self) -> int:
@@ -60,7 +65,8 @@ class Program:
             raise ProgramError(f"no data segment named {name!r}") from None
 
     def validate(self) -> None:
-        """Check structural invariants: targets in range, halt present."""
+        """Check structural invariants: targets in range, halt present,
+        data image within the data memory."""
         if not self.instructions:
             raise ProgramError("empty program")
         for pc, inst in enumerate(self.instructions):
@@ -73,6 +79,10 @@ class Program:
                 raise ProgramError(f"instruction {pc} ({inst}) has no target")
         if not any(inst.is_halt for inst in self.instructions):
             raise ProgramError("program has no halt instruction")
+        if len(self.initial_memory) > self.memory_words:
+            raise ProgramError(
+                f"initial memory image of {len(self.initial_memory)} words "
+                f"outside memory ({self.memory_words} words)")
 
     def disassemble(self) -> str:
         """Human-readable listing with label annotations."""

@@ -77,9 +77,9 @@ class TestDataSegments:
         b.halt()
         program = b.build()
         first = seg.base // 8
-        assert program.initial_data[first] == 1.5
-        assert program.initial_data[first + 1] == 2.5
-        assert program.initial_data[first + 3] == 9.0
+        assert program.initial_memory[first] == 1.5
+        assert program.initial_memory[first + 1] == 2.5
+        assert program.initial_memory[first + 3] == 9.0
 
     def test_init_longer_than_segment_raises(self):
         b = minimal_builder()

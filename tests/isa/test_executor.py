@@ -160,7 +160,7 @@ class TestMemory:
         state = build_and_run(body)
         assert state.regs[R(3)] == 123
 
-    def test_initial_data_visible(self):
+    def test_initial_memory_visible(self):
         def body(b):
             seg = b.alloc("a", 2, init=[2.5, 4.5])
             b.fld(F(0), R(0), 8, base=seg)

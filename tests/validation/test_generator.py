@@ -14,7 +14,7 @@ class TestDeterminism:
         b = build_fuzz_program(FuzzProfile(seed=7))
         assert [str(i) for i in a.instructions] == \
                [str(i) for i in b.instructions]
-        assert a.initial_data == b.initial_data
+        assert a.initial_memory == b.initial_memory
 
     def test_different_seeds_differ(self):
         a = build_fuzz_program(FuzzProfile(seed=0))

@@ -54,7 +54,7 @@ class TestGeneratedPrograms:
                                              access_pattern="scatter"))
         b = build_synthetic(SyntheticProfile(iterations=50, seed=7,
                                              access_pattern="scatter"))
-        assert a.initial_data == b.initial_data
+        assert a.initial_memory == b.initial_memory
         assert [str(x) for x in a.instructions] == \
             [str(y) for y in b.instructions]
 
@@ -63,7 +63,7 @@ class TestGeneratedPrograms:
                                              access_pattern="scatter"))
         b = build_synthetic(SyntheticProfile(iterations=50, seed=2,
                                              access_pattern="scatter"))
-        assert a.initial_data != b.initial_data
+        assert a.initial_memory != b.initial_memory
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
