@@ -66,11 +66,54 @@ static PyObject *str_srcs;          /* "srcs" */
 static PyObject *str_is_mem;        /* "is_mem" */
 static PyObject *str_freed;         /* "freed" */
 static PyObject *zero_obj;          /* PyLong(0) */
+/* Attribute and method names of the dispatch stage and the segmented
+ * IQ's dispatch planning (interned from DISPATCH_NAMES at import). */
+static PyObject *str_pc, *str_lrp, *str_hmp, *str_chains;
+static PyObject *str_predict_later, *str_predict_hit, *str_has_free;
+static PyObject *str_allocate, *str_stat_alloc_failures;
+static PyObject *str_blocked_on_chain, *str_active_segments;
+static PyObject *str_enable_bypass, *str_full_refusals, *str_now;
+static PyObject *str_needs_chain, *str_lsq, *str_frontend, *str_pipeline;
+static PyObject *str_violation_flush_until, *str_rob, *str_entries;
+static PyObject *str_size, *str_iq, *str_op_class, *str_rob_index;
+static PyObject *str_dispatched_cycle, *str_completed_cycle;
+static PyObject *str_mispredicted, *str_branch_resolved, *str_popleft;
+static PyObject *str_append, *str_order, *str_can_dispatch;
+static PyObject *str_stat_full_stalls, *str_dispatch, *str_is_store;
+
+static const struct { PyObject **slot; const char *name; }
+DISPATCH_NAMES[] = {
+    {&str_pc, "pc"}, {&str_lrp, "lrp"}, {&str_hmp, "hmp"},
+    {&str_chains, "chains"}, {&str_predict_later, "predict_later"},
+    {&str_predict_hit, "predict_hit"}, {&str_has_free, "has_free"},
+    {&str_allocate, "allocate"},
+    {&str_stat_alloc_failures, "stat_alloc_failures"},
+    {&str_blocked_on_chain, "blocked_on_chain"},
+    {&str_active_segments, "active_segments"},
+    {&str_enable_bypass, "_enable_bypass"},
+    {&str_full_refusals, "_full_refusals"}, {&str_now, "now"},
+    {&str_needs_chain, "needs_chain"}, {&str_lsq, "lsq"},
+    {&str_frontend, "frontend"}, {&str_pipeline, "_pipeline"},
+    {&str_violation_flush_until, "violation_flush_until"},
+    {&str_rob, "rob"}, {&str_entries, "_entries"}, {&str_size, "size"},
+    {&str_iq, "iq"}, {&str_op_class, "op_class"},
+    {&str_rob_index, "rob_index"},
+    {&str_dispatched_cycle, "dispatched_cycle"},
+    {&str_completed_cycle, "completed_cycle"},
+    {&str_mispredicted, "mispredicted"},
+    {&str_branch_resolved, "branch_resolved"}, {&str_popleft, "popleft"},
+    {&str_append, "append"}, {&str_order, "_order"},
+    {&str_can_dispatch, "can_dispatch"},
+    {&str_stat_full_stalls, "stat_full_stalls"},
+    {&str_dispatch, "dispatch"}, {&str_is_store, "is_store"},
+};
 
 /* Fused FU acquisition for Engine.issue_select (defined with the
  * Pipeline engine below; falls back to the Python callable). */
 static int issue_try_acquire(PyObject *fu, PyObject *acquire,
                              PyObject *entry, int64_t now);
+/* repro.common.errors.SimulationError (defined with the event queue). */
+static PyObject *sim_error(void);
 
 /* ------------------------------------------------------------------ */
 /* Growable int64 vector                                              */
@@ -235,6 +278,15 @@ typedef struct {
      * predicted load latency constant.  NULL until bound. */
     PyObject *adm_ss_cls, *adm_rit_cls, *adm_iqe_cls, *adm_stat;
     int64_t adm_pred_load_lat;
+    /* dispatch-planning bindings (bind_dispatch): the DispatchPlan
+     * class, the queue's plan cache, RIT and head-chain dicts, and the
+     * two-chain, bypass and chain-head counters.  NULL until bound. */
+    PyObject *dp_plan_cls, *dp_plan_cache, *dp_rit, *dp_head_chains;
+    PyObject *dp_two_chain, *dp_bypass, *dp_chain_heads;
+    /* (occupancy, segment) decided by the last successful can_dispatch,
+     * so the dispatch that follows skips a second search. */
+    int tc_valid;
+    int64_t tc_occ, tc_target;
 } Engine;
 
 static int
@@ -332,6 +384,155 @@ attr_set_i64(PyObject *obj, PyObject *name, int64_t value)
     Py_DECREF(num);
     return rc;
 }
+
+/* ------------------------------------------------ direct slot access -- */
+/* The dispatch path reads and writes a few dozen ``__slots__``
+ * attributes per instruction (DynInst, IQEntry, SegmentState, RITEntry,
+ * Chain, DispatchPlan, Operand).  Like the interpreter's specialised
+ * slot loads and stores, each access site remembers, for the last type
+ * it saw and that type's version tag, the byte offset of the slot.  Any
+ * other type, a non-slot attribute, an unset slot or a class changed
+ * since takes the generic attribute protocol, so the result is the same
+ * either way. */
+
+typedef struct {
+    PyObject **name;            /* interned attribute name */
+    PyTypeObject *type;         /* strong reference; NULL: unresolved */
+    unsigned int version;       /* type->tp_version_tag when resolved */
+    Py_ssize_t offset;          /* slot offset, or -1: generic access */
+} slotsite;
+
+static Py_ssize_t
+site_offset(slotsite *site, PyObject *obj)
+{
+    PyTypeObject *tp = Py_TYPE(obj);
+    if (tp == site->type && tp->tp_version_tag == site->version
+        && (tp->tp_flags & Py_TPFLAGS_VALID_VERSION_TAG))
+        return site->offset;
+    /* The lookup assigns the type a version tag when it has none. */
+    PyObject *descr = _PyType_Lookup(tp, *site->name);
+    Py_INCREF(tp);
+    Py_XSETREF(site->type, tp);
+    site->version = tp->tp_version_tag;
+    site->offset = -1;
+    if ((tp->tp_flags & Py_TPFLAGS_VALID_VERSION_TAG)
+        && tp->tp_getattro == PyObject_GenericGetAttr
+        && tp->tp_setattro == PyObject_GenericSetAttr
+        && descr != NULL && Py_TYPE(descr) == &PyMemberDescr_Type) {
+        PyMemberDef *member = ((PyMemberDescrObject *)descr)->d_member;
+        if (member->type == T_OBJECT_EX && !(member->flags & READONLY))
+            site->offset = member->offset;
+    }
+    return site->offset;
+}
+
+static inline PyObject *
+site_get(slotsite *site, PyObject *obj)
+{
+    /* obj.<name> as a new reference (NULL with an exception). */
+    Py_ssize_t offset = site_offset(site, obj);
+    if (offset >= 0) {
+        PyObject *value = *(PyObject **)((char *)obj + offset);
+        if (value != NULL) {
+            Py_INCREF(value);
+            return value;
+        }
+    }
+    return PyObject_GetAttr(obj, *site->name);
+}
+
+static inline int
+site_set(slotsite *site, PyObject *obj, PyObject *value)
+{
+    Py_ssize_t offset = site_offset(site, obj);
+    if (offset < 0)
+        return PyObject_SetAttr(obj, *site->name, value);
+    PyObject **slot = (PyObject **)((char *)obj + offset);
+    PyObject *old = *slot;
+    Py_INCREF(value);
+    *slot = value;
+    Py_XDECREF(old);
+    return 0;
+}
+
+static inline int
+site_set_new(slotsite *site, PyObject *obj, PyObject *value)
+{
+    /* site_set stealing ``value`` (NULL: its constructor's exception). */
+    if (value == NULL)
+        return -1;
+    int rc = site_set(site, obj, value);
+    Py_DECREF(value);
+    return rc;
+}
+
+static inline int
+site_set_i64(slotsite *site, PyObject *obj, int64_t value)
+{
+    return site_set_new(site, obj, PyLong_FromLongLong((long long)value));
+}
+
+static inline int
+site_get_i64(slotsite *site, PyObject *obj, int64_t *out)
+{
+    PyObject *value = site_get(site, obj);
+    if (value == NULL)
+        return -1;
+    long long v = PyLong_AsLongLong(value);
+    Py_DECREF(value);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *out = (int64_t)v;
+    return 0;
+}
+
+static inline int
+site_truth(slotsite *site, PyObject *obj)
+{
+    PyObject *value = site_get(site, obj);
+    if (value == NULL)
+        return -1;
+    int truth = (value == Py_True) ? 1
+                : (value == Py_False) ? 0 : PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return truth;
+}
+
+/* Access sites, by object kind.  DynInst (the dispatched instruction and
+ * producers): */
+static slotsite at_inst_seq = {&str_seq}, at_inst_pc = {&str_pc},
+    at_inst_thread = {&str_thread}, at_inst_srcs = {&str_srcs},
+    at_inst_is_mem = {&str_is_mem}, at_inst_is_load = {&str_is_load},
+    at_inst_is_store = {&str_is_store}, at_inst_latency = {&str_latency},
+    at_inst_dest = {&str_dest}, at_inst_op_class = {&str_op_class},
+    at_inst_mispredicted = {&str_mispredicted},
+    at_inst_rob_index = {&str_rob_index},
+    at_inst_dispatched = {&str_dispatched_cycle},
+    at_inst_completed = {&str_completed_cycle},
+    at_prod_ready = {&str_value_ready_cycle},
+    at_prod_waiters = {&str_waiters};
+/* RITEntry, Chain, Operand: */
+static slotsite at_rit_producer = {&str_producer}, at_rit_chain = {&str_chain},
+    at_rit_dh = {&str_dh}, at_rit_expected = {&str_expected_ready},
+    at_chain_freed = {&str_freed}, at_chain_cslot = {&str_cslot},
+    at_op_reg = {&str_reg}, at_op_producer = {&str_producer},
+    at_op_ready = {&str_ready_cycle}, at_op_penalty = {&str_penalty};
+/* IQEntry and SegmentState (written by admit): */
+static slotsite at_iqe_inst = {&str_inst}, at_iqe_seq = {&str_seq},
+    at_iqe_operands = {&str_operands}, at_iqe_issued = {&str_issued},
+    at_iqe_queue_cycle = {&str_queue_cycle},
+    at_iqe_unknown = {&str_unknown_count}, at_iqe_ready = {&str_ready_cycle},
+    at_iqe_state = {&str_chain_state}, at_ss_links = {&str_links_priv},
+    at_ss_own = {&str_own_chain}, at_ss_lrp_choice = {&str_lrp_choice},
+    at_ss_lrp_consulted = {&str_lrp_consulted},
+    at_ss_countdown = {&str_countdown_ready},
+    at_ss_pairs = {&str_chain_pairs}, at_ss_slot = {&str_slot};
+/* DispatchPlan: */
+static slotsite at_plan_countdown = {&str_countdown_ready},
+    at_plan_pairs = {&str_chain_pairs}, at_plan_needs = {&str_needs_chain},
+    at_plan_lrp_choice = {&str_lrp_choice},
+    at_plan_lrp_consulted = {&str_lrp_consulted},
+    at_plan_head_latency = {&str_head_latency};
 
 /* -------------------------------------------------- eligibility ------ */
 
@@ -690,6 +891,13 @@ Engine_traverse(Engine *self, visitproc visit, void *arg)
     Py_VISIT(self->adm_rit_cls);
     Py_VISIT(self->adm_iqe_cls);
     Py_VISIT(self->adm_stat);
+    Py_VISIT(self->dp_plan_cls);
+    Py_VISIT(self->dp_plan_cache);
+    Py_VISIT(self->dp_rit);
+    Py_VISIT(self->dp_head_chains);
+    Py_VISIT(self->dp_two_chain);
+    Py_VISIT(self->dp_bypass);
+    Py_VISIT(self->dp_chain_heads);
     return 0;
 }
 
@@ -703,6 +911,13 @@ Engine_clear(Engine *self)
     Py_CLEAR(self->adm_rit_cls);
     Py_CLEAR(self->adm_iqe_cls);
     Py_CLEAR(self->adm_stat);
+    Py_CLEAR(self->dp_plan_cls);
+    Py_CLEAR(self->dp_plan_cache);
+    Py_CLEAR(self->dp_rit);
+    Py_CLEAR(self->dp_head_chains);
+    Py_CLEAR(self->dp_two_chain);
+    Py_CLEAR(self->dp_bypass);
+    Py_CLEAR(self->dp_chain_heads);
     return 0;
 }
 
@@ -983,67 +1198,75 @@ Engine_bind_admit(Engine *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-static PyObject *
-Engine_admit(Engine *self, PyObject *const *args, Py_ssize_t nargs)
+static int
+call_discard(PyObject *result)
 {
-    /* admit(queue, rit_entries, inst, operands, plan, chain, target, now)
-     *
-     * The C twin of the inlined admission body in
-     * SegmentedIQ.dispatch: IQEntry + SegmentState construction,
-     * operand-wakeup subscription, columnar insert, occupancy/stat
-     * bookkeeping, the segment-0 ready push, and the RIT update —
-     * one call per dispatched instruction, no Python frames. */
-    PyObject *entry = NULL, *state = NULL, *rentry = NULL;
-    PyObject *tmp = NULL;
-    if (nargs != 8) {
-        PyErr_SetString(PyExc_TypeError, "admit expects 8 arguments");
-        return NULL;
-    }
-    PyObject *queue = args[0], *rit_entries = args[1], *inst = args[2];
-    PyObject *operands = args[3], *plan = args[4], *chain = args[5];
-    int64_t target = (int64_t)PyLong_AsLongLong(args[6]);
-    if (target == -1 && PyErr_Occurred())
-        return NULL;
-    int64_t now = (int64_t)PyLong_AsLongLong(args[7]);
-    if (now == -1 && PyErr_Occurred())
-        return NULL;
+    /* Drop a call's result; -1 when the call raised. */
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
 
-    PyObject *seq_obj = PyObject_GetAttr(inst, str_seq);
-    if (seq_obj == NULL)
-        return NULL;
-    int64_t seq = (int64_t)PyLong_AsLongLong(seq_obj);
-    if (seq == -1 && PyErr_Occurred()) {
-        Py_DECREF(seq_obj);
+static int
+pair_unpack(PyObject *pair, PyObject **chain, int64_t *cslot, int64_t *dh)
+{
+    /* A packed chain link ``(chain, dh)``: the chain (borrowed from the
+     * pair) and/or its cslot, and the depth. */
+    if (!PyTuple_CheckExact(pair) || PyTuple_GET_SIZE(pair) != 2) {
+        PyErr_SetString(PyExc_TypeError, "chain link must be (chain, dh)");
+        return -1;
+    }
+    PyObject *pchain = PyTuple_GET_ITEM(pair, 0);
+    if (chain != NULL)
+        *chain = pchain;
+    if (cslot != NULL && site_get_i64(&at_chain_cslot, pchain, cslot) < 0)
+        return -1;
+    long long v = PyLong_AsLongLong(PyTuple_GET_ITEM(pair, 1));
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *dh = (int64_t)v;
+    return 0;
+}
+
+static PyObject *
+admit_raw(Engine *self, PyObject *queue, PyObject *rit_entries,
+          PyObject *inst, PyObject *operands, PyObject *plan,
+          PyObject *chain, int64_t target, int64_t now)
+{
+    /* The C twin of PyKernelEngine.admit: IQEntry + SegmentState
+     * construction, operand-wakeup subscription, columnar insert,
+     * occupancy/stat bookkeeping, the segment-0 ready push, and the RIT
+     * update — one call per dispatched instruction, no Python frames.
+     * Returns a new reference to the entry. */
+    PyObject *entry = NULL, *state = NULL, *rentry = NULL, *seq_obj = NULL;
+    PyObject *cd_obj = NULL, *pairs = NULL, *pairs_fast = NULL, *tmp = NULL;
+    if (!PyList_CheckExact(operands)) {
+        PyErr_SetString(PyExc_TypeError, "admit: operands must be a list");
         return NULL;
     }
+    int64_t seq;
+    if ((seq_obj = site_get(&at_inst_seq, inst)) == NULL)
+        return NULL;
+    seq = (int64_t)PyLong_AsLongLong(seq_obj);
+    if (seq == -1 && PyErr_Occurred())
+        goto fail;
 
     entry = plain_new(self->adm_iqe_cls);
-    if (entry == NULL) {
-        Py_DECREF(seq_obj);
-        return NULL;
-    }
-    if (PyObject_SetAttr(entry, str_inst, inst) < 0
-        || PyObject_SetAttr(entry, str_seq, seq_obj) < 0) {
-        Py_DECREF(seq_obj);
-        goto fail;
-    }
-    Py_DECREF(seq_obj);
-    if (PyObject_SetAttr(entry, str_operands, operands) < 0
-        || PyObject_SetAttr(entry, str_issued, Py_False) < 0
-        || attr_set_i64(entry, str_queue_cycle, now) < 0)
+    if (entry == NULL
+        || site_set(&at_iqe_inst, entry, inst) < 0
+        || site_set(&at_iqe_seq, entry, seq_obj) < 0
+        || site_set(&at_iqe_operands, entry, operands) < 0
+        || site_set(&at_iqe_issued, entry, Py_False) < 0
+        || site_set_i64(&at_iqe_queue_cycle, entry, now) < 0)
         goto fail;
 
     /* One pass over the operands: count unknown sources and take the
      * max known ready cycle (the exact IQEntry.__init__ fold). */
-    if (!PyList_CheckExact(operands)) {
-        PyErr_SetString(PyExc_TypeError, "admit: operands must be a list");
-        goto fail;
-    }
     Py_ssize_t n_ops = PyList_GET_SIZE(operands);
     int64_t unknown = 0, ready = 0;
     for (Py_ssize_t i = 0; i < n_ops; i++) {
-        PyObject *rc = PyObject_GetAttr(PyList_GET_ITEM(operands, i),
-                                        str_ready_cycle);
+        PyObject *rc = site_get(&at_op_ready, PyList_GET_ITEM(operands, i));
         if (rc == NULL)
             goto fail;
         if (rc == Py_None)
@@ -1059,130 +1282,73 @@ Engine_admit(Engine *self, PyObject *const *args, Py_ssize_t nargs)
         }
         Py_DECREF(rc);
     }
-    if (attr_set_i64(entry, str_unknown_count, unknown) < 0
-        || attr_set_i64(entry, str_ready_cycle, ready) < 0)
+    if (site_set_i64(&at_iqe_unknown, entry, unknown) < 0
+        || site_set_i64(&at_iqe_ready, entry, ready) < 0)
         goto fail;
 
-    PyObject *cd_obj = PyObject_GetAttr(plan, str_countdown_ready);
-    if (cd_obj == NULL)
+    /* SegmentState, slot-for-slot (the PyKernelEngine.admit stores). */
+    int64_t countdown;
+    if ((cd_obj = site_get(&at_plan_countdown, plan)) == NULL)
         goto fail;
-    int64_t countdown = (int64_t)PyLong_AsLongLong(cd_obj);
-    if (countdown == -1 && PyErr_Occurred()) {
-        Py_DECREF(cd_obj);
+    countdown = (int64_t)PyLong_AsLongLong(cd_obj);
+    if ((countdown == -1 && PyErr_Occurred())
+        || (pairs = site_get(&at_plan_pairs, plan)) == NULL
+        || (state = plain_new(self->adm_ss_cls)) == NULL
+        || site_set(&at_ss_links, state, Py_None) < 0
+        || site_set(&at_ss_own, state, chain) < 0
+        || site_set_new(&at_ss_lrp_choice, state,
+                        site_get(&at_plan_lrp_choice, plan)) < 0
+        || site_set_new(&at_ss_lrp_consulted, state,
+                        site_get(&at_plan_lrp_consulted, plan)) < 0
+        || site_set(&at_ss_countdown, state, cd_obj) < 0
+        || site_set(&at_ss_pairs, state, pairs) < 0
+        || site_set(&at_iqe_state, entry, state) < 0)
         goto fail;
-    }
-    PyObject *pairs = PyObject_GetAttr(plan, str_chain_pairs);
-    if (pairs == NULL) {
-        Py_DECREF(cd_obj);
-        goto fail;
-    }
-
-    /* SegmentState, slot-for-slot (the SegmentedIQ.dispatch stores). */
-    state = plain_new(self->adm_ss_cls);
-    if (state == NULL)
-        goto fail_cd;
-    PyObject *lrp_choice = PyObject_GetAttr(plan, str_lrp_choice);
-    if (lrp_choice == NULL)
-        goto fail_cd;
-    int rc_set = PyObject_SetAttr(state, str_lrp_choice, lrp_choice);
-    Py_DECREF(lrp_choice);
-    if (rc_set < 0)
-        goto fail_cd;
-    PyObject *lrp_consulted = PyObject_GetAttr(plan, str_lrp_consulted);
-    if (lrp_consulted == NULL)
-        goto fail_cd;
-    rc_set = PyObject_SetAttr(state, str_lrp_consulted, lrp_consulted);
-    Py_DECREF(lrp_consulted);
-    if (rc_set < 0)
-        goto fail_cd;
-    if (PyObject_SetAttr(state, str_links_priv, Py_None) < 0
-        || PyObject_SetAttr(state, str_own_chain, chain) < 0
-        || PyObject_SetAttr(state, str_countdown_ready, cd_obj) < 0
-        || PyObject_SetAttr(state, str_chain_pairs, pairs) < 0
-        || PyObject_SetAttr(entry, str_chain_state, state) < 0)
-        goto fail_cd;
-    Py_DECREF(cd_obj);
-    /* state now owns a reference to pairs; drop ours and keep reading
-     * it borrowed (state outlives every use below). */
-    Py_DECREF(pairs);
 
     /* Wakeup subscription triples for unknown operands. */
-    if (unknown) {
-        for (Py_ssize_t i = 0; i < n_ops; i++) {
-            PyObject *operand = PyList_GET_ITEM(operands, i);
-            PyObject *rc = PyObject_GetAttr(operand, str_ready_cycle);
-            if (rc == NULL)
-                goto fail;
-            int is_unknown = (rc == Py_None);
-            Py_DECREF(rc);
-            if (!is_unknown)
-                continue;
-            PyObject *producer = PyObject_GetAttr(operand, str_producer);
-            if (producer == NULL)
-                goto fail;
-            PyObject *waiters = PyObject_GetAttr(producer, str_waiters);
-            Py_DECREF(producer);
-            if (waiters == NULL)
-                goto fail;
-            PyObject *idx = PyLong_FromSsize_t(i);
-            if (idx == NULL) {
-                Py_DECREF(waiters);
-                goto fail;
-            }
-            PyObject *triple = PyTuple_Pack(3, queue, entry, idx);
-            Py_DECREF(idx);
-            if (triple == NULL) {
-                Py_DECREF(waiters);
-                goto fail;
-            }
-            int rc_app = PyList_Append(waiters, triple);
-            Py_DECREF(triple);
-            Py_DECREF(waiters);
-            if (rc_app < 0)
-                goto fail;
-        }
+    for (Py_ssize_t i = 0; unknown && i < n_ops; i++) {
+        PyObject *operand = PyList_GET_ITEM(operands, i);
+        PyObject *rc = site_get(&at_op_ready, operand);
+        if (rc == NULL)
+            goto fail;
+        Py_DECREF(rc);
+        if (rc != Py_None)
+            continue;
+        PyObject *producer = site_get(&at_op_producer, operand);
+        if (producer == NULL)
+            goto fail;
+        PyObject *waiters = site_get(&at_prod_waiters, producer);
+        Py_DECREF(producer);
+        if (waiters == NULL)
+            goto fail;
+        PyObject *idx = PyLong_FromSsize_t(i);
+        PyObject *triple = idx == NULL ? NULL
+                           : PyTuple_Pack(3, queue, entry, idx);
+        Py_XDECREF(idx);
+        int rc_app = triple == NULL ? -1 : PyList_Append(waiters, triple);
+        Py_XDECREF(triple);
+        Py_DECREF(waiters);
+        if (rc_app < 0)
+            goto fail;
     }
 
     /* Unpack up to two (chain, depth) pairs into packed-link columns. */
-    int64_t c0 = -1, c1 = -1, dh0 = 0, dh1 = 0;
-    Py_ssize_t n_pairs = PySequence_Size(pairs);
-    if (n_pairs < 0)
+    if ((pairs_fast = PySequence_Fast(pairs, "chain_pairs")) == NULL)
         goto fail;
+    Py_ssize_t n_pairs = PySequence_Fast_GET_SIZE(pairs_fast);
+    int64_t c[2] = {-1, -1}, dh[2] = {0, 0};
     for (Py_ssize_t i = 0; i < n_pairs && i < 2; i++) {
-        PyObject *pair = PySequence_GetItem(pairs, i);
-        if (pair == NULL)
+        if (pair_unpack(PySequence_Fast_GET_ITEM(pairs_fast, i), NULL,
+                        &c[i], &dh[i]) < 0)
             goto fail;
-        PyObject *pchain = PySequence_GetItem(pair, 0);
-        if (pchain == NULL) {
-            Py_DECREF(pair);
-            goto fail;
-        }
-        int64_t cs, dh;
-        if (attr_i64(pchain, str_cslot, &cs) < 0) {
-            Py_DECREF(pchain);
-            Py_DECREF(pair);
-            goto fail;
-        }
-        Py_DECREF(pchain);
-        PyObject *dh_obj = PySequence_GetItem(pair, 1);
-        Py_DECREF(pair);
-        if (dh_obj == NULL)
-            goto fail;
-        dh = (int64_t)PyLong_AsLongLong(dh_obj);
-        Py_DECREF(dh_obj);
-        if (dh == -1 && PyErr_Occurred())
-            goto fail;
-        if (i == 0) { c0 = cs; dh0 = dh; } else { c1 = cs; dh1 = dh; }
     }
     int64_t own = -1;
-    if (chain != Py_None && attr_i64(chain, str_cslot, &own) < 0)
+    if (chain != Py_None && site_get_i64(&at_chain_cslot, chain, &own) < 0)
         goto fail;
 
     int64_t slot = insert_entry_raw(self, entry, seq, target, countdown,
-                                    c0, dh0, c1, dh1, own, now);
-    if (slot < 0)
-        goto fail;
-    if (attr_set_i64(state, str_slot, slot) < 0)
+                                    c[0], dh[0], c[1], dh[1], own, now);
+    if (slot < 0 || site_set_i64(&at_ss_slot, state, slot) < 0)
         goto fail;
 
     /* queue._occupancy += 1; stat_dispatched.inc() */
@@ -1202,8 +1368,8 @@ Engine_admit(Engine *self, PyObject *const *args, Py_ssize_t nargs)
         }
     }
 
-    /* RIT update (the _update_rit twin). */
-    PyObject *dest_obj = PyObject_GetAttr(inst, str_dest);
+    /* RIT update. */
+    PyObject *dest_obj = site_get(&at_inst_dest, inst);
     if (dest_obj == NULL)
         goto fail;
     int64_t dest = 0;
@@ -1215,158 +1381,122 @@ Engine_admit(Engine *self, PyObject *const *args, Py_ssize_t nargs)
         }
     }
     Py_DECREF(dest_obj);
-    if (dest == 0) {
-        Py_DECREF(state);
-        return entry;
-    }
-    PyObject *is_load = PyObject_GetAttr(inst, str_is_load);
-    if (is_load == NULL)
+    if (dest == 0)
+        goto done;
+    int is_load = site_truth(&at_inst_is_load, inst);
+    if (is_load < 0)
         goto fail;
-    int truth = PyObject_IsTrue(is_load);
-    Py_DECREF(is_load);
-    if (truth < 0)
-        goto fail;
-    int64_t own_latency;
-    if (truth)
-        own_latency = self->adm_pred_load_lat;
-    else if (attr_i64(inst, str_latency, &own_latency) < 0)
+    int64_t own_latency = self->adm_pred_load_lat;
+    if (!is_load && site_get_i64(&at_inst_latency, inst, &own_latency) < 0)
         goto fail;
 
     rentry = plain_new(self->adm_rit_cls);
-    if (rentry == NULL)
-        goto fail;
-    if (PyObject_SetAttr(rentry, str_producer, inst) < 0)
+    if (rentry == NULL || site_set(&at_rit_producer, rentry, inst) < 0)
         goto fail;
     if (chain != Py_None) {
-        PyObject *hl = PyObject_GetAttr(plan, str_head_latency);
-        if (hl == NULL)
-            goto fail;
-        rc_set = PyObject_SetAttr(rentry, str_dh, hl);
-        Py_DECREF(hl);
-        if (rc_set < 0
-            || PyObject_SetAttr(rentry, str_chain, chain) < 0
-            || attr_set_i64(rentry, str_expected_ready, 0) < 0)
+        if (site_set_new(&at_rit_dh, rentry,
+                         site_get(&at_plan_head_latency, plan)) < 0
+            || site_set(&at_rit_chain, rentry, chain) < 0
+            || site_set(&at_rit_expected, rentry, zero_obj) < 0)
             goto fail;
     } else {
         /* Deepest producing pair by strict depth (first wins ties). */
         PyObject *deep_chain = NULL;
         int64_t deep_dh = 0;
         for (Py_ssize_t i = 0; i < n_pairs; i++) {
-            PyObject *pair = PySequence_GetItem(pairs, i);
-            if (pair == NULL) {
-                Py_XDECREF(deep_chain);
+            PyObject *pchain;
+            int64_t pdh;
+            if (pair_unpack(PySequence_Fast_GET_ITEM(pairs_fast, i),
+                            &pchain, NULL, &pdh) < 0)
                 goto fail;
+            if (deep_chain == NULL || pdh > deep_dh) {
+                deep_chain = pchain;    /* borrowed: pairs holds it */
+                deep_dh = pdh;
             }
-            PyObject *dh_obj = PySequence_GetItem(pair, 1);
-            if (dh_obj == NULL) {
-                Py_DECREF(pair);
-                Py_XDECREF(deep_chain);
-                goto fail;
-            }
-            int64_t dh = (int64_t)PyLong_AsLongLong(dh_obj);
-            Py_DECREF(dh_obj);
-            if (dh == -1 && PyErr_Occurred()) {
-                Py_DECREF(pair);
-                Py_XDECREF(deep_chain);
-                goto fail;
-            }
-            if (deep_chain == NULL || dh > deep_dh) {
-                PyObject *pchain = PySequence_GetItem(pair, 0);
-                if (pchain == NULL) {
-                    Py_DECREF(pair);
-                    Py_XDECREF(deep_chain);
-                    goto fail;
-                }
-                Py_XSETREF(deep_chain, pchain);
-                deep_dh = dh;
-            }
-            Py_DECREF(pair);
         }
         if (deep_chain != NULL) {
-            rc_set = PyObject_SetAttr(rentry, str_chain, deep_chain);
-            Py_DECREF(deep_chain);
-            if (rc_set < 0
-                || attr_set_i64(rentry, str_dh, deep_dh + own_latency) < 0
-                || attr_set_i64(rentry, str_expected_ready, 0) < 0)
+            if (site_set(&at_rit_chain, rentry, deep_chain) < 0
+                || site_set_i64(&at_rit_dh, rentry, deep_dh + own_latency) < 0
+                || site_set(&at_rit_expected, rentry, zero_obj) < 0)
                 goto fail;
         } else {
             int64_t expected = now + 1;
             if (countdown > expected)
                 expected = countdown;
-            if (PyObject_SetAttr(rentry, str_chain, Py_None) < 0
-                || attr_set_i64(rentry, str_dh, 0) < 0
-                || attr_set_i64(rentry, str_expected_ready,
+            if (site_set(&at_rit_chain, rentry, Py_None) < 0
+                || site_set(&at_rit_dh, rentry, zero_obj) < 0
+                || site_set_i64(&at_rit_expected, rentry,
                                 expected + own_latency) < 0)
                 goto fail;
         }
     }
     int64_t thread;
-    if (attr_i64(inst, str_thread, &thread) < 0)
+    if (site_get_i64(&at_inst_thread, inst, &thread) < 0
+        || (tmp = PyLong_FromLongLong((long long)(thread * 64 + dest))) == NULL
+        || PyDict_SetItem(rit_entries, tmp, rentry) < 0)
         goto fail;
-    tmp = PyLong_FromLongLong((long long)(thread * 64 + dest));
-    if (tmp == NULL)
-        goto fail;
-    if (PyDict_SetItem(rit_entries, tmp, rentry) < 0)
-        goto fail;
-    Py_DECREF(tmp);
-    Py_DECREF(rentry);
-    Py_DECREF(state);
-    return entry;
-
-fail_cd:
-    Py_XDECREF(cd_obj);
-    Py_XDECREF(pairs);
-fail:
+done:
     Py_XDECREF(tmp);
     Py_XDECREF(rentry);
     Py_XDECREF(state);
-    Py_XDECREF(entry);
-    return NULL;
+    Py_XDECREF(pairs_fast);
+    Py_XDECREF(pairs);
+    Py_XDECREF(cd_obj);
+    Py_XDECREF(seq_obj);
+    return entry;
+fail:
+    Py_CLEAR(entry);
+    goto done;
 }
 
 static PyObject *
-Engine_plan_links(Engine *self, PyObject *const *args, Py_ssize_t nargs)
+Engine_admit(Engine *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    /* plan_links(rit_entries, inst, now) -> list of packed links
-     *
-     * The RIT-scan loop of SegmentedIQ._plan, fused: for each
+    /* admit(queue, rit_entries, inst, operands, plan, chain, target, now) */
+    if (nargs != 8) {
+        PyErr_SetString(PyExc_TypeError, "admit expects 8 arguments");
+        return NULL;
+    }
+    if (self->adm_iqe_cls == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "admit needs bind_admit");
+        return NULL;
+    }
+    int64_t target = (int64_t)PyLong_AsLongLong(args[6]);
+    if (target == -1 && PyErr_Occurred())
+        return NULL;
+    int64_t now = (int64_t)PyLong_AsLongLong(args[7]);
+    if (now == -1 && PyErr_Occurred())
+        return NULL;
+    return admit_raw(self, args[0], args[1], args[2], args[3], args[4],
+                     args[5], target, now);
+}
+
+static PyObject *
+plan_links_raw(Engine *self, PyObject *rit_entries, PyObject *inst,
+               int64_t now)
+{
+    /* The C twin of PyKernelEngine.plan_links, the RIT scan: for each
      * IQ-relevant source, classify the producer as exactly-known
      * (countdown int), live chain ((chain, dh) pair), freed chain
      * (member_delay countdown), or expected-ready countdown — same
-     * order, same objects as the Python loop. */
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "plan_links expects 3 arguments");
-        return NULL;
-    }
-    PyObject *rit_entries = args[0], *inst = args[1], *now_obj = args[2];
-    int64_t now = (int64_t)PyLong_AsLongLong(now_obj);
-    if (now == -1 && PyErr_Occurred())
-        return NULL;
+     * order, same objects as the Python loop.  Returns a new list. */
     PyObject *links = NULL, *srcs = NULL;
-
-    srcs = PyObject_GetAttr(inst, str_srcs);
-    if (srcs == NULL)
+    PyObject *rentry = NULL, *ready = NULL, *rchain = NULL, *dh = NULL;
+    int64_t thread;
+    if ((srcs = site_get(&at_inst_srcs, inst)) == NULL)
         goto fail;
     if (!PyTuple_CheckExact(srcs)) {
         PyErr_SetString(PyExc_TypeError, "plan_links: srcs must be a tuple");
         goto fail;
     }
-    PyObject *is_mem_obj = PyObject_GetAttr(inst, str_is_mem);
-    if (is_mem_obj == NULL)
-        goto fail;
-    int is_mem = PyObject_IsTrue(is_mem_obj);
-    Py_DECREF(is_mem_obj);
-    if (is_mem < 0)
-        goto fail;
-    int64_t thread;
-    if (attr_i64(inst, str_thread, &thread) < 0)
+    int is_mem = site_truth(&at_inst_is_mem, inst);
+    if (is_mem < 0 || site_get_i64(&at_inst_thread, inst, &thread) < 0)
         goto fail;
     int64_t reg_base = thread * 64;
     Py_ssize_t n = PyTuple_GET_SIZE(srcs);
     if (is_mem && n > 1)
         n = 1;
-    links = PyList_New(0);
-    if (links == NULL)
+    if ((links = PyList_New(0)) == NULL)
         goto fail;
 
     for (Py_ssize_t i = 0; i < n; i++) {
@@ -1378,83 +1508,46 @@ Engine_plan_links(Engine *self, PyObject *const *args, Py_ssize_t nargs)
         PyObject *key = PyLong_FromLongLong(reg_base + regv);
         if (key == NULL)
             goto fail;
-        PyObject *rentry = PyDict_GetItemWithError(rit_entries, key);
+        rentry = PyDict_GetItemWithError(rit_entries, key);
         Py_DECREF(key);
         if (rentry == NULL) {
             if (PyErr_Occurred())
                 goto fail;
             continue;
         }
-        PyObject *producer = PyObject_GetAttr(rentry, str_producer);
+        Py_INCREF(rentry);
+        PyObject *producer = site_get(&at_rit_producer, rentry);
         if (producer == NULL)
             goto fail;
-        PyObject *ready = PyObject_GetAttr(producer, str_value_ready_cycle);
+        ready = site_get(&at_prod_ready, producer);
         Py_DECREF(producer);
         if (ready == NULL)
             goto fail;
         if (ready != Py_None) {
             /* Exact knowledge: the producer already issued/completed. */
-            int64_t readyv = (int64_t)PyLong_AsLongLong(ready);
-            if (readyv == -1 && PyErr_Occurred()) {
-                Py_DECREF(ready);
+            long long readyv = PyLong_AsLongLong(ready);
+            if ((readyv == -1 && PyErr_Occurred())
+                || ((int64_t)readyv > now
+                    && PyList_Append(links, ready) < 0))
                 goto fail;
-            }
-            int rc = 0;
-            if (readyv > now)
-                rc = PyList_Append(links, ready);
-            Py_DECREF(ready);
-            if (rc < 0)
-                goto fail;
-            continue;
         }
-        Py_DECREF(ready);
-        PyObject *rchain = PyObject_GetAttr(rentry, str_chain);
-        if (rchain == NULL)
+        else if ((rchain = site_get(&at_rit_chain, rentry)) == NULL)
             goto fail;
-        if (rchain != Py_None) {
-            PyObject *freed = PyObject_GetAttr(rchain, str_freed);
-            if (freed == NULL) {
-                Py_DECREF(rchain);
+        else if (rchain != Py_None) {
+            int freed = site_truth(&at_chain_freed, rchain);
+            if (freed < 0 || (dh = site_get(&at_rit_dh, rentry)) == NULL)
                 goto fail;
-            }
-            int is_freed = PyObject_IsTrue(freed);
-            Py_DECREF(freed);
-            if (is_freed < 0) {
-                Py_DECREF(rchain);
-                goto fail;
-            }
-            PyObject *dh = PyObject_GetAttr(rentry, str_dh);
-            if (dh == NULL) {
-                Py_DECREF(rchain);
-                goto fail;
-            }
-            if (!is_freed) {
-                PyObject *pair = PyTuple_New(2);
-                if (pair == NULL) {
-                    Py_DECREF(dh);
-                    Py_DECREF(rchain);
-                    goto fail;
-                }
-                PyTuple_SET_ITEM(pair, 0, rchain);   /* steals refs */
-                PyTuple_SET_ITEM(pair, 1, dh);
-                int rc = PyList_Append(links, pair);
-                Py_DECREF(pair);
-                if (rc < 0)
-                    goto fail;
-            } else {
+            PyObject *link;
+            if (!freed)
+                link = PyTuple_Pack(2, rchain, dh);
+            else {
                 /* Chain wire freed: value trails the written-back head
                  * by at most dh self-timed cycles (Chain.member_delay
                  * over the chain's columns). */
                 int64_t cs;
-                int rc_cs = attr_i64(rchain, str_cslot, &cs);
-                Py_DECREF(rchain);
-                if (rc_cs < 0) {
-                    Py_DECREF(dh);
-                    goto fail;
-                }
-                int64_t dhv = (int64_t)PyLong_AsLongLong(dh);
-                Py_DECREF(dh);
-                if (dhv == -1 && PyErr_Occurred())
+                long long dhv = PyLong_AsLongLong(dh);
+                if ((dhv == -1 && PyErr_Occurred())
+                    || site_get_i64(&at_chain_cslot, rchain, &cs) < 0)
                     goto fail;
                 if (cs < 0 || cs >= self->c_len) {
                     PyErr_SetString(PyExc_IndexError,
@@ -1464,42 +1557,492 @@ Engine_plan_links(Engine *self, PyObject *const *args, Py_ssize_t nargs)
                 int64_t mode = self->c_mode[cs], base = self->c_base[cs];
                 int64_t mdv;
                 if (mode == 0)
-                    mdv = base + dhv;
+                    mdv = base + (int64_t)dhv;
                 else {
-                    mdv = mode == 1 ? base + dhv - now : dhv - base;
+                    mdv = mode == 1 ? base + (int64_t)dhv - now
+                                    : (int64_t)dhv - base;
                     if (mdv < 0)
                         mdv = 0;
                 }
-                PyObject *val = PyLong_FromLongLong(now + mdv);
-                if (val == NULL)
-                    goto fail;
-                int rc = PyList_Append(links, val);
-                Py_DECREF(val);
-                if (rc < 0)
-                    goto fail;
+                link = PyLong_FromLongLong(now + mdv);
             }
-            continue;
-        }
-        Py_DECREF(rchain);
-        int64_t expected;
-        if (attr_i64(rentry, str_expected_ready, &expected) < 0)
-            goto fail;
-        if (expected > now) {
-            PyObject *val = PyLong_FromLongLong(expected);
-            if (val == NULL)
+            if (link == NULL || PyList_Append(links, link) < 0) {
+                Py_XDECREF(link);
                 goto fail;
-            int rc = PyList_Append(links, val);
-            Py_DECREF(val);
-            if (rc < 0)
-                goto fail;
+            }
+            Py_DECREF(link);
         }
+        else {
+            int64_t expected;
+            if (site_get_i64(&at_rit_expected, rentry, &expected) < 0)
+                goto fail;
+            if (expected > now) {
+                PyObject *val = PyLong_FromLongLong(expected);
+                if (val == NULL || PyList_Append(links, val) < 0) {
+                    Py_XDECREF(val);
+                    goto fail;
+                }
+                Py_DECREF(val);
+            }
+        }
+        Py_CLEAR(rentry);
+        Py_CLEAR(ready);
+        Py_CLEAR(rchain);
+        Py_CLEAR(dh);
     }
     Py_DECREF(srcs);
     return links;
 fail:
     Py_XDECREF(srcs);
     Py_XDECREF(links);
+    Py_XDECREF(rentry);
+    Py_XDECREF(ready);
+    Py_XDECREF(rchain);
+    Py_XDECREF(dh);
     return NULL;
+}
+
+static PyObject *
+Engine_plan_links(Engine *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* plan_links(rit_entries, inst, now) -> list of packed links */
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "plan_links expects 3 arguments");
+        return NULL;
+    }
+    int64_t now = (int64_t)PyLong_AsLongLong(args[2]);
+    if (now == -1 && PyErr_Occurred())
+        return NULL;
+    return plan_links_raw(self, args[0], args[1], now);
+}
+
+/* ------------------------------------------------ dispatch planning -- */
+
+static int64_t
+dispatch_target_raw(Engine *self, Py_ssize_t active_count,
+                    int enable_bypass)
+{
+    /* Segment the next dispatch enters, or -1 when the queue is full
+     * (the PyKernelEngine.dispatch_target twin). */
+    int64_t *occ = self->occ;
+    int64_t cap = self->cap;
+    if (!enable_bypass) {
+        Py_ssize_t top = active_count - 1;
+        return occ[top] >= cap ? -1 : (int64_t)top;
+    }
+    Py_ssize_t highest = -1;
+    for (Py_ssize_t index = active_count - 1; index >= 0; index--) {
+        if (occ[index]) {
+            highest = index;
+            break;
+        }
+    }
+    if (highest < 0)
+        return 0;
+    if (occ[highest] < cap)
+        return (int64_t)highest;
+    if (highest + 1 < active_count)
+        return (int64_t)highest + 1;
+    return -1;
+}
+
+static inline int
+attr_truth(PyObject *obj, PyObject *name)
+{
+    PyObject *v = PyObject_GetAttr(obj, name);
+    if (v == NULL)
+        return -1;
+    int truth = PyObject_IsTrue(v);
+    Py_DECREF(v);
+    return truth;
+}
+
+static inline int
+attr_add_i64(PyObject *obj, PyObject *name, int64_t delta)
+{
+    int64_t value;
+    if (attr_i64(obj, name, &value) < 0)
+        return -1;
+    return attr_set_i64(obj, name, value + delta);
+}
+
+static int
+queue_dispatch_target(Engine *self, PyObject *queue, int64_t *target)
+{
+    /* engine.dispatch_target(queue.active_segments, queue._enable_bypass) */
+    int64_t active;
+    if (attr_i64(queue, str_active_segments, &active) < 0)
+        return -1;
+    int bypass = attr_truth(queue, str_enable_bypass);
+    if (bypass < 0)
+        return -1;
+    *target = dispatch_target_raw(self, (Py_ssize_t)active, bypass);
+    return 0;
+}
+
+static PyObject *
+plan_raw(Engine *self, PyObject *queue, PyObject *inst, int64_t now)
+{
+    /* The C twin of SegmentedIQ._plan: the plan cache, the RIT scan,
+     * the two-chain test, the LRP and HMP consults, the head-latency
+     * rule and the countdown/pair split, recorded as one DispatchPlan.
+     * The predictors stay Python objects, called only when consulted.
+     * Returns a new reference. */
+    PyObject *seq = NULL, *links = NULL, *lrp = NULL, *lrp_choice = NULL;
+    PyObject *pairs = NULL, *plan = NULL;
+    seq = site_get(&at_inst_seq, inst);
+    if (seq == NULL)
+        return NULL;
+    plan = PyDict_GetItemWithError(self->dp_plan_cache, seq);
+    if (plan != NULL) {
+        Py_INCREF(plan);
+        Py_DECREF(seq);
+        return plan;
+    }
+    if (PyErr_Occurred())
+        goto fail;
+    links = plan_links_raw(self, self->dp_rit, inst, now);
+    if (links == NULL)
+        goto fail;
+    Py_ssize_t n = PyList_GET_SIZE(links);
+    int two_distinct = 0;
+    if (n == 2) {
+        PyObject *l0 = PyList_GET_ITEM(links, 0);
+        PyObject *l1 = PyList_GET_ITEM(links, 1);
+        two_distinct = (PyTuple_CheckExact(l0) && PyTuple_CheckExact(l1)
+                        && PyTuple_GET_ITEM(l0, 0) != PyTuple_GET_ITEM(l1, 0));
+    }
+    if (two_distinct && counter_inc1(self->dp_two_chain) < 0)
+        goto fail;
+
+    lrp = PyObject_GetAttr(queue, str_lrp);
+    if (lrp == NULL)
+        goto fail;
+    int consulted = 0;
+    if (lrp != Py_None && n == 2) {
+        PyObject *pc = site_get(&at_inst_pc, inst);
+        if (pc == NULL)
+            goto fail;
+        lrp_choice = PyObject_CallMethodOneArg(lrp, str_predict_later, pc);
+        Py_DECREF(pc);
+        if (lrp_choice == NULL)
+            goto fail;
+        consulted = 1;
+        /* links = [links[lrp_choice]] */
+        PyObject *kept = PyObject_GetItem(links, lrp_choice);
+        if (kept == NULL)
+            goto fail;
+        PyObject *single = PyList_New(1);
+        if (single == NULL) {
+            Py_DECREF(kept);
+            goto fail;
+        }
+        PyList_SET_ITEM(single, 0, kept);
+        Py_SETREF(links, single);
+    }
+    else {
+        lrp_choice = PyLong_FromLong(-1);
+        if (lrp_choice == NULL)
+            goto fail;
+    }
+
+    int needs_chain = 0;
+    int64_t head_latency = 0;
+    int is_load = site_truth(&at_inst_is_load, inst);
+    if (is_load < 0)
+        goto fail;
+    if (is_load) {
+        PyObject *hmp = PyObject_GetAttr(queue, str_hmp);
+        if (hmp == NULL)
+            goto fail;
+        int predicted_hit = 0;
+        if (hmp != Py_None) {
+            PyObject *pc = site_get(&at_inst_pc, inst);
+            PyObject *hit = pc == NULL ? NULL : PyObject_CallMethodObjArgs(
+                hmp, str_predict_hit, pc, seq, NULL);
+            Py_XDECREF(pc);
+            predicted_hit = hit == NULL ? -1 : PyObject_IsTrue(hit);
+            Py_XDECREF(hit);
+        }
+        Py_DECREF(hmp);
+        if (predicted_hit < 0)
+            goto fail;
+        if (!predicted_hit) {
+            needs_chain = 1;
+            head_latency = self->adm_pred_load_lat;
+        }
+    }
+    else if (two_distinct && lrp == Py_None) {
+        /* Base design: two-chain instructions become chain heads (3.4). */
+        needs_chain = 1;
+        if (site_get_i64(&at_inst_latency, inst, &head_latency) < 0)
+            goto fail;
+    }
+
+    int64_t countdown = -1;
+    pairs = PyList_New(0);
+    if (pairs == NULL)
+        goto fail;
+    n = PyList_GET_SIZE(links);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *link = PyList_GET_ITEM(links, i);
+        if (PyTuple_CheckExact(link)) {
+            if (PyList_Append(pairs, link) < 0)
+                goto fail;
+            continue;
+        }
+        long long v = PyLong_AsLongLong(link);
+        if (v == -1 && PyErr_Occurred())
+            goto fail;
+        if ((int64_t)v > countdown)
+            countdown = (int64_t)v;
+    }
+
+    plan = plain_new(self->dp_plan_cls);
+    if (plan == NULL)
+        goto fail;
+    if (site_set_i64(&at_plan_countdown, plan, countdown) < 0
+        || site_set(&at_plan_pairs, plan, pairs) < 0
+        || site_set(&at_plan_needs, plan,
+                    needs_chain ? Py_True : Py_False) < 0
+        || site_set(&at_plan_lrp_choice, plan, lrp_choice) < 0
+        || site_set(&at_plan_lrp_consulted, plan,
+                    consulted ? Py_True : Py_False) < 0
+        || site_set_i64(&at_plan_head_latency, plan, head_latency) < 0
+        || PyDict_SetItem(self->dp_plan_cache, seq, plan) < 0)
+        goto fail;
+    Py_DECREF(seq);
+    Py_DECREF(links);
+    Py_DECREF(lrp);
+    Py_DECREF(lrp_choice);
+    Py_DECREF(pairs);
+    return plan;
+fail:
+    Py_XDECREF(seq);
+    Py_XDECREF(links);
+    Py_XDECREF(lrp);
+    Py_XDECREF(lrp_choice);
+    Py_XDECREF(pairs);
+    Py_XDECREF(plan);
+    return NULL;
+}
+
+static int
+can_dispatch_raw(Engine *self, PyObject *queue, PyObject *inst)
+{
+    /* The C twin of SegmentedIQ.can_dispatch: the target search, the
+     * plan (made here at the first probe, reused by dispatch) and the
+     * chain-wire check.  1 admitted, 0 refused, -1 error. */
+    if (PyObject_SetAttr(queue, str_blocked_on_chain, Py_False) < 0)
+        return -1;
+    self->tc_valid = 0;
+    int64_t target;
+    if (queue_dispatch_target(self, queue, &target) < 0)
+        return -1;
+    if (target < 0)
+        return attr_add_i64(queue, str_full_refusals, 1) < 0 ? -1 : 0;
+    int64_t now;
+    if (attr_i64(queue, str_now, &now) < 0)
+        return -1;
+    PyObject *plan = plan_raw(self, queue, inst, now);
+    if (plan == NULL)
+        return -1;
+    int needs = site_truth(&at_plan_needs, plan);
+    Py_DECREF(plan);
+    if (needs < 0)
+        return -1;
+    if (needs) {
+        PyObject *chains = PyObject_GetAttr(queue, str_chains);
+        if (chains == NULL)
+            return -1;
+        PyObject *free_obj = PyObject_CallMethodNoArgs(chains, str_has_free);
+        int has_free = free_obj == NULL ? -1 : PyObject_IsTrue(free_obj);
+        Py_XDECREF(free_obj);
+        if (has_free == 0) {
+            PyObject *failures = NULL;
+            if (PyObject_SetAttr(queue, str_blocked_on_chain, Py_True) < 0
+                || (failures = PyObject_GetAttr(
+                        chains, str_stat_alloc_failures)) == NULL
+                || counter_inc1(failures) < 0)
+                has_free = -1;
+            Py_XDECREF(failures);
+        }
+        Py_DECREF(chains);
+        if (has_free <= 0)
+            return has_free;
+    }
+    int64_t occupancy;
+    if (attr_i64(queue, str_occupancy_priv, &occupancy) < 0)
+        return -1;
+    self->tc_valid = 1;
+    self->tc_occ = occupancy;
+    self->tc_target = target;
+    return 1;
+}
+
+static PyObject *
+dispatch_raw(Engine *self, PyObject *queue, PyObject *inst,
+             PyObject *operands, int64_t now)
+{
+    /* The C twin of SegmentedIQ.dispatch: take the plan, reuse the
+     * target can_dispatch found (occupancy is the staleness guard),
+     * count bypasses, allocate a chain for a head through the Python
+     * ChainManager, then admit.  Returns a new reference to the entry. */
+    PyObject *plan = NULL, *chain = NULL, *entry = NULL;
+    PyObject *seq = site_get(&at_inst_seq, inst);
+    if (seq == NULL)
+        return NULL;
+    plan = PyDict_GetItemWithError(self->dp_plan_cache, seq);
+    if (plan != NULL)
+        Py_INCREF(plan);
+    else if (PyErr_Occurred()
+             || (plan = plan_raw(self, queue, inst, now)) == NULL)
+        goto done;
+    if (PyDict_DelItem(self->dp_plan_cache, seq) < 0)
+        goto done;
+
+    int64_t target = -1;
+    int reuse = self->tc_valid;
+    self->tc_valid = 0;
+    if (reuse) {
+        int64_t occupancy;
+        if (attr_i64(queue, str_occupancy_priv, &occupancy) < 0)
+            goto done;
+        reuse = (self->tc_occ == occupancy
+                 && self->occ[self->tc_target] < self->cap);
+    }
+    if (reuse)
+        target = self->tc_target;
+    else {
+        if (queue_dispatch_target(self, queue, &target) < 0)
+            goto done;
+        if (target < 0 && attr_add_i64(queue, str_full_refusals, 1) < 0)
+            goto done;
+    }
+    if (target < 0) {
+        PyObject *exc = sim_error();
+        if (exc != NULL)
+            PyErr_SetString(exc, "dispatch into a full segmented IQ");
+        goto done;
+    }
+    if (target < self->num_segments - 1
+        && counter_inc1(self->dp_bypass) < 0)
+        goto done;
+
+    int needs = site_truth(&at_plan_needs, plan);
+    if (needs < 0)
+        goto done;
+    if (needs) {
+        PyObject *chains = PyObject_GetAttr(queue, str_chains);
+        PyObject *latency = site_get(&at_plan_head_latency, plan);
+        PyObject *target_obj = PyLong_FromLongLong((long long)target);
+        PyObject *now_obj = PyLong_FromLongLong((long long)now);
+        if (chains && latency && target_obj && now_obj)
+            chain = PyObject_CallMethodObjArgs(
+                chains, str_allocate, inst, (PyObject *)self, target_obj,
+                latency, now_obj, NULL);
+        Py_XDECREF(chains);
+        Py_XDECREF(latency);
+        Py_XDECREF(target_obj);
+        Py_XDECREF(now_obj);
+        if (chain == NULL)
+            goto done;
+        if (chain == Py_None) {
+            PyObject *exc = sim_error();
+            if (exc != NULL)
+                PyErr_SetString(exc, "dispatch without a free chain wire");
+            goto done;
+        }
+        if (PyDict_SetItem(self->dp_head_chains, seq, chain) < 0
+            || counter_inc1(self->dp_chain_heads) < 0)
+            goto done;
+    }
+    entry = admit_raw(self, queue, self->dp_rit, inst, operands, plan,
+                      chain != NULL ? chain : Py_None, target, now);
+done:
+    Py_XDECREF(chain);
+    Py_XDECREF(plan);
+    Py_DECREF(seq);
+    return entry;
+}
+
+static int
+dispatch_bound(Engine *self)
+{
+    if (self->dp_plan_cls != NULL && self->adm_iqe_cls != NULL)
+        return 1;
+    PyErr_SetString(PyExc_RuntimeError,
+                    "engine dispatch ops need bind_admit and bind_dispatch");
+    return 0;
+}
+
+static PyObject *
+Engine_bind_dispatch(Engine *self, PyObject *args)
+{
+    /* bind_dispatch(DispatchPlan, plan_cache, rit_entries, head_chains,
+     *               two_chain, bypass, chain_heads) */
+    PyObject *items[7];
+    if (!PyArg_ParseTuple(args, "OO!O!O!OOO", &items[0], &PyDict_Type,
+                          &items[1], &PyDict_Type, &items[2], &PyDict_Type,
+                          &items[3], &items[4], &items[5], &items[6]))
+        return NULL;
+    PyObject **slots[7] = {&self->dp_plan_cls, &self->dp_plan_cache,
+                           &self->dp_rit, &self->dp_head_chains,
+                           &self->dp_two_chain, &self->dp_bypass,
+                           &self->dp_chain_heads};
+    for (int i = 0; i < 7; i++) {
+        Py_INCREF(items[i]);
+        Py_XSETREF(*slots[i], items[i]);
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Engine_plan(Engine *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* plan(queue, inst, now) -> DispatchPlan */
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "plan expects 3 arguments");
+        return NULL;
+    }
+    if (!dispatch_bound(self))
+        return NULL;
+    int64_t now = (int64_t)PyLong_AsLongLong(args[2]);
+    if (now == -1 && PyErr_Occurred())
+        return NULL;
+    return plan_raw(self, args[0], args[1], now);
+}
+
+static PyObject *
+Engine_can_dispatch(Engine *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* can_dispatch(queue, inst) -> bool */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "can_dispatch expects 2 arguments");
+        return NULL;
+    }
+    if (!dispatch_bound(self))
+        return NULL;
+    int rc = can_dispatch_raw(self, args[0], args[1]);
+    if (rc < 0)
+        return NULL;
+    return PyBool_FromLong(rc);
+}
+
+static PyObject *
+Engine_dispatch(Engine *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* dispatch(queue, inst, operands, now) -> IQEntry */
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError, "dispatch expects 4 arguments");
+        return NULL;
+    }
+    if (!dispatch_bound(self))
+        return NULL;
+    int64_t now = (int64_t)PyLong_AsLongLong(args[3]);
+    if (now == -1 && PyErr_Occurred())
+        return NULL;
+    return dispatch_raw(self, args[0], args[1], args[2], now);
 }
 
 static PyObject *
@@ -1965,28 +2508,8 @@ Engine_dispatch_target(Engine *self, PyObject *args)
     int enable_bypass;
     if (!PyArg_ParseTuple(args, "np", &active_count, &enable_bypass))
         return NULL;
-    int64_t *occ = self->occ;
-    int64_t cap = self->cap;
-    if (!enable_bypass) {
-        Py_ssize_t top = active_count - 1;
-        if (occ[top] >= cap)
-            return PyLong_FromLong(-1);
-        return PyLong_FromSsize_t(top);
-    }
-    Py_ssize_t highest = -1;
-    for (Py_ssize_t index = active_count - 1; index >= 0; index--) {
-        if (occ[index]) {
-            highest = index;
-            break;
-        }
-    }
-    if (highest < 0)
-        return PyLong_FromLong(0);
-    if (occ[highest] < cap)
-        return PyLong_FromSsize_t(highest);
-    if (highest + 1 < active_count)
-        return PyLong_FromSsize_t(highest + 1);
-    return PyLong_FromLong(-1);
+    return PyLong_FromLongLong(
+        (long long)dispatch_target_raw(self, active_count, enable_bypass));
 }
 
 /* ------------------------------------------------------------- misc -- */
@@ -2137,6 +2660,11 @@ static PyMethodDef Engine_methods[] = {
     {"bind_admit", (PyCFunction)Engine_bind_admit, METH_VARARGS, NULL},
     {"admit", (PyCFunction)Engine_admit, METH_FASTCALL, NULL},
     {"plan_links", (PyCFunction)Engine_plan_links, METH_FASTCALL, NULL},
+    {"bind_dispatch", (PyCFunction)Engine_bind_dispatch, METH_VARARGS,
+     NULL},
+    {"plan", (PyCFunction)Engine_plan, METH_FASTCALL, NULL},
+    {"can_dispatch", (PyCFunction)Engine_can_dispatch, METH_FASTCALL, NULL},
+    {"dispatch", (PyCFunction)Engine_dispatch, METH_FASTCALL, NULL},
     {"free_entry", (PyCFunction)Engine_free_entry, METH_O, NULL},
     {"detach", (PyCFunction)Engine_detach, METH_O, NULL},
     {"attach", (PyCFunction)Engine_attach, METH_VARARGS, NULL},
@@ -3110,25 +3638,13 @@ static PyTypeObject EQType = {
 /* ----------------------------------------------- pipeline rename ------ */
 
 static PyObject *
-ck_rename_operands(PyObject *Py_UNUSED(mod), PyObject *const *args,
-                   Py_ssize_t nargs)
+rename_raw(PyObject *cls, PyObject *last_writer, PyObject *srcs,
+           Py_ssize_t limit)
 {
-    /* rename_operands(operand_cls, last_writer, srcs, limit) -> list
-     *
-     * The unclustered rename loop of Processor._dispatch, fused: one
+    /* The unclustered rename loop of Processor._dispatch, fused: one
      * Operand per IQ-relevant source (``limit`` of them; -1 = all),
      * producer looked up in ``last_writer`` and its value_ready_cycle
-     * copied through.  The clustered path (bypass penalties, steering
-     * stats) stays in Python. */
-    if (nargs != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "rename_operands expects 4 arguments");
-        return NULL;
-    }
-    PyObject *cls = args[0], *last_writer = args[1], *srcs = args[2];
-    Py_ssize_t limit = PyNumber_AsSsize_t(args[3], PyExc_OverflowError);
-    if (limit == -1 && PyErr_Occurred())
-        return NULL;
+     * copied through.  Returns a new list. */
     if (!PyTuple_CheckExact(srcs) || !PyDict_CheckExact(last_writer)) {
         PyErr_SetString(PyExc_TypeError,
                         "rename_operands: srcs tuple / dict expected");
@@ -3154,20 +3670,19 @@ ck_rename_operands(PyObject *Py_UNUSED(mod), PyObject *const *args,
         if (op == NULL)
             goto fail;
         PyList_SET_ITEM(out, i, op);    /* list owns op from here */
-        if (PyObject_SetAttr(op, str_reg, reg) < 0
-            || PyObject_SetAttr(op, str_penalty, zero_obj) < 0)
+        if (site_set(&at_op_reg, op, reg) < 0
+            || site_set(&at_op_penalty, op, zero_obj) < 0)
             goto fail;
         if (producer == NULL) {
-            if (PyObject_SetAttr(op, str_producer, Py_None) < 0
-                || PyObject_SetAttr(op, str_ready_cycle, zero_obj) < 0)
+            if (site_set(&at_op_producer, op, Py_None) < 0
+                || site_set(&at_op_ready, op, zero_obj) < 0)
                 goto fail;
         } else {
-            PyObject *ready = PyObject_GetAttr(producer,
-                                               str_value_ready_cycle);
+            PyObject *ready = site_get(&at_prod_ready, producer);
             if (ready == NULL)
                 goto fail;
-            int rc = (PyObject_SetAttr(op, str_producer, producer) < 0
-                      || PyObject_SetAttr(op, str_ready_cycle, ready) < 0);
+            int rc = (site_set(&at_op_producer, op, producer) < 0
+                      || site_set(&at_op_ready, op, ready) < 0);
             Py_DECREF(ready);
             if (rc)
                 goto fail;
@@ -3178,6 +3693,410 @@ fail:
     Py_DECREF(out);
     return NULL;
 }
+
+static PyObject *
+ck_rename_operands(PyObject *Py_UNUSED(mod), PyObject *const *args,
+                   Py_ssize_t nargs)
+{
+    /* rename_operands(operand_cls, last_writer, srcs, limit) -> list */
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "rename_operands expects 4 arguments");
+        return NULL;
+    }
+    Py_ssize_t limit = PyNumber_AsSsize_t(args[3], PyExc_OverflowError);
+    if (limit == -1 && PyErr_Occurred())
+        return NULL;
+    return rename_raw(args[0], args[1], args[2], limit);
+}
+
+/* ------------------------------------------------- dispatch stage ----- */
+/*                                                                      */
+/* The C twin of Processor._dispatch, one call per cycle, for           */
+/* unclustered and untraced runs on a stock ReorderBuffer.  The         */
+/* processor's ROB, IQ and LSQ are read on every call, and the IQ, LSQ  */
+/* and front end are entered through their methods, looked up on every  */
+/* call, so every IQ design and any wrapper on those methods keeps      */
+/* working.  Order per instruction as in the Python loop: ROB append,   */
+/* lsq.dispatch (which subscribes the store-data waiter), iq.dispatch.  */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *operand_cls;      /* repro.core.iq_base.Operand */
+    PyObject *last_writer;      /* the processor's reg -> producer dict */
+    PyObject *stall_rob, *stall_lsq, *stall_iq, *stall_chain;
+    PyObject *dispatched;
+    PyObject *op_halt, *op_nop, *op_jump;   /* OpClass members */
+    Py_ssize_t width;
+} StageObj;
+
+static int
+counter_add(PyObject *counter, Py_ssize_t amount)
+{
+    if (Py_TYPE(counter) == &CounterType) {
+        ((CounterObj *)counter)->value += amount;
+        return 0;
+    }
+    PyObject *num = PyLong_FromSsize_t(amount);
+    if (num == NULL)
+        return -1;
+    PyObject *result = PyObject_CallMethodOneArg(counter, str_inc, num);
+    Py_DECREF(num);
+    if (result == NULL)
+        return -1;
+    Py_DECREF(result);
+    return 0;
+}
+
+static int
+Stage_init(StageObj *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"operand_cls", "last_writer", "width",
+                             "stall_rob", "stall_lsq", "stall_iq",
+                             "stall_chain", "dispatched", "halt", "nop",
+                             "jump", NULL};
+    PyObject *items[10];
+    Py_ssize_t width;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "O!O!nOOOOOOOO", kwlist, &PyType_Type, &items[0],
+            &PyDict_Type, &items[1], &width, &items[2], &items[3],
+            &items[4], &items[5], &items[6], &items[7], &items[8],
+            &items[9]))
+        return -1;
+    PyObject **slots[10] = {&self->operand_cls, &self->last_writer,
+                            &self->stall_rob, &self->stall_lsq,
+                            &self->stall_iq, &self->stall_chain,
+                            &self->dispatched, &self->op_halt,
+                            &self->op_nop, &self->op_jump};
+    for (int i = 0; i < 10; i++) {
+        Py_INCREF(items[i]);
+        Py_XSETREF(*slots[i], items[i]);
+    }
+    self->width = width;
+    return 0;
+}
+
+static int
+Stage_traverse(StageObj *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->operand_cls);
+    Py_VISIT(self->last_writer);
+    Py_VISIT(self->stall_rob);
+    Py_VISIT(self->stall_lsq);
+    Py_VISIT(self->stall_iq);
+    Py_VISIT(self->stall_chain);
+    Py_VISIT(self->dispatched);
+    Py_VISIT(self->op_halt);
+    Py_VISIT(self->op_nop);
+    Py_VISIT(self->op_jump);
+    return 0;
+}
+
+static int
+Stage_clear(StageObj *self)
+{
+    Py_CLEAR(self->operand_cls);
+    Py_CLEAR(self->last_writer);
+    Py_CLEAR(self->stall_rob);
+    Py_CLEAR(self->stall_lsq);
+    Py_CLEAR(self->stall_iq);
+    Py_CLEAR(self->stall_chain);
+    Py_CLEAR(self->dispatched);
+    Py_CLEAR(self->op_halt);
+    Py_CLEAR(self->op_nop);
+    Py_CLEAR(self->op_jump);
+    return 0;
+}
+
+static void
+Stage_dealloc(StageObj *self)
+{
+    PyObject_GC_UnTrack(self);
+    Stage_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+pipeline_head(PyObject *pipeline, int64_t now, int *err)
+{
+    /* pipeline[0][1] when the decode pipeline is non-empty and its head
+     * is ready by ``now`` (a new reference); otherwise NULL, with *err
+     * set when an exception was raised. */
+    *err = 0;
+    Py_ssize_t n = PyObject_Length(pipeline);
+    if (n <= 0) {
+        *err = n < 0;
+        return NULL;
+    }
+    PyObject *head = PySequence_GetItem(pipeline, 0);
+    if (head == NULL) {
+        *err = 1;
+        return NULL;
+    }
+    PyObject *inst = NULL;
+    if (!PyTuple_Check(head) || PyTuple_GET_SIZE(head) < 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "dispatch stage: (ready, inst) pipeline records");
+        *err = 1;
+    }
+    else {
+        long long ready = PyLong_AsLongLong(PyTuple_GET_ITEM(head, 0));
+        if (ready == -1 && PyErr_Occurred())
+            *err = 1;
+        else if ((int64_t)ready <= now) {
+            inst = PyTuple_GET_ITEM(head, 1);
+            Py_INCREF(inst);
+        }
+    }
+    Py_DECREF(head);
+    return inst;
+}
+
+static int
+rob_append(PyObject *rob_entries, PyObject *inst)
+{
+    /* inst.rob_index = len(rob_entries); rob_entries.append(inst) */
+    Py_ssize_t n = PyObject_Length(rob_entries);
+    if (n < 0 || site_set_i64(&at_inst_rob_index, inst, (int64_t)n) < 0)
+        return -1;
+    return call_discard(
+        PyObject_CallMethodOneArg(rob_entries, str_append, inst));
+}
+
+static int
+lsq_dispatch(StageObj *self, PyObject *lsq, PyObject *inst, PyObject *srcs)
+{
+    /* lsq.dispatch(inst, *self._store_data_operand(inst)): a store's
+     * data register is renamed like any operand (r0 and unwritten
+     * registers are ready at 0). */
+    PyObject *ready = Py_None, *producer = Py_None;
+    int is_store = site_truth(&at_inst_is_store, inst);
+    if (is_store < 0)
+        return -1;
+    if (is_store) {
+        if (PyTuple_GET_SIZE(srcs) < 2) {
+            PyErr_SetString(PyExc_IndexError, "store without a data source");
+            return -1;
+        }
+        PyObject *reg = PyTuple_GET_ITEM(srcs, 1);
+        long regv = PyLong_AsLong(reg);
+        if (regv == -1 && PyErr_Occurred())
+            return -1;
+        PyObject *found = NULL;
+        if (regv != 0) {
+            found = PyDict_GetItemWithError(self->last_writer, reg);
+            if (found == NULL && PyErr_Occurred())
+                return -1;
+        }
+        if (found != NULL) {
+            ready = site_get(&at_prod_ready, found);
+            if (ready == NULL)
+                return -1;
+            producer = found;
+        }
+        else {
+            ready = zero_obj;
+            Py_INCREF(ready);
+        }
+        Py_INCREF(producer);
+    }
+    else {
+        Py_INCREF(ready);
+        Py_INCREF(producer);
+    }
+    int rc = call_discard(PyObject_CallMethodObjArgs(
+        lsq, str_dispatch, inst, ready, producer, NULL));
+    Py_DECREF(ready);
+    Py_DECREF(producer);
+    return rc;
+}
+
+static PyObject *
+Stage_run(StageObj *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* run(processor, now): dispatch up to ``width`` decoded
+     * instructions, exactly as Processor._dispatch does. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "run expects 2 arguments");
+        return NULL;
+    }
+    PyObject *proc = args[0], *now_obj = args[1];
+    int64_t now = (int64_t)PyLong_AsLongLong(now_obj);
+    if (now == -1 && PyErr_Occurred())
+        return NULL;
+    PyObject *lsq = NULL, *frontend = NULL, *pipeline = NULL, *rob = NULL;
+    PyObject *rob_entries = NULL, *iq = NULL, *lsq_order = NULL;
+    PyObject *inst = NULL, *srcs = NULL, *operands = NULL;
+    Py_ssize_t dispatched = 0;
+    int ok = 0, err;
+    int64_t flush_until, rob_size, lsq_size;
+
+    lsq = PyObject_GetAttr(proc, str_lsq);
+    if (lsq == NULL
+        || attr_i64(lsq, str_violation_flush_until, &flush_until) < 0)
+        goto done;
+    if (now < flush_until) {
+        ok = 1;     /* squash penalty after a memory-order violation */
+        goto done;
+    }
+    frontend = PyObject_GetAttr(proc, str_frontend);
+    if (frontend == NULL
+        || (pipeline = PyObject_GetAttr(frontend, str_pipeline)) == NULL)
+        goto done;
+    inst = pipeline_head(pipeline, now, &err);
+    if (inst == NULL) {
+        ok = !err;
+        goto done;
+    }
+    if ((rob = PyObject_GetAttr(proc, str_rob)) == NULL
+        || (rob_entries = PyObject_GetAttr(rob, str_entries)) == NULL
+        || attr_i64(rob, str_size, &rob_size) < 0
+        || (iq = PyObject_GetAttr(proc, str_iq)) == NULL
+        || (lsq_order = PyObject_GetAttr(lsq, str_order)) == NULL
+        || attr_i64(lsq, str_size, &lsq_size) < 0)
+        goto done;
+
+    while (inst != NULL) {
+        Py_ssize_t rob_len = PyObject_Length(rob_entries);
+        if (rob_len < 0)
+            goto done;
+        if (rob_len >= rob_size) {
+            PyObject *full = PyObject_GetAttr(rob, str_stat_full_stalls);
+            int rc = full == NULL ? -1 : counter_inc1(full);
+            Py_XDECREF(full);
+            if (rc < 0 || counter_inc1(self->stall_rob) < 0)
+                goto done;
+            break;
+        }
+        PyObject *op_class = site_get(&at_inst_op_class, inst);
+        if (op_class == NULL)
+            goto done;
+        Py_DECREF(op_class);    /* compared by identity only */
+
+        if (op_class == self->op_halt || op_class == self->op_nop
+            || op_class == self->op_jump) {
+            /* No register work: completes at dispatch; a mispredicted
+             * jump releases fetch now. */
+            if (rob_append(rob_entries, inst) < 0
+                || site_set(&at_inst_dispatched, inst, now_obj) < 0
+                || site_set(&at_inst_completed, inst, now_obj) < 0)
+                goto done;
+            if (op_class == self->op_jump) {
+                int mispredicted = site_truth(&at_inst_mispredicted, inst);
+                if (mispredicted < 0
+                    || (mispredicted && call_discard(
+                            PyObject_CallMethodObjArgs(
+                                frontend, str_branch_resolved, inst,
+                                now_obj, NULL)) < 0))
+                    goto done;
+            }
+        }
+        else {
+            int is_mem = site_truth(&at_inst_is_mem, inst);
+            if (is_mem < 0)
+                goto done;
+            if (is_mem) {
+                Py_ssize_t lsq_len = PyObject_Length(lsq_order);
+                if (lsq_len < 0)
+                    goto done;
+                if (lsq_len >= lsq_size) {
+                    if (counter_inc1(self->stall_lsq) < 0)
+                        goto done;
+                    break;
+                }
+            }
+            PyObject *answer = PyObject_CallMethodOneArg(
+                iq, str_can_dispatch, inst);
+            int admitted = answer == NULL ? -1 : PyObject_IsTrue(answer);
+            Py_XDECREF(answer);
+            if (admitted < 0)
+                goto done;
+            if (!admitted) {
+                int on_chain = attr_truth(iq, str_blocked_on_chain);
+                if (on_chain < 0
+                    || counter_inc1(on_chain ? self->stall_chain
+                                             : self->stall_iq) < 0)
+                    goto done;
+                break;
+            }
+            if ((srcs = site_get(&at_inst_srcs, inst)) == NULL
+                || (operands = rename_raw(self->operand_cls,
+                                          self->last_writer, srcs,
+                                          is_mem ? 1 : -1)) == NULL
+                || rob_append(rob_entries, inst) < 0
+                || site_set(&at_inst_dispatched, inst, now_obj) < 0
+                || (is_mem && lsq_dispatch(self, lsq, inst, srcs) < 0)
+                || call_discard(PyObject_CallMethodObjArgs(
+                       iq, str_dispatch, inst, operands, now_obj,
+                       NULL)) < 0)
+                goto done;
+            Py_CLEAR(srcs);
+            Py_CLEAR(operands);
+            PyObject *dest = site_get(&at_inst_dest, inst);
+            if (dest == NULL)
+                goto done;
+            int rc = 0;
+            if (dest != Py_None) {
+                long destv = PyLong_AsLong(dest);
+                if (destv == -1 && PyErr_Occurred())
+                    rc = -1;
+                else if (destv != 0)
+                    rc = PyDict_SetItem(self->last_writer, dest, inst);
+            }
+            Py_DECREF(dest);
+            if (rc < 0)
+                goto done;
+        }
+        if (call_discard(PyObject_CallMethodNoArgs(pipeline,
+                                                   str_popleft)) < 0)
+            goto done;
+        dispatched++;
+        Py_CLEAR(inst);
+        if (dispatched >= self->width)
+            break;
+        inst = pipeline_head(pipeline, now, &err);
+        if (inst == NULL && err)
+            goto done;
+    }
+    if (dispatched && counter_add(self->dispatched, dispatched) < 0)
+        goto done;
+    ok = 1;
+done:
+    Py_XDECREF(lsq);
+    Py_XDECREF(frontend);
+    Py_XDECREF(pipeline);
+    Py_XDECREF(rob);
+    Py_XDECREF(rob_entries);
+    Py_XDECREF(iq);
+    Py_XDECREF(lsq_order);
+    Py_XDECREF(inst);
+    Py_XDECREF(srcs);
+    Py_XDECREF(operands);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef Stage_methods[] = {
+    {"run", (PyCFunction)Stage_run, METH_FASTCALL, NULL},
+    {NULL, NULL, 0, NULL}
+};
+
+static PyTypeObject StageType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.core.segmented._ckernels.DispatchStage",
+    .tp_basicsize = sizeof(StageObj),
+    .tp_itemsize = 0,
+    .tp_dealloc = (destructor)Stage_dealloc,
+    .tp_flags = (Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE
+                 | Py_TPFLAGS_HAVE_GC),
+    .tp_doc = "Compiled dispatch stage (see pipeline/kernels.py)",
+    .tp_traverse = (traverseproc)Stage_traverse,
+    .tp_clear = (inquiry)Stage_clear,
+    .tp_methods = Stage_methods,
+    .tp_init = (initproc)Stage_init,
+    .tp_new = PyType_GenericNew,
+};
 
 static PyMethodDef ckernels_functions[] = {
     {"rename_operands", (PyCFunction)ck_rename_operands, METH_FASTCALL,
@@ -3249,6 +4168,13 @@ PyInit__ckernels(void)
         || !str_penalty || !str_value_ready_cycle || !str_srcs
         || !str_is_mem || !str_freed || !zero_obj)
         return NULL;
+    for (size_t i = 0; i < sizeof(DISPATCH_NAMES) / sizeof(*DISPATCH_NAMES);
+         i++) {
+        *DISPATCH_NAMES[i].slot =
+            PyUnicode_InternFromString(DISPATCH_NAMES[i].name);
+        if (*DISPATCH_NAMES[i].slot == NULL)
+            return NULL;
+    }
     if (PyType_Ready(&EngineType) < 0)
         return NULL;
     /* The backend tag kernels.backend() reports for engines built here. */
@@ -3308,6 +4234,17 @@ PyInit__ckernels(void)
     if (PyModule_AddObject(module, "Pipeline",
                            (PyObject *)&PipelineType) < 0) {
         Py_DECREF(&PipelineType);
+        Py_DECREF(module);
+        return NULL;
+    }
+    if (PyType_Ready(&StageType) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    Py_INCREF(&StageType);
+    if (PyModule_AddObject(module, "DispatchStage",
+                           (PyObject *)&StageType) < 0) {
+        Py_DECREF(&StageType);
         Py_DECREF(module);
         return NULL;
     }

@@ -14,7 +14,8 @@ sanitizer runtimes must then be loaded first, e.g.::
     UBSAN=$(gcc -print-file-name=libubsan.so)
     LD_PRELOAD="$ASAN:$UBSAN" ASAN_OPTIONS=detect_leaks=0 \\
         REPRO_KERNELS=compiled python -m pytest \\
-        tests/core/test_kernels.py tests/core/test_engine_parity.py
+        tests/core/test_kernels.py tests/core/test_engine_parity.py \\
+        tests/pipeline/test_dispatch_stage.py
 
 Rebuild without the flag afterwards: a sanitized extension does not load
 in a plain interpreter.

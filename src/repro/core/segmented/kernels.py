@@ -22,6 +22,12 @@ instead (``seg_of`` for an entry's segment, ``hseg_of``/``mode_of``/
 ``base_of`` behind the ``Chain`` properties).  Chains are not held at
 all: a ``Chain`` keeps its ``cslot``, and the engine forgets the object.
 
+Two dispatch ops build the objects around those columns: ``plan_links``
+(the RIT read behind a dispatch plan) and ``admit`` (IQEntry,
+SegmentState and RIT entry of a planned instruction).  The compiled
+engine adds ``plan``, ``can_dispatch`` and ``dispatch``, the C twins of
+the ``SegmentedIQ`` methods of those names.
+
 Two interchangeable backends implement the same engine contract:
 
 * :class:`PyKernelEngine` — the pure-Python reference (always
@@ -72,6 +78,10 @@ NEVER = 1 << 60
 SLOT_BITS = 20
 SLOT_MASK = (1 << SLOT_BITS) - 1
 
+#: object.__new__, hoisted: admit builds its IQEntry / SegmentState /
+#: RITEntry with direct slot stores instead of constructor frames.
+_new = object.__new__
+
 
 class PyKernelEngine:
     """Pure-Python struct-of-arrays engine (the reference backend)."""
@@ -84,7 +94,7 @@ class PyKernelEngine:
         "e_c0", "e_dh0", "e_c1", "e_dh1", "e_own", "e_crit0", "e_crit1",
         "free_slots", "occ", "heaps", "readys", "members", "free_prev",
         "c_mode", "c_base", "c_hseg", "c_members",
-        "p0heap", "r0heap",
+        "p0heap", "r0heap", "adm",
     )
 
     def __init__(self, num_segments: int, capacity: int,
@@ -128,6 +138,9 @@ class PyKernelEngine:
         # of ``(seq << SLOT_BITS) | slot`` keys.
         self.p0heap: List[int] = []
         self.r0heap: List[int] = []
+        #: bind_admit's (SegmentState, RITEntry, IQEntry, dispatched
+        #: counter, predicted load latency).
+        self.adm: Optional[Tuple] = None
 
     # ------------------------------------------------------------ clock --
     def set_now(self, now: int) -> None:
@@ -218,6 +231,139 @@ class PyKernelEngine:
         if seg > 0:
             self._schedule(slot, seg, now)
         return slot
+
+    # ---------------------------------------------------- dispatch ops --
+    def bind_admit(self, state_cls, rit_cls, entry_cls, stat_dispatched,
+                   predicted_load_latency: int) -> None:
+        """The classes :meth:`admit` instantiates, the dispatched
+        counter and the predicted load latency (the segmented IQ binds
+        them once)."""
+        self.adm = (state_cls, rit_cls, entry_cls, stat_dispatched,
+                    predicted_load_latency)
+
+    def plan_links(self, rit_entries: dict, inst, now: int) -> List:
+        """The RIT read of dispatch planning: classify each IQ-relevant
+        source's producer as exactly known, a live chain, a freed chain,
+        or chainless.  Packed links: a chain link is a ``(chain, dh)``
+        pair, a countdown link its bare ready cycle (int)."""
+        links = []
+        reg_base = inst.thread * 64      # SegmentedIQ._reg_key, inlined
+        for reg in (inst.srcs[:1] if inst.is_mem else inst.srcs):
+            if reg == 0:
+                continue
+            rentry = rit_entries.get(reg_base + reg)
+            if rentry is None:
+                continue
+            ready = rentry.producer.value_ready_cycle
+            if ready is not None:
+                # Exact knowledge: the producer already issued or
+                # completed.
+                if ready > now:
+                    links.append(ready)
+                continue
+            rchain = rentry.chain
+            if rchain is not None:
+                if not rchain.freed:
+                    links.append((rchain, rentry.dh))
+                else:
+                    # Chain wire freed: value trails the written-back
+                    # head by at most dh self-timed cycles.
+                    links.append(now + rchain.member_delay(rentry.dh, now))
+                continue
+            if rentry.expected_ready > now:
+                links.append(rentry.expected_ready)
+        return links
+
+    def admit(self, queue, rit_entries: dict, inst, operands: List, plan,
+              chain, target: int, now: int):
+        """Admit a planned instruction into segment ``target``: build its
+        IQEntry and SegmentState with direct slot stores (exact inlining
+        of the constructors and the operand-wakeup subscription), insert
+        its columns, count it, push a ready segment-0 entry, and write
+        its destination's RIT entry.  The entry's segment lives in the
+        engine only (``SegmentedIQ.segment_of``)."""
+        state_cls, rit_cls, entry_cls, stat_dispatched, load_latency = \
+            self.adm
+        entry = _new(entry_cls)
+        entry.inst = inst
+        entry.seq = inst.seq
+        entry.operands = operands
+        entry.issued = False
+        entry.queue_cycle = now
+        unknown = 0
+        ready = 0
+        for operand in operands:
+            rc = operand.ready_cycle
+            if rc is None:
+                unknown += 1
+            elif rc > ready:
+                ready = rc
+        entry.unknown_count = unknown
+        entry.ready_cycle = ready
+        countdown = plan.countdown_ready
+        pairs = plan.chain_pairs
+        state = _new(state_cls)
+        state._links = None
+        state.own_chain = chain
+        state.lrp_choice = plan.lrp_choice
+        state.lrp_consulted = plan.lrp_consulted
+        state.countdown_ready = countdown
+        state.chain_pairs = pairs
+        entry.chain_state = state
+        if unknown:
+            # One wakeup triple per unknown operand (the base class's
+            # operand-wakeup registration, inlined).
+            for index, operand in enumerate(operands):
+                if operand.ready_cycle is None:
+                    operand.producer.waiters.append((queue, entry, index))
+        c0 = c1 = -1
+        dh0 = dh1 = 0
+        if pairs:
+            c0 = pairs[0][0].cslot
+            dh0 = pairs[0][1]
+            if len(pairs) > 1:
+                c1 = pairs[1][0].cslot
+                dh1 = pairs[1][1]
+        own = chain.cslot if chain is not None else -1
+        state.slot = slot = self.insert_entry(entry, inst.seq, target,
+                                              countdown, c0, dh0, c1, dh1,
+                                              own, now)
+        queue._occupancy += 1
+        stat_dispatched.inc()
+        if target == 0 and not unknown:
+            self.p0_push(slot, max(ready, now + 1))
+        # The RIT update (RITEntry stored with direct slot writes).
+        dest = inst.dest
+        if dest is None or dest == 0:
+            return entry
+        own_latency = load_latency if inst.is_load else inst.latency
+        rentry = _new(rit_cls)
+        rentry.producer = inst
+        if chain is not None:
+            rentry.chain = chain
+            rentry.dh = plan.head_latency
+            rentry.expected_ready = 0
+        else:
+            deepest = None
+            for pair in pairs:
+                if deepest is None or pair[1] > deepest[1]:
+                    deepest = pair
+            if deepest is not None:
+                # Follow the (single) producing chain; the consumer's
+                # value trails the head by the operand's latency plus
+                # this op.
+                rentry.chain = deepest[0]
+                rentry.dh = deepest[1] + own_latency
+                rentry.expected_ready = 0
+            else:
+                rentry.chain = None
+                rentry.dh = 0
+                expected = now + 1
+                if countdown > expected:
+                    expected = countdown
+                rentry.expected_ready = expected + own_latency
+        rit_entries[inst.thread * 64 + dest] = rentry
+        return entry
 
     def free_entry(self, slot: int) -> None:
         seg = self.e_seg[slot]

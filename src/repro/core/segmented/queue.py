@@ -14,7 +14,9 @@ engine (:mod:`repro.core.segmented.kernels`, optionally compiled); this
 class keeps the policy — dispatch planning, predictors, issue
 scheduling, deadlock recovery, resizing — and reads the engine back for
 everything else (:meth:`SegmentedIQ.segment_of`, the ``Chain``
-properties).
+properties).  On the compiled engine the dispatch policy (``_plan``,
+``can_dispatch``, ``dispatch``) runs in C, one engine call per method;
+the Python bodies here are its bit-identical twins.
 """
 
 from __future__ import annotations
@@ -217,18 +219,20 @@ class SegmentedIQ(InstructionQueue):
         self.stat_seg0_ready = stats.distribution(
             "iq.seg0_ready", "issue-ready instructions in segment 0")
 
-        # Fused C admission: when the compiled engine offers bind_admit,
-        # hand it the classes the dispatch path instantiates plus the
-        # dispatched counter; dispatch then funnels the whole admission
-        # body through one engine.admit call.  The inlined Python body
-        # below stays as the pure-Python twin.
-        self._c_admit = False
-        if getattr(self._engine, "kind", "py") == "compiled":
-            bind = getattr(self._engine, "bind_admit", None)
-            if bind is not None:
-                bind(SegmentState, RITEntry, IQEntry,
-                     self.stat_dispatched, PREDICTED_LOAD_LATENCY)
-                self._c_admit = True
+        # Dispatch ops: the engine admits each instruction (admit) and
+        # reads the RIT for its plan (plan_links).  The compiled engine
+        # also runs the whole dispatch path — plan, can_dispatch and
+        # dispatch, the methods below — in one C call each; their Python
+        # bodies stay as the pure-Python twins.
+        self._engine.bind_admit(SegmentState, RITEntry, IQEntry,
+                                self.stat_dispatched, PREDICTED_LOAD_LATENCY)
+        self._c_dispatch = False
+        bind = getattr(self._engine, "bind_dispatch", None)
+        if self._engine.kind == "compiled" and bind is not None:
+            bind(DispatchPlan, self._plan_cache, self.rit._entries,
+                 self._head_chains, self.stat_two_chain, self.stat_bypass,
+                 self.stat_chain_heads)
+            self._c_dispatch = True
 
     # ------------------------------------------------------------ space --
     def attach_tracer(self, tracer) -> None:
@@ -245,49 +249,13 @@ class SegmentedIQ(InstructionQueue):
         """Decide chain membership / creation for ``inst`` (cached so that
         can_dispatch and dispatch agree and predictors are consulted once).
         """
+        if self._c_dispatch:
+            return self._engine.plan(self, inst, now)
         cached = self._plan_cache.get(inst.seq)
         if cached is not None:
             return cached
 
-        if self._c_admit:
-            # The fused RIT scan (bit-identical to the loop below).
-            links = self._engine.plan_links(self.rit._entries, inst, now)
-        else:
-            iq_regs = inst.srcs[:1] if inst.is_mem else inst.srcs
-            # Packed links: a chain link is a (chain, dh) pair, a
-            # countdown link its bare ready cycle (int) — no link
-            # objects here.
-            links = []
-            reg_base = inst.thread * 64      # _reg_key, inlined
-            # The RIT read: classify each source's producer as exactly
-            # known, a live chain, a freed chain, or chainless.
-            rit_entries = self.rit._entries
-            for reg in iq_regs:
-                if reg == 0:
-                    continue
-                rentry = rit_entries.get(reg_base + reg)
-                if rentry is None:
-                    continue
-                ready = rentry.producer.value_ready_cycle
-                if ready is not None:
-                    # Exact knowledge: the producer already issued or
-                    # completed.
-                    if ready > now:
-                        links.append(ready)
-                    continue
-                rchain = rentry.chain
-                if rchain is not None:
-                    if not rchain.freed:
-                        links.append((rchain, rentry.dh))
-                    else:
-                        # Chain wire freed: value trails the written-back
-                        # head by at most dh self-timed cycles.
-                        links.append(
-                            now + rchain.member_delay(rentry.dh, now))
-                    continue
-                if rentry.expected_ready > now:
-                    links.append(rentry.expected_ready)
-
+        links = self._engine.plan_links(self.rit._entries, inst, now)
         lrp = self.lrp
         lrp_choice = -1
         lrp_consulted = False
@@ -351,6 +319,8 @@ class SegmentedIQ(InstructionQueue):
         return governing[0].cluster
 
     def can_dispatch(self, inst) -> bool:
+        if self._c_dispatch:
+            return self._engine.can_dispatch(self, inst)
         self.blocked_on_chain = False
         self._target_cache = None
         target = self._engine.dispatch_target(self.active_segments,
@@ -368,6 +338,8 @@ class SegmentedIQ(InstructionQueue):
 
     # --------------------------------------------------------- dispatch --
     def dispatch(self, inst, operands: List[Operand], now: int) -> IQEntry:
+        if self._c_dispatch:
+            return self._engine.dispatch(self, inst, operands, now)
         plan = self._plan_cache.pop(inst.seq, None)
         if plan is None:
             plan = self._plan(inst, now)
@@ -398,99 +370,8 @@ class SegmentedIQ(InstructionQueue):
             self._head_chains[inst.seq] = chain
             self.stat_chain_heads.inc()
 
-        if self._c_admit:
-            # The compiled engine runs the entire admission body —
-            # operation-for-operation identical to the Python block
-            # below — in one C call.
-            return engine.admit(self, self.rit._entries, inst, operands,
-                                plan, chain, target, now)
-
-        # IQEntry / SegmentState construction with direct slot stores
-        # (exact inlining of IQEntry.__init__ and the operand-wakeup
-        # subscription: one pass over the operands, no constructor frames
-        # — this path runs once per simulated instruction).  The entry's
-        # segment lives in the engine only (see segment_of).
-        entry = _new(IQEntry)
-        entry.inst = inst
-        entry.seq = inst.seq
-        entry.operands = operands
-        entry.issued = False
-        entry.queue_cycle = now
-        unknown = 0
-        ready = 0
-        for operand in operands:
-            rc = operand.ready_cycle
-            if rc is None:
-                unknown += 1
-            elif rc > ready:
-                ready = rc
-        entry.unknown_count = unknown
-        entry.ready_cycle = ready
-        countdown = plan.countdown_ready
-        pairs = plan.chain_pairs
-        state = _new(SegmentState)
-        state._links = None
-        state.own_chain = chain
-        state.lrp_choice = plan.lrp_choice
-        state.lrp_consulted = plan.lrp_consulted
-        state.countdown_ready = countdown
-        state.chain_pairs = pairs
-        entry.chain_state = state
-        if unknown:
-            # One wakeup triple per unknown operand (the base class's
-            # operand-wakeup registration, inlined).
-            for index, operand in enumerate(operands):
-                if operand.ready_cycle is None:
-                    operand.producer.waiters.append((self, entry, index))
-        c0 = c1 = -1
-        dh0 = dh1 = 0
-        if pairs:
-            c0 = pairs[0][0].cslot
-            dh0 = pairs[0][1]
-            if len(pairs) > 1:
-                c1 = pairs[1][0].cslot
-                dh1 = pairs[1][1]
-        own = chain.cslot if chain is not None else -1
-        state.slot = engine.insert_entry(entry, inst.seq, target,
-                                         countdown, c0, dh0, c1, dh1,
-                                         own, now)
-        self._occupancy += 1
-        self.stat_dispatched.inc()
-        if target == 0 and not unknown:
-            engine.p0_push(state.slot, max(ready, now + 1))
-        # _update_rit, inlined (RITEntry stored with direct slot writes).
-        dest = inst.dest
-        if dest is None or dest == 0:
-            return entry
-        own_latency = (PREDICTED_LOAD_LATENCY if inst.is_load
-                       else inst.latency)
-        rentry = _new(RITEntry)
-        rentry.producer = inst
-        if chain is not None:
-            rentry.chain = chain
-            rentry.dh = plan.head_latency
-            rentry.expected_ready = 0
-        else:
-            deepest = None
-            for pair in pairs:
-                if deepest is None or pair[1] > deepest[1]:
-                    deepest = pair
-            if deepest is not None:
-                # Follow the (single) producing chain; the consumer's
-                # value trails the head by the operand's latency plus
-                # this op.
-                rentry.chain = deepest[0]
-                rentry.dh = deepest[1] + own_latency
-                rentry.expected_ready = 0
-            else:
-                rentry.chain = None
-                rentry.dh = 0
-                expected = now + 1
-                if countdown > expected:
-                    expected = countdown
-                rentry.expected_ready = expected + own_latency
-        self.rit._entries[inst.thread * 64 + dest] = rentry
-        return entry
+        return engine.admit(self, self.rit._entries, inst, operands, plan,
+                            chain, target, now)
 
     @staticmethod
     def _reg_key(inst, reg: int) -> int:

@@ -5,9 +5,9 @@ register will be produced: the chain that produces it, the expected latency
 of the value relative to the chain head's issue, and — for chainless
 producers — the absolute cycle the value is expected to become available.
 The dispatch stage reads it to assign chains and initial delay values, and
-writes the destination entry of every dispatched instruction (both in
-``SegmentedIQ``: ``_plan`` reads, ``dispatch`` writes; the compiled
-engine's ``plan_links``/``admit`` are their twins).
+writes the destination entry of every dispatched instruction (the kernel
+engine's ``plan_links`` reads, its ``admit`` writes; ``PyKernelEngine``
+holds the Python twins of both).
 """
 
 from __future__ import annotations

@@ -19,6 +19,11 @@ the backend for *both* tiers, and the pure-Python fallback is always
 available.  The two backends are bit-identical — same cycles, same
 stats, same traces — pinned by ``tests/core/test_kernels.py``.
 
+Two stages of ``Processor`` have compiled twins with no column state of
+their own: the fused rename (:func:`rename_kernel`) and the whole
+dispatch stage (:func:`dispatch_stage`, pinned untraced by
+``tests/pipeline/test_dispatch_stage.py``).
+
 Column layout (one heap per (FU class, cluster) pair, flattened):
 
 ``heaps[ci * clusters + cluster]``
@@ -126,6 +131,21 @@ def rename_kernel():
     if _backend() == "compiled":
         from repro.core.segmented import _ckernels
         return getattr(_ckernels, "rename_operands", None)
+    return None
+
+
+def dispatch_stage():
+    """The compiled dispatch stage type (C), or None on the py backend
+    or with an extension built before it existed.
+
+    ``DispatchStage(...).run(processor, now)`` runs one cycle of
+    Processor._dispatch in one call; the processor keeps the Python loop
+    as the fallback twin (and for clustered, traced and non-stock-ROB
+    runs).
+    """
+    if _backend() == "compiled":
+        from repro.core.segmented import _ckernels
+        return getattr(_ckernels, "DispatchStage", None)
     return None
 
 

@@ -24,7 +24,7 @@ from repro.isa.opcodes import FUClass, OpClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs.events import TraceEvent
 from repro.pipeline.fu import FUAcquire, FUPool
-from repro.pipeline.kernels import rename_kernel
+from repro.pipeline.kernels import dispatch_stage, rename_kernel
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
 
@@ -187,6 +187,21 @@ class Processor:
         self.stat_cross_cluster = self.stats.counter(
             "clusters.cross_forwards",
             "operands forwarded across clusters (pay the bypass penalty)")
+        # Compiled dispatch stage (pipeline kernel tier): one C call per
+        # cycle runs _dispatch's loop.  Clustered and traced runs keep
+        # the Python loop (steering, bypass penalties, dispatch events),
+        # and so does a non-stock ROB (checked per cycle in step: the
+        # ROB may be swapped after construction).
+        self._c_dispatch = None
+        stage = (dispatch_stage()
+                 if not self._clustered and tracer is None else None)
+        if stage is not None:
+            self._c_dispatch = stage(
+                Operand, self._last_writer, self._dispatch_width,
+                self.stat_dispatch_stall_rob, self.stat_dispatch_stall_lsq,
+                self.stat_dispatch_stall_iq, self.stat_dispatch_stall_chain,
+                self.stat_dispatched, OpClass.HALT, OpClass.NOP,
+                OpClass.JUMP).run
 
         # Event-driven cycle skipping (docs/performance.md).  Enabled only
         # inside run() so direct step() callers keep 1-call-per-cycle
@@ -335,7 +350,11 @@ class Processor:
         iq.in_flight = len(self.events)
         iq.last_commit_cycle = self._last_commit_cycle
         iq.cycle(now)
-        self._dispatch(now)
+        c_dispatch = self._c_dispatch
+        if c_dispatch is not None and type(self.rob) is ReorderBuffer:
+            c_dispatch(self, now)
+        else:
+            self._dispatch(now)
         self.frontend.cycle(now)
         self.rob.stat_occupancy.sample(len(self.rob))
         metrics = self.metrics
@@ -549,7 +568,8 @@ class Processor:
         One flat loop (rename and per-instruction admission checks
         inlined): this runs for every instruction the machine executes,
         so each helper call and repeated attribute chain costs real
-        simulator throughput.
+        simulator throughput.  The compiled dispatch stage
+        (``_c_dispatch``) is its operation-for-operation twin.
         """
         lsq = self.lsq
         if now < lsq.violation_flush_until:

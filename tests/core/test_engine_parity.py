@@ -9,6 +9,12 @@ stub FU acquire), ``detach``/``attach``, ``p0_push``,
 ``set_threshold`` + ``reschedule_all`` — and after every call compares
 the return values, the per-segment occupancies and membership order, the
 segment of every live slot, and every chain's columns.
+
+The dispatch ops run on a segmented IQ per engine, in the same machine:
+``plan_links`` (the RIT scan), ``admit`` (entry, wakeup and RIT update)
+and the compiled ``plan``, whose twin is ``SegmentedIQ._plan``.  Their
+results are compared field by field, chains by cslot, together with the
+two queues' stats, RITs and producer wakeup lists.
 """
 
 import pytest
@@ -17,22 +23,36 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
+from repro.common.params import IQParams
+from repro.common.stats import StatGroup
+from repro.core.iq_base import Operand
 from repro.core.segmented import kernels
-from repro.core.segmented.kernels import PyKernelEngine
+from repro.core.segmented.chains import Chain
+from repro.core.segmented.queue import SegmentedIQ
+from repro.core.segmented.register_info import RITEntry
 
 NUM_SEGMENTS = 4
 CAPACITY = 6
 THRESHOLDS = [0, 2, 4, 6]
+#: A queue whose engine has the shape above (thresholds 2 * j).
+QUEUE = IQParams(kind="segmented", size=NUM_SEGMENTS * CAPACITY,
+                 segment_size=CAPACITY, threshold_step=2)
 
 
-def _compiled_engine():
-    kernels.set_backend("compiled")
+def _queue(backend):
+    """A segmented IQ on a forced engine backend (None if unbuilt)."""
+    kernels.set_backend(backend)
     try:
-        return kernels.make_engine(NUM_SEGMENTS, CAPACITY, THRESHOLDS)
+        return SegmentedIQ(QUEUE, 4, StatGroup())
     except RuntimeError:
         return None
     finally:
         kernels.set_backend(None)
+
+
+def _compiled_engine():
+    queue = _queue("compiled")
+    return None if queue is None else queue._engine
 
 
 pytestmark = pytest.mark.skipif(
@@ -53,20 +73,77 @@ class Token:
         self.slot = -1
 
 
+class Inst:
+    """The DynInst fields dispatch planning and admission read."""
+
+    __slots__ = ("seq", "pc", "thread", "cluster", "srcs", "is_mem",
+                 "is_load", "latency", "dest", "value_ready_cycle",
+                 "waiters")
+
+    def __init__(self, seq, pc, srcs, is_mem, is_load, latency, dest,
+                 value_ready_cycle=None):
+        self.seq = seq
+        self.pc = pc
+        self.thread = 0
+        self.cluster = 0
+        self.srcs = srcs
+        self.is_mem = is_mem
+        self.is_load = is_load
+        self.latency = latency
+        self.dest = dest
+        self.value_ready_cycle = value_ready_cycle
+        self.waiters = []
+
+
 small = st.integers(min_value=0, max_value=12)
+regs = st.integers(min_value=0, max_value=3)     # few, so sources hit the RIT
+instructions = st.tuples(
+    st.integers(min_value=0, max_value=7),              # pc
+    st.one_of(st.lists(regs, max_size=3).map(tuple),    # srcs
+              st.just((1, 2))),
+    st.sampled_from(["alu", "load", "store"]),
+    st.integers(min_value=1, max_value=4),              # latency
+    st.one_of(st.none(), regs))                         # dest
+
+
+def _chain_key(chain):
+    return None if chain is None else chain.cslot
+
+
+def _links_key(links):
+    return [("chain", pair[0].cslot, pair[1]) if type(pair) is tuple
+            else pair for pair in links]
+
+
+def _plan_key(plan):
+    return (plan.countdown_ready, _links_key(plan.chain_pairs),
+            plan.needs_chain, plan.lrp_choice, plan.lrp_consulted,
+            plan.head_latency)
+
+
+def _rit_key(rit):
+    return {key: (entry.producer.seq, _chain_key(entry.chain), entry.dh,
+                  entry.expected_ready)
+            for key, entry in rit.items()}
 
 
 class EngineParity(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.py = PyKernelEngine(NUM_SEGMENTS, CAPACITY, THRESHOLDS)
-        self.c = _compiled_engine()
+        self.qpy = _queue("py")
+        self.qc = _queue("compiled")
+        self.py = self.qpy._engine
+        self.c = self.qc._engine
         self.py.set_collect(True)
         self.c.set_collect(True)
         self.now = 0
         self.next_seq = 0
-        self.live = {}          # slot -> Token
+        self.live = {}          # slot -> Token or the py side's IQEntry
         self.chains = 0         # cslots allocated so far
+        # cslot -> (py-side, compiled-side) Chain handles, made on demand
+        self.chain_objs = {}
+        self.predictors = (self.qpy.lrp, self.qpy.hmp,
+                           self.qc.lrp, self.qc.hmp)
 
     # ------------------------------------------------------- helpers --
     def both(self, name, *args):
@@ -84,7 +161,44 @@ class EngineParity(RuleBasedStateMachine):
 
     def forget_issued(self, tokens):
         for token in tokens:
-            del self.live[token.slot]
+            slot = (token.slot if isinstance(token, Token)
+                    else token.chain_state.slot)
+            del self.live[slot]
+
+    def chain_pair(self, cslot):
+        """A Chain handle on each engine for ``cslot``, as ChainManager
+        would hold them (only cslot, engine and freed are read)."""
+        pair = self.chain_objs.get(cslot)
+        if pair is None:
+            pair = []
+            for engine in (self.py, self.c):
+                chain = object.__new__(Chain)
+                chain.engine = engine
+                chain.cslot = cslot
+                chain.freed = False
+                chain.cluster = 0
+                pair.append(chain)
+            pair = self.chain_objs[cslot] = tuple(pair)
+        return pair
+
+    def new_inst(self, spec):
+        pc, srcs, kind, latency, dest = spec
+        self.next_seq += 1
+        return Inst(self.next_seq, pc, srcs, kind != "alu", kind == "load",
+                    latency, dest)
+
+    def use_predictors(self, which):
+        lrp_p, hmp_p, lrp_c, hmp_c = self.predictors
+        self.qpy.lrp = lrp_p if "lrp" in which else None
+        self.qc.lrp = lrp_c if "lrp" in which else None
+        self.qpy.hmp = hmp_p if "hmp" in which else None
+        self.qc.hmp = hmp_c if "hmp" in which else None
+
+    def same_queues(self):
+        assert self.qc.stats.as_dict() == self.qpy.stats.as_dict()
+        assert self.qc._occupancy == self.qpy._occupancy
+        assert _rit_key(self.qc.rit._entries) == \
+            _rit_key(self.qpy.rit._entries)
 
     # --------------------------------------------------------- rules --
     @initialize()
@@ -202,6 +316,105 @@ class EngineParity(RuleBasedStateMachine):
     def probes(self, width, pushdown):
         self.both("next_promote_cycle", self.now, width, pushdown)
         self.both("p0_next", self.now)
+
+    @rule(data=st.data(), reg=st.integers(min_value=1, max_value=3),
+          kind=st.sampled_from(["known", "chain", "chain", "expected"]),
+          offset=st.integers(min_value=-2, max_value=6), dh=small,
+          freed=st.sampled_from([False, False, True]))
+    def write_rit(self, data, reg, kind, offset, dh, freed):
+        """Point a register at a producer: exactly known, following a
+        live or freed chain, or chainless with an expected-ready cycle."""
+        producer = Inst(-reg, 0, (), False, False, 1, reg)
+        pair = (None, None)
+        if kind == "known":
+            producer.value_ready_cycle = max(0, self.now + offset)
+        elif kind == "chain" and self.chains:
+            pair = self.chain_pair(data.draw(
+                st.integers(min_value=0, max_value=self.chains - 1)))
+            pair[0].freed = pair[1].freed = freed
+        for queue, chain in zip((self.qpy, self.qc), pair):
+            queue.rit._entries[reg] = RITEntry(
+                producer, chain, dh, max(0, self.now + offset))
+
+    @precondition(lambda self: self.chains)
+    @rule(data=st.data(), dh0=small, dh1=small)
+    def write_two_chains(self, data, dh0, dh1):
+        """Registers 1 and 2 follow live chains (the two-chain case of
+        section 3.4 when the chains differ)."""
+        for reg, dh in ((1, dh0), (2, dh1)):
+            producer = Inst(-reg, 0, (), False, False, 1, reg)
+            pair = self.chain_pair(data.draw(
+                st.integers(min_value=0, max_value=self.chains - 1)))
+            pair[0].freed = pair[1].freed = False
+            for queue, chain in zip((self.qpy, self.qc), pair):
+                queue.rit._entries[reg] = RITEntry(producer, chain, dh, 0)
+
+    @rule(spec=instructions)
+    def plan_links(self, spec):
+        inst = self.new_inst(spec)
+        expected = self.py.plan_links(self.qpy.rit._entries, inst, self.now)
+        got = self.c.plan_links(self.qc.rit._entries, inst, self.now)
+        assert _links_key(got) == _links_key(expected)
+
+    @rule(data=st.data(), spec=instructions,
+          which=st.sampled_from([("lrp", "hmp"), ("lrp",), ("hmp",), ()]),
+          again=st.booleans(), admit=st.booleans(),
+          seg=st.integers(min_value=0, max_value=NUM_SEGMENTS - 1),
+          operands=st.lists(st.one_of(st.none(), small), max_size=3))
+    def plan_and_admit(self, data, spec, which, again, admit, seg,
+                       operands):
+        """Plan one instruction on both queues (SegmentedIQ._plan is the
+        compiled plan op's twin), optionally admit it into ``seg``."""
+        self.use_predictors(which)
+        inst = self.new_inst(spec)
+        expected = self.qpy._plan(inst, self.now)
+        got = self.c.plan(self.qc, inst, self.now)
+        assert _plan_key(got) == _plan_key(expected)
+        if again:       # cached: the predictors are not consulted twice
+            assert self.qpy._plan(inst, self.now) is expected
+            assert self.c.plan(self.qc, inst, self.now) is got
+        self.same_queues()
+        del self.qpy._plan_cache[inst.seq]
+        del self.qc._plan_cache[inst.seq]
+        if not admit or not self.room(seg):
+            return
+        chains = (None, None)
+        if expected.needs_chain:
+            cslot = self.both("alloc_chain", 0, 2 * seg, seg)
+            self.chains += 1
+            chains = self.chain_pair(cslot)
+        entries = []
+        for queue, plan, chain in ((self.qpy, expected, chains[0]),
+                                   (self.qc, got, chains[1])):
+            ops = [Operand(index + 1,
+                           Inst(-100 - index, 0, (), False, False, 1, None),
+                           ready, 0)
+                   for index, ready in enumerate(operands)]
+            entry = queue._engine.admit(queue, queue.rit._entries, inst,
+                                        ops, plan, chain, seg, self.now)
+            entries.append((entry, ops))
+        (entry_p, ops_p), (entry_c, ops_c) = entries
+        state_p, state_c = entry_p.chain_state, entry_c.chain_state
+        for name in ("seq", "unknown_count", "ready_cycle", "queue_cycle",
+                     "issued"):
+            assert getattr(entry_c, name) == getattr(entry_p, name), name
+        assert entry_c.inst is entry_p.inst is inst
+        for name in ("countdown_ready", "lrp_choice", "lrp_consulted",
+                     "slot", "_links"):
+            assert getattr(state_c, name) == getattr(state_p, name), name
+        assert _links_key(state_c.chain_pairs) == \
+            _links_key(state_p.chain_pairs)
+        assert _chain_key(state_c.own_chain) == _chain_key(state_p.own_chain)
+        waiters_p = [op.producer.waiters for op in ops_p]
+        waiters_c = [op.producer.waiters for op in ops_c]
+        assert ([[index for _q, _e, index in w] for w in waiters_c]
+                == [[index for _q, _e, index in w] for w in waiters_p])
+        assert all(q is self.qc and e is entry_c
+                   for w in waiters_c for q, e, _i in w)
+        assert all(q is self.qpy and e is entry_p
+                   for w in waiters_p for q, e, _i in w)
+        self.same_queues()
+        self.live[state_p.slot] = entry_p
 
     # ---------------------------------------------------- invariants --
     @invariant()

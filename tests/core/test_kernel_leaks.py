@@ -2,12 +2,14 @@
 
 ``_ckernels.c`` manages reference counts by hand, and whole-run parity
 with the pure-Python engine cannot see a missing ``Py_DECREF``: a leaked
-object changes no cycle and no stat.  So one dense cell is run again and
-again under ``tracemalloc``.  Once the first runs have warmed every
-cache, each further run must free everything it allocated: the traced
-memory and the reference counts of the per-instruction classes (every
-live instance holds a reference to its class) and of the interned
-attribute names the C code passes around stay flat.
+object changes no cycle and no stat.  So a dense segmented cell, and an
+ideal-IQ cell whose compiled dispatch stage calls back into a Python IQ,
+are each run again and again under ``tracemalloc``.  Once the first
+runs have warmed every cache, each further run must free everything it
+allocated: the traced memory and the reference counts of the
+per-instruction classes (every live instance holds a reference to its
+class) and of the interned attribute names the C code passes around
+stay flat.
 """
 
 import gc
@@ -16,13 +18,15 @@ import tracemalloc
 
 import pytest
 
-from repro.core.iq_base import Operand
+from repro.core.iq_base import IQEntry, Operand
 from repro.core.segmented import kernels
 from repro.core.segmented.chains import Chain
+from repro.core.segmented.queue import DispatchPlan
 from repro.harness import configs
 from repro.isa import execute
 from repro.isa.instruction import DynInst
 from repro.pipeline import Processor
+from repro.pipeline.lsq import LSQEntry
 from repro.workloads import build_mgrid
 
 RUNS = 6
@@ -35,19 +39,27 @@ MEMORY_BOUND = 64 * 1024
 
 
 def _refcounts():
-    watched = [DynInst, Operand, Chain]
+    watched = [DynInst, Operand, Chain, IQEntry, LSQEntry, DispatchPlan]
     watched += [sys.intern(name) for name in ("seq", "inst", "producer")]
     return [sys.getrefcount(obj) for obj in watched]
 
 
 def test_repeated_dense_cell_leaks_nothing():
+    _assert_flat(configs.segmented(512, 128, "comb"))
+
+
+def test_repeated_python_iq_cell_leaks_nothing():
+    """The ideal IQ is Python: the dispatch stage calls back into it."""
+    _assert_flat(configs.ideal(512))
+
+
+def _assert_flat(params):
     kernels.set_backend("compiled")
     try:
         kernels.backend()
     except RuntimeError:
         pytest.skip("compiled kernel backend not built")
     program = build_mgrid()
-    params = configs.segmented(512, 128, "comb")
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -56,7 +68,9 @@ def test_repeated_dense_cell_leaks_nothing():
         for _ in range(RUNS):
             processor = Processor(params, execute(
                 program, max_instructions=INSTRUCTIONS))
-            assert processor.iq.kernel_backend == "compiled"
+            assert processor._c_dispatch is not None
+            assert getattr(processor.iq, "kernel_backend",
+                           "compiled") == "compiled"
             processor.run(max_cycles=1_000_000)
             assert processor.committed == INSTRUCTIONS
             del processor
