@@ -23,6 +23,10 @@
 #include <stdlib.h>
 #include <string.h>
 
+#if PY_VERSION_HEX < 0x030D0000
+#define PyObject_GetOptionalAttr _PyObject_LookupAttr
+#endif
+
 #define KNEVER (1LL << 60)
 #define SLOT_BITS 20
 #define SLOT_MASK ((1LL << SLOT_BITS) - 1)
@@ -66,8 +70,10 @@ static PyObject *str_srcs;          /* "srcs" */
 static PyObject *str_is_mem;        /* "is_mem" */
 static PyObject *str_freed;         /* "freed" */
 static PyObject *zero_obj;          /* PyLong(0) */
-/* Attribute and method names of the dispatch stage and the segmented
- * IQ's dispatch planning (interned from DISPATCH_NAMES at import). */
+/* Attribute and method names of the dispatch and issue stages, the
+ * segmented IQ's dispatch planning and issue post-loop, and the
+ * completions the issue stage schedules (interned from STAGE_NAMES at
+ * import). */
 static PyObject *str_pc, *str_lrp, *str_hmp, *str_chains;
 static PyObject *str_predict_later, *str_predict_hit, *str_has_free;
 static PyObject *str_allocate, *str_stat_alloc_failures;
@@ -80,9 +86,15 @@ static PyObject *str_dispatched_cycle, *str_completed_cycle;
 static PyObject *str_mispredicted, *str_branch_resolved, *str_popleft;
 static PyObject *str_append, *str_order, *str_can_dispatch;
 static PyObject *str_stat_full_stalls, *str_dispatch, *str_is_store;
+static PyObject *str_stat_issued, *str_on_head_issued, *str_train;
+static PyObject *str_select_issue, *str_issued_cycle, *str_is_branch;
+static PyObject *str_on_entry_ready_known, *str_source_known;
+static PyObject *str_address_ready, *str_events, *str_on_writeback;
+static PyObject *str_issue_width, *str_fu_engine, *str_stat_seg0_ready;
+static PyObject *str_sample, *str_issued_this_cycle;
 
 static const struct { PyObject **slot; const char *name; }
-DISPATCH_NAMES[] = {
+STAGE_NAMES[] = {
     {&str_pc, "pc"}, {&str_lrp, "lrp"}, {&str_hmp, "hmp"},
     {&str_chains, "chains"}, {&str_predict_later, "predict_later"},
     {&str_predict_hit, "predict_hit"}, {&str_has_free, "has_free"},
@@ -106,6 +118,16 @@ DISPATCH_NAMES[] = {
     {&str_can_dispatch, "can_dispatch"},
     {&str_stat_full_stalls, "stat_full_stalls"},
     {&str_dispatch, "dispatch"}, {&str_is_store, "is_store"},
+    {&str_stat_issued, "stat_issued"},
+    {&str_on_head_issued, "on_head_issued"}, {&str_train, "train"},
+    {&str_select_issue, "select_issue"},
+    {&str_issued_cycle, "issued_cycle"}, {&str_is_branch, "is_branch"},
+    {&str_on_entry_ready_known, "on_entry_ready_known"},
+    {&str_source_known, "source_known"},
+    {&str_address_ready, "address_ready"}, {&str_events, "events"},
+    {&str_on_writeback, "on_writeback"}, {&str_issue_width, "issue_width"},
+    {&str_fu_engine, "fu_engine"}, {&str_stat_seg0_ready, "stat_seg0_ready"},
+    {&str_sample, "sample"}, {&str_issued_this_cycle, "_issued_this_cycle"},
 };
 
 /* Fused FU acquisition for Engine.issue_select (defined with the
@@ -386,20 +408,22 @@ attr_set_i64(PyObject *obj, PyObject *name, int64_t value)
 }
 
 /* ------------------------------------------------ direct slot access -- */
-/* The dispatch path reads and writes a few dozen ``__slots__``
- * attributes per instruction (DynInst, IQEntry, SegmentState, RITEntry,
- * Chain, DispatchPlan, Operand).  Like the interpreter's specialised
- * slot loads and stores, each access site remembers, for the last type
- * it saw and that type's version tag, the byte offset of the slot.  Any
- * other type, a non-slot attribute, an unset slot or a class changed
- * since takes the generic attribute protocol, so the result is the same
- * either way. */
+/* The dispatch and issue paths read and write a few dozen ``__slots__``
+ * attributes per instruction (DynInst, Instruction, IQEntry,
+ * SegmentState, RITEntry, Chain, DispatchPlan, Operand).  Like the
+ * interpreter's specialised slot loads and stores, each access site
+ * remembers, for the last type it saw and that type's version tag, the
+ * byte offset of the slot.  Any other type, a non-slot attribute, an
+ * unset slot, a class changed since or (for stores) a class with its own
+ * ``__setattr__``, such as a frozen dataclass, takes the generic
+ * attribute protocol, so the result is the same either way. */
 
 typedef struct {
     PyObject **name;            /* interned attribute name */
     PyTypeObject *type;         /* strong reference; NULL: unresolved */
     unsigned int version;       /* type->tp_version_tag when resolved */
     Py_ssize_t offset;          /* slot offset, or -1: generic access */
+    int settable;               /* stores may use ``offset`` too */
 } slotsite;
 
 static Py_ssize_t
@@ -415,9 +439,9 @@ site_offset(slotsite *site, PyObject *obj)
     Py_XSETREF(site->type, tp);
     site->version = tp->tp_version_tag;
     site->offset = -1;
+    site->settable = tp->tp_setattro == PyObject_GenericSetAttr;
     if ((tp->tp_flags & Py_TPFLAGS_VALID_VERSION_TAG)
         && tp->tp_getattro == PyObject_GenericGetAttr
-        && tp->tp_setattro == PyObject_GenericSetAttr
         && descr != NULL && Py_TYPE(descr) == &PyMemberDescr_Type) {
         PyMemberDef *member = ((PyMemberDescrObject *)descr)->d_member;
         if (member->type == T_OBJECT_EX && !(member->flags & READONLY))
@@ -445,7 +469,7 @@ static inline int
 site_set(slotsite *site, PyObject *obj, PyObject *value)
 {
     Py_ssize_t offset = site_offset(site, obj);
-    if (offset < 0)
+    if (offset < 0 || !site->settable)
         return PyObject_SetAttr(obj, *site->name, value);
     PyObject **slot = (PyObject **)((char *)obj + offset);
     PyObject *old = *slot;
@@ -509,6 +533,9 @@ static slotsite at_inst_seq = {&str_seq}, at_inst_pc = {&str_pc},
     at_inst_rob_index = {&str_rob_index},
     at_inst_dispatched = {&str_dispatched_cycle},
     at_inst_completed = {&str_completed_cycle},
+    at_inst_issued = {&str_issued_cycle},
+    at_inst_is_branch = {&str_is_branch},
+    at_inst_static = {&str_static}, at_inst_cluster = {&str_cluster},
     at_prod_ready = {&str_value_ready_cycle},
     at_prod_waiters = {&str_waiters};
 /* RITEntry, Chain, Operand: */
@@ -533,6 +560,9 @@ static slotsite at_plan_countdown = {&str_countdown_ready},
     at_plan_lrp_choice = {&str_lrp_choice},
     at_plan_lrp_consulted = {&str_lrp_consulted},
     at_plan_head_latency = {&str_head_latency};
+/* Instruction (frozen: reads only) and FUAcquire: */
+static slotsite at_static_opcode = {&str_opcode},
+    at_acquire_now = {&str_now};
 
 /* -------------------------------------------------- eligibility ------ */
 
@@ -1153,6 +1183,7 @@ Engine_insert_entry(Engine *self, PyObject *args)
 /* ------------------------------------------------- fused admission ---- */
 
 static inline int counter_inc1(PyObject *counter);
+static int counter_add(PyObject *counter, Py_ssize_t amount);
 
 static inline PyObject *
 plain_new(PyObject *cls)
@@ -2143,16 +2174,108 @@ Engine_p0_next(Engine *self, PyObject *arg)
     return PyLong_FromLongLong((long long)KNEVER);
 }
 
-static PyObject *
-Engine_issue_select(Engine *self, PyObject *args)
+static int
+lrp_train(PyObject *lrp, PyObject *entry, PyObject *state)
 {
-    long long now_ll, width_ll;
-    PyObject *fu, *acquire;
-    if (!PyArg_ParseTuple(args, "LLOO", &now_ll, &width_ll, &fu,
-                          &acquire))
-        return NULL;
-    int64_t now = (int64_t)now_ll;
-    Py_ssize_t width = (Py_ssize_t)width_ll;
+    /* lrp.train(inst.pc, ops[0].ready_cycle or 0, ops[1].ready_cycle or 0,
+     * state.lrp_choice) for a two-operand entry. */
+    PyObject *ops = site_get(&at_iqe_operands, entry);
+    if (ops == NULL)
+        return -1;
+    Py_ssize_t n = PyObject_Length(ops);
+    int rc = n < 0 ? -1 : 0;
+    if (n == 2) {
+        PyObject *argv[4] = {NULL, NULL, NULL, NULL};
+        PyObject *inst = site_get(&at_iqe_inst, entry);
+        rc = -1;
+        if (inst != NULL) {
+            argv[0] = site_get(&at_inst_pc, inst);
+            Py_DECREF(inst);
+        }
+        for (Py_ssize_t i = 0; argv[0] != NULL && i < 2; i++) {
+            PyObject *op = PySequence_GetItem(ops, i);
+            PyObject *ready = op == NULL ? NULL : site_get(&at_op_ready, op);
+            Py_XDECREF(op);
+            int truth = ready == NULL ? -1 : PyObject_IsTrue(ready);
+            if (truth < 0) {
+                Py_XDECREF(ready);
+                break;
+            }
+            if (!truth) {
+                Py_DECREF(ready);
+                ready = zero_obj;
+                Py_INCREF(ready);
+            }
+            argv[1 + i] = ready;
+        }
+        if (argv[2] != NULL
+            && (argv[3] = site_get(&at_ss_lrp_choice, state)) != NULL)
+            rc = call_discard(PyObject_CallMethodObjArgs(
+                lrp, str_train, argv[0], argv[1], argv[2], argv[3], NULL));
+        for (int i = 0; i < 4; i++)
+            Py_XDECREF(argv[i]);
+    }
+    Py_DECREF(ops);
+    return rc;
+}
+
+static int
+issue_finish(PyObject *iq, PyObject *issued, int64_t now)
+{
+    /* SegmentedIQ.select_issue's per-entry post-loop, after the engine
+     * freed the slots: the iq.issued counter, iq._occupancy,
+     * entry.issued, the chain head's issue signal and LRP training. */
+    Py_ssize_t n = PyList_GET_SIZE(issued);
+    if (n == 0)
+        return 0;
+    PyObject *stat = PyObject_GetAttr(iq, str_stat_issued);
+    int rc = stat == NULL ? -1 : counter_add(stat, n);
+    Py_XDECREF(stat);
+    if (rc < 0 || attr_add_i64(iq, str_occupancy_priv, -(int64_t)n) < 0)
+        return -1;
+    PyObject *lrp = PyObject_GetAttr(iq, str_lrp);
+    if (lrp == NULL)
+        return -1;
+    PyObject *now_obj = NULL;
+    rc = -1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *entry = PyList_GET_ITEM(issued, i);
+        if (site_set(&at_iqe_issued, entry, Py_True) < 0)
+            goto done;
+        PyObject *state = site_get(&at_iqe_state, entry);
+        if (state == NULL)
+            goto done;
+        PyObject *own = site_get(&at_ss_own, state);
+        int step = own == NULL ? -1 : 0;
+        if (own != NULL && own != Py_None) {
+            if (now_obj == NULL)
+                now_obj = PyLong_FromLongLong((long long)now);
+            step = now_obj == NULL ? -1 : call_discard(
+                PyObject_CallMethodOneArg(own, str_on_head_issued, now_obj));
+        }
+        Py_XDECREF(own);
+        if (step == 0 && lrp != Py_None) {
+            int consulted = site_truth(&at_ss_lrp_consulted, state);
+            step = consulted < 0 ? -1
+                   : consulted ? lrp_train(lrp, entry, state) : 0;
+        }
+        Py_DECREF(state);
+        if (step < 0)
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_DECREF(lrp);
+    Py_XDECREF(now_obj);
+    return rc;
+}
+
+static PyObject *
+issue_select_raw(Engine *self, int64_t now, Py_ssize_t width, PyObject *fu,
+                 PyObject *acquire, Py_ssize_t *count)
+{
+    /* The fused segment-0 issue loop: the issued entries (a new list)
+     * and, in ``*count``, the ready candidates it started from. */
     i64vec *p0 = &self->p0heap;
     i64vec *r0 = &self->r0heap;
     int64_t *e_seq = self->e_seq;
@@ -2164,7 +2287,7 @@ Engine_issue_select(Engine *self, PyObject *args)
             && hq_push(r0, (e_seq[slot] << SLOT_BITS) | slot) < 0)
             return PyErr_NoMemory();
     }
-    Py_ssize_t count = r0->len;
+    *count = r0->len;
     PyObject *issued = PyList_New(0);
     if (issued == NULL)
         return NULL;
@@ -2203,22 +2326,101 @@ Engine_issue_select(Engine *self, PyObject *args)
             goto fail;
         }
     }
-    {
-        PyObject *cnt = PyLong_FromSsize_t(count);
-        if (cnt == NULL)
-            goto fail;
-        PyObject *result = PyTuple_New(2);
-        if (result == NULL) {
-            Py_DECREF(cnt);
-            goto fail;
-        }
-        PyTuple_SET_ITEM(result, 0, cnt);
-        PyTuple_SET_ITEM(result, 1, issued);
-        return result;
-    }
+    return issued;
 fail:
     Py_DECREF(issued);
     return NULL;
+}
+
+static PyObject *
+Engine_on_entry_ready_known(Engine *self, PyObject *entry)
+{
+    /* SegmentedIQ.on_entry_ready_known: a fully known entry still in
+     * segment 0 becomes an issue candidate at its ready cycle. */
+    int issued = site_truth(&at_iqe_issued, entry);
+    if (issued < 0)
+        return NULL;
+    if (issued)
+        Py_RETURN_NONE;
+    PyObject *state = site_get(&at_iqe_state, entry);
+    int64_t slot, ready;
+    int rc = state == NULL ? -1 : site_get_i64(&at_ss_slot, state, &slot);
+    Py_XDECREF(state);
+    if (rc < 0)
+        return NULL;
+    if (slot < 0 || slot >= self->e_len) {
+        PyErr_SetString(PyExc_IndexError, "engine column index out of range");
+        return NULL;
+    }
+    if (self->e_seg[slot] == 0) {
+        if (site_get_i64(&at_iqe_ready, entry, &ready) < 0)
+            return NULL;
+        if (hq_push(&self->p0heap, (ready << SLOT_BITS) | slot) < 0)
+            return PyErr_NoMemory();
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Engine_issue_select(Engine *self, PyObject *args)
+{
+    /* issue_select(now, width, fu, acquire) -> (count, issued) */
+    long long now_ll, width_ll;
+    PyObject *fu, *acquire;
+    if (!PyArg_ParseTuple(args, "LLOO", &now_ll, &width_ll, &fu, &acquire))
+        return NULL;
+    Py_ssize_t count;
+    PyObject *issued = issue_select_raw(self, (int64_t)now_ll,
+                                        (Py_ssize_t)width_ll, fu, acquire,
+                                        &count);
+    if (issued == NULL)
+        return NULL;
+    return Py_BuildValue("(nN)", count, issued);
+}
+
+static PyObject *
+Engine_select_issue(Engine *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* select_issue(queue, now, acquire_fu) -> issued: the whole of
+     * SegmentedIQ.select_issue — its clocks, the fused segment-0 issue
+     * loop over ``acquire_fu.fu_engine`` (when it has one), the
+     * iq.seg0_ready sample and the per-entry post-loop (issue_finish). */
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "select_issue expects 3 arguments");
+        return NULL;
+    }
+    PyObject *queue = args[0], *now_obj = args[1], *acquire = args[2];
+    int64_t now = (int64_t)PyLong_AsLongLong(now_obj);
+    if (now == -1 && PyErr_Occurred())
+        return NULL;
+    int64_t width;
+    if (PyObject_SetAttr(queue, str_now, now_obj) < 0
+        || attr_i64(queue, str_issue_width, &width) < 0)
+        return NULL;
+    self->now = now;
+    PyObject *fu;
+    if (PyObject_GetOptionalAttr(acquire, str_fu_engine, &fu) < 0)
+        return NULL;
+    Py_ssize_t count;
+    PyObject *issued = issue_select_raw(self, now, (Py_ssize_t)width, fu,
+                                        acquire, &count);
+    Py_XDECREF(fu);
+    if (issued == NULL)
+        return NULL;
+    PyObject *dist = PyObject_GetAttr(queue, str_stat_seg0_ready);
+    PyObject *num = dist == NULL ? NULL : PyLong_FromSsize_t(count);
+    int rc = num == NULL ? -1 : call_discard(
+        PyObject_CallMethodOneArg(dist, str_sample, num));
+    Py_XDECREF(dist);
+    Py_XDECREF(num);
+    if (rc < 0
+        || PyObject_SetAttr(queue, str_issued_this_cycle,
+                            PyList_GET_SIZE(issued) ? Py_True : Py_False) < 0
+        || issue_finish(queue, issued, now) < 0) {
+        Py_DECREF(issued);
+        return NULL;
+    }
+    return issued;
 }
 
 /* ------------------------------------------------------- scheduling -- */
@@ -2675,6 +2877,10 @@ static PyMethodDef Engine_methods[] = {
     {"p0_next", (PyCFunction)Engine_p0_next, METH_O, NULL},
     {"issue_select", (PyCFunction)Engine_issue_select, METH_VARARGS,
      NULL},
+    {"select_issue", (PyCFunction)Engine_select_issue, METH_FASTCALL,
+     NULL},
+    {"on_entry_ready_known", (PyCFunction)Engine_on_entry_ready_known,
+     METH_O, NULL},
     {"notify", (PyCFunction)Engine_notify, METH_O, NULL},
     {"pop_eligible", (PyCFunction)Engine_pop_eligible, METH_VARARGS,
      NULL},
@@ -2880,17 +3086,17 @@ issue_try_acquire(PyObject *fu, PyObject *acquire, PyObject *entry,
 {
     /* acquire(entry.inst), short-circuited through the pipeline engine
      * when the caller offered one and the opcode's key is known. */
-    PyObject *inst = PyObject_GetAttr(entry, str_inst);
+    PyObject *inst = site_get(&at_iqe_inst, entry);
     if (inst == NULL)
         return -1;
     if (fu != NULL && Py_TYPE(fu) == &PipelineType) {
         PipelineObj *pl = (PipelineObj *)fu;
-        PyObject *st = PyObject_GetAttr(inst, str_static);
+        PyObject *st = site_get(&at_inst_static, inst);
         if (st == NULL) {
             Py_DECREF(inst);
             return -1;
         }
-        PyObject *opcode = PyObject_GetAttr(st, str_opcode);
+        PyObject *opcode = site_get(&at_static_opcode, st);
         Py_DECREF(st);
         if (opcode == NULL) {
             Py_DECREF(inst);
@@ -2909,18 +3115,11 @@ issue_try_acquire(PyObject *fu, PyObject *acquire, PyObject *entry,
                 Py_DECREF(inst);
                 return 1;       /* class NONE consumes nothing */
             }
-            PyObject *cl = PyObject_GetAttr(inst, str_cluster);
-            if (cl == NULL) {
-                Py_DECREF(inst);
-                return -1;
-            }
-            long long cluster = PyLong_AsLongLong(cl);
-            Py_DECREF(cl);
-            if (cluster == -1 && PyErr_Occurred()) {
-                Py_DECREF(inst);
-                return -1;
-            }
+            int64_t cluster;
+            int rc = site_get_i64(&at_inst_cluster, inst, &cluster);
             Py_DECREF(inst);
+            if (rc < 0)
+                return -1;
             return pipeline_accept_raw(pl, (Py_ssize_t)ci,
                                        (Py_ssize_t)cluster,
                                        (int64_t)occ, now);
@@ -3338,11 +3537,14 @@ static PyTypeObject DistType = {
 /* ------------------------------------------------------------------ */
 /* Compiled event queue (repro.common.events transliteration)         */
 /*                                                                    */
-/* The same (cycle, sequence, callback) min-heap semantics as the     */
-/* Python EventQueue — insertion-order-stable for same-cycle events,  */
-/* reentrant (callbacks may schedule follow-ups, including for the    */
-/* cycle being drained) — over three parallel arrays instead of a     */
-/* list of tuples.                                                    */
+/* The same (cycle, sequence, callback, arg) min-heap semantics as    */
+/* the Python EventQueue — insertion-order-stable for same-cycle      */
+/* events, reentrant (callbacks may schedule follow-ups, including    */
+/* for the cycle being drained) — over four parallel arrays instead   */
+/* of a list of tuples.  A record with no ``arg`` (NULL here) fires   */
+/* as ``callback()``; a typed record fires as ``callback(arg, cycle)``, */
+/* and one whose callback is the compiled issue stage runs the        */
+/* stage's completion in C with no Python frame.                      */
 /* ------------------------------------------------------------------ */
 
 static PyObject *
@@ -3366,11 +3568,17 @@ typedef struct {
     int64_t *when;
     int64_t *seq;
     PyObject **cb;
+    PyObject **arg;             /* NULL: a plain callback() record */
     Py_ssize_t len;
     Py_ssize_t cap;
     int64_t counter;
     long long now;
 } EQObj;
+
+/* The issue stage's completion, fired straight from advance_to (defined
+ * with the stage below). */
+static PyTypeObject IssueStageType;
+static int issue_complete(PyObject *stage, PyObject *inst, int64_t when);
 
 static int
 EQ_init(EQObj *self, PyObject *args, PyObject *kwds)
@@ -3406,24 +3614,35 @@ eq_grow(EQObj *q, Py_ssize_t need)
     if (cb == NULL)
         return -1;
     q->cb = cb;
+    PyObject **arg = (PyObject **)PyMem_Realloc(
+        q->arg, sizeof(PyObject *) * (size_t)cap);
+    if (arg == NULL)
+        return -1;
+    q->arg = arg;
     q->cap = cap;
     return 0;
 }
 
-/* heapq sift functions over the (when, seq) pair key; callbacks ride
- * along.  Same record movement as heapq on (cycle, seq, cb) tuples. */
+/* heapq sift functions over the (when, seq) pair key; callbacks and
+ * args ride along.  Same record movement as heapq on tuples. */
+#define EQ_MOVE(q, dst, src)                                            \
+    do {                                                                \
+        (q)->when[dst] = (q)->when[src];                                \
+        (q)->seq[dst] = (q)->seq[src];                                  \
+        (q)->cb[dst] = (q)->cb[src];                                    \
+        (q)->arg[dst] = (q)->arg[src];                                  \
+    } while (0)
+
 static void
 eq_siftdown(EQObj *q, Py_ssize_t startpos, Py_ssize_t pos)
 {
     int64_t nw = q->when[pos], ns = q->seq[pos];
-    PyObject *ncb = q->cb[pos];
+    PyObject *ncb = q->cb[pos], *narg = q->arg[pos];
     while (pos > startpos) {
         Py_ssize_t parent = (pos - 1) >> 1;
         int64_t pw = q->when[parent], ps = q->seq[parent];
         if (nw < pw || (nw == pw && ns < ps)) {
-            q->when[pos] = pw;
-            q->seq[pos] = ps;
-            q->cb[pos] = q->cb[parent];
+            EQ_MOVE(q, pos, parent);
             pos = parent;
             continue;
         }
@@ -3432,6 +3651,7 @@ eq_siftdown(EQObj *q, Py_ssize_t startpos, Py_ssize_t pos)
     q->when[pos] = nw;
     q->seq[pos] = ns;
     q->cb[pos] = ncb;
+    q->arg[pos] = narg;
 }
 
 static void
@@ -3440,7 +3660,7 @@ eq_siftup(EQObj *q, Py_ssize_t pos)
     Py_ssize_t endpos = q->len;
     Py_ssize_t startpos = pos;
     int64_t nw = q->when[pos], ns = q->seq[pos];
-    PyObject *ncb = q->cb[pos];
+    PyObject *ncb = q->cb[pos], *narg = q->arg[pos];
     Py_ssize_t childpos = 2 * pos + 1;
     while (childpos < endpos) {
         Py_ssize_t rightpos = childpos + 1;
@@ -3449,49 +3669,73 @@ eq_siftup(EQObj *q, Py_ssize_t pos)
                      || (q->when[childpos] == q->when[rightpos]
                          && q->seq[childpos] < q->seq[rightpos])))
             childpos = rightpos;
-        q->when[pos] = q->when[childpos];
-        q->seq[pos] = q->seq[childpos];
-        q->cb[pos] = q->cb[childpos];
+        EQ_MOVE(q, pos, childpos);
         pos = childpos;
         childpos = 2 * pos + 1;
     }
     q->when[pos] = nw;
     q->seq[pos] = ns;
     q->cb[pos] = ncb;
+    q->arg[pos] = narg;
     eq_siftdown(q, startpos, pos);
 }
+#undef EQ_MOVE
 
 static int
-eq_push(EQObj *q, int64_t when, PyObject *callback)
+eq_push(EQObj *q, int64_t when, PyObject *callback, PyObject *arg)
 {
-    if (q->len >= q->cap && eq_grow(q, q->len + 1) < 0)
+    /* ``arg`` NULL: a plain record. */
+    if (q->len >= q->cap && eq_grow(q, q->len + 1) < 0) {
+        PyErr_NoMemory();
         return -1;
+    }
     q->when[q->len] = when;
     q->seq[q->len] = q->counter++;
     Py_INCREF(callback);
     q->cb[q->len] = callback;
+    Py_XINCREF(arg);
+    q->arg[q->len] = arg;
     q->len++;
     eq_siftdown(q, 0, q->len - 1);
     return 0;
+}
+
+static int
+eq_push_at(EQObj *q, int64_t cycle, PyObject *callback, PyObject *arg)
+{
+    /* schedule_at: refuses a cycle before ``now``. */
+    if (cycle < q->now) {
+        PyObject *exc = sim_error();
+        if (exc != NULL)
+            PyErr_Format(exc, "cannot schedule event at cycle %lld (now=%lld)",
+                         (long long)cycle, q->now);
+        return -1;
+    }
+    return eq_push(q, cycle, callback, arg);
 }
 
 static void
 EQ_dealloc(EQObj *self)
 {
     PyObject_GC_UnTrack(self);
-    for (Py_ssize_t i = 0; i < self->len; i++)
+    for (Py_ssize_t i = 0; i < self->len; i++) {
         Py_XDECREF(self->cb[i]);
+        Py_XDECREF(self->arg[i]);
+    }
     PyMem_Free(self->when);
     PyMem_Free(self->seq);
     PyMem_Free(self->cb);
+    PyMem_Free(self->arg);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
 static int
 EQ_traverse(EQObj *self, visitproc visit, void *arg)
 {
-    for (Py_ssize_t i = 0; i < self->len; i++)
+    for (Py_ssize_t i = 0; i < self->len; i++) {
         Py_VISIT(self->cb[i]);
+        Py_VISIT(self->arg[i]);
+    }
     return 0;
 }
 
@@ -3500,8 +3744,10 @@ EQ_clear(EQObj *self)
 {
     Py_ssize_t len = self->len;
     self->len = 0;
-    for (Py_ssize_t i = 0; i < len; i++)
+    for (Py_ssize_t i = 0; i < len; i++) {
         Py_CLEAR(self->cb[i]);
+        Py_CLEAR(self->arg[i]);
+    }
     return 0;
 }
 
@@ -3511,16 +3757,29 @@ EQ_length(EQObj *self)
     return self->len;
 }
 
+static int
+eq_parse(const char *name, PyObject *const *args, Py_ssize_t nargs,
+         long long *cycle, PyObject **arg)
+{
+    /* (cycle or delay, callback[, arg]); an ``arg`` of None is a plain
+     * record, as in the Python queue. */
+    if (nargs != 2 && nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "%s() takes 2 or 3 arguments", name);
+        return -1;
+    }
+    *cycle = PyLong_AsLongLong(args[0]);
+    if (*cycle == -1 && PyErr_Occurred())
+        return -1;
+    *arg = (nargs == 3 && args[2] != Py_None) ? args[2] : NULL;
+    return 0;
+}
+
 static PyObject *
 EQ_schedule(EQObj *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "schedule() takes exactly 2 arguments");
-        return NULL;
-    }
-    long long delay = PyLong_AsLongLong(args[0]);
-    if (delay == -1 && PyErr_Occurred())
+    long long delay;
+    PyObject *arg;
+    if (eq_parse("schedule", args, nargs, &delay, &arg) < 0)
         return NULL;
     if (delay < 0) {
         PyObject *exc = sim_error();
@@ -3530,7 +3789,7 @@ EQ_schedule(EQObj *self, PyObject *const *args, Py_ssize_t nargs)
                 delay);
         return NULL;
     }
-    if (eq_push(self, self->now + delay, args[1]) < 0)
+    if (eq_push(self, self->now + delay, args[1], arg) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -3538,25 +3797,28 @@ EQ_schedule(EQObj *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 EQ_schedule_at(EQObj *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "schedule_at() takes exactly 2 arguments");
-        return NULL;
-    }
-    long long cycle = PyLong_AsLongLong(args[0]);
-    if (cycle == -1 && PyErr_Occurred())
-        return NULL;
-    if (cycle < self->now) {
-        PyObject *exc = sim_error();
-        if (exc != NULL)
-            PyErr_Format(
-                exc, "cannot schedule event at cycle %lld (now=%lld)",
-                cycle, self->now);
-        return NULL;
-    }
-    if (eq_push(self, cycle, args[1]) < 0)
+    long long cycle;
+    PyObject *arg;
+    if (eq_parse("schedule_at", args, nargs, &cycle, &arg) < 0
+        || eq_push_at(self, (int64_t)cycle, args[1], arg) < 0)
         return NULL;
     Py_RETURN_NONE;
+}
+
+static int
+eq_fire(PyObject *callback, PyObject *arg, int64_t when)
+{
+    if (arg == NULL)
+        return call_discard(PyObject_CallNoArgs(callback));
+    if (Py_TYPE(callback) == &IssueStageType)
+        return issue_complete(callback, arg, when);
+    PyObject *cycle = PyLong_FromLongLong((long long)when);
+    if (cycle == NULL)
+        return -1;
+    PyObject *argv[2] = {arg, cycle};
+    int rc = call_discard(PyObject_Vectorcall(callback, argv, 2, NULL));
+    Py_DECREF(cycle);
+    return rc;
 }
 
 static PyObject *
@@ -3574,20 +3836,21 @@ EQ_advance_to(EQObj *self, PyObject *arg)
     }
     while (self->len && self->when[0] <= cycle) {
         int64_t when = self->when[0];
-        PyObject *callback = self->cb[0];
+        PyObject *callback = self->cb[0], *record_arg = self->arg[0];
         self->len--;
         if (self->len) {
             self->when[0] = self->when[self->len];
             self->seq[0] = self->seq[self->len];
             self->cb[0] = self->cb[self->len];
+            self->arg[0] = self->arg[self->len];
             eq_siftup(self, 0);
         }
         self->now = when;
-        PyObject *result = PyObject_CallNoArgs(callback);
+        int rc = eq_fire(callback, record_arg, when);
         Py_DECREF(callback);
-        if (result == NULL)
+        Py_XDECREF(record_arg);
+        if (rc < 0)
             return NULL;
-        Py_DECREF(result);
     }
     self->now = cycle;
     Py_RETURN_NONE;
@@ -3626,7 +3889,7 @@ static PyTypeObject EQType = {
     .tp_as_sequence = &EQ_as_sequence,
     .tp_flags = (Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE
                  | Py_TPFLAGS_HAVE_GC),
-    .tp_doc = "Min-heap of (cycle, sequence, callback) (compiled).",
+    .tp_doc = "Min-heap of (cycle, sequence, callback, arg) (compiled).",
     .tp_traverse = (traverseproc)EQ_traverse,
     .tp_clear = (inquiry)EQ_clear,
     .tp_methods = EQ_methods,
@@ -4098,6 +4361,327 @@ static PyTypeObject StageType = {
     .tp_new = PyType_GenericNew,
 };
 
+/* --------------------------------------------------- issue stage ------ */
+/*                                                                      */
+/* The C twin of Processor._issue and Processor._complete, one run per  */
+/* cycle, for unclustered, untraced runs with no invariant checker on   */
+/* the compiled event queue.  run(processor, now) sets the FU           */
+/* acquisition's cycle and calls processor.iq.select_issue, looked up   */
+/* on every call, so every IQ design and any wrapper on it keeps        */
+/* working.  Then each issued instruction starts executing: a memory    */
+/* op's effective address is ready next cycle (a typed record calling   */
+/* lsq.address_ready(inst, cycle)); any other op's value is ready after */
+/* its latency (DynInst.set_value_ready, inlined) and it completes then */
+/* (a typed record whose callback is this stage, so advance_to runs     */
+/* issue_complete with no Python frame).                                */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *proc;             /* the processor whose completions fire */
+    PyObject *acquire;          /* its FUAcquire */
+    PyObject *entry_cls;        /* repro.core.iq_base.IQEntry */
+} IssueStageObj;
+
+static int
+IssueStage_init(IssueStageObj *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"processor", "acquire", "entry_cls", NULL};
+    PyObject *proc, *acquire, *entry_cls;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOO!", kwlist, &proc,
+                                     &acquire, &PyType_Type, &entry_cls))
+        return -1;
+    Py_INCREF(proc);
+    Py_XSETREF(self->proc, proc);
+    Py_INCREF(acquire);
+    Py_XSETREF(self->acquire, acquire);
+    Py_INCREF(entry_cls);
+    Py_XSETREF(self->entry_cls, entry_cls);
+    return 0;
+}
+
+static int
+IssueStage_traverse(IssueStageObj *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->proc);
+    Py_VISIT(self->acquire);
+    Py_VISIT(self->entry_cls);
+    return 0;
+}
+
+static int
+IssueStage_clear(IssueStageObj *self)
+{
+    Py_CLEAR(self->proc);
+    Py_CLEAR(self->acquire);
+    Py_CLEAR(self->entry_cls);
+    return 0;
+}
+
+static void
+IssueStage_dealloc(IssueStageObj *self)
+{
+    PyObject_GC_UnTrack(self);
+    IssueStage_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static int
+entry_source_known(PyObject *entry, PyObject *index, int64_t cycle)
+{
+    /* IQEntry.source_known(index, cycle) on an exact IQEntry: 1 when
+     * the entry's full readiness is now known, else 0; -1 on error. */
+    PyObject *operands = site_get(&at_iqe_operands, entry);
+    if (operands == NULL)
+        return -1;
+    PyObject *op = PyObject_GetItem(operands, index);
+    Py_DECREF(operands);
+    if (op == NULL)
+        return -1;
+    int64_t penalty, ready, unknown;
+    PyObject *ready_obj = NULL;
+    int rc = site_get_i64(&at_op_penalty, op, &penalty);
+    if (rc == 0) {
+        cycle += penalty;
+        ready_obj = PyLong_FromLongLong((long long)cycle);
+        rc = (ready_obj == NULL || site_set(&at_op_ready, op, ready_obj) < 0
+              || site_get_i64(&at_iqe_ready, entry, &ready) < 0) ? -1 : 0;
+    }
+    Py_DECREF(op);
+    if (rc == 0 && cycle > ready)
+        rc = site_set(&at_iqe_ready, entry, ready_obj);
+    Py_XDECREF(ready_obj);
+    if (rc < 0 || site_get_i64(&at_iqe_unknown, entry, &unknown) < 0
+        || site_set_i64(&at_iqe_unknown, entry, unknown - 1) < 0)
+        return -1;
+    return unknown - 1 == 0;
+}
+
+static int
+notify_waiter(IssueStageObj *self, PyObject *waiter, int64_t cycle,
+              PyObject *cycle_obj)
+{
+    /* One waiter of DynInst.set_value_ready: a (queue, entry, index)
+     * operand triple, or a callable. */
+    if (!PyTuple_CheckExact(waiter))
+        return call_discard(PyObject_CallOneArg(waiter, cycle_obj));
+    if (PyTuple_GET_SIZE(waiter) != 3) {
+        PyErr_SetString(PyExc_ValueError,
+                        "operand waiter: (queue, entry, index) expected");
+        return -1;
+    }
+    PyObject *queue = PyTuple_GET_ITEM(waiter, 0);
+    PyObject *entry = PyTuple_GET_ITEM(waiter, 1);
+    PyObject *index = PyTuple_GET_ITEM(waiter, 2);
+    int known;
+    if (Py_TYPE(entry) == (PyTypeObject *)self->entry_cls) {
+        known = entry_source_known(entry, index, cycle);
+    }
+    else {
+        PyObject *answer = PyObject_CallMethodObjArgs(
+            entry, str_source_known, index, cycle_obj, NULL);
+        known = answer == NULL ? -1 : PyObject_IsTrue(answer);
+        Py_XDECREF(answer);
+    }
+    if (known <= 0)
+        return known;
+    return call_discard(PyObject_CallMethodOneArg(
+        queue, str_on_entry_ready_known, entry));
+}
+
+static int
+set_value_ready(IssueStageObj *self, PyObject *inst, int64_t cycle)
+{
+    /* inst.set_value_ready(cycle): record when the value is available,
+     * then notify the waiters registered so far.  With none, the empty
+     * list stays in place of the fresh one the method would install. */
+    PyObject *cycle_obj = PyLong_FromLongLong((long long)cycle);
+    if (cycle_obj == NULL)
+        return -1;
+    PyObject *waiters = NULL, *fast = NULL;
+    int rc = -1;
+    if (site_set(&at_prod_ready, inst, cycle_obj) < 0
+        || (waiters = site_get(&at_prod_waiters, inst)) == NULL)
+        goto done;
+    if (PyList_CheckExact(waiters) && PyList_GET_SIZE(waiters) == 0) {
+        rc = 0;
+        goto done;
+    }
+    if (site_set_new(&at_prod_waiters, inst, PyList_New(0)) < 0
+        || (fast = PySequence_Fast(waiters, "waiters must be a list")) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(fast); i++) {
+        PyObject *waiter = PySequence_Fast_GET_ITEM(fast, i);
+        Py_INCREF(waiter);
+        int step = notify_waiter(self, waiter, cycle, cycle_obj);
+        Py_DECREF(waiter);
+        if (step < 0)
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_DECREF(cycle_obj);
+    Py_XDECREF(waiters);
+    Py_XDECREF(fast);
+    return rc;
+}
+
+static int
+issue_complete(PyObject *stage, PyObject *inst, int64_t when)
+{
+    /* Processor._complete(inst, when), untraced: the instruction writes
+     * back, and a mispredicted branch releases fetch. */
+    IssueStageObj *self = (IssueStageObj *)stage;
+    if (self->proc == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "issue stage: cleared");
+        return -1;
+    }
+    PyObject *when_obj = PyLong_FromLongLong((long long)when);
+    if (when_obj == NULL)
+        return -1;
+    PyObject *iq = NULL, *frontend = NULL;
+    int rc = -1;
+    if (site_set(&at_inst_completed, inst, when_obj) < 0
+        || (iq = PyObject_GetAttr(self->proc, str_iq)) == NULL
+        || call_discard(PyObject_CallMethodObjArgs(
+               iq, str_on_writeback, inst, when_obj, NULL)) < 0)
+        goto done;
+    int branch = site_truth(&at_inst_mispredicted, inst);
+    if (branch > 0)
+        branch = site_truth(&at_inst_is_branch, inst);
+    if (branch < 0)
+        goto done;
+    if (branch
+        && ((frontend = PyObject_GetAttr(self->proc, str_frontend)) == NULL
+            || call_discard(PyObject_CallMethodObjArgs(
+                   frontend, str_branch_resolved, inst, when_obj,
+                   NULL)) < 0))
+        goto done;
+    rc = 0;
+done:
+    Py_DECREF(when_obj);
+    Py_XDECREF(iq);
+    Py_XDECREF(frontend);
+    return rc;
+}
+
+static int
+issue_start(IssueStageObj *self, EQObj *events, PyObject *proc,
+            PyObject *entry, int64_t now, PyObject *now_obj,
+            PyObject **address_ready)
+{
+    /* One issued entry of Processor._issue: ``*address_ready`` is
+     * processor.lsq.address_ready, looked up at the cycle's first
+     * memory op. */
+    PyObject *inst = site_get(&at_iqe_inst, entry);
+    if (inst == NULL)
+        return -1;
+    int rc = -1;
+    int is_mem = -1;
+    if (site_set(&at_inst_issued, inst, now_obj) == 0)
+        is_mem = site_truth(&at_inst_is_mem, inst);
+    if (is_mem > 0) {
+        /* The IQ issued the effective-address add; the LSQ takes over
+         * once the address is available. */
+        if (*address_ready == NULL) {
+            PyObject *lsq = PyObject_GetAttr(proc, str_lsq);
+            if (lsq != NULL) {
+                *address_ready = PyObject_GetAttr(lsq, str_address_ready);
+                Py_DECREF(lsq);
+            }
+        }
+        if (*address_ready != NULL)
+            rc = eq_push_at(events, now + 1, *address_ready, inst);
+    }
+    else if (is_mem == 0) {
+        int64_t latency;
+        if (site_get_i64(&at_inst_latency, inst, &latency) == 0
+            && set_value_ready(self, inst, now + latency) == 0)
+            rc = eq_push_at(events, now + latency, (PyObject *)self, inst);
+    }
+    Py_DECREF(inst);
+    return rc;
+}
+
+static PyObject *
+IssueStage_run(IssueStageObj *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* run(processor, now): one cycle of Processor._issue. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "run expects 2 arguments");
+        return NULL;
+    }
+    PyObject *proc = args[0], *now_obj = args[1];
+    int64_t now = (int64_t)PyLong_AsLongLong(now_obj);
+    if (now == -1 && PyErr_Occurred())
+        return NULL;
+    if (self->acquire == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "issue stage: cleared");
+        return NULL;
+    }
+    if (site_set(&at_acquire_now, self->acquire, now_obj) < 0)
+        return NULL;
+    PyObject *iq = PyObject_GetAttr(proc, str_iq);
+    if (iq == NULL)
+        return NULL;
+    PyObject *issued = PyObject_CallMethodObjArgs(
+        iq, str_select_issue, now_obj, self->acquire, NULL);
+    Py_DECREF(iq);
+    if (issued == NULL)
+        return NULL;
+    PyObject *events = NULL, *fast = NULL, *address_ready = NULL;
+    int ok = 0;
+    int any = PyObject_IsTrue(issued);
+    if (any <= 0) {
+        ok = any == 0;
+        goto done;
+    }
+    if ((events = PyObject_GetAttr(proc, str_events)) == NULL)
+        goto done;
+    if (Py_TYPE(events) != &EQType) {
+        PyErr_SetString(PyExc_TypeError,
+                        "issue stage: the compiled EventQueue expected");
+        goto done;
+    }
+    if ((fast = PySequence_Fast(issued, "select_issue: a list")) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(fast); i++) {
+        if (issue_start(self, (EQObj *)events, proc,
+                        PySequence_Fast_GET_ITEM(fast, i), now, now_obj,
+                        &address_ready) < 0)
+            goto done;
+    }
+    ok = 1;
+done:
+    Py_DECREF(issued);
+    Py_XDECREF(events);
+    Py_XDECREF(fast);
+    Py_XDECREF(address_ready);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef IssueStage_methods[] = {
+    {"run", (PyCFunction)IssueStage_run, METH_FASTCALL, NULL},
+    {NULL, NULL, 0, NULL}
+};
+
+static PyTypeObject IssueStageType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.core.segmented._ckernels.IssueStage",
+    .tp_basicsize = sizeof(IssueStageObj),
+    .tp_itemsize = 0,
+    .tp_dealloc = (destructor)IssueStage_dealloc,
+    .tp_flags = (Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE
+                 | Py_TPFLAGS_HAVE_GC),
+    .tp_doc = "Compiled issue stage (see pipeline/kernels.py)",
+    .tp_traverse = (traverseproc)IssueStage_traverse,
+    .tp_clear = (inquiry)IssueStage_clear,
+    .tp_methods = IssueStage_methods,
+    .tp_init = (initproc)IssueStage_init,
+    .tp_new = PyType_GenericNew,
+};
+
 static PyMethodDef ckernels_functions[] = {
     {"rename_operands", (PyCFunction)ck_rename_operands, METH_FASTCALL,
      NULL},
@@ -4168,11 +4752,9 @@ PyInit__ckernels(void)
         || !str_penalty || !str_value_ready_cycle || !str_srcs
         || !str_is_mem || !str_freed || !zero_obj)
         return NULL;
-    for (size_t i = 0; i < sizeof(DISPATCH_NAMES) / sizeof(*DISPATCH_NAMES);
-         i++) {
-        *DISPATCH_NAMES[i].slot =
-            PyUnicode_InternFromString(DISPATCH_NAMES[i].name);
-        if (*DISPATCH_NAMES[i].slot == NULL)
+    for (size_t i = 0; i < sizeof(STAGE_NAMES) / sizeof(*STAGE_NAMES); i++) {
+        *STAGE_NAMES[i].slot = PyUnicode_InternFromString(STAGE_NAMES[i].name);
+        if (*STAGE_NAMES[i].slot == NULL)
             return NULL;
     }
     if (PyType_Ready(&EngineType) < 0)
@@ -4245,6 +4827,17 @@ PyInit__ckernels(void)
     if (PyModule_AddObject(module, "DispatchStage",
                            (PyObject *)&StageType) < 0) {
         Py_DECREF(&StageType);
+        Py_DECREF(module);
+        return NULL;
+    }
+    if (PyType_Ready(&IssueStageType) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    Py_INCREF(&IssueStageType);
+    if (PyModule_AddObject(module, "IssueStage",
+                           (PyObject *)&IssueStageType) < 0) {
+        Py_DECREF(&IssueStageType);
         Py_DECREF(module);
         return NULL;
     }

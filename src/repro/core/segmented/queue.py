@@ -233,6 +233,17 @@ class SegmentedIQ(InstructionQueue):
                  self._head_chains, self.stat_two_chain, self.stat_bypass,
                  self.stat_chain_heads)
             self._c_dispatch = True
+        # The compiled engine also runs select_issue, per-entry post-loop
+        # included, and takes the operand-wakeup hook itself: as an
+        # instance attribute, the engine's method is what producers call,
+        # with no Python frame per woken entry (an extension built before
+        # the issue stage has neither).
+        self._c_issue = False
+        if self._c_dispatch:
+            from repro.core.segmented import _ckernels
+            self._c_issue = hasattr(_ckernels, "IssueStage")
+        if self._c_issue:
+            self.on_entry_ready_known = self._engine.on_entry_ready_known
 
     # ------------------------------------------------------------ space --
     def attach_tracer(self, tracer) -> None:
@@ -388,6 +399,8 @@ class SegmentedIQ(InstructionQueue):
 
     # ------------------------------------------------------------ issue --
     def select_issue(self, now: int, acquire_fu) -> List[IQEntry]:
+        if self._c_issue:
+            return self._engine.select_issue(self, now, acquire_fu)
         self.now = now
         engine = self._engine
         engine.set_now(now)

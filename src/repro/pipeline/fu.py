@@ -131,15 +131,12 @@ class FUAcquire:
     plain lambdas — just calls it.
     """
 
-    __slots__ = ("_pool", "now")
+    __slots__ = ("_pool", "now", "fu_engine")
 
     def __init__(self, pool: FUPool) -> None:
         self._pool = pool
         self.now = 0
-
-    @property
-    def fu_engine(self):
-        return self._pool._engine
+        self.fu_engine = pool._engine
 
     def __call__(self, inst: DynInst) -> bool:
         return self._pool.try_issue(inst, self.now)

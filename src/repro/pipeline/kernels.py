@@ -19,10 +19,12 @@ the backend for *both* tiers, and the pure-Python fallback is always
 available.  The two backends are bit-identical — same cycles, same
 stats, same traces — pinned by ``tests/core/test_kernels.py``.
 
-Two stages of ``Processor`` have compiled twins with no column state of
-their own: the fused rename (:func:`rename_kernel`) and the whole
+Three stages of ``Processor`` have compiled twins with no column state
+of their own: the fused rename (:func:`rename_kernel`), the whole
 dispatch stage (:func:`dispatch_stage`, pinned untraced by
-``tests/pipeline/test_dispatch_stage.py``).
+``tests/pipeline/test_dispatch_stage.py``) and the issue stage with
+operand wakeup and completion (:func:`issue_stage`, pinned by
+``tests/pipeline/test_issue_stage.py``).
 
 Column layout (one heap per (FU class, cluster) pair, flattened):
 
@@ -146,6 +148,22 @@ def dispatch_stage():
     if _backend() == "compiled":
         from repro.core.segmented import _ckernels
         return getattr(_ckernels, "DispatchStage", None)
+    return None
+
+
+def issue_stage():
+    """The compiled issue stage type (C), or None on the py backend or
+    with an extension built before it existed.
+
+    ``IssueStage(processor, acquire, IQEntry).run(processor, now)`` runs
+    one cycle of Processor._issue in one call and fires each completion
+    (Processor._complete) from the compiled event queue as a typed
+    record; the processor keeps the Python methods as the fallback twins
+    (and for clustered, traced and invariant-checked runs).
+    """
+    if _backend() == "compiled":
+        from repro.core.segmented import _ckernels
+        return getattr(_ckernels, "IssueStage", None)
     return None
 
 

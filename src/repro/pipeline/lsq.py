@@ -272,8 +272,7 @@ class LoadStoreQueue:
         done = max(entry.addr_ready_cycle, entry.data_ready_cycle,
                    self._events.now)
         entry.completed = True
-        self._events.schedule_at(
-            done, lambda: self._mark_store_complete(entry, done))
+        self._events.schedule_at(done, self._mark_store_complete, entry)
 
     def _mark_store_complete(self, entry: LSQEntry, cycle: int) -> None:
         entry.inst.completed_cycle = cycle

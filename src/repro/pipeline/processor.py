@@ -1,9 +1,10 @@
 """Top-level cycle-accurate out-of-order processor model.
 
-Per-cycle stage order (see DESIGN.md section 7): drain memory events,
-commit, LSQ memory issue, IQ issue, IQ internal maintenance (promotion for
-the segmented design), dispatch, fetch.  Completions are event-scheduled at
-issue time, so wakeups become visible at the top of the completion cycle.
+Per-cycle stage order (see DESIGN.md section 7): fire due events
+(completions, memory fills), commit, LSQ memory issue, IQ issue, IQ
+internal maintenance (promotion for the segmented design), dispatch,
+fetch.  Completions are typed event records scheduled at issue time, so
+wakeups become visible at the top of the completion cycle.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.common.errors import ConfigurationError, DeadlockError
-from repro.common.events import EventQueue
+from repro.common.events import EventQueue, _PyEventQueue
 from repro.common.params import ProcessorParams
 from repro.common.stats import StatGroup
-from repro.core.iq_base import InstructionQueue, Operand
+from repro.core.iq_base import InstructionQueue, IQEntry, Operand
 from repro.core.segmented.links import NEVER
 from repro.frontend.fetch import FrontEnd
 from repro.isa.instruction import DynInst
@@ -24,7 +25,7 @@ from repro.isa.opcodes import FUClass, OpClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs.events import TraceEvent
 from repro.pipeline.fu import FUAcquire, FUPool
-from repro.pipeline.kernels import dispatch_stage, rename_kernel
+from repro.pipeline.kernels import dispatch_stage, issue_stage, rename_kernel
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
 
@@ -202,6 +203,18 @@ class Processor:
                 self.stat_dispatch_stall_iq, self.stat_dispatch_stall_chain,
                 self.stat_dispatched, OpClass.HALT, OpClass.NOP,
                 OpClass.JUMP).run
+        # Compiled issue stage: one C call per cycle runs _issue, and the
+        # completions it schedules fire in C from the compiled event
+        # queue.  Clustered, traced and invariant-checked runs keep the
+        # Python methods (cluster load, issue/writeback events, per-issue
+        # checks), and so does a processor whose event queue is not the
+        # compiled one (checked per cycle in step).
+        self._c_issue = None
+        stage = (issue_stage()
+                 if not self._clustered and tracer is None
+                 and self.invariant_checker is None else None)
+        if stage is not None and EventQueue is not _PyEventQueue:
+            self._c_issue = stage(self, self._fu_acquire, IQEntry).run
 
         # Event-driven cycle skipping (docs/performance.md).  Enabled only
         # inside run() so direct step() callers keep 1-call-per-cycle
@@ -342,7 +355,11 @@ class Processor:
         self.events.advance_to(now)
         self._commit(now)
         self.lsq.cycle(now)
-        self._issue(now)
+        c_issue = self._c_issue
+        if c_issue is not None and type(self.events) is EventQueue:
+            c_issue(self, now)
+        else:
+            self._issue(now)
         # Pending events imply instructions in execution (completions,
         # cache fills); the segmented IQ's deadlock detector (paper 4.5)
         # must not fire while any are outstanding.
@@ -507,6 +524,12 @@ class Processor:
 
     # ------------------------------------------------------------- issue --
     def _issue(self, now: int) -> None:
+        """Issue this cycle's selection and start it executing.
+
+        Completions are typed event records ``(self._complete, inst)``,
+        not closures.  The compiled issue stage (``_c_issue``) is its
+        operation-for-operation twin.
+        """
         acquire_fu = self._fu_acquire
         acquire_fu.now = now
         issued = self.iq.select_issue(now, acquire_fu)
@@ -532,16 +555,11 @@ class Processor:
             if inst.is_mem:
                 # The IQ issued the effective-address calculation (1-cycle
                 # add); the LSQ takes over once the address is available.
-                ea_cycle = now + 1
-                events.schedule_at(
-                    ea_cycle,
-                    lambda inst=inst, ea_cycle=ea_cycle:
-                        lsq.address_ready(inst, ea_cycle))
+                events.schedule_at(now + 1, lsq.address_ready, inst)
                 continue
             done = now + inst.latency
             inst.set_value_ready(done)
-            events.schedule_at(
-                done, lambda inst=inst, done=done: self._complete(inst, done))
+            events.schedule_at(done, self._complete, inst)
 
     def _complete(self, inst: DynInst, cycle: int) -> None:
         inst.completed_cycle = cycle

@@ -15,6 +15,12 @@ The dispatch ops run on a segmented IQ per engine, in the same machine:
 and the compiled ``plan``, whose twin is ``SegmentedIQ._plan``.  Their
 results are compared field by field, chains by cslot, together with the
 two queues' stats, RITs and producer wakeup lists.
+
+The same machine also drives the two function-unit engines of the
+pipeline tier (``PyPipelineEngine`` and the compiled ``Pipeline``) with
+``fu_accept``, ``fu_can_accept``, ``fu_cache_port`` and
+``fu_next_event``, comparing every answer and their issue and
+structural-stall counters.
 """
 
 import pytest
@@ -30,6 +36,7 @@ from repro.core.segmented import kernels
 from repro.core.segmented.chains import Chain
 from repro.core.segmented.queue import SegmentedIQ
 from repro.core.segmented.register_info import RITEntry
+from repro.pipeline.kernels import PyPipelineEngine
 
 NUM_SEGMENTS = 4
 CAPACITY = 6
@@ -37,6 +44,22 @@ THRESHOLDS = [0, 2, 4, 6]
 #: A queue whose engine has the shape above (thresholds 2 * j).
 QUEUE = IQParams(kind="segmented", size=NUM_SEGMENTS * CAPACITY,
                  segment_size=CAPACITY, threshold_step=2)
+
+
+#: Function units per class (split over FU_CLUSTERS clusters); the last
+#: class is the data-cache port.
+FU_COUNTS = [4, 2, 2]
+FU_CLUSTERS = 2
+FU_MEM_PORT = len(FU_COUNTS) - 1
+
+
+def _fu_engine(cls):
+    """A pipeline engine of that shape with its own counters."""
+    stats = StatGroup()
+    issued = [stats.counter(f"fu.{ci}.ops") for ci in range(len(FU_COUNTS))]
+    engine = cls(len(FU_COUNTS), FU_CLUSTERS, FU_COUNTS, FU_MEM_PORT, issued,
+                 stats.counter("fu.structural_stalls"), {})
+    return engine, stats
 
 
 def _queue(backend):
@@ -144,6 +167,9 @@ class EngineParity(RuleBasedStateMachine):
         self.chain_objs = {}
         self.predictors = (self.qpy.lrp, self.qpy.hmp,
                            self.qc.lrp, self.qc.hmp)
+        from repro.core.segmented import _ckernels
+        self.fu_py, self.fu_py_stats = _fu_engine(PyPipelineEngine)
+        self.fu_c, self.fu_c_stats = _fu_engine(_ckernels.Pipeline)
 
     # ------------------------------------------------------- helpers --
     def both(self, name, *args):
@@ -415,6 +441,34 @@ class EngineParity(RuleBasedStateMachine):
                    for w in waiters_p for q, e, _i in w)
         self.same_queues()
         self.live[state_p.slot] = entry_p
+
+    def both_fu(self, name, *args):
+        """Call ``name`` on both pipeline engines; results and counters
+        must agree."""
+        expected = getattr(self.fu_py, name)(*args)
+        got = getattr(self.fu_c, name)(*args)
+        assert got == expected, (name, args, got, expected)
+        assert self.fu_c_stats.as_dict() == self.fu_py_stats.as_dict()
+        return expected
+
+    @rule(ci=st.integers(min_value=0, max_value=len(FU_COUNTS) - 1),
+          cluster=st.integers(min_value=0, max_value=FU_CLUSTERS - 1),
+          occupancy=st.integers(min_value=1, max_value=6))
+    def fu_accept(self, ci, cluster, occupancy):
+        self.both_fu("fu_accept", ci, cluster, occupancy, self.now)
+
+    @rule(ci=st.integers(min_value=0, max_value=len(FU_COUNTS) - 1),
+          cluster=st.integers(min_value=0, max_value=FU_CLUSTERS - 1))
+    def fu_can_accept(self, ci, cluster):
+        self.both_fu("fu_can_accept", ci, cluster, self.now)
+
+    @rule()
+    def fu_cache_port(self):
+        self.both_fu("fu_cache_port", self.now)
+
+    @rule()
+    def fu_next_event(self):
+        self.both_fu("fu_next_event", self.now)
 
     # ---------------------------------------------------- invariants --
     @invariant()

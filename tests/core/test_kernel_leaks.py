@@ -9,7 +9,9 @@ runs have warmed every cache, each further run must free everything it
 allocated: the traced memory and the reference counts of the
 per-instruction classes (every live instance holds a reference to its
 class) and of the interned attribute names the C code passes around
-stay flat.
+stay flat.  A dense cell cut short by ``max_cycles`` leaves completions
+queued as typed event records; dropping it must free those too, and the
+event queue's record columns must take part in cycle collection.
 """
 
 import gc
@@ -18,6 +20,7 @@ import tracemalloc
 
 import pytest
 
+from repro.common.events import EventQueue, _PyEventQueue
 from repro.core.iq_base import IQEntry, Operand
 from repro.core.segmented import kernels
 from repro.core.segmented.chains import Chain
@@ -53,7 +56,36 @@ def test_repeated_python_iq_cell_leaks_nothing():
     _assert_flat(configs.ideal(512))
 
 
-def _assert_flat(params):
+def test_repeated_cut_short_dense_cell_leaks_nothing():
+    """Stopped by max_cycles mid-run, with completions still queued."""
+    _assert_flat(configs.segmented(512, 128, "comb"), max_cycles=300)
+
+
+def test_event_records_take_part_in_cycle_collection():
+    """A cycle through a typed record's argument is found by the
+    collector (EQ_traverse visits the column) and broken by clearing the
+    queue (EQ_clear releases it): the tuple cannot clear itself."""
+    if EventQueue is _PyEventQueue:
+        pytest.skip("compiled event queue not in use")
+
+    class Marker:
+        pass
+
+    # Every live Marker holds a reference to its class.  (A weak
+    # reference would not do: the collector clears those before it
+    # breaks the cycle.)
+    live = sys.getrefcount(Marker)
+    queue = EventQueue()
+    arg = (queue, Marker())
+    queue.schedule(5, print, arg)
+    assert any(ref is arg for ref in gc.get_referents(queue))
+    assert sys.getrefcount(Marker) == live + 1
+    del queue, arg
+    gc.collect()
+    assert sys.getrefcount(Marker) == live
+
+
+def _assert_flat(params, max_cycles=1_000_000):
     kernels.set_backend("compiled")
     try:
         kernels.backend()
@@ -71,8 +103,14 @@ def _assert_flat(params):
             assert processor._c_dispatch is not None
             assert getattr(processor.iq, "kernel_backend",
                            "compiled") == "compiled"
-            processor.run(max_cycles=1_000_000)
-            assert processor.committed == INSTRUCTIONS
+            processor.run(max_cycles=max_cycles)
+            if max_cycles < 1_000_000:
+                assert 0 < processor.committed < INSTRUCTIONS
+                assert len(processor.events)
+                if EventQueue is not _PyEventQueue:
+                    assert processor._c_issue is not None
+            else:
+                assert processor.committed == INSTRUCTIONS
             del processor
             gc.collect()
             samples.append((tracemalloc.get_traced_memory()[0],
