@@ -18,7 +18,7 @@ from repro.harness import configs
 from repro.harness.energy import EnergyModel, energy_per_instruction
 from repro.harness.reporting import format_table
 from repro.isa import execute
-from repro.pipeline import SMTProcessor
+from repro.pipeline import Processor
 from repro.workloads import WORKLOADS
 
 from benchmarks.conftest import BENCH_WORKLOADS, BUDGET_FACTOR, write_artifact
@@ -35,11 +35,11 @@ def run_smt(names, params):
     programs = [WORKLOADS[name].build(1) for name in names]
     streams = [execute(program, max_instructions=_budget(name))
                for name, program in zip(names, programs)]
-    processor = SMTProcessor(params, streams)
-    processor.warm_code(programs)
-    processor.warm_data(programs,
-                        threads=[i for i, name in enumerate(names)
-                                 if WORKLOADS[name].warm_data])
+    processor = Processor(params, streams)
+    for thread, (name, program) in enumerate(zip(names, programs)):
+        processor.warm_code(program, thread)
+        if WORKLOADS[name].warm_data:
+            processor.warm_data(program, thread)
     processor.run(max_cycles=5_000_000)
     return processor
 

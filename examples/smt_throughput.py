@@ -13,7 +13,7 @@ track the ideal's, the section-7 hypothesis holds.
 """
 
 from repro import WORKLOADS, configs, execute
-from repro.pipeline import SMTProcessor
+from repro.pipeline import Processor
 
 PAIRS = [("swim", "twolf"), ("equake", "vortex"), ("mgrid", "gcc")]
 BUDGET = 10_000
@@ -23,11 +23,11 @@ def run(names, params):
     programs = [WORKLOADS[name].build(1) for name in names]
     streams = [execute(program, max_instructions=BUDGET)
                for program in programs]
-    processor = SMTProcessor(params, streams)
-    processor.warm_code(programs)
-    processor.warm_data(programs,
-                        threads=[i for i, name in enumerate(names)
-                                 if WORKLOADS[name].warm_data])
+    processor = Processor(params, streams)
+    for thread, (name, program) in enumerate(zip(names, programs)):
+        processor.warm_code(program, thread)
+        if WORKLOADS[name].warm_data:
+            processor.warm_data(program, thread)
     processor.run(max_cycles=4_000_000)
     return processor
 

@@ -28,7 +28,7 @@ from repro.harness import RunResult, configs
 from repro import api, obs
 from repro.isa import (F, DynInst, Instruction, Opcode, Program,
                        ProgramBuilder, R, execute, run_functional)
-from repro.pipeline import Processor, SMTProcessor
+from repro.pipeline import Processor
 from repro.workloads import FP_BENCHMARKS, INT_BENCHMARKS, WORKLOADS
 
 __version__ = "1.0.0"
@@ -36,7 +36,6 @@ __version__ = "1.0.0"
 __all__ = [
     "DynInst", "F", "FP_BENCHMARKS", "INT_BENCHMARKS", "IQParams",
     "Instruction", "Opcode", "Processor", "ProcessorParams", "Program",
-    "SMTProcessor",
     "ProgramBuilder", "R", "RunResult", "StatGroup", "WORKLOADS",
     "__version__", "api", "configs", "execute", "ideal_iq_params", "obs",
     "prescheduled_iq_params", "run_functional", "segmented_iq_params",

@@ -8,6 +8,9 @@ Instead this module loads the shared object straight from its file path and
 registers it in ``sys.modules`` under its canonical name, so a later normal
 import (from ``kernels.py``) reuses the same module object.
 
+An extension older than its ``_ckernels.c`` source counts as absent — the
+rule ``python -m repro.core.segmented.build`` uses to decide a rebuild —
+so every extension that loads has every type the current source defines.
 Returns ``None`` quietly whenever the extension is unavailable or the user
 forced the pure-Python backend with ``REPRO_KERNELS=py``.  Because the swap
 happens at module import time, ``REPRO_KERNELS`` governs the stats/event
@@ -21,31 +24,49 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+from typing import Optional
 
 _MODULE_NAME = "repro.core.segmented._ckernels"
+_PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "core", "segmented")
 
 
-def compiled_kernels():
-    """Return the compiled ``_ckernels`` module, or ``None``."""
-    if os.environ.get("REPRO_KERNELS", "auto").strip().lower() == "py":
+def extension_path() -> Optional[str]:
+    """The built extension, or ``None`` when none is built or the built
+    one is older than ``_ckernels.c`` (a checkout without the source
+    accepts any build)."""
+    source = os.path.join(_PACKAGE_DIR, "_ckernels.c")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(_PACKAGE_DIR, "_ckernels" + suffix)
+        if not os.path.exists(path):
+            continue
+        if (os.path.exists(source)
+                and os.path.getmtime(path) < os.path.getmtime(source)):
+            return None
+        return path
+    return None
+
+
+def compiled_kernels(honor_env: bool = True):
+    """Return the compiled ``_ckernels`` module, or ``None`` when it is
+    not built, stale, fails to load or (``honor_env``) ``REPRO_KERNELS``
+    is ``py``."""
+    if (honor_env and os.environ.get("REPRO_KERNELS", "auto")
+            .strip().lower() == "py"):
         return None
     module = sys.modules.get(_MODULE_NAME)
     if module is not None:
         return module
-    base = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "core", "segmented")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(base, "_ckernels" + suffix)
-        if not os.path.exists(path):
-            continue
-        try:
-            spec = importlib.util.spec_from_file_location(_MODULE_NAME, path)
-            if spec is None or spec.loader is None:
-                return None
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-        except Exception:
+    path = extension_path()
+    if path is None:
+        return None
+    try:
+        spec = importlib.util.spec_from_file_location(_MODULE_NAME, path)
+        if spec is None or spec.loader is None:
             return None
-        sys.modules[_MODULE_NAME] = module
-        return module
-    return None
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except Exception:
+        return None
+    sys.modules[_MODULE_NAME] = module
+    return module

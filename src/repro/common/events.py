@@ -84,8 +84,6 @@ _PyEventQueue = EventQueue
 from repro.common._ckload import compiled_kernels as _compiled_kernels
 
 _ck = _compiled_kernels()
-if _ck is not None and hasattr(_ck, "IssueStage"):
-    # An extension built before typed records existed (it has no issue
-    # stage either) keeps the Python queue.
+if _ck is not None:
     EventQueue = _ck.EventQueue
 del _ck, _compiled_kernels

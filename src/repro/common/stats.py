@@ -224,7 +224,6 @@ from repro.common._ckload import compiled_kernels as _compiled_kernels
 
 _ck = _compiled_kernels()
 if _ck is not None:
-    # getattr: extensions built before these types existed stay loadable.
-    Counter = getattr(_ck, "Counter", Counter)
-    Distribution = getattr(_ck, "Distribution", Distribution)
+    Counter = _ck.Counter
+    Distribution = _ck.Distribution
 del _ck, _compiled_kernels

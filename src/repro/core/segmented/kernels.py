@@ -904,12 +904,11 @@ _FORCED: Optional[str] = None
 
 
 def _compiled_engine():
-    """The compiled Engine class, or None when unavailable."""
-    try:
-        from repro.core.segmented import _ckernels
-    except ImportError:
-        return None
-    return _ckernels.Engine
+    """The compiled Engine class, or None when the extension is not
+    built or is older than its source."""
+    from repro.common._ckload import compiled_kernels
+    module = compiled_kernels(honor_env=False)
+    return None if module is None else module.Engine
 
 
 def _requested() -> str:

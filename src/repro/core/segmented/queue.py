@@ -226,23 +226,16 @@ class SegmentedIQ(InstructionQueue):
         # bodies stay as the pure-Python twins.
         self._engine.bind_admit(SegmentState, RITEntry, IQEntry,
                                 self.stat_dispatched, PREDICTED_LOAD_LATENCY)
-        self._c_dispatch = False
-        bind = getattr(self._engine, "bind_dispatch", None)
-        if self._engine.kind == "compiled" and bind is not None:
-            bind(DispatchPlan, self._plan_cache, self.rit._entries,
-                 self._head_chains, self.stat_two_chain, self.stat_bypass,
-                 self.stat_chain_heads)
-            self._c_dispatch = True
-        # The compiled engine also runs select_issue, per-entry post-loop
-        # included, and takes the operand-wakeup hook itself: as an
-        # instance attribute, the engine's method is what producers call,
-        # with no Python frame per woken entry (an extension built before
-        # the issue stage has neither).
-        self._c_issue = False
+        self._c_dispatch = self._c_issue = self._engine.kind == "compiled"
         if self._c_dispatch:
-            from repro.core.segmented import _ckernels
-            self._c_issue = hasattr(_ckernels, "IssueStage")
-        if self._c_issue:
+            self._engine.bind_dispatch(
+                DispatchPlan, self._plan_cache, self.rit._entries,
+                self._head_chains, self.stat_two_chain, self.stat_bypass,
+                self.stat_chain_heads)
+            # The compiled engine also runs select_issue, per-entry
+            # post-loop included, and takes the operand-wakeup hook
+            # itself: as an instance attribute, the engine's method is
+            # what producers call, with no Python frame per woken entry.
             self.on_entry_ready_known = self._engine.on_entry_ready_known
 
     # ------------------------------------------------------------ space --

@@ -73,7 +73,7 @@ class MetricsCollector:
             "issue.utilization": ((issued - self._prev_issued)
                                   / (window * processor.params.issue_width)),
             "iq.occupancy": processor.iq.occupancy,
-            "rob.occupancy": len(processor.rob),
+            "rob.occupancy": sum(len(rob) for rob in processor.robs),
             "lsq.occupancy": processor.lsq.occupancy,
         }
         iq = processor.iq

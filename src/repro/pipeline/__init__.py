@@ -4,7 +4,6 @@ from repro.pipeline.fu import FUPool
 from repro.pipeline.lsq import FORWARD_LATENCY, LoadStoreQueue, LSQEntry
 from repro.pipeline.processor import Processor, build_iq
 from repro.pipeline.rob import ReorderBuffer
-from repro.pipeline.smt import SMTProcessor
 
 __all__ = ["FORWARD_LATENCY", "FUPool", "LSQEntry", "LoadStoreQueue",
-           "Processor", "ReorderBuffer", "SMTProcessor", "build_iq"]
+           "Processor", "ReorderBuffer", "build_iq"]

@@ -132,13 +132,12 @@ def rename_kernel():
     """
     if _backend() == "compiled":
         from repro.core.segmented import _ckernels
-        return getattr(_ckernels, "rename_operands", None)
+        return _ckernels.rename_operands
     return None
 
 
 def dispatch_stage():
-    """The compiled dispatch stage type (C), or None on the py backend
-    or with an extension built before it existed.
+    """The compiled dispatch stage type (C), or None on the py backend.
 
     ``DispatchStage(...).run(processor, now)`` runs one cycle of
     Processor._dispatch in one call; the processor keeps the Python loop
@@ -147,13 +146,12 @@ def dispatch_stage():
     """
     if _backend() == "compiled":
         from repro.core.segmented import _ckernels
-        return getattr(_ckernels, "DispatchStage", None)
+        return _ckernels.DispatchStage
     return None
 
 
 def issue_stage():
-    """The compiled issue stage type (C), or None on the py backend or
-    with an extension built before it existed.
+    """The compiled issue stage type (C), or None on the py backend.
 
     ``IssueStage(processor, acquire, IQEntry).run(processor, now)`` runs
     one cycle of Processor._issue in one call and fires each completion
@@ -163,7 +161,7 @@ def issue_stage():
     """
     if _backend() == "compiled":
         from repro.core.segmented import _ckernels
-        return getattr(_ckernels, "IssueStage", None)
+        return _ckernels.IssueStage
     return None
 
 
@@ -175,12 +173,8 @@ def make_engine(n_classes: int, clusters: int, counts: List[int],
         issue_keys = {}
     if _backend() == "compiled":
         from repro.core.segmented import _ckernels
-        pipeline = getattr(_ckernels, "Pipeline", None)
-        if pipeline is not None:
-            return pipeline(n_classes, clusters, counts, mem_port_index,
-                            list(issued_counters), structural_counter,
-                            issue_keys)
-        # Stale extension built before the pipeline tier existed: the
-        # pure-Python twin is bit-identical, so fall through quietly.
+        return _ckernels.Pipeline(n_classes, clusters, counts,
+                                  mem_port_index, list(issued_counters),
+                                  structural_counter, issue_keys)
     return PyPipelineEngine(n_classes, clusters, counts, mem_port_index,
                             issued_counters, structural_counter, issue_keys)

@@ -5,13 +5,23 @@ Per-cycle stage order (see DESIGN.md section 7): fire due events
 internal maintenance (promotion for the segmented design), dispatch,
 fetch.  Completions are typed event records scheduled at issue time, so
 wakeups become visible at the top of the completion cycle.
+
+With one stream per hardware thread (the paper's section-7 SMT study),
+threads share the IQ and its chains, the function units, the LSQ, the
+caches and the event queue; each has its own front end, rename map and
+an equal slice of the ROB.  Fetch is ICOUNT (the unfinished thread with
+the fewest ROB entries fetches at full width), dispatch bandwidth is
+shared least-loaded thread first, and commit is round-robin.  A thread's
+code and data live in its own address region (:func:`thread_stream`), so
+cache interference is real but the LSQ never matches across threads; a
+single stream runs unwrapped.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.common.errors import ConfigurationError, DeadlockError
 from repro.common.events import EventQueue, _PyEventQueue
@@ -28,6 +38,22 @@ from repro.pipeline.fu import FUAcquire, FUPool
 from repro.pipeline.kernels import dispatch_stage, issue_stage, rename_kernel
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
+
+#: Per-thread address-space offsets of a multi-thread run.
+DATA_SPACE_BYTES = 256 * 1024 * 1024
+CODE_SPACE_BYTES = 16 * 1024 * 1024
+
+
+def thread_stream(stream: Iterator[DynInst],
+                  thread: int) -> Iterator[DynInst]:
+    """Tag a dynamic stream with its hardware thread and shift its data
+    addresses into the thread's private region."""
+    data_offset = thread * DATA_SPACE_BYTES
+    for inst in stream:
+        inst.thread = thread
+        if inst.mem_addr is not None:
+            inst.mem_addr += data_offset
+        yield inst
 
 
 def build_iq(params: ProcessorParams, stats: StatGroup) -> InstructionQueue:
@@ -66,10 +92,10 @@ class _SkipReplay:
 
     One object per processor captures every stat the stepped loop would
     have touched over a quiescent cycle (core counters, ROB occupancy,
-    the dispatch-stall attribution) so a skip window is replayed with a
-    single call instead of a scatter of per-component lookups.  The
-    design-specific hooks (``iq.skip_cycles`` and friends) stay dynamic
-    attribute calls: tests and tools wrap them per instance.
+    the dispatch-stall attribution of every thread) so a skip window is
+    replayed with a single call instead of a scatter of per-component
+    lookups.  The design-specific hooks (``iq.skip_cycles`` and friends)
+    stay dynamic attribute calls: tests and tools wrap them per instance.
     """
 
     __slots__ = ("_proc", "_stat_cycles", "_stat_skipped", "_stat_windows",
@@ -85,7 +111,9 @@ class _SkipReplay:
         self._stall_iq = proc.stat_dispatch_stall_iq
         self._stall_chain = proc.stat_dispatch_stall_chain
 
-    def replay(self, now: int, count: int, stall: str) -> None:
+    def replay(self, now: int, count: int, stalls: List[str]) -> None:
+        """``stalls`` holds one cause per thread whose dispatch head was
+        blocked, in the order the stepped loop would have charged them."""
         self._stat_cycles.inc(count)
         self._stat_skipped.inc(count)
         self._stat_windows.inc()
@@ -93,30 +121,58 @@ class _SkipReplay:
         iq = proc.iq
         iq.skip_cycles(now, count)
         proc.lsq.skip_cycles(now, count)
-        proc.frontend.skip_cycles(now, count)
         rob = proc.rob      # dynamic: the ROB is swappable post-init
-        rob.stat_occupancy.sample_n(len(rob), count)
-        if stall == "rob":
-            rob.stat_full_stalls.inc(count)
-            self._stall_rob.inc(count)
-        elif stall == "lsq":
-            self._stall_lsq.inc(count)
-        elif stall == "iq":
-            self._stall_iq.inc(count)
-            # The probe's can_dispatch call already covered cycle `now`.
-            iq.skip_blocked_dispatch(count - 1)
-        elif stall == "chain":
-            self._stall_chain.inc(count)
-            iq.skip_blocked_dispatch(count - 1)
+        threads = proc.num_threads
+        if threads == 1:
+            proc.frontend.skip_cycles(now, count)
+            rob.stat_occupancy.sample_n(len(rob._entries), count)
+        else:
+            # ROB lengths are frozen over the window, so ICOUNT names the
+            # front end the probe checked.
+            fetcher = proc._icount()
+            if fetcher is not None:
+                fetcher.skip_cycles(now, count)
+            rob.stat_occupancy.sample_n(proc._rob_occupancy(), count)
+            proc._commit_rotor = (proc._commit_rotor + count) % threads
+        for stall in stalls:
+            if stall == "rob":
+                rob.stat_full_stalls.inc(count)
+                self._stall_rob.inc(count)
+            elif stall == "lsq":
+                self._stall_lsq.inc(count)
+                if threads > 1:
+                    # Each refused attempt drew a fresh global seq.
+                    proc._global_seq += count
+            elif stall == "iq":
+                self._stall_iq.inc(count)
+                # The probe's can_dispatch call already covered cycle `now`.
+                iq.skip_blocked_dispatch(count - 1)
+            elif stall == "chain":
+                self._stall_chain.inc(count)
+                iq.skip_blocked_dispatch(count - 1)
 
 
 class Processor:
-    """Dynamically scheduled superscalar core running a dynamic stream."""
+    """Dynamically scheduled superscalar core.  ``stream`` is one dynamic
+    stream, or a list of them, one per hardware thread."""
 
-    def __init__(self, params: ProcessorParams, stream: Iterator[DynInst],
+    def __init__(self, params: ProcessorParams,
+                 stream: Union[Iterator[DynInst], Sequence[Iterator[DynInst]]],
                  stats: Optional[StatGroup] = None, *,
                  tracer=None, metrics=None) -> None:
         params.validate()
+        streams = (list(stream) if isinstance(stream, (list, tuple))
+                   else [stream])
+        if not streams:
+            raise ConfigurationError("a processor needs at least one stream")
+        threads = len(streams)
+        if threads > 1:
+            if params.clusters > 1:
+                raise ConfigurationError(
+                    "multi-thread runs do not support clustering")
+            streams = [thread_stream(each, thread)
+                       for thread, each in enumerate(streams)]
+        self.num_threads = threads
         self.params = params
         # Hot-loop copies of per-cycle limits: attribute chains through
         # `params` show up in profiles at millions of cycles.
@@ -127,8 +183,12 @@ class Processor:
         self.stats = stats if stats is not None else StatGroup()
         self.events = EventQueue()
         self.memory = MemoryHierarchy(params.memory, self.events, self.stats)
-        self.frontend = FrontEnd(params, stream, self.memory.l1i,
-                                 self.events, self.stats)
+        self.frontends = [FrontEnd(params, each, self.memory.l1i,
+                                   self.events, self.stats)
+                          for each in streams]
+        for thread, frontend in enumerate(self.frontends):
+            frontend.code_base = thread * CODE_SPACE_BYTES
+        self.frontend = self.frontends[0]
         self.fu_pool = FUPool(params.fu_counts, self.stats, params.clusters)
         self._fu_acquire = FUAcquire(self.fu_pool)
         # Fused C rename loop (pipeline kernel tier); clustered configs
@@ -136,7 +196,11 @@ class Processor:
         self._c_rename = None if self._clustered else rename_kernel()
         self.iq = build_iq(params, self.stats)
         self._cluster_load = [0] * params.clusters
-        self.rob = ReorderBuffer(params.rob_size, self.stats)
+        rob_size = (params.rob_size if threads == 1
+                    else max(8, params.rob_size // threads))
+        #: One ROB per thread; ``rob`` is thread 0's.
+        self.robs = [ReorderBuffer(rob_size, self.stats)
+                     for _ in range(threads)]
         self.lsq = LoadStoreQueue(params.effective_lsq_size, self.memory,
                                   self.events, self.stats,
                                   iq=self.iq, fu_pool=self.fu_pool,
@@ -150,7 +214,8 @@ class Processor:
         # and guards each emission with `if tracer is not None`, so a
         # disabled tracer costs one attribute load per potential event.
         self.tracer = tracer
-        self.frontend.tracer = tracer
+        for frontend in self.frontends:
+            frontend.tracer = tracer
         self.lsq.tracer = tracer
         self.iq.attach_tracer(tracer)
         if metrics is not None and not hasattr(metrics, "sample"):
@@ -158,11 +223,21 @@ class Processor:
             metrics = MetricsCollector(metrics)
         self.metrics = metrics
 
-        self._last_writer: Dict[int, DynInst] = {}
+        #: Per-thread rename maps (architectural register -> last writer).
+        self._last_writers: List[Dict[int, DynInst]] = [
+            {} for _ in range(threads)]
+        self._last_writer = self._last_writers[0]
         self.cycle = 0
         self.committed = 0
-        self._halt_committed = False
+        self._halted = [False] * threads
         self._last_commit_cycle = 0
+        # Multi-thread bookkeeping: the global age order dispatch
+        # re-sequences instructions into, and the commit round-robin.
+        self._global_seq = 0
+        self._commit_rotor = 0
+        self._thread_committed = (
+            [self.stats.counter(f"thread{t}.committed")
+             for t in range(threads)] if threads > 1 else [])
 
         #: Called with (inst, cycle) the moment each instruction commits;
         #: the validation oracle uses this to record the retired stream.
@@ -189,13 +264,14 @@ class Processor:
             "clusters.cross_forwards",
             "operands forwarded across clusters (pay the bypass penalty)")
         # Compiled dispatch stage (pipeline kernel tier): one C call per
-        # cycle runs _dispatch's loop.  Clustered and traced runs keep
-        # the Python loop (steering, bypass penalties, dispatch events),
-        # and so does a non-stock ROB (checked per cycle in step: the
-        # ROB may be swapped after construction).
+        # cycle runs _dispatch's loop.  Clustered, traced and multi-thread
+        # runs keep the Python loop (steering, bypass penalties, dispatch
+        # events, thread arbitration), and so does a non-stock ROB
+        # (checked per cycle in step: the ROB may be swapped after
+        # construction).
+        single = not self._clustered and threads == 1
         self._c_dispatch = None
-        stage = (dispatch_stage()
-                 if not self._clustered and tracer is None else None)
+        stage = dispatch_stage() if single and tracer is None else None
         if stage is not None:
             self._c_dispatch = stage(
                 Operand, self._last_writer, self._dispatch_width,
@@ -205,13 +281,14 @@ class Processor:
                 OpClass.JUMP).run
         # Compiled issue stage: one C call per cycle runs _issue, and the
         # completions it schedules fire in C from the compiled event
-        # queue.  Clustered, traced and invariant-checked runs keep the
-        # Python methods (cluster load, issue/writeback events, per-issue
-        # checks), and so does a processor whose event queue is not the
-        # compiled one (checked per cycle in step).
+        # queue.  Clustered, traced, invariant-checked and multi-thread
+        # runs keep the Python methods (cluster load, issue/writeback
+        # events, per-issue checks, per-thread front ends), and so does a
+        # processor whose event queue is not the compiled one (checked per
+        # cycle in step).
         self._c_issue = None
         stage = (issue_stage()
-                 if not self._clustered and tracer is None
+                 if single and tracer is None
                  and self.invariant_checker is None else None)
         if stage is not None and EventQueue is not _PyEventQueue:
             self._c_issue = stage(self, self._fu_acquire, IQEntry).run
@@ -223,7 +300,7 @@ class Processor:
         self._event_driven = params.event_driven
         self._skip_enabled = False
         self._cycle_limit = 1 << 62
-        self._skip_stall = ""
+        self._skip_stalls: List[str] = []
         self.stat_skip_cycles = self.stats.counter(
             "skip.cycles_skipped",
             "quiescent cycles fast-forwarded without stepping")
@@ -231,9 +308,58 @@ class Processor:
             "skip.windows", "contiguous quiescent stretches skipped")
         self._skip_replay = _SkipReplay(self)
 
+    # ------------------------------------------------------------ threads --
+    @property
+    def rob(self) -> ReorderBuffer:
+        """Thread 0's ROB (the only one of a single-thread run)."""
+        return self.robs[0]
+
+    @rob.setter
+    def rob(self, rob: ReorderBuffer) -> None:
+        self.robs[0] = rob
+
+    def _rob_occupancy(self) -> int:
+        """Instructions buffered in every thread's ROB."""
+        return sum(len(rob._entries) for rob in self.robs)
+
+    def _thread_done(self, thread: int) -> bool:
+        return (self._halted[thread]
+                or (self.frontends[thread].drained
+                    and not self.robs[thread]._entries))
+
+    def _icount(self) -> Optional[FrontEnd]:
+        """The front end that fetches this cycle in a multi-thread run:
+        the unfinished thread with the fewest ROB entries (lowest thread
+        on a tie), or None when every thread is done."""
+        unfinished = [thread for thread in range(self.num_threads)
+                      if not self._thread_done(thread)]
+        if not unfinished:
+            return None
+        robs = self.robs
+        return self.frontends[min(
+            unfinished, key=lambda thread: len(robs[thread]._entries))]
+
+    def _dispatch_order(self) -> List[int]:
+        """Threads in dispatch order: least-loaded ROB first."""
+        robs = self.robs
+        return sorted(range(self.num_threads),
+                      key=lambda thread: len(robs[thread]._entries))
+
+    @property
+    def committed_per_thread(self) -> List[int]:
+        """Instructions each hardware thread committed."""
+        if self.num_threads == 1:
+            return [self.committed]
+        return [counter.value for counter in self._thread_committed]
+
+    def thread_ipc(self, thread: int) -> float:
+        """Instructions ``thread`` committed per cycle."""
+        return (self.committed_per_thread[thread] / self.cycle
+                if self.cycle else 0.0)
+
     # ------------------------------------------------------------ warmup --
-    def warm_code(self, program) -> None:
-        """Pre-install the program's code footprint in L1I and L2.
+    def warm_code(self, program, thread: int = 0) -> None:
+        """Pre-install ``thread``'s code footprint in L1I and L2.
 
         The paper simulates 100 M-instruction samples taken 20 B
         instructions into execution, i.e. with warm instruction caches; our
@@ -242,20 +368,22 @@ class Processor:
         """
         from repro.frontend.fetch import INST_BYTES
         line = self.params.memory.l1i.line_bytes
-        for byte_addr in range(0, len(program) * INST_BYTES, line):
+        base = thread * CODE_SPACE_BYTES
+        for byte_addr in range(base, base + len(program) * INST_BYTES, line):
             self.memory.l1i.warm_line(byte_addr)
             self.memory.l2.warm_line(byte_addr)
 
-    def warm_data(self, program) -> None:
-        """Pre-install the program's data segments in L2 (not L1D).
+    def warm_data(self, program, thread: int = 0) -> None:
+        """Pre-install ``thread``'s data segments in L2 (not L1D).
 
         Useful for modelling steady-state behaviour of kernels whose
         working set is L2-resident.
         """
         line = self.params.memory.l2.line_bytes
+        base = thread * DATA_SPACE_BYTES
         for segment in program.segments.values():
-            for byte_addr in range(segment.base, segment.base + segment.bytes,
-                                   line):
+            start = base + segment.base
+            for byte_addr in range(start, start + segment.bytes, line):
                 self.memory.l2.warm_line(byte_addr)
 
     def load_warm_state(self, warm: Dict[str, dict]) -> None:
@@ -277,8 +405,10 @@ class Processor:
     # --------------------------------------------------------------- run --
     @property
     def done(self) -> bool:
-        return (self._halt_committed
-                or (self.frontend.drained and len(self.rob) == 0))
+        if self.num_threads == 1:
+            return (self._halted[0]
+                    or (self.frontend.drained and not self.robs[0]._entries))
+        return all(map(self._thread_done, range(self.num_threads)))
 
     def run(self, max_cycles: Optional[int] = None, *,
             max_committed: Optional[int] = None,
@@ -353,7 +483,10 @@ class Processor:
                 self.events.advance_to(now)
                 wake = self._next_active_cycle(now)
         self.events.advance_to(now)
-        self._commit(now)
+        if self.num_threads == 1:
+            self._retire(0, self._commit_width, now)
+        else:
+            self._commit(now)
         self.lsq.cycle(now)
         c_issue = self._c_issue
         if c_issue is not None and type(self.events) is EventQueue:
@@ -367,13 +500,20 @@ class Processor:
         iq.in_flight = len(self.events)
         iq.last_commit_cycle = self._last_commit_cycle
         iq.cycle(now)
+        rob = self.robs[0]
         c_dispatch = self._c_dispatch
-        if c_dispatch is not None and type(self.rob) is ReorderBuffer:
+        if c_dispatch is not None and type(rob) is ReorderBuffer:
             c_dispatch(self, now)
         else:
             self._dispatch(now)
-        self.frontend.cycle(now)
-        self.rob.stat_occupancy.sample(len(self.rob))
+        if self.num_threads == 1:
+            self.frontend.cycle(now)
+            rob.stat_occupancy.sample(len(rob._entries))
+        else:
+            fetcher = self._icount()
+            if fetcher is not None:
+                fetcher.cycle(now)
+            rob.stat_occupancy.sample(self._rob_occupancy())
         metrics = self.metrics
         if metrics is not None and now >= metrics.next_cycle:
             metrics.sample(self, now)
@@ -384,8 +524,8 @@ class Processor:
         if now - self._last_commit_cycle > self._watchdog:
             raise DeadlockError(
                 f"no commit for {self.params.watchdog_cycles} cycles at "
-                f"cycle {now}: rob={len(self.rob)} iq={self.iq.occupancy} "
-                f"head={self.rob.head()!r}")
+                f"cycle {now}: rob={self._rob_occupancy()} "
+                f"iq={self.iq.occupancy} head={self.rob.head()!r}")
 
     @property
     def ipc(self) -> float:
@@ -400,18 +540,25 @@ class Processor:
         so every check only has to be conservative in that direction.  The
         dispatch probe runs last because ``can_dispatch`` has side effects
         (stall counters) and must be called exactly once per blocked cycle.
+
+        In a quiescent window no ROB changes length, so ICOUNT picks the
+        same front end and dispatch visits the threads in the same order
+        on every cycle of it: each thread's dispatch head is probed once.
         """
-        self._skip_stall = ""
+        stalls = self._skip_stalls = []
         ev = self.events.next_event_cycle()
         if 0 <= ev <= now:
             return now          # completions / fills land this cycle
         wake = ev if ev > now else NEVER
 
-        head = self.rob.head()
-        if head is not None and head.completed_cycle >= 0:
-            return now          # commit retires at least one entry
+        robs = self.robs
+        for rob in robs:
+            entries = rob._entries
+            if entries and entries[0].completed_cycle >= 0:
+                return now      # commit retires at least one entry
 
-        if self.lsq.has_candidates():
+        lsq = self.lsq
+        if lsq.has_candidates():
             return now          # a memory access may go to the cache
 
         iq = self.iq
@@ -438,48 +585,56 @@ class Processor:
         if deadline < wake:
             wake = deadline
 
-        fe = self.frontend
-        fe_wake = fe.next_event_cycle(now)
-        if fe_wake <= now:
-            return now
-        if fe_wake < wake:
-            wake = fe_wake
+        single = self.num_threads == 1
+        fetcher = self.frontend if single else self._icount()
+        if fetcher is not None:
+            fe_wake = fetcher.next_event_cycle(now)
+            if fe_wake <= now:
+                return now
+            if fe_wake < wake:
+                wake = fe_wake
 
-        # Dispatch: probe once, remember why it is blocked so the stall
-        # counters can be replayed for the whole stretch.
-        if now < self.lsq.violation_flush_until:
-            if self.lsq.violation_flush_until < wake:
-                wake = self.lsq.violation_flush_until
+        # Dispatch: probe each thread's head once, remember why it is
+        # blocked so the stall counters can be replayed for the whole
+        # stretch.
+        if now < lsq.violation_flush_until:
+            if lsq.violation_flush_until < wake:
+                wake = lsq.violation_flush_until
         else:
-            inst = fe.peek_dispatchable(now)
-            rob = self.rob
-            lsq = self.lsq
-            if inst is None:
-                if fe._pipeline and fe._pipeline[0][0] < wake:
-                    wake = fe._pipeline[0][0]
-            elif len(rob._entries) >= rob.size:     # has_space, inlined
-                self._skip_stall = "rob"
-            elif inst.op_class in (OpClass.HALT, OpClass.NOP,
-                                   OpClass.JUMP):
-                return now      # would dispatch (bypasses the IQ)
-            elif inst.is_mem and len(lsq._order) >= lsq.size:
-                self._skip_stall = "lsq"
-            else:
-                prev_iq_now = getattr(iq, "now", None)
-                if prev_iq_now is not None:
-                    iq.now = now
-                admitted = iq.can_dispatch(inst)
-                if prev_iq_now is not None:
-                    iq.now = prev_iq_now
-                if admitted:
+            for thread in (0,) if single else self._dispatch_order():
+                fe = self.frontends[thread]
+                inst = fe.peek_dispatchable(now)
+                rob = robs[thread]
+                if inst is None:
+                    if fe._pipeline and fe._pipeline[0][0] < wake:
+                        wake = fe._pipeline[0][0]
+                elif len(rob._entries) >= rob.size:  # has_space, inlined
+                    stalls.append("rob")
+                elif inst.op_class in (OpClass.HALT, OpClass.NOP,
+                                       OpClass.JUMP):
+                    return now  # would dispatch (bypasses the IQ)
+                elif inst.is_mem and len(lsq._order) >= lsq.size:
+                    stalls.append("lsq")
+                elif not single:
+                    # A multi-thread attempt re-sequences the head and
+                    # plans it afresh every cycle: step it.
                     return now
-                if getattr(iq, "blocked_on_chain", False):
-                    self._skip_stall = "chain"
                 else:
-                    self._skip_stall = "iq"
-                bd_wake = iq.blocked_dispatch_wake(now)
-                if bd_wake < wake:
-                    wake = bd_wake
+                    prev_iq_now = getattr(iq, "now", None)
+                    if prev_iq_now is not None:
+                        iq.now = now
+                    admitted = iq.can_dispatch(inst)
+                    if prev_iq_now is not None:
+                        iq.now = prev_iq_now
+                    if admitted:
+                        return now
+                    if getattr(iq, "blocked_on_chain", False):
+                        stalls.append("chain")
+                    else:
+                        stalls.append("iq")
+                    bd_wake = iq.blocked_dispatch_wake(now)
+                    if bd_wake < wake:
+                        wake = bd_wake
 
         if self._cycle_limit < wake:
             wake = self._cycle_limit
@@ -488,19 +643,36 @@ class Processor:
     def _apply_skip(self, now: int, count: int) -> None:
         """Replay the per-cycle accounting of ``count`` quiescent cycles
         [now, now+count) in O(1) (fused into one replay object)."""
-        self._skip_replay.replay(now, count, self._skip_stall)
+        self._skip_replay.replay(now, count, self._skip_stalls)
 
     # ------------------------------------------------------------ commit --
     def _commit(self, now: int) -> None:
-        rob_entries = self.rob._entries
+        """Multi-thread commit: threads share ``commit_width`` round-robin,
+        starting one thread later each cycle (one thread retires through
+        :meth:`_retire` directly)."""
+        threads = self.num_threads
+        budget = self._commit_width
+        rotor = self._commit_rotor
+        for offset in range(threads):
+            if budget <= 0:
+                break
+            thread = (rotor + offset) % threads
+            retired = self._retire(thread, budget, now)
+            self._thread_committed[thread].inc(retired)
+            budget -= retired
+        self._commit_rotor = (rotor + 1) % threads
+
+    def _retire(self, thread: int, budget: int, now: int) -> int:
+        """Commit up to ``budget`` instructions from ``thread``'s ROB;
+        returns how many."""
+        rob_entries = self.robs[thread]._entries
         if not rob_entries:
-            return
+            return 0
         lsq = self.lsq
         listeners = self.commit_listeners
         tracer = self.tracer
         committed = 0
-        width = self._commit_width
-        while committed < width and rob_entries:
+        while committed < budget and rob_entries:
             inst = rob_entries[0]
             completed = inst.completed_cycle
             if completed < 0 or completed > now:
@@ -510,7 +682,7 @@ class Processor:
             if inst.is_mem:
                 lsq.commit(inst, now)
             if inst.static.is_halt:
-                self._halt_committed = True
+                self._halted[thread] = True
             committed += 1
             if tracer is not None:
                 tracer.emit(TraceEvent(cycle=now, kind="commit",
@@ -521,6 +693,7 @@ class Processor:
         if committed:
             self.committed += committed
             self._last_commit_cycle = now
+        return committed
 
     # ------------------------------------------------------------- issue --
     def _issue(self, now: int) -> None:
@@ -577,43 +750,68 @@ class Processor:
                                        seq=inst.seq, pc=inst.pc,
                                        op=inst.static.opcode.value,
                                        info="branch_mispredict"))
-            self.frontend.branch_resolved(inst, cycle)
+            self.frontends[inst.thread].branch_resolved(inst, cycle)
 
     # ---------------------------------------------------------- dispatch --
     def _dispatch(self, now: int) -> None:
-        """Dispatch up to ``dispatch_width`` decoded instructions.
+        """Dispatch up to ``dispatch_width`` decoded instructions; threads
+        share the bandwidth, least-loaded ROB first.
+
+        The compiled dispatch stage (``_c_dispatch``) is the
+        operation-for-operation twin of a single-thread call.
+        """
+        if now < self.lsq.violation_flush_until:
+            return      # squash penalty after a memory-order violation
+        width = self._dispatch_width
+        dispatched = 0
+        order = (0,) if self.num_threads == 1 else self._dispatch_order()
+        for thread in order:
+            if dispatched >= width:
+                break
+            dispatched += self._dispatch_thread(thread, width - dispatched,
+                                                now)
+        if dispatched:
+            self.stat_dispatched.inc(dispatched)
+
+    def _dispatch_thread(self, thread: int, budget: int, now: int) -> int:
+        """Dispatch up to ``budget`` of ``thread``'s decoded instructions;
+        returns how many went.
 
         One flat loop (rename and per-instruction admission checks
         inlined): this runs for every instruction the machine executes,
         so each helper call and repeated attribute chain costs real
-        simulator throughput.  The compiled dispatch stage
-        (``_c_dispatch``) is its operation-for-operation twin.
+        simulator throughput.
         """
-        lsq = self.lsq
-        if now < lsq.violation_flush_until:
-            return      # squash penalty after a memory-order violation
-        pipeline = self.frontend._pipeline
+        frontend = self.frontends[thread]
+        pipeline = frontend._pipeline
         if not pipeline or pipeline[0][0] > now:
-            return
-        rob = self.rob
+            return 0
+        lsq = self.lsq
+        rob = self.robs[thread]
         rob_entries = rob._entries
         rob_size = rob.size
         # Admission is inlined only for the stock ROB; a subclass (e.g.
         # the negative-testing BrokenROB) keeps its dispatch override.
         plain_rob = type(rob) is ReorderBuffer
+        # Threads share the IQ and LSQ, which order by seq: each
+        # instruction is re-sequenced into one global age order as it
+        # tries to dispatch.
+        resequence = self.num_threads > 1
         iq = self.iq
         tracer = self.tracer
         clustered = self._clustered
         c_rename = self._c_rename
-        last_writer = self._last_writer
+        last_writer = self._last_writers[thread]
         dispatched = 0
-        width = self._dispatch_width
-        while dispatched < width and pipeline and pipeline[0][0] <= now:
+        while dispatched < budget and pipeline and pipeline[0][0] <= now:
             inst = pipeline[0][1]
             if len(rob_entries) >= rob_size:
                 rob.stat_full_stalls.inc()
                 self.stat_dispatch_stall_rob.inc()
                 break
+            if resequence:
+                inst.seq = self._global_seq
+                self._global_seq += 1
             op_class = inst.op_class
 
             if op_class in (OpClass.HALT, OpClass.NOP, OpClass.JUMP):
@@ -633,7 +831,7 @@ class Processor:
                         cycle=now, kind="dispatch", seq=inst.seq, pc=inst.pc,
                         op=inst.static.opcode.value, info="bypass_iq"))
                 if inst.mispredicted and op_class is OpClass.JUMP:
-                    self.frontend.branch_resolved(inst, now)
+                    frontend.branch_resolved(inst, now)
                 pipeline.popleft()
                 dispatched += 1
                 continue
@@ -652,7 +850,7 @@ class Processor:
             if clustered:
                 inst.cluster = self._steer_cluster(inst, now)
                 self._cluster_load[inst.cluster] += 1
-            # Rename (inlined _operand_for over the IQ-relevant sources).
+            # Rename the IQ-relevant sources.
             srcs = inst.srcs
             if c_rename is not None:
                 operands = c_rename(Operand, last_writer, srcs,
@@ -681,7 +879,8 @@ class Processor:
                 rob.dispatch(inst)
             inst.dispatched_cycle = now
             if is_mem:
-                data_ready, data_producer = self._store_data_operand(inst)
+                data_ready, data_producer = self._store_data_operand(
+                    inst, last_writer)
                 lsq.dispatch(inst, data_ready, data_producer)
             entry = iq.dispatch(inst, operands, now)
             if tracer is not None:
@@ -697,8 +896,7 @@ class Processor:
                 last_writer[dest] = inst
             pipeline.popleft()
             dispatched += 1
-        if dispatched:
-            self.stat_dispatched.inc(dispatched)
+        return dispatched
 
     def _steer_cluster(self, inst: DynInst, now: int) -> int:
         """Pick an execution cluster (section-7 horizontal clustering)."""
@@ -715,29 +913,13 @@ class Processor:
         return min(range(self.params.clusters),
                    key=lambda c: self._cluster_load[c])
 
-    def _operand_for(self, reg: int,
-                     consumer: Optional[DynInst] = None) -> Operand:
-        if reg == 0:
-            return Operand(reg=reg, ready_cycle=0)
-        producer = self._last_writer.get(reg)
-        if producer is None:
-            return Operand(reg=reg, ready_cycle=0)
-        penalty = 0
-        if (self._clustered and consumer is not None
-                and producer.cluster != consumer.cluster
-                and producer.completed_cycle < 0):
-            penalty = self.params.cluster_bypass_penalty
-            self.stat_cross_cluster.inc()
-        ready = producer.value_ready_cycle
-        if ready is not None:
-            ready += penalty
-            penalty = 0     # already folded in; no late wakeup will come
-        return Operand(reg=reg, producer=producer, ready_cycle=ready,
-                       penalty=penalty)
-
-    def _store_data_operand(self, inst: DynInst):
+    @staticmethod
+    def _store_data_operand(inst: DynInst, last_writer: Dict[int, DynInst]):
+        """(ready cycle, producer) of a store's data register."""
         if not inst.is_store:
             return None, None
-        data_reg = inst.srcs[1]
-        operand = self._operand_for(data_reg)
-        return operand.ready_cycle, operand.producer
+        reg = inst.srcs[1]
+        producer = last_writer.get(reg) if reg != 0 else None
+        if producer is None:
+            return 0, None
+        return producer.value_ready_cycle, producer

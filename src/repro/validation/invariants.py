@@ -7,7 +7,7 @@ ROB, LSQ, and IQ, and layers cross-structure and cross-cycle checks on
 top:
 
 * **ROB/IQ membership agreement** — every buffered (un-issued) IQ entry
-  must still be in the ROB;
+  must still be in its thread's ROB;
 * **monotonic pushdown** — an entry's segment index only decreases over
   time (instructions move *toward* issue), except in the cycle a deadlock
   recovery recycles segment-0 entries to the top;
@@ -47,19 +47,20 @@ class InvariantChecker:
         """Run every invariant against the current pipeline state."""
         processor = self.processor
         self.checks_run += 1
-        processor.rob.check(now)
+        for rob in processor.robs:
+            rob.check(now)
         processor.lsq.check(now)
         iq = processor.iq
         iq.check(now)
-        self._check_membership(iq, processor.rob, now)
+        self._check_membership(iq, processor.robs, now)
         self._check_segment_monotonicity(iq, now)
 
-    def _check_membership(self, iq, rob, now: int) -> None:
-        """Every buffered IQ entry must still be tracked by the ROB."""
+    def _check_membership(self, iq, robs, now: int) -> None:
+        """Every buffered IQ entry must still be tracked by a ROB."""
         entries = list(iq.iter_entries())
         if not entries:
             return
-        rob_seqs = {inst.seq for inst in rob.members()}
+        rob_seqs = {inst.seq for rob in robs for inst in rob.members()}
         for entry in entries:
             if entry.seq not in rob_seqs:
                 raise InvariantViolation(

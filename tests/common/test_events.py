@@ -17,13 +17,11 @@ from repro.common.events import _PyEventQueue
 
 
 def _compiled_queue():
-    """The compiled EventQueue class with typed records, or None."""
+    """The compiled EventQueue class, or None."""
     try:
         from repro.core.segmented import _ckernels
     except ImportError:
         return None
-    if not hasattr(_ckernels, "IssueStage"):
-        return None     # built before typed records existed
     return _ckernels.EventQueue
 
 

@@ -188,8 +188,7 @@ def test_pipeline_engine_op_parity():
     cache-port claims, next-event horizons, and every stat increment."""
     (py_engine, py_issued, py_structural,
      c_engine, c_issued, c_structural) = _pipeline_engines()
-    if c_engine.kind != "compiled":
-        pytest.skip("extension predates the pipeline tier")
+    assert c_engine.kind == "compiled"
     ops = [("accept", 0, 0, 3, 0), ("accept", 0, 0, 3, 0),
            ("accept", 0, 1, 2, 0), ("can", 0, 0, 1), ("can", 0, 0, 3),
            ("port", 0), ("port", 0), ("port", 1), ("next", 0),
@@ -226,8 +225,7 @@ def test_rename_kernel_matches_python_loop():
         fused = rename_kernel()
     finally:
         kernels.set_backend(None)
-    if fused is None:
-        pytest.skip("extension predates the rename kernel")
+    assert fused is not None
 
     class _Producer:
         def __init__(self, ready):
@@ -264,17 +262,36 @@ class TestPipelineGracefulFallback:
         finally:
             kernels.set_backend(None)
 
-    @requires_compiled
-    def test_stale_extension_falls_back_quietly(self, monkeypatch):
-        """An extension built before the pipeline tier existed lacks
-        the Pipeline type: make_engine falls back to the bit-identical
-        Python twin instead of raising."""
-        from repro.core.segmented import _ckernels
-        from repro.pipeline.kernels import PyPipelineEngine, make_engine
-        monkeypatch.delattr(_ckernels, "Pipeline")
-        kernels.set_backend("compiled")
+    def test_stale_extension_is_not_loaded(self, tmp_path, monkeypatch):
+        """An extension older than its _ckernels.c counts as absent, the
+        rule the build uses to decide a rebuild: no stale build loads, so
+        every loaded one has every type the source defines."""
+        import importlib.machinery
+        import os
+        import sys
+        from repro.common import _ckload
+        built = tmp_path / (
+            "_ckernels" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        source = tmp_path / "_ckernels.c"
+        built.write_bytes(b"")
+        source.write_text("")
+        os.utime(built, (1_000, 1_000))
+        os.utime(source, (2_000, 2_000))
+        monkeypatch.setattr(_ckload, "_PACKAGE_DIR", str(tmp_path))
+        assert _ckload.extension_path() is None
+        # Nothing is loaded from a stale build, and the backend is py.
+        monkeypatch.delitem(sys.modules, _ckload._MODULE_NAME,
+                            raising=False)
+        assert _ckload.compiled_kernels(honor_env=False) is None
+        kernels.set_backend("auto")
         try:
-            engine = make_engine(1, 1, [2], 0, [_Counter()], _Counter())
-            assert isinstance(engine, PyPipelineEngine)
+            assert kernels.backend() == "py"
         finally:
             kernels.set_backend(None)
+        # A build at least as new as its source is found; so is any
+        # build in a checkout without the source.
+        os.utime(built, (3_000, 3_000))
+        assert _ckload.extension_path() == str(built)
+        os.utime(built, (1_000, 1_000))
+        source.unlink()
+        assert _ckload.extension_path() == str(built)

@@ -5,7 +5,7 @@ import pytest
 from repro.common import ConfigurationError, ProcessorParams
 from repro.harness import configs
 from repro.isa import execute
-from repro.pipeline import Processor, SMTProcessor
+from repro.pipeline import Processor
 from repro.pipeline.fu import FUPool
 from repro.common import StatGroup
 from repro.isa import Instruction, Opcode
@@ -41,7 +41,7 @@ class TestConfiguration:
 
     def test_smt_rejects_clustering(self):
         with pytest.raises(ConfigurationError):
-            SMTProcessor(clustered(), [iter([])])
+            Processor(clustered(), [iter([]), iter([])])
 
 
 class TestClusteredFUPool:

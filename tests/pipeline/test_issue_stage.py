@@ -48,8 +48,7 @@ def _compiled_stage_available() -> bool:
     if not _compiled_backend_built():
         return False
     from repro.core.segmented import _ckernels
-    return (hasattr(_ckernels, "IssueStage")
-            and EventQueue is _ckernels.EventQueue)
+    return EventQueue is _ckernels.EventQueue
 
 
 requires_stage = pytest.mark.skipif(
@@ -227,18 +226,16 @@ def test_python_stage_runs(case, monkeypatch):
 
 @requires_stage
 def test_extension_without_stage_falls_back(monkeypatch):
-    """An extension lacking IssueStage runs the Python twins (the
-    processor's and the segmented IQ's select_issue) with the same
-    results."""
-    from repro.core.segmented import _ckernels
+    """A processor that binds no IssueStage runs the Python twins
+    (Processor._issue and _complete) with the same results."""
+    from repro.pipeline import processor as processor_module
     params = configs.segmented(512, 128, "comb")
     with_stage, digest = _simulate(params, "swim", "compiled")
     assert with_stage.iq._c_issue
-    monkeypatch.delattr(_ckernels, "IssueStage")
+    monkeypatch.setattr(processor_module, "issue_stage", lambda: None)
     calls = _count_python_stage(monkeypatch)
     without, fallback_digest = _simulate(params, "swim", "compiled")
     assert without._c_issue is None
-    assert not without.iq._c_issue
     assert calls["issue"] and calls["complete"]
     assert without.cycle == with_stage.cycle
     assert without.stats.as_dict() == with_stage.stats.as_dict()

@@ -1,12 +1,20 @@
 """Tentpole acceptance: every IQ model agrees with the architectural
-oracle on 50 seeded random programs, with invariant checking enabled."""
+oracle on 50 seeded random programs, with invariant checking enabled,
+and every thread of a two-thread run retires its own golden stream."""
 
 import math
 
+import pytest
+
+from repro.core.registry import registered_models
+from repro.isa import execute
+from repro.pipeline import Processor
+from repro.pipeline.processor import DATA_SPACE_BYTES
 from repro.validation import run_campaign
 from repro.validation.generator import FuzzProfile, build_fuzz_program
-from repro.validation.oracle import (differential_check, golden_reference,
-                                     run_pipeline, values_equal)
+from repro.validation.oracle import (DEFAULT_MAX_CYCLES, differential_check,
+                                     golden_reference, run_pipeline,
+                                     values_equal)
 from repro.validation.campaign import validation_models
 
 NUM_PROGRAMS = 50
@@ -58,3 +66,33 @@ class TestOracleMachinery:
         program = build_fuzz_program(FuzzProfile(seed=6))
         _, processor = run_pipeline(program, validation_models()["ideal"])
         assert processor.invariant_checker is None
+
+
+class TestMultiThreadOracle:
+    """Each thread of a two-thread run retires exactly its own program's
+    golden stream."""
+
+    @pytest.mark.parametrize("kind", sorted(registered_models()))
+    def test_each_thread_retires_its_golden_stream(self, kind):
+        programs = [build_fuzz_program(FuzzProfile(seed=seed))
+                    for seed in (21, 22)]
+        params = registered_models()[kind].conformance_config().replace(
+            check_invariants=True)
+        processor = Processor(params, [execute(p) for p in programs])
+        for thread, program in enumerate(programs):
+            processor.warm_code(program, thread)
+        retired = [[] for _ in programs]
+        processor.commit_listeners.append(
+            lambda inst, cycle: retired[inst.thread].append(inst))
+        processor.run(max_cycles=DEFAULT_MAX_CYCLES)
+        assert processor.done
+        for thread, program in enumerate(programs):
+            _, golden = golden_reference(program)
+            got = retired[thread]
+            offset = thread * DATA_SPACE_BYTES
+            assert len(got) == len(golden)
+            assert [(d.pc, d.static) for d in got] == \
+                [(d.pc, d.static) for d in golden]
+            assert [None if d.mem_addr is None else d.mem_addr - offset
+                    for d in got] == [d.mem_addr for d in golden]
+            assert processor.committed_per_thread[thread] == len(golden)
