@@ -13,11 +13,6 @@ Commands:
 * ``validate`` — differential-oracle fuzzing campaign (docs/validation.md)
 * ``surrogate`` — analytical-IPC surrogate validation report: predicted
   vs simulated IPC over the reference grid (docs/models.md)
-* ``serve``   — start the simulation job service (docs/service.md)
-* ``submit`` / ``status`` / ``cancel`` / ``fetch`` — job-service client:
-  submit run/sample/surrogate/sweep jobs to a served instance, poll or
-  stream their progress, cancel them, download results and trace
-  artifacts
 
 Every simulation command accepts the same common flags — ``--jobs N``
 (worker fan-out where the command has independent cells; see
@@ -431,136 +426,6 @@ def cmd_surrogate(args) -> int:
     return 0 if report["within_bound"] else 1
 
 
-def cmd_serve(args) -> int:
-    import asyncio
-
-    from repro.harness.cache import GCPolicy
-    from repro.service import ServiceConfig, SimulationService, run_server
-
-    weights = {}
-    if args.weights:
-        for pair in args.weights.split(","):
-            tenant, _sep, weight = pair.partition("=")
-            weights[tenant.strip()] = float(weight or 1.0)
-    config = ServiceConfig(
-        store_dir=args.store, jobs=_jobs(args, default=2),
-        max_depth=args.max_depth, max_tenant_depth=args.max_tenant_depth,
-        default_timeout=args.timeout, weights=weights,
-        journal_fsync=not args.no_fsync,
-        gc_policy=GCPolicy(max_bytes=args.gc_bytes or None,
-                           max_age_seconds=args.gc_age or None))
-    service = SimulationService(config)
-    resumed = service.metrics.counters["resumed"]
-    if resumed:
-        print(f"resumed {resumed} incomplete job(s) from the journal",
-              file=sys.stderr)
-
-    def ready(server):
-        print(f"serving on http://{server.host}:{server.port} "
-              f"(store: {config.store_dir})", file=sys.stderr, flush=True)
-
-    try:
-        asyncio.run(run_server(service, host=args.host, port=args.port,
-                               ready=ready))
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def _service_client(args):
-    from repro.service import ServiceClient
-    return ServiceClient(args.host, args.port)
-
-
-def cmd_submit(args) -> int:
-    client = _service_client(args)
-    if args.body:
-        with open(args.body) as handle:
-            body = json.load(handle)
-    else:
-        if not args.workload:
-            raise SystemExit("submit needs a workload (or --body FILE)")
-        body = {"kind": args.kind, "workload": args.workload,
-                "config": {"iq": args.iq, "size": args.size,
-                           "segment_size": args.segment_size,
-                           "chains": args.chains, "variant": args.variant},
-                "max_instructions": args.instructions}
-        if args.trace_format:
-            body["trace"] = args.trace_format
-        if args.kind == "sample":
-            body["sampling"] = {"windows": args.windows,
-                                "warmup": args.warmup,
-                                "measure": args.measure}
-    if args.timeout:
-        body["timeout"] = args.timeout
-    job = client.submit(body, tenant=args.tenant)
-    print(f"{job['id']}  {job['state']}"
-          + (f"  (dedupe: {job['dedupe']})" if job.get("dedupe") else ""))
-    if args.watch:
-        for event in client.watch(job["id"]):
-            if event["event"] == "tick":
-                print(f"  cycle {event.get('cycle', 0):>9,}  "
-                      f"committed {event.get('committed', 0):>9,}",
-                      file=sys.stderr)
-    if args.wait or args.watch:
-        final = client.wait(job["id"])
-        print(f"{job['id']}  {final['state']}"
-              + (f"  error: {final['error']}" if final.get("error") else ""))
-        if final["state"] == "done":
-            record = client.result(job["id"])
-            result = record.get("result") or {}
-            if "ipc" in result:
-                print(f"  IPC {result['ipc']:.4f}  "
-                      f"({result.get('cycles', 0):,} cycles)")
-            if args.json:
-                _write_json(args.json, record)
-        return 0 if final["state"] == "done" else 1
-    return 0
-
-
-def cmd_status(args) -> int:
-    client = _service_client(args)
-    if args.job:
-        record = client.status(args.job)
-        print(json.dumps(record, indent=2, sort_keys=True))
-        return 0
-    jobs = client.jobs(tenant=args.for_tenant or None)
-    for record in jobs:
-        dedupe = f"  [{record['dedupe']}]" if record.get("dedupe") else ""
-        print(f"{record['id']}  {record['state']:<9}  "
-              f"{record['tenant']:<10}  {record['kind']}{dedupe}")
-    snapshot = client.metrics()
-    gauges = snapshot["gauges"]
-    print(f"\nqueued {gauges['queued']}  running {gauges['running']}  "
-          f"tracked {gauges['jobs_tracked']}", file=sys.stderr)
-    return 0
-
-
-def cmd_cancel(args) -> int:
-    client = _service_client(args)
-    answer = client.cancel(args.job)
-    print(f"{args.job}  {answer['state']}"
-          + ("" if answer["cancelled"] else "  (already terminal)"))
-    return 0 if answer["cancelled"] else 1
-
-
-def cmd_fetch(args) -> int:
-    client = _service_client(args)
-    if args.artifact:
-        data = client.fetch_artifact(args.job)
-        out = args.out or f"{args.job}-trace"
-        with open(out, "wb") as handle:
-            handle.write(data)
-        print(f"{len(data)} bytes written to {out}")
-        return 0
-    record = client.result(args.job)
-    if args.out:
-        _write_json(args.out, record)
-    else:
-        print(json.dumps(record, indent=2, sort_keys=True))
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -691,85 +556,6 @@ def main(argv=None) -> int:
                                   help="small grid / budgets "
                                        "(CI smoke mode)")
 
-    serve_parser = sub.add_parser(
-        "serve", help="start the simulation job service (docs/service.md)",
-        parents=[common])
-    serve_parser.add_argument("--store", default=".repro-service",
-                              help="service state directory (journal, "
-                                   "cache, results, artifacts)")
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=8421,
-                              help="listen port (0 picks a free one)")
-    serve_parser.add_argument("--max-depth", type=int, default=64,
-                              help="pending-job bound before 429s")
-    serve_parser.add_argument("--max-tenant-depth", type=int, default=32,
-                              help="per-tenant pending-job bound")
-    serve_parser.add_argument("--timeout", type=float, default=600.0,
-                              help="per-job wall-clock budget (seconds)")
-    serve_parser.add_argument("--weights", default="",
-                              help="fair-share weights, e.g. 'ci=2,dev=1'")
-    serve_parser.add_argument("--gc-bytes", type=int,
-                              default=256 * 1024 * 1024,
-                              help="result/cache store size bound (0: off)")
-    serve_parser.add_argument("--gc-age", type=float, default=7 * 86400,
-                              help="result/cache entry age bound (0: off)")
-    serve_parser.add_argument("--no-fsync", action="store_true",
-                              help="skip fsync on journal appends (faster, "
-                                   "loses crash-safety)")
-
-    client_common = argparse.ArgumentParser(add_help=False)
-    client_common.add_argument("--host", default="127.0.0.1")
-    client_common.add_argument("--port", type=int, default=8421)
-    client_common.add_argument("--tenant", default="default")
-
-    submit_parser = sub.add_parser(
-        "submit", help="submit a job to a served instance",
-        parents=[client_common, config])
-    submit_parser.add_argument("workload", nargs="?", default="",
-                               choices=sorted(WORKLOADS) + [""])
-    submit_parser.add_argument("--kind", default="run",
-                               choices=["run", "sample", "surrogate"])
-    submit_parser.add_argument("--body", default="", metavar="FILE",
-                               help="raw JSON submission body (any kind, "
-                                    "including sweep); overrides the flags")
-    submit_parser.add_argument("--trace-format", default="",
-                               choices=["", "jsonl", "chrome"],
-                               help="also record a trace artifact "
-                                    "(fetch with 'fetch --artifact')")
-    submit_parser.add_argument("--timeout", type=float, default=0.0,
-                               help="per-job wall-clock budget override")
-    submit_parser.add_argument("--windows", type=int, default=10)
-    submit_parser.add_argument("--warmup", type=int, default=500)
-    submit_parser.add_argument("--measure", type=int, default=500)
-    submit_parser.add_argument("--wait", action="store_true",
-                               help="block until the job finishes")
-    submit_parser.add_argument("--watch", action="store_true",
-                               help="stream heartbeats until it finishes")
-    submit_parser.add_argument("--json", default="", metavar="PATH",
-                               help="write the final result record here")
-
-    status_parser = sub.add_parser(
-        "status", help="one job's record, or the whole job table",
-        parents=[client_common])
-    status_parser.add_argument("job", nargs="?", default="")
-    status_parser.add_argument("--for-tenant", default="",
-                               help="filter the table to one tenant")
-
-    cancel_parser = sub.add_parser("cancel", help="cancel a job",
-                                   parents=[client_common])
-    cancel_parser.add_argument("job")
-
-    fetch_parser = sub.add_parser(
-        "fetch", help="download a job's result (or its trace artifact)",
-        parents=[client_common])
-    fetch_parser.add_argument("job")
-    fetch_parser.add_argument("--artifact", action="store_true",
-                              help="download the trace artifact instead "
-                                   "of the result record")
-    fetch_parser.add_argument("--out", default="",
-                              help="write to this path (default: stdout "
-                                   "for results, <job>-trace for artifacts)")
-
     args = parser.parse_args(argv)
     if getattr(args, "kernels", ""):
         # Exported (not just set_backend) so process-pool workers inherit
@@ -783,29 +569,8 @@ def main(argv=None) -> int:
     handler = {"list": cmd_list, "run": cmd_run, "sample": cmd_sample,
                "sweep": cmd_sweep, "disasm": cmd_disasm, "trace": cmd_trace,
                "segments": cmd_segments, "reproduce": cmd_reproduce,
-               "validate": cmd_validate,
-               "surrogate": cmd_surrogate, "serve": cmd_serve,
-               "submit": cmd_submit, "status": cmd_status,
-               "cancel": cmd_cancel, "fetch": cmd_fetch,
+               "validate": cmd_validate, "surrogate": cmd_surrogate,
                }[args.command]
-    if args.command in ("submit", "status", "cancel", "fetch"):
-        # Client commands talk to a server that may be down, saturated,
-        # or unaware of the job id — operational conditions, not bugs,
-        # so answer with a message and exit code instead of a traceback.
-        from repro.service.client import Backpressure, ServiceError
-        try:
-            return handler(args)
-        except Backpressure as exc:
-            print(f"error: {exc} (queue saturated; retry later)",
-                  file=sys.stderr)
-            return 1
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except ConnectionError as exc:
-            print(f"error: cannot reach the server ({exc}); "
-                  "is `repro serve` running?", file=sys.stderr)
-            return 1
     return handler(args)
 
 

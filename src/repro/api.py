@@ -19,8 +19,7 @@ features that used to require picking the right helper by hand:
   *is* the instrumentation).
 
 This is the only simulation entry point — the deprecated ``run_workload``
-shim has been removed.  The job service (:mod:`repro.service`) builds on
-this function and returns bit-identical results.
+shim has been removed.
 """
 
 from __future__ import annotations

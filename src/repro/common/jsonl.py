@@ -1,13 +1,12 @@
-"""Append-only JSONL logs: the durability discipline every journal shares.
+"""Append-only JSONL logs: the durability discipline of the sweep journal.
 
-The sweep journal (:mod:`repro.fabric.journal`) and the job service's
-journal (:mod:`repro.service.journal`) are folds over one
+The sweep journal (:mod:`repro.fabric.journal`) is a fold over one
 :class:`JsonlLog`, which owns the three crash-safety rules:
 
-* **append** — one JSON object per line, flushed and (by default)
-  ``os.fsync``'d before returning, so the caller may act on a record
-  once the call returns.  A crash mid-append leaves a *torn* final line
-  with no newline; the first append after reopening starts a fresh line,
+* **append** — one JSON object per line, flushed and ``os.fsync``'d
+  before returning, so the caller may act on a record once the call
+  returns.  A crash mid-append leaves a *torn* final line with no
+  newline; the first append after reopening starts a fresh line,
   so the new record never glues onto the fragment and vanishes with it.
 * **replay** — the objects in file order, skipping blank lines, torn
   lines, and lines that are valid JSON but not objects.
@@ -21,28 +20,21 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator
 
 
 class JsonlLog:
-    """One append-only JSONL file (see the module docstring).
+    """One append-only JSONL file (see the module docstring); keys are
+    always sorted."""
 
-    ``separators`` is passed to :func:`json.dumps`, so each journal keeps
-    its own line spelling; keys are always sorted.
-    """
-
-    def __init__(self, path: os.PathLike, *, fsync: bool = True,
-                 separators: Optional[Tuple[str, str]] = None) -> None:
+    def __init__(self, path: os.PathLike) -> None:
         self.path = Path(path)
-        self.fsync = fsync
-        self.separators = separators
         #: True once this object has left the file ending in a newline;
         #: until then the first append checks for a torn tail.
         self._tail_ok = False
 
     def _encode(self, entry: dict) -> bytes:
-        return (json.dumps(entry, sort_keys=True, separators=self.separators)
-                + "\n").encode("utf-8")
+        return (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
 
     def append(self, entry: dict) -> None:
         """Durably add one record, healing a torn tail first."""
@@ -56,8 +48,7 @@ class JsonlLog:
                     data = b"\n" + data
             handle.write(data)
             handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
         self._tail_ok = True
 
     def replay(self) -> Iterator[dict]:

@@ -2927,7 +2927,9 @@ static PyTypeObject EngineType = {
 /* of inc()/sample() calls per run).  Same attribute surface and      */
 /* arithmetic as the pure-Python classes: long-long counts, double    */
 /* totals (identical IEEE rounding for the integer-valued samples     */
-/* the simulator records), int 0 min/max on empty distributions.      */
+/* the simulator records), int 0 min/max on empty distributions, and  */
+/* extremes that are the sampled objects themselves, so int samples   */
+/* give int extremes exactly as in Python.                            */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
@@ -3357,8 +3359,13 @@ typedef struct {
     PyObject *desc;
     long long count;
     double total;
-    double minimum;     /* exposed as _minimum, like the Python slots */
-    double maximum;     /* exposed as _maximum */
+    /* The extremes as doubles, for comparison, and as the sampled
+     * objects that reached them (NULL until one did); exposed together
+     * as _minimum/_maximum, like the Python slots. */
+    double minimum;
+    double maximum;
+    PyObject *min_obj;
+    PyObject *max_obj;
 } DistObj;
 
 static void
@@ -3368,6 +3375,25 @@ Dist_do_reset(DistObj *self)
     self->total = 0.0;
     self->minimum = Py_HUGE_VAL;
     self->maximum = -Py_HUGE_VAL;
+    Py_CLEAR(self->min_obj);
+    Py_CLEAR(self->max_obj);
+}
+
+/* Fold one sample object (already converted to ``value``) into the
+ * extremes; strict comparisons keep the first object to reach each. */
+static inline void
+Dist_fold_extremes(DistObj *self, PyObject *obj, double value)
+{
+    if (value < self->minimum) {
+        self->minimum = value;
+        Py_INCREF(obj);
+        Py_XSETREF(self->min_obj, obj);
+    }
+    if (value > self->maximum) {
+        self->maximum = value;
+        Py_INCREF(obj);
+        Py_XSETREF(self->max_obj, obj);
+    }
 }
 
 static int
@@ -3398,6 +3424,8 @@ Dist_dealloc(DistObj *self)
 {
     Py_XDECREF(self->name);
     Py_XDECREF(self->desc);
+    Py_XDECREF(self->min_obj);
+    Py_XDECREF(self->max_obj);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -3416,10 +3444,7 @@ Dist_sample(DistObj *self, PyObject *arg)
         return NULL;
     self->count += 1;
     self->total += value;
-    if (value < self->minimum)
-        self->minimum = value;
-    if (value > self->maximum)
-        self->maximum = value;
+    Dist_fold_extremes(self, arg, value);
     Py_RETURN_NONE;
 }
 
@@ -3441,18 +3466,67 @@ Dist_sample_n(DistObj *self, PyObject *const *args, Py_ssize_t nargs)
         Py_RETURN_NONE;
     self->count += repeats;
     self->total += value * (double)repeats;
-    if (value < self->minimum)
-        self->minimum = value;
-    if (value > self->maximum)
-        self->maximum = value;
+    Dist_fold_extremes(self, args[0], value);
     Py_RETURN_NONE;
+}
+
+/* The raw extreme: the object that reached it, else the double
+ * (+/-inf while nothing was sampled). */
+static PyObject *
+Dist_extreme(PyObject *obj, double value)
+{
+    if (obj != NULL) {
+        Py_INCREF(obj);
+        return obj;
+    }
+    return PyFloat_FromDouble(value);
+}
+
+static int
+Dist_set_extreme(PyObject *arg, PyObject **obj, double *value)
+{
+    if (arg == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete an extreme");
+        return -1;
+    }
+    double converted = PyFloat_AsDouble(arg);
+    if (converted == -1.0 && PyErr_Occurred())
+        return -1;
+    *value = converted;
+    Py_INCREF(arg);
+    Py_XSETREF(*obj, arg);
+    return 0;
+}
+
+static PyObject *
+Dist_get_raw_minimum(DistObj *self, void *Py_UNUSED(closure))
+{
+    return Dist_extreme(self->min_obj, self->minimum);
+}
+
+static int
+Dist_set_raw_minimum(DistObj *self, PyObject *arg, void *Py_UNUSED(closure))
+{
+    return Dist_set_extreme(arg, &self->min_obj, &self->minimum);
+}
+
+static PyObject *
+Dist_get_raw_maximum(DistObj *self, void *Py_UNUSED(closure))
+{
+    return Dist_extreme(self->max_obj, self->maximum);
+}
+
+static int
+Dist_set_raw_maximum(DistObj *self, PyObject *arg, void *Py_UNUSED(closure))
+{
+    return Dist_set_extreme(arg, &self->max_obj, &self->maximum);
 }
 
 static PyObject *
 Dist_get_minimum(DistObj *self, void *Py_UNUSED(closure))
 {
     if (self->count)
-        return PyFloat_FromDouble(self->minimum);
+        return Dist_extreme(self->min_obj, self->minimum);
     return PyLong_FromLong(0);
 }
 
@@ -3460,7 +3534,7 @@ static PyObject *
 Dist_get_maximum(DistObj *self, void *Py_UNUSED(closure))
 {
     if (self->count)
-        return PyFloat_FromDouble(self->maximum);
+        return Dist_extreme(self->max_obj, self->maximum);
     return PyLong_FromLong(0);
 }
 
@@ -3474,7 +3548,9 @@ Dist_get_mean(DistObj *self, void *Py_UNUSED(closure))
 static PyObject *
 Dist_get_peak(DistObj *self, void *Py_UNUSED(closure))
 {
-    return PyFloat_FromDouble(self->count ? self->maximum : 0.0);
+    if (self->count)
+        return Dist_extreme(self->max_obj, self->maximum);
+    return PyFloat_FromDouble(0.0);
 }
 
 static PyObject *
@@ -3505,12 +3581,14 @@ static PyMemberDef Dist_members[] = {
     {"desc", T_OBJECT, offsetof(DistObj, desc), 0, NULL},
     {"count", T_LONGLONG, offsetof(DistObj, count), 0, NULL},
     {"total", T_DOUBLE, offsetof(DistObj, total), 0, NULL},
-    {"_minimum", T_DOUBLE, offsetof(DistObj, minimum), 0, NULL},
-    {"_maximum", T_DOUBLE, offsetof(DistObj, maximum), 0, NULL},
     {NULL, 0, 0, 0, NULL}
 };
 
 static PyGetSetDef Dist_getset[] = {
+    {"_minimum", (getter)Dist_get_raw_minimum,
+     (setter)Dist_set_raw_minimum, NULL, NULL},
+    {"_maximum", (getter)Dist_get_raw_maximum,
+     (setter)Dist_set_raw_maximum, NULL, NULL},
     {"minimum", (getter)Dist_get_minimum, NULL, NULL, NULL},
     {"maximum", (getter)Dist_get_maximum, NULL, NULL, NULL},
     {"mean", (getter)Dist_get_mean, NULL, NULL, NULL},

@@ -6,21 +6,19 @@ one worker is asked for (or the process may use only one CPU) and falls
 back to serial when a payload will not pickle.  The :class:`Executor`
 driver layers caching, journaled resume, and deterministic ordering on
 top of it, and :class:`ExecutionConfig` is the one spelling of worker
-count, cache, and journal every entry point accepts.
-:func:`~repro.fabric.local.submit_detached` runs one task in a
-dedicated process that ``cancel()`` hard-kills (the job service's unit
-of work).  See ``docs/fabric.md``.
+count, cache, and journal every entry point accepts.  See
+``docs/fabric.md``.
 """
 
 from repro.fabric.cells import (CellError, CellResult, RunSpec,
                                 default_jobs, raise_on_errors, relabel)
 from repro.fabric.executor import ExecutionConfig, Executor
-from repro.fabric.handles import CellHandle, CompletedHandle, FutureHandle
+from repro.fabric.handles import CompletedHandle, FutureHandle
 from repro.fabric.journal import SweepJournal
 from repro.fabric.local import LocalProcessBackend
 
 __all__ = [
-    "CellError", "CellHandle", "CellResult", "CompletedHandle",
+    "CellError", "CellResult", "CompletedHandle",
     "ExecutionConfig", "Executor", "FutureHandle", "LocalProcessBackend",
     "RunSpec", "SweepJournal", "default_jobs", "raise_on_errors",
     "relabel",

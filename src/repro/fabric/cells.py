@@ -93,32 +93,6 @@ def _guarded_call(payload: Tuple[Callable, object, str]):
                          details=traceback.format_exc())
 
 
-def _handle_worker(conn, func: Callable, item, label: str) -> None:
-    """Entry point of a dedicated-process handle worker.
-
-    ``func(item, emit)`` runs with ``emit(dict)`` streaming progress
-    payloads back over the pipe; the final message is ``("done", value)``
-    or ``("error", CellError)``.
-    """
-    def emit(payload: dict) -> None:
-        try:
-            conn.send(("tick", payload))
-        except (OSError, ValueError):
-            pass                         # parent gone; keep computing
-
-    try:
-        conn.send(("done", func(item, emit)))
-    except Exception as exc:            # noqa: BLE001 — surfaced per-cell
-        try:
-            conn.send(("error", CellError(
-                label=label, error=f"{type(exc).__name__}: {exc}",
-                details=traceback.format_exc())))
-        except (OSError, ValueError):
-            pass
-    finally:
-        conn.close()
-
-
 def relabel(result: RunResult, config_label: str) -> RunResult:
     """The same simulation under the display label the caller asked for."""
     if not config_label or result.config == config_label:

@@ -20,8 +20,7 @@ cell simply runs again).  ``failed`` and ``running`` cells re-run —
 
 The durability rules — fsync'd appends that heal a torn tail, replay
 that skips torn and foreign lines, atomic compaction — belong to
-:class:`~repro.common.jsonl.JsonlLog`, shared with the job service's
-journal.
+:class:`~repro.common.jsonl.JsonlLog`.
 """
 
 from __future__ import annotations

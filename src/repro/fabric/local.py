@@ -1,17 +1,15 @@
 """The ``local-process`` backend: a spawn-safe process pool on this host.
 
-The one way cells and tasks execute.  Cells and generic calls run on a
+The one way cells and generic calls execute: a
 :class:`concurrent.futures.ProcessPoolExecutor`
-(:class:`LocalProcessBackend`); a cancellable task gets a dedicated
-worker process of its own (:func:`submit_detached`, the job service's
-hard-kill seam).  The pool degrades rather than fails: ``jobs=1`` runs
-in-process, a payload that fails to pickle or a pool that cannot start
-falls back to serial, a pool broken by a dead worker is replaced at the
-next submission, and a worker that raises (or dies) surfaces as a
-per-cell :class:`~repro.fabric.cells.CellError`, never a hung sweep.
-Results are bit-identical to serial execution by construction (workers
-share no state; every cell rebuilds its program from the workload
-registry).
+(:class:`LocalProcessBackend`).  The pool degrades rather than fails:
+``jobs=1`` runs in-process, a payload that fails to pickle or a pool
+that cannot start falls back to serial, a pool broken by a dead worker
+is replaced at the next submission, and a worker that raises (or dies)
+surfaces as a per-cell :class:`~repro.fabric.cells.CellError`, never a
+hung sweep.  Results are bit-identical to serial execution by
+construction (workers share no state; every cell rebuilds its program
+from the workload registry).
 """
 
 from __future__ import annotations
@@ -23,28 +21,8 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional
 
 from repro.fabric.cells import (RunSpec, _execute_spec, _guarded_call,
-                                _handle_worker, default_jobs)
-from repro.fabric.handles import CellHandle, CompletedHandle, FutureHandle
-
-
-def submit_detached(func: Callable, item, *,
-                    label: str = "task") -> CellHandle:
-    """Start ``func(item, emit)`` in its own dedicated worker process.
-
-    Returns a :class:`CellHandle` immediately; the caller polls or
-    cancels it.  ``func`` must be module-level (picklable) and take an
-    ``emit(dict)`` second argument for progress streaming.  Each
-    submission owns a process — that costs a fork per task but makes
-    cancellation a hard kill, the contract the job service's timeouts
-    and aborts need.
-    """
-    parent, child = multiprocessing.Pipe(duplex=False)
-    process = multiprocessing.Process(target=_handle_worker,
-                                      args=(child, func, item, label),
-                                      daemon=True)
-    process.start()
-    child.close()
-    return CellHandle(label, process, parent)
+                                default_jobs)
+from repro.fabric.handles import CompletedHandle, FutureHandle
 
 
 class LocalProcessBackend:

@@ -19,8 +19,6 @@ recomputed; the cache never makes a run fail.
 
 Growth is bounded by a :class:`GCPolicy` — size, age, and entry-count
 limits applied oldest-first by :func:`prune_dir` / :meth:`ResultCache.gc`.
-The same policy object governs the job service's completed-result store
-(:mod:`repro.service`), so one knob bounds every on-disk result artifact.
 """
 
 from __future__ import annotations
@@ -102,8 +100,8 @@ class GCPolicy:
 
     Applied oldest-first (by mtime): entries older than
     ``max_age_seconds`` go first, then the oldest survivors until both
-    ``max_bytes`` and ``max_entries`` hold.  Shared by
-    :meth:`ResultCache.gc` and the job service's completed-result store.
+    ``max_bytes`` and ``max_entries`` hold.  Applied by
+    :meth:`ResultCache.gc` and to the cache's quarantine directory.
     """
 
     max_bytes: Optional[int] = None
@@ -187,8 +185,8 @@ class ResultCache:
 
     ``token`` overrides the source-version token (tests use this to prove
     invalidation); ``enabled=False`` turns every operation into a no-op so
-    callers can thread one object through unconditionally.  ``gc_policy``
-    (optional) bounds the store; :meth:`gc` applies it on demand.
+    callers can thread one object through unconditionally.  :meth:`gc`
+    bounds the store on demand.
     """
 
     #: Quarantined corrupt entries kept for postmortem, oldest pruned.
@@ -196,13 +194,11 @@ class ResultCache:
 
     def __init__(self, directory: Optional[os.PathLike] = None, *,
                  enabled: bool = True,
-                 token: Optional[str] = None,
-                 gc_policy: Optional[GCPolicy] = None) -> None:
+                 token: Optional[str] = None) -> None:
         self.directory = Path(directory) if directory is not None \
             else default_cache_dir()
         self.enabled = enabled
         self.token = token
-        self.gc_policy = gc_policy
         self.hits = 0
         self.misses = 0
         self.evictions = 0     # corrupt entries quarantined
@@ -262,8 +258,7 @@ class ResultCache:
         return self.directory / "quarantine"
 
     def gc(self, policy: Optional[GCPolicy] = None) -> GCStats:
-        """Prune the store to ``policy`` (default: the instance policy)."""
-        policy = policy if policy is not None else self.gc_policy
+        """Prune the store to ``policy``; without one, prune nothing."""
         if policy is None or not self.enabled:
             return GCStats()
         return prune_dir(self.directory, policy)

@@ -462,8 +462,7 @@ def pareto_band_split(cells: Sequence[Cell],
     results and predicted lows; a predicted cell survives when its
     optimistic band reaches that bar (too-uncertain cells survive by
     construction).  Returns ``(keep, pruned)`` — cells to simulate, and
-    the predictions standing in for the rest.  The job service uses this
-    directly to decide which sweep children to submit.
+    the predictions standing in for the rest.
     """
     by_cell = {(workload, label): params
                for workload, label, params in cells}
@@ -498,10 +497,10 @@ def prune_and_run(cells: Sequence[Cell], *,
     Phase 0 probes the result cache for every cell: hits become free
     results *and* free calibration points (the smallest cached
     configuration per (workload, IQ kind) anchors the surrogate), so a
-    warm cache — e.g. one shared with the job service — can anchor the
-    whole grid without simulating anything.  Phase 1 simulates one
-    *anchor* per still-uncalibrated (workload, IQ kind) — the smallest
-    configuration of that kind — and calibrates the surrogate on it.
+    warm cache can anchor the whole grid without simulating anything.
+    Phase 1 simulates one *anchor* per still-uncalibrated (workload, IQ
+    kind) — the smallest configuration of that kind — and calibrates the
+    surrogate on it.
     Phase 2 predicts every remaining cell and keeps those whose
     optimistic IPC band reaches the pessimistic band of the per-workload
     best (i.e. cells within the error band of the Pareto front, plus

@@ -24,14 +24,13 @@ Everything threads through the single run entry point::
 from repro.obs.events import (EVENT_KINDS, STAGE_KINDS, TraceEvent,
                               event_from_dict)
 from repro.obs.metrics import MetricsCollector, MetricsConfig, summarize
-from repro.obs.service_metrics import ServiceMetrics
 from repro.obs.sinks import (ChromeTraceSink, JSONLSink, chrome_trace,
                              dump_jsonl, load_jsonl)
 from repro.obs.tracer import RingBufferTracer, Tracer
 
 __all__ = [
     "EVENT_KINDS", "STAGE_KINDS", "TraceEvent", "event_from_dict",
-    "MetricsCollector", "MetricsConfig", "ServiceMetrics", "summarize",
+    "MetricsCollector", "MetricsConfig", "summarize",
     "ChromeTraceSink", "JSONLSink", "chrome_trace", "dump_jsonl",
     "load_jsonl", "RingBufferTracer", "Tracer",
 ]

@@ -1,9 +1,15 @@
 """Tests for the statistics primitives."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.stats import Counter, Distribution, StatGroup, ratio
+from repro.common import stats
+from repro.common._ckload import compiled_kernels
+from repro.common.stats import (Counter, Distribution, PyDistribution,
+                                StatGroup, ratio)
+
+_CK = compiled_kernels(honor_env=False)
 
 
 class TestCounter:
@@ -146,6 +152,58 @@ class TestSnapshotMerge:
         clone = StatGroup()
         clone.merge_snapshot(group.snapshot())
         assert clone.as_dict() == group.as_dict()
+
+
+#: Sample sequences as ``(value,)`` for ``sample`` or ``(value, repeats)``
+#: for ``sample_n``; "mixed" ties an int and a float at each extreme.
+VALUE_TYPE_SEQUENCES = {
+    "int": [(3,), (1,), (5, 4), (2,), (0, 0)],
+    "float": [(1.5,), (0.25, 3), (2.75,)],
+    "mixed": [(3,), (3.0,), (1.0,), (1,), (7, 2), (7.0, 1), (2.5,)],
+    "empty": [(4, 0), (4.0, 0)],
+}
+
+
+def _drive(cls, sequence):
+    dist = cls("d")
+    for op in sequence:
+        if len(op) == 1:
+            dist.sample(op[0])
+        else:
+            dist.sample_n(*op)
+    return dist
+
+
+def _typed_extremes(dist):
+    return [(type(value), value) for value in
+            (dist.minimum, dist.maximum, dist.peak, dist.mean)]
+
+
+@pytest.mark.skipif(_CK is None, reason="compiled kernel extension absent")
+@pytest.mark.parametrize("name", sorted(VALUE_TYPE_SEQUENCES))
+class TestCompiledDistributionValueTypes:
+    """The compiled Distribution returns the Python twin's value types:
+    int samples give int extremes, an empty peak stays ``0.0``."""
+
+    def test_extremes_keep_the_sample_type(self, name):
+        sequence = VALUE_TYPE_SEQUENCES[name]
+        assert (_typed_extremes(_drive(_CK.Distribution, sequence))
+                == _typed_extremes(_drive(PyDistribution, sequence)))
+
+    def test_snapshot_merge_round_trip(self, name, monkeypatch):
+        sequence = VALUE_TYPE_SEQUENCES[name]
+        seen = []
+        for cls in (PyDistribution, _CK.Distribution):
+            monkeypatch.setattr(stats, "Distribution", cls)
+            window = StatGroup("window")
+            window._distributions["d"] = _drive(cls, sequence)
+            merged = StatGroup("merged")
+            merged.merge_snapshot(window.snapshot())
+            merged.merge_snapshot(window.snapshot())
+            [dist] = merged.distributions()
+            assert type(dist) is cls
+            seen.append(_typed_extremes(dist))
+        assert seen[0] == seen[1]
 
 
 class TestRatio:

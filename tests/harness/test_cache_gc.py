@@ -1,8 +1,7 @@
 """ResultCache under concurrency, GC bounds, and the quarantine path.
 
-Satellite coverage for the service PR: the cache is now shared by the
-sweep stack *and* the job server, so two writers racing on one key, the
-size/age GC policy, and corrupt-entry quarantine all need pinning.
+Two writers racing on one key, the size/age GC policy, and
+corrupt-entry quarantine all need pinning.
 """
 
 import json
@@ -76,10 +75,9 @@ class TestGCPolicy:
         return keys
 
     def test_eviction_by_entry_count_is_oldest_first(self, tmp_path):
-        cache = ResultCache(tmp_path,
-                            gc_policy=GCPolicy(max_entries=3))
+        cache = ResultCache(tmp_path)
         keys = self._fill(cache, 6)
-        stats = cache.gc()
+        stats = cache.gc(GCPolicy(max_entries=3))
         assert stats.removed == 3 and stats.scanned == 6
         for key in keys[:3]:
             assert not cache._path(key).exists()
@@ -110,7 +108,7 @@ class TestGCPolicy:
         cache = ResultCache(tmp_path)
         self._fill(cache, 3)
         assert cache.gc(GCPolicy()) == GCStats()
-        assert cache.gc() == GCStats()     # no instance policy either
+        assert cache.gc() == GCStats()     # no policy prunes nothing
         assert len(list(tmp_path.glob("*.json"))) == 3
 
     def test_prune_dir_missing_directory(self, tmp_path):

@@ -1,16 +1,12 @@
 """Parallel execution as the harness relies on it.
 
 A failing cell is a ``CellError`` in its own slot while its neighbours
-still compute, a repeated spec is a cache hit, and a detached task (the
-job service's unit of work) can be hard-cancelled and never hangs when
-its worker dies.
+still compute, and a repeated spec is a cache hit.
 """
 
 import dataclasses
-import time
 
 from repro.fabric import CellError, ExecutionConfig, Executor, RunSpec
-from repro.fabric.local import submit_detached
 from repro.harness import configs
 from repro.harness.cache import ResultCache
 
@@ -56,38 +52,3 @@ class TestRunSpecsCaching:
         assert cache.hits == 1
         assert dataclasses.asdict(first[0]) == dataclasses.asdict(second[0])
 
-
-def _sleep_forever(item, emit):
-    emit({"started": True})
-    while True:
-        time.sleep(0.05)
-
-
-def _die_silently(item, emit):
-    import os
-    os._exit(3)
-
-
-class TestSubmitHandles:
-    def test_cancel_terminates_a_running_task(self):
-        handle = submit_detached(_sleep_forever, 0, label="spin")
-        # Wait until the worker proves it started, then kill it.
-        deadline = time.time() + 30
-        while not handle.ticks():
-            assert time.time() < deadline, "no heartbeat from worker"
-            time.sleep(0.01)
-        assert handle.cancel()
-        result = handle.result(timeout=5)
-        assert isinstance(result, CellError) and result.error == "cancelled"
-        assert handle.cancelled
-        assert not handle.cancel()       # idempotent once finished
-
-    def test_worker_death_is_reported_not_hung(self):
-        handle = submit_detached(_die_silently, 0, label="dead")
-        deadline = time.time() + 30
-        while not handle.poll():
-            assert time.time() < deadline, "timed out waiting for death report"
-            time.sleep(0.01)
-        result = handle.result()
-        assert isinstance(result, CellError)
-        assert "died" in result.error
