@@ -16,7 +16,11 @@ features that used to require picking the right helper by hand:
 * **result caching** — ``execution=ExecutionConfig(cache=...)``
   consults a :class:`~repro.harness.cache.ResultCache` (only for plain
   runs: traced or metered runs always simulate, because their value
-  *is* the instrumentation).
+  *is* the instrumentation);
+* **functional records** — the correct-path stream of each (workload,
+  scale, budget) is recorded on its first run in the process and
+  replayed by every later run of it, under any configuration (see
+  :mod:`repro.isa.record`).
 
 This is the only simulation entry point — the deprecated ``run_workload``
 shim has been removed.
@@ -31,7 +35,31 @@ from repro.common.params import ProcessorParams
 from repro.fabric.executor import ExecutionConfig
 from repro.harness.runner import RunResult, resolve_workload
 from repro.isa.executor import execute
+from repro.isa.record import RecordMemo, Recording
 from repro.pipeline.processor import Processor
+
+#: This process's functional records: the correct-path stream of each
+#: (workload name, build callable, scale, budget) run so far.  The stream
+#: depends on nothing else, so every later run of the same cell, under
+#: any processor configuration, replays it instead of executing it.
+_records = RecordMemo()
+
+
+class _Identity:
+    """Hashes and compares its object by identity, so that two workload
+    specs with the same name but different ``build`` callables never
+    share a record, whatever equality the callables define."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj) -> None:
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _Identity and other.obj is self.obj
 
 
 def _open_trace_sink(target: str):
@@ -92,6 +120,14 @@ def run(params: ProcessorParams, workload, *,
         Heartbeat callback receiving
         :class:`~repro.pipeline.processor.ProgressTick` records roughly
         every ``progress_interval`` wall-clock seconds.
+
+    A simulated run draws its stream from this process's functional
+    record of ``(workload name, workload build callable, scale,
+    budget)`` when there is one: no ``build``, no data-image copy, no
+    functional execution, and the same results.  Otherwise it builds
+    the program, executes it and records the stream, keeping the record
+    only if the run finished (an ``ExecutionError`` or a ``max_cycles``
+    cut-off keeps none).
     """
     if execution is None:
         execution = ExecutionConfig()
@@ -144,17 +180,24 @@ def run(params: ProcessorParams, workload, *,
         from repro.obs.metrics import MetricsCollector
         collector = MetricsCollector(collector)
 
-    program = spec.build(scale)
     budget = (max_instructions if max_instructions is not None
               else spec.default_instructions * scale)
+    record_key = (spec.name, _Identity(spec.build), scale, budget)
+    source = _records.get(record_key)
+    recording = None
+    if source is None:
+        source = spec.build(scale)
+        recording = Recording(source)
+        stream = recording.stream(execute(source, max_instructions=budget))
+    else:
+        stream = execute(source, max_instructions=budget)
     try:
-        processor = Processor(params,
-                              execute(program, max_instructions=budget),
-                              tracer=tracer, metrics=collector)
+        processor = Processor(params, stream, tracer=tracer,
+                              metrics=collector)
         if warm_code:
-            processor.warm_code(program)
+            processor.warm_code(source)
         if spec.warm_data:
-            processor.warm_data(program)
+            processor.warm_data(source)
         processor.run(max_cycles=max_cycles, progress=progress,
                       progress_interval=progress_interval)
     finally:
@@ -173,6 +216,9 @@ def run(params: ProcessorParams, workload, *,
         instructions=processor.committed,
         stats=processor.stats.as_dict(),
         metrics=collector.to_dict() if collector is not None else None)
+    if (recording is not None and recording.record is not None
+            and processor.done):
+        _records.put(record_key, recording.record)
     if key is not None:
         cache.put(key, result)
     return result

@@ -51,21 +51,29 @@ def default_cache_dir() -> Path:
 
 
 def source_version_token() -> str:
-    """Hash of every ``.py`` file in the installed ``repro`` package.
+    """Hash of every ``.py`` and ``.c`` file in the installed ``repro``
+    package (see :func:`tree_token`).
 
-    Computed once per process.  Any edit to the simulator source changes
-    the token, so stale results can never be served after a code change.
+    Computed once per process.  Any edit to the simulator source, the
+    compiled kernels' C included, changes the token, so stale results
+    can never be served after a code change.
     """
     global _source_token_cache
     if _source_token_cache is None:
         import repro
-        digest = hashlib.sha256()
-        root = Path(repro.__file__).parent
-        for path in sorted(root.rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(path.read_bytes())
-        _source_token_cache = digest.hexdigest()[:16]
+        _source_token_cache = tree_token(Path(repro.__file__).parent)
     return _source_token_cache
+
+
+def tree_token(root: Path) -> str:
+    """Hash of the relative path and bytes of every ``.py`` and ``.c``
+    file under ``root``."""
+    digest = hashlib.sha256()
+    paths = [*root.rglob("*.py"), *root.rglob("*.c")]
+    for path in sorted(paths):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 def canonical_params(params: ProcessorParams) -> str:

@@ -4,6 +4,8 @@ Executes a :class:`~repro.isa.program.Program` and yields the dynamic
 instruction stream (:class:`~repro.isa.instruction.DynInst`).  The timing
 model is trace-driven off this stream: register dependences, memory
 addresses, and branch outcomes are all architecturally exact.
+:func:`execute` also replays a recorded stream
+(:class:`~repro.isa.record.FunctionalRecord`) without executing it.
 
 Arithmetic note: integer values are plain Python ints (no 64-bit wraparound)
 — kernels in this repository never rely on overflow.  Shifts mask their
@@ -23,12 +25,13 @@ requires int-ness/float-ness of every cell to be reproducible
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.common.errors import ExecutionError
 from repro.isa.instruction import DynInst, Instruction
 from repro.isa.opcodes import NUM_REGS, WORD_BYTES, Opcode
 from repro.isa.program import Program, Value
+from repro.isa.record import FunctionalRecord, replay
 
 
 class MachineState:
@@ -284,13 +287,17 @@ def execute_from(state: MachineState,
         yield _step(state, code[state.pc])
 
 
-def execute(program: Program,
+def execute(program: Union[Program, FunctionalRecord],
             max_instructions: Optional[int] = None) -> Iterator[DynInst]:
     """Yield the dynamic instruction stream of ``program``.
 
     Stops at the halt instruction (which is yielded) or after
     ``max_instructions`` dynamic instructions, whichever comes first.
+    A :class:`~repro.isa.record.FunctionalRecord` is replayed instead of
+    executed: the same DynInsts, field for field, each one fresh.
     """
+    if isinstance(program, FunctionalRecord):
+        return replay(program, max_instructions)
     return execute_from(MachineState(program), max_instructions)
 
 

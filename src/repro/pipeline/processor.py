@@ -361,6 +361,11 @@ class Processor:
     def warm_code(self, program, thread: int = 0) -> None:
         """Pre-install ``thread``'s code footprint in L1I and L2.
 
+        ``program`` is a :class:`~repro.isa.program.Program` or a
+        :class:`~repro.isa.record.FunctionalRecord` of one: only its
+        ``instructions`` are read (and only its ``segments`` by
+        :meth:`warm_data`).
+
         The paper simulates 100 M-instruction samples taken 20 B
         instructions into execution, i.e. with warm instruction caches; our
         samples are short, so benchmarks warm the code explicitly to avoid
@@ -369,7 +374,8 @@ class Processor:
         from repro.frontend.fetch import INST_BYTES
         line = self.params.memory.l1i.line_bytes
         base = thread * CODE_SPACE_BYTES
-        for byte_addr in range(base, base + len(program) * INST_BYTES, line):
+        code_bytes = len(program.instructions) * INST_BYTES
+        for byte_addr in range(base, base + code_bytes, line):
             self.memory.l1i.warm_line(byte_addr)
             self.memory.l2.warm_line(byte_addr)
 

@@ -13,9 +13,16 @@ the process) the compiled-side tests skip gracefully — the pure-Python
 fallback is the only backend and there is nothing to compare.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import api
+from repro.common import stats as stat_primitives
 from repro.core.registry import registered_models
 from repro.core.segmented import kernels
 from repro.obs import RingBufferTracer, dump_jsonl
@@ -147,6 +154,54 @@ def test_pipeline_tier_parity(workload):
     assert c_result.instructions == py_result.instructions
     assert c_result.stats == py_result.stats
     assert c_trace == py_trace
+
+
+#: One dense cell in a fresh interpreter under ``REPRO_KERNELS=py``, so
+#: that its stat and event primitives really are the Python classes
+#: (``REPRO_KERNELS`` binds them once per process); prints the cycles and
+#: the stats as sorted-key JSON.
+_PY_PROCESS_RUN = """
+import json, sys
+from repro import api
+from repro.common import events, stats
+from repro.harness import configs
+assert stats.Distribution is stats.PyDistribution
+assert events.EventQueue is events._PyEventQueue
+result = api.run(configs.segmented(512, 128, "comb"), sys.argv[1],
+                 max_instructions=1200)
+print(result.cycles)
+print(json.dumps(result.stats, sort_keys=True))
+"""
+
+
+@requires_compiled
+@pytest.mark.skipif(
+    stat_primitives.Distribution is stat_primitives.PyDistribution,
+    reason="this process runs the Python stat primitives")
+@pytest.mark.parametrize("workload", ["twolf", "swim"])
+def test_whole_run_parity_across_real_primitives(workload):
+    """A py-primitives run in its own process and a compiled run here
+    agree on cycles and on the stats' JSON bytes, so a value-type
+    difference (``117`` against ``117.0``) between the two
+    ``Distribution`` classes cannot pass."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, REPRO_KERNELS="py",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PY_PROCESS_RUN, workload],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    py_cycles, py_stats = proc.stdout.splitlines()
+    from repro.harness import configs
+    kernels.set_backend("compiled")
+    try:
+        c_result = api.run(configs.segmented(512, 128, "comb"), workload,
+                           max_instructions=1200)
+    finally:
+        kernels.set_backend(None)
+    assert c_result.cycles == int(py_cycles)
+    assert json.dumps(c_result.stats, sort_keys=True) == py_stats
 
 
 class _Counter:

@@ -1,9 +1,13 @@
 """Tests for the on-disk result cache: keying, invalidation, corruption."""
 
+import shutil
+from pathlib import Path
+
+import repro
 from repro.harness import configs
 from repro.harness.cache import (ResultCache, canonical_params,
                                  default_cache_dir, run_key,
-                                 source_version_token)
+                                 source_version_token, tree_token)
 from repro.harness.runner import RunResult
 
 
@@ -38,6 +42,15 @@ class TestKeys:
         assert a != b
         # The default token is derived from the package sources.
         assert len(source_version_token()) == 16
+
+    def test_edit_to_the_c_kernels_alone_changes_the_token(self, tmp_path):
+        root = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, root,
+                        ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+        assert tree_token(root) == source_version_token()
+        source = root / "core" / "segmented" / "_ckernels.c"
+        source.write_text(source.read_text() + "/* edited */\n")
+        assert tree_token(root) != source_version_token()
 
     def test_canonical_params_is_construction_independent(self):
         assert canonical_params(configs.ideal(32)) == \
