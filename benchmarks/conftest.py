@@ -9,7 +9,6 @@ Environment knobs:
 * ``REPRO_BENCH_FAST=1``    — restrict to three benchmarks and smaller
   instruction budgets (smoke mode).
 * ``REPRO_BENCH_WORKLOADS`` — comma-separated subset of benchmark names.
-* ``REPRO_BENCH_JOBS``      — process-pool size for cold simulations.
 * ``REPRO_BENCH_CACHE=0``   — disable the on-disk result cache (results
   otherwise persist across sessions under ``$REPRO_CACHE_DIR``, keyed by
   parameters and source version, so re-running a bench suite after an
@@ -23,9 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.fabric import ExecutionConfig, Executor, RunSpec, raise_on_errors
-from repro.harness import configs
+from repro.fabric import ExecutionConfig
 from repro.harness.cache import ResultCache
+from repro.harness.experiments import ExperimentRunner
 from repro.workloads import WORKLOADS
 
 OUT_DIR = Path(__file__).parent / "out"
@@ -43,58 +42,16 @@ else:
 BUDGET_FACTOR = 0.4 if FAST else 1.0
 
 
-class RunCache:
-    """Memoizes (workload, config-key) -> RunResult for the session.
-
-    Backed by the shared executor stack: cold cells run through the
-    fabric's :class:`Executor` (``REPRO_BENCH_JOBS`` workers on the
-    ``local-process`` backend) and land in the on-disk
-    :class:`ResultCache`, so Table 2 and Figure 2 — which share
-    configurations — pay for each simulation once per source version,
-    not once per session.
-    """
-
-    def __init__(self) -> None:
-        self._results = {}
-        jobs = int(os.environ.get("REPRO_BENCH_JOBS", "1") or "1")
-        disk = ResultCache(
-            enabled=os.environ.get("REPRO_BENCH_CACHE", "1") not in
-            ("0", "no"))
-        self._executor = Executor(ExecutionConfig(jobs=jobs, cache=disk))
-
-    def get(self, workload: str, config_key: str, params_factory):
-        key = (workload, config_key)
-        if key not in self._results:
-            workload_spec = WORKLOADS[workload]
-            budget = max(
-                2_000,
-                int(workload_spec.default_instructions * BUDGET_FACTOR))
-            spec = RunSpec(workload, params_factory(),
-                           config_label=config_key,
-                           max_instructions=budget)
-            cells = self._executor.run_specs([spec])
-            raise_on_errors(cells, "bench")
-            self._results[key] = cells[0]
-        return self._results[key]
-
-    # -- the configurations the paper's evaluation uses ------------------
-    def ideal(self, workload: str, size: int):
-        return self.get(workload, f"ideal-{size}", lambda: configs.ideal(size))
-
-    def segmented(self, workload: str, size: int, chains, variant: str):
-        chain_key = "unl" if chains is None else str(chains)
-        return self.get(
-            workload, f"seg-{size}-{chain_key}-{variant}",
-            lambda: configs.segmented(size, chains, variant))
-
-    def prescheduled(self, workload: str, lines: int):
-        return self.get(workload, f"presched-{lines}",
-                        lambda: configs.prescheduled(lines))
-
-
 @pytest.fixture(scope="session")
 def runs():
-    return RunCache()
+    """One :class:`ExperimentRunner` for the session: each (workload,
+    config) cell runs once, through the on-disk :class:`ResultCache`, so
+    Table 2 and Figure 2 — which share configurations — pay for each
+    simulation once per source version, not once per session."""
+    cache = ResultCache(
+        enabled=os.environ.get("REPRO_BENCH_CACHE", "1") not in ("0", "no"))
+    return ExperimentRunner(BENCH_WORKLOADS, BUDGET_FACTOR,
+                            execution=ExecutionConfig(cache=cache))
 
 
 def write_artifact(name: str, text: str) -> Path:

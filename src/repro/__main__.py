@@ -252,7 +252,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from repro.fabric import Executor, RunSpec, raise_on_errors
+    from repro.harness.sweep import Sweep
 
     sizes = [int(s) for s in args.sizes.split(",")]
     factories = [
@@ -261,16 +261,15 @@ def cmd_sweep(args) -> int:
          lambda size: configs.segmented(size, 128, "comb")),
         ("segmented-64ch",
          lambda size: configs.segmented(size, 64, "comb"))]
-    specs = [RunSpec(args.workload, factory(size),
-                     config_label=f"{label}@{size}",
-                     max_instructions=args.instructions)
-             for label, factory in factories for size in sizes]
-    executor = Executor(_execution(args, journal=args.journal or None))
-    cells = executor.run_specs(specs)
-    raise_on_errors(cells, "sweep")
+    sweep = Sweep([args.workload], max_instructions=args.instructions)
+    for label, factory in factories:
+        for size in sizes:
+            sweep.add_config(f"{label}@{size}", factory(size))
+    grid = sweep.run(execution=_execution(args,
+                                          journal=args.journal or None))
     series = {label: {} for label, _ in factories}
-    for spec, result in zip(specs, cells):
-        label, size = spec.config_label.rsplit("@", 1)
+    for config_label, result in grid.results[args.workload].items():
+        label, size = config_label.rsplit("@", 1)
         series[label][int(size)] = result.ipc
         print(f"  {label} @{size}: IPC={result.ipc:.3f}", file=sys.stderr)
     print(ascii_series_plot(series,

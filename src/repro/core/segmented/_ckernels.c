@@ -3988,7 +3988,7 @@ rename_raw(PyObject *cls, PyObject *last_writer, PyObject *srcs,
      * copied through.  Returns a new list. */
     if (!PyTuple_CheckExact(srcs) || !PyDict_CheckExact(last_writer)) {
         PyErr_SetString(PyExc_TypeError,
-                        "rename_operands: srcs tuple / dict expected");
+                        "rename: srcs tuple / dict expected");
         return NULL;
     }
     Py_ssize_t n = PyTuple_GET_SIZE(srcs);
@@ -4033,22 +4033,6 @@ rename_raw(PyObject *cls, PyObject *last_writer, PyObject *srcs,
 fail:
     Py_DECREF(out);
     return NULL;
-}
-
-static PyObject *
-ck_rename_operands(PyObject *Py_UNUSED(mod), PyObject *const *args,
-                   Py_ssize_t nargs)
-{
-    /* rename_operands(operand_cls, last_writer, srcs, limit) -> list */
-    if (nargs != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "rename_operands expects 4 arguments");
-        return NULL;
-    }
-    Py_ssize_t limit = PyNumber_AsSsize_t(args[3], PyExc_OverflowError);
-    if (limit == -1 && PyErr_Occurred())
-        return NULL;
-    return rename_raw(args[0], args[1], args[2], limit);
 }
 
 /* ------------------------------------------------- dispatch stage ----- */
@@ -4760,18 +4744,11 @@ static PyTypeObject IssueStageType = {
     .tp_new = PyType_GenericNew,
 };
 
-static PyMethodDef ckernels_functions[] = {
-    {"rename_operands", (PyCFunction)ck_rename_operands, METH_FASTCALL,
-     NULL},
-    {NULL, NULL, 0, NULL},
-};
-
 static struct PyModuleDef ckernels_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.core.segmented._ckernels",
     .m_doc = "Compiled kernel backend for the segmented IQ.",
     .m_size = -1,
-    .m_methods = ckernels_functions,
 };
 
 PyMODINIT_FUNC

@@ -3,8 +3,8 @@
 :class:`Executor` is what grid-shaped callers (sweeps, experiments,
 surrogate pruning, sampling, validation campaigns, the CLI) use, and
 :class:`ExecutionConfig` is the one spelling of worker count, cache and
-journal they all accept.  The executor owns everything the
-:class:`~repro.fabric.local.LocalProcessBackend` pool does not:
+journal they all accept.  The executor runs each batch on a
+:class:`concurrent.futures.ProcessPoolExecutor` of its own and owns:
 
 * **Caching** — each cell is looked up in the
   :class:`~repro.harness.cache.ResultCache` first; only cold cells are
@@ -17,27 +17,31 @@ journal they all accept.  The executor owns everything the
 * **Ordering** — results return in input order regardless of worker
   completion order; a failed cell is a :class:`CellError` in its slot,
   never an exception out of the batch.
+* **Degrading** — one worker runs the batch in-process; a payload that
+  does not pickle, or a pool that cannot start, runs serially; a pool
+  broken by a dead worker is replaced at the next submission.
 
 :meth:`Executor.run_specs` runs simulation cells and
 :meth:`Executor.map` runs any picklable callable.  Both go through one
-submit/retire loop over a pool created and closed per batch.
+submit/retire loop that keeps at most ``jobs`` calls in flight, so a
+journaled ``running`` cell is one a worker has started.
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
+import pickle
+from concurrent.futures import (FIRST_COMPLETED, CancelledError, Future,
+                                ProcessPoolExecutor, wait)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.fabric.cells import CellResult, RunSpec, default_jobs, relabel
+from repro.fabric.cells import (CellError, CellResult, RunSpec,
+                                _execute_spec, _guarded_call, default_jobs,
+                                relabel)
 from repro.fabric.journal import SweepJournal
-from repro.fabric.local import LocalProcessBackend
 from repro.harness.runner import RunResult
-
-#: Poll cadence of the submit/retire loop, seconds.
-_POLL_SLEEP = 0.001
 
 
 @dataclass
@@ -119,14 +123,13 @@ class Executor:
         return results
 
     def _run_cold(self, cold, results, journal, progress) -> None:
-        def submit(backend, cell):
-            _index, spec, key = cell
+        def start(position: int) -> None:
+            _index, spec, key = cold[position]
             if journal is not None and key is not None:
                 journal.record(key, "running", spec.label)
-            return backend.submit(spec)
 
-        def retire(cell, value) -> None:
-            index, spec, key = cell
+        def retire(position: int, value) -> None:
+            index, spec, key = cold[position]
             if isinstance(value, RunResult):
                 if key is not None:
                     self.cache.put(key, value)
@@ -137,8 +140,9 @@ class Executor:
                 journal.record(key, "failed")
             results[index] = value
 
-        self._drive(self.execution.resolve_jobs(default_jobs()), cold,
-                    submit, retire, progress)
+        self._drive([(_execute_spec, spec, spec.label)
+                     for _index, spec, _key in cold],
+                    retire, progress, start)
 
     def _key_for(self, spec: RunSpec) -> Optional[str]:
         if self.cache is None or not hasattr(self.cache, "key_for"):
@@ -171,47 +175,95 @@ class Executor:
         """
         if labels is None:
             labels = [f"task[{index}]" for index in range(len(items))]
-        jobs = self.execution.resolve_jobs(default_jobs())
         results: List = [None] * len(items)
 
-        def submit(backend, index):
-            return backend.submit_call(func, items[index], labels[index])
-
-        def retire(index, value) -> None:
+        def retire(index: int, value) -> None:
             results[index] = value
 
-        self._drive(min(jobs, max(1, len(items))), range(len(items)),
-                    submit, retire, self.execution.progress)
+        self._drive([(func, item, label)
+                     for item, label in zip(items, labels)],
+                    retire, self.execution.progress)
         return results
 
     # -------------------------------------------------------------- loop --
-    def _drive(self, jobs: int, work: Sequence, submit: Callable,
-               retire: Callable, progress) -> None:
-        """Keep up to ``jobs`` items of ``work`` in flight on a fresh
-        pool until all are retired.  ``submit(backend, item)`` starts
-        one and returns its handle; ``retire(item, value)`` takes its
-        result; ``progress(done, total)`` counts retirements."""
-        backend = LocalProcessBackend(jobs=jobs)
-        pending = deque(work)
-        inflight: dict = {}              # handle -> item
+    def _drive(self, payloads: Sequence[tuple], retire: Callable,
+               progress, start: Optional[Callable] = None) -> None:
+        """Run every ``(func, item, label)`` payload, at most ``jobs`` at
+        a time, on a pool made for this batch and closed after it.
+
+        ``start(i)`` runs just before payload ``i`` is handed to a worker,
+        ``retire(i, value)`` takes its return value or :class:`CellError`,
+        and ``progress(done, total)`` counts retirements.
+        """
+        jobs = min(self.execution.resolve_jobs(default_jobs()),
+                   len(payloads))
+        pool: Optional[ProcessPoolExecutor] = None
+        pooled = jobs > 1                # one worker: in-process, by request
+        inflight: dict = {}              # future -> payload index
         retired = 0
+
+        def finish(index: int, value) -> None:
+            nonlocal retired
+            retire(index, value)
+            retired += 1
+            if progress is not None:
+                progress(retired, len(payloads))
+
+        def submit(payload) -> Optional[Future]:
+            nonlocal pool, pooled
+            try:
+                pickle.dumps(payload)
+            except Exception:
+                self.fell_back_to_serial = True
+                return None
+            for _attempt in range(2):
+                try:
+                    if pool is None:
+                        pool = ProcessPoolExecutor(max_workers=jobs)
+                    return pool.submit(_guarded_call, payload)
+                except BrokenProcessPool:
+                    # A worker died: its cells already failed; start anew.
+                    pool.shutdown(wait=False, cancel_futures=True)
+                    pool = None
+                except (RuntimeError, OSError):
+                    break
+            pooled = False
+            self.fell_back_to_serial = True
+            return None
+
+        def retire_finished() -> None:
+            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+            for future in [each for each in inflight if each in done]:
+                index = inflight.pop(future)
+                finish(index, _outcome(future, payloads[index][2]))
+
         try:
-            while pending or inflight:
-                while pending and len(inflight) < backend.jobs:
-                    item = pending.popleft()
-                    inflight[submit(backend, item)] = item
-                done = [handle for handle in inflight if handle.poll()]
-                if not done:
-                    time.sleep(_POLL_SLEEP)
-                    continue
-                for handle in done:
-                    item = inflight.pop(handle)
-                    value = handle.result()
-                    handle.close()
-                    retire(item, value)
-                    retired += 1
-                    if progress is not None:
-                        progress(retired, len(work))
+            for index, payload in enumerate(payloads):
+                while len(inflight) >= jobs:
+                    retire_finished()
+                if start is not None:
+                    start(index)
+                future = submit(payload) if pooled else None
+                if future is None:
+                    finish(index, _guarded_call(payload))
+                else:
+                    inflight[future] = index
+            while inflight:
+                retire_finished()
         finally:
-            backend.close()
-        self.fell_back_to_serial |= backend.fell_back_to_serial
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _outcome(future: Future, label: str):
+    """A finished future's value; a raised, dead or cancelled cell is a
+    :class:`CellError`, never an exception out of the batch."""
+    try:
+        return future.result()
+    except CancelledError:
+        return CellError(label=label, error="cancelled")
+    except BrokenProcessPool:
+        return CellError(label=label,
+                         error="worker process died (BrokenProcessPool)")
+    except Exception as exc:            # noqa: BLE001 — per-cell surface
+        return CellError(label=label, error=f"{type(exc).__name__}: {exc}")

@@ -21,6 +21,7 @@ from repro.harness import configs
 from repro.harness.reporting import (ascii_series_plot, figure2_report,
                                      format_table, table2_report)
 from repro.harness.runner import RunResult
+from repro.harness.sweep import run_grid
 from repro.workloads import WORKLOADS
 
 VARIANTS = ("base", "hmp", "lrp", "comb")
@@ -83,12 +84,15 @@ class ExperimentRunner:
         return max(2_000, int(spec.default_instructions
                               * self.budget_factor * scale))
 
-    def _sampled_spec(self, workload: str, config_key: str, params):
-        from repro.sampling.sampler import SampledRunSpec
-        return SampledRunSpec(workload, params, config_label=config_key,
-                              sampling=self.sampling,
-                              scale=self.sampling_scale,
-                              max_instructions=self._budget(workload))
+    def _run_grid(self, cells, execution,
+                  surrogate: bool = False) -> List[RunResult]:
+        return run_grid(cells,
+                        budgets={workload: self._budget(workload)
+                                 for workload, _key, _params in cells},
+                        execution=execution, progress=self.progress,
+                        sampling=self.sampling,
+                        sampling_scale=self.sampling_scale,
+                        metrics=self.metrics, surrogate=surrogate)
 
     def run(self, workload: str, config_key: str,
             params_factory) -> RunResult:
@@ -100,26 +104,12 @@ class ExperimentRunner:
             self._recording.append((workload, config_key, params_factory))
             return RunResult(workload=workload, config=config_key,
                              ipc=0.0, cycles=0, instructions=0)
-        if self.progress is not None:
-            self.progress(f"{workload}/{config_key}")
-        from repro.fabric import (ExecutionConfig, Executor, RunSpec,
-                                  raise_on_errors)
-        executor = Executor(ExecutionConfig(jobs=1,
-                                            cache=self.execution.cache))
-        if self.sampling is not None:
-            from repro.sampling.sampler import run_sampled_cell
-            spec = self._sampled_spec(workload, config_key, params_factory())
-            cells = executor.map(
-                run_sampled_cell, [spec], labels=[f"{workload}/{config_key}"])
-        else:
-            spec = RunSpec(workload, params_factory(),
-                           config_label=config_key,
-                           max_instructions=self._budget(workload),
-                           metrics=self.metrics)
-            cells = executor.run_specs([spec])
-        raise_on_errors(cells, "experiment")
-        self._cache[key] = cells[0]
-        return cells[0]
+        from repro.fabric import ExecutionConfig
+        [result] = self._run_grid(
+            [(workload, config_key, params_factory())],
+            ExecutionConfig(jobs=1, cache=self.execution.cache))
+        self._cache[key] = result
+        return result
 
     def prefetch(self, build: Callable[["ExperimentRunner"], object]) -> None:
         """Discover the grid ``build`` will request, then run it in bulk.
@@ -128,8 +118,9 @@ class ExperimentRunner:
         which cells it asks for (builders only combine results
         arithmetically, with zero-guarded divisions, so placeholders are
         safe); the recorded cells then run through one parallel,
-        cache-aware fan-out.  If the dry run raises, fall back silently to
-        the ordinary lazy-serial path.
+        cache-aware fan-out (surrogate-pruned with ``surrogate``).  If the
+        dry run raises, fall back silently to the ordinary lazy-serial
+        path.
         """
         self._recording = []
         try:
@@ -138,49 +129,15 @@ class ExperimentRunner:
             self._recording = None
             return
         plan, self._recording = self._recording, None
-        seen = set()
-        unique = []
+        unique: Dict[Tuple[str, str], tuple] = {}
         for workload, config_key, factory in plan:
-            if (workload, config_key) not in seen:
-                seen.add((workload, config_key))
-                unique.append((workload, config_key, factory))
-        import dataclasses as _dataclasses
-
-        from repro.fabric import Executor, RunSpec, raise_on_errors
-        executor = Executor(_dataclasses.replace(
-            self.execution, jobs=self.jobs))
-        if self.progress is not None:
-            for workload, config_key, _ in unique:
-                self.progress(f"{workload}/{config_key}")
-        if self.sampling is not None:
-            from repro.sampling.sampler import run_sampled_cell
-            sampled = [self._sampled_spec(workload, config_key, factory())
-                       for workload, config_key, factory in unique]
-            cells = executor.map(
-                run_sampled_cell, sampled,
-                labels=[f"{s.workload}/{s.config_label}" for s in sampled])
-        elif self.surrogate:
-            from repro.harness.surrogate import prune_and_run
-            grid = [(workload, config_key, factory())
-                    for workload, config_key, factory in unique]
-            budgets = {workload: self._budget(workload)
-                       for workload, _key, _factory in unique}
-            outcome = prune_and_run(grid, budgets=budgets,
-                                    execution=executor.execution,
-                                    progress=self.progress)
-            for workload, config_key, _factory in unique:
-                self._cache[(workload, config_key)] = \
-                    outcome.results[(workload, config_key)]
-            return
-        else:
-            specs = [RunSpec(workload, factory(), config_label=config_key,
-                             max_instructions=self._budget(workload),
-                             metrics=self.metrics)
-                     for workload, config_key, factory in unique]
-            cells = executor.run_specs(specs)
-        raise_on_errors(cells, "experiment")
-        for (workload, config_key, _), cell in zip(unique, cells):
-            self._cache[(workload, config_key)] = cell
+            if (workload, config_key) not in unique:
+                unique[(workload, config_key)] = (workload, config_key,
+                                                  factory())
+        cells = list(unique.values())
+        results = self._run_grid(cells, self.execution, self.surrogate)
+        for (workload, config_key, _params), result in zip(cells, results):
+            self._cache[(workload, config_key)] = result
 
     def ideal(self, workload: str, size: int) -> RunResult:
         return self.run(workload, f"ideal-{size}",

@@ -57,6 +57,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.params import ProcessorParams
 from repro.harness.runner import RunResult
+from repro.harness.sweep import Cell, run_grid
 from repro.isa.executor import execute
 from repro.isa.opcodes import FUClass
 from repro.workloads import WORKLOADS
@@ -392,7 +393,6 @@ class Surrogate:
 
 
 # ------------------------------------------------------------------ pruning
-Cell = Tuple[str, str, ProcessorParams]     # (workload, label, params)
 
 
 @dataclass
@@ -432,20 +432,6 @@ def surrogate_result(workload: str, label: str,
                "surrogate.uncertainty": prediction.uncertainty,
                "surrogate.ipc_low": prediction.low,
                "surrogate.ipc_high": prediction.high})
-
-
-def _run_cells(cells: Sequence[Cell], budget: Callable[[str], Optional[int]],
-               *, execution, progress) -> List[RunResult]:
-    from repro.fabric import Executor, RunSpec, raise_on_errors
-    specs = [RunSpec(workload, params, config_label=label,
-                     max_instructions=budget(workload))
-             for workload, label, params in cells]
-    if progress is not None:
-        for spec in specs:
-            progress(f"{spec.workload}/{spec.config_label}")
-    results = Executor(execution).run_specs(specs)
-    raise_on_errors(results, "surrogate pruning")
-    return results
 
 
 def pareto_band_split(cells: Sequence[Cell],
@@ -510,10 +496,7 @@ def prune_and_run(cells: Sequence[Cell], *,
     uncached by default) places the simulated cells, and its ``cache``
     feeds phase 0.
     """
-    if execution is None:
-        from repro.fabric import ExecutionConfig
-        execution = ExecutionConfig(jobs=1)
-    cache = execution.cache
+    cache = execution.cache if execution is not None else None
     if surrogate is None:
         surrogate = Surrogate(max_instructions=max_instructions)
 
@@ -567,8 +550,10 @@ def prune_and_run(cells: Sequence[Cell], *,
             anchor_for[key] = (workload, label)
     anchors = sorted(set(anchor_for.values()))
     anchor_cells = [(w, l, by_cell[(w, l)]) for w, l in anchors]
-    anchor_results = _run_cells(anchor_cells, budget, execution=execution,
-                                progress=progress)
+    anchor_results = run_grid(anchor_cells,
+                              max_instructions=max_instructions,
+                              budgets=budgets, execution=execution,
+                              progress=progress)
     for (workload, label, params), result in zip(anchor_cells,
                                                  anchor_results):
         results[(workload, label)] = result
@@ -585,8 +570,9 @@ def prune_and_run(cells: Sequence[Cell], *,
 
     # Phase 3: simulate the keepers, fill the pruned cells analytically.
     for (workload, label, _), result in zip(
-            keep, _run_cells(keep, budget, execution=execution,
-                             progress=progress)):
+            keep, run_grid(keep, max_instructions=max_instructions,
+                           budgets=budgets, execution=execution,
+                           progress=progress)):
         results[(workload, label)] = result
     for (workload, label), prediction in pruned.items():
         results[(workload, label)] = surrogate_result(
@@ -630,11 +616,8 @@ def validation_report(workloads: Sequence[str],
     cells: List[Cell] = [(workload, label, params)
                          for workload in workloads
                          for label, params in grid_configs]
-    if execution is None:
-        from repro.fabric import ExecutionConfig
-        execution = ExecutionConfig(jobs=1)
-    simulated = _run_cells(cells, lambda _w: max_instructions,
-                           execution=execution, progress=progress)
+    simulated = run_grid(cells, max_instructions=max_instructions,
+                         execution=execution, progress=progress)
     surrogate = Surrogate(max_instructions=max_instructions)
     anchor_for: Dict[Tuple[str, str], Tuple[str, str, float]] = {}
     for (workload, label, params), result in zip(cells, simulated):

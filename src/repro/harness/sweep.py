@@ -19,8 +19,9 @@ the ablations, packaged for users exploring their own design points::
 from __future__ import annotations
 
 import csv
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.params import ProcessorParams
 from repro.fabric.executor import ExecutionConfig
@@ -171,75 +172,98 @@ class Sweep:
         """
         if not self._configs:
             raise ValueError("no configurations added")
-        if execution is None:
-            execution = ExecutionConfig()
-        if metrics is not None and sampling is not None:
-            from repro.common.errors import ConfigurationError
-            raise ConfigurationError(
-                "metrics= requires full-detail cells; drop sampling= or "
-                "collect metrics from a separate full run")
-        models = {label: params.iq.kind for label, params in self._configs}
-        if surrogate:
-            if sampling is not None or metrics is not None:
-                from repro.common.errors import ConfigurationError
-                raise ConfigurationError(
-                    "surrogate pruning requires plain full-detail cells; "
-                    "drop sampling=/metrics= or run without surrogate=")
-            from repro.harness.surrogate import prune_and_run
-            cells = [(workload, label, params)
-                     for workload in self.workloads
-                     for label, params in self._configs]
-            outcome = prune_and_run(cells,
-                                    max_instructions=self.max_instructions,
-                                    execution=execution,
-                                    progress=self.progress)
-            results = {workload: {} for workload in self.workloads}
-            for (workload, label), result in outcome.results.items():
-                results[workload][label] = result
-            return SweepGrid(self.workloads,
-                             [label for label, _ in self._configs],
-                             results, metric, models=models,
-                             surrogate_cells=set(outcome.pruned))
-        import dataclasses as _dataclasses
-
-        from repro.fabric import Executor, raise_on_errors
-        executor = Executor(_dataclasses.replace(
-            execution, jobs=execution.resolve_jobs(1)))
-        if sampling is not None:
-            from repro.sampling.sampler import (SampledRunSpec,
-                                                run_sampled_cell)
-            sampled_specs = [
-                SampledRunSpec(workload, params, config_label=label,
-                               sampling=sampling, scale=sampling_scale,
-                               max_instructions=self.max_instructions)
-                for workload in self.workloads
-                for label, params in self._configs]
-            if self.progress is not None:
-                for spec in sampled_specs:
-                    self.progress(
-                        f"{spec.workload}/{spec.config_label} (sampled)")
-            cells = executor.map(
-                run_sampled_cell, sampled_specs,
-                labels=[f"{s.workload}/{s.config_label}"
-                        for s in sampled_specs])
-            raise_on_errors(cells, "sampled sweep")
-            specs = sampled_specs
-        else:
-            from repro.fabric import RunSpec
-            specs = [RunSpec(workload, params, config_label=label,
-                             max_instructions=self.max_instructions,
-                             metrics=metrics)
-                     for workload in self.workloads
-                     for label, params in self._configs]
-            if self.progress is not None:
-                for spec in specs:
-                    self.progress(f"{spec.workload}/{spec.config_label}")
-            cells = executor.run_specs(specs)
-            raise_on_errors(cells, "sweep")
+        cells = [(workload, label, params)
+                 for workload in self.workloads
+                 for label, params in self._configs]
+        outcomes = run_grid(cells, max_instructions=self.max_instructions,
+                            execution=execution, progress=self.progress,
+                            sampling=sampling,
+                            sampling_scale=sampling_scale,
+                            metrics=metrics, surrogate=surrogate)
         results: Dict[str, Dict[str, RunResult]] = {
             workload: {} for workload in self.workloads}
-        for spec, cell in zip(specs, cells):
-            results[spec.workload][spec.config_label] = cell
-        return SweepGrid(self.workloads,
-                         [label for label, _ in self._configs],
-                         results, metric, models=models)
+        for (workload, label, _params), result in zip(cells, outcomes):
+            results[workload][label] = result
+        return SweepGrid(
+            self.workloads, [label for label, _ in self._configs], results,
+            metric,
+            models={label: params.iq.kind for label, params in self._configs},
+            surrogate_cells={
+                (workload, label) for workload, label, _params in cells
+                if results[workload][label].stats.get("surrogate.predicted")})
+
+
+#: One grid cell: (workload, config label, processor parameters).
+Cell = Tuple[str, str, ProcessorParams]
+
+
+def run_grid(cells: Sequence[Cell], *,
+             max_instructions: Optional[int] = None,
+             budgets: Optional[Dict[str, int]] = None,
+             execution: Optional[ExecutionConfig] = None,
+             progress: Optional[Callable[[str], None]] = None,
+             sampling=None, sampling_scale: int = 1,
+             metrics=None, surrogate: bool = False) -> List[RunResult]:
+    """Run ``(workload, label, params)`` cells; results in input order.
+
+    Every grid in the package (sweeps, experiments, surrogate pruning)
+    runs through here.  A cell's instruction budget is
+    ``budgets[workload]`` when given, else ``max_instructions``.  Cells
+    run in full detail by default, as sampled estimates with
+    ``sampling`` (a :class:`~repro.sampling.SamplingConfig`, at
+    ``sampling_scale``), or pruned by the analytical surrogate with
+    ``surrogate`` (see :mod:`repro.harness.surrogate`; predicted cells
+    carry ``stats["surrogate.predicted"]``).  ``metrics`` attaches a
+    :class:`~repro.obs.MetricsConfig` to every full-detail cell.
+    ``execution`` places the cells; ``jobs=None`` runs them serially.
+    ``progress(line)`` hears one line per cell before it runs.  Raises
+    :class:`RuntimeError` when any cell fails.
+    """
+    from repro.common.errors import ConfigurationError
+    from repro.fabric import Executor, RunSpec, raise_on_errors
+    if metrics is not None and sampling is not None:
+        raise ConfigurationError(
+            "metrics= requires full-detail cells; drop sampling= or "
+            "collect metrics from a separate full run")
+    if surrogate and (sampling is not None or metrics is not None):
+        raise ConfigurationError(
+            "surrogate pruning requires plain full-detail cells; "
+            "drop sampling=/metrics= or run without surrogate=")
+    if execution is None:
+        execution = ExecutionConfig()
+    execution = dataclasses.replace(execution,
+                                    jobs=execution.resolve_jobs(1))
+    if surrogate:
+        from repro.harness.surrogate import prune_and_run
+        outcome = prune_and_run(cells, max_instructions=max_instructions,
+                                budgets=budgets, execution=execution,
+                                progress=progress)
+        return [outcome.results[(workload, label)]
+                for workload, label, _params in cells]
+
+    def budget(workload: str) -> Optional[int]:
+        if budgets is not None:
+            return budgets.get(workload, max_instructions)
+        return max_instructions
+
+    if progress is not None:
+        suffix = " (sampled)" if sampling is not None else ""
+        for workload, label, _params in cells:
+            progress(f"{workload}/{label}{suffix}")
+    executor = Executor(execution)
+    if sampling is not None:
+        from repro.sampling.sampler import SampledRunSpec, run_sampled_cell
+        results = executor.map(
+            run_sampled_cell,
+            [SampledRunSpec(workload, params, config_label=label,
+                            sampling=sampling, scale=sampling_scale,
+                            max_instructions=budget(workload))
+             for workload, label, params in cells],
+            labels=[f"{workload}/{label}" for workload, label, _ in cells])
+    else:
+        results = executor.run_specs(
+            [RunSpec(workload, params, config_label=label,
+                     max_instructions=budget(workload), metrics=metrics)
+             for workload, label, params in cells])
+    raise_on_errors(results, "grid")
+    return results

@@ -19,12 +19,11 @@ the backend for *both* tiers, and the pure-Python fallback is always
 available.  The two backends are bit-identical — same cycles, same
 stats, same traces — pinned by ``tests/core/test_kernels.py``.
 
-Three stages of ``Processor`` have compiled twins with no column state
-of their own: the fused rename (:func:`rename_kernel`), the whole
-dispatch stage (:func:`dispatch_stage`, pinned untraced by
-``tests/pipeline/test_dispatch_stage.py``) and the issue stage with
-operand wakeup and completion (:func:`issue_stage`, pinned by
-``tests/pipeline/test_issue_stage.py``).
+Two stages of ``Processor`` have compiled twins with no column state
+of their own: the whole dispatch stage (:func:`dispatch_stage`, pinned
+untraced by ``tests/pipeline/test_dispatch_stage.py``) and the issue
+stage with operand wakeup and completion (:func:`issue_stage`, pinned
+by ``tests/pipeline/test_issue_stage.py``).
 
 Column layout (one heap per (FU class, cluster) pair, flattened):
 
@@ -120,20 +119,6 @@ class PyPipelineEngine:
             if units and now < units[0] < earliest:
                 earliest = units[0]
         return earliest
-
-
-def rename_kernel():
-    """The fused unclustered rename loop (C), or None on the py backend.
-
-    ``rename_operands(operand_cls, last_writer, srcs, limit)`` builds the
-    dispatch-time operand list in one call; Processor._dispatch keeps the
-    Python loop as the fallback twin (and for clustered configurations,
-    whose bypass-penalty bookkeeping stays in Python).
-    """
-    if _backend() == "compiled":
-        from repro.core.segmented import _ckernels
-        return _ckernels.rename_operands
-    return None
 
 
 def dispatch_stage():

@@ -35,7 +35,7 @@ from repro.isa.opcodes import FUClass, OpClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs.events import TraceEvent
 from repro.pipeline.fu import FUAcquire, FUPool
-from repro.pipeline.kernels import dispatch_stage, issue_stage, rename_kernel
+from repro.pipeline.kernels import dispatch_stage, issue_stage
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
 
@@ -191,9 +191,6 @@ class Processor:
         self.frontend = self.frontends[0]
         self.fu_pool = FUPool(params.fu_counts, self.stats, params.clusters)
         self._fu_acquire = FUAcquire(self.fu_pool)
-        # Fused C rename loop (pipeline kernel tier); clustered configs
-        # keep the Python loop for its bypass-penalty bookkeeping.
-        self._c_rename = None if self._clustered else rename_kernel()
         self.iq = build_iq(params, self.stats)
         self._cluster_load = [0] * params.clusters
         rob_size = (params.rob_size if threads == 1
@@ -806,7 +803,6 @@ class Processor:
         iq = self.iq
         tracer = self.tracer
         clustered = self._clustered
-        c_rename = self._c_rename
         last_writer = self._last_writers[thread]
         dispatched = 0
         while dispatched < budget and pipeline and pipeline[0][0] <= now:
@@ -858,26 +854,22 @@ class Processor:
                 self._cluster_load[inst.cluster] += 1
             # Rename the IQ-relevant sources.
             srcs = inst.srcs
-            if c_rename is not None:
-                operands = c_rename(Operand, last_writer, srcs,
-                                    1 if is_mem else -1)
-            else:
-                operands = []
-                for reg in (srcs[:1] if is_mem else srcs):
-                    producer = last_writer.get(reg) if reg != 0 else None
-                    if producer is None:
-                        operands.append(Operand(reg, None, 0, 0))
-                        continue
-                    penalty = 0
-                    if (clustered and producer.cluster != inst.cluster
-                            and producer.completed_cycle < 0):
-                        penalty = self.params.cluster_bypass_penalty
-                        self.stat_cross_cluster.inc()
-                    ready = producer.value_ready_cycle
-                    if ready is not None:
-                        ready += penalty
-                        penalty = 0  # folded in; no late wakeup will come
-                    operands.append(Operand(reg, producer, ready, penalty))
+            operands = []
+            for reg in (srcs[:1] if is_mem else srcs):
+                producer = last_writer.get(reg) if reg != 0 else None
+                if producer is None:
+                    operands.append(Operand(reg, None, 0, 0))
+                    continue
+                penalty = 0
+                if (clustered and producer.cluster != inst.cluster
+                        and producer.completed_cycle < 0):
+                    penalty = self.params.cluster_bypass_penalty
+                    self.stat_cross_cluster.inc()
+                ready = producer.value_ready_cycle
+                if ready is not None:
+                    ready += penalty
+                    penalty = 0  # folded in; no late wakeup will come
+                operands.append(Operand(reg, producer, ready, penalty))
             if plain_rob:
                 inst.rob_index = len(rob_entries)
                 rob_entries.append(inst)

@@ -7,8 +7,8 @@ import pytest
 
 from repro import api
 from repro.common.errors import ConfigurationError
-from repro.fabric import (CompletedHandle, ExecutionConfig, Executor,
-                          LocalProcessBackend, default_jobs)
+from repro.fabric import ExecutionConfig, Executor, default_jobs
+from repro.fabric import executor as executor_module
 from repro.harness import configs
 from repro.harness.cache import ResultCache
 
@@ -51,17 +51,17 @@ class TestDefaultJobs:
     def test_one_usable_cpu_means_in_process_serial(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-        backend = LocalProcessBackend()
-        try:
-            assert backend.jobs == 1
-            handle = backend.submit_call(_double, 21, "double")
-            assert isinstance(handle, CompletedHandle)
-            assert handle.result() == 42
-            assert not backend.fell_back_to_serial
-        finally:
-            backend.close()
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+                            _no_pool)
+        executor = Executor()
+        assert executor.map(_double, [21, 4, 5]) == [42, 8, 10]
+        assert not executor.fell_back_to_serial
 
 
 def _double(x):
     return x * 2
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("started a process pool")
 

@@ -2,16 +2,18 @@
 
 The ``local-process`` pool must (a) produce bit-identical results to
 serial in-process execution, in input order; (b) recover from a dead
-worker — the next submission gets a fresh one.
+worker — the next submission gets a fresh pool.
 """
 
 import dataclasses
+import multiprocessing
+import threading
 import time
 
 import pytest
 
-from repro.fabric import (CellError, ExecutionConfig, Executor,
-                          LocalProcessBackend, RunSpec, raise_on_errors)
+from repro.fabric import (CellError, ExecutionConfig, Executor, RunSpec,
+                          raise_on_errors)
 from repro.harness import configs
 from repro.harness.cache import ResultCache
 from repro.harness.runner import RunResult
@@ -76,36 +78,50 @@ def _wait(predicate, timeout=30.0, message="condition"):
         time.sleep(0.01)
 
 
-def _long_spec():
-    # Big enough that the kill always lands mid-simulation.
-    return RunSpec("twolf", configs.ideal(32), config_label="ideal-32",
-                   max_instructions=300_000)
+def _long_spec(label="ideal-32"):
+    # Seconds of simulation: the kill always lands mid-cell.
+    return RunSpec("twolf", configs.ideal(32), config_label=label,
+                   scale=40, max_instructions=300_000)
 
 
-def _small_spec():
-    return RunSpec("twolf", configs.ideal(32), config_label="ideal-32",
+def _small_spec(label="ideal-32"):
+    return RunSpec("twolf", configs.ideal(32), config_label=label,
                    max_instructions=800)
 
 
 class TestWorkerDeathMidCell:
-    """Kill the worker while a cell is computing: the handle settles
-    with a CellError and the pool recovers — the next submission gets a
-    fresh worker."""
+    """Kill the pool's workers while their cells compute: those cells
+    become CellErrors, and the pool recovers — the next submission, in
+    the same batch and in the next one, gets a fresh pool."""
 
     def test_local_process_worker_death(self):
-        # jobs=2: with one worker the cell would run in-process.
-        back = LocalProcessBackend(jobs=2)
+        before = {child.pid for child in multiprocessing.active_children()}
+
+        def workers():
+            return [child for child in multiprocessing.active_children()
+                    if child.pid not in before]
+
+        def kill_workers():
+            _wait(workers, message="pool workers")
+            time.sleep(0.5)              # let them get into their cells
+            for child in workers():
+                child.kill()
+
+        killer = threading.Thread(target=kill_workers)
+        killer.start()
+        # jobs=2 with two long cells in flight; the third is submitted
+        # only after they retire, to the pool their deaths broke.
+        executor = Executor(ExecutionConfig(jobs=2))
         try:
-            handle = back.submit(_long_spec())
-            _wait(lambda: back._pool._processes, message="pool workers")
-            for process in list(back._pool._processes.values()):
-                process.kill()
-            _wait(handle.poll, message="pool death report")
-            result = handle.result()
-            assert isinstance(result, CellError)
-            assert "died" in result.error
-            retry = back.submit(_small_spec()).result(timeout=120)
-            assert isinstance(retry, RunResult), retry
-            assert not back.fell_back_to_serial   # a fresh pool ran it
+            first, second, third = executor.run_specs(
+                [_long_spec("a"), _long_spec("b"), _small_spec("c")])
         finally:
-            back.close()
+            killer.join(timeout=60)
+        assert not killer.is_alive()
+        for dead in (first, second):
+            assert isinstance(dead, CellError), dead
+            assert "died" in dead.error
+        assert isinstance(third, RunResult), third
+        retry = executor.run_specs([_small_spec("d"), _small_spec("e")])
+        assert all(isinstance(cell, RunResult) for cell in retry), retry
+        assert not executor.fell_back_to_serial   # fresh pools ran them

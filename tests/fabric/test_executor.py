@@ -1,18 +1,25 @@
 """The Executor driver over the ``local-process`` pool.
 
 ``map`` and ``run_specs`` share one submit/retire loop: results come
-back in input order, an unpicklable payload falls back to serial,
-progress counts retirements, and every worker count computes exactly
-what serial execution does.  Per-cell errors and the cache hit count
-are pinned in ``tests/harness/test_parallel.py``.
+back in input order, at most ``jobs`` cells are in flight, a batch
+with one cold cell starts no pool, an unpicklable payload or a pool
+that cannot start falls back to serial, progress counts retirements,
+and every worker count computes exactly what serial execution does.
+Per-cell errors and the cache hit count are pinned in
+``tests/harness/test_parallel.py``.
 """
 
 import dataclasses
+import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.fabric import (CellError, ExecutionConfig, Executor,
-                          LocalProcessBackend, RunSpec, raise_on_errors)
+from repro.fabric import (CellError, ExecutionConfig, Executor, RunSpec,
+                          raise_on_errors)
+from repro.fabric import executor as executor_module
+from repro.fabric.cells import _execute_spec, _guarded_call
 from repro.harness import configs
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import EXPERIMENTS
@@ -54,6 +61,17 @@ class TestMap:
         assert executor.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
         assert executor.fell_back_to_serial
 
+    def test_pool_that_cannot_start_falls_back_to_serial(self,
+                                                         monkeypatch):
+        def no_processes(*args, **kwargs):
+            raise OSError("no processes left")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+                            no_processes)
+        executor = _executor(2)
+        assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
+        assert executor.fell_back_to_serial
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_progress_callback(self, jobs):
         seen = []
@@ -83,15 +101,16 @@ class TestDeterminism:
                     f"{workload}/{label} diverged between serial and jobs=4"
 
     def test_spawn_start_method_matches_serial(self):
+        """The worker entry point survives the ``spawn`` start method
+        (the macOS and Windows default) and computes what serial does."""
         spec = _small_spec()
         serial = _executor(1).run_specs([spec])
-        backend = LocalProcessBackend(jobs=2, start_method="spawn")
-        try:
-            spawned = backend.submit(spec).result(timeout=120)
-        finally:
-            backend.close()
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            spawned = pool.submit(_guarded_call,
+                                  (_execute_spec, spec, spec.label)
+                                  ).result(timeout=120)
         assert isinstance(spawned, RunResult), spawned
-        assert not backend.fell_back_to_serial
         assert dataclasses.asdict(serial[0]) == dataclasses.asdict(spawned)
 
     def test_experiment_parallel_matches_serial(self):
@@ -100,7 +119,7 @@ class TestDeterminism:
             workloads=["twolf"], budget_factor=0.01)
         report_parallel, data_parallel = experiment.run(
             workloads=["twolf"], budget_factor=0.01,
-            execution=ExecutionConfig(jobs=2))
+            execution=ExecutionConfig(jobs=4))
         assert report_serial == report_parallel
         assert data_serial == data_parallel
 
@@ -114,3 +133,45 @@ class TestRunSpecsCaching:
         assert cache.hits == 1
         assert isinstance(cells[0], RunResult)
         assert cells[0].config == "other-name"
+
+    def test_one_cold_cell_starts_no_pool(self, tmp_path, monkeypatch):
+        """The worker count is clamped to the cold cells: a cached cell
+        plus one cold cell at jobs=4 run in-process."""
+        cache = ResultCache(tmp_path)
+        _executor(1, cache=cache).run_specs([_small_spec()])
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+                            _no_pool)
+        executor = _executor(4, cache=cache)
+        cold = RunSpec("swim", configs.ideal(32), config_label="ideal-32",
+                       max_instructions=800)
+        hit, ran = executor.run_specs([_small_spec(), cold])
+        assert isinstance(hit, RunResult) and isinstance(ran, RunResult)
+        assert cache.hits == 1
+        assert not executor.fell_back_to_serial
+
+
+class TestInFlight:
+    def test_running_cells_never_exceed_jobs(self, tmp_path):
+        """A journaled ``running`` cell is one a worker holds: at most
+        ``jobs`` cells are between ``running`` and ``done`` at once."""
+        cache = ResultCache(tmp_path / "cache")
+        journal = tmp_path / "sweep.jsonl"
+        specs = [RunSpec("twolf", configs.ideal(size),
+                         config_label=f"ideal-{size}", max_instructions=800)
+                 for size in (16, 32, 48, 64, 96)]
+        cells = _executor(2, cache=cache, journal=journal).run_specs(specs)
+        raise_on_errors(cells, "in-flight")
+        running = peak = 0
+        for line in journal.read_text().splitlines():
+            state = json.loads(line)["state"]
+            if state == "running":
+                running += 1
+                peak = max(peak, running)
+            elif state in ("done", "failed"):
+                running -= 1
+        assert running == 0
+        assert peak == 2
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("started a process pool")

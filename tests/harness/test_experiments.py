@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.harness.experiments import (EXPERIMENTS, Experiment,
                                        ExperimentRunner, save_data)
 
@@ -84,3 +85,21 @@ class TestSampledExperiments:
         sampled = ExperimentRunner(["twolf"], sampling=sampling,
                                    sampling_scale=3)
         assert sampled._budget("twolf") == 3 * plain._budget("twolf")
+
+
+class TestConflictingModes:
+    """``metrics=`` needs full-detail cells: a sampled or surrogate-pruned
+    experiment refuses it, as ``Sweep.run`` does, rather than dropping
+    it."""
+
+    def test_sampling_with_metrics_raises(self):
+        from repro.sampling import SamplingConfig
+        with pytest.raises(ConfigurationError, match="metrics="):
+            EXPERIMENTS["headline"].run(
+                workloads=["twolf"], sampling=SamplingConfig(num_windows=4),
+                metrics=100)
+
+    def test_surrogate_with_metrics_raises(self):
+        with pytest.raises(ConfigurationError, match="surrogate"):
+            EXPERIMENTS["headline"].run(workloads=["twolf"],
+                                        surrogate=True, metrics=100)

@@ -156,13 +156,13 @@ def test_cached_cells_anchor_without_simulation(tmp_path, monkeypatch):
     assert first.anchors, "cold pass must simulate anchors"
 
     batches = []
-    real_run_cells = surrogate_mod._run_cells
+    real_run_grid = surrogate_mod.run_grid
 
     def counting(cells_arg, *args, **kwargs):
         batches.append(list(cells_arg))
-        return real_run_cells(cells_arg, *args, **kwargs)
+        return real_run_grid(cells_arg, *args, **kwargs)
 
-    monkeypatch.setattr(surrogate_mod, "_run_cells", counting)
+    monkeypatch.setattr(surrogate_mod, "run_grid", counting)
     second = prune_and_run(cells, max_instructions=BUDGET,
                           execution=ExecutionConfig(cache=cache))
     assert all(not batch for batch in batches), batches
@@ -174,6 +174,23 @@ def test_cached_cells_anchor_without_simulation(tmp_path, monkeypatch):
         assert second.results[cell].ipc == first.results[cell].ipc
     assert set(second.results) == {("twolf", label)
                                    for label, _ in PRUNE_CONFIGS}
+
+
+def test_unset_jobs_prunes_serially(monkeypatch):
+    """``jobs=None`` means serial for every grid, the pruning pass
+    included: no pool starts even where the process may use many CPUs."""
+    from repro.fabric import executor as executor_module
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a process pool")
+
+    monkeypatch.setattr(executor_module, "default_jobs", lambda: 4)
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_pool)
+    cells = [("twolf", label, params) for label, params in PRUNE_CONFIGS]
+    outcome = prune_and_run(cells, max_instructions=BUDGET,
+                            execution=ExecutionConfig())
+    assert set(outcome.results) == {("twolf", label)
+                                    for label, _ in PRUNE_CONFIGS}
 
 
 def test_surrogate_result_marking():

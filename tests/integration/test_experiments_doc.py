@@ -6,10 +6,17 @@ Each SMT speedup the §7 bullet quotes is tied to one row of
 (``a`` is the old value, ``b`` the current one), so only ``b`` is
 checked; any other ``N.NNx`` in the bullet without a row here fails,
 so a new quote cannot drift unchecked.
+
+Each gain and % of ideal the measured column of the "Abstract / §1
+headline numbers" table quotes is tied to ``headline_claims.txt`` the
+same way: any other ``N %`` in that column fails unless it is listed
+as a figure quoted from the paper.  (The claim column quotes the
+paper throughout.)
 """
 
 import re
 from pathlib import Path
+from statistics import mean
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -58,3 +65,86 @@ def test_smt_bullet_quotes_match_the_artifact():
         assert quote.span(1) in checked + superseded, \
             f"SMT bullet quotes {quote.group(0)} with no artifact row " \
             f"checked in SMT_QUOTES"
+
+
+def _headline_rows() -> dict:
+    """benchmark -> its row of ``headline_claims.txt``."""
+    rows = {}
+    artifact = ROOT / "benchmarks" / "out" / "headline_claims.txt"
+    for line in artifact.read_text().splitlines():
+        fields = line.split()
+        if len(fields) == 7 and fields[1] in ("FP", "INT"):
+            rows[fields[0]] = {"ideal512": float(fields[3]),
+                               "seg": float(fields[4]),
+                               "gain": fields[5].rstrip("%"),
+                               "of_ideal": fields[6].rstrip("%")}
+    return rows
+
+
+def _of_ideal(rows) -> list:
+    return [int(row["of_ideal"]) for row in rows.values()]
+
+
+#: (what, regex whose group 1 is the quoted figure, its artifact value).
+HEADLINE_QUOTES = [
+    ("vortex gain", r"([+−]\d+) % \(vortex\)",
+     lambda rows: rows["vortex"]["gain"]),
+    ("twolf gain", r"others ([+−]\d+) %",
+     lambda rows: rows["twolf"]["gain"]),
+    ("gcc gain", r"others [+−]\d+ %, ([+−]\d+) %",
+     lambda rows: rows["gcc"]["gain"]),
+    ("swim gain", r"([+−]\d+) % \(swim\)",
+     lambda rows: rows["swim"]["gain"]),
+    ("equake gain", r"([+−]\d+) % \(equake, mgrid\)",
+     lambda rows: rows["equake"]["gain"]),
+    ("mgrid gain", r"([+−]\d+) % \(equake, mgrid\)",
+     lambda rows: rows["mgrid"]["gain"]),
+    ("lowest % of ideal", r"(\d+)-\d+ % \(average",
+     lambda rows: str(min(_of_ideal(rows)))),
+    ("highest % of ideal", r"\d+-(\d+) % \(average",
+     lambda rows: str(max(_of_ideal(rows)))),
+    ("average % of ideal", r"average (\d+) %",
+     lambda rows: str(round(100 * mean(row["seg"] / row["ideal512"]
+                                       for row in rows.values())))),
+    ("applu % of ideal", r"applu's (\d+) %",
+     lambda rows: rows["applu"]["of_ideal"]),
+]
+
+#: Figures the measured column quotes from the paper, not the artifact.
+PAPER_QUOTES = [r"the paper's (\d+) % floor"]
+
+
+def _headline_measured_column() -> str:
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    match = re.search(r"^## Abstract / §1 headline numbers\n(.*?)(?=^## )",
+                      text, re.M | re.S)
+    assert match, "EXPERIMENTS.md has no headline numbers section"
+    rows = [line.strip().strip("|").split("|")
+            for line in match.group(1).splitlines()
+            if line.startswith("|")]
+    measured = [cells[1].strip() for cells in rows[2:]]  # past the header
+    assert measured, "the headline table has no rows"
+    return "\n".join(measured)
+
+
+def test_headline_table_quotes_match_the_artifact():
+    column = _headline_measured_column()
+    rows = _headline_rows()
+    covered = []
+    for what, pattern, artifact_value in HEADLINE_QUOTES:
+        match = re.search(pattern, column)
+        assert match, f"the headline table no longer quotes the {what}"
+        quoted = match.group(1).replace("−", "-")
+        assert quoted == artifact_value(rows), \
+            f"{what}: EXPERIMENTS.md quotes {match.group(1)} %, " \
+            f"headline_claims.txt gives {artifact_value(rows)} %"
+        covered.append(match.span(1))
+    for pattern in PAPER_QUOTES:
+        match = re.search(pattern, column)
+        assert match, f"the headline table no longer quotes {pattern!r}"
+        covered.append(match.span(1))
+    for quote in re.finditer(r"[+−]?\d+(?= %)|\d+(?=-\d+ %)", column):
+        assert any(start <= quote.start() and quote.end() <= end
+                   for start, end in covered), \
+            f"the headline table quotes {quote.group(0)} % with no " \
+            f"artifact row checked in HEADLINE_QUOTES"

@@ -10,6 +10,8 @@ a per-instruction digest of each retired instruction's pipeline
 timestamps, recorded through ``commit_listeners``.
 """
 
+import json
+
 import pytest
 
 from repro.core.registry import registered_models
@@ -40,6 +42,13 @@ requires_stage = pytest.mark.skipif(
     not _compiled_stage_available(),
     reason="compiled kernel backend not built "
            "(python -m repro.core.segmented.build)")
+
+
+def _stat_bytes(processor) -> str:
+    """A run's stats as sorted-key JSON: byte equality also catches a
+    value-type difference (``117`` against ``117.0``) that ``==``
+    forgives."""
+    return json.dumps(processor.stats.as_dict(), sort_keys=True)
 
 
 def _simulate(params, workload, backend, *, tracer=None, rob_cls=None):
@@ -78,7 +87,7 @@ def _assert_same(params, workload):
     assert c_proc._c_dispatch is not None
     assert c_proc.committed == py_proc.committed > 0
     assert c_proc.cycle == py_proc.cycle
-    assert c_proc.stats.as_dict() == py_proc.stats.as_dict()
+    assert _stat_bytes(c_proc) == _stat_bytes(py_proc)
     assert c_digest == py_digest
 
 
@@ -191,6 +200,6 @@ def test_extension_without_stage_falls_back(monkeypatch):
     assert without._c_dispatch is None
     assert calls
     assert without.cycle == with_stage.cycle
-    assert without.stats.as_dict() == with_stage.stats.as_dict()
+    assert _stat_bytes(without) == _stat_bytes(with_stage)
     assert fallback_digest == digest
 

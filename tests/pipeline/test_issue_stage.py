@@ -14,6 +14,8 @@ digest of each retired instruction's pipeline timestamps, recorded
 through ``commit_listeners``.
 """
 
+import json
+
 import pytest
 
 from repro.common.events import EventQueue
@@ -71,6 +73,13 @@ SCATTER = WorkloadSpec(_SCATTER_2MB.name,
                        warm_data=False, description="scatter over 2 MB")
 
 
+def _stat_bytes(processor) -> str:
+    """A run's stats as sorted-key JSON: byte equality also catches a
+    value-type difference (``117`` against ``117.0``) that ``==``
+    forgives."""
+    return json.dumps(processor.stats.as_dict(), sort_keys=True)
+
+
 def _simulate(params, workload, backend, *, tracer=None,
               event_driven=True):
     """One untraced run (unless ``tracer``) under a forced backend;
@@ -104,7 +113,7 @@ def _assert_same(params, workload):
     assert c_proc._c_issue is not None
     assert c_proc.committed == py_proc.committed > 0
     assert c_proc.cycle == py_proc.cycle
-    assert c_proc.stats.as_dict() == py_proc.stats.as_dict()
+    assert _stat_bytes(c_proc) == _stat_bytes(py_proc)
     assert c_digest == py_digest
     return c_proc
 
@@ -238,5 +247,5 @@ def test_extension_without_stage_falls_back(monkeypatch):
     assert without._c_issue is None
     assert calls["issue"] and calls["complete"]
     assert without.cycle == with_stage.cycle
-    assert without.stats.as_dict() == with_stage.stats.as_dict()
+    assert _stat_bytes(without) == _stat_bytes(with_stage)
     assert fallback_digest == digest
