@@ -234,9 +234,7 @@ def predict(params: ProcessorParams, workload, *,
     the Carroll-Lin-style queuing model over a one-pass functional
     profile — no cycle-accurate simulation.  Pass a calibrated
     :class:`~repro.harness.surrogate.Surrogate` as ``surrogate`` to
-    reuse its profile cache and per-(workload, kind) anchors; the same
-    instance is the one :meth:`repro.harness.sweep.Sweep.run` and the
-    experiments use for grid pruning (``surrogate=True`` there).
+    reuse its profile cache and per-(workload, kind) anchors.
     """
     from repro.harness.surrogate import Surrogate
     spec = resolve_workload(workload)

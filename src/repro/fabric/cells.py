@@ -24,15 +24,10 @@ class RunSpec:
     workload: str
     params: ProcessorParams
     config_label: str = ""
-    seed: int = 0                     # reserved for seeded workloads
     max_instructions: Optional[int] = None
     scale: int = 1
     max_cycles: int = 5_000_000
     warm_code: bool = True
-    #: Optional :class:`repro.obs.MetricsConfig` (or interval int); a
-    #: metered cell always simulates — the cache is never consulted,
-    #: because the time series is part of the result.
-    metrics: Optional[object] = None
 
     def cache_kwargs(self) -> dict:
         return {"max_instructions": self.max_instructions,
@@ -78,8 +73,7 @@ def _execute_spec(spec: RunSpec) -> RunResult:
                    scale=spec.scale,
                    max_instructions=spec.max_instructions,
                    max_cycles=spec.max_cycles,
-                   warm_code=spec.warm_code,
-                   metrics=spec.metrics)
+                   warm_code=spec.warm_code)
 
 
 def _guarded_call(payload: Tuple[Callable, object, str]):

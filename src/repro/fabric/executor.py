@@ -1,9 +1,8 @@
 """The fabric driver: cache, journal, and ordering over a process pool.
 
 :class:`Executor` is what grid-shaped callers (sweeps, experiments,
-surrogate pruning, sampling, validation campaigns, the CLI) use, and
-:class:`ExecutionConfig` is the one spelling of worker count, cache and
-journal they all accept.  The executor runs each batch on a
+sampling, validation campaigns, the CLI) use, and :class:`ExecutionConfig`
+is the one spelling of worker count, cache and journal they all accept.  The executor runs each batch on a
 :class:`concurrent.futures.ProcessPoolExecutor` of its own and owns:
 
 * **Caching** — each cell is looked up in the
@@ -65,7 +64,6 @@ class ExecutionConfig:
     backend: str = "local-process"
     jobs: Optional[int] = None
     cache: object = None
-    progress: Optional[Callable] = None
     journal: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -91,16 +89,8 @@ class Executor:
         self.fell_back_to_serial = False
 
     # ------------------------------------------------------------- specs --
-    def run_specs(self, specs: Sequence[RunSpec],
-                  progress: Optional[Callable[[int, int], None]] = None
-                  ) -> List[CellResult]:
-        """Run simulation cells; cache hits are free, order is input order.
-
-        ``progress(done, total)`` counts *cold* cells only — cache hits
-        are not progress, they are the absence of work.
-        """
-        progress = progress if progress is not None \
-            else self.execution.progress
+    def run_specs(self, specs: Sequence[RunSpec]) -> List[CellResult]:
+        """Run simulation cells; cache hits are free, order is input order."""
         journal = self._open_journal()
         results: List[Optional[CellResult]] = [None] * len(specs)
         cold: List[tuple] = []           # (index, spec, key)
@@ -119,10 +109,10 @@ class Executor:
             cold.append((index, spec, key))
 
         if cold:
-            self._run_cold(cold, results, journal, progress)
+            self._run_cold(cold, results, journal)
         return results
 
-    def _run_cold(self, cold, results, journal, progress) -> None:
+    def _run_cold(self, cold, results, journal) -> None:
         def start(position: int) -> None:
             _index, spec, key = cold[position]
             if journal is not None and key is not None:
@@ -142,13 +132,11 @@ class Executor:
 
         self._drive([(_execute_spec, spec, spec.label)
                      for _index, spec, _key in cold],
-                    retire, progress, start)
+                    retire, start)
 
     def _key_for(self, spec: RunSpec) -> Optional[str]:
         if self.cache is None or not hasattr(self.cache, "key_for"):
             return None
-        if spec.metrics is not None:
-            return None                  # the time series is the result
         return self.cache.key_for(spec.workload, spec.params,
                                   **spec.cache_kwargs())
 
@@ -176,38 +164,26 @@ class Executor:
         if labels is None:
             labels = [f"task[{index}]" for index in range(len(items))]
         results: List = [None] * len(items)
-
-        def retire(index: int, value) -> None:
-            results[index] = value
-
         self._drive([(func, item, label)
                      for item, label in zip(items, labels)],
-                    retire, self.execution.progress)
+                    results.__setitem__)
         return results
 
     # -------------------------------------------------------------- loop --
     def _drive(self, payloads: Sequence[tuple], retire: Callable,
-               progress, start: Optional[Callable] = None) -> None:
+               start: Optional[Callable] = None) -> None:
         """Run every ``(func, item, label)`` payload, at most ``jobs`` at
         a time, on a pool made for this batch and closed after it.
 
         ``start(i)`` runs just before payload ``i`` is handed to a worker,
-        ``retire(i, value)`` takes its return value or :class:`CellError`,
-        and ``progress(done, total)`` counts retirements.
+        and ``retire(i, value)`` takes its return value or
+        :class:`CellError`.
         """
         jobs = min(self.execution.resolve_jobs(default_jobs()),
                    len(payloads))
         pool: Optional[ProcessPoolExecutor] = None
         pooled = jobs > 1                # one worker: in-process, by request
         inflight: dict = {}              # future -> payload index
-        retired = 0
-
-        def finish(index: int, value) -> None:
-            nonlocal retired
-            retire(index, value)
-            retired += 1
-            if progress is not None:
-                progress(retired, len(payloads))
 
         def submit(payload) -> Optional[Future]:
             nonlocal pool, pooled
@@ -235,7 +211,7 @@ class Executor:
             done, _ = wait(inflight, return_when=FIRST_COMPLETED)
             for future in [each for each in inflight if each in done]:
                 index = inflight.pop(future)
-                finish(index, _outcome(future, payloads[index][2]))
+                retire(index, _outcome(future, payloads[index][2]))
 
         try:
             for index, payload in enumerate(payloads):
@@ -245,7 +221,7 @@ class Executor:
                     start(index)
                 future = submit(payload) if pooled else None
                 if future is None:
-                    finish(index, _guarded_call(payload))
+                    retire(index, _guarded_call(payload))
                 else:
                     inflight[future] = index
             while inflight:

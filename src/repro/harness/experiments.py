@@ -14,7 +14,7 @@ user can regenerate any table or figure from a script::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness import configs
@@ -34,49 +34,34 @@ PRESCHED_LINES = (8, 24, 56, 120)
 class ExperimentRunner:
     """Caches simulation runs across one experiment invocation.
 
-    ``execution`` (an :class:`~repro.fabric.ExecutionConfig`) places the
-    cells: with ``jobs`` > 1 the experiment's whole grid is discovered
-    up front (see :meth:`prefetch`) and fanned out over a process pool,
-    and its ``cache`` threads an on-disk
-    :class:`~repro.harness.cache.ResultCache` through every cell so
-    repeated invocations skip simulation entirely.
+    ``execution`` (an :class:`~repro.fabric.ExecutionConfig`) places
+    every cell: ``jobs`` sets the worker count, ``cache`` threads an
+    on-disk :class:`~repro.harness.cache.ResultCache` through every cell
+    so repeated invocations skip simulation entirely, and ``journal``
+    records each cell's state.  :meth:`prefetch` runs a builder's whole
+    grid as one batch; a cell requested outside it runs on its own,
+    under the same ``execution``.
     """
 
     def __init__(self, workloads: Sequence[str],
                  budget_factor: float = 1.0,
                  progress: Optional[Callable[[str], None]] = None, *,
                  execution=None,
-                 sampling=None, sampling_scale: int = 1,
-                 metrics=None, surrogate: bool = False) -> None:
+                 sampling=None, sampling_scale: int = 1) -> None:
         unknown = set(workloads) - set(WORKLOADS)
         if unknown:
             raise KeyError(f"unknown workloads: {sorted(unknown)}")
         self.workloads = list(workloads)
         self.budget_factor = budget_factor
         self.progress = progress
-        if execution is None:
-            from repro.fabric import ExecutionConfig
-            execution = ExecutionConfig()
-        #: The fabric placement for this experiment's cells (worker
-        #: count, cache).
         self.execution = execution
-        self.jobs = execution.resolve_jobs(1)
         #: Optional SamplingConfig: estimate every cell by interval
         #: sampling (at ``sampling_scale``x the workload size) instead of
         #: simulating it in full detail.
         self.sampling = sampling
         self.sampling_scale = sampling_scale
-        #: Optional :class:`repro.obs.MetricsConfig` (or interval int)
-        #: applied to every full-detail cell; every RunResult then
-        #: carries its windowed time series (and skips the cache).
-        self.metrics = metrics
-        #: With ``surrogate`` the prefetch fan-out runs the analytical
-        #: surrogate as a pruning pre-pass (repro.harness.surrogate):
-        #: cells far from the per-workload Pareto front are filled with
-        #: predicted results marked ``stats["surrogate.predicted"]``.
-        self.surrogate = surrogate
         self._cache: Dict[Tuple[str, str], RunResult] = {}
-        self._recording: Optional[List[Tuple[str, str, Callable]]] = None
+        self._recording: Optional[Dict[Tuple[str, str], Callable]] = None
 
     def _budget(self, workload: str) -> int:
         spec = WORKLOADS[workload]
@@ -84,15 +69,13 @@ class ExperimentRunner:
         return max(2_000, int(spec.default_instructions
                               * self.budget_factor * scale))
 
-    def _run_grid(self, cells, execution,
-                  surrogate: bool = False) -> List[RunResult]:
+    def _run_grid(self, cells) -> List[RunResult]:
         return run_grid(cells,
                         budgets={workload: self._budget(workload)
                                  for workload, _key, _params in cells},
-                        execution=execution, progress=self.progress,
+                        execution=self.execution, progress=self.progress,
                         sampling=self.sampling,
-                        sampling_scale=self.sampling_scale,
-                        metrics=self.metrics, surrogate=surrogate)
+                        sampling_scale=self.sampling_scale)
 
     def run(self, workload: str, config_key: str,
             params_factory) -> RunResult:
@@ -101,42 +84,36 @@ class ExperimentRunner:
             return self._cache[key]
         if self._recording is not None:
             # Planning pass: record the cell, hand back a placeholder.
-            self._recording.append((workload, config_key, params_factory))
+            self._recording.setdefault(key, params_factory)
             return RunResult(workload=workload, config=config_key,
                              ipc=0.0, cycles=0, instructions=0)
-        from repro.fabric import ExecutionConfig
-        [result] = self._run_grid(
-            [(workload, config_key, params_factory())],
-            ExecutionConfig(jobs=1, cache=self.execution.cache))
-        self._cache[key] = result
-        return result
+        [self._cache[key]] = self._run_grid(
+            [(workload, config_key, params_factory())])
+        return self._cache[key]
 
     def prefetch(self, build: Callable[["ExperimentRunner"], object]) -> None:
-        """Discover the grid ``build`` will request, then run it in bulk.
+        """Discover the grid ``build`` will request, then run it as one
+        batch.
 
         The builder runs once against placeholder results purely to record
-        which cells it asks for (builders only combine results
-        arithmetically, with zero-guarded divisions, so placeholders are
-        safe); the recorded cells then run through one parallel,
-        cache-aware fan-out (surrogate-pruned with ``surrogate``).  If the
-        dry run raises, fall back silently to the ordinary lazy-serial
-        path.
+        which cells it asks for, so a builder must request every cell
+        unconditionally: a cell requested only behind a test of another
+        result (a zero guard, say) is missed here and runs later on its
+        own.  Builders only combine results arithmetically, with
+        zero-guarded divisions, so placeholders are safe.  The recorded
+        cells then run through one :func:`~repro.harness.sweep.run_grid`
+        batch under ``execution``.
         """
-        self._recording = []
+        self._recording = {}
         try:
             build(self)
-        except Exception:
+            plan = self._recording
+        finally:
             self._recording = None
-            return
-        plan, self._recording = self._recording, None
-        unique: Dict[Tuple[str, str], tuple] = {}
-        for workload, config_key, factory in plan:
-            if (workload, config_key) not in unique:
-                unique[(workload, config_key)] = (workload, config_key,
-                                                  factory())
-        cells = list(unique.values())
-        results = self._run_grid(cells, self.execution, self.surrogate)
-        for (workload, config_key, _params), result in zip(cells, results):
+        cells = [(workload, config_key, factory())
+                 for (workload, config_key), factory in plan.items()]
+        for (workload, config_key, _params), result in zip(
+                cells, self._run_grid(cells)):
             self._cache[(workload, config_key)] = result
 
     def ideal(self, workload: str, size: int) -> RunResult:
@@ -166,36 +143,36 @@ class Experiment:
             budget_factor: float = 1.0,
             progress: Optional[Callable[[str], None]] = None, *,
             execution=None,
-            sampling=None, sampling_scale: int = 1,
-            metrics=None, surrogate: bool = False) -> Tuple[str, dict]:
+            sampling=None, sampling_scale: int = 1) -> Tuple[str, dict]:
         """Returns (rendered report, raw data dict).
 
-        ``execution`` is an optional
-        :class:`~repro.fabric.ExecutionConfig` choosing the worker
-        count and result cache for the experiment's
-        grid: ``jobs`` > 1 fans the grid out in parallel, ``cache``
-        reuses results across invocations (see
-        :mod:`repro.harness.cache`).  ``sampling`` estimates every cell
-        by interval sampling instead of full-detail simulation (see
-        :mod:`repro.sampling`) — faster, with a small statistical error
-        the sampled stats quantify.  ``metrics`` attaches a
-        :class:`~repro.obs.MetricsConfig` to every full-detail cell.
-        ``surrogate`` prunes the grid with the analytical surrogate
-        (:mod:`repro.harness.surrogate`): non-competitive cells carry
-        predicted results marked ``stats["surrogate.predicted"]``.
+        The experiment's whole grid runs as one planned batch (see
+        :meth:`ExperimentRunner.prefetch`).  ``execution`` is an optional
+        :class:`~repro.fabric.ExecutionConfig` placing that batch:
+        ``jobs`` > 1 fans it out in parallel, ``cache`` reuses results
+        across invocations (see :mod:`repro.harness.cache`), and
+        ``journal`` records each cell's state.  ``sampling`` estimates
+        every cell by interval sampling instead of full-detail
+        simulation (see :mod:`repro.sampling`) — faster, with a small
+        statistical error the sampled stats quantify.
         """
         runner = ExperimentRunner(workloads or sorted(WORKLOADS),
                                   budget_factor, progress,
                                   execution=execution,
                                   sampling=sampling,
-                                  sampling_scale=sampling_scale,
-                                  metrics=metrics, surrogate=surrogate)
-        if runner.jobs > 1 or sampling is not None or surrogate:
-            runner.prefetch(self.build)
+                                  sampling_scale=sampling_scale)
+        runner.prefetch(self.build)
         return self.build(runner)
 
 
 # ------------------------------------------------------------- builders --
+def _ratio(numerator: float, denominator: float) -> float:
+    """``numerator / denominator``, 0.0 for a zero denominator.  Both
+    results are requested before the guard, so a planning pass sees
+    every cell."""
+    return numerator / denominator if denominator else 0.0
+
+
 def _build_table2(runner: ExperimentRunner) -> Tuple[str, dict]:
     results = {workload: {variant: runner.segmented(workload, 512, None,
                                                     variant)
@@ -215,9 +192,8 @@ def _build_figure2(runner: ExperimentRunner) -> Tuple[str, dict]:
         rel[workload] = {}
         for chains, label in CHAIN_SETTINGS:
             rel[workload][label] = {
-                variant: (runner.segmented(workload, 512, chains,
-                                           variant).ipc / ideal.ipc
-                          if ideal.ipc else 0.0)
+                variant: _ratio(runner.segmented(workload, 512, chains,
+                                                 variant).ipc, ideal.ipc)
                 for variant in VARIANTS}
     return figure2_report(rel), rel
 
@@ -249,8 +225,8 @@ def _build_headline(runner: ExperimentRunner) -> Tuple[str, dict]:
         conv32 = runner.ideal(workload, 32)
         ideal512 = runner.ideal(workload, 512)
         seg = runner.segmented(workload, 512, 128, "comb")
-        gain = seg.ipc / conv32.ipc if conv32.ipc else 0.0
-        fraction = seg.ipc / ideal512.ipc if ideal512.ipc else 0.0
+        gain = _ratio(seg.ipc, conv32.ipc)
+        fraction = _ratio(seg.ipc, ideal512.ipc)
         data[workload] = {"gain_over_32": gain,
                           "fraction_of_ideal": fraction}
         rows.append([workload, round(conv32.ipc, 3), round(seg.ipc, 3),

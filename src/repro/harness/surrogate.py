@@ -5,9 +5,8 @@ cost center of every sweep.  This module implements the alternative
 explored by Carroll & Lin ("An Analytical Model for Out-of-Order
 Superscalar Performance", arXiv 1807.08586) and the interval-analysis
 line of work it builds on: predict IPC *analytically* from a one-pass
-functional profile of the workload plus the machine configuration, then
-spend cycle-accurate simulation only where the analytical answer is
-uncertain or competitive.
+functional profile of the workload plus the machine configuration, and
+score that prediction against cycle-accurate simulation.
 
 The model composes throughput bounds, each a classic queuing argument:
 
@@ -34,17 +33,12 @@ pinned by **anchor calibration**: simulate the smallest configuration
 of each kind, take the ratio of simulated to predicted IPC, and apply
 it multiplicatively to the rest of that kind's size curve.  The
 surrogate's *uncertainty* grows with distance (in log2 window size)
-from the calibration anchor; pruning keeps every cell whose optimistic
-band still reaches the pessimistic band of the best cell, so the true
-per-workload winner is never discarded (tested in
-``tests/harness/test_surrogate.py``).
+from the calibration anchor.
 
 Entry points:
 
-* :class:`Surrogate` — profile, predict, calibrate;
-* :func:`prune_and_run` — the pruning pre-pass shared by
-  :meth:`repro.harness.sweep.Sweep.run` and
-  :class:`repro.harness.experiments.ExperimentRunner`;
+* :class:`Surrogate` — profile, predict, calibrate (one prediction at a
+  time through :func:`repro.api.predict`);
 * :func:`validation_report` — predicted-vs-simulated comparison over a
   grid, behind ``python -m repro surrogate``.
 """
@@ -52,11 +46,10 @@ Entry points:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.params import ProcessorParams
-from repro.harness.runner import RunResult
 from repro.harness.sweep import Cell, run_grid
 from repro.isa.executor import execute
 from repro.isa.opcodes import FUClass
@@ -140,8 +133,7 @@ class SurrogatePrediction:
     #: Which term limits performance ("memory"/"branch" when the additive
     #: stall terms dominate the binding throughput bound).
     binding: str
-    #: Relative half-width of the error band; pruning keeps any cell whose
-    #: ``high`` still reaches the best cell's ``low``.
+    #: Relative half-width of the error band around ``ipc``.
     uncertainty: float
     calibrated: bool = False
 
@@ -390,199 +382,6 @@ class Surrogate:
         prediction.uncertainty = min(0.5, 0.10 + 0.15 * distance)
         prediction.calibrated = True
         return prediction
-
-
-# ------------------------------------------------------------------ pruning
-
-
-@dataclass
-class PruneOutcome:
-    """What the pruning pre-pass did to a grid.
-
-    ``results`` covers every requested cell: simulated cells carry real
-    ``RunResult``s, pruned cells carry surrogate-filled ones (marked by
-    ``stats["surrogate.predicted"]``).
-    """
-
-    results: Dict[Tuple[str, str], RunResult]
-    anchors: List[Tuple[str, str]]
-    simulated: List[Tuple[str, str]]
-    predicted: Dict[Tuple[str, str], SurrogatePrediction] = \
-        field(default_factory=dict)
-    surrogate: Optional[Surrogate] = None
-
-    @property
-    def pruned(self) -> List[Tuple[str, str]]:
-        return sorted(self.predicted)
-
-
-def surrogate_result(workload: str, label: str,
-                     prediction: SurrogatePrediction,
-                     instructions: int) -> RunResult:
-    """A ``RunResult`` standing in for a pruned cell.
-
-    ``stats["surrogate.predicted"]`` marks it; cycles are back-computed
-    from the predicted IPC so ratios stay meaningful in reports.
-    """
-    ipc = max(prediction.ipc, 1e-9)
-    return RunResult(
-        workload=workload, config=label, ipc=prediction.ipc,
-        cycles=int(round(instructions / ipc)), instructions=instructions,
-        stats={"surrogate.predicted": 1.0,
-               "surrogate.uncertainty": prediction.uncertainty,
-               "surrogate.ipc_low": prediction.low,
-               "surrogate.ipc_high": prediction.high})
-
-
-def pareto_band_split(cells: Sequence[Cell],
-                      results: Dict[Tuple[str, str], RunResult],
-                      predictions: Dict[Tuple[str, str],
-                                        SurrogatePrediction]
-                      ) -> Tuple[List[Cell],
-                                 Dict[Tuple[str, str],
-                                      SurrogatePrediction]]:
-    """The phase-2 planning rule, standalone: which predicted cells stay
-    competitive with the per-workload Pareto front?
-
-    Each workload's bar is the most pessimistic-best IPC among its known
-    results and predicted lows; a predicted cell survives when its
-    optimistic band reaches that bar (too-uncertain cells survive by
-    construction).  Returns ``(keep, pruned)`` — cells to simulate, and
-    the predictions standing in for the rest.
-    """
-    by_cell = {(workload, label): params
-               for workload, label, params in cells}
-    per_workload: Dict[str, List[Tuple[str, str]]] = {}
-    for workload, label, _params in cells:
-        per_workload.setdefault(workload, []).append((workload, label))
-    keep: List[Cell] = []
-    pruned: Dict[Tuple[str, str], SurrogatePrediction] = {}
-    for workload, workload_cells in per_workload.items():
-        best_low = max(
-            (results[cell].ipc if cell in results
-             else predictions[cell].low)
-            for cell in workload_cells)
-        for cell in workload_cells:
-            if cell in results:
-                continue
-            if predictions[cell].high >= best_low:
-                keep.append((cell[0], cell[1], by_cell[cell]))
-            else:
-                pruned[cell] = predictions[cell]
-    return keep, pruned
-
-
-def prune_and_run(cells: Sequence[Cell], *,
-                  max_instructions: Optional[int] = None,
-                  budgets: Optional[Dict[str, int]] = None,
-                  execution=None,
-                  progress: Optional[Callable[[str], None]] = None,
-                  surrogate: Optional[Surrogate] = None) -> PruneOutcome:
-    """Run a grid with the surrogate as a pruning pre-pass.
-
-    Phase 0 probes the result cache for every cell: hits become free
-    results *and* free calibration points (the smallest cached
-    configuration per (workload, IQ kind) anchors the surrogate), so a
-    warm cache can anchor the whole grid without simulating anything.
-    Phase 1 simulates one *anchor* per still-uncalibrated (workload, IQ
-    kind) — the smallest configuration of that kind — and calibrates the
-    surrogate on it.
-    Phase 2 predicts every remaining cell and keeps those whose
-    optimistic IPC band reaches the pessimistic band of the per-workload
-    best (i.e. cells within the error band of the Pareto front, plus
-    anything too uncertain to rule out).  Phase 3 simulates the kept
-    cells; pruned cells are filled with :func:`surrogate_result`.
-    ``execution`` (an :class:`~repro.fabric.ExecutionConfig`; serial and
-    uncached by default) places the simulated cells, and its ``cache``
-    feeds phase 0.
-    """
-    cache = execution.cache if execution is not None else None
-    if surrogate is None:
-        surrogate = Surrogate(max_instructions=max_instructions)
-
-    def budget(workload: str) -> Optional[int]:
-        if budgets is not None:
-            return budgets.get(workload, max_instructions)
-        return max_instructions
-
-    by_cell: Dict[Tuple[str, str], ProcessorParams] = {}
-    for workload, label, params in cells:
-        by_cell[(workload, label)] = params
-
-    # Phase 0: harvest cached cells (results + calibration for free).
-    results: Dict[Tuple[str, str], RunResult] = {}
-    instructions_for: Dict[str, int] = {}
-    calibrated: set = set()
-    if cache is not None:
-        cached_by_kind: Dict[Tuple[str, str], Tuple[str, str]] = {}
-        for workload, label, params in cells:
-            hit = cache.get(cache.key_for(
-                workload, params, max_instructions=budget(workload)))
-            if hit is None:
-                continue
-            if hit.config != label and label:
-                hit = RunResult(
-                    workload=hit.workload, config=label, ipc=hit.ipc,
-                    cycles=hit.cycles, instructions=hit.instructions,
-                    stats=hit.stats)
-            cell = (workload, label)
-            results[cell] = hit
-            instructions_for.setdefault(workload, hit.instructions)
-            kind = (workload, params.iq.kind)
-            if (kind not in cached_by_kind or params.iq.size
-                    < by_cell[cached_by_kind[kind]].iq.size):
-                cached_by_kind[kind] = cell
-        for (workload, _iq_kind), (_, label) in cached_by_kind.items():
-            cell = (workload, label)
-            surrogate.calibrate(workload, by_cell[cell],
-                                results[cell].ipc)
-        calibrated = set(cached_by_kind)
-
-    # Phase 1: anchors (smallest configuration of each kind, per
-    # workload) for the kinds phase 0 left uncalibrated.
-    anchor_for: Dict[Tuple[str, str], Tuple[str, str]] = {}
-    for workload, label, params in cells:
-        key = (workload, params.iq.kind)
-        if key in calibrated:
-            continue
-        if (key not in anchor_for
-                or params.iq.size < by_cell[anchor_for[key]].iq.size):
-            anchor_for[key] = (workload, label)
-    anchors = sorted(set(anchor_for.values()))
-    anchor_cells = [(w, l, by_cell[(w, l)]) for w, l in anchors]
-    anchor_results = run_grid(anchor_cells,
-                              max_instructions=max_instructions,
-                              budgets=budgets, execution=execution,
-                              progress=progress)
-    for (workload, label, params), result in zip(anchor_cells,
-                                                 anchor_results):
-        results[(workload, label)] = result
-        instructions_for[workload] = result.instructions
-        surrogate.calibrate(workload, params, result.ipc)
-
-    # Phase 2: predict the rest; keep near-Pareto / uncertain cells.
-    predictions: Dict[Tuple[str, str], SurrogatePrediction] = {}
-    for workload, label, params in cells:
-        cell = (workload, label)
-        if cell not in results:
-            predictions[cell] = surrogate.predict(workload, params)
-    keep, pruned = pareto_band_split(cells, results, predictions)
-
-    # Phase 3: simulate the keepers, fill the pruned cells analytically.
-    for (workload, label, _), result in zip(
-            keep, run_grid(keep, max_instructions=max_instructions,
-                           budgets=budgets, execution=execution,
-                           progress=progress)):
-        results[(workload, label)] = result
-    for (workload, label), prediction in pruned.items():
-        results[(workload, label)] = surrogate_result(
-            workload, label, prediction,
-            instructions_for.get(workload, 0))
-    return PruneOutcome(
-        results=results, anchors=anchors,
-        simulated=sorted(set(anchors)
-                         | {(w, l) for w, l, _ in keep}),
-        predicted=pruned, surrogate=surrogate)
 
 
 # --------------------------------------------------------------- validation

@@ -36,11 +36,7 @@ class SweepGrid:
 
     ``models`` maps each config label to its IQ model kind; rendered and
     CSV headers carry the kind (``"seg-128 [segmented]"``) so grids that
-    mix several IQ designs stay unambiguous.  ``surrogate_cells`` lists
-    the (workload, label) cells whose results came from the analytical
-    surrogate rather than simulation (see
-    :mod:`repro.harness.surrogate`); they are rendered with a ``~``
-    prefix.
+    mix several IQ designs stay unambiguous.
     """
 
     workloads: List[str]
@@ -48,7 +44,6 @@ class SweepGrid:
     results: Dict[str, Dict[str, RunResult]]
     metric: str = "ipc"
     models: Dict[str, str] = field(default_factory=dict)
-    surrogate_cells: set = field(default_factory=set)
 
     def column_key(self, label: str) -> str:
         """The config label, annotated with its IQ model kind."""
@@ -69,27 +64,18 @@ class SweepGrid:
                 f"unknown metric {self.metric!r}; available metrics: "
                 f"{', '.join(available)}") from None
 
-    def _cell(self, workload: str, label: str):
-        value = round(self.value(workload, label), 3)
-        if (workload, label) in self.surrogate_cells:
-            return f"~{value}"
-        return value
-
     def render(self, metric: Optional[str] = None) -> str:
         metric = metric or self.metric
         saved, self.metric = self.metric, metric
         try:
-            rows = [[workload] + [self._cell(workload, label)
+            rows = [[workload] + [round(self.value(workload, label), 3)
                                   for label in self.config_labels]
                     for workload in self.workloads]
         finally:
             self.metric = saved
         headers = ["benchmark"] + [self.column_key(label)
                                    for label in self.config_labels]
-        title = f"sweep: {metric}"
-        if self.surrogate_cells:
-            title += "  (~ = surrogate prediction, not simulated)"
-        return format_table(headers, rows, title=title)
+        return format_table(headers, rows, title=f"sweep: {metric}")
 
     def write_csv(self, path: str, metric: Optional[str] = None) -> None:
         metric = metric or self.metric
@@ -135,8 +121,7 @@ class Sweep:
 
     def run(self, metric: str = "ipc", *,
             execution: Optional[ExecutionConfig] = None,
-            sampling=None, sampling_scale: int = 1,
-            metrics=None, surrogate: bool = False) -> SweepGrid:
+            sampling=None, sampling_scale: int = 1) -> SweepGrid:
         """Run every (workload, config) cell and collect the grid.
 
         ``execution`` is an optional
@@ -156,19 +141,6 @@ class Sweep:
         stream is long enough to sample; the on-disk ``cache`` is not
         consulted for sampled cells (estimates are not exchangeable with
         full-detail results).
-
-        ``metrics`` is an optional :class:`~repro.obs.MetricsConfig` (or
-        interval int) applied to every full-detail cell: each
-        ``RunResult.metrics`` then carries the windowed time series.
-        Metered cells always simulate (the cache is not consulted).
-
-        ``surrogate=True`` runs the analytical surrogate as a pruning
-        pre-pass (see :mod:`repro.harness.surrogate`): one anchor cell
-        per (workload, IQ kind) is simulated, cells outside the error
-        band of the per-workload Pareto front are filled with predicted
-        results (``stats["surrogate.predicted"]``, listed in
-        ``SweepGrid.surrogate_cells``), and only the competitive
-        remainder is simulated in full detail.
         """
         if not self._configs:
             raise ValueError("no configurations added")
@@ -178,8 +150,7 @@ class Sweep:
         outcomes = run_grid(cells, max_instructions=self.max_instructions,
                             execution=execution, progress=self.progress,
                             sampling=sampling,
-                            sampling_scale=sampling_scale,
-                            metrics=metrics, surrogate=surrogate)
+                            sampling_scale=sampling_scale)
         results: Dict[str, Dict[str, RunResult]] = {
             workload: {} for workload in self.workloads}
         for (workload, label, _params), result in zip(cells, outcomes):
@@ -187,10 +158,7 @@ class Sweep:
         return SweepGrid(
             self.workloads, [label for label, _ in self._configs], results,
             metric,
-            models={label: params.iq.kind for label, params in self._configs},
-            surrogate_cells={
-                (workload, label) for workload, label, _params in cells
-                if results[workload][label].stats.get("surrogate.predicted")})
+            models={label: params.iq.kind for label, params in self._configs})
 
 
 #: One grid cell: (workload, config label, processor parameters).
@@ -202,44 +170,23 @@ def run_grid(cells: Sequence[Cell], *,
              budgets: Optional[Dict[str, int]] = None,
              execution: Optional[ExecutionConfig] = None,
              progress: Optional[Callable[[str], None]] = None,
-             sampling=None, sampling_scale: int = 1,
-             metrics=None, surrogate: bool = False) -> List[RunResult]:
+             sampling=None, sampling_scale: int = 1) -> List[RunResult]:
     """Run ``(workload, label, params)`` cells; results in input order.
 
-    Every grid in the package (sweeps, experiments, surrogate pruning)
-    runs through here.  A cell's instruction budget is
-    ``budgets[workload]`` when given, else ``max_instructions``.  Cells
-    run in full detail by default, as sampled estimates with
+    Every grid in the package (sweeps, experiments, the surrogate's
+    validation report) runs through here.  A cell's instruction budget
+    is ``budgets[workload]`` when given, else ``max_instructions``.
+    Cells run in full detail by default, or as sampled estimates with
     ``sampling`` (a :class:`~repro.sampling.SamplingConfig`, at
-    ``sampling_scale``), or pruned by the analytical surrogate with
-    ``surrogate`` (see :mod:`repro.harness.surrogate`; predicted cells
-    carry ``stats["surrogate.predicted"]``).  ``metrics`` attaches a
-    :class:`~repro.obs.MetricsConfig` to every full-detail cell.
-    ``execution`` places the cells; ``jobs=None`` runs them serially.
-    ``progress(line)`` hears one line per cell before it runs.  Raises
-    :class:`RuntimeError` when any cell fails.
+    ``sampling_scale``).  ``execution`` places the cells; ``jobs=None``
+    runs them serially.  ``progress(line)`` hears one line per cell
+    before it runs.  Raises :class:`RuntimeError` when any cell fails.
     """
-    from repro.common.errors import ConfigurationError
     from repro.fabric import Executor, RunSpec, raise_on_errors
-    if metrics is not None and sampling is not None:
-        raise ConfigurationError(
-            "metrics= requires full-detail cells; drop sampling= or "
-            "collect metrics from a separate full run")
-    if surrogate and (sampling is not None or metrics is not None):
-        raise ConfigurationError(
-            "surrogate pruning requires plain full-detail cells; "
-            "drop sampling=/metrics= or run without surrogate=")
     if execution is None:
         execution = ExecutionConfig()
     execution = dataclasses.replace(execution,
                                     jobs=execution.resolve_jobs(1))
-    if surrogate:
-        from repro.harness.surrogate import prune_and_run
-        outcome = prune_and_run(cells, max_instructions=max_instructions,
-                                budgets=budgets, execution=execution,
-                                progress=progress)
-        return [outcome.results[(workload, label)]
-                for workload, label, _params in cells]
 
     def budget(workload: str) -> Optional[int]:
         if budgets is not None:
@@ -263,7 +210,7 @@ def run_grid(cells: Sequence[Cell], *,
     else:
         results = executor.run_specs(
             [RunSpec(workload, params, config_label=label,
-                     max_instructions=budget(workload), metrics=metrics)
+                     max_instructions=budget(workload))
              for workload, label, params in cells])
     raise_on_errors(results, "grid")
     return results

@@ -3,8 +3,8 @@
 ``map`` and ``run_specs`` share one submit/retire loop: results come
 back in input order, at most ``jobs`` cells are in flight, a batch
 with one cold cell starts no pool, an unpicklable payload or a pool
-that cannot start falls back to serial, progress counts retirements,
-and every worker count computes exactly what serial execution does.
+that cannot start falls back to serial, and every worker count
+computes exactly what serial execution does.
 Per-cell errors and the cache hit count are pinned in
 ``tests/harness/test_parallel.py``.
 """
@@ -71,14 +71,6 @@ class TestMap:
         executor = _executor(2)
         assert executor.map(_square, [1, 2, 3]) == [1, 4, 9]
         assert executor.fell_back_to_serial
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_progress_callback(self, jobs):
-        seen = []
-        executor = _executor(jobs, progress=lambda done, total:
-                             seen.append((done, total)))
-        executor.map(_square, [1, 2, 3, 4])
-        assert seen == [(1, 4), (2, 4), (3, 4), (4, 4)]
 
     def test_raise_on_errors_summarizes(self):
         cells = [1, CellError("a/b", "ValueError: nope"), 3]

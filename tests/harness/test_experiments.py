@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.common.errors import ConfigurationError
 from repro.harness.experiments import (EXPERIMENTS, Experiment,
                                        ExperimentRunner, save_data)
 
@@ -87,19 +86,37 @@ class TestSampledExperiments:
         assert sampled._budget("twolf") == 3 * plain._budget("twolf")
 
 
-class TestConflictingModes:
-    """``metrics=`` needs full-detail cells: a sampled or surrogate-pruned
-    experiment refuses it, as ``Sweep.run`` does, rather than dropping
-    it."""
+class TestPlannedBatch:
+    """Every experiment runs its whole grid as one ``run_grid`` batch,
+    under the caller's ``ExecutionConfig`` (journal included)."""
 
-    def test_sampling_with_metrics_raises(self):
-        from repro.sampling import SamplingConfig
-        with pytest.raises(ConfigurationError, match="metrics="):
-            EXPERIMENTS["headline"].run(
-                workloads=["twolf"], sampling=SamplingConfig(num_windows=4),
-                metrics=100)
+    #: Distinct cells each builder requests for one workload.
+    CELLS = {"table2": 4, "figure2": 13, "figure3": 19, "headline": 3}
 
-    def test_surrogate_with_metrics_raises(self):
-        with pytest.raises(ConfigurationError, match="surrogate"):
-            EXPERIMENTS["headline"].run(workloads=["twolf"],
-                                        surrogate=True, metrics=100)
+    @pytest.mark.parametrize("name", sorted(CELLS))
+    def test_one_batch_covers_every_cell(self, name, monkeypatch):
+        from repro.fabric import ExecutionConfig
+        from repro.harness import experiments
+        batches = []
+        real_run_grid = experiments.run_grid
+
+        def spy(cells, **kwargs):
+            batches.append([(workload, key) for workload, key, _ in cells])
+            return real_run_grid(cells, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_grid", spy)
+        EXPERIMENTS[name].run(workloads=["twolf"], budget_factor=0.01,
+                              execution=ExecutionConfig(jobs=2))
+        assert len(batches) == 1, [len(batch) for batch in batches]
+        assert len(set(batches[0])) == len(batches[0]) == self.CELLS[name]
+
+    def test_journal_records_every_cell(self, tmp_path):
+        from repro.fabric import ExecutionConfig, SweepJournal
+        from repro.harness.cache import ResultCache
+        path = tmp_path / "journal.jsonl"
+        EXPERIMENTS["headline"].run(
+            workloads=["twolf"], budget_factor=0.01,
+            execution=ExecutionConfig(cache=ResultCache(tmp_path / "cache"),
+                                      journal=path))
+        assert path.exists()
+        assert SweepJournal(path).counts() == {"done": self.CELLS["headline"]}

@@ -12,6 +12,11 @@ headline numbers" table quotes is tied to ``headline_claims.txt`` the
 same way: any other ``N %`` in that column fails unless it is listed
 as a figure quoted from the paper.  (The claim column quotes the
 paper throughout.)
+
+Table 2's measured column is tied to ``table2_chain_usage.txt``: the
+base average chains and each predictor's reduction are read off the
+artifact's Average row, and the twolf HMP figures the section's prose
+quotes off its TWOLF row.  Any other number in that column fails.
 """
 
 import re
@@ -114,17 +119,30 @@ HEADLINE_QUOTES = [
 PAPER_QUOTES = [r"the paper's (\d+) % floor"]
 
 
-def _headline_measured_column() -> str:
+def _section(heading: str) -> str:
+    """The EXPERIMENTS.md section under ``## <heading>``."""
     text = (ROOT / "EXPERIMENTS.md").read_text()
-    match = re.search(r"^## Abstract / §1 headline numbers\n(.*?)(?=^## )",
-                      text, re.M | re.S)
-    assert match, "EXPERIMENTS.md has no headline numbers section"
-    rows = [line.strip().strip("|").split("|")
-            for line in match.group(1).splitlines()
-            if line.startswith("|")]
-    measured = [cells[1].strip() for cells in rows[2:]]  # past the header
-    assert measured, "the headline table has no rows"
-    return "\n".join(measured)
+    match = re.search(rf"^## {re.escape(heading)}\n(.*?)(?=^## )", text,
+                      re.M | re.S)
+    assert match, f"EXPERIMENTS.md has no {heading!r} section"
+    return match.group(1)
+
+
+def _measured_cells(section: str) -> list:
+    """(first cell, measured cell) of each row of the section's table."""
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    column = next(index for index, header in enumerate(rows[0])
+                  if header.startswith("measured"))
+    measured = [(cells[0], cells[column])
+                for cells in rows[2:]]                  # past the header
+    assert measured, "the table has no rows"
+    return measured
+
+
+def _headline_measured_column() -> str:
+    section = _section("Abstract / §1 headline numbers")
+    return "\n".join(cell for _first, cell in _measured_cells(section))
 
 
 def test_headline_table_quotes_match_the_artifact():
@@ -148,3 +166,73 @@ def test_headline_table_quotes_match_the_artifact():
                    for start, end in covered), \
             f"the headline table quotes {quote.group(0)} % with no " \
             f"artifact row checked in HEADLINE_QUOTES"
+
+
+VARIANTS = ("base", "hmp", "lrp", "comb")
+
+
+def _table2_rows() -> dict:
+    """benchmark -> {variant: average chains} from
+    ``table2_chain_usage.txt``."""
+    rows = {}
+    artifact = ROOT / "benchmarks" / "out" / "table2_chain_usage.txt"
+    for line in artifact.read_text().splitlines():
+        fields = line.split()
+        if len(fields) == 9 and all(re.fullmatch(r"\d+(\.\d+)?", field)
+                                    for field in fields[1:]):
+            rows[fields[0]] = dict(zip(VARIANTS, map(float, fields[1::2])))
+    return rows
+
+
+def _reduction(row: dict, variant: str) -> str:
+    """``variant``'s change in average chains from base, in whole %."""
+    return str(round(100 * (row[variant] / row["base"] - 1)))
+
+
+#: (table row, regex whose group 1 is the quoted figure, its artifact
+#: value).
+TABLE2_QUOTES = [
+    ("average chains, base", r"^(\d+)$",
+     lambda rows: str(round(rows["Average"]["base"]))),
+    ("HMP reduction", r"^≈ ([+−]\d+) %$",
+     lambda rows: _reduction(rows["Average"], "hmp")),
+    ("LRP reduction", r"^([+−]\d+) %$",
+     lambda rows: _reduction(rows["Average"], "lrp")),
+    ("combined reduction", r"^([+−]\d+) %$",
+     lambda rows: _reduction(rows["Average"], "comb")),
+]
+
+
+def test_table2_quotes_match_the_artifact():
+    section = _section("Table 2 — chain usage (512-entry IQ, unlimited "
+                       "chains)")
+    rows = _table2_rows()
+    quotes = {row: (pattern, value)
+              for row, pattern, value in TABLE2_QUOTES}
+    for row, measured in _measured_cells(section):
+        if row not in quotes:
+            assert not re.search(r"\d", measured), \
+                f"Table 2 row {row!r} quotes {measured!r} with no " \
+                f"artifact row checked in TABLE2_QUOTES"
+            continue
+        pattern, artifact_value = quotes.pop(row)
+        match = re.search(pattern, measured)
+        assert match, f"Table 2 row {row!r} reads {measured!r}"
+        quoted = match.group(1).replace("−", "-")
+        assert quoted == artifact_value(rows), \
+            f"{row}: EXPERIMENTS.md quotes {match.group(1)}, " \
+            f"table2_chain_usage.txt gives {artifact_value(rows)}"
+    assert not quotes, f"Table 2 no longer has the rows {sorted(quotes)}"
+
+    match = re.search(r"twolf\) the HMP cuts average chains "
+                      r"(\d+\.\d) → (\d+\.\d) \(([+−]\d+) %\)", section)
+    assert match, "Table 2 no longer quotes twolf's HMP saving"
+    twolf = rows["TWOLF"]
+    assert (float(match.group(1)), float(match.group(2))) \
+        == (twolf["base"], twolf["hmp"]), \
+        f"twolf: EXPERIMENTS.md quotes {match.group(1)} → " \
+        f"{match.group(2)}, table2_chain_usage.txt gives " \
+        f"{twolf['base']} → {twolf['hmp']}"
+    assert match.group(3).replace("−", "-") == _reduction(twolf, "hmp"), \
+        f"twolf HMP: EXPERIMENTS.md quotes {match.group(3)} %, " \
+        f"table2_chain_usage.txt gives {_reduction(twolf, 'hmp')} %"
