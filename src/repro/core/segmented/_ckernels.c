@@ -92,6 +92,14 @@ static PyObject *str_on_entry_ready_known, *str_source_known;
 static PyObject *str_address_ready, *str_events, *str_on_writeback;
 static PyObject *str_issue_width, *str_fu_engine, *str_stat_seg0_ready;
 static PyObject *str_sample, *str_issued_this_cycle;
+/* ... and of the fetch and commit stages. */
+static PyObject *str_icache_stalled, *str_waiting_branch, *str_resume_cycle;
+static PyObject *str_peeked, *str_stream_done, *str_stream, *str_code_base;
+static PyObject *str_line_available, *str_predict, *str_is_control;
+static PyObject *str_fetched_cycle, *str_is_halt, *str_robs;
+static PyObject *str_commit_listeners, *str_halted, *str_committed;
+static PyObject *str_last_commit_cycle, *str_committed_cycle, *str_commit;
+static PyObject *str_next_pc, *str_mem_addr, *str_taken;
 
 static const struct { PyObject **slot; const char *name; }
 STAGE_NAMES[] = {
@@ -128,6 +136,20 @@ STAGE_NAMES[] = {
     {&str_on_writeback, "on_writeback"}, {&str_issue_width, "issue_width"},
     {&str_fu_engine, "fu_engine"}, {&str_stat_seg0_ready, "stat_seg0_ready"},
     {&str_sample, "sample"}, {&str_issued_this_cycle, "_issued_this_cycle"},
+    {&str_icache_stalled, "_icache_stalled"},
+    {&str_waiting_branch, "_waiting_branch"},
+    {&str_resume_cycle, "_resume_cycle"}, {&str_peeked, "_peeked"},
+    {&str_stream_done, "_stream_done"}, {&str_stream, "_stream"},
+    {&str_code_base, "code_base"},
+    {&str_line_available, "_line_available"}, {&str_predict, "_predict"},
+    {&str_is_control, "is_control"}, {&str_fetched_cycle, "fetched_cycle"},
+    {&str_is_halt, "is_halt"}, {&str_robs, "robs"},
+    {&str_commit_listeners, "commit_listeners"}, {&str_halted, "_halted"},
+    {&str_committed, "committed"},
+    {&str_last_commit_cycle, "_last_commit_cycle"},
+    {&str_committed_cycle, "committed_cycle"}, {&str_commit, "commit"},
+    {&str_next_pc, "next_pc"}, {&str_mem_addr, "mem_addr"},
+    {&str_taken, "taken"},
 };
 
 /* Fused FU acquisition for Engine.issue_select (defined with the
@@ -536,6 +558,9 @@ static slotsite at_inst_seq = {&str_seq}, at_inst_pc = {&str_pc},
     at_inst_issued = {&str_issued_cycle},
     at_inst_is_branch = {&str_is_branch},
     at_inst_static = {&str_static}, at_inst_cluster = {&str_cluster},
+    at_inst_is_control = {&str_is_control},
+    at_inst_fetched = {&str_fetched_cycle},
+    at_inst_committed = {&str_committed_cycle},
     at_prod_ready = {&str_value_ready_cycle},
     at_prod_waiters = {&str_waiters};
 /* RITEntry, Chain, Operand: */
@@ -562,7 +587,7 @@ static slotsite at_plan_countdown = {&str_countdown_ready},
     at_plan_head_latency = {&str_head_latency};
 /* Instruction (frozen: reads only) and FUAcquire: */
 static slotsite at_static_opcode = {&str_opcode},
-    at_acquire_now = {&str_now};
+    at_static_is_halt = {&str_is_halt}, at_acquire_now = {&str_now};
 
 /* -------------------------------------------------- eligibility ------ */
 
@@ -4744,6 +4769,647 @@ static PyTypeObject IssueStageType = {
     .tp_new = PyType_GenericNew,
 };
 
+/* ------------------------------------------------------ native replay -- */
+/*                                                                      */
+/* The C twin of repro.isa.record.replay: iterates a FunctionalRecord's */
+/* columns and yields one fresh DynInst per recorded instruction.  Each */
+/* DynInst is a clone of its pc's prototype, a DynInst the real         */
+/* constructor made once per record: every slot of the type's slot      */
+/* table is copied from the prototype, so the dataclass defaults stay   */
+/* defined in one place, and then seq, mem_addr, taken and next_pc are  */
+/* overridden and ``waiters`` is a fresh list.  The columns are read    */
+/* through the buffer protocol: pcs and next_pcs are array('i'), taken  */
+/* a bytearray and mem_addrs an array('q') (checked at construction).   */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *protos;           /* list: pc -> prototype DynInst */
+    PyTypeObject *type;         /* the prototypes' type */
+    Py_buffer cols[4];          /* pcs, next_pcs, taken, mem_addrs */
+    int held;                   /* columns held (released at the end) */
+    Py_ssize_t pos, count;
+    Py_ssize_t nslots;
+    Py_ssize_t *slots;          /* offset of every object slot */
+    Py_ssize_t off_seq, off_mem_addr, off_taken, off_next_pc;
+    Py_ssize_t off_waiters, off_is_mem;
+} ReplayObj;
+
+static void
+replay_release(ReplayObj *self)
+{
+    for (int i = 0; i < self->held; i++)
+        PyBuffer_Release(&self->cols[i]);
+    self->held = 0;
+}
+
+static Py_ssize_t
+replay_slot(PyTypeObject *tp, PyObject *name)
+{
+    /* The offset of ``tp``'s writable object slot ``name``, or -1 with
+     * an exception. */
+    PyObject *descr = _PyType_Lookup(tp, name);
+    if (descr != NULL && Py_TYPE(descr) == &PyMemberDescr_Type) {
+        PyMemberDef *member = ((PyMemberDescrObject *)descr)->d_member;
+        if (member->type == T_OBJECT_EX && !(member->flags & READONLY))
+            return member->offset;
+    }
+    PyErr_Format(PyExc_TypeError, "replay: %s has no slot %R",
+                 tp->tp_name, name);
+    return -1;
+}
+
+static int
+Replay_init(ReplayObj *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"prototypes", "pcs", "next_pcs", "taken",
+                             "mem_addrs", "count", NULL};
+    PyObject *protos, *cols[4];
+    Py_ssize_t count;
+    static const char *formats[4] = {"i", "i", "B", "q"};
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "O!OOOOn", kwlist, &PyList_Type, &protos,
+            &cols[0], &cols[1], &cols[2], &cols[3], &count))
+        return -1;
+    if (self->protos != NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "replay: already initialised");
+        return -1;
+    }
+    if (PyList_GET_SIZE(protos) == 0 || count < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "replay: prototypes and a count >= 0 expected");
+        return -1;
+    }
+    PyTypeObject *tp = Py_TYPE(PyList_GET_ITEM(protos, 0));
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(protos); i++) {
+        if (Py_TYPE(PyList_GET_ITEM(protos, i)) != tp) {
+            PyErr_SetString(PyExc_TypeError,
+                            "replay: prototypes of one type expected");
+            return -1;
+        }
+    }
+    if (tp->tp_dictoffset != 0 || tp->tp_itemsize != 0
+#ifdef Py_TPFLAGS_MANAGED_DICT
+        || (tp->tp_flags & Py_TPFLAGS_MANAGED_DICT)
+#endif
+        || tp->tp_alloc == NULL) {
+        PyErr_Format(PyExc_TypeError,
+                     "replay: %s is not a fixed-size slotted type",
+                     tp->tp_name);
+        return -1;
+    }
+    /* The slot table: every object member of the type and its bases. */
+    Py_ssize_t n = 0;
+    for (PyTypeObject *t = tp; t != NULL; t = t->tp_base)
+        for (PyMemberDef *m = t->tp_members; m && m->name; m++)
+            n += m->type == T_OBJECT_EX;
+    PyMem_Free(self->slots);
+    self->slots = PyMem_New(Py_ssize_t, n ? n : 1);
+    if (self->slots == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    self->nslots = 0;
+    for (PyTypeObject *t = tp; t != NULL; t = t->tp_base)
+        for (PyMemberDef *m = t->tp_members; m && m->name; m++)
+            if (m->type == T_OBJECT_EX)
+                self->slots[self->nslots++] = m->offset;
+    if ((self->off_seq = replay_slot(tp, str_seq)) < 0
+        || (self->off_mem_addr = replay_slot(tp, str_mem_addr)) < 0
+        || (self->off_taken = replay_slot(tp, str_taken)) < 0
+        || (self->off_next_pc = replay_slot(tp, str_next_pc)) < 0
+        || (self->off_waiters = replay_slot(tp, str_waiters)) < 0
+        || (self->off_is_mem = replay_slot(tp, str_is_mem)) < 0)
+        return -1;
+    for (int i = 0; i < 4; i++) {
+        if (PyObject_GetBuffer(cols[i], &self->cols[i], PyBUF_FORMAT) < 0) {
+            replay_release(self);
+            return -1;
+        }
+        self->held = i + 1;
+        Py_buffer *col = &self->cols[i];
+        const char *format = col->format ? col->format : "B";
+        if (strcmp(format, formats[i]) != 0) {
+            PyErr_Format(PyExc_TypeError, "replay: column %d is %s, not %s",
+                         i, format, formats[i]);
+            replay_release(self);
+            return -1;
+        }
+        if (col->len < count * col->itemsize) {
+            PyErr_SetString(PyExc_ValueError,
+                            "replay: a column is shorter than count");
+            replay_release(self);
+            return -1;
+        }
+    }
+    Py_INCREF(tp);
+    self->type = tp;
+    Py_INCREF(protos);
+    self->protos = protos;
+    self->pos = 0;
+    self->count = count;
+    return 0;
+}
+
+static void
+Replay_dealloc(ReplayObj *self)
+{
+    replay_release(self);
+    Py_XDECREF(self->protos);
+    Py_XDECREF(self->type);
+    PyMem_Free(self->slots);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static inline void
+slot_put(PyObject *obj, Py_ssize_t offset, PyObject *value)
+{
+    /* Store ``value`` (a new reference) in a slot, dropping the old. */
+    PyObject **slot = (PyObject **)((char *)obj + offset);
+    PyObject *old = *slot;
+    *slot = value;
+    Py_XDECREF(old);
+}
+
+static PyObject *
+Replay_next(ReplayObj *self)
+{
+    if (self->protos == NULL || self->pos >= self->count) {
+        replay_release(self);
+        return NULL;
+    }
+    Py_ssize_t i = self->pos;
+    int pc = ((int *)self->cols[0].buf)[i];
+    if (pc < 0 || pc >= PyList_GET_SIZE(self->protos)) {
+        PyErr_Format(PyExc_IndexError, "replay: pc %d outside the code", pc);
+        return NULL;
+    }
+    PyObject *proto = PyList_GET_ITEM(self->protos, pc);
+    if (Py_TYPE(proto) != self->type) {
+        PyErr_SetString(PyExc_TypeError, "replay: a prototype was replaced");
+        return NULL;
+    }
+    int is_mem = *(PyObject **)((char *)proto + self->off_is_mem) == Py_True;
+    /* Every new object first, so the clone is filled without a call
+     * that could run the collector. */
+    PyObject *seq = PyLong_FromSsize_t(i);
+    PyObject *next_pc = PyLong_FromLong(((int *)self->cols[1].buf)[i]);
+    PyObject *addr = is_mem ? PyLong_FromLongLong(
+        ((long long *)self->cols[3].buf)[i]) : Py_NewRef(Py_None);
+    PyObject *waiters = PyList_New(0);
+    PyObject *inst = NULL;
+    if (seq != NULL && next_pc != NULL && addr != NULL && waiters != NULL)
+        inst = self->type->tp_alloc(self->type, 0);
+    if (inst == NULL) {
+        Py_XDECREF(seq);
+        Py_XDECREF(next_pc);
+        Py_XDECREF(addr);
+        Py_XDECREF(waiters);
+        return NULL;
+    }
+    for (Py_ssize_t k = 0; k < self->nslots; k++) {
+        Py_ssize_t offset = self->slots[k];
+        PyObject *value = *(PyObject **)((char *)proto + offset);
+        Py_XINCREF(value);
+        *(PyObject **)((char *)inst + offset) = value;
+    }
+    int taken = ((unsigned char *)self->cols[2].buf)[i] == 1;
+    slot_put(inst, self->off_seq, seq);
+    slot_put(inst, self->off_next_pc, next_pc);
+    slot_put(inst, self->off_mem_addr, addr);
+    slot_put(inst, self->off_taken, Py_NewRef(taken ? Py_True : Py_False));
+    slot_put(inst, self->off_waiters, waiters);
+    self->pos = i + 1;
+    return inst;
+}
+
+static PyTypeObject ReplayType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.core.segmented._ckernels.Replay",
+    .tp_basicsize = sizeof(ReplayObj),
+    .tp_itemsize = 0,
+    .tp_dealloc = (destructor)Replay_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Compiled functional-record replay (see isa/record.py)",
+    .tp_iter = PyObject_SelfIter,
+    .tp_iternext = (iternextfunc)Replay_next,
+    .tp_init = (initproc)Replay_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* -------------------------------------------------------- fetch stage -- */
+/*                                                                      */
+/* The C twin of FrontEnd.cycle, one call per cycle, for one-thread,    */
+/* untraced runs: FrontEnd.cycle hands off to run(frontend, now).  The  */
+/* stall checks and their counters come first, in the Python order;     */
+/* then up to ``width`` instructions are pulled from the stream through */
+/* the iterator protocol, with the I-cache probed through               */
+/* frontend._line_available on each new line (same-line fetches are    */
+/* coalesced into one counter bump), control instructions capped at    */
+/* ``max_branches`` and predicted through frontend._predict, and each   */
+/* one appended to the decode pipeline as (ready_at, inst).  Fetch      */
+/* stops at a mispredict (which fetch then waits on) or a halt.  Every  */
+/* normal exit from the loop writes back _peeked, _stream_done and      */
+/* _waiting_branch; an exception leaves them as they were.              */
+
+typedef struct {
+    PyObject_HEAD
+    Py_ssize_t width, max_branches, buffer_cap;
+    int64_t depth, inst_bytes;
+    int line_shift;
+    PyObject *stall_icache, *stall_branch, *buffer_full;
+    PyObject *fetched, *fetch_cycles, *icache_accesses, *icache_hits;
+} FetchStageObj;
+
+#define FETCH_COUNTERS 7
+
+static PyObject **
+fetch_counters(FetchStageObj *self, int i)
+{
+    PyObject **all[FETCH_COUNTERS] = {
+        &self->stall_icache, &self->stall_branch, &self->buffer_full,
+        &self->fetched, &self->fetch_cycles, &self->icache_accesses,
+        &self->icache_hits};
+    return all[i];
+}
+
+static int
+FetchStage_init(FetchStageObj *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"width", "max_branches", "depth", "buffer_cap",
+                             "inst_bytes", "line_shift", "stall_icache",
+                             "stall_branch", "buffer_full", "fetched",
+                             "fetch_cycles", "icache_accesses",
+                             "icache_hits", NULL};
+    PyObject *items[FETCH_COUNTERS];
+    long long depth, inst_bytes;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "nnLnLiOOOOOOO", kwlist, &self->width,
+            &self->max_branches, &depth, &self->buffer_cap, &inst_bytes,
+            &self->line_shift, &items[0], &items[1], &items[2], &items[3],
+            &items[4], &items[5], &items[6]))
+        return -1;
+    if (self->line_shift < 0 || self->line_shift > 62) {
+        PyErr_SetString(PyExc_ValueError, "fetch stage: bad line_shift");
+        return -1;
+    }
+    self->depth = (int64_t)depth;
+    self->inst_bytes = (int64_t)inst_bytes;
+    for (int i = 0; i < FETCH_COUNTERS; i++) {
+        Py_INCREF(items[i]);
+        Py_XSETREF(*fetch_counters(self, i), items[i]);
+    }
+    return 0;
+}
+
+static void
+FetchStage_dealloc(FetchStageObj *self)
+{
+    for (int i = 0; i < FETCH_COUNTERS; i++)
+        Py_CLEAR(*fetch_counters(self, i));
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static int
+fetch_stalled(FetchStageObj *self, PyObject *fe, int64_t now)
+{
+    /* FrontEnd.cycle's stall checks, in order: 1 (stall counted), 0 (may
+     * fetch) or -1. */
+    int stalled = attr_truth(fe, str_icache_stalled);
+    if (stalled != 0)
+        return stalled < 0 ? -1
+               : (counter_inc1(self->stall_icache) < 0 ? -1 : 1);
+    PyObject *waiting = PyObject_GetAttr(fe, str_waiting_branch);
+    if (waiting == NULL)
+        return -1;
+    int64_t resume = 0;
+    stalled = waiting != Py_None;
+    Py_DECREF(waiting);
+    if (!stalled) {
+        if (attr_i64(fe, str_resume_cycle, &resume) < 0)
+            return -1;
+        stalled = now < resume;
+    }
+    if (stalled)
+        return counter_inc1(self->stall_branch) < 0 ? -1 : 1;
+    return 0;
+}
+
+static PyObject *
+FetchStage_run(FetchStageObj *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* run(frontend, now): one cycle of FrontEnd.cycle, untraced. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "run expects 2 arguments");
+        return NULL;
+    }
+    PyObject *fe = args[0], *now_obj = args[1];
+    int64_t now = (int64_t)PyLong_AsLongLong(now_obj);
+    if (now == -1 && PyErr_Occurred())
+        return NULL;
+    int stalled = fetch_stalled(self, fe, now);
+    if (stalled != 0)
+        return stalled < 0 ? NULL : Py_NewRef(Py_None);
+    PyObject *pipeline = PyObject_GetAttr(fe, str_pipeline);
+    if (pipeline == NULL)
+        return NULL;
+    Py_ssize_t queued = PyObject_Length(pipeline);
+    if (queued < 0 || queued >= self->buffer_cap) {
+        Py_DECREF(pipeline);
+        if (queued < 0 || counter_inc1(self->buffer_full) < 0)
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    PyObject *stream = NULL, *append = NULL, *ready_at = NULL;
+    PyObject *inst = NULL, *waiting = NULL, *pc = NULL;
+    Py_ssize_t fetched = 0, branches = 0, coalesced = 0;
+    int64_t code_base, current_line = -1;
+    int ok = 0;
+    int stream_done = attr_truth(fe, str_stream_done);
+    if (stream_done < 0
+        || attr_i64(fe, str_code_base, &code_base) < 0
+        || (stream = PyObject_GetAttr(fe, str_stream)) == NULL
+        || (append = PyObject_GetAttr(pipeline, str_append)) == NULL
+        || (ready_at = PyLong_FromLongLong(
+                (long long)(now + self->depth))) == NULL
+        || (inst = PyObject_GetAttr(fe, str_peeked)) == NULL)
+        goto done;
+    if (inst == Py_None)
+        Py_CLEAR(inst);
+    while (fetched < self->width) {
+        if (inst == NULL) {
+            if (stream_done)
+                break;
+            inst = PyIter_Next(stream);
+            if (inst == NULL) {
+                if (PyErr_Occurred())
+                    goto done;
+                stream_done = 1;
+                break;
+            }
+        }
+        int64_t pcv;
+        if ((pc = site_get(&at_inst_pc, inst)) == NULL)
+            goto done;
+        pcv = (int64_t)PyLong_AsLongLong(pc);
+        if (pcv == -1 && PyErr_Occurred())
+            goto done;
+        int64_t line = (code_base + pcv * self->inst_bytes)
+                       >> self->line_shift;
+        if (line == current_line) {
+            coalesced++;
+        }
+        else {
+            PyObject *answer = PyObject_CallMethodOneArg(
+                fe, str_line_available, pc);
+            int available = answer == NULL ? -1 : PyObject_IsTrue(answer);
+            Py_XDECREF(answer);
+            if (available < 0)
+                goto done;
+            if (!available)
+                break;
+            current_line = line;
+        }
+        Py_CLEAR(pc);
+        int control = site_truth(&at_inst_is_control, inst);
+        if (control < 0)
+            goto done;
+        if (control) {
+            if (branches >= self->max_branches)
+                break;
+            branches++;
+            if (call_discard(PyObject_CallMethodOneArg(
+                    fe, str_predict, inst)) < 0)
+                goto done;
+        }
+        if (site_set(&at_inst_fetched, inst, now_obj) < 0)
+            goto done;
+        PyObject *record = PyTuple_Pack(2, ready_at, inst);
+        if (record == NULL
+            || call_discard(PyObject_CallOneArg(append, record)) < 0) {
+            Py_XDECREF(record);
+            goto done;
+        }
+        Py_DECREF(record);
+        fetched++;
+        int mispredicted = site_truth(&at_inst_mispredicted, inst);
+        if (mispredicted < 0)
+            goto done;
+        if (mispredicted) {
+            waiting = inst;     /* fetch waits for it to resolve */
+            inst = NULL;
+            break;
+        }
+        PyObject *stat = site_get(&at_inst_static, inst);
+        int halt = stat == NULL ? -1 : site_truth(&at_static_is_halt, stat);
+        Py_XDECREF(stat);
+        if (halt < 0)
+            goto done;
+        Py_CLEAR(inst);
+        if (halt)
+            break;
+    }
+    if (PyObject_SetAttr(fe, str_peeked, inst ? inst : Py_None) < 0
+        || PyObject_SetAttr(fe, str_stream_done,
+                            stream_done ? Py_True : Py_False) < 0
+        || PyObject_SetAttr(fe, str_waiting_branch,
+                            waiting ? waiting : Py_None) < 0)
+        goto done;
+    if (coalesced && (counter_add(self->icache_accesses, coalesced) < 0
+                      || counter_add(self->icache_hits, coalesced) < 0))
+        goto done;
+    if (fetched && (counter_add(self->fetched, fetched) < 0
+                    || counter_inc1(self->fetch_cycles) < 0))
+        goto done;
+    ok = 1;
+done:
+    Py_DECREF(pipeline);
+    Py_XDECREF(stream);
+    Py_XDECREF(append);
+    Py_XDECREF(ready_at);
+    Py_XDECREF(inst);
+    Py_XDECREF(waiting);
+    Py_XDECREF(pc);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef FetchStage_methods[] = {
+    {"run", (PyCFunction)FetchStage_run, METH_FASTCALL, NULL},
+    {NULL, NULL, 0, NULL}
+};
+
+static PyTypeObject FetchStageType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.core.segmented._ckernels.FetchStage",
+    .tp_basicsize = sizeof(FetchStageObj),
+    .tp_itemsize = 0,
+    .tp_dealloc = (destructor)FetchStage_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Compiled fetch stage (see pipeline/kernels.py)",
+    .tp_methods = FetchStage_methods,
+    .tp_init = (initproc)FetchStage_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ------------------------------------------------------- commit stage -- */
+/*                                                                      */
+/* The C twin of Processor._retire(0, commit_width, now), one call per  */
+/* cycle, for one-thread, untraced runs.  The ROB, LSQ, listeners and   */
+/* counters are read from the processor on every call (the ROB may be   */
+/* swapped after construction), and lsq.commit and every listener are   */
+/* called as the Python loop calls them.                                */
+
+typedef struct {
+    PyObject_HEAD
+    Py_ssize_t width;
+} CommitStageObj;
+
+static int
+CommitStage_init(CommitStageObj *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"width", NULL};
+    return PyArg_ParseTupleAndKeywords(args, kwds, "n", kwlist,
+                                       &self->width) ? 0 : -1;
+}
+
+static int
+commit_one(PyObject *proc, PyObject *inst, PyObject *now_obj,
+           PyObject *listeners, PyObject **lsq)
+{
+    /* Everything _retire does for one popped head after it leaves the
+     * ROB.  ``*lsq`` is processor.lsq, looked up at the first memory
+     * op. */
+    if (site_set(&at_inst_committed, inst, now_obj) < 0)
+        return -1;
+    int is_mem = site_truth(&at_inst_is_mem, inst);
+    if (is_mem < 0)
+        return -1;
+    if (is_mem) {
+        if (*lsq == NULL && (*lsq = PyObject_GetAttr(proc, str_lsq)) == NULL)
+            return -1;
+        if (call_discard(PyObject_CallMethodObjArgs(
+                *lsq, str_commit, inst, now_obj, NULL)) < 0)
+            return -1;
+    }
+    PyObject *stat = site_get(&at_inst_static, inst);
+    int halt = stat == NULL ? -1 : site_truth(&at_static_is_halt, stat);
+    Py_XDECREF(stat);
+    if (halt < 0)
+        return -1;
+    if (halt) {
+        PyObject *halted = PyObject_GetAttr(proc, str_halted);
+        int rc = halted == NULL ? -1
+                 : PySequence_SetItem(halted, 0, Py_True);
+        Py_XDECREF(halted);
+        if (rc < 0)
+            return -1;
+    }
+    if (PyList_CheckExact(listeners) && PyList_GET_SIZE(listeners) == 0)
+        return 0;
+    PyObject *iter = PyObject_GetIter(listeners);
+    if (iter == NULL)
+        return -1;
+    PyObject *listener;
+    int rc = 0;
+    while (rc == 0 && (listener = PyIter_Next(iter)) != NULL) {
+        PyObject *call_args[2] = {inst, now_obj};
+        rc = call_discard(PyObject_Vectorcall(listener, call_args, 2, NULL));
+        Py_DECREF(listener);
+    }
+    Py_DECREF(iter);
+    return (rc < 0 || PyErr_Occurred()) ? -1 : 0;
+}
+
+static PyObject *
+CommitStage_run(CommitStageObj *self, PyObject *const *args,
+                Py_ssize_t nargs)
+{
+    /* run(processor, now): one cycle of single-thread commit. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "run expects 2 arguments");
+        return NULL;
+    }
+    PyObject *proc = args[0], *now_obj = args[1];
+    int64_t now = (int64_t)PyLong_AsLongLong(now_obj);
+    if (now == -1 && PyErr_Occurred())
+        return NULL;
+    PyObject *robs = PyObject_GetAttr(proc, str_robs);
+    if (robs == NULL)
+        return NULL;
+    PyObject *rob = PySequence_GetItem(robs, 0);
+    Py_DECREF(robs);
+    if (rob == NULL)
+        return NULL;
+    PyObject *entries = PyObject_GetAttr(rob, str_entries);
+    Py_DECREF(rob);
+    if (entries == NULL)
+        return NULL;
+    PyObject *lsq = NULL, *inst = NULL, *listeners = NULL;
+    Py_ssize_t committed = 0;
+    int ok = 0;
+    Py_ssize_t left = PyObject_Length(entries);
+    if (left <= 0) {
+        Py_DECREF(entries);
+        return left < 0 ? NULL : Py_NewRef(Py_None);
+    }
+    if ((listeners = PyObject_GetAttr(proc, str_commit_listeners)) == NULL)
+        goto done;
+    while (committed < self->width) {
+        if ((left = PyObject_Length(entries)) < 0)
+            goto done;
+        if (left == 0)
+            break;
+        if ((inst = PySequence_GetItem(entries, 0)) == NULL)
+            goto done;
+        int64_t completed;
+        if (site_get_i64(&at_inst_completed, inst, &completed) < 0)
+            goto done;
+        if (completed < 0 || completed > now)
+            break;
+        if (call_discard(PyObject_CallMethodNoArgs(entries,
+                                                   str_popleft)) < 0
+            || commit_one(proc, inst, now_obj, listeners, &lsq) < 0)
+            goto done;
+        Py_CLEAR(inst);
+        committed++;
+    }
+    if (committed) {
+        int64_t total;
+        if (attr_i64(proc, str_committed, &total) < 0
+            || attr_set_i64(proc, str_committed, total + committed) < 0
+            || PyObject_SetAttr(proc, str_last_commit_cycle, now_obj) < 0)
+            goto done;
+    }
+    ok = 1;
+done:
+    Py_DECREF(entries);
+    Py_XDECREF(listeners);
+    Py_XDECREF(lsq);
+    Py_XDECREF(inst);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef CommitStage_methods[] = {
+    {"run", (PyCFunction)CommitStage_run, METH_FASTCALL, NULL},
+    {NULL, NULL, 0, NULL}
+};
+
+static PyTypeObject CommitStageType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.core.segmented._ckernels.CommitStage",
+    .tp_basicsize = sizeof(CommitStageObj),
+    .tp_itemsize = 0,
+    .tp_dealloc = (destructor)PyObject_Del,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Compiled commit stage (see pipeline/kernels.py)",
+    .tp_methods = CommitStage_methods,
+    .tp_init = (initproc)CommitStage_init,
+    .tp_new = PyType_GenericNew,
+};
+
 static struct PyModuleDef ckernels_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.core.segmented._ckernels",
@@ -4895,6 +5561,17 @@ PyInit__ckernels(void)
         Py_DECREF(&IssueStageType);
         Py_DECREF(module);
         return NULL;
+    }
+    static const struct { PyTypeObject *type; const char *name; }
+    more[] = {{&FetchStageType, "FetchStage"},
+              {&CommitStageType, "CommitStage"}, {&ReplayType, "Replay"}};
+    for (size_t i = 0; i < sizeof(more) / sizeof(*more); i++) {
+        if (PyType_Ready(more[i].type) < 0
+            || PyModule_AddObjectRef(module, more[i].name,
+                                     (PyObject *)more[i].type) < 0) {
+            Py_DECREF(module);
+            return NULL;
+        }
     }
     return module;
 }

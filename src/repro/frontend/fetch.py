@@ -20,6 +20,7 @@ from typing import Deque, Iterator, Optional
 from repro.common.events import EventQueue
 from repro.common.params import ProcessorParams
 from repro.common.stats import StatGroup
+from repro.core.segmented.links import NEVER
 from repro.frontend.branch_predictor import HybridBranchPredictor
 from repro.frontend.btb import BranchTargetBuffer
 from repro.isa.instruction import DynInst
@@ -61,6 +62,10 @@ class FrontEnd:
         #: Observability sink (see :mod:`repro.obs`); installed by the
         #: processor, ``None`` disables tracing.
         self.tracer = None
+        #: The compiled fetch stage's ``run`` (``_ckernels.FetchStage``),
+        #: bound by the processor on one-thread, untraced runs; ``None``
+        #: runs the Python body of :meth:`cycle`.
+        self._c_fetch = None
 
         self.stat_fetched = stats.counter("fetch.instructions")
         self.stat_fetch_cycles = stats.counter(
@@ -97,7 +102,15 @@ class FrontEnd:
 
     # ------------------------------------------------------------- fetch --
     def cycle(self, now: int) -> None:
-        """Fetch up to ``fetch_width`` instructions this cycle."""
+        """Fetch up to ``fetch_width`` instructions this cycle.
+
+        With the compiled fetch stage bound, this hands the cycle to it;
+        the body below is its operation-for-operation Python twin.
+        """
+        c_fetch = self._c_fetch
+        if c_fetch is not None:
+            c_fetch(self, now)
+            return
         if self._icache_stalled:
             self.stat_icache_stall_cycles.inc()
             return
@@ -179,7 +192,6 @@ class FrontEnd:
         """Earliest cycle fetch could act; NEVER when only an event (cache
         fill, branch resolution, a dispatch draining the buffer) can
         unblock it.  Mirrors the stall-check order of :meth:`cycle`."""
-        from repro.core.segmented.links import NEVER
         if self._icache_stalled:
             return NEVER        # the fill-completion event wakes us
         if self._waiting_branch is not None:

@@ -31,7 +31,7 @@ from repro.common.errors import ExecutionError
 from repro.isa.instruction import DynInst, Instruction
 from repro.isa.opcodes import NUM_REGS, WORD_BYTES, Opcode
 from repro.isa.program import Program, Value
-from repro.isa.record import FunctionalRecord, replay
+from repro.isa.record import FunctionalRecord, native_replay, replay
 
 
 class MachineState:
@@ -294,10 +294,13 @@ def execute(program: Union[Program, FunctionalRecord],
     Stops at the halt instruction (which is yielded) or after
     ``max_instructions`` dynamic instructions, whichever comes first.
     A :class:`~repro.isa.record.FunctionalRecord` is replayed instead of
-    executed: the same DynInsts, field for field, each one fresh.
+    executed: the same DynInsts, field for field, each one fresh (by the
+    compiled replay whenever the kernel backend is compiled).
     """
     if isinstance(program, FunctionalRecord):
-        return replay(program, max_instructions)
+        stream = native_replay(program, max_instructions)
+        return stream if stream is not None else replay(
+            program, max_instructions)
     return execute_from(MachineState(program), max_instructions)
 
 

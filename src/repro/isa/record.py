@@ -6,7 +6,9 @@ processor configuration.  A :class:`FunctionalRecord` keeps that stream
 as compact per-instruction columns; :func:`repro.isa.executor.execute`
 replays it into fresh :class:`~repro.isa.instruction.DynInst` objects
 without rebuilding the program, copying its data image or executing a
-single instruction.
+single instruction.  On the compiled kernel backend the replay is
+``_ckernels.Replay`` (:func:`native_replay`), which clones each DynInst
+from a per-pc prototype; :func:`replay` is its pure-Python twin.
 
 * :class:`Recording` wraps a program's live stream and fills a record as
   the stream is consumed; the record is complete only when the stream
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from typing import Hashable, Iterator, Optional
+from typing import Hashable, Iterator, List, Optional
 
 from repro.isa.instruction import DynInst
 from repro.isa.program import Program
@@ -44,7 +46,7 @@ class FunctionalRecord:
     """
 
     __slots__ = ("instructions", "segments", "pcs", "next_pcs", "taken",
-                 "mem_addrs")
+                 "mem_addrs", "_prototypes")
 
     def __init__(self, program: Program) -> None:
         self.instructions = program.instructions
@@ -53,9 +55,25 @@ class FunctionalRecord:
         self.next_pcs = array("i")
         self.taken = bytearray()
         self.mem_addrs = array("q")
+        self._prototypes: Optional[List[DynInst]] = None
 
     def __len__(self) -> int:
         return len(self.pcs)
+
+    def prototypes(self) -> List[DynInst]:
+        """One DynInst per static instruction, made once by the real
+        constructor: the templates :func:`native_replay` clones."""
+        if self._prototypes is None:
+            self._prototypes = [DynInst(0, pc, inst) for pc, inst
+                                in enumerate(self.instructions)]
+        return self._prototypes
+
+
+def _count(record: FunctionalRecord, max_instructions: Optional[int]) -> int:
+    count = len(record.pcs)
+    if max_instructions is not None:
+        count = max(0, min(count, max_instructions))
+    return count
 
 
 def replay(record: FunctionalRecord,
@@ -63,15 +81,27 @@ def replay(record: FunctionalRecord,
     """Yield ``record``'s stream (its first ``max_instructions``) as fresh
     DynInsts, equal field for field to the ones execution yielded."""
     code = record.instructions
-    count = len(record.pcs)
-    if max_instructions is not None:
-        count = min(count, max_instructions)
     for seq, pc, next_pc, taken, addr in zip(
-            range(count), record.pcs, record.next_pcs, record.taken,
-            record.mem_addrs):
+            range(_count(record, max_instructions)), record.pcs,
+            record.next_pcs, record.taken, record.mem_addrs):
         inst = code[pc]
         yield DynInst(seq, pc, inst, 0, 0, addr if inst.is_mem else None,
                       taken == 1, next_pc)
+
+
+def native_replay(record: FunctionalRecord,
+                  max_instructions: Optional[int] = None
+                  ) -> Optional[Iterator[DynInst]]:
+    """:func:`replay`'s compiled twin, ``_ckernels.Replay``, or None on
+    the ``py`` kernel backend."""
+    # Imported here: the kernel switch lives above the ISA layer.
+    from repro.core.segmented.kernels import backend
+    if backend() != "compiled":
+        return None
+    from repro.core.segmented._ckernels import Replay
+    return Replay(record.prototypes(), record.pcs, record.next_pcs,
+                  record.taken, record.mem_addrs,
+                  _count(record, max_instructions))
 
 
 class Recording:

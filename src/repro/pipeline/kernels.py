@@ -19,11 +19,13 @@ the backend for *both* tiers, and the pure-Python fallback is always
 available.  The two backends are bit-identical — same cycles, same
 stats, same traces — pinned by ``tests/core/test_kernels.py``.
 
-Two stages of ``Processor`` have compiled twins with no column state
+Four stages of ``Processor`` have compiled twins with no column state
 of their own: the whole dispatch stage (:func:`dispatch_stage`, pinned
-untraced by ``tests/pipeline/test_dispatch_stage.py``) and the issue
+untraced by ``tests/pipeline/test_dispatch_stage.py``), the issue
 stage with operand wakeup and completion (:func:`issue_stage`, pinned
-by ``tests/pipeline/test_issue_stage.py``).
+by ``tests/pipeline/test_issue_stage.py``), and the fetch and commit
+stages (:func:`fetch_stage`, :func:`commit_stage`, pinned untraced by
+``tests/pipeline/test_fetch_commit_stage.py``).
 
 Column layout (one heap per (FU class, cluster) pair, flattened):
 
@@ -147,6 +149,33 @@ def issue_stage():
     if _backend() == "compiled":
         from repro.core.segmented import _ckernels
         return _ckernels.IssueStage
+    return None
+
+
+def fetch_stage():
+    """The compiled fetch stage type (C), or None on the py backend.
+
+    ``FetchStage(...).run(frontend, now)`` runs one cycle of the Python
+    body of FrontEnd.cycle in one call; FrontEnd.cycle hands off to it
+    when the processor binds it (one-thread, untraced runs).
+    """
+    if _backend() == "compiled":
+        from repro.core.segmented import _ckernels
+        return _ckernels.FetchStage
+    return None
+
+
+def commit_stage():
+    """The compiled commit stage type (C), or None on the py backend.
+
+    ``CommitStage(commit_width).run(processor, now)`` runs one cycle of
+    single-thread commit (Processor._retire) in one call; the processor
+    keeps the Python methods as the fallback twins (and for traced and
+    multi-thread runs).
+    """
+    if _backend() == "compiled":
+        from repro.core.segmented import _ckernels
+        return _ckernels.CommitStage
     return None
 
 

@@ -29,13 +29,14 @@ from repro.common.params import ProcessorParams
 from repro.common.stats import StatGroup
 from repro.core.iq_base import InstructionQueue, IQEntry, Operand
 from repro.core.segmented.links import NEVER
-from repro.frontend.fetch import FrontEnd
+from repro.frontend.fetch import INST_BYTES, FrontEnd
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import FUClass, OpClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs.events import TraceEvent
 from repro.pipeline.fu import FUAcquire, FUPool
-from repro.pipeline.kernels import dispatch_stage, issue_stage
+from repro.pipeline.kernels import (commit_stage, dispatch_stage,
+                                    fetch_stage, issue_stage)
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
 
@@ -289,6 +290,28 @@ class Processor:
                  and self.invariant_checker is None else None)
         if stage is not None and EventQueue is not _PyEventQueue:
             self._c_issue = stage(self, self._fu_acquire, IQEntry).run
+        # Compiled fetch and commit stages: FrontEnd.cycle hands its cycle
+        # to the fetch stage, and step calls the commit stage in place of
+        # _retire.  Traced and multi-thread runs keep the Python bodies
+        # (fetch and commit events, ICOUNT, round-robin commit).
+        self._c_commit = None
+        if threads == 1 and tracer is None:
+            stage = fetch_stage()
+            if stage is not None:
+                frontend = self.frontend
+                icache = self.memory.l1i
+                frontend._c_fetch = stage(
+                    params.fetch_width, params.max_branches_per_fetch,
+                    params.dispatch_pipeline_depth, frontend._buffer_cap,
+                    INST_BYTES, icache.params.line_bytes.bit_length() - 1,
+                    frontend.stat_icache_stall_cycles,
+                    frontend.stat_branch_stall_cycles,
+                    frontend.stat_buffer_full_cycles,
+                    frontend.stat_fetched, frontend.stat_fetch_cycles,
+                    icache.stat_accesses, icache.stat_hits).run
+            stage = commit_stage()
+            if stage is not None:
+                self._c_commit = stage(self._commit_width).run
 
         # Event-driven cycle skipping (docs/performance.md).  Enabled only
         # inside run() so direct step() callers keep 1-call-per-cycle
@@ -368,7 +391,6 @@ class Processor:
         samples are short, so benchmarks warm the code explicitly to avoid
         charging every run a cold straight-line I-miss sequence.
         """
-        from repro.frontend.fetch import INST_BYTES
         line = self.params.memory.l1i.line_bytes
         base = thread * CODE_SPACE_BYTES
         code_bytes = len(program.instructions) * INST_BYTES
@@ -486,7 +508,10 @@ class Processor:
                 self.events.advance_to(now)
                 wake = self._next_active_cycle(now)
         self.events.advance_to(now)
-        if self.num_threads == 1:
+        c_commit = self._c_commit
+        if c_commit is not None:
+            c_commit(self, now)
+        elif self.num_threads == 1:
             self._retire(0, self._commit_width, now)
         else:
             self._commit(now)
@@ -667,7 +692,11 @@ class Processor:
 
     def _retire(self, thread: int, budget: int, now: int) -> int:
         """Commit up to ``budget`` instructions from ``thread``'s ROB;
-        returns how many."""
+        returns how many.
+
+        The compiled commit stage (``_c_commit``) is the
+        operation-for-operation twin of a single-thread call.
+        """
         rob_entries = self.robs[thread]._entries
         if not rob_entries:
             return 0

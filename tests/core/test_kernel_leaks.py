@@ -11,7 +11,10 @@ per-instruction classes (every live instance holds a reference to its
 class) and of the interned attribute names the C code passes around
 stay flat.  A dense cell cut short by ``max_cycles`` leaves completions
 queued as typed event records; dropping it must free those too, and the
-event queue's record columns must take part in cycle collection.
+event queue's record columns must take part in cycle collection.  The
+same cells fed by the compiled replay of a functional record (which
+clones every DynInst from a prototype) must free every clone, also when
+a cut-off abandons the stream part-read.
 """
 
 import gc
@@ -28,6 +31,7 @@ from repro.core.segmented.queue import DispatchPlan
 from repro.harness import configs
 from repro.isa import execute
 from repro.isa.instruction import DynInst
+from repro.isa.record import Recording
 from repro.pipeline import Processor
 from repro.pipeline.lsq import LSQEntry
 from repro.workloads import build_mgrid
@@ -41,10 +45,15 @@ INSTRUCTIONS = 2000
 MEMORY_BOUND = 64 * 1024
 
 
-def _refcounts():
+def _refcounts(program):
+    """Reference counts that any leaked object or reference moves: the
+    per-instruction classes, interned names, and the static instructions
+    every DynInst (and every replayed clone) points at."""
     watched = [DynInst, Operand, Chain, IQEntry, LSQEntry, DispatchPlan]
-    watched += [sys.intern(name) for name in ("seq", "inst", "producer")]
-    return [sys.getrefcount(obj) for obj in watched]
+    watched += [sys.intern(name) for name in ("seq", "inst", "producer",
+                                              "_peeked", "waiters")]
+    return ([sys.getrefcount(obj) for obj in watched]
+            + [sum(map(sys.getrefcount, program.instructions))])
 
 
 def test_repeated_dense_cell_leaks_nothing():
@@ -59,6 +68,25 @@ def test_repeated_python_iq_cell_leaks_nothing():
 def test_repeated_cut_short_dense_cell_leaks_nothing():
     """Stopped by max_cycles mid-run, with completions still queued."""
     _assert_flat(configs.segmented(512, 128, "comb"), max_cycles=300)
+
+
+def test_repeated_native_replay_cell_leaks_nothing():
+    """Fed by the compiled replay, through the fetch and commit stages."""
+    _assert_flat(configs.segmented(512, 128, "comb"), replayed=True)
+
+
+def test_repeated_cut_short_native_replay_cell_leaks_nothing():
+    """A cut-off abandons the compiled replay part-read."""
+    _assert_flat(configs.segmented(512, 128, "comb"), max_cycles=300,
+                 replayed=True)
+
+
+def _record(program):
+    recording = Recording(program)
+    for _ in recording.stream(execute(program,
+                                      max_instructions=INSTRUCTIONS)):
+        pass
+    return recording.record
 
 
 def test_event_records_take_part_in_cycle_collection():
@@ -85,13 +113,14 @@ def test_event_records_take_part_in_cycle_collection():
     assert sys.getrefcount(Marker) == live
 
 
-def _assert_flat(params, max_cycles=1_000_000):
+def _assert_flat(params, max_cycles=1_000_000, replayed=False):
     kernels.set_backend("compiled")
     try:
         kernels.backend()
     except RuntimeError:
         pytest.skip("compiled kernel backend not built")
     program = build_mgrid()
+    source = _record(program) if replayed else program
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -99,13 +128,18 @@ def _assert_flat(params, max_cycles=1_000_000):
         samples = []
         for _ in range(RUNS):
             processor = Processor(params, execute(
-                program, max_instructions=INSTRUCTIONS))
+                source, max_instructions=INSTRUCTIONS))
             assert processor._c_dispatch is not None
+            assert processor._c_commit is not None
+            assert processor.frontend._c_fetch is not None
+            if replayed:
+                assert type(processor.frontend._stream).__name__ == "Replay"
             assert getattr(processor.iq, "kernel_backend",
                            "compiled") == "compiled"
             processor.run(max_cycles=max_cycles)
             if max_cycles < 1_000_000:
                 assert 0 < processor.committed < INSTRUCTIONS
+                assert not processor.frontend._stream_done
                 assert len(processor.events)
                 if EventQueue is not _PyEventQueue:
                     assert processor._c_issue is not None
@@ -114,7 +148,7 @@ def _assert_flat(params, max_cycles=1_000_000):
             del processor
             gc.collect()
             samples.append((tracemalloc.get_traced_memory()[0],
-                            _refcounts()))
+                            _refcounts(program)))
     finally:
         if not tracing:
             tracemalloc.stop()

@@ -17,6 +17,13 @@ Table 2's measured column is tied to ``table2_chain_usage.txt``: the
 base average chains and each predictor's reduction are read off the
 artifact's Average row, and the twolf HMP figures the section's prose
 quotes off its TWOLF row.  Any other number in that column fails.
+
+Figure 2's measured column is tied to
+``figure2_relative_performance.txt``: the base design's average and
+range over the unlimited-chain rows, the change of that average at 128
+and 64 chains (in points of % of ideal), and each benchmark's % of
+ideal it quotes are recomputed from the artifact's rows.  Any other
+number in that column fails.
 """
 
 import re
@@ -236,3 +243,118 @@ def test_table2_quotes_match_the_artifact():
     assert match.group(3).replace("−", "-") == _reduction(twolf, "hmp"), \
         f"twolf HMP: EXPERIMENTS.md quotes {match.group(3)} %, " \
         f"table2_chain_usage.txt gives {_reduction(twolf, 'hmp')} %"
+
+
+def _figure2_rows() -> dict:
+    """(benchmark, chains) -> {variant: % of ideal} from
+    ``figure2_relative_performance.txt``; chains is ``unlimited``,
+    ``128 chains`` or ``64 chains``."""
+    rows = {}
+    artifact = ROOT / "benchmarks" / "out" / \
+        "figure2_relative_performance.txt"
+    for line in artifact.read_text().splitlines():
+        match = re.fullmatch(r"(\w+)\s+(unlimited|\d+ chains)"
+                             r"((?:\s+\d+%){4})", line.strip())
+        if match:
+            values = [int(value.rstrip("%"))
+                      for value in match.group(3).split()]
+            rows[(match.group(1), match.group(2))] = dict(
+                zip(VARIANTS, values))
+    return rows
+
+
+def _base_average(rows: dict, chains: str) -> float:
+    return mean(row["base"] for (_bench, each), row in rows.items()
+                if each == chains)
+
+
+def _base_change(rows: dict, chains: str) -> str:
+    """The base average's change from unlimited chains, in points."""
+    return str(round(_base_average(rows, chains)
+                     - _base_average(rows, "unlimited")))
+
+
+def _flat(rows: dict, bench: str) -> str:
+    """``bench``'s base % of ideal when every chain count gives the
+    same, else ``"not flat"``."""
+    values = {row["base"] for (each, _chains), row in rows.items()
+              if each == bench}
+    return str(values.pop()) if len(values) == 1 else "not flat"
+
+
+def _pct(rows: dict, bench: str, chains: str, variant: str) -> str:
+    return str(rows[(bench, chains)][variant])
+
+
+#: (first words of the claim cell, regex over the measured cell, the
+#: artifact values of its groups).
+FIGURE2_QUOTES = [
+    ("base/unlimited averages",
+     r"^(\d+) % average \(range (\d+)-(\d+) %\)$",
+     lambda rows: (
+         str(round(_base_average(rows, "unlimited"))),
+         str(min(row["base"] for (_b, chains), row in rows.items()
+                 if chains == "unlimited")),
+         str(max(row["base"] for (_b, chains), row in rows.items()
+                 if chains == "unlimited")))),
+    ("finite chains cost performance",
+     r"^([+−]\d+) % and ([+−]\d+) %$",
+     lambda rows: (_base_change(rows, "128 chains"),
+                   _base_change(rows, "64 chains"))),
+    ("predictors recover",
+     r"mgrid (\d+)-chain (\d+) % → (\d+) % \(comb\), "
+     r"equake (\d+) % → (\d+) %, swim (\d+) % → (\d+) %$",
+     lambda rows: (
+         "64",
+         _pct(rows, "mgrid", "64 chains", "base"),
+         _pct(rows, "mgrid", "64 chains", "comb"),
+         _pct(rows, "equake", "64 chains", "base"),
+         _pct(rows, "equake", "64 chains", "comb"),
+         _pct(rows, "swim", "64 chains", "base"),
+         _pct(rows, "swim", "64 chains", "comb"))),
+    ("LRP mispredictions hurt",
+     r"applu: (\d+) % \(base\) → (\d+) % \(lrp\)",
+     lambda rows: (_pct(rows, "applu", "unlimited", "base"),
+                   _pct(rows, "applu", "unlimited", "lrp"))),
+    ("vortex/twolf",
+     r"twolf flat at (\d+) %, vortex (\d+) → (\d+) % "
+     r"vs equake (\d+) → (\d+) %$",
+     lambda rows: (_flat(rows, "twolf"),
+                   _pct(rows, "vortex", "unlimited", "base"),
+                   _pct(rows, "vortex", "64 chains", "base"),
+                   _pct(rows, "equake", "unlimited", "base"),
+                   _pct(rows, "equake", "64 chains", "base"))),
+]
+
+
+def test_figure2_quotes_match_the_artifact():
+    section = _section("Figure 2 — relative performance at 512 entries")
+    rows = _figure2_rows()
+    assert len(rows) == 24, "figure2_relative_performance.txt lost rows"
+    quotes = list(FIGURE2_QUOTES)
+    for claim, measured in _measured_cells(section):
+        spec = next((quote for quote in quotes
+                     if claim.startswith(quote[0])), None)
+        if spec is None:
+            assert not re.search(r"\d", measured), \
+                f"Figure 2 row {claim!r} quotes {measured!r} with no " \
+                f"artifact row checked in FIGURE2_QUOTES"
+            continue
+        quotes.remove(spec)
+        _prefix, pattern, artifact_values = spec
+        match = re.search(pattern, measured)
+        assert match, f"Figure 2 row {claim!r} reads {measured!r}"
+        quoted = tuple(group.replace("−", "-") for group in match.groups())
+        assert quoted == artifact_values(rows), \
+            f"{claim}: EXPERIMENTS.md quotes {quoted}, " \
+            f"figure2_relative_performance.txt gives " \
+            f"{artifact_values(rows)}"
+        checked = [match.span(group)
+                   for group in range(1, len(match.groups()) + 1)]
+        for number in re.finditer(r"\d+", measured):
+            assert any(start <= number.start() and number.end() <= end
+                       for start, end in checked), \
+                f"Figure 2 row {claim!r} quotes {number.group(0)} with " \
+                f"no artifact value checked in FIGURE2_QUOTES"
+    assert not quotes, \
+        f"Figure 2 no longer has the rows {[q[0] for q in quotes]}"

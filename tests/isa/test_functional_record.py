@@ -12,8 +12,9 @@ from repro.common.errors import ExecutionError
 from repro.harness import configs
 from repro.isa import ProgramBuilder, R, execute, run_functional
 from repro.isa.instruction import DynInst
+from repro.core.segmented import kernels
 from repro.isa.record import (_CAPACITY, FunctionalRecord, RecordMemo,
-                              Recording)
+                              Recording, native_replay, replay)
 from repro.obs import RingBufferTracer, dump_jsonl
 from repro.workloads import WORKLOADS
 from repro.workloads.kernels import WorkloadSpec
@@ -86,6 +87,113 @@ class TestReplay:
         record = _recorded(program, 100)
         assert record.instructions is program.instructions
         assert record.segments is program.segments
+
+
+def _native_available() -> bool:
+    kernels.set_backend("compiled")
+    try:
+        kernels.backend()
+    except RuntimeError:
+        return False
+    finally:
+        kernels.set_backend(None)
+    return True
+
+
+requires_native = pytest.mark.skipif(
+    not _native_available(),
+    reason="compiled kernel backend not built "
+           "(python -m repro.core.segmented.build)")
+
+
+@pytest.fixture
+def compiled():
+    kernels.set_backend("compiled")
+    yield
+    kernels.set_backend(None)
+
+
+@requires_native
+@pytest.mark.usefixtures("compiled")
+class TestNativeReplay:
+    """``_ckernels.Replay`` against its Python twin :func:`replay`."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_native_equals_python_replay_on_every_analog(self, name):
+        spec = WORKLOADS[name]
+        record = _recorded(spec.build(1), spec.default_instructions)
+        native = execute(record)
+        assert type(native).__name__ == "Replay"
+        _assert_same_stream(list(replay(record)), list(native))
+
+    def test_native_equals_python_replay_beyond_the_l2(self):
+        record = _recorded(build_synthetic(_BEYOND_L2), None)
+        replayed = list(native_replay(record))
+        assert replayed[-1].static.is_halt
+        _assert_same_stream(list(replay(record)), replayed)
+
+    def test_a_memory_op_at_byte_zero_keeps_its_address(self):
+        b = ProgramBuilder("zero")
+        b.alloc("data", 4)
+        b.ld(R(1), R(0), 0)
+        b.st(R(1), R(0), 8)
+        b.halt()
+        record = _recorded(b.build(), None)
+        replayed = list(native_replay(record))
+        assert [dyn.mem_addr for dyn in replayed] == [0, 8, None]
+        _assert_same_stream(list(replay(record)), replayed)
+
+    @pytest.mark.parametrize("limit", [0, 1, 200, 499, 500, 10_000, -3])
+    def test_native_stops_where_python_replay_stops(self, limit):
+        record = _recorded(WORKLOADS["gcc"].build(1), 500)
+        _assert_same_stream(list(replay(record, limit)),
+                            list(native_replay(record, limit)))
+
+    def test_clones_are_fresh_and_leave_the_prototypes_alone(self):
+        record = _recorded(WORKLOADS["swim"].build(1), 300)
+        first = list(native_replay(record))
+        prototypes = record.prototypes()
+        assert not {id(dyn) for dyn in first} & {id(p) for p in prototypes}
+        for dyn in first:
+            dyn.fetched_cycle = 7
+            dyn.waiters.append(print)
+        assert all(p.fetched_cycle == -1 and p.waiters == []
+                   for p in prototypes)
+        _assert_same_stream(list(replay(record)), list(native_replay(record)))
+
+    def test_an_exhausted_stream_stays_exhausted(self):
+        record = _recorded(WORKLOADS["gcc"].build(1), 3)
+        stream = native_replay(record)
+        assert iter(stream) is stream
+        assert len(list(stream)) == 3
+        assert next(stream, None) is None
+
+    def test_a_pc_outside_the_code_raises(self):
+        record = _recorded(_loop_program(3), None)
+        record.pcs[1] = len(record.instructions)
+        stream = native_replay(record)
+        next(stream)
+        with pytest.raises(IndexError):
+            next(stream)
+
+    def test_short_or_mistyped_columns_are_refused(self):
+        from repro.core.segmented._ckernels import Replay
+        record = _recorded(_loop_program(3), None)
+        with pytest.raises(ValueError):
+            Replay(record.prototypes(), record.pcs, record.next_pcs,
+                   record.taken, record.mem_addrs, len(record) + 1)
+        with pytest.raises(TypeError):
+            Replay(record.prototypes(), record.mem_addrs, record.next_pcs,
+                   record.taken, record.mem_addrs, len(record))
+        with pytest.raises(TypeError):
+            Replay(record.prototypes(), record.pcs, record.next_pcs,
+                   array("i", record.taken), record.mem_addrs, len(record))
+
+    def test_py_backend_replays_in_python(self):
+        record = _recorded(WORKLOADS["gcc"].build(1), 50)
+        kernels.set_backend("py")
+        assert native_replay(record) is None
+        assert type(execute(record)).__name__ == "generator"
 
 
 def _loop_program(iterations):
