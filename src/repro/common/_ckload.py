@@ -11,6 +11,10 @@ import (from ``kernels.py``) reuses the same module object.
 An extension older than its ``_ckernels.c`` source counts as absent — the
 rule ``python -m repro.core.segmented.build`` uses to decide a rebuild —
 so every extension that loads has every type the current source defines.
+So does a sanitizer build (``build --sanitize``) in a process without the
+AddressSanitizer runtime, where loading it would abort the interpreter:
+the plain build command, which imports ``repro``, then falls back to pure
+Python and replaces it.
 Returns ``None`` quietly whenever the extension is unavailable or the user
 forced the pure-Python backend with ``REPRO_KERNELS=py``.  Because the swap
 happens at module import time, ``REPRO_KERNELS`` governs the stats/event
@@ -31,10 +35,21 @@ _PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "core", "segmented")
 
 
+def _loads_here(path: str) -> bool:
+    """False for a sanitizer build when this process lacks the
+    AddressSanitizer runtime."""
+    with open(path, "rb") as handle:
+        if b"__asan_init" not in handle.read():
+            return True
+    import ctypes
+    return hasattr(ctypes.CDLL(None), "__asan_init")
+
+
 def extension_path() -> Optional[str]:
-    """The built extension, or ``None`` when none is built or the built
+    """The built extension, or ``None`` when none is built, the built
     one is older than ``_ckernels.c`` (a checkout without the source
-    accepts any build)."""
+    accepts any build) or it is a sanitizer build this process cannot
+    load."""
     source = os.path.join(_PACKAGE_DIR, "_ckernels.c")
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = os.path.join(_PACKAGE_DIR, "_ckernels" + suffix)
@@ -43,7 +58,7 @@ def extension_path() -> Optional[str]:
         if (os.path.exists(source)
                 and os.path.getmtime(path) < os.path.getmtime(source)):
             return None
-        return path
+        return path if _loads_here(path) else None
     return None
 
 

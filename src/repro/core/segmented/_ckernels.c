@@ -6,11 +6,16 @@
  * sift functions exactly, so even the internal heap layouts match the
  * pure-Python backend).  The columns are the only copy of the segmented
  * IQ's scheduling and chain state: nothing is written back onto entry
- * or chain objects, and chains are not held at all.  Any semantic
- * change must be made in kernels.py first and transliterated here; the
- * conformance suite (tests/core/test_kernels.py) asserts bit-identity
- * between the two backends and tests/core/test_engine_parity.py checks
- * them call for call.
+ * or chain objects, and chains are not held at all.  Engine has the
+ * same public methods as PyKernelEngine, the segmented IQ's dispatch
+ * and issue policy included (plan, can_dispatch, dispatch, select_issue,
+ * on_entry_ready_known, bound once by bind), so SegmentedIQ calls both
+ * engines the same way; the *_raw functions are the C twins of its
+ * private helpers.  Any semantic change must be made in kernels.py
+ * first and transliterated here; the conformance suite
+ * (tests/core/test_kernels.py) asserts bit-identity between the two
+ * backends and tests/core/test_engine_parity.py checks them call for
+ * call.
  *
  * Build: python -m repro.core.segmented.build
  */
@@ -36,7 +41,7 @@ static PyObject *str_static;        /* "static" */
 static PyObject *str_opcode;        /* "opcode" */
 static PyObject *str_cluster;       /* "cluster" */
 static PyObject *str_inc;           /* "inc" */
-/* Attribute names used by the fused dispatch-admission path (admit). */
+/* Attribute names used by the fused dispatch-admission path (admit_raw). */
 static PyObject *str_seq;           /* "seq" */
 static PyObject *str_operands;      /* "operands" */
 static PyObject *str_issued;        /* "issued" */
@@ -317,14 +322,12 @@ typedef struct {
     i64vec p0heap, r0heap;
     /* scratch buffers (reused across calls) */
     i64vec scratch, scratch2;
-    /* dispatch-admission bindings (bind_admit): the Python classes the
-     * fused admit path instantiates, the dispatched-counter, and the
+    /* dispatch bindings (bind): the classes the dispatch ops
+     * instantiate, the queue's plan cache, RIT and head-chain dicts, the
+     * dispatched, two-chain, bypass and chain-head counters, and the
      * predicted load latency constant.  NULL until bound. */
     PyObject *adm_ss_cls, *adm_rit_cls, *adm_iqe_cls, *adm_stat;
     int64_t adm_pred_load_lat;
-    /* dispatch-planning bindings (bind_dispatch): the DispatchPlan
-     * class, the queue's plan cache, RIT and head-chain dicts, and the
-     * two-chain, bypass and chain-head counters.  NULL until bound. */
     PyObject *dp_plan_cls, *dp_plan_cache, *dp_rit, *dp_head_chains;
     PyObject *dp_two_chain, *dp_bypass, *dp_chain_heads;
     /* (occupancy, segment) decided by the last successful can_dispatch,
@@ -569,7 +572,7 @@ static slotsite at_rit_producer = {&str_producer}, at_rit_chain = {&str_chain},
     at_chain_freed = {&str_freed}, at_chain_cslot = {&str_cslot},
     at_op_reg = {&str_reg}, at_op_producer = {&str_producer},
     at_op_ready = {&str_ready_cycle}, at_op_penalty = {&str_penalty};
-/* IQEntry and SegmentState (written by admit): */
+/* IQEntry and SegmentState (written by admit_raw): */
 static slotsite at_iqe_inst = {&str_inst}, at_iqe_seq = {&str_seq},
     at_iqe_operands = {&str_operands}, at_iqe_issued = {&str_issued},
     at_iqe_queue_cycle = {&str_queue_cycle},
@@ -1234,26 +1237,6 @@ attr_i64(PyObject *obj, PyObject *name, int64_t *out)
     return 0;
 }
 
-static PyObject *
-Engine_bind_admit(Engine *self, PyObject *args)
-{
-    PyObject *ss_cls, *rit_cls, *iqe_cls, *stat;
-    long long pred_load_lat;
-    if (!PyArg_ParseTuple(args, "OOOOL", &ss_cls, &rit_cls, &iqe_cls,
-                          &stat, &pred_load_lat))
-        return NULL;
-    Py_INCREF(ss_cls);
-    Py_XSETREF(self->adm_ss_cls, ss_cls);
-    Py_INCREF(rit_cls);
-    Py_XSETREF(self->adm_rit_cls, rit_cls);
-    Py_INCREF(iqe_cls);
-    Py_XSETREF(self->adm_iqe_cls, iqe_cls);
-    Py_INCREF(stat);
-    Py_XSETREF(self->adm_stat, stat);
-    self->adm_pred_load_lat = (int64_t)pred_load_lat;
-    Py_RETURN_NONE;
-}
-
 static int
 call_discard(PyObject *result)
 {
@@ -1290,7 +1273,7 @@ admit_raw(Engine *self, PyObject *queue, PyObject *rit_entries,
           PyObject *inst, PyObject *operands, PyObject *plan,
           PyObject *chain, int64_t target, int64_t now)
 {
-    /* The C twin of PyKernelEngine.admit: IQEntry + SegmentState
+    /* The C twin of PyKernelEngine._admit: IQEntry + SegmentState
      * construction, operand-wakeup subscription, columnar insert,
      * occupancy/stat bookkeeping, the segment-0 ready push, and the RIT
      * update — one call per dispatched instruction, no Python frames.
@@ -1342,7 +1325,7 @@ admit_raw(Engine *self, PyObject *queue, PyObject *rit_entries,
         || site_set_i64(&at_iqe_ready, entry, ready) < 0)
         goto fail;
 
-    /* SegmentState, slot-for-slot (the PyKernelEngine.admit stores). */
+    /* SegmentState, slot-for-slot (the PyKernelEngine._admit stores). */
     int64_t countdown;
     if ((cd_obj = site_get(&at_plan_countdown, plan)) == NULL)
         goto fail;
@@ -1506,32 +1489,10 @@ fail:
 }
 
 static PyObject *
-Engine_admit(Engine *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    /* admit(queue, rit_entries, inst, operands, plan, chain, target, now) */
-    if (nargs != 8) {
-        PyErr_SetString(PyExc_TypeError, "admit expects 8 arguments");
-        return NULL;
-    }
-    if (self->adm_iqe_cls == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "admit needs bind_admit");
-        return NULL;
-    }
-    int64_t target = (int64_t)PyLong_AsLongLong(args[6]);
-    if (target == -1 && PyErr_Occurred())
-        return NULL;
-    int64_t now = (int64_t)PyLong_AsLongLong(args[7]);
-    if (now == -1 && PyErr_Occurred())
-        return NULL;
-    return admit_raw(self, args[0], args[1], args[2], args[3], args[4],
-                     args[5], target, now);
-}
-
-static PyObject *
 plan_links_raw(Engine *self, PyObject *rit_entries, PyObject *inst,
                int64_t now)
 {
-    /* The C twin of PyKernelEngine.plan_links, the RIT scan: for each
+    /* The C twin of PyKernelEngine._plan_links, the RIT scan: for each
      * IQ-relevant source, classify the producer as exactly-known
      * (countdown int), live chain ((chain, dh) pair), freed chain
      * (member_delay countdown), or expected-ready countdown — same
@@ -1658,20 +1619,6 @@ fail:
     return NULL;
 }
 
-static PyObject *
-Engine_plan_links(Engine *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    /* plan_links(rit_entries, inst, now) -> list of packed links */
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "plan_links expects 3 arguments");
-        return NULL;
-    }
-    int64_t now = (int64_t)PyLong_AsLongLong(args[2]);
-    if (now == -1 && PyErr_Occurred())
-        return NULL;
-    return plan_links_raw(self, args[0], args[1], now);
-}
-
 /* ------------------------------------------------ dispatch planning -- */
 
 static int64_t
@@ -1679,7 +1626,7 @@ dispatch_target_raw(Engine *self, Py_ssize_t active_count,
                     int enable_bypass)
 {
     /* Segment the next dispatch enters, or -1 when the queue is full
-     * (the PyKernelEngine.dispatch_target twin). */
+     * (the PyKernelEngine._dispatch_target twin). */
     int64_t *occ = self->occ;
     int64_t cap = self->cap;
     if (!enable_bypass) {
@@ -1725,7 +1672,7 @@ attr_add_i64(PyObject *obj, PyObject *name, int64_t delta)
 static int
 queue_dispatch_target(Engine *self, PyObject *queue, int64_t *target)
 {
-    /* engine.dispatch_target(queue.active_segments, queue._enable_bypass) */
+    /* _dispatch_target(queue.active_segments, queue._enable_bypass) */
     int64_t active;
     if (attr_i64(queue, str_active_segments, &active) < 0)
         return -1;
@@ -1739,7 +1686,7 @@ queue_dispatch_target(Engine *self, PyObject *queue, int64_t *target)
 static PyObject *
 plan_raw(Engine *self, PyObject *queue, PyObject *inst, int64_t now)
 {
-    /* The C twin of SegmentedIQ._plan: the plan cache, the RIT scan,
+    /* The C twin of PyKernelEngine.plan: the plan cache, the RIT scan,
      * the two-chain test, the LRP and HMP consults, the head-latency
      * rule and the countdown/pair split, recorded as one DispatchPlan.
      * The predictors stay Python objects, called only when consulted.
@@ -1886,7 +1833,7 @@ fail:
 static int
 can_dispatch_raw(Engine *self, PyObject *queue, PyObject *inst)
 {
-    /* The C twin of SegmentedIQ.can_dispatch: the target search, the
+    /* The C twin of PyKernelEngine.can_dispatch: the target search, the
      * plan (made here at the first probe, reused by dispatch) and the
      * chain-wire check.  1 admitted, 0 refused, -1 error. */
     if (PyObject_SetAttr(queue, str_blocked_on_chain, Py_False) < 0)
@@ -1940,7 +1887,7 @@ static PyObject *
 dispatch_raw(Engine *self, PyObject *queue, PyObject *inst,
              PyObject *operands, int64_t now)
 {
-    /* The C twin of SegmentedIQ.dispatch: take the plan, reuse the
+    /* The C twin of PyKernelEngine.dispatch: take the plan, reuse the
      * target can_dispatch found (occupancy is the staleness guard),
      * count bypasses, allocate a chain for a head through the Python
      * ChainManager, then admit.  Returns a new reference to the entry. */
@@ -2025,31 +1972,38 @@ done:
 static int
 dispatch_bound(Engine *self)
 {
-    if (self->dp_plan_cls != NULL && self->adm_iqe_cls != NULL)
+    if (self->dp_plan_cls != NULL)
         return 1;
-    PyErr_SetString(PyExc_RuntimeError,
-                    "engine dispatch ops need bind_admit and bind_dispatch");
+    PyErr_SetString(PyExc_RuntimeError, "engine dispatch ops need bind");
     return 0;
 }
 
 static PyObject *
-Engine_bind_dispatch(Engine *self, PyObject *args)
+Engine_bind(Engine *self, PyObject *args)
 {
-    /* bind_dispatch(DispatchPlan, plan_cache, rit_entries, head_chains,
-     *               two_chain, bypass, chain_heads) */
-    PyObject *items[7];
-    if (!PyArg_ParseTuple(args, "OO!O!O!OOO", &items[0], &PyDict_Type,
-                          &items[1], &PyDict_Type, &items[2], &PyDict_Type,
-                          &items[3], &items[4], &items[5], &items[6]))
+    /* bind((DispatchPlan, SegmentState, RITEntry, IQEntry), plan_cache,
+     *      rit_entries, head_chains,
+     *      (dispatched, two_chain, bypass, chain_heads),
+     *      predicted_load_latency) */
+    PyObject *items[11];
+    long long pred_load_lat;
+    if (!PyArg_ParseTuple(args, "(OOOO)O!O!O!(OOOO)L", &items[0], &items[1],
+                          &items[2], &items[3], &PyDict_Type, &items[4],
+                          &PyDict_Type, &items[5], &PyDict_Type, &items[6],
+                          &items[7], &items[8], &items[9], &items[10],
+                          &pred_load_lat))
         return NULL;
-    PyObject **slots[7] = {&self->dp_plan_cls, &self->dp_plan_cache,
-                           &self->dp_rit, &self->dp_head_chains,
-                           &self->dp_two_chain, &self->dp_bypass,
-                           &self->dp_chain_heads};
-    for (int i = 0; i < 7; i++) {
+    PyObject **slots[11] = {&self->dp_plan_cls, &self->adm_ss_cls,
+                            &self->adm_rit_cls, &self->adm_iqe_cls,
+                            &self->dp_plan_cache, &self->dp_rit,
+                            &self->dp_head_chains, &self->adm_stat,
+                            &self->dp_two_chain, &self->dp_bypass,
+                            &self->dp_chain_heads};
+    for (int i = 0; i < 11; i++) {
         Py_INCREF(items[i]);
         Py_XSETREF(*slots[i], items[i]);
     }
+    self->adm_pred_load_lat = (int64_t)pred_load_lat;
     Py_RETURN_NONE;
 }
 
@@ -2247,7 +2201,7 @@ lrp_train(PyObject *lrp, PyObject *entry, PyObject *state)
 static int
 issue_finish(PyObject *iq, PyObject *issued, int64_t now)
 {
-    /* SegmentedIQ.select_issue's per-entry post-loop, after the engine
+    /* PyKernelEngine.select_issue's per-entry post-loop, after the engine
      * freed the slots: the iq.issued counter, iq._occupancy,
      * entry.issued, the chain head's issue signal and LRP training. */
     Py_ssize_t n = PyList_GET_SIZE(issued);
@@ -2360,7 +2314,7 @@ fail:
 static PyObject *
 Engine_on_entry_ready_known(Engine *self, PyObject *entry)
 {
-    /* SegmentedIQ.on_entry_ready_known: a fully known entry still in
+    /* PyKernelEngine.on_entry_ready_known: a fully known entry still in
      * segment 0 becomes an issue candidate at its ready cycle. */
     int issued = site_truth(&at_iqe_issued, entry);
     if (issued < 0)
@@ -2407,7 +2361,7 @@ static PyObject *
 Engine_select_issue(Engine *self, PyObject *const *args, Py_ssize_t nargs)
 {
     /* select_issue(queue, now, acquire_fu) -> issued: the whole of
-     * SegmentedIQ.select_issue — its clocks, the fused segment-0 issue
+     * PyKernelEngine.select_issue — its clocks, the fused segment-0 issue
      * loop over ``acquire_fu.fu_engine`` (when it has one), the
      * iq.seg0_ready sample and the per-entry post-loop (issue_finish). */
     if (nargs != 3) {
@@ -2726,19 +2680,6 @@ Engine_next_promote_cycle(Engine *self, PyObject *args)
     return PyLong_FromLongLong((long long)wake);
 }
 
-/* ---------------------------------------------------------- dispatch -- */
-
-static PyObject *
-Engine_dispatch_target(Engine *self, PyObject *args)
-{
-    Py_ssize_t active_count;
-    int enable_bypass;
-    if (!PyArg_ParseTuple(args, "np", &active_count, &enable_bypass))
-        return NULL;
-    return PyLong_FromLongLong(
-        (long long)dispatch_target_raw(self, active_count, enable_bypass));
-}
-
 /* ------------------------------------------------------------- misc -- */
 
 static PyObject *
@@ -2884,11 +2825,7 @@ static PyMethodDef Engine_methods[] = {
     {"hseg_of", (PyCFunction)Engine_hseg_of, METH_O, NULL},
     {"insert_entry", (PyCFunction)Engine_insert_entry, METH_VARARGS,
      NULL},
-    {"bind_admit", (PyCFunction)Engine_bind_admit, METH_VARARGS, NULL},
-    {"admit", (PyCFunction)Engine_admit, METH_FASTCALL, NULL},
-    {"plan_links", (PyCFunction)Engine_plan_links, METH_FASTCALL, NULL},
-    {"bind_dispatch", (PyCFunction)Engine_bind_dispatch, METH_VARARGS,
-     NULL},
+    {"bind", (PyCFunction)Engine_bind, METH_VARARGS, NULL},
     {"plan", (PyCFunction)Engine_plan, METH_FASTCALL, NULL},
     {"can_dispatch", (PyCFunction)Engine_can_dispatch, METH_FASTCALL, NULL},
     {"dispatch", (PyCFunction)Engine_dispatch, METH_FASTCALL, NULL},
@@ -2913,8 +2850,6 @@ static PyMethodDef Engine_methods[] = {
      METH_VARARGS, NULL},
     {"promote_all", (PyCFunction)Engine_promote_all, METH_VARARGS, NULL},
     {"next_promote_cycle", (PyCFunction)Engine_next_promote_cycle,
-     METH_VARARGS, NULL},
-    {"dispatch_target", (PyCFunction)Engine_dispatch_target,
      METH_VARARGS, NULL},
     {"refresh_free_prev", (PyCFunction)Engine_refresh_free_prev,
      METH_NOARGS, NULL},

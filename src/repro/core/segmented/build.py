@@ -17,8 +17,9 @@ sanitizer runtimes must then be loaded first, e.g.::
         tests/core/test_kernels.py tests/core/test_engine_parity.py \\
         tests/pipeline/test_dispatch_stage.py
 
-Rebuild without the flag afterwards: a sanitized extension does not load
-in a plain interpreter.
+Rebuild without the flag afterwards.  A plain interpreter treats the
+sanitized extension as absent (loading it would abort), so running this
+module again without ``--sanitize`` replaces it.
 
 Only a C compiler and the Python headers are required — no build system
 and no third-party packages.  When either is missing the build fails

@@ -22,13 +22,18 @@ instead (``seg_of`` for an entry's segment, ``hseg_of``/``mode_of``/
 ``base_of`` behind the ``Chain`` properties).  Chains are not held at
 all: a ``Chain`` keeps its ``cslot``, and the engine forgets the object.
 
-Two dispatch ops build the objects around those columns: ``plan_links``
-(the RIT read behind a dispatch plan) and ``admit`` (IQEntry,
-SegmentState and RIT entry of a planned instruction).  The compiled
-engine adds ``plan``, ``can_dispatch`` and ``dispatch``, the C twins of
-the ``SegmentedIQ`` methods of those names.
+The engine also runs the segmented IQ's dispatch and issue policy
+around those columns, so ``SegmentedIQ`` makes the same calls on either
+backend: ``bind`` (once: the classes, tables and counters the ops
+below use), ``plan`` (the RIT read and predictor consults behind a
+dispatch plan), ``can_dispatch``, ``dispatch`` (target segment, chain
+allocation, and the IQEntry, SegmentState and RIT entry of the admitted
+instruction), ``select_issue`` (segment-0 issue and its per-entry
+bookkeeping) and ``on_entry_ready_known`` (operand wakeup).
 
-Two interchangeable backends implement the same engine contract:
+Two interchangeable backends implement the same engine contract, with
+the same public methods (``tests/core/test_engine_parity.py`` checks
+both, call for call):
 
 * :class:`PyKernelEngine` — the pure-Python reference (always
   available);
@@ -70,6 +75,8 @@ import os
 from heapq import heapify, heappop, heappush
 from typing import List, Optional, Tuple
 
+from repro.common.errors import SimulationError
+
 #: Sentinel for "not before the next chain event" (mirrors links.NEVER).
 NEVER = 1 << 60
 
@@ -94,7 +101,11 @@ class PyKernelEngine:
         "e_c0", "e_dh0", "e_c1", "e_dh1", "e_own", "e_crit0", "e_crit1",
         "free_slots", "occ", "heaps", "readys", "members", "free_prev",
         "c_mode", "c_base", "c_hseg", "c_members",
-        "p0heap", "r0heap", "adm",
+        "p0heap", "r0heap", "tc",
+        # Bound once by bind():
+        "plan_cls", "state_cls", "rit_cls", "entry_cls", "plan_cache",
+        "rit", "head_chains", "stat_dispatched", "stat_two_chain",
+        "stat_bypass", "stat_chain_heads", "load_latency",
     )
 
     def __init__(self, num_segments: int, capacity: int,
@@ -138,9 +149,10 @@ class PyKernelEngine:
         # of ``(seq << SLOT_BITS) | slot`` keys.
         self.p0heap: List[int] = []
         self.r0heap: List[int] = []
-        #: bind_admit's (SegmentState, RITEntry, IQEntry, dispatched
-        #: counter, predicted load latency).
-        self.adm: Optional[Tuple] = None
+        #: (queue occupancy, segment) decided by the last successful
+        #: can_dispatch, so the dispatch that follows skips a second
+        #: search.
+        self.tc: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------ clock --
     def set_now(self, now: int) -> None:
@@ -233,21 +245,144 @@ class PyKernelEngine:
         return slot
 
     # ---------------------------------------------------- dispatch ops --
-    def bind_admit(self, state_cls, rit_cls, entry_cls, stat_dispatched,
-                   predicted_load_latency: int) -> None:
-        """The classes :meth:`admit` instantiates, the dispatched
-        counter and the predicted load latency (the segmented IQ binds
-        them once)."""
-        self.adm = (state_cls, rit_cls, entry_cls, stat_dispatched,
-                    predicted_load_latency)
+    def bind(self, classes, plan_cache: dict, rit_entries: dict,
+             head_chains: dict, counters,
+             predicted_load_latency: int) -> None:
+        """What the dispatch ops build and count, bound once by the
+        segmented IQ: the classes ``(DispatchPlan, SegmentState,
+        RITEntry, IQEntry)``, the queue's plan cache, RIT and head-chain
+        map, the counters ``(iq.dispatched, iq.two_chain_instructions,
+        iq.bypass_dispatches, iq.chain_heads)`` and the predicted load
+        latency."""
+        self.plan_cls, self.state_cls, self.rit_cls, self.entry_cls = \
+            classes
+        self.plan_cache = plan_cache
+        self.rit = rit_entries
+        self.head_chains = head_chains
+        (self.stat_dispatched, self.stat_two_chain, self.stat_bypass,
+         self.stat_chain_heads) = counters
+        self.load_latency = predicted_load_latency
 
-    def plan_links(self, rit_entries: dict, inst, now: int) -> List:
+    def plan(self, queue, inst, now: int):
+        """Decide chain membership / creation for ``inst`` (cached so that
+        can_dispatch and dispatch agree and predictors are consulted once).
+        """
+        cached = self.plan_cache.get(inst.seq)
+        if cached is not None:
+            return cached
+
+        links = self._plan_links(self.rit, inst, now)
+        lrp = queue.lrp
+        lrp_choice = -1
+        lrp_consulted = False
+        two_distinct_chains = (
+            len(links) == 2
+            and type(links[0]) is tuple
+            and type(links[1]) is tuple
+            and links[0][0] is not links[1][0])
+        if two_distinct_chains:
+            self.stat_two_chain.inc()
+
+        if lrp is not None and len(links) == 2:
+            lrp_choice = lrp.predict_later(inst.pc)
+            lrp_consulted = True
+            links = [links[lrp_choice]]
+
+        needs_chain = False
+        head_latency = 0
+        if inst.is_load:
+            hmp = queue.hmp
+            predicted_hit = (hmp is not None
+                             and hmp.predict_hit(inst.pc, inst.seq))
+            if not predicted_hit:
+                needs_chain = True
+                head_latency = self.load_latency
+        elif two_distinct_chains and lrp is None:
+            # Base design: two-chain instructions become chain heads (3.4).
+            needs_chain = True
+            head_latency = inst.latency
+
+        countdown = -1
+        pairs = []
+        for link in links:
+            if type(link) is tuple:
+                pairs.append(link)
+            elif link > countdown:
+                countdown = link
+
+        # DispatchPlan with direct slot stores (no constructor frame).
+        plan = _new(self.plan_cls)
+        plan.countdown_ready = countdown
+        plan.chain_pairs = pairs
+        plan.needs_chain = needs_chain
+        plan.lrp_choice = lrp_choice
+        plan.lrp_consulted = lrp_consulted
+        plan.head_latency = head_latency
+        self.plan_cache[inst.seq] = plan
+        return plan
+
+    def can_dispatch(self, queue, inst) -> bool:
+        """Whether ``inst`` can enter the queue now: a target segment
+        (counting a full refusal) and, for a chain head, a free chain
+        wire (counting an allocation failure).  Plans ``inst`` and keeps
+        the target for the dispatch that follows."""
+        queue.blocked_on_chain = False
+        self.tc = None
+        target = self._dispatch_target(queue.active_segments,
+                                       queue._enable_bypass)
+        if target < 0:
+            queue._full_refusals += 1
+            return False
+        plan = self.plan(queue, inst, queue.now)
+        if plan.needs_chain and not queue.chains.has_free():
+            queue.blocked_on_chain = True
+            queue.chains.stat_alloc_failures.inc()
+            return False
+        self.tc = (queue._occupancy, target)
+        return True
+
+    def dispatch(self, queue, inst, operands: List, now: int):
+        """Dispatch a planned instruction: its target segment, its chain
+        when it heads one, then :meth:`_admit`.  Returns its IQEntry."""
+        plan = self.plan_cache.pop(inst.seq, None)
+        if plan is None:
+            plan = self.plan(queue, inst, now)
+            del self.plan_cache[inst.seq]
+        # Reuse the target can_dispatch just computed; occupancy is the
+        # cheap staleness guard (inserts and removals both change it).
+        cached, self.tc = self.tc, None
+        if (cached is not None and cached[0] == queue._occupancy
+                and self.occ[cached[1]] < self.cap):
+            target = cached[1]
+        else:
+            target = self._dispatch_target(queue.active_segments,
+                                           queue._enable_bypass)
+            if target < 0:
+                queue._full_refusals += 1
+        if target < 0:
+            raise SimulationError("dispatch into a full segmented IQ")
+        if target < self.num_segments - 1:
+            self.stat_bypass.inc()
+
+        chain = None
+        if plan.needs_chain:
+            chain = queue.chains.allocate(inst, self, target,
+                                          plan.head_latency, now=now)
+            if chain is None:
+                raise SimulationError("dispatch without a free chain wire")
+            self.head_chains[inst.seq] = chain
+            self.stat_chain_heads.inc()
+
+        return self._admit(queue, self.rit, inst, operands, plan, chain,
+                           target, now)
+
+    def _plan_links(self, rit_entries: dict, inst, now: int) -> List:
         """The RIT read of dispatch planning: classify each IQ-relevant
         source's producer as exactly known, a live chain, a freed chain,
         or chainless.  Packed links: a chain link is a ``(chain, dh)``
         pair, a countdown link its bare ready cycle (int)."""
         links = []
-        reg_base = inst.thread * 64      # SegmentedIQ._reg_key, inlined
+        reg_base = inst.thread * 64      # per-thread RIT namespaces
         for reg in (inst.srcs[:1] if inst.is_mem else inst.srcs):
             if reg == 0:
                 continue
@@ -274,17 +409,15 @@ class PyKernelEngine:
                 links.append(rentry.expected_ready)
         return links
 
-    def admit(self, queue, rit_entries: dict, inst, operands: List, plan,
-              chain, target: int, now: int):
+    def _admit(self, queue, rit_entries: dict, inst, operands: List, plan,
+               chain, target: int, now: int):
         """Admit a planned instruction into segment ``target``: build its
         IQEntry and SegmentState with direct slot stores (exact inlining
         of the constructors and the operand-wakeup subscription), insert
         its columns, count it, push a ready segment-0 entry, and write
         its destination's RIT entry.  The entry's segment lives in the
         engine only (``SegmentedIQ.segment_of``)."""
-        state_cls, rit_cls, entry_cls, stat_dispatched, load_latency = \
-            self.adm
-        entry = _new(entry_cls)
+        entry = _new(self.entry_cls)
         entry.inst = inst
         entry.seq = inst.seq
         entry.operands = operands
@@ -302,7 +435,7 @@ class PyKernelEngine:
         entry.ready_cycle = ready
         countdown = plan.countdown_ready
         pairs = plan.chain_pairs
-        state = _new(state_cls)
+        state = _new(self.state_cls)
         state._links = None
         state.own_chain = chain
         state.lrp_choice = plan.lrp_choice
@@ -329,15 +462,15 @@ class PyKernelEngine:
                                               countdown, c0, dh0, c1, dh1,
                                               own, now)
         queue._occupancy += 1
-        stat_dispatched.inc()
+        self.stat_dispatched.inc()
         if target == 0 and not unknown:
             self.p0_push(slot, max(ready, now + 1))
         # The RIT update (RITEntry stored with direct slot writes).
         dest = inst.dest
         if dest is None or dest == 0:
             return entry
-        own_latency = load_latency if inst.is_load else inst.latency
-        rentry = _new(rit_cls)
+        own_latency = self.load_latency if inst.is_load else inst.latency
+        rentry = _new(self.rit_cls)
         rentry.producer = inst
         if chain is not None:
             rentry.chain = chain
@@ -454,6 +587,46 @@ class PyKernelEngine:
         for key in blocked:
             heappush(r0, key)
         return count, issued
+
+    def select_issue(self, queue, now: int, acquire_fu) -> List:
+        """One cycle of segment-0 issue for ``queue``: the fused issue
+        loop, the ``iq.seg0_ready`` sample, and the object-side
+        bookkeeping of each issued entry."""
+        queue.now = now
+        self.now = now
+        queue._issued_this_cycle = False
+        count, issued = self.issue_select(now, queue.issue_width, None,
+                                          acquire_fu)
+        queue.stat_seg0_ready.sample(count)
+        if issued:
+            queue._issued_this_cycle = True
+            queue.stat_issued.inc(len(issued))
+            lrp = queue.lrp
+            for entry in issued:
+                # The engine freed the slot; finish the object-side issue
+                # bookkeeping.
+                entry.issued = True
+                queue._occupancy -= 1
+                state = entry.chain_state
+                own = state.own_chain
+                if own is not None:
+                    own.on_head_issued(now)
+                if state.lrp_consulted and lrp is not None:
+                    ops = entry.operands
+                    if len(ops) == 2:
+                        lrp.train(entry.inst.pc,
+                                  ops[0].ready_cycle or 0,
+                                  ops[1].ready_cycle or 0,
+                                  state.lrp_choice)
+        return issued
+
+    def on_entry_ready_known(self, entry) -> None:
+        """Operand wakeup: a fully known entry still in segment 0 becomes
+        an issue candidate at its ready cycle."""
+        if not entry.issued:
+            slot = entry.chain_state.slot
+            if self.e_seg[slot] == 0:
+                self.p0_push(slot, entry.ready_cycle)
 
     # ------------------------------------------------------- eligibility --
     def _eligible_when(self, slot: int, threshold: int, now: int) -> int:
@@ -824,8 +997,8 @@ class PyKernelEngine:
         return wake
 
     # ---------------------------------------------------------- dispatch --
-    def dispatch_target(self, active_count: int,
-                        enable_bypass: bool) -> int:
+    def _dispatch_target(self, active_count: int,
+                         enable_bypass: bool) -> int:
         """Pick the dispatch segment (empty-segment bypass, 4.2); -1
         means a refusal the caller must count."""
         occ = self.occ
@@ -903,14 +1076,6 @@ class PyKernelEngine:
 _FORCED: Optional[str] = None
 
 
-def _compiled_engine():
-    """The compiled Engine class, or None when the extension is not
-    built or is older than its source."""
-    from repro.common._ckload import compiled_kernels
-    module = compiled_kernels(honor_env=False)
-    return None if module is None else module.Engine
-
-
 def _requested() -> str:
     if _FORCED is not None:
         return _FORCED
@@ -928,24 +1093,32 @@ def set_backend(name: Optional[str]) -> None:
     _FORCED = name
 
 
-def backend() -> str:
-    """The backend new engines will use: ``"py"`` or ``"compiled"``."""
+def compiled_module():
+    """The compiled ``_ckernels`` module when new engines use it, else
+    None (the ``py`` backend).  The one lookup behind every compiled type:
+    the IQ and pipeline engines, the processor's stages and the native
+    record replay."""
     requested = _requested()
     if requested == "py":
-        return "py"
-    compiled = _compiled_engine()
-    if compiled is not None:
-        return "compiled"
-    if requested == "compiled":
+        return None
+    from repro.common._ckload import compiled_kernels
+    module = compiled_kernels(honor_env=False)
+    if module is None and requested == "compiled":
         raise RuntimeError(
             "REPRO_KERNELS=compiled but the compiled kernel backend is "
             "not built; run `python -m repro.core.segmented.build` or "
             "use REPRO_KERNELS=py")
-    return "py"
+    return module
+
+
+def backend() -> str:
+    """The backend new engines will use: ``"py"`` or ``"compiled"``."""
+    return "py" if compiled_module() is None else "compiled"
 
 
 def make_engine(num_segments: int, capacity: int, thresholds):
     """Build a kernel engine with the selected backend."""
-    if backend() == "compiled":
-        return _compiled_engine()(num_segments, capacity, list(thresholds))
+    module = compiled_module()
+    if module is not None:
+        return module.Engine(num_segments, capacity, list(thresholds))
     return PyKernelEngine(num_segments, capacity, thresholds)

@@ -10,21 +10,21 @@ predictors (4.3-4.4), and deadlock detection/recovery (4.5).
 
 The segmented-IQ state (segment membership, eligibility, the promotion
 heaps, chain delay constants) lives only in a struct-of-arrays kernel
-engine (:mod:`repro.core.segmented.kernels`, optionally compiled); this
-class keeps the policy — dispatch planning, predictors, issue
-scheduling, deadlock recovery, resizing — and reads the engine back for
-everything else (:meth:`SegmentedIQ.segment_of`, the ``Chain``
-properties).  On the compiled engine the dispatch policy (``_plan``,
-``can_dispatch``, ``dispatch``) runs in C, one engine call per method;
-the Python bodies here are its bit-identical twins.
+engine (:mod:`repro.core.segmented.kernels`, pure Python or compiled).
+The engine also runs dispatch planning, dispatch and segment-0 issue:
+``_plan``, ``can_dispatch``, ``dispatch`` and ``select_issue`` here are
+one engine call each, made the same way on both backends, and the
+engine's ``on_entry_ready_known`` is installed as this queue's operand
+wakeup hook.  This class keeps the rest of the policy — the
+predictors, the promotion sweep's bookkeeping, deadlock recovery,
+resizing, threshold refits — and reads the engine back for everything
+else (:meth:`SegmentedIQ.segment_of`, the ``Chain`` properties).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.common.errors import SimulationError
 from repro.common.params import IQParams
 from repro.common.stats import StatGroup
 from repro.core.iq_base import IQEntry, InstructionQueue, Operand
@@ -35,11 +35,6 @@ from repro.core.segmented.kernels import make_engine
 from repro.core.segmented.links import (NEVER, ChainLink, CountdownLink,
                                         combined_delay)
 from repro.core.segmented.register_info import RegisterInfoTable, RITEntry
-
-#: object.__new__, hoisted: the dispatch path builds its IQEntry /
-#: SegmentState / RITEntry with direct slot stores instead of running
-#: the constructor frames (exact inlining; one allocation per object).
-_new = object.__new__
 
 #: Predicted latency of a load from IQ issue: 1-cycle EA calculation plus
 #: the L1 data-cache hit latency (3 cycles in Table 1).
@@ -75,8 +70,7 @@ class SegmentState:
     links (``countdown_ready`` and the ``(chain, dh)`` ``chain_pairs``),
     the entry's own chain, the left/right-predictor choice, and the
     engine ``slot`` holding the entry's scheduling state.  Built with
-    direct slot stores by ``SegmentedIQ.dispatch`` and its compiled
-    twin, ``engine.admit``.
+    direct slot stores by the engine's ``dispatch``.
     """
 
     __slots__ = ("_links", "own_chain", "lrp_choice", "lrp_consulted",
@@ -173,7 +167,6 @@ class SegmentedIQ(InstructionQueue):
         self._occupancy = 0
         # Hot-loop copies of per-dispatch constants (attribute chains
         # through `params` are visible at 20k dispatches per run).
-        self._segment_size = params.segment_size
         self._enable_bypass = params.enable_bypass
         self._enable_pushdown = params.enable_pushdown
         self._dynamic_resize = params.dynamic_resize
@@ -189,9 +182,6 @@ class SegmentedIQ(InstructionQueue):
         # bottom `active_segments`; gated segments drain naturally.
         self.active_segments = self.num_segments
         self._full_refusals = 0
-        # (occupancy, segment index) decided by the last successful
-        # can_dispatch, so the dispatch that follows skips a second search.
-        self._target_cache: Optional[Tuple[int, int]] = None
 
         self.stat_dispatched = stats.counter("iq.dispatched")
         self.stat_issued = stats.counter("iq.issued")
@@ -219,24 +209,17 @@ class SegmentedIQ(InstructionQueue):
         self.stat_seg0_ready = stats.distribution(
             "iq.seg0_ready", "issue-ready instructions in segment 0")
 
-        # Dispatch ops: the engine admits each instruction (admit) and
-        # reads the RIT for its plan (plan_links).  The compiled engine
-        # also runs the whole dispatch path — plan, can_dispatch and
-        # dispatch, the methods below — in one C call each; their Python
-        # bodies stay as the pure-Python twins.
-        self._engine.bind_admit(SegmentState, RITEntry, IQEntry,
-                                self.stat_dispatched, PREDICTED_LOAD_LATENCY)
-        self._c_dispatch = self._c_issue = self._engine.kind == "compiled"
-        if self._c_dispatch:
-            self._engine.bind_dispatch(
-                DispatchPlan, self._plan_cache, self.rit._entries,
-                self._head_chains, self.stat_two_chain, self.stat_bypass,
-                self.stat_chain_heads)
-            # The compiled engine also runs select_issue, per-entry
-            # post-loop included, and takes the operand-wakeup hook
-            # itself: as an instance attribute, the engine's method is
-            # what producers call, with no Python frame per woken entry.
-            self.on_entry_ready_known = self._engine.on_entry_ready_known
+        # Dispatch planning, dispatch, segment-0 issue and operand wakeup
+        # run in the engine, the same calls on both backends.  As an
+        # instance attribute the engine's wakeup hook is what producers
+        # call, with no queue frame per woken entry.
+        self._engine.bind(
+            (DispatchPlan, SegmentState, RITEntry, IQEntry),
+            self._plan_cache, self.rit._entries, self._head_chains,
+            (self.stat_dispatched, self.stat_two_chain, self.stat_bypass,
+             self.stat_chain_heads),
+            PREDICTED_LOAD_LATENCY)
+        self.on_entry_ready_known = self._engine.on_entry_ready_known
 
     # ------------------------------------------------------------ space --
     def attach_tracer(self, tracer) -> None:
@@ -253,61 +236,7 @@ class SegmentedIQ(InstructionQueue):
         """Decide chain membership / creation for ``inst`` (cached so that
         can_dispatch and dispatch agree and predictors are consulted once).
         """
-        if self._c_dispatch:
-            return self._engine.plan(self, inst, now)
-        cached = self._plan_cache.get(inst.seq)
-        if cached is not None:
-            return cached
-
-        links = self._engine.plan_links(self.rit._entries, inst, now)
-        lrp = self.lrp
-        lrp_choice = -1
-        lrp_consulted = False
-        two_distinct_chains = (
-            len(links) == 2
-            and type(links[0]) is tuple
-            and type(links[1]) is tuple
-            and links[0][0] is not links[1][0])
-        if two_distinct_chains:
-            self.stat_two_chain.inc()
-
-        if lrp is not None and len(links) == 2:
-            lrp_choice = lrp.predict_later(inst.pc)
-            lrp_consulted = True
-            links = [links[lrp_choice]]
-
-        needs_chain = False
-        head_latency = 0
-        if inst.is_load:
-            hmp = self.hmp
-            predicted_hit = (hmp is not None
-                             and hmp.predict_hit(inst.pc, inst.seq))
-            if not predicted_hit:
-                needs_chain = True
-                head_latency = PREDICTED_LOAD_LATENCY
-        elif two_distinct_chains and lrp is None:
-            # Base design: two-chain instructions become chain heads (3.4).
-            needs_chain = True
-            head_latency = inst.latency
-
-        countdown = -1
-        pairs = []
-        for link in links:
-            if type(link) is tuple:
-                pairs.append(link)
-            elif link > countdown:
-                countdown = link
-
-        # DispatchPlan with direct slot stores (no constructor frame).
-        plan = _new(DispatchPlan)
-        plan.countdown_ready = countdown
-        plan.chain_pairs = pairs
-        plan.needs_chain = needs_chain
-        plan.lrp_choice = lrp_choice
-        plan.lrp_consulted = lrp_consulted
-        plan.head_latency = head_latency
-        self._plan_cache[inst.seq] = plan
-        return plan
+        return self._engine.plan(self, inst, now)
 
     def preferred_cluster(self, inst, now: int):
         """Cluster of the chain this instruction will follow, if any
@@ -323,111 +252,15 @@ class SegmentedIQ(InstructionQueue):
         return governing[0].cluster
 
     def can_dispatch(self, inst) -> bool:
-        if self._c_dispatch:
-            return self._engine.can_dispatch(self, inst)
-        self.blocked_on_chain = False
-        self._target_cache = None
-        target = self._engine.dispatch_target(self.active_segments,
-                                              self._enable_bypass)
-        if target < 0:
-            self._full_refusals += 1
-            return False
-        plan = self._plan(inst, self.now)
-        if plan.needs_chain and not self.chains.has_free():
-            self.blocked_on_chain = True
-            self.chains.stat_alloc_failures.inc()
-            return False
-        self._target_cache = (self._occupancy, target)
-        return True
+        return self._engine.can_dispatch(self, inst)
 
     # --------------------------------------------------------- dispatch --
     def dispatch(self, inst, operands: List[Operand], now: int) -> IQEntry:
-        if self._c_dispatch:
-            return self._engine.dispatch(self, inst, operands, now)
-        plan = self._plan_cache.pop(inst.seq, None)
-        if plan is None:
-            plan = self._plan(inst, now)
-            del self._plan_cache[inst.seq]
-        engine = self._engine
-        # Reuse the target can_dispatch just computed; occupancy is the
-        # cheap staleness guard (inserts and removals both change it).
-        cached, self._target_cache = self._target_cache, None
-        if (cached is not None and cached[0] == self._occupancy
-                and engine.seg_occ(cached[1]) < self._segment_size):
-            target = cached[1]
-        else:
-            target = engine.dispatch_target(self.active_segments,
-                                            self._enable_bypass)
-            if target < 0:
-                self._full_refusals += 1
-        if target < 0:
-            raise SimulationError("dispatch into a full segmented IQ")
-        if target < self.num_segments - 1:
-            self.stat_bypass.inc()
-
-        chain = None
-        if plan.needs_chain:
-            chain = self.chains.allocate(inst, engine, target,
-                                         plan.head_latency, now=now)
-            if chain is None:
-                raise SimulationError("dispatch without a free chain wire")
-            self._head_chains[inst.seq] = chain
-            self.stat_chain_heads.inc()
-
-        return engine.admit(self, self.rit._entries, inst, operands, plan,
-                            chain, target, now)
-
-    @staticmethod
-    def _reg_key(inst, reg: int) -> int:
-        """RIT key for an architected register: per-thread namespaces so
-        SMT threads never alias each other's registers."""
-        return inst.thread * 64 + reg
-
-    # ----------------------------------------------------------- wakeup --
-    def on_entry_ready_known(self, entry: IQEntry) -> None:
-        if not entry.issued:
-            slot = entry.chain_state.slot
-            if self._engine.seg_of(slot) == 0:
-                self._engine.p0_push(slot, entry.ready_cycle)
+        return self._engine.dispatch(self, inst, operands, now)
 
     # ------------------------------------------------------------ issue --
     def select_issue(self, now: int, acquire_fu) -> List[IQEntry]:
-        if self._c_issue:
-            return self._engine.select_issue(self, now, acquire_fu)
-        self.now = now
-        engine = self._engine
-        engine.set_now(now)
-        self._issued_this_cycle = False
-        # A caller that exposes its FU kernel engine (the processor's
-        # FUAcquire) lets the compiled engine fuse the FU check into its
-        # issue loop; any plain callable takes the generic path.  Both
-        # are bit-identical — the fused check claims the same unit with
-        # the same stat increments the callable would have.
-        fu_engine = getattr(acquire_fu, "fu_engine", None)
-        count, issued = engine.issue_select(now, self.issue_width,
-                                            fu_engine, acquire_fu)
-        self.stat_seg0_ready.sample(count)
-        if issued:
-            self._issued_this_cycle = True
-            self.stat_issued.inc(len(issued))
-            lrp = self.lrp
-            for entry in issued:
-                # The engine freed the slot; finish the object-side issue
-                # bookkeeping (the old _do_issue minus the engine call).
-                entry.issued = True
-                self._occupancy -= 1
-                state = entry.chain_state
-                own = state.own_chain
-                if own is not None:
-                    own.on_head_issued(now)
-                if state.lrp_consulted and lrp is not None:
-                    ops = entry.operands
-                    if len(ops) == 2:
-                        lrp.train(entry.inst.pc,
-                                  ops[0].ready_cycle or 0,
-                                  ops[1].ready_cycle or 0,
-                                  state.lrp_choice)
-        return issued
+        return self._engine.select_issue(self, now, acquire_fu)
 
     # -------------------------------------------------------- promotion --
     def cycle(self, now: int) -> None:

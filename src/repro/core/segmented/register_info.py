@@ -6,8 +6,8 @@ of the value relative to the chain head's issue, and — for chainless
 producers — the absolute cycle the value is expected to become available.
 The dispatch stage reads it to assign chains and initial delay values, and
 writes the destination entry of every dispatched instruction (the kernel
-engine's ``plan_links`` reads, its ``admit`` writes; ``PyKernelEngine``
-holds the Python twins of both).
+engine's ``plan`` reads it, its ``dispatch`` writes it, on both
+backends).
 """
 
 from __future__ import annotations

@@ -95,13 +95,13 @@ def native_replay(record: FunctionalRecord,
     """:func:`replay`'s compiled twin, ``_ckernels.Replay``, or None on
     the ``py`` kernel backend."""
     # Imported here: the kernel switch lives above the ISA layer.
-    from repro.core.segmented.kernels import backend
-    if backend() != "compiled":
+    from repro.core.segmented.kernels import compiled_module
+    module = compiled_module()
+    if module is None:
         return None
-    from repro.core.segmented._ckernels import Replay
-    return Replay(record.prototypes(), record.pcs, record.next_pcs,
-                  record.taken, record.mem_addrs,
-                  _count(record, max_instructions))
+    return module.Replay(record.prototypes(), record.pcs, record.next_pcs,
+                         record.taken, record.mem_addrs,
+                         _count(record, max_instructions))
 
 
 class Recording:

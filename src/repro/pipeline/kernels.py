@@ -12,20 +12,24 @@ implementations:
 * ``repro.core.segmented._ckernels.Pipeline``, an operation-for-operation
   C twin built by ``python -m repro.core.segmented.build``.
 
-Backend selection reuses the segmented tier's switch
-(:func:`repro.core.segmented.kernels.backend`): ``REPRO_KERNELS`` /
-``--kernels`` / :func:`~repro.core.segmented.kernels.set_backend` pick
-the backend for *both* tiers, and the pure-Python fallback is always
-available.  The two backends are bit-identical — same cycles, same
-stats, same traces — pinned by ``tests/core/test_kernels.py``.
+Backend selection reuses the segmented tier's switch and its one
+lookup of the compiled module
+(:func:`repro.core.segmented.kernels.compiled_module`):
+``REPRO_KERNELS`` / ``--kernels`` /
+:func:`~repro.core.segmented.kernels.set_backend` pick the backend for
+*both* tiers, and the pure-Python fallback is always available.  The
+two backends are bit-identical — same cycles, same stats, same traces —
+pinned by ``tests/core/test_kernels.py``.
 
 Four stages of ``Processor`` have compiled twins with no column state
-of their own: the whole dispatch stage (:func:`dispatch_stage`, pinned
-untraced by ``tests/pipeline/test_dispatch_stage.py``), the issue
-stage with operand wakeup and completion (:func:`issue_stage`, pinned
-by ``tests/pipeline/test_issue_stage.py``), and the fetch and commit
-stages (:func:`fetch_stage`, :func:`commit_stage`, pinned untraced by
-``tests/pipeline/test_fetch_commit_stage.py``).
+of their own, the ``_ckernels`` types ``DispatchStage`` (the whole
+dispatch stage, pinned untraced by
+``tests/pipeline/test_dispatch_stage.py``), ``IssueStage`` (issue with
+operand wakeup and completion, pinned by
+``tests/pipeline/test_issue_stage.py``), ``FetchStage`` and
+``CommitStage`` (pinned untraced by
+``tests/pipeline/test_fetch_commit_stage.py``).  ``Processor.__init__``
+takes them from the same lookup and binds them once.
 
 Column layout (one heap per (FU class, cluster) pair, flattened):
 
@@ -38,7 +42,12 @@ Stat counters are bound once at construction; the C twin recognises the
 compiled ``Counter`` type from its own module and increments the struct
 field directly, falling back to the Python ``inc`` protocol otherwise
 (the stat tier's backend is fixed at process start while the engine
-backend may be forced per-run, so mixed pairings are legal).
+backend may be forced per-run, so mixed pairings are legal).  The one
+pairing a stage refuses is the compiled issue stage over the Python
+event queue (``REPRO_KERNELS=py`` at process start, compiled engines
+forced later): its completions are records only the compiled
+``EventQueue`` fires, so ``Processor`` then keeps the Python issue
+stage.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional
 
-from repro.core.segmented.kernels import backend as _backend
+from repro.core.segmented.kernels import compiled_module
 
 #: Matches repro.core.segmented.links.NEVER (import cycle avoidance).
 NEVER = 1 << 60
@@ -123,72 +132,16 @@ class PyPipelineEngine:
         return earliest
 
 
-def dispatch_stage():
-    """The compiled dispatch stage type (C), or None on the py backend.
-
-    ``DispatchStage(...).run(processor, now)`` runs one cycle of
-    Processor._dispatch in one call; the processor keeps the Python loop
-    as the fallback twin (and for clustered, traced and non-stock-ROB
-    runs).
-    """
-    if _backend() == "compiled":
-        from repro.core.segmented import _ckernels
-        return _ckernels.DispatchStage
-    return None
-
-
-def issue_stage():
-    """The compiled issue stage type (C), or None on the py backend.
-
-    ``IssueStage(processor, acquire, IQEntry).run(processor, now)`` runs
-    one cycle of Processor._issue in one call and fires each completion
-    (Processor._complete) from the compiled event queue as a typed
-    record; the processor keeps the Python methods as the fallback twins
-    (and for clustered, traced and invariant-checked runs).
-    """
-    if _backend() == "compiled":
-        from repro.core.segmented import _ckernels
-        return _ckernels.IssueStage
-    return None
-
-
-def fetch_stage():
-    """The compiled fetch stage type (C), or None on the py backend.
-
-    ``FetchStage(...).run(frontend, now)`` runs one cycle of the Python
-    body of FrontEnd.cycle in one call; FrontEnd.cycle hands off to it
-    when the processor binds it (one-thread, untraced runs).
-    """
-    if _backend() == "compiled":
-        from repro.core.segmented import _ckernels
-        return _ckernels.FetchStage
-    return None
-
-
-def commit_stage():
-    """The compiled commit stage type (C), or None on the py backend.
-
-    ``CommitStage(commit_width).run(processor, now)`` runs one cycle of
-    single-thread commit (Processor._retire) in one call; the processor
-    keeps the Python methods as the fallback twins (and for traced and
-    multi-thread runs).
-    """
-    if _backend() == "compiled":
-        from repro.core.segmented import _ckernels
-        return _ckernels.CommitStage
-    return None
-
-
 def make_engine(n_classes: int, clusters: int, counts: List[int],
                 mem_port_index: int, issued_counters,
                 structural_counter, issue_keys=None):
     """Build a pipeline engine on the active kernel backend."""
     if issue_keys is None:
         issue_keys = {}
-    if _backend() == "compiled":
-        from repro.core.segmented import _ckernels
-        return _ckernels.Pipeline(n_classes, clusters, counts,
-                                  mem_port_index, list(issued_counters),
-                                  structural_counter, issue_keys)
+    module = compiled_module()
+    if module is not None:
+        return module.Pipeline(n_classes, clusters, counts, mem_port_index,
+                               list(issued_counters), structural_counter,
+                               issue_keys)
     return PyPipelineEngine(n_classes, clusters, counts, mem_port_index,
                             issued_counters, structural_counter, issue_keys)

@@ -28,6 +28,7 @@ from repro.common.events import EventQueue, _PyEventQueue
 from repro.common.params import ProcessorParams
 from repro.common.stats import StatGroup
 from repro.core.iq_base import InstructionQueue, IQEntry, Operand
+from repro.core.segmented.kernels import compiled_module
 from repro.core.segmented.links import NEVER
 from repro.frontend.fetch import INST_BYTES, FrontEnd
 from repro.isa.instruction import DynInst
@@ -35,8 +36,6 @@ from repro.isa.opcodes import FUClass, OpClass
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.obs.events import TraceEvent
 from repro.pipeline.fu import FUAcquire, FUPool
-from repro.pipeline.kernels import (commit_stage, dispatch_stage,
-                                    fetch_stage, issue_stage)
 from repro.pipeline.lsq import LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
 
@@ -261,57 +260,50 @@ class Processor:
         self.stat_cross_cluster = self.stats.counter(
             "clusters.cross_forwards",
             "operands forwarded across clusters (pay the bypass penalty)")
-        # Compiled dispatch stage (pipeline kernel tier): one C call per
-        # cycle runs _dispatch's loop.  Clustered, traced and multi-thread
-        # runs keep the Python loop (steering, bypass penalties, dispatch
-        # events, thread arbitration), and so does a non-stock ROB
-        # (checked per cycle in step: the ROB may be swapped after
-        # construction).
-        single = not self._clustered and threads == 1
-        self._c_dispatch = None
-        stage = dispatch_stage() if single and tracer is None else None
-        if stage is not None:
-            self._c_dispatch = stage(
-                Operand, self._last_writer, self._dispatch_width,
-                self.stat_dispatch_stall_rob, self.stat_dispatch_stall_lsq,
-                self.stat_dispatch_stall_iq, self.stat_dispatch_stall_chain,
-                self.stat_dispatched, OpClass.HALT, OpClass.NOP,
-                OpClass.JUMP).run
-        # Compiled issue stage: one C call per cycle runs _issue, and the
-        # completions it schedules fire in C from the compiled event
-        # queue.  Clustered, traced, invariant-checked and multi-thread
-        # runs keep the Python methods (cluster load, issue/writeback
-        # events, per-issue checks, per-thread front ends), and so does a
-        # processor whose event queue is not the compiled one (checked per
-        # cycle in step).
-        self._c_issue = None
-        stage = (issue_stage()
-                 if single and tracer is None
-                 and self.invariant_checker is None else None)
-        if stage is not None and EventQueue is not _PyEventQueue:
-            self._c_issue = stage(self, self._fu_acquire, IQEntry).run
-        # Compiled fetch and commit stages: FrontEnd.cycle hands its cycle
-        # to the fetch stage, and step calls the commit stage in place of
-        # _retire.  Traced and multi-thread runs keep the Python bodies
-        # (fetch and commit events, ICOUNT, round-robin commit).
-        self._c_commit = None
-        if threads == 1 and tracer is None:
-            stage = fetch_stage()
-            if stage is not None:
-                frontend = self.frontend
-                icache = self.memory.l1i
-                frontend._c_fetch = stage(
-                    params.fetch_width, params.max_branches_per_fetch,
-                    params.dispatch_pipeline_depth, frontend._buffer_cap,
-                    INST_BYTES, icache.params.line_bytes.bit_length() - 1,
-                    frontend.stat_icache_stall_cycles,
-                    frontend.stat_branch_stall_cycles,
-                    frontend.stat_buffer_full_cycles,
-                    frontend.stat_fetched, frontend.stat_fetch_cycles,
-                    icache.stat_accesses, icache.stat_hits).run
-            stage = commit_stage()
-            if stage is not None:
-                self._c_commit = stage(self._commit_width).run
+        # Compiled stages (pipeline kernel tier), bound once here from
+        # the one lookup of the compiled module.  Traced and multi-thread
+        # runs keep the Python bodies throughout (per-stage events, thread
+        # arbitration, ICOUNT, round-robin commit).
+        module = compiled_module()
+        self._c_dispatch = self._c_issue = self._c_commit = None
+        if module is not None and threads == 1 and tracer is None:
+            if not self._clustered:
+                # Dispatch: one C call per cycle runs _dispatch's loop.
+                # Clustered runs keep the Python loop (steering, bypass
+                # penalties), and so does a non-stock ROB: the rob setter
+                # unbinds the stage.
+                self._c_dispatch = module.DispatchStage(
+                    Operand, self._last_writer, self._dispatch_width,
+                    self.stat_dispatch_stall_rob,
+                    self.stat_dispatch_stall_lsq,
+                    self.stat_dispatch_stall_iq,
+                    self.stat_dispatch_stall_chain, self.stat_dispatched,
+                    OpClass.HALT, OpClass.NOP, OpClass.JUMP).run
+                # Issue: one C call per cycle runs _issue, and the
+                # completions it schedules fire in C from the compiled
+                # event queue, so it needs that queue (the only one
+                # self.events ever is).  Clustered and invariant-checked
+                # runs keep the Python methods (cluster load, per-issue
+                # checks).
+                if (self.invariant_checker is None
+                        and EventQueue is not _PyEventQueue):
+                    self._c_issue = module.IssueStage(
+                        self, self._fu_acquire, IQEntry).run
+            # Fetch and commit: FrontEnd.cycle hands its cycle to the
+            # fetch stage, and step calls the commit stage in place of
+            # _retire.
+            frontend = self.frontend
+            icache = self.memory.l1i
+            frontend._c_fetch = module.FetchStage(
+                params.fetch_width, params.max_branches_per_fetch,
+                params.dispatch_pipeline_depth, frontend._buffer_cap,
+                INST_BYTES, icache.params.line_bytes.bit_length() - 1,
+                frontend.stat_icache_stall_cycles,
+                frontend.stat_branch_stall_cycles,
+                frontend.stat_buffer_full_cycles,
+                frontend.stat_fetched, frontend.stat_fetch_cycles,
+                icache.stat_accesses, icache.stat_hits).run
+            self._c_commit = module.CommitStage(self._commit_width).run
 
         # Event-driven cycle skipping (docs/performance.md).  Enabled only
         # inside run() so direct step() callers keep 1-call-per-cycle
@@ -336,16 +328,19 @@ class Processor:
 
     @rob.setter
     def rob(self, rob: ReorderBuffer) -> None:
+        # The compiled dispatch stage drives the stock ROB only.
         self.robs[0] = rob
+        self._c_dispatch = None
 
     def _rob_occupancy(self) -> int:
         """Instructions buffered in every thread's ROB."""
         return sum(len(rob._entries) for rob in self.robs)
 
     def _thread_done(self, thread: int) -> bool:
+        # The ROB first: ``drained`` costs three Python calls.
         return (self._halted[thread]
-                or (self.frontends[thread].drained
-                    and not self.robs[thread]._entries))
+                or (not self.robs[thread]._entries
+                    and self.frontends[thread].drained))
 
     def _icount(self) -> Optional[FrontEnd]:
         """The front end that fetches this cycle in a multi-thread run:
@@ -432,7 +427,7 @@ class Processor:
     def done(self) -> bool:
         if self.num_threads == 1:
             return (self._halted[0]
-                    or (self.frontend.drained and not self.robs[0]._entries))
+                    or (not self.robs[0]._entries and self.frontend.drained))
         return all(map(self._thread_done, range(self.num_threads)))
 
     def run(self, max_cycles: Optional[int] = None, *,
@@ -517,7 +512,7 @@ class Processor:
             self._commit(now)
         self.lsq.cycle(now)
         c_issue = self._c_issue
-        if c_issue is not None and type(self.events) is EventQueue:
+        if c_issue is not None:
             c_issue(self, now)
         else:
             self._issue(now)
@@ -530,7 +525,7 @@ class Processor:
         iq.cycle(now)
         rob = self.robs[0]
         c_dispatch = self._c_dispatch
-        if c_dispatch is not None and type(rob) is ReorderBuffer:
+        if c_dispatch is not None:
             c_dispatch(self, now)
         else:
             self._dispatch(now)

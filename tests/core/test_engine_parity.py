@@ -10,11 +10,16 @@ stub FU acquire), ``detach``/``attach``, ``p0_push``,
 the return values, the per-segment occupancies and membership order, the
 segment of every live slot, and every chain's columns.
 
-The dispatch ops run on a segmented IQ per engine, in the same machine:
-``plan_links`` (the RIT scan), ``admit`` (entry, wakeup and RIT update)
-and the compiled ``plan``, whose twin is ``SegmentedIQ._plan``.  Their
-results are compared field by field, chains by cslot, together with the
-two queues' stats, RITs and producer wakeup lists.
+The dispatch and issue policy runs on a segmented IQ per engine, in the
+same machine, each engine driven through the calls ``SegmentedIQ``
+makes: ``plan`` (the RIT scan and predictor consults), ``can_dispatch``
++ ``dispatch`` (target segment, chain allocation through the queue's
+``ChainManager``, entry, wakeup and RIT update), ``select_issue``
+(segment-0 issue and its per-entry bookkeeping) and
+``on_entry_ready_known`` (reached through ``DynInst.set_value_ready``,
+as operand wakeup reaches it).  Their results are compared field by
+field, chains by cslot, together with the two queues' stats, RITs, head
+chains and producer wakeup lists.
 
 The same machine also drives the two function-unit engines of the
 pipeline tier (``PyPipelineEngine`` and the compiled ``Pipeline``) with
@@ -29,21 +34,25 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
+from repro.common.errors import SimulationError
 from repro.common.params import IQParams
 from repro.common.stats import StatGroup
-from repro.core.iq_base import Operand
+from repro.core.iq_base import IQEntry, Operand
 from repro.core.segmented import kernels
 from repro.core.segmented.chains import Chain
-from repro.core.segmented.queue import SegmentedIQ
+from repro.core.segmented.queue import (DispatchPlan, SegmentedIQ,
+                                        SegmentState)
 from repro.core.segmented.register_info import RITEntry
+from repro.isa.instruction import DynInst
 from repro.pipeline.kernels import PyPipelineEngine
 
 NUM_SEGMENTS = 4
 CAPACITY = 6
 THRESHOLDS = [0, 2, 4, 6]
-#: A queue whose engine has the shape above (thresholds 2 * j).
+#: A queue whose engine has the shape above (thresholds 2 * j), with
+#: few enough chain wires that dispatch runs out of them.
 QUEUE = IQParams(kind="segmented", size=NUM_SEGMENTS * CAPACITY,
-                 segment_size=CAPACITY, threshold_step=2)
+                 segment_size=CAPACITY, threshold_step=2, max_chains=3)
 
 
 #: Function units per class (split over FU_CLUSTERS clusters); the last
@@ -85,15 +94,25 @@ pytestmark = pytest.mark.skipif(
 
 
 class Token:
-    """Stands in for an IQEntry: the engines hand it back from issue and
-    promotion, and issue_select passes ``token.inst`` to the acquire."""
+    """Stands in for an IQEntry and its SegmentState: the engines hand it
+    back from issue and promotion, issue_select passes ``token.inst`` to
+    the acquire, and select_issue marks it issued (it heads no chain and
+    trained no predictor)."""
 
-    __slots__ = ("seq", "inst", "slot")
+    __slots__ = ("seq", "inst", "slot", "chain_state", "issued",
+                 "own_chain", "lrp_consulted", "unknown_count",
+                 "ready_cycle")
 
     def __init__(self, seq):
         self.seq = seq
         self.inst = self
         self.slot = -1
+        self.chain_state = self
+        self.issued = False
+        self.own_chain = None
+        self.lrp_consulted = False
+        self.unknown_count = 0
+        self.ready_cycle = 0
 
 
 class Inst:
@@ -145,9 +164,20 @@ def _plan_key(plan):
 
 
 def _rit_key(rit):
-    return {key: (entry.producer.seq, _chain_key(entry.chain), entry.dh,
-                  entry.expected_ready)
+    return {key: (type(entry), entry.producer.seq, _chain_key(entry.chain),
+                  entry.dh, entry.expected_ready)
             for key, entry in rit.items()}
+
+
+def _outcome(call, *args):
+    """``call(*args)``, or the message of the SimulationError it raised."""
+    try:
+        return call(*args), None
+    except SimulationError as exc:
+        return None, str(exc)
+
+
+predictor_sets = st.sampled_from([("lrp", "hmp"), ("lrp",), ("hmp",), ()])
 
 
 class EngineParity(RuleBasedStateMachine):
@@ -162,7 +192,9 @@ class EngineParity(RuleBasedStateMachine):
         self.now = 0
         self.next_seq = 0
         self.live = {}          # slot -> Token or the py side's IQEntry
-        self.chains = 0         # cslots allocated so far
+        self.twins = {}         # slot -> (py, compiled) dispatched IQEntry
+        self.waiting = []       # (py, compiled) producers of unknown operands
+        self.heads = {}         # seq -> dispatched instruction
         # cslot -> (py-side, compiled-side) Chain handles, made on demand
         self.chain_objs = {}
         self.predictors = (self.qpy.lrp, self.qpy.hmp,
@@ -172,6 +204,11 @@ class EngineParity(RuleBasedStateMachine):
         self.fu_c, self.fu_c_stats = _fu_engine(_ckernels.Pipeline)
 
     # ------------------------------------------------------- helpers --
+    @property
+    def chains(self):
+        """Chain cslots allocated so far (by rules and by dispatch)."""
+        return len(self.py.c_mode)
+
     def both(self, name, *args):
         """Call ``name`` on both engines; their results must agree."""
         expected = getattr(self.py, name)(*args)
@@ -185,11 +222,11 @@ class EngineParity(RuleBasedStateMachine):
     def cslot(self, data):
         return data.draw(st.sampled_from([-1] + list(range(self.chains))))
 
-    def forget_issued(self, tokens):
-        for token in tokens:
-            slot = (token.slot if isinstance(token, Token)
-                    else token.chain_state.slot)
+    def forget_issued(self, entries):
+        for entry in entries:
+            slot = entry.chain_state.slot
             del self.live[slot]
+            self.twins.pop(slot, None)
 
     def chain_pair(self, cslot):
         """A Chain handle on each engine for ``cslot``, as ChainManager
@@ -221,10 +258,17 @@ class EngineParity(RuleBasedStateMachine):
         self.qc.hmp = hmp_c if "hmp" in which else None
 
     def same_queues(self):
-        assert self.qc.stats.as_dict() == self.qpy.stats.as_dict()
-        assert self.qc._occupancy == self.qpy._occupancy
-        assert _rit_key(self.qc.rit._entries) == \
-            _rit_key(self.qpy.rit._entries)
+        qpy, qc = self.qpy, self.qc
+        assert qc.stats.as_dict() == qpy.stats.as_dict()
+        for name in ("_occupancy", "_full_refusals", "blocked_on_chain",
+                     "now", "_issued_this_cycle"):
+            assert getattr(qc, name) == getattr(qpy, name), name
+        assert _rit_key(qc.rit._entries) == _rit_key(qpy.rit._entries)
+        assert ({seq: chain.cslot for seq, chain in qc._head_chains.items()}
+                == {seq: chain.cslot
+                    for seq, chain in qpy._head_chains.items()})
+        assert sorted(qc._plan_cache) == sorted(qpy._plan_cache)
+        assert qc.chains.active_count == qpy.chains.active_count
 
     # --------------------------------------------------------- rules --
     @initialize()
@@ -237,9 +281,9 @@ class EngineParity(RuleBasedStateMachine):
     @rule(mode=st.integers(min_value=0, max_value=2), base=small,
           head_segment=st.integers(min_value=0, max_value=NUM_SEGMENTS - 1))
     def alloc_chain(self, mode, base, head_segment):
+        expected = self.chains
         assert self.both("alloc_chain", mode, base, head_segment) \
-            == self.chains
-        self.chains += 1
+            == expected
 
     @rule(data=st.data(), batch=st.lists(
         st.tuples(st.integers(min_value=0, max_value=NUM_SEGMENTS - 1),
@@ -257,13 +301,14 @@ class EngineParity(RuleBasedStateMachine):
             own = -1
             if head:
                 own = self.both("alloc_chain", 0, 2 * seg, seg)
-                self.chains += 1
             token = Token(self.next_seq)
             self.next_seq += 1
             args = (token.seq, seg, cd, c0, dh0, c1, dh1, own, self.now)
             token.slot = self.py.insert_entry(token, *args)
             assert self.c.insert_entry(token, *args) == token.slot
             self.live[token.slot] = token
+            self.qpy._occupancy += 1
+            self.qc._occupancy += 1
 
     @precondition(lambda self: self.chains)
     @rule(data=st.data(), mode=st.integers(min_value=0, max_value=2),
@@ -289,6 +334,12 @@ class EngineParity(RuleBasedStateMachine):
                  for t, src, dst, push in self.c.drain_events()]
                 == [(t.seq, src, dst, push)
                     for t, src, dst, push in self.py.drain_events()])
+        # Arrivals in segment 0 with known operands become issue
+        # candidates, as SegmentedIQ.cycle enters them.
+        for entry in seg0:
+            if not entry.unknown_count:
+                self.both("p0_push", entry.chain_state.slot,
+                          max(entry.ready_cycle, self.now + 1))
 
     @rule(seg=st.integers(min_value=1, max_value=NUM_SEGMENTS - 1),
           limit=st.integers(min_value=1, max_value=4))
@@ -307,6 +358,10 @@ class EngineParity(RuleBasedStateMachine):
                                                     acquire)
         assert got_count == count
         assert [t.seq for t in got_issued] == [t.seq for t in issued]
+        for entry in issued + got_issued:
+            entry.issued = True
+        self.qpy._occupancy -= len(issued)
+        self.qc._occupancy -= len(issued)
         self.forget_issued(issued)
 
     @precondition(lambda self: self.live)
@@ -375,52 +430,79 @@ class EngineParity(RuleBasedStateMachine):
             for queue, chain in zip((self.qpy, self.qc), pair):
                 queue.rit._entries[reg] = RITEntry(producer, chain, dh, 0)
 
-    @rule(spec=instructions)
-    def plan_links(self, spec):
-        inst = self.new_inst(spec)
-        expected = self.py.plan_links(self.qpy.rit._entries, inst, self.now)
-        got = self.c.plan_links(self.qc.rit._entries, inst, self.now)
-        assert _links_key(got) == _links_key(expected)
-
-    @rule(data=st.data(), spec=instructions,
-          which=st.sampled_from([("lrp", "hmp"), ("lrp",), ("hmp",), ()]),
-          again=st.booleans(), admit=st.booleans(),
-          seg=st.integers(min_value=0, max_value=NUM_SEGMENTS - 1),
-          operands=st.lists(st.one_of(st.none(), small), max_size=3))
-    def plan_and_admit(self, data, spec, which, again, admit, seg,
-                       operands):
-        """Plan one instruction on both queues (SegmentedIQ._plan is the
-        compiled plan op's twin), optionally admit it into ``seg``."""
+    @rule(specs=st.lists(instructions, min_size=1, max_size=4),
+          which=predictor_sets, again=st.booleans())
+    def plan(self, specs, which, again):
+        """Plan a few instructions on both queues' engines; planning one
+        again returns the cached plan (the predictors are consulted
+        once)."""
         self.use_predictors(which)
-        inst = self.new_inst(spec)
-        expected = self.qpy._plan(inst, self.now)
-        got = self.c.plan(self.qc, inst, self.now)
-        assert _plan_key(got) == _plan_key(expected)
-        if again:       # cached: the predictors are not consulted twice
-            assert self.qpy._plan(inst, self.now) is expected
-            assert self.c.plan(self.qc, inst, self.now) is got
-        self.same_queues()
-        del self.qpy._plan_cache[inst.seq]
-        del self.qc._plan_cache[inst.seq]
-        if not admit or not self.room(seg):
-            return
-        chains = (None, None)
-        if expected.needs_chain:
-            cslot = self.both("alloc_chain", 0, 2 * seg, seg)
-            self.chains += 1
-            chains = self.chain_pair(cslot)
+        for spec in specs:
+            inst = self.new_inst(spec)
+            expected = self.py.plan(self.qpy, inst, self.now)
+            got = self.c.plan(self.qc, inst, self.now)
+            assert type(got) is type(expected) is DispatchPlan
+            assert _plan_key(got) == _plan_key(expected)
+            if again:
+                assert self.py.plan(self.qpy, inst, self.now) is expected
+                assert self.c.plan(self.qc, inst, self.now) is got
+            self.same_queues()
+            del self.qpy._plan_cache[inst.seq]
+            del self.qc._plan_cache[inst.seq]
+
+    @rule(data=st.data(), which=predictor_sets,
+          batch=st.lists(st.tuples(
+              instructions,
+              st.lists(st.one_of(st.none(), small), min_size=3,
+                       max_size=3),
+              st.booleans(), st.booleans()), min_size=1, max_size=3),
+          active=st.integers(min_value=1, max_value=NUM_SEGMENTS),
+          bypass=st.booleans())
+    def dispatch(self, data, which, batch, active, bypass):
+        """can_dispatch + dispatch of a few instructions on both queues'
+        engines: (instruction, operand readiness, probe, crowd) each."""
+        self.use_predictors(which)
+        for queue in (self.qpy, self.qc):
+            queue.now = self.now
+            queue.active_segments = active
+            queue._enable_bypass = bypass
+        for spec, operands, probe, crowd in batch:
+            self.dispatch_one(data, self.new_inst(spec), operands, probe,
+                              crowd)
+
+    def dispatch_one(self, data, inst, operands, probe, crowd):
+        """One instruction, with one operand per source, known (a ready
+        cycle) or unknown (None).  ``probe`` False dispatches unprobed,
+        which may refuse; ``crowd`` inserts an entry between the two
+        calls, so dispatch must see that the target can_dispatch kept is
+        stale."""
+        if probe:
+            admitted = self.py.can_dispatch(self.qpy, inst)
+            assert self.c.can_dispatch(self.qc, inst) is admitted
+            self.same_queues()
+            if not admitted:
+                self.qpy._plan_cache.pop(inst.seq, None)
+                self.qc._plan_cache.pop(inst.seq, None)
+                return
+            if crowd and self.room(self.py.tc[1]):
+                self.insert_entries(data, [(self.py.tc[1], -1, 0, 0, False)])
         entries = []
-        for queue, plan, chain in ((self.qpy, expected, chains[0]),
-                                   (self.qc, got, chains[1])):
+        for queue, engine in ((self.qpy, self.py), (self.qc, self.c)):
             ops = [Operand(index + 1,
                            Inst(-100 - index, 0, (), False, False, 1, None),
                            ready, 0)
-                   for index, ready in enumerate(operands)]
-            entry = queue._engine.admit(queue, queue.rit._entries, inst,
-                                        ops, plan, chain, seg, self.now)
-            entries.append((entry, ops))
-        (entry_p, ops_p), (entry_c, ops_c) = entries
+                   for index, ready in enumerate(
+                       operands[:len(inst.srcs)])]
+            entries.append((_outcome(engine.dispatch, queue, inst, ops,
+                                     self.now), ops))
+        ((entry_p, error_p), ops_p), ((entry_c, error_c), ops_c) = entries
+        assert error_c == error_p
+        self.same_queues()
+        if error_p is not None:
+            return
         state_p, state_c = entry_p.chain_state, entry_c.chain_state
+        assert type(entry_c) is type(entry_p) is IQEntry
+        assert type(state_c) is type(state_p) is SegmentState
         for name in ("seq", "unknown_count", "ready_cycle", "queue_cycle",
                      "issued"):
             assert getattr(entry_c, name) == getattr(entry_p, name), name
@@ -439,8 +521,78 @@ class EngineParity(RuleBasedStateMachine):
                    for w in waiters_c for q, e, _i in w)
         assert all(q is self.qpy and e is entry_p
                    for w in waiters_p for q, e, _i in w)
-        self.same_queues()
+        self.waiting.extend(
+            (op_p.producer, op_c.producer)
+            for op_p, op_c in zip(ops_p, ops_c) if op_p.ready_cycle is None)
+        if state_p.own_chain is not None:
+            self.heads[inst.seq] = inst
         self.live[state_p.slot] = entry_p
+        self.twins[state_p.slot] = (entry_p, entry_c)
+
+    @rule(width=st.integers(min_value=1, max_value=4),
+          modulus=st.integers(min_value=1, max_value=3),
+          which=predictor_sets, cycles=st.integers(min_value=1, max_value=4))
+    def select_issue(self, width, modulus, which, cycles):
+        """A few cycles of segment-0 issue on both queues' engines (the
+        issued entries, their heads' chain signals and LRP training),
+        each followed by a promotion sweep, as the processor steps."""
+        def acquire(inst):
+            return inst.seq % modulus == 0
+
+        self.use_predictors(which)
+        self.qpy.issue_width = self.qc.issue_width = width
+        for _ in range(cycles):
+            issued = self.py.select_issue(self.qpy, self.now, acquire)
+            got = self.c.select_issue(self.qc, self.now, acquire)
+            assert [entry.seq for entry in got] == \
+                [entry.seq for entry in issued]
+            assert all(entry.issued for entry in issued + got)
+            self.same_queues()
+            self.forget_issued(issued)
+            self.promote_all(width, False)
+            self.advance(1)
+
+    @precondition(lambda self: self.twins)
+    @rule(data=st.data(),
+          seg=st.integers(min_value=0, max_value=NUM_SEGMENTS - 1))
+    def recover(self, data, seg):
+        """Deadlock recovery moves a dispatched entry into ``seg``
+        (``SegmentedIQ._place_recovered`` on each queue: a chain head
+        re-broadcasts its segment, and a known entry placed in segment 0
+        becomes an issue candidate)."""
+        slot = data.draw(st.sampled_from(sorted(self.twins)))
+        self.both("detach", slot)
+        if not self.room(seg):
+            seg = self.py.seg_of(slot)       # back where it came from
+        for queue in (self.qpy, self.qc):
+            queue._place_recovered(slot, seg, self.now)
+        self.same_queues()
+
+    @precondition(lambda self: self.waiting)
+    @rule(data=st.data(), delay=st.integers(min_value=0, max_value=4))
+    def operand_ready(self, data, delay):
+        """The producer of an unknown operand learns its ready cycle.
+        ``DynInst.set_value_ready`` wakes each queue's entry, which calls
+        the queue's wakeup hook, the engine's on_entry_ready_known, once
+        its last unknown operand is known."""
+        index = data.draw(st.integers(min_value=0,
+                                      max_value=len(self.waiting) - 1))
+        for producer in self.waiting.pop(index):
+            DynInst.set_value_ready(producer, self.now + delay)
+        for entry_p, entry_c in self.twins.values():
+            assert entry_c.unknown_count == entry_p.unknown_count
+            assert entry_c.ready_cycle == entry_p.ready_cycle
+
+    @precondition(lambda self: self.heads)
+    @rule(data=st.data())
+    def writeback(self, data):
+        """A dispatched chain head writes back: each queue frees its
+        chain wire (later plans see the chain freed)."""
+        seq = data.draw(st.sampled_from(sorted(self.heads)))
+        inst = self.heads.pop(seq)
+        for queue in (self.qpy, self.qc):
+            queue.on_writeback(inst, self.now)
+        self.same_queues()
 
     def both_fu(self, name, *args):
         """Call ``name`` on both pipeline engines; results and counters
@@ -474,6 +626,7 @@ class EngineParity(RuleBasedStateMachine):
     @invariant()
     def same_state(self):
         assert self.c.occupancies() == self.py.occupancies()
+        assert self.c.p0_next(self.now) == self.py.p0_next(self.now)
         for seg in range(NUM_SEGMENTS):
             assert self.c.slots_of(seg) == self.py.slots_of(seg)
         for slot in self.live:
@@ -486,6 +639,6 @@ class EngineParity(RuleBasedStateMachine):
 
 
 EngineParity.TestCase.settings = settings(
-    max_examples=100, stateful_step_count=50, deadline=None,
+    max_examples=100, stateful_step_count=100, deadline=None,
     derandomize=True, suppress_health_check=[HealthCheck.too_slow])
 TestEngineParity = EngineParity.TestCase

@@ -317,3 +317,21 @@ class TestPipelineGracefulFallback:
         os.utime(built, (1_000, 1_000))
         source.unlink()
         assert _ckload.extension_path() == str(built)
+
+    def test_sanitized_extension_is_absent_without_asan(self, tmp_path,
+                                                        monkeypatch):
+        """A sanitizer build would abort a process without the ASan
+        runtime, so there it counts as absent, and the plain build
+        command (which imports repro) can replace it."""
+        import ctypes
+        import importlib.machinery
+        from repro.common import _ckload
+        if hasattr(ctypes.CDLL(None), "__asan_init"):
+            pytest.skip("this process runs under the ASan runtime")
+        built = tmp_path / (
+            "_ckernels" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        monkeypatch.setattr(_ckload, "_PACKAGE_DIR", str(tmp_path))
+        built.write_bytes(b"\x7fELF...__asan_init...")
+        assert _ckload.extension_path() is None
+        built.write_bytes(b"\x7fELF...")
+        assert _ckload.extension_path() == str(built)

@@ -9,7 +9,9 @@ which calls both engines op for op, or a parity test, named
 ``module::test`` or ``module::Class::test``.  The inventory must list
 exactly the methods each type has, and every name it gives must exist:
 new C cannot land without its twin check.  Iteration (``__next__``) is
-the replay type's only operation.
+the replay type's only operation.  The two segmented-IQ engines have
+exactly the same public methods (``test_engines_expose_the_same_methods``),
+so the ``Engine`` rows cover ``PyKernelEngine``'s too.
 """
 
 import importlib
@@ -33,15 +35,14 @@ _FETCH_COMMIT = "tests.pipeline.test_fetch_commit_stage"
 #: type -> {method: "rule:<name>" or "<module>::<test>"}.
 INVENTORY = {
     "Engine": {
-        "admit": "rule:plan_and_admit",
         "alloc_chain": "rule:alloc_chain",
         "attach": "rule:detach_attach",
         "base_of": "rule:same_state",
-        "can_dispatch": _WHOLE_RUN,
+        "bind": "rule:dispatch",
+        "can_dispatch": "rule:dispatch",
         "chain_set": "rule:chain_event",
         "detach": "rule:detach_attach",
-        "dispatch": _WHOLE_RUN,
-        "dispatch_target": _WHOLE_RUN,
+        "dispatch": "rule:dispatch",
         "drain_events": "rule:promote_all",
         "entries_of": _WHOLE_RUN,
         "entry_obj": _WHOLE_RUN,
@@ -56,26 +57,23 @@ INVENTORY = {
         "notify": "rule:chain_event",
         "occupancies": "rule:same_state",
         "oldest_ineligible": _WHOLE_RUN,
-        "on_entry_ready_known": _WHOLE_RUN,
+        "on_entry_ready_known": "rule:operand_ready",
         "p0_next": "rule:probes",
         "p0_push": "rule:p0_push",
-        "plan": "rule:plan_and_admit",
-        "plan_links": "rule:plan_links",
+        "plan": "rule:plan",
         "pop_eligible": "rule:pop_eligible",
         "promote_all": "rule:promote_all",
         "refresh_free_prev": "rule:advance",
         "reschedule_all": "rule:refit_threshold",
         "seg_occ": "rule:insert_entries",
         "seg_of": "rule:same_state",
-        "select_issue": _WHOLE_RUN,
+        "select_issue": "rule:select_issue",
         "set_collect": "rule:promote_all",
         "set_now": "rule:advance",
         "set_threshold": "rule:refit_threshold",
         "slot_seq": "rule:same_state",
         "slots_of": "rule:same_state",
         "threshold": _WHOLE_RUN,
-        "bind_admit": _WHOLE_RUN,
-        "bind_dispatch": _WHOLE_RUN,
     },
     "Pipeline": {
         "fu_accept": "rule:fu_accept",
@@ -143,6 +141,16 @@ def test_inventory_lists_every_public_method(type_name):
     assert not listed - methods, \
         f"{type_name}: the inventory lists gone methods " \
         f"{sorted(listed - methods)}"
+
+
+@pytest.mark.skipif(_compiled() is None,
+                    reason="compiled kernel backend not built "
+                           "(python -m repro.core.segmented.build)")
+def test_engines_expose_the_same_methods():
+    """The segmented IQ calls both engine backends the same way: the
+    compiled Engine and PyKernelEngine have the same public methods."""
+    assert _public_methods(_compiled().Engine) == \
+        _public_methods(kernels.PyKernelEngine)
 
 
 def _resolve(target: str):

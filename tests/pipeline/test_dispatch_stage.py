@@ -181,23 +181,22 @@ def test_python_loop_runs(case, monkeypatch):
     processor, digest = _simulate(params, "mgrid", backend, **options)
     assert digest
     assert calls
-    if case == "broken_rob":
-        assert processor._c_dispatch is not None    # skipped per cycle
-    else:
-        assert processor._c_dispatch is None
+    assert processor._c_dispatch is None    # the rob setter unbinds it
 
 
 @requires_stage
 def test_extension_without_stage_falls_back(monkeypatch):
-    """A processor that binds no DispatchStage runs the Python loop with
-    the same results."""
+    """A processor that binds no compiled stage (the lookup finds no
+    module) runs the Python loop over the compiled engine with the same
+    results."""
     from repro.pipeline import processor as processor_module
     params = configs.segmented(512, 128, "comb")
     with_stage, digest = _simulate(params, "swim", "compiled")
-    monkeypatch.setattr(processor_module, "dispatch_stage", lambda: None)
+    monkeypatch.setattr(processor_module, "compiled_module", lambda: None)
     calls = _count_python_loop(monkeypatch)
     without, fallback_digest = _simulate(params, "swim", "compiled")
     assert without._c_dispatch is None
+    assert without.iq.kernel_backend == "compiled"
     assert calls
     assert without.cycle == with_stage.cycle
     assert _stat_bytes(without) == _stat_bytes(with_stage)

@@ -195,15 +195,15 @@ def test_mispredict_heavy_stage_parity(monkeypatch):
 @pytest.mark.parametrize("max_cycles", [120, 450])
 def test_cut_off_stage_parity(max_cycles):
     """A max_cycles cut-off leaves the same fetch, ROB and commit state
-    (compared by _assert_same) with the stream part-read: at cycle 120
-    fetch waits on a mispredicted branch, at 450 the decode pipeline is
-    full."""
+    (compared by _assert_same, the peeked instruction included) with the
+    stream part-read: at cycle 120 fetch waits on a mispredicted branch,
+    at 450 the decode pipeline is full."""
     processor = _assert_same(configs.segmented(512, 128, "comb"), "swim",
                              max_cycles=max_cycles)
     assert processor.cycle == max_cycles
     assert 0 < processor.committed < INSTRUCTIONS
     frontend = processor.frontend
-    assert frontend._peeked is not None and not frontend._stream_done
+    assert not frontend._stream_done
     assert frontend._pipeline
 
 
@@ -450,13 +450,12 @@ def test_python_bodies_run(case, monkeypatch):
 
 @requires_stage
 def test_extension_without_stages_falls_back(monkeypatch):
-    """A processor that binds neither stage runs the Python twins with
-    the same results."""
+    """A processor that binds neither stage (the lookup finds no compiled
+    module) runs the Python twins with the same results."""
     from repro.pipeline import processor as processor_module
     params = configs.segmented(512, 128, "comb")
     with_stages, digest = _simulate(params, "swim", "compiled")
-    monkeypatch.setattr(processor_module, "fetch_stage", lambda: None)
-    monkeypatch.setattr(processor_module, "commit_stage", lambda: None)
+    monkeypatch.setattr(processor_module, "compiled_module", lambda: None)
     calls, _tracer = _python_bodies(monkeypatch)
     without, fallback_digest = _simulate(params, "swim", "compiled")
     assert without.frontend._c_fetch is None and without._c_commit is None

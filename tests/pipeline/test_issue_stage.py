@@ -235,16 +235,18 @@ def test_python_stage_runs(case, monkeypatch):
 
 @requires_stage
 def test_extension_without_stage_falls_back(monkeypatch):
-    """A processor that binds no IssueStage runs the Python twins
-    (Processor._issue and _complete) with the same results."""
+    """A processor that binds no compiled stage (the lookup finds no
+    module) runs the Python twins (Processor._issue and _complete) over
+    the compiled engine with the same results."""
     from repro.pipeline import processor as processor_module
     params = configs.segmented(512, 128, "comb")
     with_stage, digest = _simulate(params, "swim", "compiled")
-    assert with_stage.iq._c_issue
-    monkeypatch.setattr(processor_module, "issue_stage", lambda: None)
+    assert with_stage._c_issue is not None
+    monkeypatch.setattr(processor_module, "compiled_module", lambda: None)
     calls = _count_python_stage(monkeypatch)
     without, fallback_digest = _simulate(params, "swim", "compiled")
     assert without._c_issue is None
+    assert without.iq.kernel_backend == "compiled"
     assert calls["issue"] and calls["complete"]
     assert without.cycle == with_stage.cycle
     assert _stat_bytes(without) == _stat_bytes(with_stage)
