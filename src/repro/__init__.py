@@ -2,11 +2,13 @@
 Dependence Chains" (Raasch, Binkert & Reinhardt, ISCA 2002).
 
 The package contains a cycle-level out-of-order processor simulator with
-four interchangeable instruction-queue designs — the paper's segmented
-dependence-chain IQ, an ideal monolithic IQ, the Michaud-Seznec
-prescheduler, and Palacharla dependence FIFOs — plus synthetic analogs of
-the paper's SPEC CPU2000 benchmark subset and a harness that regenerates
-every table and figure of the evaluation.
+six interchangeable instruction-queue designs (registered in
+:mod:`repro.core.registry`) — the paper's segmented dependence-chain IQ,
+an ideal monolithic IQ, the Michaud-Seznec prescheduler, the
+Canal-González distance scheme, Palacharla dependence FIFOs, and a
+load-delay-tracking scheduler — plus synthetic analogs of the paper's
+SPEC CPU2000 benchmark subset and a harness that regenerates every table
+and figure of the evaluation.
 
 Quickstart::
 
@@ -16,9 +18,8 @@ Quickstart::
     print(result.ipc)
 
 :func:`repro.api.run` is the single run entry point; it also threads
-observability (``trace=``, ``metrics=`` — see :mod:`repro.obs`),
-sampled simulation (``sampling=``), and result caching
-(``execution=ExecutionConfig(cache=...)``).
+observability (``trace=``, ``metrics=`` — see :mod:`repro.obs`) and
+result caching (``execution=ExecutionConfig(cache=...)``).
 """
 
 from repro.common import (IQParams, ProcessorParams, StatGroup,

@@ -4,7 +4,6 @@ Commands:
 
 * ``list``    — show the benchmark analogs and their characters
 * ``run``     — simulate one benchmark under one configuration
-* ``sample``  — checkpoint-based interval sampling (docs/sampling.md)
 * ``sweep``   — IPC-vs-IQ-size curves (Figure 3 style) for one benchmark
 * ``disasm``  — print a benchmark kernel's assembly listing
 * ``trace``   — structured event trace: pipeline diagram, Chrome
@@ -16,8 +15,8 @@ Commands:
 
 Every simulation command accepts the same common flags — ``--jobs N``
 (worker fan-out where the command has independent cells; see
-docs/fabric.md), ``--no-cache`` (skip the on-disk result/checkpoint
-cache), ``--progress SECONDS`` (heartbeat on stderr), and ``--json
+docs/fabric.md), ``--no-cache`` (skip the on-disk result cache),
+``--progress SECONDS`` (heartbeat on stderr), and ``--json
 PATH`` (machine-readable artifact alongside the rendered report) — via
 shared argparse parent parsers, and routes simulations through
 :func:`repro.api.run`.
@@ -48,7 +47,7 @@ def _common_parent() -> argparse.ArgumentParser:
                        help="concurrent workers for independent cells "
                             "(default: serial)")
     group.add_argument("--no-cache", action="store_true",
-                       help="skip the on-disk result/checkpoint cache")
+                       help="skip the on-disk result cache")
     group.add_argument("--progress", type=float, default=0.0,
                        metavar="SECONDS",
                        help="print a heartbeat to stderr every N seconds")
@@ -64,7 +63,7 @@ def _common_parent() -> argparse.ArgumentParser:
 
 
 def _config_parent() -> argparse.ArgumentParser:
-    """Processor-configuration flags shared by run/sample/trace."""
+    """Processor-configuration flags shared by run/trace/segments."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("configuration options")
     group.add_argument("--iq", default="segmented", choices=IQ_KINDS)
@@ -190,64 +189,6 @@ def cmd_run(args) -> int:
             print(f"  {key:<40} {stats[key]:.3f}")
     if args.json:
         _write_json(args.json, dataclasses.asdict(result))
-    return 0
-
-
-def cmd_sample(args) -> int:
-    import time
-
-    from repro import api
-    from repro.sampling import (CheckpointStore, SamplingConfig,
-                                sample_workload)
-
-    params = _params_from_args(args)
-    sampling = SamplingConfig(num_windows=args.windows,
-                              warmup_instructions=args.warmup,
-                              measure_instructions=args.measure,
-                              seed=args.seed)
-    store = None if args.no_cache else CheckpointStore()
-    started = time.perf_counter()
-    report = sample_workload(
-        args.workload, params, sampling, config_label=args.iq,
-        scale=args.scale, max_instructions=args.instructions,
-        jobs=_jobs(args), store=store,
-        progress=lambda line: print(f"  {line}...", file=sys.stderr))
-    sampled_seconds = time.perf_counter() - started
-    print(f"{report.workload} [{report.config}]  "
-          f"sampled IPC {report.ipc_estimate:.3f}  "
-          f"({report.confidence:.0%} CI "
-          f"[{report.ipc_ci_low:.3f}, {report.ipc_ci_high:.3f}], "
-          f"{report.estimator} estimator)")
-    print(f"  windows  : {len(report.windows)} x "
-          f"{sampling.measure_instructions} insts measured "
-          f"(+{sampling.warmup_instructions} warmup each), "
-          f"{report.dropped_windows} dropped")
-    print(f"  detail   : {report.detailed_instructions:,} of "
-          f"{report.total_instructions:,} insts "
-          f"({100 * report.detail_fraction:.1f}%), "
-          f"{report.detailed_cycles:,} detailed cycles, "
-          f"{sampled_seconds:.1f}s wall")
-    data = report.to_dict()
-    data["sampled_seconds"] = round(sampled_seconds, 3)
-    if args.compare_full:
-        started = time.perf_counter()
-        full = api.run(params, args.workload, config_label=args.iq,
-                       scale=args.scale,
-                       max_instructions=args.instructions)
-        full_seconds = time.perf_counter() - started
-        error = ((report.ipc_estimate - full.ipc) / full.ipc
-                 if full.ipc else 0.0)
-        ratio = (full.cycles / report.detailed_cycles
-                 if report.detailed_cycles else 0.0)
-        print(f"  full     : IPC {full.ipc:.3f} in {full_seconds:.1f}s — "
-              f"sampled error {100 * error:+.2f}%, "
-              f"{ratio:.1f}x fewer detailed cycles")
-        data["compare_full"] = {
-            "full_ipc": full.ipc, "full_cycles": full.cycles,
-            "full_seconds": round(full_seconds, 3),
-            "ipc_error": error, "detail_cycle_ratio": ratio}
-    if args.json:
-        _write_json(args.json, data)
     return 0
 
 
@@ -444,23 +385,6 @@ def main(argv=None) -> int:
     run_parser.add_argument("--check-invariants", action="store_true",
                             help="run per-cycle pipeline invariant checks")
 
-    sample_parser = sub.add_parser(
-        "sample", help="sampled simulation: checkpoints + interval windows",
-        parents=[common, config])
-    sample_parser.add_argument("workload", choices=sorted(WORKLOADS))
-    sample_parser.add_argument("--windows", type=int, default=10,
-                               help="number of measurement windows")
-    sample_parser.add_argument("--warmup", type=int, default=500,
-                               help="detailed warmup insts per window")
-    sample_parser.add_argument("--measure", type=int, default=500,
-                               help="measured insts per window")
-    sample_parser.add_argument("--scale", type=int, default=8,
-                               help="workload scale factor (longer stream)")
-    sample_parser.add_argument("--seed", type=int, default=0,
-                               help="window-placement jitter seed")
-    sample_parser.add_argument("--compare-full", action="store_true",
-                               help="also run full detail; report the error")
-
     sweep_parser = sub.add_parser("sweep", help="IQ size sweep",
                                   parents=[common])
     sweep_parser.add_argument("workload", choices=sorted(WORKLOADS))
@@ -565,7 +489,7 @@ def main(argv=None) -> int:
         os.environ["REPRO_KERNELS"] = args.kernels
         from repro.core.segmented.kernels import set_backend
         set_backend(args.kernels)
-    handler = {"list": cmd_list, "run": cmd_run, "sample": cmd_sample,
+    handler = {"list": cmd_list, "run": cmd_run,
                "sweep": cmd_sweep, "disasm": cmd_disasm, "trace": cmd_trace,
                "segments": cmd_segments, "reproduce": cmd_reproduce,
                "validate": cmd_validate, "surrogate": cmd_surrogate,

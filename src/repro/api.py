@@ -1,9 +1,9 @@
 """The single programmatic entry point for running one simulation.
 
 :func:`run` is what every in-repo caller — the CLI, :class:`Sweep`,
-:class:`Experiment`, the bench, the validation campaign, the sampling
-subsystem's full-run comparisons — goes through.  It composes the
-features that used to require picking the right helper by hand:
+:class:`Experiment`, the bench, the validation campaign — goes through.
+It composes the features that used to require picking the right helper
+by hand:
 
 * **observability** — ``trace=`` accepts a :class:`~repro.obs.Tracer`
   or a path (``.jsonl`` streams JSONL, anything else writes Chrome
@@ -11,8 +11,6 @@ features that used to require picking the right helper by hand:
   :class:`~repro.obs.MetricsConfig`, a sampling interval, or a ready
   :class:`~repro.obs.MetricsCollector` and lands the report in
   ``RunResult.metrics``;
-* **sampled simulation** — ``sampling=`` switches to the SMARTS-style
-  interval sampler and returns its extrapolated result;
 * **result caching** — ``execution=ExecutionConfig(cache=...)``
   consults a :class:`~repro.harness.cache.ResultCache` (only for plain
   runs: traced or metered runs always simulate, because their value
@@ -28,9 +26,8 @@ shim has been removed.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
-from repro.common.errors import ConfigurationError
 from repro.common.params import ProcessorParams
 from repro.fabric.executor import ExecutionConfig
 from repro.harness.runner import RunResult, resolve_workload
@@ -79,7 +76,6 @@ def run(params: ProcessorParams, workload, *,
         warm_code: bool = True,
         trace=None,
         metrics=None,
-        sampling=None,
         execution: Optional[ExecutionConfig] = None,
         progress=None,
         progress_interval: float = 5.0) -> RunResult:
@@ -104,18 +100,12 @@ def run(params: ProcessorParams, workload, *,
         ``None`` (off), a :class:`~repro.obs.MetricsConfig`, an ``int``
         sampling interval, or a :class:`~repro.obs.MetricsCollector`.
         The windowed time-series report lands in ``RunResult.metrics``.
-    sampling:
-        A :class:`~repro.sampling.SamplingConfig` switches to sampled
-        simulation (mutually exclusive with ``trace``/``metrics``).
     execution:
         An optional :class:`~repro.fabric.ExecutionConfig` — the same
         object :meth:`Sweep.run` and :meth:`Experiment.run` accept.  Its
         ``cache`` is a :class:`~repro.harness.cache.ResultCache`
         consulted for plain runs (no trace, no metrics) and populated on
-        miss; on the sampling path a ``CheckpointStore`` there is
-        forwarded to the sampler and other cache objects are ignored.
-        Its ``jobs`` is the sampling path's window fan-out worker count
-        (a plain run is a single cell and ignores it).
+        miss.  Its ``jobs`` is ignored: a run is a single cell.
     progress / progress_interval:
         Heartbeat callback receiving
         :class:`~repro.pipeline.processor.ProgressTick` records roughly
@@ -129,30 +119,9 @@ def run(params: ProcessorParams, workload, *,
     only if the run finished (an ``ExecutionError`` or a ``max_cycles``
     cut-off keeps none).
     """
-    if execution is None:
-        execution = ExecutionConfig()
-    jobs = execution.jobs
-    cache = execution.cache
-    if sampling is not None:
-        if trace is not None or metrics is not None:
-            raise ConfigurationError(
-                "sampling is mutually exclusive with trace/metrics: a "
-                "sampled run simulates disjoint windows, so a contiguous "
-                "event stream does not exist")
-        from repro.sampling.checkpoint import CheckpointStore
-        from repro.sampling.sampler import sample_workload
-        store = cache if isinstance(cache, CheckpointStore) else None
-        report = sample_workload(
-            workload, params, sampling,
-            config_label=config_label, scale=scale,
-            max_instructions=max_instructions, warm_code=warm_code,
-            jobs=1 if jobs is None else jobs, store=store,
-            progress=progress)
-        return report.to_run_result()
-
+    cache = execution.cache if execution is not None else None
     # Plain (cacheable) runs only: instrumented runs always simulate.
-    cacheable = (trace is None and metrics is None and cache is not None
-                 and hasattr(cache, "key_for"))
+    cacheable = trace is None and metrics is None and cache is not None
     spec = resolve_workload(workload)
     key = None
     if cacheable:

@@ -8,7 +8,7 @@ machine so every component contributes to one report.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 
 class Counter:
@@ -145,44 +145,6 @@ class StatGroup:
             counter.reset()
         for dist in self._distributions.values():
             dist.reset()
-
-    # -------------------------------------------------- snapshot / merge --
-    # The sampling subsystem simulates a run as independent measurement
-    # windows; each window's StatGroup is snapshotted in the worker and the
-    # snapshots are merged into one whole-run group by the stitcher.
-
-    def snapshot(self) -> Dict[str, Dict[str, List[float]]]:
-        """Plain-data capture of every stat (JSON- and pickle-safe).
-
-        Distributions are captured as ``[count, total, min, max]`` (the raw
-        internal extrema, so empty distributions round-trip exactly).
-        """
-        return {
-            "counters": {name: counter.value
-                         for name, counter in self._counters.items()},
-            "distributions": {
-                name: [dist.count, dist.total, dist._minimum, dist._maximum]
-                for name, dist in self._distributions.items()},
-        }
-
-    def merge_snapshot(self, snap: Dict[str, Dict]) -> None:
-        """Accumulate a :meth:`snapshot` into this group.
-
-        Counters add; distributions combine count/total and take the
-        elementwise min/max, so merging N window snapshots yields exactly
-        the stats of the concatenated windows.
-        """
-        for name, value in snap.get("counters", {}).items():
-            self.counter(name).value += value
-        for name, state in snap.get("distributions", {}).items():
-            dist = self.distribution(name)
-            count, total, minimum, maximum = state
-            dist.count += count
-            dist.total += total
-            if minimum < dist._minimum:
-                dist._minimum = minimum
-            if maximum > dist._maximum:
-                dist._maximum = maximum
 
     def as_dict(self) -> Dict[str, float]:
         """Flatten into a plain dict (counters by value, dists by mean/peak)."""

@@ -3320,8 +3320,7 @@ typedef struct {
     long long count;
     double total;
     /* The extremes as doubles, for comparison, and as the sampled
-     * objects that reached them (NULL until one did); exposed together
-     * as _minimum/_maximum, like the Python slots. */
+     * objects that reached them (NULL until one did). */
     double minimum;
     double maximum;
     PyObject *min_obj;
@@ -3442,46 +3441,6 @@ Dist_extreme(PyObject *obj, double value)
     return PyFloat_FromDouble(value);
 }
 
-static int
-Dist_set_extreme(PyObject *arg, PyObject **obj, double *value)
-{
-    if (arg == NULL) {
-        PyErr_SetString(PyExc_AttributeError, "cannot delete an extreme");
-        return -1;
-    }
-    double converted = PyFloat_AsDouble(arg);
-    if (converted == -1.0 && PyErr_Occurred())
-        return -1;
-    *value = converted;
-    Py_INCREF(arg);
-    Py_XSETREF(*obj, arg);
-    return 0;
-}
-
-static PyObject *
-Dist_get_raw_minimum(DistObj *self, void *Py_UNUSED(closure))
-{
-    return Dist_extreme(self->min_obj, self->minimum);
-}
-
-static int
-Dist_set_raw_minimum(DistObj *self, PyObject *arg, void *Py_UNUSED(closure))
-{
-    return Dist_set_extreme(arg, &self->min_obj, &self->minimum);
-}
-
-static PyObject *
-Dist_get_raw_maximum(DistObj *self, void *Py_UNUSED(closure))
-{
-    return Dist_extreme(self->max_obj, self->maximum);
-}
-
-static int
-Dist_set_raw_maximum(DistObj *self, PyObject *arg, void *Py_UNUSED(closure))
-{
-    return Dist_set_extreme(arg, &self->max_obj, &self->maximum);
-}
-
 static PyObject *
 Dist_get_minimum(DistObj *self, void *Py_UNUSED(closure))
 {
@@ -3545,10 +3504,6 @@ static PyMemberDef Dist_members[] = {
 };
 
 static PyGetSetDef Dist_getset[] = {
-    {"_minimum", (getter)Dist_get_raw_minimum,
-     (setter)Dist_set_raw_minimum, NULL, NULL},
-    {"_maximum", (getter)Dist_get_raw_maximum,
-     (setter)Dist_set_raw_maximum, NULL, NULL},
     {"minimum", (getter)Dist_get_minimum, NULL, NULL, NULL},
     {"maximum", (getter)Dist_get_maximum, NULL, NULL, NULL},
     {"mean", (getter)Dist_get_mean, NULL, NULL, NULL},

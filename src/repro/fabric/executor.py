@@ -1,7 +1,7 @@
 """The fabric driver: cache, journal, and ordering over a process pool.
 
 :class:`Executor` is what grid-shaped callers (sweeps, experiments,
-sampling, validation campaigns, the CLI) use, and :class:`ExecutionConfig`
+validation campaigns, the CLI) use, and :class:`ExecutionConfig`
 is the one spelling of worker count, cache and journal they all accept.  The executor runs each batch on a
 :class:`concurrent.futures.ProcessPoolExecutor` of its own and owns:
 
@@ -33,7 +33,7 @@ from concurrent.futures import (FIRST_COMPLETED, CancelledError, Future,
                                 ProcessPoolExecutor, wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.fabric.cells import (CellError, CellResult, RunSpec,
@@ -41,6 +41,9 @@ from repro.fabric.cells import (CellError, CellResult, RunSpec,
                                 relabel)
 from repro.fabric.journal import SweepJournal
 from repro.harness.runner import RunResult
+
+if TYPE_CHECKING:
+    from repro.harness.cache import ResultCache
 
 
 @dataclass
@@ -63,7 +66,7 @@ class ExecutionConfig:
     #: Only "local-process"; kept because bench/workload.py passes it.
     backend: str = "local-process"
     jobs: Optional[int] = None
-    cache: object = None
+    cache: Optional["ResultCache"] = None
     journal: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -89,8 +92,14 @@ class Executor:
         self.fell_back_to_serial = False
 
     # ------------------------------------------------------------- specs --
-    def run_specs(self, specs: Sequence[RunSpec]) -> List[CellResult]:
-        """Run simulation cells; cache hits are free, order is input order."""
+    def run_specs(self, specs: Sequence[RunSpec],
+                  progress: Optional[Callable[[str], None]] = None
+                  ) -> List[CellResult]:
+        """Run simulation cells; cache hits are free, order is input order.
+
+        ``progress(label)`` hears each cell as it is served: a cache hit
+        when it is looked up, a cold cell just before a worker starts it.
+        """
         journal = self._open_journal()
         results: List[Optional[CellResult]] = [None] * len(specs)
         cold: List[tuple] = []           # (index, spec, key)
@@ -99,6 +108,8 @@ class Executor:
             key = self._key_for(spec)
             hit = self.cache.get(key) if key is not None else None
             if hit is not None:
+                if progress is not None:
+                    progress(spec.label)
                 results[index] = relabel(hit, spec.config_label)
                 if journal is not None and not journal.done(key):
                     journal.record(key, "cached", spec.label)
@@ -109,12 +120,14 @@ class Executor:
             cold.append((index, spec, key))
 
         if cold:
-            self._run_cold(cold, results, journal)
+            self._run_cold(cold, results, journal, progress)
         return results
 
-    def _run_cold(self, cold, results, journal) -> None:
+    def _run_cold(self, cold, results, journal, progress) -> None:
         def start(position: int) -> None:
             _index, spec, key = cold[position]
+            if progress is not None:
+                progress(spec.label)
             if journal is not None and key is not None:
                 journal.record(key, "running", spec.label)
 
@@ -135,7 +148,7 @@ class Executor:
                     retire, start)
 
     def _key_for(self, spec: RunSpec) -> Optional[str]:
-        if self.cache is None or not hasattr(self.cache, "key_for"):
+        if self.cache is None:
             return None
         return self.cache.key_for(spec.workload, spec.params,
                                   **spec.cache_kwargs())
@@ -144,7 +157,7 @@ class Executor:
         target = self.execution.journal
         if target is None:
             return None
-        if self.cache is None or not hasattr(self.cache, "key_for"):
+        if self.cache is None:
             raise ConfigurationError(
                 "journaled execution needs a ResultCache: the journal "
                 "records cell states by cache key and resumes from "

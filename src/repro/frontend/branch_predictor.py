@@ -111,22 +111,3 @@ class HybridBranchPredictor:
     def accuracy(self) -> float:
         total = self.stat_correct.value + self.stat_mispredicts.value
         return self.stat_correct.value / total if total else 0.0
-
-    # --------------------------------------------------------- warm state --
-    def state_dict(self) -> dict:
-        """Predictor tables as plain data (for checkpoints; JSON-safe)."""
-        return {
-            "global_history": self._global_history,
-            "global_pht": list(self._global_pht),
-            "local_histories": list(self._local_histories),
-            "local_pht": list(self._local_pht),
-            "choice_pht": list(self._choice_pht),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Install tables captured by :meth:`state_dict` (stats untouched)."""
-        self._global_history = state["global_history"]
-        self._global_pht = list(state["global_pht"])
-        self._local_histories = list(state["local_histories"])
-        self._local_pht = list(state["local_pht"])
-        self._choice_pht = list(state["choice_pht"])

@@ -47,15 +47,3 @@ class BranchTargetBuffer:
         elif len(btb_set) >= self.assoc:
             btb_set.pop()
         btb_set.insert(0, pc)
-
-    # --------------------------------------------------------- warm state --
-    def state_dict(self) -> list:
-        """Tag sets (MRU-first) as plain data for checkpoints."""
-        return [list(btb_set) for btb_set in self._sets]
-
-    def load_state(self, sets: list) -> None:
-        """Install sets captured by :meth:`state_dict` (stats untouched)."""
-        if len(sets) != self.num_sets:
-            raise ValueError(f"BTB snapshot has {len(sets)} sets, "
-                             f"this BTB has {self.num_sets}")
-        self._sets = [list(btb_set) for btb_set in sets]

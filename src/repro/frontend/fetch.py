@@ -264,18 +264,6 @@ class FrontEnd:
             self._pipeline.popleft()
         return inst
 
-    # --------------------------------------------------------- warm state --
-    def warm_state(self) -> dict:
-        """Branch-predictor + BTB state for architectural checkpoints."""
-        return {"bpred": self.bpred.state_dict(),
-                "btb": self.btb.state_dict()}
-
-    def load_warm_state(self, state: dict) -> None:
-        """Install front-end predictor state captured by :meth:`warm_state`
-        (or produced by functional warming — see ``repro.sampling``)."""
-        self.bpred.load_state(state["bpred"])
-        self.btb.load_state(state["btb"])
-
     # ------------------------------------------------------- resolutions --
     def branch_resolved(self, inst: DynInst, cycle: int) -> None:
         """The core resolved a mispredicted branch; fetch resumes next cycle."""

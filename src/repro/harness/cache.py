@@ -16,9 +16,6 @@ Entries live as individual JSON files under ``$REPRO_CACHE_DIR`` (default
 ``~/.cache/repro``).  A corrupt or unreadable entry is *quarantined*
 (moved aside for postmortem, bounded in count) and the cell is
 recomputed; the cache never makes a run fail.
-
-Growth is bounded by a :class:`GCPolicy` — size, age, and entry-count
-limits applied oldest-first by :func:`prune_dir` / :meth:`ResultCache.gc`.
 """
 
 from __future__ import annotations
@@ -28,8 +25,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -102,90 +97,31 @@ def run_key(workload: str, params: ProcessorParams, *,
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class GCPolicy:
-    """Bounds for an on-disk result store (``None`` = unbounded).
-
-    Applied oldest-first (by mtime): entries older than
-    ``max_age_seconds`` go first, then the oldest survivors until both
-    ``max_bytes`` and ``max_entries`` hold.  Applied by
-    :meth:`ResultCache.gc` and to the cache's quarantine directory.
-    """
-
-    max_bytes: Optional[int] = None
-    max_age_seconds: Optional[float] = None
-    max_entries: Optional[int] = None
-
-    @property
-    def bounded(self) -> bool:
-        return (self.max_bytes is not None
-                or self.max_age_seconds is not None
-                or self.max_entries is not None)
-
-
-@dataclass
-class GCStats:
-    """What one garbage-collection pass did."""
-
-    scanned: int = 0
-    removed: int = 0
-    bytes_freed: int = 0
-
-
-def prune_dir(directory: os.PathLike, policy: GCPolicy, *,
-              suffix: str = ".json",
-              now: Optional[float] = None) -> GCStats:
-    """Apply ``policy`` to every ``suffix`` file in ``directory``.
+def prune_dir(directory: os.PathLike, keep: int, *,
+              suffix: str = ".json") -> None:
+    """Delete all but the ``keep`` newest (by mtime) ``suffix`` files in
+    ``directory``, oldest first.
 
     Deletion errors are ignored (another process may be pruning the same
-    store); the pass never raises.
+    directory); the pass never raises.
     """
-    stats = GCStats()
     directory = Path(directory)
-    if not policy.bounded or not directory.is_dir():
-        return stats
+    if not directory.is_dir():
+        return
     entries = []
     for path in directory.iterdir():
         if not path.name.endswith(suffix):
             continue
         try:
-            info = path.stat()
+            entries.append((path.stat().st_mtime, path))
         except OSError:
             continue
-        entries.append((info.st_mtime, info.st_size, path))
     entries.sort()                                   # oldest first
-    stats.scanned = len(entries)
-    now = time.time() if now is None else now
-    total_bytes = sum(size for _mtime, size, _path in entries)
-    keep = []
-    for mtime, size, path in entries:
-        if (policy.max_age_seconds is not None
-                and now - mtime > policy.max_age_seconds):
-            stats.removed += 1
-            stats.bytes_freed += size
-            total_bytes -= size
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        else:
-            keep.append((size, path))
-    over_count = (len(keep) - policy.max_entries
-                  if policy.max_entries is not None else 0)
-    for size, path in keep:
-        over_bytes = (policy.max_bytes is not None
-                      and total_bytes > policy.max_bytes)
-        if over_count <= 0 and not over_bytes:
-            break
-        stats.removed += 1
-        stats.bytes_freed += size
-        total_bytes -= size
-        over_count -= 1
+    for _mtime, path in entries[:max(0, len(entries) - keep)]:
         try:
             path.unlink()
         except OSError:
             pass
-    return stats
 
 
 class ResultCache:
@@ -193,8 +129,7 @@ class ResultCache:
 
     ``token`` overrides the source-version token (tests use this to prove
     invalidation); ``enabled=False`` turns every operation into a no-op so
-    callers can thread one object through unconditionally.  :meth:`gc`
-    bounds the store on demand.
+    callers can thread one object through unconditionally.
     """
 
     #: Quarantined corrupt entries kept for postmortem, oldest pruned.
@@ -259,17 +194,11 @@ class ResultCache:
             except OSError:
                 pass
             return
-        prune_dir(target_dir, GCPolicy(max_entries=self.MAX_QUARANTINE))
+        prune_dir(target_dir, self.MAX_QUARANTINE)
 
     @property
     def quarantine_dir(self) -> Path:
         return self.directory / "quarantine"
-
-    def gc(self, policy: Optional[GCPolicy] = None) -> GCStats:
-        """Prune the store to ``policy``; without one, prune nothing."""
-        if policy is None or not self.enabled:
-            return GCStats()
-        return prune_dir(self.directory, policy)
 
     def put(self, key: str, result: RunResult) -> None:
         """Store a result (atomic write so readers never see a torn file)."""

@@ -46,8 +46,7 @@ class ExperimentRunner:
     def __init__(self, workloads: Sequence[str],
                  budget_factor: float = 1.0,
                  progress: Optional[Callable[[str], None]] = None, *,
-                 execution=None,
-                 sampling=None, sampling_scale: int = 1) -> None:
+                 execution=None) -> None:
         unknown = set(workloads) - set(WORKLOADS)
         if unknown:
             raise KeyError(f"unknown workloads: {sorted(unknown)}")
@@ -55,27 +54,19 @@ class ExperimentRunner:
         self.budget_factor = budget_factor
         self.progress = progress
         self.execution = execution
-        #: Optional SamplingConfig: estimate every cell by interval
-        #: sampling (at ``sampling_scale``x the workload size) instead of
-        #: simulating it in full detail.
-        self.sampling = sampling
-        self.sampling_scale = sampling_scale
         self._cache: Dict[Tuple[str, str], RunResult] = {}
         self._recording: Optional[Dict[Tuple[str, str], Callable]] = None
 
     def _budget(self, workload: str) -> int:
         spec = WORKLOADS[workload]
-        scale = self.sampling_scale if self.sampling is not None else 1
         return max(2_000, int(spec.default_instructions
-                              * self.budget_factor * scale))
+                              * self.budget_factor))
 
     def _run_grid(self, cells) -> List[RunResult]:
         return run_grid(cells,
                         budgets={workload: self._budget(workload)
                                  for workload, _key, _params in cells},
-                        execution=self.execution, progress=self.progress,
-                        sampling=self.sampling,
-                        sampling_scale=self.sampling_scale)
+                        execution=self.execution, progress=self.progress)
 
     def run(self, workload: str, config_key: str,
             params_factory) -> RunResult:
@@ -142,8 +133,7 @@ class Experiment:
     def run(self, workloads: Optional[Sequence[str]] = None,
             budget_factor: float = 1.0,
             progress: Optional[Callable[[str], None]] = None, *,
-            execution=None,
-            sampling=None, sampling_scale: int = 1) -> Tuple[str, dict]:
+            execution=None) -> Tuple[str, dict]:
         """Returns (rendered report, raw data dict).
 
         The experiment's whole grid runs as one planned batch (see
@@ -151,16 +141,11 @@ class Experiment:
         :class:`~repro.fabric.ExecutionConfig` placing that batch:
         ``jobs`` > 1 fans it out in parallel, ``cache`` reuses results
         across invocations (see :mod:`repro.harness.cache`), and
-        ``journal`` records each cell's state.  ``sampling`` estimates
-        every cell by interval sampling instead of full-detail
-        simulation (see :mod:`repro.sampling`) — faster, with a small
-        statistical error the sampled stats quantify.
+        ``journal`` records each cell's state.
         """
         runner = ExperimentRunner(workloads or sorted(WORKLOADS),
                                   budget_factor, progress,
-                                  execution=execution,
-                                  sampling=sampling,
-                                  sampling_scale=sampling_scale)
+                                  execution=execution)
         runner.prefetch(self.build)
         return self.build(runner)
 

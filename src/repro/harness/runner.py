@@ -1,7 +1,7 @@
 """Run-result record and workload resolution.
 
 All simulation goes through :func:`repro.api.run`, the single entry
-point that also threads tracing, metrics, sampling, and result caching;
+point that also threads tracing, metrics, and result caching;
 this module holds the :class:`RunResult` value it returns and the
 workload-name resolver the harness shares.  (The deprecated
 ``run_workload`` shim that used to live here is gone — call

@@ -50,9 +50,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.params import ProcessorParams
+from repro.common.stats import StatGroup
+from repro.frontend.branch_predictor import HybridBranchPredictor
+from repro.frontend.btb import BranchTargetBuffer
 from repro.harness.sweep import Cell, run_grid
 from repro.isa.executor import execute
-from repro.isa.opcodes import FUClass
+from repro.isa.instruction import DynInst
+from repro.isa.opcodes import FUClass, OpClass
 from repro.workloads import WORKLOADS
 
 #: Documented accuracy contract: mean absolute relative IPC error of the
@@ -146,17 +150,103 @@ class SurrogatePrediction:
         return self.ipc * (1.0 + self.uncertainty)
 
 
+class TagArray:
+    """Tag/LRU/dirty-only cache model for functional warming.
+
+    Mirrors the residency behaviour of :class:`repro.memory.cache.Cache`:
+    same set indexing, MRU-first LRU order, allocate-on-miss with the miss
+    access's write-ness as the initial dirty bit, LRU eviction.  No
+    timing, no MSHRs, no bandwidth: timing-dependent contents (lines
+    brought in by overlapping misses in a different order) can differ
+    slightly from a detailed run.
+    """
+
+    def __init__(self, params) -> None:
+        self.params = params
+        self._num_sets = params.num_sets
+        self._assoc = params.assoc
+        self._line_shift = params.line_bytes.bit_length() - 1
+        # Per set: [line_addr, dirty] entries, most-recently-used first.
+        self._sets: List[List[List]] = [[] for _ in range(self._num_sets)]
+
+    def line_addr(self, addr: int) -> int:
+        return addr >> self._line_shift
+
+    def access(self, addr: int, is_write: bool = False) -> bool:
+        """Touch ``addr``; returns True on a hit, allocating on a miss."""
+        line = self.line_addr(addr)
+        cache_set = self._sets[line % self._num_sets]
+        for position, entry in enumerate(cache_set):
+            if entry[0] == line:
+                if position:
+                    cache_set.pop(position)
+                    cache_set.insert(0, entry)
+                if is_write:
+                    entry[1] = True
+                return True
+        if len(cache_set) >= self._assoc:
+            cache_set.pop()
+        cache_set.insert(0, [line, is_write])
+        return False
+
+    def warm_line(self, addr: int, dirty: bool = False) -> None:
+        """Pre-install a line without counting it as a reference
+        (mirrors :meth:`repro.memory.cache.Cache.warm_line`)."""
+        line = self.line_addr(addr)
+        cache_set = self._sets[line % self._num_sets]
+        if any(entry[0] == line for entry in cache_set):
+            return
+        if len(cache_set) >= self._assoc:
+            cache_set.pop()
+        cache_set.insert(0, [line, dirty])
+
+
+class BranchWarmer:
+    """Replays ``FrontEnd._predict``'s exact predictor/BTB update sequence.
+
+    The front end is trace-driven off the correct path, so its predictor
+    state is a pure function of the instruction stream and this replica
+    with the real predictor and BTB classes is exact.  The BTB's LRU
+    order depends on *lookup* order too, so lookups are reproduced even
+    though their results are discarded.
+    """
+
+    def __init__(self, params: ProcessorParams) -> None:
+        self._scratch = StatGroup("warming")
+        self.bpred = HybridBranchPredictor(params.branch, self._scratch)
+        self.btb = BranchTargetBuffer(params.branch, self._scratch)
+        self.branches = 0
+        self.mispredicts = 0
+
+    def observe(self, dyn: DynInst) -> None:
+        static = dyn.static
+        if static.info.op_class is OpClass.JUMP:
+            self.btb.lookup(dyn.pc)
+            self.btb.insert(dyn.pc)
+            return
+        if not static.is_branch:
+            return
+        self.branches += 1
+        correct = self.bpred.update(dyn.pc, dyn.taken)
+        if not correct:
+            self.mispredicts += 1
+        if dyn.taken:
+            if correct:
+                self.btb.lookup(dyn.pc)
+            self.btb.insert(dyn.pc)
+
+
 def collect_profile(workload: str, *, scale: int = 1,
                     max_instructions: Optional[int] = None,
                     params: Optional[ProcessorParams] = None
                     ) -> WorkloadProfile:
     """One functional pass: FU mix, critical path, miss and branch counts.
 
-    Uses the sampling subsystem's functional warming models (tag-only
-    caches, predictor replica) so the profile sees exactly the residency
-    behaviour the detailed hierarchy would, at interpreter speed.
+    Uses functional warming models (:class:`TagArray` caches,
+    :class:`BranchWarmer` predictor replica) so the profile sees the
+    residency behaviour the detailed hierarchy would, at interpreter
+    speed.
     """
-    from repro.sampling.warming import BranchWarmer, TagArray
     spec = WORKLOADS[workload]
     program = spec.build(scale)
     base = params if params is not None else ProcessorParams()

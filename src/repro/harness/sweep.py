@@ -120,8 +120,7 @@ class Sweep:
         return self
 
     def run(self, metric: str = "ipc", *,
-            execution: Optional[ExecutionConfig] = None,
-            sampling=None, sampling_scale: int = 1) -> SweepGrid:
+            execution: Optional[ExecutionConfig] = None) -> SweepGrid:
         """Run every (workload, config) cell and collect the grid.
 
         ``execution`` is an optional
@@ -131,16 +130,6 @@ class Sweep:
         the cells out over a process pool (cells are independent;
         results are deterministic and ordered either way); cached cells
         skip simulation entirely.
-
-        ``sampling`` is an optional
-        :class:`~repro.sampling.SamplingConfig`: when given, every cell
-        runs as a sampled simulation (checkpoint + interval windows)
-        instead of full detail, and the grid's IPC values are sampled
-        estimates carrying ``sampling.*`` stats (CI bounds, detail
-        fraction).  ``sampling_scale`` scales the workloads up so the
-        stream is long enough to sample; the on-disk ``cache`` is not
-        consulted for sampled cells (estimates are not exchangeable with
-        full-detail results).
         """
         if not self._configs:
             raise ValueError("no configurations added")
@@ -148,9 +137,7 @@ class Sweep:
                  for workload in self.workloads
                  for label, params in self._configs]
         outcomes = run_grid(cells, max_instructions=self.max_instructions,
-                            execution=execution, progress=self.progress,
-                            sampling=sampling,
-                            sampling_scale=sampling_scale)
+                            execution=execution, progress=self.progress)
         results: Dict[str, Dict[str, RunResult]] = {
             workload: {} for workload in self.workloads}
         for (workload, label, _params), result in zip(cells, outcomes):
@@ -169,18 +156,17 @@ def run_grid(cells: Sequence[Cell], *,
              max_instructions: Optional[int] = None,
              budgets: Optional[Dict[str, int]] = None,
              execution: Optional[ExecutionConfig] = None,
-             progress: Optional[Callable[[str], None]] = None,
-             sampling=None, sampling_scale: int = 1) -> List[RunResult]:
+             progress: Optional[Callable[[str], None]] = None
+             ) -> List[RunResult]:
     """Run ``(workload, label, params)`` cells; results in input order.
 
     Every grid in the package (sweeps, experiments, the surrogate's
     validation report) runs through here.  A cell's instruction budget
     is ``budgets[workload]`` when given, else ``max_instructions``.
-    Cells run in full detail by default, or as sampled estimates with
-    ``sampling`` (a :class:`~repro.sampling.SamplingConfig`, at
-    ``sampling_scale``).  ``execution`` places the cells; ``jobs=None``
-    runs them serially.  ``progress(line)`` hears one line per cell
-    before it runs.  Raises :class:`RuntimeError` when any cell fails.
+    ``execution`` places the cells; ``jobs=None`` runs them serially.
+    ``progress(line)`` hears one ``workload/label`` line per cell as it
+    starts (or as its cached result is served).  Raises
+    :class:`RuntimeError` when any cell fails.
     """
     from repro.fabric import Executor, RunSpec, raise_on_errors
     if execution is None:
@@ -193,24 +179,10 @@ def run_grid(cells: Sequence[Cell], *,
             return budgets.get(workload, max_instructions)
         return max_instructions
 
-    if progress is not None:
-        suffix = " (sampled)" if sampling is not None else ""
-        for workload, label, _params in cells:
-            progress(f"{workload}/{label}{suffix}")
-    executor = Executor(execution)
-    if sampling is not None:
-        from repro.sampling.sampler import SampledRunSpec, run_sampled_cell
-        results = executor.map(
-            run_sampled_cell,
-            [SampledRunSpec(workload, params, config_label=label,
-                            sampling=sampling, scale=sampling_scale,
-                            max_instructions=budget(workload))
-             for workload, label, params in cells],
-            labels=[f"{workload}/{label}" for workload, label, _ in cells])
-    else:
-        results = executor.run_specs(
-            [RunSpec(workload, params, config_label=label,
-                     max_instructions=budget(workload))
-             for workload, label, params in cells])
+    results = Executor(execution).run_specs(
+        [RunSpec(workload, params, config_label=label,
+                 max_instructions=budget(workload))
+         for workload, label, params in cells],
+        progress=progress)
     raise_on_errors(results, "grid")
     return results

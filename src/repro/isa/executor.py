@@ -17,9 +17,10 @@ always write ``int`` (operands are coerced with ``int()``), floating-point
 opcodes always write ``float``, and uninitialized cells are the integer
 ``0`` in both the register file and memory.  ``Program.initial_memory``
 values are stored exactly as the workload builder provided them.  This
-type-stability is load-bearing for the sampling subsystem: architectural
-checkpoints serialize state as canonical JSON, and a byte-stable encoding
-requires int-ness/float-ness of every cell to be reproducible
+type-stability is load-bearing for the program-image digests
+(``tests/isa/test_program_image.py``): they hash
+:meth:`MachineState.snapshot` as canonical JSON, and a byte-stable
+encoding requires int-ness/float-ness of every cell to be reproducible
 (``0`` and ``0.0`` compare equal but serialize differently).
 """
 
@@ -38,9 +39,8 @@ class MachineState:
     """Architectural state: register file, flat data memory, and the
     execution cursor (pc / halt flag / dynamic-instruction index).
 
-    The cursor lives here so a state can be snapshotted mid-stream and
-    execution resumed from the snapshot (see :meth:`snapshot`,
-    :meth:`restore`, and :func:`execute_from`).
+    The cursor lives here so execution can continue from wherever a
+    state stands (see :func:`execute_from`).
     """
 
     def __init__(self, program: Program) -> None:
@@ -78,7 +78,7 @@ class MachineState:
     def store(self, byte_addr: int, value: Value) -> None:
         self.memory[self.mem_word_index(byte_addr)] = value
 
-    # ------------------------------------------------- snapshot / restore --
+    # ------------------------------------------------------------ snapshot --
     def snapshot(self) -> Dict[str, object]:
         """Plain-data capture of the architectural state.
 
@@ -93,21 +93,6 @@ class MachineState:
             "regs": list(self.regs),
             "memory": list(self.memory),
         }
-
-    @classmethod
-    def restore(cls, program: Program, snap: Dict[str, object]) -> "MachineState":
-        """Rebuild a state captured by :meth:`snapshot` against ``program``."""
-        state = cls.__new__(cls)
-        state.program = program
-        state.regs = list(snap["regs"])
-        state.memory = list(snap["memory"])
-        if len(state.regs) != NUM_REGS:
-            raise ExecutionError(
-                f"snapshot has {len(state.regs)} registers, need {NUM_REGS}")
-        state.pc = snap["pc"]
-        state.halted = snap["halted"]
-        state.instruction_count = snap["instruction_count"]
-        return state
 
 
 def _branch_taken(opcode: Opcode, a: float, b: float) -> bool:
@@ -274,10 +259,11 @@ def execute_from(state: MachineState,
     wherever ``state`` currently stands.
 
     ``max_instructions`` is an *absolute* dynamic-instruction index (the
-    same axis as ``state.instruction_count``), so resuming a snapshot taken
-    at index K with ``max_instructions=N`` yields exactly the instructions
-    an uninterrupted ``execute(program, max_instructions=N)`` would have
-    yielded from index K on.  ``state`` is mutated in place.
+    same axis as ``state.instruction_count``), so continuing a state that
+    stands at index K with ``max_instructions=N`` yields exactly the
+    instructions an uninterrupted ``execute(program, max_instructions=N)``
+    would have yielded from index K on.  ``state`` is mutated in place.
+    :func:`execute` and :func:`run_functional` run on it.
     """
     code = state.program.instructions
     limit = max_instructions if max_instructions is not None else float("inf")

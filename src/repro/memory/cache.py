@@ -289,26 +289,6 @@ class Cache:
                 self.stat_misses.inc()
                 self._allocate_mshr(line, is_write, callback)
 
-    # --------------------------------------------------------- warm state --
-    def tag_state(self) -> List[List[List]]:
-        """Tag/LRU/dirty state as plain data: per set, MRU-first
-        ``[line_addr, dirty]`` pairs.  In-flight MSHR state is deliberately
-        not captured — checkpoints are taken at quiesced (functional)
-        points where no misses are outstanding.
-        """
-        return [[list(entry) for entry in cache_set]
-                for cache_set in self._sets]
-
-    def load_tag_state(self, sets: List[List[List]]) -> None:
-        """Install tag state captured by :meth:`tag_state` (or produced by
-        functional warming).  Stats and MSHRs are untouched."""
-        if len(sets) != self._num_sets:
-            raise ValueError(f"{self.name}: snapshot has {len(sets)} sets, "
-                             f"this cache has {self._num_sets}")
-        self.version += 1
-        self._sets = [[list(entry)[:2] for entry in cache_set]
-                      for cache_set in sets]
-
     # ------------------------------------------------------------- admin --
     def warm_line(self, addr: int, dirty: bool = False) -> None:
         """Pre-install the line containing ``addr`` (for tests/warmup)."""

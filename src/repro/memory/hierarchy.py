@@ -52,17 +52,3 @@ class MemoryHierarchy:
     def would_hit_l1d(self, addr: int) -> bool:
         """Is ``addr`` resident in the L1 data cache right now?"""
         return self.l1d.would_hit(addr)
-
-    # --------------------------------------------------------- warm state --
-    def tag_state(self) -> dict:
-        """Tag/LRU/dirty state of every level, as plain data."""
-        return {"l1i": self.l1i.tag_state(),
-                "l1d": self.l1d.tag_state(),
-                "l2": self.l2.tag_state()}
-
-    def load_tag_state(self, state: dict) -> None:
-        """Install per-level tag state captured by :meth:`tag_state` (or
-        produced by functional warming — see ``repro.sampling``)."""
-        self.l1i.load_tag_state(state["l1i"])
-        self.l1d.load_tag_state(state["l1d"])
-        self.l2.load_tag_state(state["l2"])

@@ -406,22 +406,6 @@ class Processor:
             for byte_addr in range(start, start + segment.bytes, line):
                 self.memory.l2.warm_line(byte_addr)
 
-    def load_warm_state(self, warm: Dict[str, dict]) -> None:
-        """Install microarchitectural state from an architectural checkpoint.
-
-        ``warm`` is the checkpoint's warm-state dict (see
-        :mod:`repro.sampling.checkpoint`): branch predictor + BTB tables
-        under ``"frontend"``, per-level cache tags under ``"caches"``.
-        Must be called before the first :meth:`step`.
-        """
-        if self.cycle:
-            raise ConfigurationError(
-                "warm state must be installed before simulation starts")
-        if "frontend" in warm:
-            self.frontend.load_warm_state(warm["frontend"])
-        if "caches" in warm:
-            self.memory.load_tag_state(warm["caches"])
-
     # --------------------------------------------------------------- run --
     @property
     def done(self) -> bool:
@@ -431,38 +415,31 @@ class Processor:
         return all(map(self._thread_done, range(self.num_threads)))
 
     def run(self, max_cycles: Optional[int] = None, *,
-            max_committed: Optional[int] = None,
             progress: Optional[Callable[[ProgressTick], None]] = None,
             progress_interval: float = 5.0) -> StatGroup:
         """Simulate until the program halts (or a budget is exhausted).
 
-        ``max_cycles`` bounds simulated cycles; ``max_committed`` stops the
-        simulation at the end of the first cycle in which the cumulative
-        commit count reaches it (the sampling subsystem uses this to end
-        warmup and measurement phases on instruction boundaries).  Both
-        budgets are cumulative across repeated ``run`` calls, so a run can
-        be resumed by calling ``run`` again with a larger budget.
+        ``max_cycles`` bounds simulated cycles.  The budget is cumulative
+        across repeated ``run`` calls, so a run can be resumed by calling
+        ``run`` again with a larger budget.
 
         ``progress``, if given, is called with a :class:`ProgressTick`
         roughly every ``progress_interval`` wall-clock seconds — the
         heartbeat behind the CLI's ``--progress N``.
         """
         limit = max_cycles if max_cycles is not None else 1 << 62
-        commit_limit = max_committed if max_committed is not None else 1 << 62
         self._cycle_limit = limit
         self._skip_enabled = (self._event_driven
                               and self.invariant_checker is None)
         try:
             if progress is None:
-                while (not self.done and self.cycle < limit
-                       and self.committed < commit_limit):
+                while not self.done and self.cycle < limit:
                     self.step()
             else:
                 start = last = time.monotonic()
                 last_cycle = self.cycle
                 next_check = self.cycle + _PROGRESS_STRIDE
-                while (not self.done and self.cycle < limit
-                       and self.committed < commit_limit):
+                while not self.done and self.cycle < limit:
                     self.step()
                     if self.cycle >= next_check:
                         next_check = self.cycle + _PROGRESS_STRIDE

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common import stats
 from repro.common._ckload import compiled_kernels
 from repro.common.stats import (Counter, Distribution, PyDistribution,
                                 StatGroup, ratio)
@@ -113,47 +112,6 @@ class TestStatGroup:
         assert "100" in text
 
 
-class TestSnapshotMerge:
-    """Window-scoped stat stitching for the sampling subsystem."""
-
-    def _window(self, commits, occ_samples):
-        group = StatGroup("window")
-        group.counter("commits").inc(commits)
-        for value in occ_samples:
-            group.distribution("iq.occ").sample(value)
-        return group
-
-    def test_snapshot_is_plain_data(self):
-        snap = self._window(5, [1, 3]).snapshot()
-        assert snap["counters"] == {"commits": 5}
-        assert snap["distributions"]["iq.occ"] == [2, 4, 1, 3]
-
-    def test_merge_equals_concatenation(self):
-        """Merging N window snapshots == stats of the concatenated stream."""
-        windows = [(3, [1, 5]), (7, [2]), (4, [9, 0, 3])]
-        merged = StatGroup("merged")
-        for commits, samples in windows:
-            merged.merge_snapshot(self._window(commits, samples).snapshot())
-        direct = self._window(sum(c for c, _ in windows),
-                              [v for _, samples in windows for v in samples])
-        assert merged.as_dict() == direct.as_dict()
-
-    def test_merge_into_empty_preserves_extrema(self):
-        group = StatGroup()
-        group.merge_snapshot(self._window(1, [4, 8]).snapshot())
-        dist = dict((name, d) for name, d in
-                    ((d.name, d) for d in group.distributions()))["iq.occ"]
-        assert dist.minimum == 4
-        assert dist.maximum == 8
-
-    def test_empty_distribution_round_trips(self):
-        group = StatGroup()
-        group.distribution("never.sampled")
-        clone = StatGroup()
-        clone.merge_snapshot(group.snapshot())
-        assert clone.as_dict() == group.as_dict()
-
-
 #: Sample sequences as ``(value,)`` for ``sample`` or ``(value, repeats)``
 #: for ``sample_n``; "mixed" ties an int and a float at each extreme.
 VALUE_TYPE_SEQUENCES = {
@@ -189,21 +147,6 @@ class TestCompiledDistributionValueTypes:
         sequence = VALUE_TYPE_SEQUENCES[name]
         assert (_typed_extremes(_drive(_CK.Distribution, sequence))
                 == _typed_extremes(_drive(PyDistribution, sequence)))
-
-    def test_snapshot_merge_round_trip(self, name, monkeypatch):
-        sequence = VALUE_TYPE_SEQUENCES[name]
-        seen = []
-        for cls in (PyDistribution, _CK.Distribution):
-            monkeypatch.setattr(stats, "Distribution", cls)
-            window = StatGroup("window")
-            window._distributions["d"] = _drive(cls, sequence)
-            merged = StatGroup("merged")
-            merged.merge_snapshot(window.snapshot())
-            merged.merge_snapshot(window.snapshot())
-            [dist] = merged.distributions()
-            assert type(dist) is cls
-            seen.append(_typed_extremes(dist))
-        assert seen[0] == seen[1]
 
 
 class TestRatio:

@@ -5,12 +5,10 @@ import json
 import pytest
 
 from repro import api
-from repro.common.errors import ConfigurationError
 from repro.fabric import ExecutionConfig
 from repro.harness import configs
 from repro.harness.cache import ResultCache
 from repro.obs import MetricsCollector, MetricsConfig, RingBufferTracer
-from repro.sampling import SamplingConfig
 
 PARAMS = configs.segmented(128, 32, "comb")
 
@@ -76,23 +74,6 @@ class TestMetrics:
                          metrics=collector)
         assert collector.samples > 0
         assert result.metrics["samples"] == collector.samples
-
-
-class TestSampling:
-    def test_sampling_path_returns_run_result(self):
-        sampling = SamplingConfig(num_windows=4, warmup_instructions=200,
-                                  measure_instructions=300)
-        result = api.run(PARAMS, "twolf", scale=2, sampling=sampling)
-        assert result.ipc > 0
-        assert "sampling.windows" in result.stats
-
-    def test_sampling_excludes_trace_and_metrics(self):
-        sampling = SamplingConfig(num_windows=4)
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            api.run(PARAMS, "twolf", sampling=sampling,
-                    trace=RingBufferTracer())
-        with pytest.raises(ConfigurationError, match="mutually exclusive"):
-            api.run(PARAMS, "twolf", sampling=sampling, metrics=100)
 
 
 class TestCache:

@@ -1,16 +1,15 @@
-"""ResultCache under concurrency, GC bounds, and the quarantine path.
+"""ResultCache under concurrency, and the bounded quarantine path.
 
-Two writers racing on one key, the size/age GC policy, and
-corrupt-entry quarantine all need pinning.
+Two writers racing on one key, the keep-newest prune, and corrupt-entry
+quarantine all need pinning.
 """
 
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.harness import configs
-from repro.harness.cache import GCPolicy, GCStats, ResultCache, prune_dir
+from repro.harness.cache import ResultCache, prune_dir
 from repro.harness.runner import RunResult
 
 
@@ -62,58 +61,26 @@ class TestConcurrentWriters:
         assert not list(tmp_path.glob("*.tmp"))
 
 
-class TestGCPolicy:
-    def _fill(self, cache, count):
+class TestPruneDir:
+    def test_keeps_the_newest_and_deletes_oldest_first(self, tmp_path):
+        cache = ResultCache(tmp_path)
         keys = []
-        for index in range(count):
+        for index in range(6):
             key = cache.key_for("twolf", configs.ideal(32),
                                 max_instructions=1000 + index)
             cache.put(key, _result())
             # Distinct mtimes so "oldest first" is deterministic.
             os.utime(cache._path(key), (index, index))
             keys.append(key)
-        return keys
-
-    def test_eviction_by_entry_count_is_oldest_first(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        keys = self._fill(cache, 6)
-        stats = cache.gc(GCPolicy(max_entries=3))
-        assert stats.removed == 3 and stats.scanned == 6
+        prune_dir(tmp_path, 3)
         for key in keys[:3]:
             assert not cache._path(key).exists()
         for key in keys[3:]:
             assert cache.get(key) is not None
 
-    def test_eviction_by_size_bound(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        keys = self._fill(cache, 4)
-        entry_bytes = cache._path(keys[0]).stat().st_size
-        stats = cache.gc(GCPolicy(max_bytes=2 * entry_bytes + 1))
-        assert stats.removed == 2
-        assert stats.bytes_freed >= 2 * entry_bytes
-        survivors = [key for key in keys if cache._path(key).exists()]
-        assert survivors == keys[2:]
-
-    def test_eviction_by_age(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        keys = self._fill(cache, 3)
-        fresh = cache.key_for("twolf", configs.ideal(64))
-        cache.put(fresh, _result())
-        stats = cache.gc(GCPolicy(max_age_seconds=3600))
-        assert stats.removed == 3          # the utime(epoch)-aged trio
-        assert cache.get(fresh) is not None
-        assert all(not cache._path(key).exists() for key in keys)
-
-    def test_unbounded_policy_is_a_no_op(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self._fill(cache, 3)
-        assert cache.gc(GCPolicy()) == GCStats()
-        assert cache.gc() == GCStats()     # no policy prunes nothing
-        assert len(list(tmp_path.glob("*.json"))) == 3
-
     def test_prune_dir_missing_directory(self, tmp_path):
-        stats = prune_dir(tmp_path / "nope", GCPolicy(max_entries=1))
-        assert stats.removed == 0
+        prune_dir(tmp_path / "nope", 1)
+        assert not (tmp_path / "nope").exists()
 
 
 class TestQuarantine:
@@ -156,15 +123,3 @@ class TestQuarantine:
         path.write_text(json.dumps(payload))
         assert cache.get(key) is None
         assert (cache.quarantine_dir / f"{key}.json").exists()
-
-    def test_gc_leaves_quarantine_alone(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = cache.key_for("twolf", configs.ideal(32))
-        cache.put(key, _result())
-        cache._path(key).write_text("junk")
-        cache.get(key)
-        before = time.time()
-        stats = cache.gc(GCPolicy(max_entries=0))
-        assert stats.removed == 0          # nothing left in the main dir
-        assert (cache.quarantine_dir / f"{key}.json").exists()
-        assert before  # silence lints; timing not asserted

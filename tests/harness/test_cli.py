@@ -162,34 +162,6 @@ class TestCLI:
         assert "predicted vs simulated IPC" in out
         assert "PASS" in out
 
-    def test_sample_writes_ci_artifact(self, capsys, tmp_path):
-        """The CI smoke contract: 4 windows on a tiny workload, JSON
-        artifact carries the confidence-interval fields."""
-        out_path = tmp_path / "sample.json"
-        assert main(["sample", "twolf", "--scale", "2", "--windows", "4",
-                     "--warmup", "200", "--measure", "300",
-                     "--json", str(out_path), "--no-cache"]) == 0
-        printed = capsys.readouterr().out
-        assert "sampled IPC" in printed
-        data = json.loads(out_path.read_text())
-        for key in ("ipc_estimate", "ipc_ci_low", "ipc_ci_high",
-                    "confidence", "cpi_stderr", "estimator"):
-            assert key in data
-        assert data["num_windows"] == 4
-        assert data["ipc_ci_low"] <= data["ipc_estimate"] \
-            <= data["ipc_ci_high"]
-
-    def test_sample_compare_full_reports_error(self, capsys, tmp_path):
-        out_path = tmp_path / "sample.json"
-        assert main(["sample", "twolf", "--scale", "2", "--windows", "4",
-                     "--warmup", "200", "--measure", "300",
-                     "--compare-full", "--json", str(out_path),
-                     "--no-cache"]) == 0
-        assert "sampled error" in capsys.readouterr().out
-        data = json.loads(out_path.read_text())
-        assert "compare_full" in data
-        assert data["compare_full"]["detail_cycle_ratio"] > 1
-
     def test_run_progress_flag_accepted(self, capsys):
         assert main(["run", "twolf", "--instructions", "1500",
                      "--progress", "5"]) == 0

@@ -66,26 +66,6 @@ class TestExperiments:
         assert json.loads(path.read_text()) == {"a": {"b": 1.5}}
 
 
-class TestSampledExperiments:
-    def test_headline_runs_sampled(self):
-        from repro.sampling import SamplingConfig
-        sampling = SamplingConfig(num_windows=4, warmup_instructions=200,
-                                  measure_instructions=300)
-        report, data = EXPERIMENTS["headline"].run(
-            workloads=["twolf"], sampling=sampling, sampling_scale=2)
-        assert "twolf" in report
-        assert data["twolf"]["gain_over_32"] > 0
-        assert data["twolf"]["fraction_of_ideal"] > 0
-
-    def test_sampled_budget_scales_with_sampling_scale(self):
-        from repro.sampling import SamplingConfig
-        sampling = SamplingConfig(num_windows=4)
-        plain = ExperimentRunner(["twolf"])
-        sampled = ExperimentRunner(["twolf"], sampling=sampling,
-                                   sampling_scale=3)
-        assert sampled._budget("twolf") == 3 * plain._budget("twolf")
-
-
 class TestPlannedBatch:
     """Every experiment runs its whole grid as one ``run_grid`` batch,
     under the caller's ``ExecutionConfig`` (journal included)."""

@@ -1,7 +1,9 @@
 """Analytical surrogate: profile sanity and the accuracy contract.
 
-Three things are pinned here (see docs/models.md):
+Four things are pinned here (see docs/models.md):
 
+* the functional warming models the profile runs on (tag-only caches,
+  the branch-predictor replica) behave like the structures they mirror,
 * the functional profile and the uncalibrated queuing model are sane
   (bounds ordered, bands bracket the point estimate),
 * calibration reproduces its anchor, and the band widens away from it,
@@ -13,11 +15,14 @@ Three things are pinned here (see docs/models.md):
 import pytest
 
 from repro import api
+from repro.common.params import ProcessorParams
 from repro.fabric import ExecutionConfig
 from repro.harness import configs
-from repro.harness.surrogate import (SURROGATE_ERROR_BOUND, Surrogate,
-                                     collect_profile, default_grid,
-                                     predict_ipc, validation_report)
+from repro.harness.surrogate import (SURROGATE_ERROR_BOUND, BranchWarmer,
+                                     Surrogate, TagArray, collect_profile,
+                                     default_grid, predict_ipc,
+                                     validation_report)
+from repro.isa import ProgramBuilder, R, execute
 
 BUDGET = 6_000
 
@@ -80,3 +85,55 @@ def test_validation_report_meets_the_error_bound():
         assert {"workload", "config", "model", "anchor", "simulated_ipc",
                 "predicted_ipc", "rel_error", "uncertainty",
                 "binding"} <= set(row)
+
+
+def _l1d_params():
+    return ProcessorParams().memory.l1d
+
+
+def _loop_stream(iterations=50):
+    b = ProgramBuilder("loop")
+    b.li(R(1), 0)
+    b.li(R(2), iterations)
+    b.label("loop")
+    b.addi(R(1), R(1), 1)
+    b.blt(R(1), R(2), "loop")
+    b.halt()
+    return list(execute(b.build()))
+
+
+class TestTagArray:
+    def test_miss_then_hit(self):
+        tags = TagArray(_l1d_params())
+        assert tags.access(0) is False
+        assert tags.access(0) is True
+        assert tags.access(8) is True      # same line
+
+    def test_lru_eviction(self):
+        params = _l1d_params()
+        tags = TagArray(params)
+        way_stride = params.num_sets * params.line_bytes
+        addrs = [way * way_stride for way in range(params.assoc + 1)]
+        for addr in addrs:                   # same set, distinct lines
+            assert tags.access(addr) is False
+        # The set overflowed by one: the oldest line was evicted ...
+        assert tags.access(addrs[0]) is False
+        # ... but the most recently used survivors are still resident.
+        assert tags.access(addrs[-1]) is True
+
+    def test_warm_line_preinstalls(self):
+        tags = TagArray(_l1d_params())
+        tags.warm_line(64)
+        assert tags.access(64) is True
+
+
+class TestBranchWarmer:
+    def test_counts_branches_and_learns(self):
+        warmer = BranchWarmer(configs.segmented(64, 16, "comb",
+                                                segment_size=16))
+        for dyn in _loop_stream():
+            warmer.observe(dyn)
+        assert warmer.branches == 50
+        # A tight counted loop is nearly always predictable: after training,
+        # mispredicts are a small fraction of branches.
+        assert 0 < warmer.mispredicts < warmer.branches // 2

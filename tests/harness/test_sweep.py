@@ -4,9 +4,11 @@ import csv
 
 import pytest
 
+from repro import api
 from repro.fabric import ExecutionConfig
 from repro.harness import configs
-from repro.harness.sweep import Sweep, SweepGrid
+from repro.harness.cache import ResultCache
+from repro.harness.sweep import Sweep, SweepGrid, run_grid
 
 
 @pytest.fixture(scope="module")
@@ -97,36 +99,36 @@ class TestSweep:
             for label in small_grid.config_labels)
 
 
-class TestSampledSweep:
-    def _sweep(self):
-        sweep = Sweep(workloads=["twolf"])
-        sweep.add_config("ideal-64", configs.ideal(64))
-        sweep.add_config("seg-128",
-                         configs.segmented(128, 32, "comb"))
-        return sweep
+class TestGridProgress:
+    """``progress`` hears each cell as it is served, not the whole grid
+    up front."""
 
-    def test_sampled_cells_carry_ci_stats(self):
-        from repro.sampling import SamplingConfig
-        sampling = SamplingConfig(num_windows=4, warmup_instructions=200,
-                                  measure_instructions=300)
-        grid = self._sweep().run(sampling=sampling, sampling_scale=2)
-        for label in ("ideal-64", "seg-128"):
-            result = grid.results["twolf"][label]
-            assert result.ipc > 0
-            assert result.stats["sampling.windows"] == 4
-            assert result.stats["sampling.ipc_ci_low"] <= result.ipc \
-                <= result.stats["sampling.ipc_ci_high"]
-            assert 0 < result.stats["sampling.detail_fraction"] < 1
+    CELLS = [("twolf", "ideal-32", configs.ideal(32)),
+             ("twolf", "ideal-64", configs.ideal(64))]
 
-    def test_sampled_sweep_deterministic_across_jobs(self):
-        import dataclasses
+    def _run(self, monkeypatch, cache=None):
+        events = []
+        real_run = api.run
 
-        from repro.sampling import SamplingConfig
-        sampling = SamplingConfig(num_windows=4, warmup_instructions=200,
-                                  measure_instructions=300)
-        serial = self._sweep().run(sampling=sampling, sampling_scale=2)
-        fanned = self._sweep().run(sampling=sampling, sampling_scale=2,
-                                   execution=ExecutionConfig(jobs=2))
-        for label in serial.config_labels:
-            assert dataclasses.asdict(serial.results["twolf"][label]) == \
-                dataclasses.asdict(fanned.results["twolf"][label])
+        def logged_run(params, workload, **kwargs):
+            result = real_run(params, workload, **kwargs)
+            events.append(("returned", kwargs["config_label"]))
+            return result
+
+        monkeypatch.setattr(api, "run", logged_run)
+        run_grid(self.CELLS, max_instructions=800,
+                 execution=ExecutionConfig(jobs=1, cache=cache),
+                 progress=lambda line: events.append(("progress", line)))
+        return events
+
+    def test_serial_lines_arrive_as_each_cell_starts(self, monkeypatch):
+        assert self._run(monkeypatch) == [
+            ("progress", "twolf/ideal-32"), ("returned", "ideal-32"),
+            ("progress", "twolf/ideal-64"), ("returned", "ideal-64")]
+
+    def test_cache_hits_are_announced_once_each(self, monkeypatch,
+                                                tmp_path):
+        cache = ResultCache(tmp_path)
+        self._run(monkeypatch, cache)
+        assert self._run(monkeypatch, cache) == [
+            ("progress", "twolf/ideal-32"), ("progress", "twolf/ideal-64")]

@@ -24,8 +24,15 @@ range over the unlimited-chain rows, the change of that average at 128
 and 64 chains (in points of % of ideal), and each benchmark's % of
 ideal it quotes are recomputed from the artifact's rows.  Any other
 number in that column fails.
+
+Figure 3's measured column is tied to ``figure3_size_sweep.txt``: each
+IPC, ratio and count it quotes is recomputed from the artifact's raw
+data table, and its worded findings ("never above ideal", "at every
+size") are checked against the same rows.  Any other number in that
+column fails.
 """
 
+import math
 import re
 from pathlib import Path
 from statistics import mean
@@ -358,3 +365,147 @@ def test_figure2_quotes_match_the_artifact():
                 f"no artifact value checked in FIGURE2_QUOTES"
     assert not quotes, \
         f"Figure 2 no longer has the rows {[q[0] for q in quotes]}"
+
+
+def _figure3_rows() -> dict:
+    """benchmark -> {config: {size: IPC text}} from the raw data table
+    of ``figure3_size_sweep.txt``."""
+    rows = {}
+    artifact = ROOT / "benchmarks" / "out" / "figure3_size_sweep.txt"
+    for line in artifact.read_text().splitlines():
+        match = re.fullmatch(r"(\w+)\s+(ideal|seg-128ch|seg-64ch|presched)"
+                             r"\s+(\d+)\s+(\d+\.\d+)", line.strip())
+        if match:
+            rows.setdefault(match.group(1), {}).setdefault(
+                match.group(2), {})[int(match.group(3))] = match.group(4)
+    return rows
+
+
+def _ipc(rows: dict, bench: str, config: str, size: int) -> float:
+    return float(rows[bench][config][size])
+
+
+def _ends(rows: dict, bench: str, config: str) -> tuple:
+    """``config``'s IPC at its smallest and largest size."""
+    sizes = sorted(rows[bench][config])
+    return (_ipc(rows, bench, config, sizes[0]),
+            _ipc(rows, bench, config, sizes[-1]))
+
+
+def _end_texts(rows: dict, bench: str, config: str) -> tuple:
+    """``config``'s IPC at its smallest and largest size, as printed."""
+    sizes = sorted(rows[bench][config])
+    return rows[bench][config][sizes[0]], rows[bench][config][sizes[-1]]
+
+
+def _gain(rows: dict, bench: str, config: str) -> float:
+    first, last = _ends(rows, bench, config)
+    return last / first
+
+
+def _ideal_rise(rows: dict, bench: str, digits: int) -> tuple:
+    """``bench``'s ideal IPC at 32 and 512 entries, to ``digits``."""
+    return tuple(f"{value:.{digits}f}"
+                 for value in _ends(rows, bench, "ideal"))
+
+
+def _presched_row(rows: dict) -> tuple:
+    """The prescheduler's size-gain quotes: the analog that gains most,
+    vortex, the analog that falls most, and how many others there are
+    and the whole-% bound they stay within."""
+    gains = {bench: _gain(rows, bench, "presched") for bench in rows}
+    best = max(gains, key=gains.get)
+    worst = min(gains, key=gains.get)
+    others = [gain for bench, gain in gains.items()
+              if bench not in (best, worst, "vortex")]
+    return (best, *_end_texts(rows, best, "presched"),
+            f"{gains[best]:.2f}", f"{gains['vortex']:.2f}",
+            *_end_texts(rows, "vortex", "presched"),
+            worst, f"{1 / gains[worst]:.2f}",
+            *_end_texts(rows, worst, "presched"),
+            str(len(others)),
+            str(math.ceil(100 * max(abs(gain - 1) for gain in others))))
+
+
+def _seg_beats_presched(rows: dict) -> tuple:
+    """Analogs where the 128-entry segmented IQ beats every prescheduler
+    size, of all analogs; and whether vortex is one of them."""
+    wins = [bench for bench in rows
+            if _ipc(rows, bench, "seg-128ch", 128)
+            > max(map(float, rows[bench]["presched"].values()))]
+    return (str(len(wins)), str(len(rows)),
+            "included" if "vortex" in wins else "excluded")
+
+
+#: (first words of the claim cell, regex over the measured cell, the
+#: artifact values of its groups).  A worded finding is a group too, so
+#: it is recomputed like a number.
+FIGURE3_QUOTES = [
+    ("ideal IPC rises",
+     r"^yes: swim (\d\.\d\d) → (\d\.\d\d) \((\d\.\d)×\), "
+     r"applu (\d\.\d) → (\d\.\d), equake (\d\.\d)×, "
+     r"vortex (\d\.\d)×$",
+     lambda rows: (*_ideal_rise(rows, "swim", 2),
+                   f"{_gain(rows, 'swim', 'ideal'):.1f}",
+                   *_ideal_rise(rows, "applu", 1),
+                   f"{_gain(rows, 'equake', 'ideal'):.1f}",
+                   f"{_gain(rows, 'vortex', 'ideal'):.1f}")),
+    ("gcc is flat",
+     r"^yes: (\d\.\d\d) at (every) size$",
+     lambda rows: (
+         f"{_ipc(rows, 'gcc', 'ideal', 32):.2f}",
+         "every" if len({f"{float(value):.2f}" for value
+                         in rows["gcc"]["ideal"].values()}) == 1
+         else "not every")),
+    ("segmented curves track ideal",
+     r"^yes, (never) above ideal$",
+     lambda rows: (
+         "never" if all(_ipc(rows, bench, config, size)
+                        <= _ipc(rows, bench, "ideal", size)
+                        for bench in rows
+                        for config in ("seg-128ch", "seg-64ch")
+                        for size in rows[bench][config])
+         else "sometimes",)),
+    ("prescheduler: only vortex",
+     r"^no — (\w+) gains most \((\d\.\d+) → (\d\.\d+), (\d\.\d\d)×\), "
+     r"vortex (\d\.\d\d)× \((\d\.\d+) → (\d\.\d+)\), "
+     r"(\w+) falls (\d\.\d\d)× \((\d\.\d+) → (\d\.\d+)\); "
+     r"the other (\d+) stay within (\d+) % \(a known divergence\)$",
+     _presched_row),
+    ("128-entry segmented IQ beats",
+     r"^yes on (\d+) of (\d+) analogs, vortex (included|excluded)$",
+     _seg_beats_presched),
+]
+
+
+def test_figure3_quotes_match_the_artifact():
+    section = _section("Figure 3 — performance across IQ sizes")
+    rows = _figure3_rows()
+    assert len(rows) == 8 and all(
+        len(sizes) in (4, 5) for row in rows.values()
+        for sizes in row.values()), "figure3_size_sweep.txt lost rows"
+    quotes = list(FIGURE3_QUOTES)
+    for claim, measured in _measured_cells(section):
+        spec = next((quote for quote in quotes
+                     if claim.startswith(quote[0])), None)
+        if spec is None:
+            assert not re.search(r"\d", measured), \
+                f"Figure 3 row {claim!r} quotes {measured!r} with no " \
+                f"artifact row checked in FIGURE3_QUOTES"
+            continue
+        quotes.remove(spec)
+        _prefix, pattern, artifact_values = spec
+        match = re.search(pattern, measured)
+        assert match, f"Figure 3 row {claim!r} reads {measured!r}"
+        assert match.groups() == artifact_values(rows), \
+            f"{claim}: EXPERIMENTS.md quotes {match.groups()}, " \
+            f"figure3_size_sweep.txt gives {artifact_values(rows)}"
+        checked = [match.span(group)
+                   for group in range(1, len(match.groups()) + 1)]
+        for number in re.finditer(r"\d+(?:\.\d+)?", measured):
+            assert any(start <= number.start() and number.end() <= end
+                       for start, end in checked), \
+                f"Figure 3 row {claim!r} quotes {number.group(0)} with " \
+                f"no artifact value checked in FIGURE3_QUOTES"
+    assert not quotes, \
+        f"Figure 3 no longer has the rows {[q[0] for q in quotes]}"

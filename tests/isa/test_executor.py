@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ExecutionError
 from repro.isa import F, ProgramBuilder, R, execute, run_functional
-from repro.isa.executor import MachineState, execute_from
 
 
 def build_and_run(build_fn, **kwargs):
@@ -246,8 +245,8 @@ class TestControlFlow:
 class TestTypeStability:
     """Regression tests for the type-stable numeric representation
     (executor module docstring): int-ness/float-ness of every register
-    and memory cell is deterministic, which byte-stable checkpoint
-    serialization depends on."""
+    and memory cell is deterministic, which the byte-stable program-image
+    digests (tests/isa/test_program_image.py) depend on."""
 
     def test_r0_write_suppressed_even_for_float_results(self):
         def body(b):
@@ -295,45 +294,6 @@ class TestTypeStability:
         first, second = run_once(), run_once()
         assert json.dumps(first, sort_keys=True) == \
             json.dumps(second, sort_keys=True)
-
-
-class TestSnapshotResume:
-    """The executor contract the sampling subsystem builds on: snapshot
-    mid-stream, restore, and the resumed stream is indistinguishable from
-    never having stopped."""
-
-    def _loop_program(self):
-        b = ProgramBuilder("t")
-        seg = b.alloc("a", 8)
-        b.li(R(1), 0)
-        b.li(R(2), 40)
-        b.label("loop")
-        b.andi(R(3), R(1), 7)
-        b.slli(R(4), R(3), 3)
-        b.st(R(1), R(4), base=seg)
-        b.addi(R(1), R(1), 1)
-        b.blt(R(1), R(2), "loop")
-        b.halt()
-        return b.build()
-
-    def test_resumed_stream_matches_uninterrupted(self):
-        program = self._loop_program()
-        full = [(d.seq, d.pc, d.next_pc, d.taken, d.mem_addr)
-                for d in execute(program)]
-        state = MachineState(program)
-        head = [(d.seq, d.pc, d.next_pc, d.taken, d.mem_addr)
-                for d in execute_from(state, max_instructions=100)]
-        resumed = MachineState.restore(program, state.snapshot())
-        tail = [(d.seq, d.pc, d.next_pc, d.taken, d.mem_addr)
-                for d in execute_from(resumed)]
-        assert head + tail == full
-
-    def test_restore_rejects_wrong_register_count(self):
-        program = self._loop_program()
-        snap = MachineState(program).snapshot()
-        snap["regs"] = snap["regs"][:-1]
-        with pytest.raises(ExecutionError, match="registers"):
-            MachineState.restore(program, snap)
 
 
 class TestDynamicStream:

@@ -1,11 +1,10 @@
 """The data image a program starts from.
 
 The byte-stability pins hash the canonical JSON of a fresh
-``MachineState`` snapshot, the same encoding architectural checkpoints
-use.  A digest moves if any initial word changes value or changes type
-(int ``0`` and float ``0.0`` compare equal but encode differently), so
-these pins hold checkpoint bytes fixed across changes to how the image
-is stored.
+``MachineState`` snapshot.  A digest moves if any initial word changes
+value or changes type (int ``0`` and float ``0.0`` compare equal but
+encode differently), so these pins hold every analog's starting image
+fixed across changes to how the image is stored.
 """
 
 import gc

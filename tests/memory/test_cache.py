@@ -160,9 +160,6 @@ class TestMSHRLimits:
         assert l1.version == filled
         l1.warm_line(64)
         assert l1.version > filled
-        warmed = l1.version
-        l1.load_tag_state(l1.tag_state())
-        assert l1.version > warmed
 
 
 class TestLRUAndWritebacks:

@@ -371,19 +371,6 @@ class TestMSHRBlockedTriggers:
         run_cycles(lsq, events, 1, start=cycle)
         assert issued(lsq, loads[2])
 
-    def test_load_tag_state(self):
-        lsq, events, _, memory, _ = make_blocked_lsq()
-        loads = ready_loads(lsq, [line(n) for n in range(3)])
-        cycle = run_cycles(lsq, events, 10)
-        state = memory.tag_state()
-        l1d_line = memory.l1d.line_addr(line(2))
-        state["l1d"][l1d_line % len(state["l1d"])].insert(0, [l1d_line,
-                                                              False])
-        memory.load_tag_state(state)
-        run_cycles(lsq, events, 1, start=cycle)
-        assert issued(lsq, loads[2])
-
-
 class TestPortStarvation:
     """Loads that found no cache port are not MSHR rejections."""
 
