@@ -11,7 +11,6 @@ studies because sections 4.1-4.5 argue for each enhancement:
 
 import pytest
 
-from repro.common import ProcessorParams
 from repro import api
 from repro.harness import configs
 from repro.harness.reporting import format_table
@@ -96,14 +95,10 @@ def test_pushdown_vs_adaptive_thresholds(benchmark):
     """Section 4.1 head-to-head: the paper chose pushdown over adaptive
     thresholds for complexity reasons.  This ablation implements both and
     checks the choice was sound: pushdown captures most of the benefit."""
-    import dataclasses
-    from repro.common import segmented_iq_params
-
     def config(pushdown, adaptive):
-        iq = dataclasses.replace(
-            segmented_iq_params(512, max_chains=128, pushdown=pushdown),
+        return configs.segmented(512, max_chains=128,
+                                 pushdown=pushdown).with_iq(
             adaptive_thresholds=adaptive)
-        return ProcessorParams().replace(iq=iq)
 
     def render():
         rows = []

@@ -8,11 +8,8 @@ sketches, using the same workloads and harness as the reproduction:
 * dynamic segment resizing's energy/performance trade.
 """
 
-import dataclasses
-
 import pytest
 
-from repro.common import ProcessorParams, segmented_iq_params
 from repro import api
 from repro.harness import configs
 from repro.harness.energy import EnergyModel, energy_per_instruction
@@ -120,13 +117,11 @@ def test_resize_energy_study(benchmark):
         rows = []
         for workload in workloads:
             budget = _budget(workload)
-            fixed_iq = segmented_iq_params(512, max_chains=128)
-            gated_iq = dataclasses.replace(fixed_iq, dynamic_resize=True,
-                                           resize_interval=100)
-            fixed = api.run(ProcessorParams().replace(iq=fixed_iq), workload,
-                                 max_instructions=budget)
-            gated = api.run(ProcessorParams().replace(iq=gated_iq), workload,
-                                 max_instructions=budget)
+            fixed_params = configs.segmented(512, max_chains=128)
+            gated_params = fixed_params.with_iq(dynamic_resize=True,
+                                                resize_interval=100)
+            fixed = api.run(fixed_params, workload, max_instructions=budget)
+            gated = api.run(gated_params, workload, max_instructions=budget)
             fixed_epi = energy_per_instruction(
                 model.estimate(fixed.stats), fixed.instructions)
             gated_epi = energy_per_instruction(

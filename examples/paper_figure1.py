@@ -11,9 +11,10 @@ waits (section 3.2's narrative).
     PYTHONPATH=src python examples/paper_figure1.py
 """
 
-from repro.common import StatGroup, segmented_iq_params
+from repro.common import StatGroup
 from repro.core.iq_base import Operand
 from repro.core.segmented import SegmentedIQ
+from repro.harness import configs
 from repro.isa import Instruction, Opcode
 from repro.isa.instruction import DynInst
 
@@ -34,8 +35,8 @@ EXAMPLE = [
 def dispatch_example():
     """Dispatch Figure 1 into the top segment at cycle 0 (no bypass or
     pushdown; the left/right predictor picks i8's r6 operand)."""
-    params = segmented_iq_params(48, 16, None, hmp=False, lrp=True,
-                                 pushdown=False, bypass=False)
+    params = configs.segmented(48, None, "lrp", segment_size=16,
+                               pushdown=False, bypass=False).iq
     iq = SegmentedIQ(params, issue_width=8, stats=StatGroup())
     iq.in_flight = 1        # nothing issues: keep deadlock recovery quiet
     producers = {}

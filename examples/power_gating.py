@@ -9,18 +9,13 @@ controller, and reports the powered-segment-cycles saved versus the
 performance given up.
 """
 
-import dataclasses
-
 from repro import WORKLOADS, configs, execute, Processor
-from repro.common import segmented_iq_params, ProcessorParams
 
 
 def run(benchmark: str, dynamic: bool):
-    iq = segmented_iq_params(512, max_chains=128)
+    params = configs.segmented(512, max_chains=128)
     if dynamic:
-        iq = dataclasses.replace(iq, dynamic_resize=True,
-                                 resize_interval=100)
-    params = ProcessorParams().replace(iq=iq)
+        params = params.with_iq(dynamic_resize=True, resize_interval=100)
     spec = WORKLOADS[benchmark]
     program = spec.build(1)
     processor = Processor(params, execute(

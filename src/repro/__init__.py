@@ -2,11 +2,11 @@
 Dependence Chains" (Raasch, Binkert & Reinhardt, ISCA 2002).
 
 The package contains a cycle-level out-of-order processor simulator with
-six interchangeable instruction-queue designs (registered in
-:mod:`repro.core.registry`) — the paper's segmented dependence-chain IQ,
-an ideal monolithic IQ, the Michaud-Seznec prescheduler, the
-Canal-González distance scheme, Palacharla dependence FIFOs, and a
-load-delay-tracking scheduler — plus synthetic analogs of the paper's
+six interchangeable instruction-queue designs (the closed table
+:data:`repro.harness.configs.DESIGNS`) — the paper's segmented
+dependence-chain IQ, an ideal monolithic IQ, the Michaud-Seznec
+prescheduler, the Canal-González distance scheme, Palacharla dependence
+FIFOs, and a load-delay-tracking scheduler — plus synthetic analogs of the paper's
 SPEC CPU2000 benchmark subset and a harness that regenerates every table
 and figure of the evaluation.
 
@@ -22,9 +22,7 @@ observability (``trace=``, ``metrics=`` — see :mod:`repro.obs`) and
 result caching (``execution=ExecutionConfig(cache=...)``).
 """
 
-from repro.common import (IQParams, ProcessorParams, StatGroup,
-                          ideal_iq_params, prescheduled_iq_params,
-                          segmented_iq_params)
+from repro.common import IQParams, ProcessorParams, StatGroup
 from repro.harness import RunResult, configs
 from repro import api, obs
 from repro.isa import (F, DynInst, Instruction, Opcode, Program,
@@ -38,6 +36,5 @@ __all__ = [
     "DynInst", "F", "FP_BENCHMARKS", "INT_BENCHMARKS", "IQParams",
     "Instruction", "Opcode", "Processor", "ProcessorParams", "Program",
     "ProgramBuilder", "R", "RunResult", "StatGroup", "WORKLOADS",
-    "__version__", "api", "configs", "execute", "ideal_iq_params", "obs",
-    "prescheduled_iq_params", "run_functional", "segmented_iq_params",
+    "__version__", "api", "configs", "execute", "obs", "run_functional",
 ]

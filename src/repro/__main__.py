@@ -27,16 +27,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
-from repro.core.registry import registered_models
 from repro.harness import ascii_series_plot, configs
 from repro.workloads import WORKLOADS
-
-#: Every registered IQ design (repro.core.registry); a newly registered
-#: model becomes a ``--iq`` choice automatically.
-IQ_KINDS = list(registered_models())
 
 
 def _common_parent() -> argparse.ArgumentParser:
@@ -53,12 +47,6 @@ def _common_parent() -> argparse.ArgumentParser:
                        help="print a heartbeat to stderr every N seconds")
     group.add_argument("--json", default="", metavar="PATH",
                        help="also write machine-readable data to this file")
-    group.add_argument("--kernels", default="", metavar="BACKEND",
-                       choices=["", "auto", "py", "compiled"],
-                       help="segmented-IQ kernel backend: 'py' forces the "
-                            "pure-Python engine, 'compiled' requires the C "
-                            "extension, 'auto' (default) prefers compiled "
-                            "when built (see docs/performance.md)")
     return parent
 
 
@@ -66,7 +54,8 @@ def _config_parent() -> argparse.ArgumentParser:
     """Processor-configuration flags shared by run/trace/segments."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("configuration options")
-    group.add_argument("--iq", default="segmented", choices=IQ_KINDS)
+    group.add_argument("--iq", default="segmented",
+                       choices=list(configs.DESIGNS))
     group.add_argument("--size", type=int, default=512)
     group.add_argument("--segment-size", type=int, default=32)
     group.add_argument("--chains", default="128",
@@ -99,15 +88,8 @@ def _params_from_args(args) -> "ProcessorParams":
         params = configs.distance(max(1, (args.size - 32) // 12))
     elif args.iq == "fifo":
         params = configs.fifo(args.size, depth=args.segment_size)
-    elif args.iq == "delay_tracking":
+    else:  # delay_tracking
         params = configs.delay_tracking(args.size)
-    else:
-        # A registered kind without a CLI mapping: build it from its
-        # registry validation config, resized to --size.
-        from repro.core.registry import get_model
-        params = get_model(args.iq).validation_config()
-        params = params.replace(
-            iq=dataclasses.replace(params.iq, size=args.size))
     if getattr(args, "no_skip", False):
         params = params.replace(event_driven=False)
     return params
@@ -448,7 +430,7 @@ def main(argv=None) -> int:
                                  help="number of random programs to fuzz")
     validate_parser.add_argument("--models", default="",
                                  help="comma-separated model subset "
-                                      "(default: every registered model)")
+                                      "(default: every IQ design)")
     validate_parser.add_argument("--length", type=int, default=40,
                                  help="loop-body units per program")
     validate_parser.add_argument("--iterations", type=int, default=3,
@@ -480,15 +462,6 @@ def main(argv=None) -> int:
                                        "(CI smoke mode)")
 
     args = parser.parse_args(argv)
-    if getattr(args, "kernels", ""):
-        # Exported (not just set_backend) so process-pool workers inherit
-        # the choice.  The compiled stat/event primitives are selected at
-        # interpreter start from REPRO_KERNELS, so --kernels py switches
-        # the IQ engine here but not primitives already imported; use the
-        # environment variable for a fully pure-Python process.
-        os.environ["REPRO_KERNELS"] = args.kernels
-        from repro.core.segmented.kernels import set_backend
-        set_backend(args.kernels)
     handler = {"list": cmd_list, "run": cmd_run,
                "sweep": cmd_sweep, "disasm": cmd_disasm, "trace": cmd_trace,
                "segments": cmd_segments, "reproduce": cmd_reproduce,

@@ -19,9 +19,6 @@ by hand:
   scale, budget) is recorded on its first run in the process and
   replayed by every later run of it, under any configuration (see
   :mod:`repro.isa.record`).
-
-This is the only simulation entry point — the deprecated ``run_workload``
-shim has been removed.
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.params import ProcessorParams
+from repro.fabric.cells import relabel
 from repro.fabric.executor import ExecutionConfig
 from repro.harness.runner import RunResult, resolve_workload
 from repro.isa.executor import execute
@@ -131,12 +129,7 @@ def run(params: ProcessorParams, workload, *,
                             warm_code=warm_code)
         hit = cache.get(key)
         if hit is not None:
-            if config_label and hit.config != config_label:
-                hit = RunResult(
-                    workload=hit.workload, config=config_label,
-                    ipc=hit.ipc, cycles=hit.cycles,
-                    instructions=hit.instructions, stats=hit.stats)
-            return hit
+            return relabel(hit, config_label)
 
     tracer = trace
     owns_sink = False

@@ -5,9 +5,7 @@ from repro.common.errors import (ConfigurationError, DeadlockError,
                                  ProgramError, ReproError, SimulationError)
 from repro.common.events import EventQueue
 from repro.common.params import (BranchPredictorParams, CacheParams, IQParams,
-                                 MemoryParams, ProcessorParams,
-                                 delay_tracking_iq_params, ideal_iq_params,
-                                 prescheduled_iq_params, segmented_iq_params)
+                                 MemoryParams, ProcessorParams)
 from repro.common.stats import Counter, Distribution, StatGroup, ratio
 
 __all__ = [
@@ -15,7 +13,5 @@ __all__ = [
     "DeadlockError", "Distribution", "EventQueue", "ExecutionError",
     "IQParams", "InvariantViolation", "MemoryParams", "ProcessorParams",
     "ProgramError",
-    "ReproError", "SimulationError", "StatGroup", "delay_tracking_iq_params",
-    "ideal_iq_params", "prescheduled_iq_params", "ratio",
-    "segmented_iq_params",
+    "ReproError", "SimulationError", "StatGroup", "ratio",
 ]

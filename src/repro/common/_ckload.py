@@ -8,13 +8,12 @@ Instead this module loads the shared object straight from its file path and
 registers it in ``sys.modules`` under its canonical name, so a later normal
 import (from ``kernels.py``) reuses the same module object.
 
-An extension older than its ``_ckernels.c`` source counts as absent — the
-rule ``python -m repro.core.segmented.build`` uses to decide a rebuild —
-so every extension that loads has every type the current source defines.
+An extension older than its ``_ckernels.c`` source counts as absent, so
+every extension that loads has every type the current source defines.
 So does a sanitizer build (``build --sanitize``) in a process without the
-AddressSanitizer runtime, where loading it would abort the interpreter:
-the plain build command, which imports ``repro``, then falls back to pure
-Python and replaces it.
+AddressSanitizer runtime, where loading it would abort the interpreter.
+:func:`extension_path` is that rule, and ``build.ensure_built`` (which
+loads this file by path) rebuilds exactly when it finds no extension.
 Returns ``None`` quietly whenever the extension is unavailable or the user
 forced the pure-Python backend with ``REPRO_KERNELS=py``.  Because the swap
 happens at module import time, ``REPRO_KERNELS`` governs the stats/event

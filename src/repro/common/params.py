@@ -14,19 +14,6 @@ from typing import Optional
 
 from repro.common.errors import ConfigurationError
 
-#: IQ kinds accepted by ``IQParams.validate``.  The built-in designs are
-#: listed here; :func:`repro.core.registry.register_model` appends to this
-#: list when an out-of-tree design registers itself, so new models need no
-#: edits to this module.
-KNOWN_IQ_KINDS = ["ideal", "segmented", "prescheduled", "distance", "fifo",
-                  "delay_tracking"]
-
-
-def register_iq_kind(kind: str) -> None:
-    """Make ``kind`` a valid ``IQParams.kind`` value (idempotent)."""
-    if kind not in KNOWN_IQ_KINDS:
-        KNOWN_IQ_KINDS.append(kind)
-
 
 @dataclass(frozen=True)
 class BranchPredictorParams:
@@ -107,16 +94,8 @@ class MemoryParams:
 class IQParams:
     """Instruction queue configuration.
 
-    ``kind`` selects the design:
-
-    * ``"ideal"``        — monolithic single-cycle conventional IQ.
-    * ``"segmented"``    — the paper's segmented dependence-chain IQ.
-    * ``"prescheduled"`` — Michaud & Seznec prescheduling array + issue buffer.
-    * ``"distance"``     — Canal & González distance scheme (buffer before
-      the scheduling array; related work).
-    * ``"fifo"``         — Palacharla et al. dependence FIFOs (related work).
-    * ``"delay_tracking"`` — Diavastos & Carlson real-time load-delay
-      tracking scheduler (see docs/models.md).
+    ``kind`` selects the design, one of the keys of
+    :data:`repro.harness.configs.DESIGNS` (docs/models.md).
     """
 
     kind: str = "segmented"
@@ -158,7 +137,9 @@ class IQParams:
         return max(1, self.size // self.segment_size)
 
     def validate(self) -> None:
-        if self.kind not in KNOWN_IQ_KINDS:
+        # Imported here: the design table's module imports this one.
+        from repro.harness.configs import DESIGNS
+        if self.kind not in DESIGNS:
             raise ConfigurationError(f"unknown IQ kind {self.kind!r}")
         if self.size <= 0:
             raise ConfigurationError("IQ size must be positive")
@@ -300,39 +281,3 @@ class ProcessorParams:
     def with_iq(self, **changes) -> "ProcessorParams":
         """Return a copy with IQ fields replaced."""
         return dataclasses.replace(self, iq=dataclasses.replace(self.iq, **changes))
-
-
-def ideal_iq_params(size: int) -> IQParams:
-    """Convenience: an ideal monolithic IQ of ``size`` entries."""
-    return IQParams(kind="ideal", size=size)
-
-
-def segmented_iq_params(size: int = 512, segment_size: int = 32,
-                        max_chains: Optional[int] = 128, *,
-                        hmp: bool = True, lrp: bool = True,
-                        pushdown: bool = True, bypass: bool = True) -> IQParams:
-    """Convenience: a segmented IQ in the paper's standard configuration."""
-    return IQParams(kind="segmented", size=size, segment_size=segment_size,
-                    max_chains=max_chains, use_hit_miss_predictor=hmp,
-                    use_left_right_predictor=lrp, enable_pushdown=pushdown,
-                    enable_bypass=bypass)
-
-
-def delay_tracking_iq_params(size: int, *,
-                             predicted_load_latency: int = 4) -> IQParams:
-    """Convenience: a Diavastos-Carlson delay-tracking IQ of ``size``."""
-    return IQParams(kind="delay_tracking", size=size,
-                    dtrack_predicted_load_latency=predicted_load_latency)
-
-
-def prescheduled_iq_params(lines: int, *, issue_buffer: int = 32,
-                           line_width: int = 12) -> IQParams:
-    """Convenience: Michaud-Seznec prescheduler with ``lines`` array lines.
-
-    The paper's four data points use 8, 24, 56, and 120 lines of 12
-    instructions plus a 32-entry issue buffer (128/320/704/1472 total slots).
-    """
-    return IQParams(kind="prescheduled",
-                    size=issue_buffer + lines * line_width,
-                    presched_issue_buffer=issue_buffer,
-                    presched_line_width=line_width)

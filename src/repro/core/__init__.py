@@ -1,6 +1,9 @@
 """Instruction-queue designs: the paper's segmented dependence-chain IQ,
-the ideal monolithic baseline, the Michaud-Seznec prescheduler, and the
-Palacharla dependence FIFOs."""
+the ideal monolithic baseline, the Michaud-Seznec prescheduler, the
+Canal-González distance scheme, the Palacharla dependence FIFOs and
+Diavastos-Carlson load-delay tracking.  :data:`repro.harness.configs.DESIGNS`
+lists all six; the ``distance`` and ``delay_tracking`` modules load only
+when a queue of their kind is built."""
 
 from repro.core.conventional import ConventionalIQ
 from repro.core.fifo_iq import DependenceFIFOQueue

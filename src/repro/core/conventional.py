@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 from typing import List
 
+from repro.common.params import IQParams
 from repro.common.stats import StatGroup
 from repro.core.iq_base import IQEntry, InstructionQueue, Operand
 from repro.core.segmented.links import NEVER
@@ -24,9 +25,9 @@ from repro.isa.instruction import DynInst
 class ConventionalIQ(InstructionQueue):
     """Monolithic, single-cycle, age-ordered instruction queue."""
 
-    def __init__(self, size: int, issue_width: int,
+    def __init__(self, params: IQParams, issue_width: int,
                  stats: StatGroup) -> None:
-        super().__init__(size)
+        super().__init__(params.size)
         self.issue_width = issue_width
         self._occupancy = 0
         # Entries whose readiness cycle is known but lies in the future.

@@ -19,7 +19,8 @@ sanitizer runtimes must then be loaded first, e.g.::
 
 Rebuild without the flag afterwards.  A plain interpreter treats the
 sanitized extension as absent (loading it would abort), so running this
-module again without ``--sanitize`` replaces it.
+module again without ``--sanitize`` replaces it, and so does
+:func:`ensure_built` (a plain ``pytest`` session calls it first).
 
 Only a C compiler and the Python headers are required — no build system
 and no third-party packages.  When either is missing the build fails
@@ -29,6 +30,7 @@ with a clear message and the pure-Python backend keeps working.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import pathlib
 import shlex
 import subprocess
@@ -39,6 +41,22 @@ from typing import List, Optional
 #: Compiler flags of an ``--sanitize`` build (in place of ``-O2``).
 SANITIZE_FLAGS = ["-O1", "-g", "-fno-omit-frame-pointer",
                   "-fsanitize=address,undefined"]
+
+
+def _load_ckload():
+    """``repro.common._ckload``, loaded from its file.  Its
+    ``extension_path`` decides which extension a process can load, so it
+    also decides when to rebuild; loading it by path keeps this module
+    usable before anything imports ``repro`` (tests/conftest.py)."""
+    path = pathlib.Path(__file__).resolve().parents[2] / "common"
+    spec = importlib.util.spec_from_file_location("_repro_ckload",
+                                                  path / "_ckload.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_ckload = _load_ckload()
 
 
 def _compiler() -> List[str]:
@@ -74,16 +92,14 @@ def build(verbose: bool = True, sanitize: bool = False) -> pathlib.Path:
 
 def ensure_built(verbose: bool = False,
                  strict: bool = False) -> Optional[pathlib.Path]:
-    """Build unless an up-to-date extension already exists; returns the
-    extension path, or None when no compiler toolchain is available
-    (``strict`` raises the build failure instead)."""
-    package_dir = pathlib.Path(__file__).resolve().parent
-    source = package_dir / "_ckernels.c"
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
-    target = package_dir / f"_ckernels{suffix}"
-    if (target.exists()
-            and target.stat().st_mtime >= source.stat().st_mtime):
-        return target
+    """Build unless this process can load the existing extension: one at
+    least as new as ``_ckernels.c`` that is not a sanitizer build run
+    without the ASan runtime.  Returns the extension path, or None when
+    no compiler toolchain is available (``strict`` raises the build
+    failure instead)."""
+    existing = _ckload.extension_path()
+    if existing is not None:
+        return pathlib.Path(existing)
     try:
         return build(verbose=verbose)
     except (RuntimeError, OSError) as exc:

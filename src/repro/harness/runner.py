@@ -3,9 +3,7 @@
 All simulation goes through :func:`repro.api.run`, the single entry
 point that also threads tracing, metrics, and result caching;
 this module holds the :class:`RunResult` value it returns and the
-workload-name resolver the harness shares.  (The deprecated
-``run_workload`` shim that used to live here is gone — call
-``api.run(params, workload, ...)``.)
+workload-name resolver the harness shares.
 """
 
 from __future__ import annotations

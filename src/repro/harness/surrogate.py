@@ -91,8 +91,6 @@ ISSUE_EFFICIENCY = {
     "fifo": 0.70,
 }
 
-_DEFAULT_EFFICIENCY = 0.7
-
 
 @dataclass
 class WorkloadProfile:
@@ -304,7 +302,7 @@ def collect_profile(workload: str, *, scale: int = 1,
 
 def _effective_window(params: ProcessorParams) -> float:
     kind = params.iq.kind
-    eta = WINDOW_EFFICIENCY.get(kind, _DEFAULT_EFFICIENCY)
+    eta = WINDOW_EFFICIENCY[kind]
     return eta * min(params.iq.size, params.rob_size,
                      params.effective_lsq_size)
 
@@ -333,7 +331,7 @@ def _predict_parts(profile: WorkloadProfile,
         if per_inst > 0:
             units = params.fu_counts.get(name, 0)
             bounds[f"fu:{name}"] = units / per_inst if units else 0.0
-    phi = ISSUE_EFFICIENCY.get(kind, _DEFAULT_EFFICIENCY)
+    phi = ISSUE_EFFICIENCY[kind]
     binding = min(bounds, key=lambda name: bounds[name])
     min_bound = bounds[binding]
     ipc_core = max(min_bound * phi, 1e-6)

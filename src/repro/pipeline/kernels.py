@@ -15,7 +15,7 @@ implementations:
 Backend selection reuses the segmented tier's switch and its one
 lookup of the compiled module
 (:func:`repro.core.segmented.kernels.compiled_module`):
-``REPRO_KERNELS`` / ``--kernels`` /
+``REPRO_KERNELS`` (read at interpreter start) or
 :func:`~repro.core.segmented.kernels.set_backend` pick the backend for
 *both* tiers, and the pure-Python fallback is always available.  The
 two backends are bit-identical — same cycles, same stats, same traces —

@@ -57,19 +57,14 @@ def thread_stream(stream: Iterator[DynInst],
 
 
 def build_iq(params: ProcessorParams, stats: StatGroup) -> InstructionQueue:
-    """Instantiate the IQ design selected by ``params.iq.kind``.
-
-    Designs live in the model registry (:mod:`repro.core.registry`);
-    registering a new design there makes it constructible here, runnable
-    from the CLI, and subject to the validation campaign and the
-    cross-model conformance suite with no further wiring.
-    """
-    # Imported here (not at module load) to keep core model modules lazy.
-    from repro.core.registry import get_model
+    """Instantiate the IQ design selected by ``params.iq.kind`` from the
+    design table, :data:`repro.harness.configs.DESIGNS`."""
+    # Imported here: repro.harness imports this module.
+    from repro.harness.configs import DESIGNS
     iq_params = params.iq
     iq_params.validate()
-    return get_model(iq_params.kind).build(iq_params, params.issue_width,
-                                           stats)
+    design = DESIGNS[iq_params.kind]
+    return design.iq_class()(iq_params, params.issue_width, stats)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.params import ProcessorParams
+from repro.harness.configs import DESIGNS
 from repro.isa.program import Program
 from repro.validation.generator import FuzzProfile, build_fuzz_program
 from repro.validation.oracle import (Divergence, OracleResult,
@@ -21,15 +22,10 @@ from repro.validation.shrink import active_length, shrink_program
 
 
 def validation_models() -> Dict[str, ProcessorParams]:
-    """Every registered IQ design, sized small enough to stress edge cases.
-
-    Built from the model registry (:mod:`repro.core.registry`), so a
-    newly registered design joins the fuzzing campaign automatically via
-    its ``validation_config``.
-    """
-    from repro.core.registry import registered_models
-    return {kind: model.validation_config()
-            for kind, model in registered_models().items()}
+    """Every IQ design (:data:`repro.harness.configs.DESIGNS`) in its
+    ``validation_config``, sized small enough to stress edge cases."""
+    return {kind: design.validation_config()
+            for kind, design in DESIGNS.items()}
 
 
 @dataclass

@@ -5,8 +5,8 @@ import dataclasses
 import pytest
 
 from repro.common import (CacheParams, ConfigurationError, IQParams,
-                          ProcessorParams, ideal_iq_params,
-                          prescheduled_iq_params, segmented_iq_params)
+                          ProcessorParams)
+from repro.harness import configs
 
 
 class TestTable1Defaults:
@@ -82,7 +82,7 @@ class TestIQParams:
 
     def test_extra_dispatch_cycle_for_complex_iqs(self):
         base = ProcessorParams()
-        ideal = base.replace(iq=ideal_iq_params(512))
+        ideal = configs.ideal(512)
         assert base.dispatch_pipeline_depth == ideal.dispatch_pipeline_depth + 1
 
     def test_segment_size_must_divide(self):
@@ -103,12 +103,12 @@ class TestIQParams:
     def test_prescheduled_paper_points(self):
         # Paper section 6.3: 8/24/56/120 lines of 12 -> 128/320/704/1472 slots.
         for lines, total in [(8, 128), (24, 320), (56, 704), (120, 1472)]:
-            iq = prescheduled_iq_params(lines)
+            iq = configs.prescheduled(lines).iq
             assert iq.size == total
             iq.validate()
 
     def test_segmented_helper(self):
-        iq = segmented_iq_params(256, max_chains=64, hmp=False)
+        iq = configs.segmented(256, max_chains=64, variant="lrp").iq
         assert iq.size == 256
         assert iq.max_chains == 64
         assert not iq.use_hit_miss_predictor

@@ -31,8 +31,8 @@ def _build_kernels():
 
 _build_kernels()
 
-from repro.common import (ProcessorParams, StatGroup,  # noqa: E402
-                          ideal_iq_params)
+from repro.common import StatGroup  # noqa: E402
+from repro.harness import configs  # noqa: E402
 from repro.isa import F, ProgramBuilder, R, execute  # noqa: E402
 from repro.pipeline import Processor  # noqa: E402
 
@@ -95,7 +95,7 @@ def run_program(program, params=None, max_cycles=1_000_000,
                 max_instructions=None):
     """Run a program through the timing model; returns the processor."""
     if params is None:
-        params = ProcessorParams().replace(iq=ideal_iq_params(64))
+        params = configs.ideal(64)
     stream = execute(program, max_instructions=max_instructions)
     processor = Processor(params, stream)
     processor.run(max_cycles=max_cycles)
@@ -104,4 +104,4 @@ def run_program(program, params=None, max_cycles=1_000_000,
 
 @pytest.fixture
 def ideal_params():
-    return ProcessorParams().replace(iq=ideal_iq_params(64))
+    return configs.ideal(64)

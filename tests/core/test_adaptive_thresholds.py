@@ -1,10 +1,8 @@
 """Tests for adaptive segment thresholds (the section-4.1 alternative)."""
 
-import dataclasses
-
 import pytest
 
-from repro.common import ProcessorParams, segmented_iq_params
+from repro.harness import configs
 from repro.isa import execute
 from repro.pipeline import Processor
 
@@ -12,10 +10,8 @@ from tests.conftest import daxpy_program
 
 
 def adaptive_params(interval=50, pushdown=False):
-    iq = dataclasses.replace(
-        segmented_iq_params(256, max_chains=64, pushdown=pushdown),
+    return configs.segmented(256, max_chains=64, pushdown=pushdown).with_iq(
         adaptive_thresholds=True, threshold_update_interval=interval)
-    return ProcessorParams().replace(iq=iq)
 
 
 def run(program, params, max_instructions=None):
@@ -64,15 +60,13 @@ class TestAdaptiveThresholds:
 
     def test_static_config_never_refits(self):
         program = daxpy_program(n=512)
-        params = ProcessorParams().replace(
-            iq=segmented_iq_params(256, max_chains=64))
-        processor = run(program, params)
+        processor = run(program, configs.segmented(256, max_chains=64))
         assert processor.stats.get("iq.threshold_refits") == 0
 
     def test_adaptive_helps_when_pushdown_is_off(self):
         program = daxpy_program(n=4096)
-        without = run(program, ProcessorParams().replace(
-            iq=segmented_iq_params(256, max_chains=64, pushdown=False)),
-            max_instructions=8000)
+        without = run(program,
+                      configs.segmented(256, max_chains=64, pushdown=False),
+                      max_instructions=8000)
         adaptive = run(program, adaptive_params(), max_instructions=8000)
         assert adaptive.cycle <= without.cycle * 1.05

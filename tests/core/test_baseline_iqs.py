@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.common import (IQParams, ProcessorParams, ideal_iq_params,
-                          prescheduled_iq_params)
+from repro.common import IQParams, ProcessorParams
+from repro.harness import configs
 from repro.isa import F, ProgramBuilder, R, execute
 from repro.pipeline import Processor
 
@@ -22,30 +22,31 @@ def run_with(program, iq, max_cycles=1_000_000, max_instructions=None):
 class TestPreschedulingIQ:
     def test_completes_and_commits_everything(self):
         program = daxpy_program(n=64)
-        proc = run_with(program, prescheduled_iq_params(8))
+        proc = run_with(program, configs.prescheduled(8).iq)
         expected = sum(1 for _ in execute(program))
         assert proc.done
         assert proc.committed == expected
 
     def test_array_geometry(self):
-        proc = run_with(daxpy_program(n=16), prescheduled_iq_params(24))
+        proc = run_with(daxpy_program(n=16), configs.prescheduled(24).iq)
         assert proc.iq.num_lines == 24
         assert proc.iq.line_width == 12
         assert proc.iq.buffer_capacity == 32
 
     def test_serial_chain_completes(self):
-        proc = run_with(dependent_chain_program(150), prescheduled_iq_params(8))
+        proc = run_with(dependent_chain_program(150),
+                        configs.prescheduled(8).iq)
         assert proc.done
 
     def test_occupancy_bounded(self):
-        proc = run_with(daxpy_program(n=512), prescheduled_iq_params(8))
+        proc = run_with(daxpy_program(n=512), configs.prescheduled(8).iq)
         assert proc.stats.get("iq.occupancy") <= 128
 
     def test_latency_mispredictions_absorbed_by_buffer(self):
         # A kernel whose loads miss: prescheduled rows drain into the
         # buffer before data arrives, so the array must stall sometimes.
         program = daxpy_program(n=4096)
-        proc = run_with(program, prescheduled_iq_params(24),
+        proc = run_with(program, configs.prescheduled(24).iq,
                         max_instructions=20_000)
         assert proc.done
         assert proc.stats.get("presched.array_stalls") > 0
@@ -53,9 +54,9 @@ class TestPreschedulingIQ:
     def test_insensitive_to_array_size_on_miss_bound_code(self):
         # Paper 6.3: growing the array barely helps most benchmarks.
         program = daxpy_program(n=4096)
-        small = run_with(program, prescheduled_iq_params(8),
+        small = run_with(program, configs.prescheduled(8).iq,
                          max_instructions=20_000)
-        large = run_with(program, prescheduled_iq_params(120),
+        large = run_with(program, configs.prescheduled(120).iq,
                          max_instructions=20_000)
         assert large.cycle > small.cycle * 0.8
 
@@ -95,6 +96,6 @@ class TestDependenceFIFOQueue:
         program = daxpy_program(n=4096)
         fifo = run_with(program, self.fifo_params(size=512, depth=32),
                         max_instructions=20_000)
-        ideal = run_with(program, ideal_iq_params(512),
+        ideal = run_with(program, configs.ideal(512).iq,
                          max_instructions=20_000)
         assert fifo.cycle > ideal.cycle

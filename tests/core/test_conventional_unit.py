@@ -5,6 +5,7 @@ import pytest
 from repro.common import StatGroup
 from repro.core.conventional import ConventionalIQ
 from repro.core.iq_base import Operand
+from repro.harness import configs
 from repro.isa import Instruction, Opcode
 from repro.isa.instruction import DynInst
 
@@ -20,7 +21,7 @@ def always_fu(_inst):
 
 class TestConventionalIQ:
     def make(self, size=8, width=4):
-        return ConventionalIQ(size, width, StatGroup())
+        return ConventionalIQ(configs.ideal(size).iq, width, StatGroup())
 
     def test_dispatch_until_full(self):
         iq = self.make(size=2)
@@ -93,7 +94,7 @@ class TestConventionalIQ:
 
     def test_stats_track_traffic(self):
         stats = StatGroup()
-        iq = ConventionalIQ(8, 4, stats)
+        iq = ConventionalIQ(configs.ideal(8).iq, 4, stats)
         iq.dispatch(make_inst(0), [Operand(reg=2)], now=0)
         iq.select_issue(1, always_fu)
         assert stats.get("iq.dispatched") == 1

@@ -5,12 +5,10 @@ gating clocks and/or power on a segment granularity, based on power
 constraints or power/performance trade-offs."
 """
 
-import dataclasses
-
 import pytest
 
-from repro.common import (ConfigurationError, IQParams, ProcessorParams,
-                          segmented_iq_params)
+from repro.common import ConfigurationError
+from repro.harness import configs
 from repro.isa import execute
 from repro.pipeline import Processor
 from repro.workloads import WORKLOADS
@@ -25,10 +23,8 @@ def low_occupancy_program():
 
 
 def resize_params(size=512, **overrides):
-    iq = dataclasses.replace(
-        segmented_iq_params(size, max_chains=128),
+    return configs.segmented(size, max_chains=128).with_iq(
         dynamic_resize=True, **overrides)
-    return ProcessorParams().replace(iq=iq)
 
 
 def run(program, params, max_cycles=1_000_000):
@@ -96,15 +92,13 @@ class TestResizingBehaviour:
 
     def test_performance_cost_is_bounded_on_streaming(self):
         program = daxpy_program(n=2048)
-        fixed = run(program, ProcessorParams().replace(
-            iq=segmented_iq_params(512, max_chains=128)))
+        fixed = run(program, configs.segmented(512, max_chains=128))
         adaptive = run(program, resize_params(resize_interval=50))
         assert adaptive.cycle < fixed.cycle * 1.6
 
     def test_static_config_never_resizes(self):
         program = daxpy_program(n=256)
-        processor = run(program, ProcessorParams().replace(
-            iq=segmented_iq_params(512, max_chains=128)))
+        processor = run(program, configs.segmented(512, max_chains=128))
         assert processor.stats.get("iq.resize_grow") == 0
         assert processor.stats.get("iq.resize_shrink") == 0
         assert processor.iq.active_segments == processor.iq.num_segments

@@ -23,9 +23,10 @@ queue holds Figure 1(b)'s placement.
 
 import pytest
 
-from repro.common import StatGroup, segmented_iq_params
+from repro.common import StatGroup
 from repro.core.iq_base import Operand
 from repro.core.segmented import SegmentedIQ
+from repro.harness import configs
 from repro.isa import Instruction, Opcode
 from repro.isa.instruction import DynInst
 
@@ -49,8 +50,8 @@ SETTLED = 5
 def dispatch_example():
     """Dispatch Figure 1 into the top segment at cycle 0 and promote
     until cycle ``SETTLED``; returns the queue and entries by name."""
-    params = segmented_iq_params(48, 16, None, hmp=False, lrp=True,
-                                 pushdown=False, bypass=False)
+    params = configs.segmented(48, None, "lrp", segment_size=16,
+                               pushdown=False, bypass=False).iq
     iq = SegmentedIQ(params, issue_width=8, stats=StatGroup())
     # Instructions stay queued (nothing is issued); something in
     # execution keeps the deadlock detector from firing.

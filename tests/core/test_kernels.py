@@ -6,7 +6,7 @@ reference (:class:`repro.core.segmented.kernels.PyKernelEngine`) and the
 optional C extension (``repro.core.segmented._ckernels``, built with
 ``python -m repro.core.segmented.build``).  The backends must be
 **bit-identical**: same cycle counts, same statistics, same JSONL trace
-streams, on every registered model and every benchmark workload.
+streams, on every IQ design and every benchmark workload.
 
 When the extension is not built (or ``REPRO_KERNELS=py`` disabled it for
 the process) the compiled-side tests skip gracefully — the pure-Python
@@ -23,12 +23,11 @@ import pytest
 import repro
 from repro import api
 from repro.common import stats as stat_primitives
-from repro.core.registry import registered_models
 from repro.core.segmented import kernels
+from repro.harness.configs import DESIGNS
 from repro.obs import RingBufferTracer, dump_jsonl
 from repro.workloads import WORKLOADS
 
-MODELS = registered_models()
 
 
 def _compiled_available() -> bool:
@@ -54,7 +53,7 @@ def _run(kind, workload, backend):
     """One conformance-config run under a forced kernel backend."""
     kernels.set_backend(backend)
     try:
-        params = MODELS[kind].conformance_config()
+        params = DESIGNS[kind].conformance_config()
         tracer = RingBufferTracer()
         result = api.run(params, workload, max_instructions=1200,
                          trace=tracer)
@@ -114,9 +113,9 @@ def test_segmented_backend_parity(workload):
 
 
 @requires_compiled
-@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("kind", sorted(DESIGNS))
 def test_all_models_backend_parity(kind):
-    """Every registered model runs bit-identically under both backends
+    """Every IQ design runs bit-identically under both backends
     (non-segmented models exercise the shared compiled stat/event
     primitives rather than the IQ engine)."""
     py_result, py_trace = _run(kind, "gcc", "py")
@@ -335,3 +334,38 @@ class TestPipelineGracefulFallback:
         assert _ckload.extension_path() is None
         built.write_bytes(b"\x7fELF...")
         assert _ckload.extension_path() == str(built)
+
+    def test_ensure_built_replaces_what_this_process_cannot_load(
+            self, tmp_path, monkeypatch):
+        """The build shares the loader's rule: after ``build --sanitize``
+        a plain session rebuilds, rather than keep an extension it then
+        treats as absent (the parity tests would skip); a loadable,
+        up-to-date extension is kept."""
+        import ctypes
+        import importlib.machinery
+        import os
+        from repro.core.segmented import build
+        if hasattr(ctypes.CDLL(None), "__asan_init"):
+            pytest.skip("this process runs under the ASan runtime")
+        built = tmp_path / (
+            "_ckernels" + importlib.machinery.EXTENSION_SUFFIXES[0])
+        source = tmp_path / "_ckernels.c"
+        source.write_text("")
+        monkeypatch.setattr(build._ckload, "_PACKAGE_DIR", str(tmp_path))
+        rebuilds = []
+        monkeypatch.setattr(build, "build",
+                            lambda **kwargs: rebuilds.append(kwargs) or built)
+        for content, expect_rebuild in ((b"\x7fELF...", False),
+                                        (b"\x7fELF...__asan_init...", True)):
+            built.write_bytes(content)
+            os.utime(source, (1_000, 1_000))
+            os.utime(built, (2_000, 2_000))
+            rebuilds.clear()
+            assert build.ensure_built() == built
+            assert bool(rebuilds) == expect_rebuild, content
+        # A stale extension is rebuilt too.
+        built.write_bytes(b"\x7fELF...")
+        os.utime(built, (500, 500))
+        rebuilds.clear()
+        build.ensure_built()
+        assert rebuilds

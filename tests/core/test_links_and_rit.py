@@ -5,12 +5,13 @@ Eligibility is computed by the kernel engine over its entry and chain
 columns; the RIT is read by ``SegmentedIQ`` dispatch planning, so both
 are exercised through the code the simulator runs."""
 
-from repro.common import StatGroup, segmented_iq_params
+from repro.common import StatGroup
 from repro.core.iq_base import Operand
 from repro.core.segmented import PREDICTED_LOAD_LATENCY, SegmentedIQ
 from repro.core.segmented.chains import Chain
 from repro.core.segmented.kernels import PyKernelEngine
 from repro.core.segmented.links import NEVER, CountdownLink, combined_delay
+from repro.harness import configs
 from repro.isa import Instruction, Opcode
 from repro.isa.instruction import DynInst
 
@@ -99,8 +100,8 @@ class TestCombined:
                            dh=3) == NEVER
 
 
-def make_iq(**kwargs):
-    params = segmented_iq_params(128, 32, None, hmp=False, **kwargs)
+def make_iq():
+    params = configs.segmented(128, None, "lrp").iq
     return SegmentedIQ(params, issue_width=8, stats=StatGroup())
 
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.common import IQParams, StatGroup, prescheduled_iq_params
+from repro.common import StatGroup
 from repro.core.iq_base import Operand
 from repro.core.prescheduler import IN_ARRAY, IN_BUFFER, PreschedulingIQ
+from repro.harness import configs
 from repro.isa import Instruction, Opcode
 from repro.isa.instruction import DynInst
 
@@ -19,7 +20,7 @@ def always_fu(_inst):
 
 
 def make_iq(lines=4, width=8):
-    return PreschedulingIQ(prescheduled_iq_params(lines), width, StatGroup())
+    return PreschedulingIQ(configs.prescheduled(lines).iq, width, StatGroup())
 
 
 class TestScheduling:

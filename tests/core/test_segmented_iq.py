@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common import ProcessorParams, ideal_iq_params, segmented_iq_params
+from repro.harness import configs
 from repro.isa import F, ProgramBuilder, R, execute, run_functional
 from repro.pipeline import Processor
 
@@ -10,12 +10,11 @@ from tests.conftest import daxpy_program, dependent_chain_program
 
 
 def run_segmented(program, *, size=128, segment_size=32, max_chains=None,
-                  hmp=False, lrp=False, pushdown=True, bypass=True,
+                  variant="base", pushdown=True, bypass=True,
                   max_instructions=None, max_cycles=1_000_000):
-    iq = segmented_iq_params(size, segment_size, max_chains,
-                             hmp=hmp, lrp=lrp, pushdown=pushdown,
-                             bypass=bypass)
-    params = ProcessorParams().replace(iq=iq)
+    params = configs.segmented(size, max_chains, variant,
+                               segment_size=segment_size, pushdown=pushdown,
+                               bypass=bypass)
     proc = Processor(params, execute(program,
                                      max_instructions=max_instructions))
     proc.warm_code(program)
@@ -48,7 +47,7 @@ class TestBasicCorrectness:
         # equivalent to the conventional IQ.
         program = daxpy_program(n=256)
         seg = run_segmented(program, size=32, segment_size=32)
-        params = ProcessorParams().replace(iq=ideal_iq_params(32))
+        params = configs.ideal(32)
         # Remove the extra dispatch stage to make the comparison exact.
         params = params.replace(extra_dispatch_cycle_for_complex_iq=False)
         proc = Processor(params, execute(program))
@@ -61,7 +60,7 @@ class TestBasicCorrectness:
 class TestChainBehaviour:
     def test_every_load_starts_a_chain_in_base_config(self):
         program = daxpy_program(n=64)
-        proc = run_segmented(program, hmp=False, lrp=False)
+        proc = run_segmented(program)
         loads = proc.stats.get("lsq.loads")
         assert proc.stats.get("iq.chain_heads") >= loads
 
@@ -98,8 +97,8 @@ class TestChainBehaviour:
         b.blt(i, limit, "loop")
         b.halt()
         program = b.build()
-        base = run_segmented(program, hmp=False)
-        with_hmp = run_segmented(program, hmp=True)
+        base = run_segmented(program)
+        with_hmp = run_segmented(program, variant="hmp")
         assert (with_hmp.stats.get("iq.chain_heads")
                 < 0.5 * base.stats.get("iq.chain_heads"))
         assert with_hmp.iq.hmp.hit_prediction_accuracy > 0.9
@@ -123,8 +122,8 @@ class TestChainBehaviour:
         b.blt(i, limit, "loop")
         b.halt()
         program = b.build()
-        base = run_segmented(program, lrp=False)
-        with_lrp = run_segmented(program, lrp=True)
+        base = run_segmented(program)
+        with_lrp = run_segmented(program, variant="lrp")
         assert base.stats.get("iq.two_chain_instructions") > 100
         assert (with_lrp.stats.get("iq.chain_heads")
                 < base.stats.get("iq.chain_heads"))
@@ -175,7 +174,7 @@ class TestScaling:
         # issue window).
         program = daxpy_program(n=2048)
         seg = run_segmented(program, size=256)
-        params = ProcessorParams().replace(iq=ideal_iq_params(256))
+        params = configs.ideal(256)
         ideal = Processor(params, execute(program))
         ideal.warm_code(program)
         ideal.run(max_cycles=1_000_000)

@@ -3,15 +3,18 @@ promotion mechanics, and deadlock recovery on synthetic states."""
 
 import pytest
 
-from repro.common import StatGroup, segmented_iq_params
+from repro.common import StatGroup
 from repro.core.iq_base import Operand
 from repro.core.segmented import SegmentedIQ
+from repro.harness import configs
 from repro.isa import Instruction, Opcode
 from repro.isa.instruction import DynInst
 
 
-def make_iq(size=128, segment_size=32, max_chains=None, **kwargs):
-    params = segmented_iq_params(size, segment_size, max_chains, **kwargs)
+def make_iq(size=128, segment_size=32, max_chains=None, variant="comb",
+            **kwargs):
+    params = configs.segmented(size, max_chains, variant,
+                               segment_size=segment_size, **kwargs).iq
     return SegmentedIQ(params, issue_width=8, stats=StatGroup())
 
 
@@ -87,7 +90,7 @@ class TestIssueFromSegmentZero:
         assert all(before[entry.seq] == 0 for entry in issued)
 
     def test_chain_head_issue_starts_self_timing(self):
-        iq = make_iq(hmp=False)
+        iq = make_iq(variant="lrp")
         load = load_inst(0)
         assert iq.can_dispatch(load)
         entry = iq.dispatch(load, [Operand(reg=0, ready_cycle=0)], now=0)
@@ -130,7 +133,7 @@ class TestPromotion:
 
 class TestChainAccounting:
     def test_chain_freed_on_load_completion(self):
-        iq = make_iq(hmp=False, max_chains=4)
+        iq = make_iq(variant="lrp", max_chains=4)
         load = load_inst(0)
         iq.dispatch(load, [Operand(reg=0, ready_cycle=0)], now=0)
         assert iq.chains.active_count == 1
@@ -140,7 +143,7 @@ class TestChainAccounting:
         assert iq.chains.active_count == 0
 
     def test_miss_suspends_until_completion(self):
-        iq = make_iq(hmp=False)
+        iq = make_iq(variant="lrp")
         load = load_inst(0)
         entry = iq.dispatch(load, [Operand(reg=0, ready_cycle=0)], now=0)
         chain = entry.chain_state.own_chain
@@ -152,7 +155,7 @@ class TestChainAccounting:
         assert not chain.suspended
 
     def test_delay_of_reports_current_delay(self):
-        iq = make_iq(hmp=False, lrp=False)
+        iq = make_iq(variant="base")
         load = load_inst(0)
         iq.dispatch(load, [Operand(reg=0, ready_cycle=0)], now=0)
         consumer = DynInst(seq=1, pc=1, static=Instruction(

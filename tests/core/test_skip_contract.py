@@ -30,13 +30,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.core.registry import registered_models
 from repro.core.segmented.links import NEVER
+from repro.harness.configs import DESIGNS
 from repro.isa import execute
 from repro.pipeline import Processor
 from repro.validation.generator import FuzzProfile, build_fuzz_program
 
-MODELS = registered_models()
 
 PROFILE = FuzzProfile(length=20, loop_iterations=3)
 
@@ -98,7 +97,7 @@ def _stats_without_skip(stats):
 
 
 def _run(kind, program, *, event_driven, cap=None):
-    params = MODELS[kind].conformance_config().replace(
+    params = DESIGNS[kind].conformance_config().replace(
         event_driven=event_driven)
     processor = Processor(params, execute(program))
     processor.warm_code(program)
@@ -109,7 +108,7 @@ def _run(kind, program, *, event_driven, cap=None):
     return processor, recorder
 
 
-@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("kind", sorted(DESIGNS))
 @settings(max_examples=4, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(min_value=0, max_value=10_000),
@@ -129,7 +128,7 @@ def test_forced_early_wake_never_changes_results(kind, seed, cap):
     assert all(count <= cap for _, count in recorder.skips)
 
 
-@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("kind", sorted(DESIGNS))
 def test_uncapped_windows_respect_promises(kind):
     # Uncapped run: the recorder asserts the window/promise relation on
     # every skip; here we additionally check windows are disjoint and

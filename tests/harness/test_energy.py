@@ -68,16 +68,12 @@ class TestEnergyModel:
             assert event in DEFAULT_WEIGHTS
 
     def test_resized_queue_uses_fewer_static_segment_cycles(self):
-        import dataclasses
-        from repro.common import ProcessorParams, segmented_iq_params
-        base_iq = segmented_iq_params(512, max_chains=128)
-        gated_iq = dataclasses.replace(base_iq, dynamic_resize=True,
-                                       resize_interval=100)
+        fixed_params = configs.segmented(512, max_chains=128)
+        gated_params = fixed_params.with_iq(dynamic_resize=True,
+                                            resize_interval=100)
         model = EnergyModel()
-        fixed = api.run(ProcessorParams().replace(iq=base_iq), "gcc",
-                             max_instructions=6000)
-        gated = api.run(ProcessorParams().replace(iq=gated_iq), "gcc",
-                             max_instructions=6000)
+        fixed = api.run(fixed_params, "gcc", max_instructions=6000)
+        gated = api.run(gated_params, "gcc", max_instructions=6000)
         fixed_b = model.estimate(fixed.stats)
         gated_b = model.estimate(gated.stats)
         assert gated_b["static_segments"] < fixed_b["static_segments"]

@@ -437,6 +437,27 @@ def _seg_beats_presched(rows: dict) -> tuple:
             "included" if "vortex" in wins else "excluded")
 
 
+def _chain_gap_row(rows: dict) -> tuple:
+    """At the largest size: the analog whose 64-chain IQ trails its
+    128-chain IQ most, the largest gap among the others and its analog,
+    the analogs where the 64-chain IQ leads, and how many others tie."""
+    size = max(next(iter(rows.values()))["seg-64ch"])
+    gaps = {bench: _ipc(rows, bench, "seg-128ch", size)
+            - _ipc(rows, bench, "seg-64ch", size) for bench in rows}
+    worst = max(gaps, key=gaps.get)
+    runner_up = max((bench for bench in gaps if bench != worst),
+                    key=gaps.get)
+    leaders = [bench for bench, gap in gaps.items() if gap < 0]
+
+    def pair(bench):
+        return rows[bench]["seg-64ch"][size], rows[bench]["seg-128ch"][size]
+
+    return (str(size), worst, f"{gaps[runner_up]:.3f}", *pair(worst),
+            runner_up, f"{gaps[runner_up]:.3f}", *pair(runner_up),
+            ", ".join(leaders), *(pair(leaders[0]) if leaders else ("", "")),
+            str(sum(gap == 0 for gap in gaps.values())))
+
+
 #: (first words of the claim cell, regex over the measured cell, the
 #: artifact values of its groups).  A worded finding is a group too, so
 #: it is recomputed like a number.
@@ -466,6 +487,12 @@ FIGURE3_QUOTES = [
                         for config in ("seg-128ch", "seg-64ch")
                         for size in rows[bench][config])
          else "sometimes",)),
+    ("segmented-64ch trails",
+     r"^no — at (\d+) entries only (\w+) trails by more than (\d\.\d+) "
+     r"\((\d\.\d+) vs (\d\.\d+)\); (\w+) trails by (\d\.\d+) "
+     r"\((\d\.\d+) vs (\d\.\d+)\), (\w+) leads \((\d\.\d+) vs (\d\.\d+)\) "
+     r"and the other (\d+) tie \(a known divergence\)$",
+     _chain_gap_row),
     ("prescheduler: only vortex",
      r"^no — (\w+) gains most \((\d\.\d+) → (\d\.\d+), (\d\.\d\d)×\), "
      r"vortex (\d\.\d\d)× \((\d\.\d+) → (\d\.\d+)\), "

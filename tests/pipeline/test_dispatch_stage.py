@@ -14,7 +14,6 @@ import json
 
 import pytest
 
-from repro.core.registry import registered_models
 from repro.core.segmented import kernels
 from repro.harness import configs
 from repro.isa import execute
@@ -100,10 +99,10 @@ def test_dense_segmented_stage_parity(workload):
 
 
 @requires_stage
-@pytest.mark.parametrize("kind", sorted(registered_models()))
+@pytest.mark.parametrize("kind", sorted(configs.DESIGNS))
 def test_every_model_stage_parity(kind):
     """Every IQ design behind the stage's method calls, on gcc."""
-    _assert_same(registered_models()[kind].conformance_config(), "gcc")
+    _assert_same(configs.DESIGNS[kind].conformance_config(), "gcc")
 
 
 @requires_stage

@@ -2,7 +2,7 @@
 
 ``Processor.run`` fast-forwards the clock across provably quiescent
 stretches (docs/performance.md).  The cross-model on/off bit-identity
-matrix lives in ``tests/core/test_iq_conformance.py`` (every registered
+matrix lives in ``tests/core/test_iq_conformance.py`` (every IQ
 design x every workload); these tests cover what that matrix cannot —
 that skipping actually *fires* and crosses a long miss shadow in a
 constant number of steps.
@@ -13,7 +13,6 @@ import dataclasses
 import pytest
 
 from repro import api
-from repro.common import ProcessorParams, ideal_iq_params
 from repro.harness import configs
 from repro.isa import ProgramBuilder, R, execute
 from repro.memory.cache import Cache
@@ -55,7 +54,7 @@ def test_miss_shadow_crossed_in_constant_steps():
     """A ~1200-cycle memory stall must cost O(events) steps, not O(cycles):
     nearly every cycle of the shadow is skipped in a handful of windows."""
     program = _miss_shadow_program()
-    params = ProcessorParams().replace(iq=ideal_iq_params(64))
+    params = configs.ideal(64)
     params = params.replace(memory=dataclasses.replace(
         params.memory, main_memory_latency=1200))
     processor = Processor(params, execute(program))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common import ProcessorParams, ideal_iq_params
+from repro.harness import configs
 from repro.isa import F, Opcode, ProgramBuilder, R, execute
 from repro.pipeline import Processor
 
@@ -39,12 +39,10 @@ class TestDependenceTiming:
     def test_independent_ops_reach_high_ipc(self):
         # Warm the code footprint (the paper measures warm checkpoints);
         # otherwise straight-line code is one long cold I-miss sequence.
-        from repro.common import ProcessorParams, ideal_iq_params
         from repro.isa import execute
         from repro.pipeline import Processor
         program = independent_ops_program(count=800)
-        proc = Processor(ProcessorParams().replace(iq=ideal_iq_params(64)),
-                         execute(program))
+        proc = Processor(configs.ideal(64), execute(program))
         proc.warm_code(program)
         proc.run(max_cycles=100_000)
         assert proc.ipc > 4.0
@@ -66,8 +64,7 @@ class TestLatencies:
 
     def run_and_find(self, program, opcode):
         stream = list(execute(program))
-        proc = Processor(ProcessorParams().replace(iq=ideal_iq_params(64)),
-                         iter(stream))
+        proc = Processor(configs.ideal(64), iter(stream))
         proc.run(max_cycles=100_000)
         for inst in stream:
             if inst.opcode is opcode:
@@ -94,8 +91,7 @@ class TestLatencies:
         b.addi(R(3), R(2), 1)
         b.halt()
         stream = list(execute(b.build()))
-        proc = Processor(ProcessorParams().replace(iq=ideal_iq_params(64)),
-                         iter(stream))
+        proc = Processor(configs.ideal(64), iter(stream))
         proc.run(max_cycles=100_000)
         adds = [i for i in stream if i.opcode is Opcode.ADDI]
         assert adds[1].issued_cycle == adds[0].issued_cycle + 1
@@ -111,8 +107,7 @@ class TestLatencies:
             b.div(R(3 + i % 16), R(1), R(2))
         b.halt()
         stream = list(execute(b.build()))
-        proc = Processor(ProcessorParams().replace(iq=ideal_iq_params(64)),
-                         iter(stream))
+        proc = Processor(configs.ideal(64), iter(stream))
         proc.run(max_cycles=100_000)
         divides = [i for i in stream if i.opcode is Opcode.DIV]
         issue_cycles = sorted(i.issued_cycle for i in divides)
@@ -173,8 +168,7 @@ class TestStoreLoadInteraction:
         b.addi(R(3), R(2), 0)
         b.halt()
         stream = list(execute(b.build()))
-        proc = Processor(ProcessorParams().replace(iq=ideal_iq_params(64)),
-                         iter(stream))
+        proc = Processor(configs.ideal(64), iter(stream))
         proc.run(max_cycles=100_000)
         assert proc.stats.get("lsq.forwards") == 1
         load = next(i for i in stream if i.is_load)
@@ -197,12 +191,8 @@ class TestWindowScaling:
     def test_bigger_window_helps_memory_bound_code(self):
         # Stride-1 stream with footprint > L1: large windows overlap misses.
         program = daxpy_program(n=2048)
-        small = run_program(
-            program,
-            ProcessorParams().replace(iq=ideal_iq_params(32)))
-        large = run_program(
-            program,
-            ProcessorParams().replace(iq=ideal_iq_params(256)))
+        small = run_program(program, configs.ideal(32))
+        large = run_program(program, configs.ideal(256))
         assert large.cycle < small.cycle * 0.75
 
     def test_rob_occupancy_bounded_by_size(self):

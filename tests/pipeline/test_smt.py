@@ -4,7 +4,6 @@ SMT study): one stream per hardware thread on a shared back end."""
 import pytest
 
 from repro.common import ConfigurationError
-from repro.core.registry import registered_models
 from repro.core.segmented import kernels
 from repro.harness import configs
 from repro.isa import execute
@@ -172,7 +171,7 @@ class TestContracts:
 
     @staticmethod
     def _run(kind, backend, event_driven=True, budget=1500):
-        params = registered_models()[kind].conformance_config().replace(
+        params = configs.DESIGNS[kind].conformance_config().replace(
             event_driven=event_driven)
         kernels.set_backend(backend)
         try:
@@ -190,7 +189,7 @@ class TestContracts:
                 for name, value in processor.stats.as_dict().items()
                 if not name.startswith("skip.")}
 
-    @pytest.mark.parametrize("kind", sorted(registered_models()))
+    @pytest.mark.parametrize("kind", sorted(configs.DESIGNS))
     def test_event_driven_matches_plain_loop(self, kind):
         skipping = self._run(kind, "py")
         plain = self._run(kind, "py", event_driven=False)
@@ -199,7 +198,7 @@ class TestContracts:
         assert skipping.digest == plain.digest
         assert plain.stats.get("skip.cycles_skipped") == 0
 
-    @pytest.mark.parametrize("kind", sorted(registered_models()))
+    @pytest.mark.parametrize("kind", sorted(configs.DESIGNS))
     def test_backends_match(self, kind):
         py = self._run(kind, "py")
         compiled = self._run(kind, "compiled")

@@ -2,15 +2,16 @@
 (paper section 4.5): a completely wedged queue must trigger recovery,
 and recovery must drain every instruction — none lost, none duplicated."""
 
-from repro.common import StatGroup, segmented_iq_params
+from repro.common import StatGroup
 from repro.core.iq_base import Operand
 from repro.core.segmented import SegmentedIQ
+from repro.harness import configs
 from repro.isa import Instruction, Opcode
 from repro.isa.instruction import DynInst
 
 
-def make_iq(size=4, segment_size=2, **kwargs):
-    params = segmented_iq_params(size, segment_size, None, **kwargs)
+def make_iq(size=4, segment_size=2):
+    params = configs.segmented(size, None, segment_size=segment_size).iq
     return SegmentedIQ(params, issue_width=4, stats=StatGroup())
 
 

@@ -3,21 +3,22 @@ corruption and stays silent on healthy state."""
 
 import pytest
 
-from repro.common import StatGroup, segmented_iq_params
+from repro.common import StatGroup
 from repro.common.errors import InvariantViolation
 from repro.core.iq_base import IQEntry, Operand
 from repro.core.segmented import SegmentedIQ, kernels
 from repro.core.segmented.chains import Chain
+from repro.harness import configs
 from repro.isa import Instruction, Opcode
 from repro.isa.instruction import DynInst
 from repro.pipeline.rob import ReorderBuffer
 from repro.validation.invariants import InvariantChecker
 
 
-def make_iq(size=64, segment_size=32, max_chains=None, **kwargs):
+def make_iq(variant="comb"):
     """A segmented IQ over the pure-Python engine, whose columns the
     tests below can corrupt directly."""
-    params = segmented_iq_params(size, segment_size, max_chains, **kwargs)
+    params = configs.segmented(64, None, variant).iq
     kernels.set_backend("py")
     try:
         return SegmentedIQ(params, issue_width=8, stats=StatGroup())
@@ -95,7 +96,7 @@ class TestSegmentedIQChecks:
             iq.check(now=0)
 
     def test_queued_head_segment_disagreement_fires(self):
-        iq = make_iq(hmp=False)
+        iq = make_iq("lrp")
         load = DynInst(seq=0, pc=0, static=Instruction(
             opcode=Opcode.LD, dest=1, srcs=(0,)))
         entry = iq.dispatch(load, [Operand(reg=0, ready_cycle=0)], now=0)
@@ -106,7 +107,7 @@ class TestSegmentedIQChecks:
             iq.check(now=0)
 
     def test_queued_head_base_disagreement_fires(self):
-        iq = make_iq(hmp=False)
+        iq = make_iq("lrp")
         load = DynInst(seq=0, pc=0, static=Instruction(
             opcode=Opcode.LD, dest=1, srcs=(0,)))
         entry = iq.dispatch(load, [Operand(reg=0, ready_cycle=0)], now=0)
@@ -118,7 +119,7 @@ class TestSegmentedIQChecks:
 
 class TestChainChecks:
     def test_issued_chain_off_segment_zero_fires(self):
-        iq = make_iq(hmp=False)
+        iq = make_iq("lrp")
         load = DynInst(seq=0, pc=0, static=Instruction(
             opcode=Opcode.LD, dest=1, srcs=(0,)))
         entry = iq.dispatch(load, [Operand(reg=0, ready_cycle=0)], now=0)
@@ -130,7 +131,7 @@ class TestChainChecks:
             iq.chains.check(now=2)
 
     def test_suspended_before_issue_fires(self):
-        manager_iq = make_iq(hmp=False)
+        manager_iq = make_iq("lrp")
         chain = Chain(0, ready_inst(0), manager_iq._engine, head_segment=1)
         chain.suspended_since = 5        # suspend() would refuse this
         manager_iq.chains._active[0] = chain

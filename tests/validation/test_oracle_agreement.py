@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.core.registry import registered_models
+from repro.harness.configs import DESIGNS
 from repro.isa import execute
 from repro.pipeline import Processor
 from repro.pipeline.processor import DATA_SPACE_BYTES
@@ -72,11 +72,11 @@ class TestMultiThreadOracle:
     """Each thread of a two-thread run retires exactly its own program's
     golden stream."""
 
-    @pytest.mark.parametrize("kind", sorted(registered_models()))
+    @pytest.mark.parametrize("kind", sorted(DESIGNS))
     def test_each_thread_retires_its_golden_stream(self, kind):
         programs = [build_fuzz_program(FuzzProfile(seed=seed))
                     for seed in (21, 22)]
-        params = registered_models()[kind].conformance_config().replace(
+        params = DESIGNS[kind].conformance_config().replace(
             check_invariants=True)
         processor = Processor(params, [execute(p) for p in programs])
         for thread, program in enumerate(programs):

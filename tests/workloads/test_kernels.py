@@ -7,7 +7,6 @@ for it (that character is what makes it an analog of its SPEC namesake).
 
 import pytest
 
-from repro.common import ProcessorParams, ideal_iq_params
 from repro import api
 from repro.harness import configs
 from repro.isa import execute, run_functional
