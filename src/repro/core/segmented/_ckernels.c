@@ -105,6 +105,14 @@ static PyObject *str_fetched_cycle, *str_is_halt, *str_robs;
 static PyObject *str_commit_listeners, *str_halted, *str_committed;
 static PyObject *str_last_commit_cycle, *str_committed_cycle, *str_commit;
 static PyObject *str_next_pc, *str_mem_addr, *str_taken;
+/* ... and of the memory stage. */
+static PyObject *str_completed, *str_waiting_loads, *str_addr;
+static PyObject *str_word_addr, *str_level, *str_mem_level, *str_candidates;
+static PyObject *str_refused, *str_refused_version, *str_version;
+static PyObject *str_stores_by_word, *str_true_stores_by_word;
+static PyObject *str_issued_loads_by_word, *str_notify_load_miss;
+static PyObject *str_notify_load_complete, *str_allocate_mshr;
+static PyObject *str_rotate, *str_extend;
 
 static const struct { PyObject **slot; const char *name; }
 STAGE_NAMES[] = {
@@ -155,6 +163,18 @@ STAGE_NAMES[] = {
     {&str_committed_cycle, "committed_cycle"}, {&str_commit, "commit"},
     {&str_next_pc, "next_pc"}, {&str_mem_addr, "mem_addr"},
     {&str_taken, "taken"},
+    {&str_completed, "completed"}, {&str_waiting_loads, "waiting_loads"},
+    {&str_addr, "addr"}, {&str_word_addr, "word_addr"},
+    {&str_level, "level"}, {&str_mem_level, "mem_level"},
+    {&str_candidates, "_candidates"}, {&str_refused, "_refused"},
+    {&str_refused_version, "_refused_version"}, {&str_version, "version"},
+    {&str_stores_by_word, "_stores_by_word"},
+    {&str_true_stores_by_word, "_true_stores_by_word"},
+    {&str_issued_loads_by_word, "_issued_loads_by_word"},
+    {&str_notify_load_miss, "notify_load_miss"},
+    {&str_notify_load_complete, "notify_load_complete"},
+    {&str_allocate_mshr, "_allocate_mshr"}, {&str_rotate, "rotate"},
+    {&str_extend, "extend"},
 };
 
 /* Fused FU acquisition for Engine.issue_select (defined with the
@@ -565,7 +585,12 @@ static slotsite at_inst_seq = {&str_seq}, at_inst_pc = {&str_pc},
     at_inst_fetched = {&str_fetched_cycle},
     at_inst_committed = {&str_committed_cycle},
     at_prod_ready = {&str_value_ready_cycle},
-    at_prod_waiters = {&str_waiters};
+    at_prod_waiters = {&str_waiters}, at_inst_mem_level = {&str_mem_level};
+/* LSQEntry: */
+static slotsite at_lsq_inst = {&str_inst}, at_lsq_seq = {&str_seq},
+    at_lsq_issued = {&str_issued}, at_lsq_completed = {&str_completed},
+    at_lsq_waiting = {&str_waiting_loads}, at_lsq_addr = {&str_addr},
+    at_lsq_word = {&str_word_addr}, at_lsq_level = {&str_level};
 /* RITEntry, Chain, Operand: */
 static slotsite at_rit_producer = {&str_producer}, at_rit_chain = {&str_chain},
     at_rit_dh = {&str_dh}, at_rit_expected = {&str_expected_ready},
@@ -3241,27 +3266,35 @@ Pipeline_fu_can_accept(PipelineObj *self, PyObject *args)
     return PyBool_FromLong(units->len && units->data[0] <= now);
 }
 
+static int
+pipeline_cache_port_raw(PipelineObj *self, int64_t now)
+{
+    /* 1 claimed, 0 every port busy, -1 error. */
+    Py_ssize_t base = self->mem_port * self->clusters;
+    for (Py_ssize_t cluster = 0; cluster < self->clusters; cluster++) {
+        i64vec *units = &self->heaps[base + cluster];
+        if (!units->len || units->data[0] > now) {
+            if (counter_inc1(self->structural) < 0)
+                return -1;
+            continue;
+        }
+        units->data[0] = now + 1;           /* heapreplace */
+        hq_siftup(units->data, 0, units->len);
+        return counter_inc1(self->issued[self->mem_port]) < 0 ? -1 : 1;
+    }
+    return 0;
+}
+
 static PyObject *
 Pipeline_fu_cache_port(PipelineObj *self, PyObject *arg)
 {
     long long now = PyLong_AsLongLong(arg);
     if (now == -1 && PyErr_Occurred())
         return NULL;
-    Py_ssize_t base = self->mem_port * self->clusters;
-    for (Py_ssize_t cluster = 0; cluster < self->clusters; cluster++) {
-        i64vec *units = &self->heaps[base + cluster];
-        if (!units->len || units->data[0] > now) {
-            if (counter_inc1(self->structural) < 0)
-                return NULL;
-            continue;
-        }
-        units->data[0] = now + 1;           /* heapreplace */
-        hq_siftup(units->data, 0, units->len);
-        if (counter_inc1(self->issued[self->mem_port]) < 0)
-            return NULL;
-        Py_RETURN_TRUE;
-    }
-    Py_RETURN_FALSE;
+    int rc = pipeline_cache_port_raw(self, (int64_t)now);
+    if (rc < 0)
+        return NULL;
+    return PyBool_FromLong(rc);
 }
 
 static PyObject *
@@ -3568,10 +3601,11 @@ typedef struct {
     long long now;
 } EQObj;
 
-/* The issue stage's completion, fired straight from advance_to (defined
- * with the stage below). */
-static PyTypeObject IssueStageType;
+/* The issue and memory stages' completions, fired straight from
+ * advance_to (defined with the stages below). */
+static PyTypeObject IssueStageType, MemStageType;
 static int issue_complete(PyObject *stage, PyObject *inst, int64_t when);
+static int mem_done(PyObject *stage, PyObject *entry, int64_t when);
 
 static int
 EQ_init(EQObj *self, PyObject *args, PyObject *kwds)
@@ -3805,6 +3839,8 @@ eq_fire(PyObject *callback, PyObject *arg, int64_t when)
         return call_discard(PyObject_CallNoArgs(callback));
     if (Py_TYPE(callback) == &IssueStageType)
         return issue_complete(callback, arg, when);
+    if (Py_TYPE(callback) == &MemStageType)
+        return mem_done(callback, arg, when);
     PyObject *cycle = PyLong_FromLongLong((long long)when);
     if (cycle == NULL)
         return -1;
@@ -4434,11 +4470,12 @@ entry_source_known(PyObject *entry, PyObject *index, int64_t cycle)
 }
 
 static int
-notify_waiter(IssueStageObj *self, PyObject *waiter, int64_t cycle,
+notify_waiter(PyObject *entry_cls, PyObject *waiter, int64_t cycle,
               PyObject *cycle_obj)
 {
     /* One waiter of DynInst.set_value_ready: a (queue, entry, index)
-     * operand triple, or a callable. */
+     * operand triple, or a callable.  ``entry_cls`` is IQEntry, whose
+     * source_known runs inlined. */
     if (!PyTuple_CheckExact(waiter))
         return call_discard(PyObject_CallOneArg(waiter, cycle_obj));
     if (PyTuple_GET_SIZE(waiter) != 3) {
@@ -4450,7 +4487,7 @@ notify_waiter(IssueStageObj *self, PyObject *waiter, int64_t cycle,
     PyObject *entry = PyTuple_GET_ITEM(waiter, 1);
     PyObject *index = PyTuple_GET_ITEM(waiter, 2);
     int known;
-    if (Py_TYPE(entry) == (PyTypeObject *)self->entry_cls) {
+    if (Py_TYPE(entry) == (PyTypeObject *)entry_cls) {
         known = entry_source_known(entry, index, cycle);
     }
     else {
@@ -4466,7 +4503,7 @@ notify_waiter(IssueStageObj *self, PyObject *waiter, int64_t cycle,
 }
 
 static int
-set_value_ready(IssueStageObj *self, PyObject *inst, int64_t cycle)
+set_value_ready(PyObject *entry_cls, PyObject *inst, int64_t cycle)
 {
     /* inst.set_value_ready(cycle): record when the value is available,
      * then notify the waiters registered so far.  With none, the empty
@@ -4489,7 +4526,7 @@ set_value_ready(IssueStageObj *self, PyObject *inst, int64_t cycle)
     for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(fast); i++) {
         PyObject *waiter = PySequence_Fast_GET_ITEM(fast, i);
         Py_INCREF(waiter);
-        int step = notify_waiter(self, waiter, cycle, cycle_obj);
+        int step = notify_waiter(entry_cls, waiter, cycle, cycle_obj);
         Py_DECREF(waiter);
         if (step < 0)
             goto done;
@@ -4572,7 +4609,7 @@ issue_start(IssueStageObj *self, EQObj *events, PyObject *proc,
     else if (is_mem == 0) {
         int64_t latency;
         if (site_get_i64(&at_inst_latency, inst, &latency) == 0
-            && set_value_ready(self, inst, now + latency) == 0)
+            && set_value_ready(self->entry_cls, inst, now + latency) == 0)
             rc = eq_push_at(events, now + latency, (PyObject *)self, inst);
     }
     Py_DECREF(inst);
@@ -5300,6 +5337,687 @@ static PyTypeObject CommitStageType = {
     .tp_new = PyType_GenericNew,
 };
 
+/* ------------------------------------------------------- memory stage -- */
+/*                                                                      */
+/* The C twin of LoadStoreQueue.cycle and the load issue below it       */
+/* (_conflicting_store, _forward, _issue_to_cache with the L1D's        */
+/* core-side load access, _load_filled and _load_done), one run per     */
+/* cycle, bound as lsq._c_cycle on every run on the compiled event      */
+/* queue: traced, clustered, multi-thread and invariant-checked runs    */
+/* too, as the load path emits no trace event and keys its stores by    */
+/* (thread, word).  The L1D's tags, LRU order and MSHRs stay in the     */
+/* Cache object (its _sets lists and _mshrs dict, held here).  A miss   */
+/* calls lsq.iq.notify_load_miss and l1d._allocate_mshr, both looked up */
+/* on every call, and the refill below the L1D stays Python.  A load    */
+/* completes through the typed record (stage, entry), which advance_to  */
+/* fires with no Python frame, and waits in an MSHR as the waiter       */
+/* (stage, entry), which Cache._install calls as stage(entry, level).   */
+
+typedef struct {
+    PyObject_HEAD
+    PyObject *lsq;              /* the LSQ whose loads complete here */
+    PyObject *l1d;              /* lsq._l1d */
+    PyObject *events;           /* lsq._events, the compiled queue */
+    PyObject *fu;               /* lsq.fu_pool's Pipeline engine, or NULL */
+    PyObject *entry_cls;        /* IQEntry, for the waiter walk */
+    PyObject *occupancy;        /* lsq.stat_occupancy */
+    PyObject *forwards, *conflict_waits;
+    PyObject *accesses, *hits, *misses, *delayed_hits, *mshr_full;
+    PyObject *sets, *mshrs;     /* l1d._sets, l1d._mshrs */
+    PyObject *forward_level, *hit_level, *delayed_level;
+    int64_t forward_latency, hit_latency, mshr_entries, num_sets;
+    int line_shift;
+    int oracle;                 /* conflicts by true address */
+    int memdep;                 /* store sets: issued loads are tracked */
+} MemStageObj;
+
+#define MEM_REFS 18
+
+static PyObject **
+mem_refs(MemStageObj *self, int i)
+{
+    PyObject **all[MEM_REFS] = {
+        &self->lsq, &self->l1d, &self->events, &self->fu, &self->entry_cls,
+        &self->occupancy, &self->forwards, &self->conflict_waits,
+        &self->accesses, &self->hits, &self->misses, &self->delayed_hits,
+        &self->mshr_full, &self->sets, &self->mshrs, &self->forward_level,
+        &self->hit_level, &self->delayed_level};
+    return all[i];
+}
+
+/* Outcomes of mem_issue_to_cache (_ISSUED, _NO_PORT, _NO_MSHR). */
+enum { MEM_ISSUED, MEM_NO_PORT, MEM_NO_MSHR };
+
+static PyObject *
+attr_named(PyObject *obj, const char *name)
+{
+    /* obj.<name> by an interned name: the interpreter's type attribute
+     * cache keeps the names it sees, so a fresh string per lookup would
+     * pile up there, one set per stage built. */
+    PyObject *key = PyUnicode_InternFromString(name);
+    if (key == NULL)
+        return NULL;
+    PyObject *value = PyObject_GetAttr(obj, key);
+    Py_DECREF(key);
+    return value;
+}
+
+static int
+attr_into(PyObject *obj, const char *name, PyObject **out)
+{
+    /* *out = obj.<name>, replacing what *out held. */
+    PyObject *value = attr_named(obj, name);
+    if (value == NULL)
+        return -1;
+    Py_XSETREF(*out, value);
+    return 0;
+}
+
+static int
+attr_i64_named(PyObject *obj, const char *name, int64_t *out)
+{
+    PyObject *key = PyUnicode_InternFromString(name);
+    int rc = key == NULL ? -1 : attr_i64(obj, key, out);
+    Py_XDECREF(key);
+    return rc;
+}
+
+static int
+MemStage_init(MemStageObj *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"lsq", "entry_cls", "forward_latency",
+                             "forward_level", "delayed_level", NULL};
+    PyObject *lsq, *entry_cls, *forward_level, *delayed_level;
+    long long forward_latency;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO!LOO", kwlist, &lsq,
+                                     &PyType_Type, &entry_cls,
+                                     &forward_latency, &forward_level,
+                                     &delayed_level))
+        return -1;
+    PyObject *fu_pool = NULL, *params = NULL, *policy = NULL;
+    PyObject *memdep = NULL;
+    int64_t line_shift, classify;
+    int rc = -1;
+    Py_INCREF(lsq);
+    Py_XSETREF(self->lsq, lsq);
+    Py_INCREF(entry_cls);
+    Py_XSETREF(self->entry_cls, entry_cls);
+    Py_INCREF(forward_level);
+    Py_XSETREF(self->forward_level, forward_level);
+    self->forward_latency = (int64_t)forward_latency;
+    if (attr_into(lsq, "_l1d", &self->l1d) < 0
+        || attr_into(lsq, "_events", &self->events) < 0
+        || attr_into(lsq, "stat_occupancy", &self->occupancy) < 0
+        || attr_into(lsq, "stat_forwards", &self->forwards) < 0
+        || attr_into(lsq, "stat_conflict_waits", &self->conflict_waits) < 0
+        || attr_into(lsq, "fu_pool", &fu_pool) < 0
+        || attr_into(lsq, "policy", &policy) < 0
+        || attr_into(lsq, "memdep", &memdep) < 0)
+        goto done;
+    PyObject *l1d = self->l1d;
+    if (attr_into(l1d, "stat_accesses", &self->accesses) < 0
+        || attr_into(l1d, "stat_hits", &self->hits) < 0
+        || attr_into(l1d, "stat_misses", &self->misses) < 0
+        || attr_into(l1d, "stat_delayed_hits", &self->delayed_hits) < 0
+        || attr_into(l1d, "stat_mshr_full", &self->mshr_full) < 0
+        || attr_into(l1d, "_sets", &self->sets) < 0
+        || attr_into(l1d, "_mshrs", &self->mshrs) < 0
+        || attr_into(l1d, "level_label", &self->hit_level) < 0
+        || attr_into(l1d, "params", &params) < 0
+        || attr_i64_named(l1d, "_num_sets", &self->num_sets) < 0
+        || attr_i64_named(l1d, "_line_shift", &line_shift) < 0
+        || attr_i64_named(l1d, "_classify_delayed", &classify) < 0
+        || attr_i64_named(params, "mshr_entries", &self->mshr_entries) < 0
+        || attr_i64_named(params, "hit_latency", &self->hit_latency) < 0)
+        goto done;
+    if (Py_TYPE(self->events) != &EQType) {
+        PyErr_SetString(PyExc_TypeError,
+                        "memory stage: the compiled EventQueue expected");
+        goto done;
+    }
+    if (!PyList_CheckExact(self->sets) || self->num_sets <= 0
+        || PyList_GET_SIZE(self->sets) != self->num_sets
+        || !PyDict_CheckExact(self->mshrs) || line_shift < 0
+        || line_shift > 62) {
+        PyErr_SetString(PyExc_TypeError, "memory stage: an L1D expected");
+        goto done;
+    }
+    self->line_shift = (int)line_shift;
+    Py_INCREF(classify ? delayed_level : self->hit_level);
+    Py_XSETREF(self->delayed_level,
+               classify ? delayed_level : self->hit_level);
+    Py_CLEAR(self->fu);
+    if (fu_pool != Py_None) {
+        if (attr_into(fu_pool, "_engine", &self->fu) < 0)
+            goto done;
+        if (Py_TYPE(self->fu) != &PipelineType) {
+            PyErr_SetString(PyExc_TypeError,
+                            "memory stage: a compiled FU pool expected");
+            goto done;
+        }
+    }
+    self->oracle = PyUnicode_Check(policy)
+                   && PyUnicode_CompareWithASCIIString(policy, "oracle") == 0;
+    self->memdep = memdep != Py_None;
+    rc = 0;
+done:
+    Py_XDECREF(fu_pool);
+    Py_XDECREF(params);
+    Py_XDECREF(policy);
+    Py_XDECREF(memdep);
+    return rc;
+}
+
+static int
+MemStage_traverse(MemStageObj *self, visitproc visit, void *arg)
+{
+    for (int i = 0; i < MEM_REFS; i++)
+        Py_VISIT(*mem_refs(self, i));
+    return 0;
+}
+
+static int
+MemStage_clear(MemStageObj *self)
+{
+    for (int i = 0; i < MEM_REFS; i++)
+        Py_CLEAR(*mem_refs(self, i));
+    return 0;
+}
+
+static void
+MemStage_dealloc(MemStageObj *self)
+{
+    PyObject_GC_UnTrack(self);
+    MemStage_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static int
+append_to(PyObject *list, PyObject *item)
+{
+    if (PyList_CheckExact(list))
+        return PyList_Append(list, item);
+    return call_discard(PyObject_CallMethodOneArg(list, str_append, item));
+}
+
+static PyObject *
+mem_key(PyObject *entry)
+{
+    /* LoadStoreQueue._timing_key(entry): (entry.inst.thread,
+     * entry.word_addr). */
+    PyObject *inst = site_get(&at_lsq_inst, entry);
+    if (inst == NULL)
+        return NULL;
+    PyObject *thread = site_get(&at_inst_thread, inst);
+    Py_DECREF(inst);
+    if (thread == NULL)
+        return NULL;
+    PyObject *word = site_get(&at_lsq_word, entry);
+    PyObject *key = word == NULL ? NULL : PyTuple_Pack(2, thread, word);
+    Py_DECREF(thread);
+    Py_XDECREF(word);
+    return key;
+}
+
+static PyObject *
+lsq_dict(PyObject *lsq, PyObject *name)
+{
+    PyObject *dict = PyObject_GetAttr(lsq, name);
+    if (dict != NULL && !PyDict_Check(dict)) {
+        Py_DECREF(dict);
+        PyErr_SetString(PyExc_TypeError, "memory stage: a dict expected");
+        return NULL;
+    }
+    return dict;
+}
+
+static int
+mem_track_issued(PyObject *lsq, PyObject *entry, PyObject *key)
+{
+    /* self._issued_loads_by_word.setdefault(key, []).append(entry) */
+    PyObject *by_word = lsq_dict(lsq, str_issued_loads_by_word);
+    if (by_word == NULL)
+        return -1;
+    PyObject *fresh = PyList_New(0);
+    PyObject *loads = fresh == NULL ? NULL
+                      : PyDict_SetDefault(by_word, key, fresh);
+    Py_XINCREF(loads);
+    Py_XDECREF(fresh);
+    Py_DECREF(by_word);
+    if (loads == NULL)
+        return -1;
+    int rc = append_to(loads, entry);
+    Py_DECREF(loads);
+    return rc;
+}
+
+static int
+mem_conflicting_store(MemStageObj *self, PyObject *lsq, PyObject *entry,
+                      PyObject *key, PyObject **blocker)
+{
+    /* _conflicting_store: *blocker is the youngest earlier store to the
+     * load's word (a new reference) or NULL; -1 on error. */
+    *blocker = NULL;
+    PyObject *by_word = lsq_dict(
+        lsq, self->oracle ? str_true_stores_by_word : str_stores_by_word);
+    if (by_word == NULL)
+        return -1;
+    PyObject *stores = PyDict_GetItemWithError(by_word, key);
+    Py_XINCREF(stores);
+    Py_DECREF(by_word);
+    if (stores == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    int64_t seq;
+    PyObject *fast = NULL;
+    int rc = -1;
+    if (site_get_i64(&at_lsq_seq, entry, &seq) < 0
+        || (fast = PySequence_Fast(stores, "stores: a list")) == NULL)
+        goto done;
+    for (Py_ssize_t i = PySequence_Fast_GET_SIZE(fast); --i >= 0;) {
+        if (i >= PySequence_Fast_GET_SIZE(fast))
+            continue;           /* the list shrank under a lookup */
+        PyObject *store = PySequence_Fast_GET_ITEM(fast, i);
+        int64_t store_seq;
+        Py_INCREF(store);
+        if (site_get_i64(&at_lsq_seq, store, &store_seq) < 0) {
+            Py_DECREF(store);
+            goto done;
+        }
+        if (store_seq < seq) {
+            *blocker = store;
+            break;
+        }
+        Py_DECREF(store);
+    }
+    rc = 0;
+done:
+    Py_DECREF(stores);
+    Py_XDECREF(fast);
+    return rc;
+}
+
+static int
+mem_forward(MemStageObj *self, PyObject *lsq, PyObject *entry,
+            PyObject *key, int64_t now)
+{
+    /* _forward: the load takes the store's data. */
+    if (counter_inc1(self->forwards) < 0
+        || site_set(&at_lsq_issued, entry, Py_True) < 0
+        || (self->memdep && mem_track_issued(lsq, entry, key) < 0)
+        || site_set(&at_lsq_level, entry, self->forward_level) < 0)
+        return -1;
+    return eq_push_at((EQObj *)self->events, now + self->forward_latency,
+                      (PyObject *)self, entry);
+}
+
+static int
+l1d_find(MemStageObj *self, int64_t line, int lru)
+{
+    /* Cache._find (``lru``: a hit moves to the front of its set) or
+     * Cache._find_no_lru: 1 resident, 0 not, -1 on error. */
+    /* Python's modulo: the index is never negative. */
+    Py_ssize_t index = (Py_ssize_t)(
+        (line % self->num_sets + self->num_sets) % self->num_sets);
+    PyObject *cache_set = index < PyList_GET_SIZE(self->sets)
+                          ? PyList_GET_ITEM(self->sets, index) : NULL;
+    if (cache_set == NULL || !PyList_CheckExact(cache_set)) {
+        PyErr_SetString(PyExc_TypeError, "memory stage: L1D sets changed");
+        return -1;
+    }
+    for (Py_ssize_t pos = 0; pos < PyList_GET_SIZE(cache_set); pos++) {
+        PyObject *entry = PyList_GET_ITEM(cache_set, pos);
+        if (!PyList_CheckExact(entry) || PyList_GET_SIZE(entry) < 1) {
+            PyErr_SetString(PyExc_TypeError,
+                            "memory stage: an L1D line is [tag, dirty]");
+            return -1;
+        }
+        long long tag = PyLong_AsLongLong(PyList_GET_ITEM(entry, 0));
+        if (tag == -1 && PyErr_Occurred())
+            return -1;
+        if (tag != line)
+            continue;
+        if (lru && pos) {
+            /* cache_set.pop(pos); cache_set.insert(0, entry) */
+            PyObject **items = ((PyListObject *)cache_set)->ob_item;
+            memmove(items + 1, items, (size_t)pos * sizeof(PyObject *));
+            items[0] = entry;
+        }
+        return 1;
+    }
+    return 0;
+}
+
+static int
+mem_miss(MemStageObj *self, PyObject *lsq, PyObject *entry,
+         PyObject *line_obj)
+{
+    /* A load missed the L1D: the IQ hears of it, then the load merges
+     * into the line's MSHR (a delayed hit) or allocates one. */
+    PyObject *inst = NULL, *iq = NULL, *now_obj = NULL, *waiter = NULL;
+    PyObject *mshr = NULL, *waiters = NULL;
+    int rc = -1;
+    if ((iq = PyObject_GetAttr(lsq, str_iq)) == NULL)
+        goto done;
+    if (iq != Py_None
+        && ((inst = site_get(&at_lsq_inst, entry)) == NULL
+            || (now_obj = PyLong_FromLongLong(
+                    ((EQObj *)self->events)->now)) == NULL
+            || call_discard(PyObject_CallMethodObjArgs(
+                   iq, str_notify_load_miss, inst, now_obj, NULL)) < 0))
+        goto done;
+    if ((waiter = PyTuple_Pack(2, (PyObject *)self, entry)) == NULL)
+        goto done;
+    mshr = PyDict_GetItemWithError(self->mshrs, line_obj);
+    if (mshr != NULL) {
+        Py_INCREF(mshr);
+        if (counter_inc1(self->delayed_hits) < 0
+            || site_set(&at_lsq_level, entry, self->delayed_level) < 0
+            || (waiters = PyObject_GetAttr(mshr, str_waiters)) == NULL
+            || append_to(waiters, waiter) < 0)
+            goto done;
+    }
+    else if (PyErr_Occurred()
+             || counter_inc1(self->misses) < 0
+             || call_discard(PyObject_CallMethodObjArgs(
+                    self->l1d, str_allocate_mshr, line_obj, Py_False,
+                    waiter, NULL)) < 0)
+        goto done;
+    rc = 0;
+done:
+    Py_XDECREF(inst);
+    Py_XDECREF(iq);
+    Py_XDECREF(now_obj);
+    Py_XDECREF(waiter);
+    Py_XDECREF(mshr);
+    Py_XDECREF(waiters);
+    return rc;
+}
+
+static int
+mem_issue_to_cache(MemStageObj *self, PyObject *lsq, PyObject *entry,
+                   PyObject *key, int64_t now)
+{
+    /* _issue_to_cache: MEM_ISSUED, or why the load must retry; -1 on
+     * error. */
+    PipelineObj *fu = (PipelineObj *)self->fu;
+    if (fu != NULL) {
+        Py_ssize_t base = fu->mem_port * fu->clusters, cluster;
+        for (cluster = 0; cluster < fu->clusters; cluster++) {
+            i64vec *units = &fu->heaps[base + cluster];
+            if (units->len && units->data[0] <= now)
+                break;
+        }
+        if (cluster == fu->clusters)
+            return MEM_NO_PORT;
+    }
+    int64_t addr;
+    if (site_get_i64(&at_lsq_addr, entry, &addr) < 0)
+        return -1;
+    int64_t line = addr >> self->line_shift;
+    PyObject *line_obj = PyLong_FromLongLong((long long)line);
+    if (line_obj == NULL)
+        return -1;
+    int rc = -1;
+    if (PyDict_GET_SIZE(self->mshrs) >= self->mshr_entries) {
+        /* Cache.rejects: every MSHR busy; is the line in flight or
+         * resident? */
+        int present = PyDict_Contains(self->mshrs, line_obj);
+        if (present == 0)
+            present = l1d_find(self, line, 0);
+        if (present < 0)
+            goto done;
+        if (!present) {
+            rc = counter_inc1(self->mshr_full) < 0 ? -1 : MEM_NO_MSHR;
+            goto done;
+        }
+    }
+    if (counter_inc1(self->accesses) < 0)
+        goto done;
+    int resident = l1d_find(self, line, 1);
+    if (resident < 0)
+        goto done;
+    if (resident) {
+        EQObj *events = (EQObj *)self->events;
+        if (counter_inc1(self->hits) < 0
+            || site_set(&at_lsq_level, entry, self->hit_level) < 0
+            || eq_push(events, events->now + self->hit_latency,
+                       (PyObject *)self, entry) < 0)
+            goto done;
+    }
+    else if (mem_miss(self, lsq, entry, line_obj) < 0)
+        goto done;
+    if ((fu != NULL && pipeline_cache_port_raw(fu, now) < 0)
+        || site_set(&at_lsq_issued, entry, Py_True) < 0
+        || (self->memdep && mem_track_issued(lsq, entry, key) < 0))
+        goto done;
+    rc = MEM_ISSUED;
+done:
+    Py_DECREF(line_obj);
+    return rc;
+}
+
+static int
+mem_done(PyObject *stage, PyObject *entry, int64_t when)
+{
+    /* LoadStoreQueue._load_done(entry, when): the load's data is
+     * available. */
+    MemStageObj *self = (MemStageObj *)stage;
+    if (self->lsq == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "memory stage: cleared");
+        return -1;
+    }
+    PyObject *inst = site_get(&at_lsq_inst, entry);
+    if (inst == NULL)
+        return -1;
+    PyObject *level = NULL, *when_obj = NULL, *iq = NULL;
+    int rc = -1;
+    if ((level = site_get(&at_lsq_level, entry)) == NULL
+        || site_set(&at_inst_mem_level, inst, level) < 0
+        || (when_obj = PyLong_FromLongLong((long long)when)) == NULL
+        || site_set(&at_inst_completed, inst, when_obj) < 0
+        || set_value_ready(self->entry_cls, inst, when) < 0
+        || site_set(&at_lsq_completed, entry, Py_True) < 0
+        || (iq = PyObject_GetAttr(self->lsq, str_iq)) == NULL)
+        goto done;
+    if (iq != Py_None
+        && call_discard(PyObject_CallMethodObjArgs(
+               iq, str_notify_load_complete, inst, when_obj, NULL)) < 0)
+        goto done;
+    rc = 0;
+done:
+    Py_DECREF(inst);
+    Py_XDECREF(level);
+    Py_XDECREF(when_obj);
+    Py_XDECREF(iq);
+    return rc;
+}
+
+static PyObject *
+MemStage_call(MemStageObj *self, PyObject *args, PyObject *kwds)
+{
+    /* stage(entry, level), the MSHR waiter: LoadStoreQueue._load_filled,
+     * the line ``entry`` missed on arrived from ``level``. */
+    PyObject *entry, *level;
+    if ((kwds != NULL && PyDict_GET_SIZE(kwds))
+        || !PyArg_UnpackTuple(args, "MemStage", 2, 2, &entry, &level)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError,
+                            "MemStage() takes no keyword arguments");
+        return NULL;
+    }
+    if (self->events == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "memory stage: cleared");
+        return NULL;
+    }
+    PyObject *known = site_get(&at_lsq_level, entry);
+    if (known == NULL)
+        return NULL;
+    int unset = known == Py_None;
+    Py_DECREF(known);
+    if ((unset && site_set(&at_lsq_level, entry, level) < 0)
+        || mem_done((PyObject *)self, entry,
+                    ((EQObj *)self->events)->now) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static int
+mem_candidate(MemStageObj *self, PyObject *lsq, PyObject *entry,
+              int64_t now, int64_t *refused, PyObject *retry)
+{
+    /* One candidate of LoadStoreQueue.cycle's loop. */
+    int issued = site_truth(&at_lsq_issued, entry);
+    if (issued != 0)
+        return issued < 0 ? -1 : 0;
+    PyObject *key = mem_key(entry), *blocker = NULL, *inst = NULL;
+    PyObject *waiting = NULL;
+    int rc = -1;
+    if (key == NULL
+        || mem_conflicting_store(self, lsq, entry, key, &blocker) < 0)
+        goto done;
+    if (blocker != NULL) {
+        int64_t completed;
+        if ((inst = site_get(&at_lsq_inst, blocker)) == NULL
+            || site_get_i64(&at_inst_completed, inst, &completed) < 0)
+            goto done;
+        if (completed >= 0)
+            rc = mem_forward(self, lsq, entry, key, now);
+        else if (counter_inc1(self->conflict_waits) == 0
+                 && (waiting = site_get(&at_lsq_waiting, blocker)) != NULL)
+            rc = append_to(waiting, entry);
+        goto done;
+    }
+    int outcome = mem_issue_to_cache(self, lsq, entry, key, now);
+    if (outcome < 0)
+        goto done;
+    if (outcome != MEM_ISSUED) {
+        if (outcome == MEM_NO_MSHR)
+            ++*refused;
+        if (PyList_Append(retry, entry) < 0)
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(key);
+    Py_XDECREF(blocker);
+    Py_XDECREF(inst);
+    Py_XDECREF(waiting);
+    return rc;
+}
+
+static PyObject *
+MemStage_run(MemStageObj *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* run(lsq, now): one cycle of LoadStoreQueue.cycle. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "run expects 2 arguments");
+        return NULL;
+    }
+    PyObject *lsq = args[0];
+    int64_t now = (int64_t)PyLong_AsLongLong(args[1]);
+    if (now == -1 && PyErr_Occurred())
+        return NULL;
+    if (self->l1d == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "memory stage: cleared");
+        return NULL;
+    }
+    /* self.stat_occupancy.sample(len(self._order)) */
+    PyObject *order = PyObject_GetAttr(lsq, str_order);
+    if (order == NULL)
+        return NULL;
+    Py_ssize_t occupancy = PyObject_Length(order);
+    Py_DECREF(order);
+    PyObject *count = occupancy < 0 ? NULL : PyLong_FromSsize_t(occupancy);
+    if (count == NULL)
+        return NULL;
+    PyObject *sampled = Py_TYPE(self->occupancy) == &DistType
+        ? Dist_sample((DistObj *)self->occupancy, count)
+        : PyObject_CallMethodOneArg(self->occupancy, str_sample, count);
+    Py_DECREF(count);
+    if (call_discard(sampled) < 0)
+        return NULL;
+    PyObject *candidates = PyObject_GetAttr(lsq, str_candidates);
+    if (candidates == NULL)
+        return NULL;
+    PyObject *retry = NULL, *entry = NULL;
+    int ok = 0;
+    int64_t version, refused_version, refused = 0;
+    Py_ssize_t pending = PyObject_Length(candidates);
+    if (pending <= 0) {
+        ok = pending == 0;
+        goto done;
+    }
+    if (attr_i64(self->l1d, str_version, &version) < 0
+        || attr_i64(lsq, str_refused_version, &refused_version) < 0
+        || (refused_version == version
+            && attr_i64(lsq, str_refused, &refused) < 0))
+        goto done;
+    if (refused) {
+        if (counter_add(self->mshr_full, (Py_ssize_t)refused) < 0)
+            goto done;
+        if (refused == pending) {
+            ok = 1;
+            goto done;
+        }
+        /* Attempt only the candidates behind the refused prefix. */
+        PyObject *shift = PyLong_FromLongLong(-(long long)refused);
+        if (shift == NULL
+            || call_discard(PyObject_CallMethodOneArg(
+                   candidates, str_rotate, shift)) < 0) {
+            Py_XDECREF(shift);
+            goto done;
+        }
+        Py_DECREF(shift);
+    }
+    if ((retry = PyList_New(0)) == NULL)
+        goto done;
+    Py_ssize_t attempts = pending - (Py_ssize_t)refused;
+    for (Py_ssize_t i = 0; i < attempts; i++) {
+        if ((entry = PyObject_CallMethodNoArgs(candidates,
+                                               str_popleft)) == NULL
+            || mem_candidate(self, lsq, entry, now, &refused, retry) < 0)
+            goto done;
+        Py_CLEAR(entry);
+    }
+    if (call_discard(PyObject_CallMethodOneArg(candidates, str_extend,
+                                               retry)) < 0
+        || attr_set_i64(lsq, str_refused, refused) < 0
+        || attr_i64(self->l1d, str_version, &version) < 0
+        || attr_set_i64(lsq, str_refused_version, version) < 0)
+        goto done;
+    ok = 1;
+done:
+    Py_DECREF(candidates);
+    Py_XDECREF(retry);
+    Py_XDECREF(entry);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef MemStage_methods[] = {
+    {"run", (PyCFunction)MemStage_run, METH_FASTCALL, NULL},
+    {NULL, NULL, 0, NULL}
+};
+
+static PyTypeObject MemStageType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.core.segmented._ckernels.MemStage",
+    .tp_basicsize = sizeof(MemStageObj),
+    .tp_itemsize = 0,
+    .tp_dealloc = (destructor)MemStage_dealloc,
+    .tp_call = (ternaryfunc)MemStage_call,
+    /* Not subclassable: the event queue fires the stage's records by
+     * its exact type. */
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Compiled memory stage (see pipeline/kernels.py)",
+    .tp_traverse = (traverseproc)MemStage_traverse,
+    .tp_clear = (inquiry)MemStage_clear,
+    .tp_methods = MemStage_methods,
+    .tp_init = (initproc)MemStage_init,
+    .tp_new = PyType_GenericNew,
+};
+
 static struct PyModuleDef ckernels_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.core.segmented._ckernels",
@@ -5454,7 +6172,8 @@ PyInit__ckernels(void)
     }
     static const struct { PyTypeObject *type; const char *name; }
     more[] = {{&FetchStageType, "FetchStage"},
-              {&CommitStageType, "CommitStage"}, {&ReplayType, "Replay"}};
+              {&CommitStageType, "CommitStage"},
+              {&MemStageType, "MemStage"}, {&ReplayType, "Replay"}};
     for (size_t i = 0; i < sizeof(more) / sizeof(*more); i++) {
         if (PyType_Ready(more[i].type) < 0
             || PyModule_AddObjectRef(module, more[i].name,

@@ -7,15 +7,22 @@ paper's *delayed hits* ("a load references a block which is in the process
 of being fetched", section 6.1).
 
 Each cache talks to the next level through ``access_line`` and receives
-fills through a callback; line transfers are serialized on a
-:class:`~repro.memory.link.BandwidthLink`.
+fills through a *waiter*, a pair ``(callback, arg)`` answered as
+``callback(arg, level)``; line transfers are serialized on a
+:class:`~repro.memory.link.BandwidthLink`.  The core reaches the caches
+with a :class:`~repro.memory.request.MemRequest` (instruction fetch and
+store writes, through :meth:`Cache.access`), except for loads: the LSQ
+runs the L1D's core-side load access itself on this cache's state
+(:meth:`repro.pipeline.lsq.LoadStoreQueue._issue_to_cache`), with no
+request object, and parks each missing load in an MSHR as the waiter
+``(completion, lsq_entry)``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.common.events import EventQueue
 from repro.common.params import CacheParams
@@ -23,7 +30,14 @@ from repro.common.stats import StatGroup
 from repro.memory.link import BandwidthLink
 from repro.memory.request import LEVEL_DELAYED, MemRequest
 
-LineCallback = Callable[[str], None]
+#: ``(callback, arg)``: told where a line came from as ``callback(arg,
+#: level)``.
+Waiter = Tuple[Callable[[Any, str], None], Any]
+
+
+def _answer(waiter: Waiter, level: str) -> None:
+    callback, arg = waiter
+    callback(arg, level)
 
 
 @dataclass
@@ -31,28 +45,29 @@ class _MSHR:
     """One outstanding miss: the line being fetched and who is waiting."""
 
     line_addr: int
-    # (callback, was_merged): merged requesters are the delayed hits.
-    waiters: List[Tuple[LineCallback, bool]] = field(default_factory=list)
+    waiters: List[Waiter] = field(default_factory=list)
     any_write: bool = False
 
 
 class MainMemory:
-    """The DRAM end of the hierarchy: fixed latency plus bus serialization."""
+    """The DRAM end of the hierarchy: fixed latency.  Bus occupancy for
+    the data transfer is charged by the requesting cache when the fill
+    crosses the link."""
 
-    def __init__(self, latency: int, link: BandwidthLink,
-                 events: EventQueue, stats: StatGroup) -> None:
+    def __init__(self, latency: int, events: EventQueue,
+                 stats: StatGroup) -> None:
         self.latency = latency
-        self._link = link           # kept for reference; the requesting
-        self._events = events       # cache charges the bus on the fill side
+        self._events = events
         self._accesses = stats.counter("mem.accesses", "main memory accesses")
 
     def access_line(self, line_addr: int, is_write: bool,
-                    callback: LineCallback, line_bytes: int = 64) -> None:
-        """Return the line after the access latency.  Bus occupancy for the
-        data transfer is charged by the requesting cache when the fill
-        crosses the link, so it is not charged again here."""
+                    waiter: Waiter) -> None:
+        """Answer ``waiter`` with the line after the access latency."""
         self._accesses.inc()
-        self._events.schedule(self.latency, lambda: callback("mem"))
+        self._events.schedule(self.latency, self._return_line, waiter)
+
+    def _return_line(self, waiter: Waiter, cycle: int) -> None:
+        _answer(waiter, "mem")
 
 
 class Cache:
@@ -82,7 +97,7 @@ class Cache:
         self._sets: List[List[List]] = [[] for _ in range(self._num_sets)]
         self._mshrs: Dict[int, _MSHR] = {}
         # Requests waiting for a free MSHR (back-pressure from next level).
-        self._mshr_queue: Deque[Tuple[int, bool, LineCallback]] = deque()
+        self._mshr_queue: Deque[Tuple[int, bool, Waiter]] = deque()
         #: Bumped by every change that can turn a rejected :meth:`access`
         #: into an accepted one (an MSHR freeing, a line becoming
         #: resident); the LSQ compares it to skip provably futile retries.
@@ -170,17 +185,16 @@ class Cache:
             return False
         line = self.line_addr(request.addr)
         self.stat_accesses.inc()
-        request.issued_cycle = self._events.now
 
         entry = self._find(line)
         if entry is not None:
             self.stat_hits.inc()
             if request.is_write:
                 entry[1] = True
-            now = self._events
-            self._events.schedule(
+            events = self._events
+            events.schedule(
                 self.params.hit_latency,
-                lambda: request.complete(self.level_label, now.now))
+                lambda: request.complete(self.level_label, events.now))
             return True
 
         if line in self._mshrs:
@@ -189,23 +203,24 @@ class Cache:
             request.notify_miss()
             mshr = self._mshrs[line]
             mshr.any_write = mshr.any_write or request.is_write
-            level = LEVEL_DELAYED if self._classify_delayed else self.level_label
-            events = self._events
-            mshr.waiters.append(
-                (lambda lvl, req=request, level=level:
-                 req.complete(level, events.now), True))
+            mshr.waiters.append((self._request_merged, request))
             return True
 
         self.stat_misses.inc()
         request.notify_miss()
-        events = self._events
-        self._allocate_mshr(
-            line, request.is_write,
-            lambda lvl, req=request: req.complete(lvl, events.now))
+        self._allocate_mshr(line, request.is_write,
+                            (self._request_filled, request))
         return True
 
+    def _request_filled(self, request: MemRequest, level: str) -> None:
+        request.complete(level, self._events.now)
+
+    def _request_merged(self, request: MemRequest, level: str) -> None:
+        request.complete(LEVEL_DELAYED if self._classify_delayed
+                         else self.level_label, self._events.now)
+
     def access_line(self, line_byte_addr: int, is_write: bool,
-                    callback: LineCallback, line_bytes: int = 64) -> None:
+                    waiter: Waiter) -> None:
         """Upper-level access (line granularity).  Queues if MSHRs are full."""
         self.stat_accesses.inc()
         line = self.line_addr(line_byte_addr)
@@ -215,43 +230,41 @@ class Cache:
             self.stat_hits.inc()
             if is_write:
                 entry[1] = True
-            delay = self.params.hit_latency + self._return_delay()
-            self._events.schedule(delay, lambda: callback(self.level_label))
+            self._events.schedule(self.params.hit_latency, self._return_line,
+                                  waiter)
             return
 
         if line in self._mshrs:
             self.stat_delayed_hits.inc()
             mshr = self._mshrs[line]
             mshr.any_write = mshr.any_write or is_write
-            mshr.waiters.append((callback, True))
+            mshr.waiters.append(waiter)
             return
 
         if len(self._mshrs) >= self.params.mshr_entries:
             self.stat_mshr_full.inc()
-            self._mshr_queue.append((line, is_write, callback))
+            self._mshr_queue.append((line, is_write, waiter))
             return
 
         self.stat_misses.inc()
-        self._allocate_mshr(line, is_write, callback)
+        self._allocate_mshr(line, is_write, waiter)
 
-    def _return_delay(self) -> int:
-        """Delay to send a line back up to the requester (0 for the L1s,
-        whose hit latency already includes data return)."""
-        return 0
+    def _return_line(self, waiter: Waiter, cycle: int) -> None:
+        _answer(waiter, self.level_label)
 
     # ------------------------------------------------------------- fills --
     def _allocate_mshr(self, line: int, is_write: bool,
-                       callback: LineCallback) -> None:
+                       waiter: Waiter) -> None:
         mshr = _MSHR(line_addr=line, any_write=is_write)
-        mshr.waiters.append((callback, False))
+        mshr.waiters.append(waiter)
         self._mshrs[line] = mshr
         # Tag lookup consumed hit_latency before the miss goes downstream.
-        self._events.schedule(
-            self.params.hit_latency,
-            lambda: self.next_level.access_line(
-                line << self._line_shift, False,
-                lambda level, l=line: self._fill_arrived(l, level),
-                self.params.line_bytes))
+        self._events.schedule(self.params.hit_latency, self._request_line,
+                              line)
+
+    def _request_line(self, line: int, cycle: int) -> None:
+        self.next_level.access_line(line << self._line_shift, False,
+                                    (self._fill_arrived, line))
 
     def _fill_arrived(self, line: int, fill_level: str) -> None:
         """The next level produced the line; move it over the link, then
@@ -269,25 +282,24 @@ class Cache:
                 self.stat_writebacks.inc()
                 self._link.request(self.params.line_bytes)
         cache_set.insert(0, [line, mshr.any_write])
-        for callback, merged in mshr.waiters:
-            callback(fill_level)
+        for waiter in mshr.waiters:
+            _answer(waiter, fill_level)
         self._drain_mshr_queue()
 
     def _drain_mshr_queue(self) -> None:
         while self._mshr_queue and len(self._mshrs) < self.params.mshr_entries:
-            line, is_write, callback = self._mshr_queue.popleft()
+            line, is_write, waiter = self._mshr_queue.popleft()
             if self._find(line) is not None:
                 # Filled while queued: a (late) hit.
                 self.stat_hits.inc()
-                delay = self.params.hit_latency + self._return_delay()
-                self._events.schedule(
-                    delay, lambda cb=callback: cb(self.level_label))
+                self._events.schedule(self.params.hit_latency,
+                                      self._return_line, waiter)
             elif line in self._mshrs:
                 self.stat_delayed_hits.inc()
-                self._mshrs[line].waiters.append((callback, True))
+                self._mshrs[line].waiters.append(waiter)
             else:
                 self.stat_misses.inc()
-                self._allocate_mshr(line, is_write, callback)
+                self._allocate_mshr(line, is_write, waiter)
 
     # ------------------------------------------------------------- admin --
     def warm_line(self, addr: int, dirty: bool = False) -> None:

@@ -28,8 +28,8 @@ class MemoryHierarchy:
 
         memory_link = BandwidthLink(
             "link.mem", params.memory_bandwidth_bytes, events, stats)
-        self.main_memory = MainMemory(
-            params.main_memory_latency, memory_link, events, stats)
+        self.main_memory = MainMemory(params.main_memory_latency, events,
+                                      stats)
 
         l2_link = BandwidthLink(
             "link.l2", params.l2_bandwidth_bytes, events, stats)

@@ -1,4 +1,9 @@
-"""Memory request objects exchanged between the core and the caches."""
+"""Memory request objects exchanged between the core and the caches.
+
+Instruction fetch and store writes reach the caches as a
+:class:`MemRequest`; loads do not (the LSQ runs the L1D's load access
+itself, see :mod:`repro.memory.cache`), but report the same levels.
+"""
 
 from __future__ import annotations
 
@@ -34,7 +39,6 @@ class MemRequest:
     on_miss: Optional[MissCallback] = None
     #: Filled in by the hierarchy when the request completes.
     level: Optional[str] = None
-    issued_cycle: int = -1
     completed_cycle: int = -1
 
     def complete(self, level: str, now: int) -> None:

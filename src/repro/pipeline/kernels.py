@@ -21,15 +21,20 @@ lookup of the compiled module
 two backends are bit-identical — same cycles, same stats, same traces —
 pinned by ``tests/core/test_kernels.py``.
 
-Four stages of ``Processor`` have compiled twins with no column state
+Five stages of ``Processor`` have compiled twins with no column state
 of their own, the ``_ckernels`` types ``DispatchStage`` (the whole
 dispatch stage, pinned untraced by
 ``tests/pipeline/test_dispatch_stage.py``), ``IssueStage`` (issue with
 operand wakeup and completion, pinned by
 ``tests/pipeline/test_issue_stage.py``), ``FetchStage`` and
 ``CommitStage`` (pinned untraced by
-``tests/pipeline/test_fetch_commit_stage.py``).  ``Processor.__init__``
-takes them from the same lookup and binds them once.
+``tests/pipeline/test_fetch_commit_stage.py``) and ``MemStage`` (LSQ
+load issue, the L1D's core-side load access and each load's
+completion, pinned by ``tests/pipeline/test_mem_stage.py``).
+``Processor.__init__`` takes them from the same lookup and binds them
+once.  The memory stage also binds on traced, multi-thread, clustered
+and invariant-checked runs, whose other stages keep their Python
+twins.
 
 Column layout (one heap per (FU class, cluster) pair, flattened):
 
@@ -47,7 +52,7 @@ pairing a stage refuses is the compiled issue stage over the Python
 event queue (``REPRO_KERNELS=py`` at process start, compiled engines
 forced later): its completions are records only the compiled
 ``EventQueue`` fires, so ``Processor`` then keeps the Python issue
-stage.
+stage, and for the same reason the Python memory stage.
 """
 
 from __future__ import annotations

@@ -12,6 +12,15 @@ and it is *known not to conflict* with any earlier pending access:
   store once the store's data is ready;
 * stores complete (for the ROB) when both address and data are ready, and
   write the data cache at commit.
+
+A load that goes to the cache runs the L1D's core-side access here, on
+the cache's own state (:meth:`LoadStoreQueue._issue_to_cache`), with no
+request object and no closure: its completion is the typed event record
+``(self._load_done, entry)``, and a load that misses waits in its line's
+MSHR as the waiter ``(self._load_filled, entry)``.  On the compiled
+backend the processor binds ``_ckernels.MemStage``, the
+operation-for-operation C twin of :meth:`LoadStoreQueue.cycle` and
+everything below it, whose records and waiters name the stage itself.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from repro.common.stats import StatGroup
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import FUClass, WORD_BYTES
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.request import LEVEL_FORWARD, MemRequest
+from repro.memory.request import LEVEL_DELAYED, LEVEL_FORWARD, MemRequest
 from repro.obs.events import TraceEvent
 
 #: Latency of a store-to-load forward, matched to the L1D hit latency.
@@ -41,7 +50,7 @@ class LSQEntry:
 
     __slots__ = ("inst", "seq", "is_store", "addr", "word_addr",
                  "addr_ready_cycle", "data_ready_cycle", "issued",
-                 "completed", "waiting_loads", "predicted_dep")
+                 "completed", "waiting_loads", "predicted_dep", "level")
 
     def __init__(self, inst: DynInst) -> None:
         self.inst = inst
@@ -57,6 +66,10 @@ class LSQEntry:
         # Store-set policy: the in-flight store this load was predicted
         # (at dispatch, in program order) to depend on.
         self.predicted_dep: Optional["LSQEntry"] = None
+        # Loads: where the data comes from (a repro.memory.request
+        # level), set at issue for a forward, an L1D hit or a delayed
+        # hit, and when the line arrives for a miss.
+        self.level: Optional[str] = None
 
 
 class LoadStoreQueue:
@@ -108,6 +121,9 @@ class LoadStoreQueue:
         #: Observability sink (see :mod:`repro.obs`); installed by the
         #: processor, ``None`` disables tracing.
         self.tracer = None
+        #: The compiled memory stage's ``run``, bound by the processor
+        #: (see :meth:`cycle`).
+        self._c_cycle = None
         if policy == "store_sets":
             from repro.pipeline.memdep import StoreSetPredictor
             self.memdep = StoreSetPredictor(stats)
@@ -305,7 +321,15 @@ class LoadStoreQueue:
         free port.  The loads refused this cycle extend that prefix: a
         load that finds no port comes after all of them, as a port taken
         stays taken until the next cycle.
+
+        With the compiled memory stage bound (``_c_cycle``), this method
+        hands it the cycle: the stage is the operation-for-operation twin
+        of the body below.
         """
+        c_cycle = self._c_cycle
+        if c_cycle is not None:
+            c_cycle(self, now)
+            return
         self.stat_occupancy.sample(len(self._order))
         candidates = self._candidates
         if not candidates:
@@ -326,12 +350,9 @@ class LoadStoreQueue:
             if blocker is not None:
                 if blocker.inst.completed_cycle >= 0:
                     self._forward(entry, now)
-                elif blocker.addr_ready_cycle is None:
-                    # Oracle policy: a true conflict whose address the
-                    # timing model has not computed yet; wait for it.
-                    self.stat_conflict_waits.inc()
-                    blocker.waiting_loads.append(entry)
                 else:
+                    # Wait for the store's data (under the oracle policy,
+                    # perhaps also for the timing model's address).
                     self.stat_conflict_waits.inc()
                     blocker.waiting_loads.append(entry)
                 continue
@@ -350,12 +371,13 @@ class LoadStoreQueue:
         The conservative and store-set policies see only stores whose
         addresses the timing model has resolved (store-set loads speculate
         past unresolved ones; conservative loads were already held back by
-        the frontier).  The oracle consults true addresses.
+        the frontier).  The oracle consults true addresses.  A load is a
+        candidate only once its address is known, so its timing key is
+        its true key.
         """
-        if self.policy == "oracle":
-            stores = self._true_stores_by_word.get(self._true_key(load))
-        else:
-            stores = self._stores_by_word.get(self._timing_key(load))
+        by_word = (self._true_stores_by_word if self.policy == "oracle"
+                   else self._stores_by_word)
+        stores = by_word.get(self._timing_key(load))
         if not stores:
             return None
         for store in reversed(stores):
@@ -369,53 +391,69 @@ class LoadStoreQueue:
         if self.memdep is not None:
             self._issued_loads_by_word.setdefault(
                 self._timing_key(load), []).append(load)
-        done = now + FORWARD_LATENCY
-        inst = load.inst
-        inst.mem_level = LEVEL_FORWARD
-
-        def complete() -> None:
-            inst.completed_cycle = done
-            inst.set_value_ready(done)
-            load.completed = True
-            if self.iq is not None:
-                self.iq.notify_load_complete(inst, done)
-
-        self._events.schedule_at(done, complete)
+        load.level = LEVEL_FORWARD
+        self._events.schedule_at(now + FORWARD_LATENCY, self._load_done, load)
 
     def _issue_to_cache(self, load: LSQEntry, now: int) -> int:
-        """Send ``load`` to the L1D: ``_ISSUED``, or why it must retry."""
-        if self.fu_pool is not None and not any(
-                self.fu_pool.can_accept(FUClass.MEM_PORT, now, cluster)
-                for cluster in range(self.fu_pool.clusters)):
-            return _NO_PORT
-        if self._l1d.rejects(load.addr):
+        """Send ``load`` to the L1D: ``_ISSUED``, or why it must retry.
+
+        The L1D's core-side access of :meth:`Cache.access`, for a load:
+        a hit completes after the hit latency; a miss tells the IQ, then
+        merges into the line's outstanding MSHR (a delayed hit) or
+        allocates one, and completes when the line arrives."""
+        fu_pool = self.fu_pool
+        if fu_pool is not None:
+            for cluster in range(fu_pool.clusters):
+                if fu_pool.can_accept(FUClass.MEM_PORT, now, cluster):
+                    break
+            else:
+                return _NO_PORT
+        l1d = self._l1d
+        if l1d.rejects(load.addr):
             return _NO_MSHR
-        inst = load.inst
-
-        def on_complete(request: MemRequest) -> None:
-            cycle = request.completed_cycle
-            inst.mem_level = request.level
-            inst.completed_cycle = cycle
-            inst.set_value_ready(cycle)
-            load.completed = True
+        line = l1d.line_addr(load.addr)
+        l1d.stat_accesses.inc()
+        if l1d._find(line) is not None:
+            l1d.stat_hits.inc()
+            load.level = l1d.level_label
+            self._events.schedule(l1d.params.hit_latency, self._load_done,
+                                  load)
+        else:
             if self.iq is not None:
-                self.iq.notify_load_complete(inst, cycle)
-
-        def on_miss(request: MemRequest) -> None:
-            if self.iq is not None:
-                self.iq.notify_load_miss(inst, self._events.now)
-
-        # Accepted: ``rejects`` just said an MSHR or the line is there.
-        self._memory.data_access(MemRequest(
-            addr=load.addr, is_write=False,
-            on_complete=on_complete, on_miss=on_miss))
-        if self.fu_pool is not None:
-            self.fu_pool.try_cache_port(now)
+                self.iq.notify_load_miss(load.inst, self._events.now)
+            mshr = l1d._mshrs.get(line)
+            if mshr is not None:
+                l1d.stat_delayed_hits.inc()
+                load.level = (LEVEL_DELAYED if l1d._classify_delayed
+                              else l1d.level_label)
+                mshr.waiters.append((self._load_filled, load))
+            else:
+                l1d.stat_misses.inc()
+                l1d._allocate_mshr(line, False, (self._load_filled, load))
+        if fu_pool is not None:
+            fu_pool.try_cache_port(now)
         load.issued = True
         if self.memdep is not None:
             self._issued_loads_by_word.setdefault(
                 self._timing_key(load), []).append(load)
         return _ISSUED
+
+    def _load_filled(self, load: LSQEntry, level: str) -> None:
+        """MSHR waiter: the line ``load`` missed on arrived from
+        ``level``."""
+        if load.level is None:
+            load.level = level
+        self._load_done(load, self._events.now)
+
+    def _load_done(self, load: LSQEntry, cycle: int) -> None:
+        """The load's data is available at ``cycle``."""
+        inst = load.inst
+        inst.mem_level = load.level
+        inst.completed_cycle = cycle
+        inst.set_value_ready(cycle)
+        load.completed = True
+        if self.iq is not None:
+            self.iq.notify_load_complete(inst, cycle)
 
     # -------------------------------------------------------- invariants --
     def check(self, now: int) -> None:

@@ -34,9 +34,10 @@ from repro.frontend.fetch import INST_BYTES, FrontEnd
 from repro.isa.instruction import DynInst
 from repro.isa.opcodes import FUClass, OpClass
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.request import LEVEL_DELAYED, LEVEL_FORWARD
 from repro.obs.events import TraceEvent
 from repro.pipeline.fu import FUAcquire, FUPool
-from repro.pipeline.lsq import LoadStoreQueue
+from repro.pipeline.lsq import FORWARD_LATENCY, LoadStoreQueue
 from repro.pipeline.rob import ReorderBuffer
 
 #: Per-thread address-space offsets of a multi-thread run.
@@ -257,10 +258,19 @@ class Processor:
             "operands forwarded across clusters (pay the bypass penalty)")
         # Compiled stages (pipeline kernel tier), bound once here from
         # the one lookup of the compiled module.  Traced and multi-thread
-        # runs keep the Python bodies throughout (per-stage events, thread
-        # arbitration, ICOUNT, round-robin commit).
+        # runs keep the Python bodies of dispatch, issue, fetch and commit
+        # (per-stage events, thread arbitration, ICOUNT, round-robin
+        # commit).
         module = compiled_module()
         self._c_dispatch = self._c_issue = self._c_commit = None
+        if module is not None and EventQueue is not _PyEventQueue:
+            # Memory: LoadStoreQueue.cycle hands each cycle to the stage,
+            # whose load completions fire in C from the compiled event
+            # queue.  The load path emits no trace event and keys its
+            # stores by (thread, word), so every run binds it.
+            self.lsq._c_cycle = module.MemStage(
+                self.lsq, IQEntry, FORWARD_LATENCY, LEVEL_FORWARD,
+                LEVEL_DELAYED).run
         if module is not None and threads == 1 and tracer is None:
             if not self._clustered:
                 # Dispatch: one C call per cycle runs _dispatch's loop.

@@ -14,7 +14,10 @@ queued as typed event records; dropping it must free those too, and the
 event queue's record columns must take part in cycle collection.  The
 same cells fed by the compiled replay of a functional record (which
 clones every DynInst from a prototype) must free every clone, also when
-a cut-off abandons the stream part-read.
+a cut-off abandons the stream part-read.  A scatter beyond the L2 drives
+the compiled memory stage through misses, delayed hits and MSHR
+refusals; cut short, it leaves loads in flight and the stage parked as
+a waiter in the L1D's MSHRs, and dropping it must free those too.
 """
 
 import gc
@@ -35,6 +38,7 @@ from repro.isa.record import Recording
 from repro.pipeline import Processor
 from repro.pipeline.lsq import LSQEntry
 from repro.workloads import build_mgrid
+from repro.workloads.synthetic import SyntheticProfile, build_synthetic
 
 RUNS = 6
 INSTRUCTIONS = 2000
@@ -81,6 +85,30 @@ def test_repeated_cut_short_native_replay_cell_leaks_nothing():
                  replayed=True)
 
 
+#: A scatter over 2 MB, past the 1 MB L2, with no data warming.
+_SCATTER = SyntheticProfile(
+    name="scatter-2mb", iterations=INSTRUCTIONS // 8, loads_per_iteration=2,
+    stores_per_iteration=1, footprint_words=1 << 18,
+    access_pattern="scatter", fp_chain_depth=3, fp_parallel_ops=3,
+    int_ops=2, seed=11)
+
+
+def test_repeated_beyond_l2_cell_leaks_nothing():
+    """Misses to memory, delayed hits and MSHR refusals through the
+    compiled memory stage."""
+    stats = _assert_flat(configs.segmented(512, 128, "comb"),
+                         program=build_synthetic(_SCATTER)).as_dict()
+    assert stats["l1d.delayed_hits"] > 0
+    assert stats["l1d.mshr_full_retries"] > 0
+
+
+def test_repeated_cut_short_beyond_l2_cell_leaks_nothing():
+    """Stopped by max_cycles with loads in flight and the memory stage
+    parked as a waiter in the L1D's MSHRs."""
+    _assert_flat(configs.segmented(512, 128, "comb"), max_cycles=400,
+                 program=build_synthetic(_SCATTER))
+
+
 def _record(program):
     recording = Recording(program)
     for _ in recording.stream(execute(program,
@@ -113,14 +141,25 @@ def test_event_records_take_part_in_cycle_collection():
     assert sys.getrefcount(Marker) == live
 
 
-def _assert_flat(params, max_cycles=1_000_000, replayed=False):
+def _parked_loads(processor) -> int:
+    """Loads waiting in the L1D's MSHRs with the memory stage as their
+    waiter."""
+    return sum(type(callback).__name__ == "MemStage"
+               for mshr in processor.memory.l1d._mshrs.values()
+               for callback, _entry in mshr.waiters)
+
+
+def _assert_flat(params, max_cycles=1_000_000, replayed=False,
+                 program=None):
+    """Run the cell RUNS times; returns the first run's stats."""
     kernels.set_backend("compiled")
     try:
         kernels.backend()
     except RuntimeError:
         pytest.skip("compiled kernel backend not built")
-    program = build_mgrid()
+    program = program if program is not None else build_mgrid()
     source = _record(program) if replayed else program
+    first = None
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -143,8 +182,13 @@ def _assert_flat(params, max_cycles=1_000_000, replayed=False):
                 assert len(processor.events)
                 if EventQueue is not _PyEventQueue:
                     assert processor._c_issue is not None
+                    assert processor.lsq._c_cycle is not None
+                    if program.name == _SCATTER.name:
+                        assert _parked_loads(processor)
             else:
                 assert processor.committed == INSTRUCTIONS
+            if first is None:
+                first = processor.stats
             del processor
             gc.collect()
             samples.append((tracemalloc.get_traced_memory()[0],
@@ -157,3 +201,4 @@ def _assert_flat(params, max_cycles=1_000_000, replayed=False):
     memory_last, refs_last = samples[-1]
     assert abs(memory_last - memory_warm) < MEMORY_BOUND, samples
     assert refs_last == refs_warm, samples
+    return first

@@ -100,6 +100,10 @@ INVENTORY = {
     "CommitStage": {
         "run": f"{_FETCH_COMMIT}::test_dense_segmented_stage_parity",
     },
+    "MemStage": {
+        "run": "tests.pipeline.test_mem_stage"
+               "::test_dense_segmented_stage_parity",
+    },
     "Replay": {
         "__next__": "tests.isa.test_functional_record"
                     "::TestNativeReplay"

@@ -30,6 +30,15 @@ IPC, ratio and count it quotes is recomputed from the artifact's raw
 data table, and its worded findings ("never above ideal", "at every
 size") are checked against the same rows.  Any other number in that
 column fails.
+
+§6.1's measured column is tied to ``claims_predictors.txt``: the HMP's
+hit-prediction accuracy and coverage on the analog that trains it, the
+coverage elsewhere, and the range and three quoted shares of two-chain
+instructions.  The memory-disambiguation bullet of the ablations is
+tied to ``memdep_policies.txt``: the one analog where the policy shows,
+its store-set gain over conservative and the store sets matching the
+oracle on every row.  Any other number in either fails, apart from a
+reference to a table or section.
 """
 
 import math
@@ -536,3 +545,148 @@ def test_figure3_quotes_match_the_artifact():
                 f"no artifact value checked in FIGURE3_QUOTES"
     assert not quotes, \
         f"Figure 3 no longer has the rows {[q[0] for q in quotes]}"
+
+
+#: A table or section reference, not a quoted figure.
+_REFERENCE = r"Table \d+|§\d+(?:\.\d+)*"
+
+
+def _unchecked_numbers(text: str, checked: list) -> list:
+    """Numbers in ``text`` outside the ``checked`` spans and outside
+    table and section references."""
+    spans = checked + [ref.span() for ref in re.finditer(_REFERENCE, text)]
+    return [number.group(0) for number in re.finditer(r"\d+(?:\.\d+)?",
+                                                      text)
+            if not any(start <= number.start() and number.end() <= end
+                       for start, end in spans)]
+
+
+def _predictor_rows() -> dict:
+    """benchmark -> {column: %} from ``claims_predictors.txt``."""
+    rows = {}
+    artifact = ROOT / "benchmarks" / "out" / "claims_predictors.txt"
+    for line in artifact.read_text().splitlines():
+        match = re.fullmatch(r"(\w+)" + r"\s+(\d+\.\d)%" * 4, line.strip())
+        if match:
+            rows[match.group(1)] = dict(zip(
+                ("accuracy", "coverage", "two_chain", "lrp"),
+                map(float, match.groups()[1:])))
+    return rows
+
+
+def _hmp_trainer(rows: dict) -> str:
+    """The analog whose HMP covers the most hits."""
+    return max(rows, key=lambda bench: rows[bench]["coverage"])
+
+
+def _whole(value: float) -> str:
+    return f"{value:.0f}"
+
+
+def _coverage_elsewhere(rows: dict) -> str:
+    """"0" when every other analog's HMP covers under 1 % of its hits."""
+    trainer = _hmp_trainer(rows)
+    others = [row["coverage"] for bench, row in rows.items()
+              if bench != trainer]
+    return "0" if max(others) < 1.0 else f"{max(others):.1f}"
+
+
+#: (first words of the claim cell, regex over the measured cell, the
+#: artifact values of its groups).
+PREDICTOR_QUOTES = [
+    ("HMP >98 % accurate",
+     r"^(\d+\.\d) % on (\w+) \(the analog with enough hitting loads to "
+     r"train\); near-zero hit predictions elsewhere",
+     lambda rows: (f"{rows[_hmp_trainer(rows)]['accuracy']:.1f}",
+                   _hmp_trainer(rows))),
+    ("HMP covers >83 %",
+     r"^(\d+) % on (\w+); ≈(\d+) elsewhere",
+     lambda rows: (_whole(rows[_hmp_trainer(rows)]["coverage"]),
+                   _hmp_trainer(rows), _coverage_elsewhere(rows))),
+    ("~35 % of instructions",
+     r"^(\d+)-(\d+) % by benchmark \(applu (\d+) %, mgrid (\d+) %, "
+     r"equake (\d+) %\)$",
+     lambda rows: (
+         _whole(min(row["two_chain"] for row in rows.values())),
+         _whole(max(row["two_chain"] for row in rows.values())),
+         *(_whole(rows[bench]["two_chain"])
+           for bench in ("applu", "mgrid", "equake")))),
+]
+
+
+def test_predictor_quality_quotes_match_the_artifact():
+    section = _section("§6.1 predictor quality")
+    rows = _predictor_rows()
+    assert len(rows) == 8, "claims_predictors.txt lost rows"
+    quotes = list(PREDICTOR_QUOTES)
+    for claim, measured in _measured_cells(section):
+        spec = next((quote for quote in quotes
+                     if claim.startswith(quote[0])), None)
+        checked = []
+        if spec is not None:
+            quotes.remove(spec)
+            _prefix, pattern, artifact_values = spec
+            match = re.search(pattern, measured)
+            assert match, f"§6.1 row {claim!r} reads {measured!r}"
+            assert match.groups() == artifact_values(rows), \
+                f"{claim}: EXPERIMENTS.md quotes {match.groups()}, " \
+                f"claims_predictors.txt gives {artifact_values(rows)}"
+            checked = [match.span(group)
+                       for group in range(1, len(match.groups()) + 1)]
+        unchecked = _unchecked_numbers(measured, checked)
+        assert not unchecked, \
+            f"§6.1 row {claim!r} quotes {unchecked} with no artifact " \
+            f"value checked in PREDICTOR_QUOTES"
+    assert not quotes, \
+        f"§6.1 no longer has the rows {[q[0] for q in quotes]}"
+
+
+def _memdep_rows() -> dict:
+    """benchmark -> {policy: IPC} from ``memdep_policies.txt``."""
+    rows = {}
+    artifact = ROOT / "benchmarks" / "out" / "memdep_policies.txt"
+    for line in artifact.read_text().splitlines():
+        match = re.fullmatch(r"(\w+)" + r"\s+(\d+\.\d+)" * 3, line.strip())
+        if match:
+            rows[match.group(1)] = dict(zip(
+                ("conservative", "store_sets", "oracle"),
+                map(float, match.groups()[1:])))
+    return rows
+
+
+def _memdep_quotes(rows: dict) -> tuple:
+    """The analogs where store sets beat conservative, the gain of the
+    first in whole % (truncated: three-decimal IPCs cannot place it
+    closer), and whether store sets match the oracle on every row."""
+    visible = [bench for bench, row in rows.items()
+               if row["store_sets"] != row["conservative"]]
+    row = rows[visible[0]] if visible else None
+    gain = (int(100 * (row["store_sets"] / row["conservative"] - 1))
+            if row else 0)
+    exact = all(row["store_sets"] == row["oracle"]
+                for row in rows.values())
+    return (", ".join(visible), f"+{gain}",
+            "exactly match" if exact else "do not match")
+
+
+def test_memory_disambiguation_quotes_match_the_artifact():
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    match = re.search(r"^\* \*\*Memory disambiguation\*\* .*?(?=^\* |\Z)",
+                      text, re.M | re.S)
+    assert match, "EXPERIMENTS.md has no memory-disambiguation bullet"
+    bullet = " ".join(match.group(0).split())
+    rows = _memdep_rows()
+    assert len(rows) == 3, "memdep_policies.txt lost rows"
+    quote = re.search(r"only (\w+)'s read-modify-write force updates make "
+                      r"the policy visible \(([+−]\d+) % over conservative,"
+                      r" and store sets (exactly match) the oracle\)",
+                      bullet)
+    assert quote, f"the memory-disambiguation bullet reads {bullet!r}"
+    assert quote.groups() == _memdep_quotes(rows), \
+        f"EXPERIMENTS.md quotes {quote.groups()}, memdep_policies.txt " \
+        f"gives {_memdep_quotes(rows)}"
+    checked = [quote.span(group) for group in range(1, 4)]
+    unchecked = _unchecked_numbers(bullet, checked)
+    assert not unchecked, \
+        f"the memory-disambiguation bullet quotes {unchecked} with no " \
+        f"artifact value checked"

@@ -18,7 +18,7 @@ def make_system(l1_params=None, l2_params=None, mem_latency=100):
         size_bytes=8192, assoc=4, line_bytes=64, hit_latency=10,
         mshr_entries=4)
     mem_link = BandwidthLink("link.mem", 8, events, stats)
-    memory = MainMemory(mem_latency, mem_link, events, stats)
+    memory = MainMemory(mem_latency, events, stats)
     l2 = Cache("l2", l2_params, "l2", memory, mem_link, events, stats)
     l2_link = BandwidthLink("link.l2", 64, events, stats)
     l1 = Cache("l1d", l1_params, "l1", l2, l2_link, events, stats,

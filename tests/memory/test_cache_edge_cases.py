@@ -11,7 +11,7 @@ def tiny_hierarchy(l2_mshrs=2):
     events = EventQueue()
     stats = StatGroup()
     mem_link = BandwidthLink("link.mem", 8, events, stats)
-    memory = MainMemory(100, mem_link, events, stats)
+    memory = MainMemory(100, events, stats)
     l2 = Cache("l2", CacheParams(size_bytes=4096, assoc=2, line_bytes=64,
                                  hit_latency=10, mshr_entries=l2_mshrs),
                "l2", memory, mem_link, events, stats)

@@ -13,6 +13,7 @@ import dataclasses
 import pytest
 
 from repro import api
+from repro.core.segmented import kernels
 from repro.harness import configs
 from repro.isa import ProgramBuilder, R, execute
 from repro.memory.cache import Cache
@@ -126,7 +127,10 @@ def test_retry_storm_matches_exhaustive_retry(monkeypatch, params, workload,
                                               instructions):
     """Counting known refusals is exact: forgetting the refused loads
     before every LSQ cycle (every candidate attempted in full) changes no
-    cycle, stat or trace event."""
+    cycle, stat or trace event, with the Python body of
+    ``LoadStoreQueue.cycle`` and with the compiled memory stage when it
+    is built.  The py backend's refusal checks (``Cache.rejects``, which
+    the compiled stage runs inlined) show the attempts the count saves."""
     attempts = []
     rejects = Cache.rejects
 
@@ -135,18 +139,24 @@ def test_retry_storm_matches_exhaustive_retry(monkeypatch, params, workload,
         return rejects(cache, addr)
 
     monkeypatch.setattr(Cache, "rejects", counted)
-    attempts.append(0)
-    fast = _traced(params, workload, instructions, True)
     cycle = LoadStoreQueue.cycle
 
     def exhaustive(lsq, now):
         lsq._refused = 0
         cycle(lsq, now)
 
-    monkeypatch.setattr(LoadStoreQueue, "cycle", exhaustive)
-    attempts.append(0)
-    slow = _traced(params, workload, instructions, True)
-    assert fast[0].cycles == slow[0].cycles
-    assert fast[0].stats == slow[0].stats
-    assert fast[1] == slow[1]
+    for backend in ("py", None):
+        runs = []
+        for method in (cycle, exhaustive):
+            monkeypatch.setattr(LoadStoreQueue, "cycle", method)
+            attempts.append(0)
+            kernels.set_backend(backend)
+            try:
+                runs.append(_traced(params, workload, instructions, True))
+            finally:
+                kernels.set_backend(None)
+        fast, slow = runs
+        assert fast[0].cycles == slow[0].cycles
+        assert fast[0].stats == slow[0].stats
+        assert fast[1] == slow[1]
     assert attempts[0] < attempts[1] / 2    # refusals were counted

@@ -190,20 +190,21 @@ BEFORE_FILL = 60
 
 
 def make_blocked_lsq(policy="conservative", fu_pool=None):
-    """An LSQ over an L1D with two MSHRs, counting ``data_access`` calls."""
+    """An LSQ over an L1D with two MSHRs, recording the byte address of
+    each line the L1D allocates an MSHR for."""
     events = EventQueue()
     stats = StatGroup()
     params = MemoryParams(l1d=CacheParams(size_bytes=64 * 1024, assoc=2,
                                           hit_latency=3, mshr_entries=2))
     memory = MemoryHierarchy(params, events, stats)
     accesses = []
-    real_access = memory.data_access
+    real_allocate = memory.l1d._allocate_mshr
 
-    def counted(request):
-        accesses.append(request.addr)
-        return real_access(request)
+    def counted(line_addr, is_write, waiter):
+        accesses.append(line_addr * params.l1d.line_bytes)
+        return real_allocate(line_addr, is_write, waiter)
 
-    memory.data_access = counted
+    memory.l1d._allocate_mshr = counted
     lsq = LoadStoreQueue(32, memory, events, stats, policy=policy,
                          fu_pool=fu_pool)
     return lsq, events, stats, memory, accesses
@@ -257,10 +258,11 @@ class TestMSHRBlocked:
         assert stats.get("l1d.misses") == 2
 
     def test_data_access_only_for_accepted_loads(self):
-        lsq, events, _, _, accesses = make_blocked_lsq()
+        lsq, events, stats, _, accesses = make_blocked_lsq()
         ready_loads(lsq, [line(n) for n in range(5)])
         run_cycles(lsq, events, BEFORE_FILL)
         assert accesses == [line(0), line(1)]
+        assert stats.get("l1d.accesses") == 2
 
     def test_identical_to_exhaustive_retry(self):
         outcomes = []
