@@ -6,7 +6,8 @@ studies because sections 4.1-4.5 argue for each enhancement:
 * instruction pushdown (4.1) — utilization under long-delay chains;
 * segment bypassing (4.2) — pipeline-depth penalty on short programs;
 * segment size — the cycle-time/IPC trade at fixed total capacity;
-* deadlock recovery (4.5) — activity exists but is rare.
+* deadlock recovery (4.5) — activity exists but is rare: the report
+  gives each analog's recoveries per cycle.
 """
 
 import pytest
@@ -46,7 +47,20 @@ def test_ablation_report(benchmark):
             rows, title="Ablations: segmented IQ design choices (512 "
                         "entries, 128 chains, comb)")
 
-    report = benchmark.pedantic(render, rounds=1, iterations=1)
+    def deadlocks():
+        rows = []
+        for workload in BENCH_WORKLOADS:
+            result = run_seg(workload)
+            recoveries = result.stats.get("iq.deadlock_recoveries", 0)
+            rows.append([workload, recoveries, result.cycles,
+                         f"{100 * recoveries / max(1, result.cycles):.3f}"])
+        return format_table(
+            ["benchmark", "recoveries", "cycles", "% of cycles"], rows,
+            title="Deadlock recovery (section 4.5) per analog (512 "
+                  "entries, 128 chains, comb)")
+
+    report = benchmark.pedantic(lambda: render() + "\n\n" + deadlocks(),
+                                rounds=1, iterations=1)
     write_artifact("ablations.txt", report)
     print("\n" + report)
     assert "Ablations" in report
@@ -86,8 +100,9 @@ def test_deadlock_recovery_is_rare(benchmark):
         return out
 
     values = benchmark.pedantic(rates, rounds=1, iterations=1)
-    # Paper 4.5: deadlock occurs in ~0.05% of cycles.  Allow an order of
-    # magnitude of slack for the synthetic analogs.
+    # Paper 4.5: deadlock occurs in ~0.05% of cycles.  The bound, 5% of
+    # cycles, leaves two orders of magnitude of slack for the synthetic
+    # analogs.
     assert max(values) < 0.05
 
 

@@ -11,6 +11,14 @@
   instruction's inputs will arrive *later* (the critical operand).  With an
   LRP each instruction follows at most one chain, and two-chain instructions
   no longer need to become chain heads.
+
+These classes are the reference.  In a segmented IQ the kernel engine
+(:mod:`repro.core.segmented.kernels`) makes every consult and training
+call: the pure-Python engine calls the methods below, and the compiled
+engine runs the same bodies inline on each predictor's own ``__slots__``
+state (its ``_counters`` table, the HMP's ``_outstanding`` predictions
+and the counters), so a predictor reads the same after a run on either
+backend.
 """
 
 from __future__ import annotations
@@ -26,6 +34,11 @@ HIT_LEVELS = frozenset({"l1", "forward"})
 
 class HitMissPredictor:
     """Per-PC 4-bit confidence counters for L1 data-cache hit prediction."""
+
+    __slots__ = ("max_count", "confidence", "table_size", "_counters",
+                 "stat_predictions", "stat_predicted_hits",
+                 "stat_correct_hits", "stat_wrong_hits", "stat_actual_hits",
+                 "stat_actual_misses", "stat_covered_hits", "_outstanding")
 
     def __init__(self, stats: StatGroup, *, counter_bits: int = 4,
                  confidence: int = 13, table_size: int = 4096) -> None:
@@ -103,6 +116,9 @@ class LeftRightPredictor:
 
     LEFT = 0
     RIGHT = 1
+
+    __slots__ = ("table_size", "_counters", "stat_predictions",
+                 "stat_correct", "stat_wrong")
 
     def __init__(self, stats: StatGroup, *, table_size: int = 4096) -> None:
         self.table_size = table_size

@@ -7,11 +7,15 @@
  * pure-Python backend).  The columns are the only copy of the segmented
  * IQ's scheduling and chain state: nothing is written back onto entry
  * or chain objects, and chains are not held at all.  Engine has the
- * same public methods as PyKernelEngine, the segmented IQ's dispatch
- * and issue policy included (plan, can_dispatch, dispatch, select_issue,
- * on_entry_ready_known, bound once by bind), so SegmentedIQ calls both
- * engines the same way; the *_raw functions are the C twins of its
- * private helpers.  Any semantic change must be made in kernels.py
+ * same public methods as PyKernelEngine, the segmented IQ's policy
+ * included (plan, can_dispatch, dispatch, select_issue,
+ * on_entry_ready_known, cycle, load_miss, load_complete and writeback,
+ * bound once by bind), so SegmentedIQ calls both engines the same way;
+ * the *_raw functions are the C twins of its private helpers.  Where
+ * PyKernelEngine calls a Chain, ChainManager or predictor method, the C
+ * twin runs that method's body inline on the object's own slots (the
+ * chain-policy and predictor sections).  Any semantic change must be
+ * made in kernels.py
  * first and transliterated here; the conformance suite
  * (tests/core/test_kernels.py) asserts bit-identity between the two
  * backends and tests/core/test_engine_parity.py checks them call for
@@ -79,9 +83,7 @@ static PyObject *zero_obj;          /* PyLong(0) */
  * segmented IQ's dispatch planning and issue post-loop, and the
  * completions the issue stage schedules (interned from STAGE_NAMES at
  * import). */
-static PyObject *str_pc, *str_lrp, *str_hmp, *str_chains;
-static PyObject *str_predict_later, *str_predict_hit, *str_has_free;
-static PyObject *str_allocate, *str_stat_alloc_failures;
+static PyObject *str_pc, *str_lrp, *str_hmp;
 static PyObject *str_blocked_on_chain, *str_active_segments;
 static PyObject *str_enable_bypass, *str_full_refusals, *str_now;
 static PyObject *str_needs_chain, *str_lsq, *str_frontend, *str_pipeline;
@@ -91,12 +93,30 @@ static PyObject *str_dispatched_cycle, *str_completed_cycle;
 static PyObject *str_mispredicted, *str_branch_resolved, *str_popleft;
 static PyObject *str_append, *str_order, *str_can_dispatch;
 static PyObject *str_stat_full_stalls, *str_dispatch, *str_is_store;
-static PyObject *str_stat_issued, *str_on_head_issued, *str_train;
 static PyObject *str_select_issue, *str_issued_cycle, *str_is_branch;
 static PyObject *str_on_entry_ready_known, *str_source_known;
 static PyObject *str_address_ready, *str_events, *str_on_writeback;
-static PyObject *str_issue_width, *str_fu_engine, *str_stat_seg0_ready;
+static PyObject *str_issue_width, *str_fu_engine;
 static PyObject *str_sample, *str_issued_this_cycle;
+/* ... and of the segmented IQ's policy: its cycle, the chain and
+ * chain-wire pool slots (chains.py), the predictors' (predictors.py)
+ * and the trace hook's event kinds. */
+static PyObject *str_enable_pushdown, *str_promoted_this_cycle;
+static PyObject *str_last_issue_cycle, *str_last_commit_cycle_pub;
+static PyObject *str_in_flight, *str_dynamic_resize;
+static PyObject *str_adaptive_thresholds, *str_threshold_interval;
+static PyObject *str_recover, *str_resize_controller, *str_refit_thresholds;
+static PyObject *str_trace_promotions, *str_chain_id, *str_head;
+static PyObject *str_suspended_since, *str_suspended_accum, *str_engine;
+static PyObject *str_max_chains, *str_next_id, *str_peak_in_use;
+static PyObject *str_tracer, *str_trace, *str_chain_create, *str_chain_wire;
+static PyObject *str_free, *str_suspend, *str_resume, *str_empty;
+static PyObject *str_max_count, *str_confidence, *str_table_size;
+static PyObject *str_counters_priv, *str_outstanding, *str_stat_predictions;
+static PyObject *str_stat_predicted_hits, *str_stat_correct_hits;
+static PyObject *str_stat_wrong_hits, *str_stat_actual_hits;
+static PyObject *str_stat_actual_misses, *str_stat_covered_hits;
+static PyObject *str_stat_correct, *str_stat_wrong;
 /* ... and of the fetch and commit stages. */
 static PyObject *str_icache_stalled, *str_waiting_branch, *str_resume_cycle;
 static PyObject *str_peeked, *str_stream_done, *str_stream, *str_code_base;
@@ -117,10 +137,6 @@ static PyObject *str_rotate, *str_extend;
 static const struct { PyObject **slot; const char *name; }
 STAGE_NAMES[] = {
     {&str_pc, "pc"}, {&str_lrp, "lrp"}, {&str_hmp, "hmp"},
-    {&str_chains, "chains"}, {&str_predict_later, "predict_later"},
-    {&str_predict_hit, "predict_hit"}, {&str_has_free, "has_free"},
-    {&str_allocate, "allocate"},
-    {&str_stat_alloc_failures, "stat_alloc_failures"},
     {&str_blocked_on_chain, "blocked_on_chain"},
     {&str_active_segments, "active_segments"},
     {&str_enable_bypass, "_enable_bypass"},
@@ -139,16 +155,43 @@ STAGE_NAMES[] = {
     {&str_can_dispatch, "can_dispatch"},
     {&str_stat_full_stalls, "stat_full_stalls"},
     {&str_dispatch, "dispatch"}, {&str_is_store, "is_store"},
-    {&str_stat_issued, "stat_issued"},
-    {&str_on_head_issued, "on_head_issued"}, {&str_train, "train"},
     {&str_select_issue, "select_issue"},
     {&str_issued_cycle, "issued_cycle"}, {&str_is_branch, "is_branch"},
     {&str_on_entry_ready_known, "on_entry_ready_known"},
     {&str_source_known, "source_known"},
     {&str_address_ready, "address_ready"}, {&str_events, "events"},
     {&str_on_writeback, "on_writeback"}, {&str_issue_width, "issue_width"},
-    {&str_fu_engine, "fu_engine"}, {&str_stat_seg0_ready, "stat_seg0_ready"},
+    {&str_fu_engine, "fu_engine"},
     {&str_sample, "sample"}, {&str_issued_this_cycle, "_issued_this_cycle"},
+    {&str_enable_pushdown, "_enable_pushdown"},
+    {&str_promoted_this_cycle, "_promoted_this_cycle"},
+    {&str_last_issue_cycle, "_last_issue_cycle"},
+    {&str_last_commit_cycle_pub, "last_commit_cycle"},
+    {&str_in_flight, "in_flight"}, {&str_dynamic_resize, "_dynamic_resize"},
+    {&str_adaptive_thresholds, "_adaptive_thresholds"},
+    {&str_threshold_interval, "_threshold_update_interval"},
+    {&str_recover, "_recover"}, {&str_resize_controller, "_resize_controller"},
+    {&str_refit_thresholds, "_refit_thresholds"},
+    {&str_trace_promotions, "_trace_promotions"},
+    {&str_chain_id, "chain_id"}, {&str_head, "head"},
+    {&str_suspended_since, "suspended_since"},
+    {&str_suspended_accum, "suspended_accum"}, {&str_engine, "engine"},
+    {&str_max_chains, "max_chains"}, {&str_next_id, "_next_id"},
+    {&str_peak_in_use, "peak_in_use"}, {&str_tracer, "tracer"},
+    {&str_trace, "trace"}, {&str_chain_create, "chain_create"},
+    {&str_chain_wire, "chain_wire"}, {&str_free, "free"},
+    {&str_suspend, "suspend"}, {&str_resume, "resume"}, {&str_empty, ""},
+    {&str_max_count, "max_count"}, {&str_confidence, "confidence"},
+    {&str_table_size, "table_size"}, {&str_counters_priv, "_counters"},
+    {&str_outstanding, "_outstanding"},
+    {&str_stat_predictions, "stat_predictions"},
+    {&str_stat_predicted_hits, "stat_predicted_hits"},
+    {&str_stat_correct_hits, "stat_correct_hits"},
+    {&str_stat_wrong_hits, "stat_wrong_hits"},
+    {&str_stat_actual_hits, "stat_actual_hits"},
+    {&str_stat_actual_misses, "stat_actual_misses"},
+    {&str_stat_covered_hits, "stat_covered_hits"},
+    {&str_stat_correct, "stat_correct"}, {&str_stat_wrong, "stat_wrong"},
     {&str_icache_stalled, "_icache_stalled"},
     {&str_waiting_branch, "_waiting_branch"},
     {&str_resume_cycle, "_resume_cycle"}, {&str_peeked, "_peeked"},
@@ -315,6 +358,19 @@ i64_cmp(const void *a, const void *b)
 /* Engine                                                             */
 /* ------------------------------------------------------------------ */
 
+/* What Engine.bind takes from the segmented IQ, in bind's argument
+ * order, by index into Engine.b: the classes the policy ops instantiate;
+ * the queue's tables, its chain-wire pool and the pool's own dict and
+ * list; the counters and distributions the ops count into; the levels
+ * that train the HMP as hits. */
+enum {
+    B_PLAN_CLS, B_STATE_CLS, B_RIT_CLS, B_ENTRY_CLS, B_CHAIN_CLS,
+    B_PLAN_CACHE, B_RIT, B_HEAD_CHAINS, B_CHAINS, B_ACTIVE, B_FREE_IDS,
+    B_DISPATCHED, B_TWO_CHAIN, B_BYPASS, B_CHAIN_HEADS, B_ISSUED,
+    B_SEG0_READY, B_PROMOTIONS, B_PUSHDOWNS, B_OCCUPANCY, B_ALLOCATED,
+    B_ALLOC_FAILURES, B_IN_USE, B_HIT_LEVELS, N_BOUND
+};
+
 typedef struct {
     PyObject_HEAD
     Py_ssize_t num_segments;
@@ -340,16 +396,12 @@ typedef struct {
     /* segment-0 issue heaps: pending (when<<20)|slot maturities and
      * ready (seq<<20)|slot candidates (see kernels.py issue_select) */
     i64vec p0heap, r0heap;
-    /* scratch buffers (reused across calls) */
-    i64vec scratch, scratch2;
-    /* dispatch bindings (bind): the classes the dispatch ops
-     * instantiate, the queue's plan cache, RIT and head-chain dicts, the
-     * dispatched, two-chain, bypass and chain-head counters, and the
-     * predicted load latency constant.  NULL until bound. */
-    PyObject *adm_ss_cls, *adm_rit_cls, *adm_iqe_cls, *adm_stat;
-    int64_t adm_pred_load_lat;
-    PyObject *dp_plan_cls, *dp_plan_cache, *dp_rit, *dp_head_chains;
-    PyObject *dp_two_chain, *dp_bypass, *dp_chain_heads;
+    /* scratch buffers (reused across calls), and the slots a promotion
+     * sweep moved into segment 0, in arrival order */
+    i64vec scratch, scratch2, arrivals;
+    /* policy bindings (bind, see BOUND below): NULL until bound */
+    PyObject *b[N_BOUND];
+    int64_t pred_load_lat, patience;
     /* (occupancy, segment) decided by the last successful can_dispatch,
      * so the dispatch that follows skips a second search. */
     int tc_valid;
@@ -954,6 +1006,7 @@ Engine_init(Engine *self, PyObject *args, PyObject *kwds)
     Py_DECREF(thr_seq);
     if (iv_init(&self->free_slots, 64) < 0 || iv_init(&self->scratch, 64) < 0
         || iv_init(&self->scratch2, 64) < 0
+        || iv_init(&self->arrivals, 64) < 0
         || iv_init(&self->p0heap, 64) < 0
         || iv_init(&self->r0heap, 64) < 0) {
         PyErr_NoMemory();
@@ -970,17 +1023,8 @@ Engine_traverse(Engine *self, visitproc visit, void *arg)
     Py_VISIT(self->events);
     for (Py_ssize_t i = 0; i < self->e_len; i++)
         Py_VISIT(self->e_obj[i]);
-    Py_VISIT(self->adm_ss_cls);
-    Py_VISIT(self->adm_rit_cls);
-    Py_VISIT(self->adm_iqe_cls);
-    Py_VISIT(self->adm_stat);
-    Py_VISIT(self->dp_plan_cls);
-    Py_VISIT(self->dp_plan_cache);
-    Py_VISIT(self->dp_rit);
-    Py_VISIT(self->dp_head_chains);
-    Py_VISIT(self->dp_two_chain);
-    Py_VISIT(self->dp_bypass);
-    Py_VISIT(self->dp_chain_heads);
+    for (int i = 0; i < N_BOUND; i++)
+        Py_VISIT(self->b[i]);
     return 0;
 }
 
@@ -990,17 +1034,8 @@ Engine_clear(Engine *self)
     Py_CLEAR(self->events);
     for (Py_ssize_t i = 0; i < self->e_len; i++)
         Py_CLEAR(self->e_obj[i]);
-    Py_CLEAR(self->adm_ss_cls);
-    Py_CLEAR(self->adm_rit_cls);
-    Py_CLEAR(self->adm_iqe_cls);
-    Py_CLEAR(self->adm_stat);
-    Py_CLEAR(self->dp_plan_cls);
-    Py_CLEAR(self->dp_plan_cache);
-    Py_CLEAR(self->dp_rit);
-    Py_CLEAR(self->dp_head_chains);
-    Py_CLEAR(self->dp_two_chain);
-    Py_CLEAR(self->dp_bypass);
-    Py_CLEAR(self->dp_chain_heads);
+    for (int i = 0; i < N_BOUND; i++)
+        Py_CLEAR(self->b[i]);
     return 0;
 }
 
@@ -1021,6 +1056,7 @@ Engine_dealloc(Engine *self)
     iv_free(&self->free_slots);
     iv_free(&self->scratch);
     iv_free(&self->scratch2);
+    iv_free(&self->arrivals);
     iv_free(&self->p0heap);
     iv_free(&self->r0heap);
     PyMem_Free(self->occ); PyMem_Free(self->thr);
@@ -1100,22 +1136,33 @@ Engine_threshold(Engine *self, PyObject *arg)
 
 /* ------------------------------------------------------------ chains -- */
 
+static int64_t
+chain_columns_alloc(Engine *self, int64_t mode, int64_t base,
+                    int64_t head_segment)
+{
+    /* A new chain's columns: its cslot, or -1 with MemoryError set. */
+    Py_ssize_t cslot = self->c_len;
+    if ((cslot >= self->c_cap && engine_grow_chains(self, cslot + 1) < 0)
+        || iv_init(&self->c_members[cslot], 4) < 0) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    self->c_mode[cslot] = mode;
+    self->c_base[cslot] = base;
+    self->c_hseg[cslot] = head_segment;
+    self->c_len = cslot + 1;
+    return (int64_t)cslot;
+}
+
 static PyObject *
 Engine_alloc_chain(Engine *self, PyObject *args)
 {
     long long mode, base, head_segment;
     if (!PyArg_ParseTuple(args, "LLL", &mode, &base, &head_segment))
         return NULL;
-    Py_ssize_t cslot = self->c_len;
-    if (cslot >= self->c_cap && engine_grow_chains(self, cslot + 1) < 0)
-        return PyErr_NoMemory();
-    self->c_mode[cslot] = (int64_t)mode;
-    self->c_base[cslot] = (int64_t)base;
-    self->c_hseg[cslot] = (int64_t)head_segment;
-    if (iv_init(&self->c_members[cslot], 4) < 0)
-        return PyErr_NoMemory();
-    self->c_len = cslot + 1;
-    return PyLong_FromSsize_t(cslot);
+    int64_t cslot = chain_columns_alloc(self, (int64_t)mode, (int64_t)base,
+                                        (int64_t)head_segment);
+    return cslot < 0 ? NULL : PyLong_FromLongLong((long long)cslot);
 }
 
 static PyObject *
@@ -1237,6 +1284,7 @@ Engine_insert_entry(Engine *self, PyObject *args)
 
 static inline int counter_inc1(PyObject *counter);
 static int counter_add(PyObject *counter, Py_ssize_t amount);
+static int dist_sample_i64(PyObject *dist, int64_t value);
 
 static inline PyObject *
 plain_new(PyObject *cls)
@@ -1316,7 +1364,7 @@ admit_raw(Engine *self, PyObject *queue, PyObject *rit_entries,
     if (seq == -1 && PyErr_Occurred())
         goto fail;
 
-    entry = plain_new(self->adm_iqe_cls);
+    entry = plain_new(self->b[B_ENTRY_CLS]);
     if (entry == NULL
         || site_set(&at_iqe_inst, entry, inst) < 0
         || site_set(&at_iqe_seq, entry, seq_obj) < 0
@@ -1357,7 +1405,7 @@ admit_raw(Engine *self, PyObject *queue, PyObject *rit_entries,
     countdown = (int64_t)PyLong_AsLongLong(cd_obj);
     if ((countdown == -1 && PyErr_Occurred())
         || (pairs = site_get(&at_plan_pairs, plan)) == NULL
-        || (state = plain_new(self->adm_ss_cls)) == NULL
+        || (state = plain_new(self->b[B_STATE_CLS])) == NULL
         || site_set(&at_ss_links, state, Py_None) < 0
         || site_set(&at_ss_own, state, chain) < 0
         || site_set_new(&at_ss_lrp_choice, state,
@@ -1422,7 +1470,7 @@ admit_raw(Engine *self, PyObject *queue, PyObject *rit_entries,
             || attr_set_i64(queue, str_occupancy_priv, occ + 1) < 0)
             goto fail;
     }
-    if (counter_inc1(self->adm_stat) < 0)
+    if (counter_inc1(self->b[B_DISPATCHED]) < 0)
         goto fail;
     if (target == 0 && !unknown) {
         int64_t when = ready > now + 1 ? ready : now + 1;
@@ -1450,11 +1498,11 @@ admit_raw(Engine *self, PyObject *queue, PyObject *rit_entries,
     int is_load = site_truth(&at_inst_is_load, inst);
     if (is_load < 0)
         goto fail;
-    int64_t own_latency = self->adm_pred_load_lat;
+    int64_t own_latency = self->pred_load_lat;
     if (!is_load && site_get_i64(&at_inst_latency, inst, &own_latency) < 0)
         goto fail;
 
-    rentry = plain_new(self->adm_rit_cls);
+    rentry = plain_new(self->b[B_RIT_CLS]);
     if (rentry == NULL || site_set(&at_rit_producer, rentry, inst) < 0)
         goto fail;
     if (chain != Py_None) {
@@ -1644,6 +1692,446 @@ fail:
     return NULL;
 }
 
+/* ----------------------------------------------------- chain policy -- */
+/* ChainManager and Chain (chains.py), run inline on their own slots: the
+ * wire pool's _active dict and _free_ids list are bound, its scalars and
+ * every Chain field are read and written through slot sites.  A chain's
+ * delay constants are this engine's columns (Chain._publish). */
+
+static slotsite at_chain_id = {&str_chain_id}, at_chain_head = {&str_head},
+    at_chain_latency = {&str_head_latency},
+    at_chain_issued = {&str_issued_cycle},
+    at_chain_since = {&str_suspended_since},
+    at_chain_accum = {&str_suspended_accum},
+    at_chain_cluster = {&str_cluster}, at_chain_engine = {&str_engine};
+static slotsite at_cm_max = {&str_max_chains}, at_cm_next_id = {&str_next_id},
+    at_cm_peak = {&str_peak_in_use}, at_cm_tracer = {&str_tracer};
+
+static int
+chain_publish(Engine *self, PyObject *chain, int64_t mode, int64_t base)
+{
+    /* Chain._publish(mode, base): the chain's new delay constants (an
+     * issued head sits at segment 0), then wake its members. */
+    int64_t cslot;
+    if (site_get_i64(&at_chain_cslot, chain, &cslot) < 0)
+        return -1;
+    if (cslot < 0 || cslot >= self->c_len) {
+        PyErr_SetString(PyExc_IndexError, "chain cslot out of range");
+        return -1;
+    }
+    self->c_mode[cslot] = mode;
+    self->c_base[cslot] = base;
+    self->c_hseg[cslot] = 0;
+    return notify_chain(self, cslot);
+}
+
+static int
+chains_trace(Engine *self, int64_t now, PyObject *kind, PyObject *head,
+             PyObject *chain_id, int64_t seg, PyObject *info)
+{
+    /* ChainManager.trace(now, kind, head, chain_id, seg, info) while a
+     * tracer is attached: the one emit hook, called where the Python
+     * methods emit. */
+    PyObject *chains = self->b[B_CHAINS];
+    PyObject *tracer = site_get(&at_cm_tracer, chains);
+    if (tracer == NULL)
+        return -1;
+    Py_DECREF(tracer);
+    if (tracer == Py_None)
+        return 0;
+    PyObject *now_obj = PyLong_FromLongLong((long long)now);
+    PyObject *seg_obj = PyLong_FromLongLong((long long)seg);
+    int rc = (now_obj == NULL || seg_obj == NULL) ? -1 : call_discard(
+        PyObject_CallMethodObjArgs(chains, str_trace, now_obj, kind, head,
+                                   chain_id, seg_obj, info, NULL));
+    Py_XDECREF(now_obj);
+    Py_XDECREF(seg_obj);
+    return rc;
+}
+
+static int
+chains_has_free(Engine *self)
+{
+    /* ChainManager.has_free(): 1 or 0, -1 on error. */
+    PyObject *max = site_get(&at_cm_max, self->b[B_CHAINS]);
+    if (max == NULL)
+        return -1;
+    if (max == Py_None) {
+        Py_DECREF(max);
+        return 1;
+    }
+    long long limit = PyLong_AsLongLong(max);
+    Py_DECREF(max);
+    if (limit == -1 && PyErr_Occurred())
+        return -1;
+    return PyDict_GET_SIZE(self->b[B_ACTIVE]) < limit;
+}
+
+static PyObject *
+chains_allocate(Engine *self, PyObject *head, int64_t head_segment,
+                PyObject *head_latency, int64_t now)
+{
+    /* ChainManager.allocate(head, self, head_segment, head_latency, now)
+     * with Chain.__init__: a new reference to the chain, or to None when
+     * no wire is free (the failure counted); NULL on error. */
+    PyObject *chains = self->b[B_CHAINS], *ids = self->b[B_FREE_IDS];
+    PyObject *active = self->b[B_ACTIVE];
+    int free = chains_has_free(self);
+    if (free <= 0) {
+        if (free < 0 || counter_inc1(self->b[B_ALLOC_FAILURES]) < 0)
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    PyObject *chain_id, *chain = NULL;
+    Py_ssize_t n = PyList_GET_SIZE(ids);
+    if (n) {
+        chain_id = PyList_GET_ITEM(ids, n - 1);
+        Py_INCREF(chain_id);
+        if (PyList_SetSlice(ids, n - 1, n, NULL) < 0)
+            goto fail;
+    }
+    else {
+        int64_t next;
+        if (site_get_i64(&at_cm_next_id, chains, &next) < 0)
+            return NULL;
+        if ((chain_id = PyLong_FromLongLong((long long)next)) == NULL)
+            return NULL;
+        if (site_set_i64(&at_cm_next_id, chains, next + 1) < 0)
+            goto fail;
+    }
+    int64_t cslot, peak;
+    if ((chain = plain_new(self->b[B_CHAIN_CLS])) == NULL
+        || site_set(&at_chain_id, chain, chain_id) < 0
+        || site_set(&at_chain_head, chain, head) < 0
+        || site_set(&at_chain_latency, chain, head_latency) < 0
+        || site_set(&at_chain_issued, chain, Py_None) < 0
+        || site_set(&at_chain_since, chain, Py_None) < 0
+        || site_set(&at_chain_accum, chain, zero_obj) < 0
+        || site_set(&at_chain_freed, chain, Py_False) < 0
+        || site_set_new(&at_chain_cluster, chain,
+                        site_get(&at_inst_cluster, head)) < 0
+        || site_set(&at_chain_engine, chain, (PyObject *)self) < 0
+        || (cslot = chain_columns_alloc(self, 0, 2 * head_segment,
+                                        head_segment)) < 0
+        || site_set_i64(&at_chain_cslot, chain, cslot) < 0
+        || PyDict_SetItem(active, chain_id, chain) < 0
+        || counter_inc1(self->b[B_ALLOCATED]) < 0
+        || site_get_i64(&at_cm_peak, chains, &peak) < 0
+        || (PyDict_GET_SIZE(active) > peak
+            && site_set_i64(&at_cm_peak, chains,
+                            PyDict_GET_SIZE(active)) < 0)
+        || chains_trace(self, now, str_chain_create, head, chain_id,
+                        head_segment, str_empty) < 0)
+        goto fail;
+    Py_DECREF(chain_id);
+    return chain;
+fail:
+    Py_DECREF(chain_id);
+    Py_XDECREF(chain);
+    return NULL;
+}
+
+static int
+chains_free(Engine *self, PyObject *chain, int64_t now)
+{
+    /* ChainManager.free(chain, now): the wire goes back to the pool. */
+    int freed = site_truth(&at_chain_freed, chain);
+    if (freed != 0)
+        return freed < 0 ? -1 : 0;
+    if (site_set(&at_chain_freed, chain, Py_True) < 0)
+        return -1;
+    PyObject *chain_id = site_get(&at_chain_id, chain), *head = NULL;
+    if (chain_id == NULL)
+        return -1;
+    int rc = -1;
+    PyObject *removed = PyDict_GetItemWithError(self->b[B_ACTIVE], chain_id);
+    if (removed == NULL) {
+        PyObject *exc = PyErr_Occurred() ? NULL : sim_error();
+        if (exc != NULL)
+            PyErr_Format(exc, "double free of chain %S", chain_id);
+        goto done;
+    }
+    if (PyDict_DelItem(self->b[B_ACTIVE], chain_id) < 0
+        || PyList_Append(self->b[B_FREE_IDS], chain_id) < 0
+        || (head = site_get(&at_chain_head, chain)) == NULL)
+        goto done;
+    rc = chains_trace(self, now, str_chain_wire, head, chain_id, -1,
+                      str_free);
+done:
+    Py_DECREF(chain_id);
+    Py_XDECREF(head);
+    return rc;
+}
+
+static int
+chain_head_issued(Engine *self, PyObject *chain, int64_t now)
+{
+    /* Chain.on_head_issued(now): self-timed countdown from now. */
+    PyObject *issued = site_get(&at_chain_issued, chain);
+    if (issued == NULL)
+        return -1;
+    Py_DECREF(issued);
+    if (issued != Py_None)
+        return 0;
+    int64_t accum;
+    if (site_set_i64(&at_chain_issued, chain, now) < 0
+        || site_get_i64(&at_chain_accum, chain, &accum) < 0)
+        return -1;
+    return chain_publish(self, chain, 1, now + accum);
+}
+
+static int
+chain_suspend(Engine *self, PyObject *chain, int64_t now)
+{
+    /* Chain.suspend(now): an issued head missed; members freeze. */
+    PyObject *issued = site_get(&at_chain_issued, chain), *since = NULL;
+    if (issued == NULL)
+        return -1;
+    int rc = 0;
+    if (issued != Py_None) {
+        int64_t issued_cycle, accum;
+        rc = -1;
+        if ((since = site_get(&at_chain_since, chain)) == NULL)
+            goto done;
+        rc = 0;
+        if (since != Py_None)
+            goto done;
+        issued_cycle = (int64_t)PyLong_AsLongLong(issued);
+        rc = -1;
+        if ((issued_cycle == -1 && PyErr_Occurred())
+            || site_get_i64(&at_chain_accum, chain, &accum) < 0
+            || site_set_i64(&at_chain_since, chain, now) < 0)
+            goto done;
+        rc = chain_publish(self, chain, 2, now - issued_cycle - accum);
+    }
+done:
+    Py_DECREF(issued);
+    Py_XDECREF(since);
+    return rc;
+}
+
+static int
+chain_resume(Engine *self, PyObject *chain, int64_t now)
+{
+    /* Chain.resume(now): the head completed; members count down again,
+     * credited up to head_latency cycles of self-timing. */
+    PyObject *since_obj = site_get(&at_chain_since, chain);
+    if (since_obj == NULL)
+        return -1;
+    Py_DECREF(since_obj);
+    if (since_obj == Py_None)
+        return 0;
+    int64_t since, accum, latency, issued;
+    if (site_get_i64(&at_chain_since, chain, &since) < 0
+        || site_get_i64(&at_chain_accum, chain, &accum) < 0
+        || site_get_i64(&at_chain_latency, chain, &latency) < 0
+        || site_get_i64(&at_chain_issued, chain, &issued) < 0)
+        return -1;
+    accum += now - since;
+    int64_t elapsed = now - issued - accum;         /* self_elapsed(now) */
+    if (elapsed < 0)
+        elapsed = 0;
+    if (latency - elapsed > 0)
+        accum -= latency - elapsed;
+    if (site_set(&at_chain_since, chain, Py_None) < 0
+        || site_set_i64(&at_chain_accum, chain, accum) < 0)
+        return -1;
+    return chain_publish(self, chain, 1, issued + accum);
+}
+
+/* ------------------------------------------------------- predictors -- */
+/* HitMissPredictor and LeftRightPredictor (predictors.py), inline on
+ * their own slots: the per-PC _counters tables, the HMP's _outstanding
+ * predictions and the counters. */
+
+static slotsite at_hmp_max = {&str_max_count},
+    at_hmp_confidence = {&str_confidence}, at_hmp_size = {&str_table_size},
+    at_hmp_table = {&str_counters_priv},
+    at_hmp_outstanding = {&str_outstanding},
+    at_hmp_predictions = {&str_stat_predictions},
+    at_hmp_predicted_hits = {&str_stat_predicted_hits},
+    at_hmp_correct = {&str_stat_correct_hits},
+    at_hmp_wrong = {&str_stat_wrong_hits},
+    at_hmp_hits = {&str_stat_actual_hits},
+    at_hmp_misses = {&str_stat_actual_misses},
+    at_hmp_covered = {&str_stat_covered_hits};
+static slotsite at_lrp_size = {&str_table_size},
+    at_lrp_table = {&str_counters_priv},
+    at_lrp_predictions = {&str_stat_predictions},
+    at_lrp_correct = {&str_stat_correct}, at_lrp_wrong = {&str_stat_wrong};
+
+static int
+site_inc(slotsite *site, PyObject *obj)
+{
+    /* obj.<counter>.inc() */
+    PyObject *counter = site_get(site, obj);
+    if (counter == NULL)
+        return -1;
+    int rc = counter_inc1(counter);
+    Py_DECREF(counter);
+    return rc;
+}
+
+static PyObject *
+table_key(slotsite *size_site, PyObject *predictor, int64_t pc)
+{
+    /* pc % predictor.table_size as the table key (a new reference). */
+    int64_t size;
+    if (site_get_i64(size_site, predictor, &size) < 0)
+        return NULL;
+    if (size == 0) {
+        PyErr_SetString(PyExc_ZeroDivisionError, "predictor table size 0");
+        return NULL;
+    }
+    int64_t index = pc % size;
+    if (index != 0 && (index < 0) != (size < 0))
+        index += size;                      /* Python's floored modulo */
+    return PyLong_FromLongLong((long long)index);
+}
+
+static int
+table_read(PyObject *table, PyObject *key, int64_t missing, int64_t *out)
+{
+    /* table.get(key, missing) as an int. */
+    PyObject *value = PyDict_GetItemWithError(table, key);
+    if (value == NULL) {
+        *out = missing;
+        return PyErr_Occurred() ? -1 : 0;
+    }
+    long long v = PyLong_AsLongLong(value);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    *out = (int64_t)v;
+    return 0;
+}
+
+static int
+table_write(PyObject *table, PyObject *key, int64_t value)
+{
+    PyObject *num = PyLong_FromLongLong((long long)value);
+    int rc = num == NULL ? -1 : PyDict_SetItem(table, key, num);
+    Py_XDECREF(num);
+    return rc;
+}
+
+static int
+hmp_predict_hit(PyObject *hmp, int64_t pc, PyObject *seq)
+{
+    /* HitMissPredictor.predict_hit(pc, seq): 1 hit, 0 miss, -1 error. */
+    PyObject *key = NULL, *table = NULL, *outstanding = NULL;
+    int64_t count, confidence;
+    int predicted = -1;
+    if (site_inc(&at_hmp_predictions, hmp) < 0
+        || (key = table_key(&at_hmp_size, hmp, pc)) == NULL
+        || (table = site_get(&at_hmp_table, hmp)) == NULL
+        || table_read(table, key, 0, &count) < 0
+        || site_get_i64(&at_hmp_confidence, hmp, &confidence) < 0
+        || (count > confidence
+            && site_inc(&at_hmp_predicted_hits, hmp) < 0)
+        || (outstanding = site_get(&at_hmp_outstanding, hmp)) == NULL
+        || PyObject_SetItem(outstanding, seq,
+                            count > confidence ? Py_True : Py_False) < 0)
+        goto done;
+    predicted = count > confidence;
+done:
+    Py_XDECREF(key);
+    Py_XDECREF(table);
+    Py_XDECREF(outstanding);
+    return predicted;
+}
+
+static int
+hmp_train(Engine *self, PyObject *hmp, int64_t pc, PyObject *seq,
+          PyObject *level)
+{
+    /* HitMissPredictor.train(pc, seq, level). */
+    PyObject *key = NULL, *table = NULL, *outstanding = NULL;
+    PyObject *predicted = NULL;
+    int rc = -1;
+    int hit = PySet_Contains(self->b[B_HIT_LEVELS], level);
+    if (hit < 0 || (key = table_key(&at_hmp_size, hmp, pc)) == NULL
+        || (table = site_get(&at_hmp_table, hmp)) == NULL)
+        goto done;
+    if (hit) {
+        int64_t count, max_count;
+        if (table_read(table, key, 0, &count) < 0
+            || site_get_i64(&at_hmp_max, hmp, &max_count) < 0
+            || (count < max_count && table_write(table, key, count + 1) < 0)
+            || site_inc(&at_hmp_hits, hmp) < 0)
+            goto done;
+    }
+    else if (table_write(table, key, 0) < 0
+             || site_inc(&at_hmp_misses, hmp) < 0)
+        goto done;
+    /* predicted = _outstanding.pop(seq, None) */
+    if ((outstanding = site_get(&at_hmp_outstanding, hmp)) == NULL)
+        goto done;
+    predicted = PyDict_GetItemWithError(outstanding, seq);
+    if (predicted == NULL) {
+        if (PyErr_Occurred())
+            goto done;
+        predicted = Py_None;
+    }
+    else if (PyDict_DelItem(outstanding, seq) < 0) {
+        predicted = NULL;
+        goto done;
+    }
+    Py_INCREF(predicted);
+    int truth = PyObject_IsTrue(predicted);
+    if (truth < 0
+        || (truth && site_inc(hit ? &at_hmp_correct : &at_hmp_wrong,
+                              hmp) < 0)
+        || (truth && hit && site_inc(&at_hmp_covered, hmp) < 0))
+        goto done;
+    rc = 0;
+done:
+    Py_XDECREF(key);
+    Py_XDECREF(table);
+    Py_XDECREF(outstanding);
+    Py_XDECREF(predicted);
+    return rc;
+}
+
+static int
+lrp_predict_later(PyObject *lrp, int64_t pc)
+{
+    /* LeftRightPredictor.predict_later(pc): 0 (left) or 1 (right). */
+    PyObject *key = NULL, *table = NULL;
+    int64_t counter;
+    int later = -1;
+    if (site_inc(&at_lrp_predictions, lrp) == 0
+        && (key = table_key(&at_lrp_size, lrp, pc)) != NULL
+        && (table = site_get(&at_lrp_table, lrp)) != NULL
+        && table_read(table, key, 2, &counter) == 0)
+        later = counter >= 2 ? 0 : 1;
+    Py_XDECREF(key);
+    Py_XDECREF(table);
+    return later;
+}
+
+static int
+lrp_train(PyObject *lrp, int64_t pc, int64_t left_ready,
+          int64_t right_ready, int64_t predicted)
+{
+    /* LeftRightPredictor.train(pc, left_ready, right_ready, predicted). */
+    int64_t later = left_ready >= right_ready ? 0 : 1;
+    PyObject *key = NULL, *table = NULL;
+    int64_t counter;
+    int rc = -1;
+    if ((key = table_key(&at_lrp_size, lrp, pc)) != NULL
+        && (table = site_get(&at_lrp_table, lrp)) != NULL
+        && table_read(table, key, 2, &counter) == 0
+        && table_write(table, key, later == 0 ? (counter + 1 < 3
+                                                 ? counter + 1 : 3)
+                                              : (counter - 1 > 0
+                                                 ? counter - 1 : 0)) == 0)
+        rc = site_inc(predicted == later || left_ready == right_ready
+                      ? &at_lrp_correct : &at_lrp_wrong, lrp);
+    Py_XDECREF(key);
+    Py_XDECREF(table);
+    return rc;
+}
+
 /* ------------------------------------------------ dispatch planning -- */
 
 static int64_t
@@ -1714,14 +2202,13 @@ plan_raw(Engine *self, PyObject *queue, PyObject *inst, int64_t now)
     /* The C twin of PyKernelEngine.plan: the plan cache, the RIT scan,
      * the two-chain test, the LRP and HMP consults, the head-latency
      * rule and the countdown/pair split, recorded as one DispatchPlan.
-     * The predictors stay Python objects, called only when consulted.
      * Returns a new reference. */
     PyObject *seq = NULL, *links = NULL, *lrp = NULL, *lrp_choice = NULL;
     PyObject *pairs = NULL, *plan = NULL;
     seq = site_get(&at_inst_seq, inst);
     if (seq == NULL)
         return NULL;
-    plan = PyDict_GetItemWithError(self->dp_plan_cache, seq);
+    plan = PyDict_GetItemWithError(self->b[B_PLAN_CACHE], seq);
     if (plan != NULL) {
         Py_INCREF(plan);
         Py_DECREF(seq);
@@ -1729,7 +2216,7 @@ plan_raw(Engine *self, PyObject *queue, PyObject *inst, int64_t now)
     }
     if (PyErr_Occurred())
         goto fail;
-    links = plan_links_raw(self, self->dp_rit, inst, now);
+    links = plan_links_raw(self, self->b[B_RIT], inst, now);
     if (links == NULL)
         goto fail;
     Py_ssize_t n = PyList_GET_SIZE(links);
@@ -1740,26 +2227,24 @@ plan_raw(Engine *self, PyObject *queue, PyObject *inst, int64_t now)
         two_distinct = (PyTuple_CheckExact(l0) && PyTuple_CheckExact(l1)
                         && PyTuple_GET_ITEM(l0, 0) != PyTuple_GET_ITEM(l1, 0));
     }
-    if (two_distinct && counter_inc1(self->dp_two_chain) < 0)
+    if (two_distinct && counter_inc1(self->b[B_TWO_CHAIN]) < 0)
         goto fail;
 
     lrp = PyObject_GetAttr(queue, str_lrp);
     if (lrp == NULL)
         goto fail;
     int consulted = 0;
+    int64_t pc;
+    if (site_get_i64(&at_inst_pc, inst, &pc) < 0)
+        goto fail;
     if (lrp != Py_None && n == 2) {
-        PyObject *pc = site_get(&at_inst_pc, inst);
-        if (pc == NULL)
-            goto fail;
-        lrp_choice = PyObject_CallMethodOneArg(lrp, str_predict_later, pc);
-        Py_DECREF(pc);
-        if (lrp_choice == NULL)
+        int later = lrp_predict_later(lrp, pc);
+        if (later < 0 || (lrp_choice = PyLong_FromLong(later)) == NULL)
             goto fail;
         consulted = 1;
         /* links = [links[lrp_choice]] */
-        PyObject *kept = PyObject_GetItem(links, lrp_choice);
-        if (kept == NULL)
-            goto fail;
+        PyObject *kept = PyList_GET_ITEM(links, later);
+        Py_INCREF(kept);
         PyObject *single = PyList_New(1);
         if (single == NULL) {
             Py_DECREF(kept);
@@ -1784,20 +2269,14 @@ plan_raw(Engine *self, PyObject *queue, PyObject *inst, int64_t now)
         if (hmp == NULL)
             goto fail;
         int predicted_hit = 0;
-        if (hmp != Py_None) {
-            PyObject *pc = site_get(&at_inst_pc, inst);
-            PyObject *hit = pc == NULL ? NULL : PyObject_CallMethodObjArgs(
-                hmp, str_predict_hit, pc, seq, NULL);
-            Py_XDECREF(pc);
-            predicted_hit = hit == NULL ? -1 : PyObject_IsTrue(hit);
-            Py_XDECREF(hit);
-        }
+        if (hmp != Py_None)
+            predicted_hit = hmp_predict_hit(hmp, pc, seq);
         Py_DECREF(hmp);
         if (predicted_hit < 0)
             goto fail;
         if (!predicted_hit) {
             needs_chain = 1;
-            head_latency = self->adm_pred_load_lat;
+            head_latency = self->pred_load_lat;
         }
     }
     else if (two_distinct && lrp == Py_None) {
@@ -1826,7 +2305,7 @@ plan_raw(Engine *self, PyObject *queue, PyObject *inst, int64_t now)
             countdown = (int64_t)v;
     }
 
-    plan = plain_new(self->dp_plan_cls);
+    plan = plain_new(self->b[B_PLAN_CLS]);
     if (plan == NULL)
         goto fail;
     if (site_set_i64(&at_plan_countdown, plan, countdown) < 0
@@ -1837,7 +2316,7 @@ plan_raw(Engine *self, PyObject *queue, PyObject *inst, int64_t now)
         || site_set(&at_plan_lrp_consulted, plan,
                     consulted ? Py_True : Py_False) < 0
         || site_set_i64(&at_plan_head_latency, plan, head_latency) < 0
-        || PyDict_SetItem(self->dp_plan_cache, seq, plan) < 0)
+        || PyDict_SetItem(self->b[B_PLAN_CACHE], seq, plan) < 0)
         goto fail;
     Py_DECREF(seq);
     Py_DECREF(links);
@@ -1880,22 +2359,11 @@ can_dispatch_raw(Engine *self, PyObject *queue, PyObject *inst)
     if (needs < 0)
         return -1;
     if (needs) {
-        PyObject *chains = PyObject_GetAttr(queue, str_chains);
-        if (chains == NULL)
-            return -1;
-        PyObject *free_obj = PyObject_CallMethodNoArgs(chains, str_has_free);
-        int has_free = free_obj == NULL ? -1 : PyObject_IsTrue(free_obj);
-        Py_XDECREF(free_obj);
-        if (has_free == 0) {
-            PyObject *failures = NULL;
-            if (PyObject_SetAttr(queue, str_blocked_on_chain, Py_True) < 0
-                || (failures = PyObject_GetAttr(
-                        chains, str_stat_alloc_failures)) == NULL
-                || counter_inc1(failures) < 0)
-                has_free = -1;
-            Py_XDECREF(failures);
-        }
-        Py_DECREF(chains);
+        int has_free = chains_has_free(self);
+        if (has_free == 0
+            && (PyObject_SetAttr(queue, str_blocked_on_chain, Py_True) < 0
+                || counter_inc1(self->b[B_ALLOC_FAILURES]) < 0))
+            has_free = -1;
         if (has_free <= 0)
             return has_free;
     }
@@ -1914,19 +2382,19 @@ dispatch_raw(Engine *self, PyObject *queue, PyObject *inst,
 {
     /* The C twin of PyKernelEngine.dispatch: take the plan, reuse the
      * target can_dispatch found (occupancy is the staleness guard),
-     * count bypasses, allocate a chain for a head through the Python
-     * ChainManager, then admit.  Returns a new reference to the entry. */
+     * count bypasses, allocate a chain for a head from the wire pool,
+     * then admit.  Returns a new reference to the entry. */
     PyObject *plan = NULL, *chain = NULL, *entry = NULL;
     PyObject *seq = site_get(&at_inst_seq, inst);
     if (seq == NULL)
         return NULL;
-    plan = PyDict_GetItemWithError(self->dp_plan_cache, seq);
+    plan = PyDict_GetItemWithError(self->b[B_PLAN_CACHE], seq);
     if (plan != NULL)
         Py_INCREF(plan);
     else if (PyErr_Occurred()
              || (plan = plan_raw(self, queue, inst, now)) == NULL)
         goto done;
-    if (PyDict_DelItem(self->dp_plan_cache, seq) < 0)
+    if (PyDict_DelItem(self->b[B_PLAN_CACHE], seq) < 0)
         goto done;
 
     int64_t target = -1;
@@ -1954,25 +2422,17 @@ dispatch_raw(Engine *self, PyObject *queue, PyObject *inst,
         goto done;
     }
     if (target < self->num_segments - 1
-        && counter_inc1(self->dp_bypass) < 0)
+        && counter_inc1(self->b[B_BYPASS]) < 0)
         goto done;
 
     int needs = site_truth(&at_plan_needs, plan);
     if (needs < 0)
         goto done;
     if (needs) {
-        PyObject *chains = PyObject_GetAttr(queue, str_chains);
         PyObject *latency = site_get(&at_plan_head_latency, plan);
-        PyObject *target_obj = PyLong_FromLongLong((long long)target);
-        PyObject *now_obj = PyLong_FromLongLong((long long)now);
-        if (chains && latency && target_obj && now_obj)
-            chain = PyObject_CallMethodObjArgs(
-                chains, str_allocate, inst, (PyObject *)self, target_obj,
-                latency, now_obj, NULL);
-        Py_XDECREF(chains);
+        if (latency != NULL)
+            chain = chains_allocate(self, inst, target, latency, now);
         Py_XDECREF(latency);
-        Py_XDECREF(target_obj);
-        Py_XDECREF(now_obj);
         if (chain == NULL)
             goto done;
         if (chain == Py_None) {
@@ -1981,11 +2441,11 @@ dispatch_raw(Engine *self, PyObject *queue, PyObject *inst,
                 PyErr_SetString(exc, "dispatch without a free chain wire");
             goto done;
         }
-        if (PyDict_SetItem(self->dp_head_chains, seq, chain) < 0
-            || counter_inc1(self->dp_chain_heads) < 0)
+        if (PyDict_SetItem(self->b[B_HEAD_CHAINS], seq, chain) < 0
+            || counter_inc1(self->b[B_CHAIN_HEADS]) < 0)
             goto done;
     }
-    entry = admit_raw(self, queue, self->dp_rit, inst, operands, plan,
+    entry = admit_raw(self, queue, self->b[B_RIT], inst, operands, plan,
                       chain != NULL ? chain : Py_None, target, now);
 done:
     Py_XDECREF(chain);
@@ -1997,7 +2457,7 @@ done:
 static int
 dispatch_bound(Engine *self)
 {
-    if (self->dp_plan_cls != NULL)
+    if (self->b[B_PLAN_CLS] != NULL)
         return 1;
     PyErr_SetString(PyExc_RuntimeError, "engine dispatch ops need bind");
     return 0;
@@ -2006,29 +2466,41 @@ dispatch_bound(Engine *self)
 static PyObject *
 Engine_bind(Engine *self, PyObject *args)
 {
-    /* bind((DispatchPlan, SegmentState, RITEntry, IQEntry), plan_cache,
-     *      rit_entries, head_chains,
-     *      (dispatched, two_chain, bypass, chain_heads),
-     *      predicted_load_latency) */
-    PyObject *items[11];
-    long long pred_load_lat;
-    if (!PyArg_ParseTuple(args, "(OOOO)O!O!O!(OOOO)L", &items[0], &items[1],
-                          &items[2], &items[3], &PyDict_Type, &items[4],
-                          &PyDict_Type, &items[5], &PyDict_Type, &items[6],
-                          &items[7], &items[8], &items[9], &items[10],
-                          &pred_load_lat))
+    /* bind(classes, tables, counters, (predicted_load_latency,
+     *      patience, hit_levels)): what the policy ops use, bound once
+     * (PyKernelEngine.bind; Engine.b lists the objects in order). */
+    PyObject *groups[3], *hit_levels;
+    long long latency, patience;
+    if (!PyArg_ParseTuple(args, "O!O!O!(LLO)", &PyTuple_Type, &groups[0],
+                          &PyTuple_Type, &groups[1], &PyTuple_Type,
+                          &groups[2], &latency, &patience, &hit_levels))
         return NULL;
-    PyObject **slots[11] = {&self->dp_plan_cls, &self->adm_ss_cls,
-                            &self->adm_rit_cls, &self->adm_iqe_cls,
-                            &self->dp_plan_cache, &self->dp_rit,
-                            &self->dp_head_chains, &self->adm_stat,
-                            &self->dp_two_chain, &self->dp_bypass,
-                            &self->dp_chain_heads};
-    for (int i = 0; i < 11; i++) {
-        Py_INCREF(items[i]);
-        Py_XSETREF(*slots[i], items[i]);
+#define TABLE(index) PyTuple_GET_ITEM(groups[1], (index) - B_PLAN_CACHE)
+    if (PyTuple_GET_SIZE(groups[0]) != B_PLAN_CACHE
+        || PyTuple_GET_SIZE(groups[1]) != B_DISPATCHED - B_PLAN_CACHE
+        || PyTuple_GET_SIZE(groups[2]) != B_HIT_LEVELS - B_DISPATCHED
+        || !PyDict_Check(TABLE(B_PLAN_CACHE)) || !PyDict_Check(TABLE(B_RIT))
+        || !PyDict_Check(TABLE(B_HEAD_CHAINS))
+        || !PyDict_Check(TABLE(B_ACTIVE)) || !PyList_Check(TABLE(B_FREE_IDS))
+        || !PyAnySet_Check(hit_levels)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "bind: 5 classes, 6 tables (dicts, the pool, its "
+                        "dict and list), 12 counters and a set of levels");
+        return NULL;
     }
-    self->adm_pred_load_lat = (int64_t)pred_load_lat;
+#undef TABLE
+    int index = 0;
+    for (int g = 0; g < 3; g++)
+        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(groups[g]); i++) {
+            PyObject *item = PyTuple_GET_ITEM(groups[g], i);
+            Py_INCREF(item);
+            Py_XSETREF(self->b[index], item);
+            index++;
+        }
+    Py_INCREF(hit_levels);
+    Py_XSETREF(self->b[B_HIT_LEVELS], hit_levels);
+    self->pred_load_lat = (int64_t)latency;
+    self->patience = (int64_t)patience;
     Py_RETURN_NONE;
 }
 
@@ -2179,7 +2651,7 @@ Engine_p0_next(Engine *self, PyObject *arg)
 }
 
 static int
-lrp_train(PyObject *lrp, PyObject *entry, PyObject *state)
+entry_lrp_train(PyObject *lrp, PyObject *entry, PyObject *state)
 {
     /* lrp.train(inst.pc, ops[0].ready_cycle or 0, ops[1].ready_cycle or 0,
      * state.lrp_choice) for a two-operand entry. */
@@ -2189,42 +2661,34 @@ lrp_train(PyObject *lrp, PyObject *entry, PyObject *state)
     Py_ssize_t n = PyObject_Length(ops);
     int rc = n < 0 ? -1 : 0;
     if (n == 2) {
-        PyObject *argv[4] = {NULL, NULL, NULL, NULL};
+        int64_t ready[2] = {0, 0}, pc, choice;
         PyObject *inst = site_get(&at_iqe_inst, entry);
-        rc = -1;
-        if (inst != NULL) {
-            argv[0] = site_get(&at_inst_pc, inst);
-            Py_DECREF(inst);
-        }
-        for (Py_ssize_t i = 0; argv[0] != NULL && i < 2; i++) {
+        rc = inst == NULL ? -1 : site_get_i64(&at_inst_pc, inst, &pc);
+        Py_XDECREF(inst);
+        for (Py_ssize_t i = 0; rc == 0 && i < 2; i++) {
             PyObject *op = PySequence_GetItem(ops, i);
-            PyObject *ready = op == NULL ? NULL : site_get(&at_op_ready, op);
+            PyObject *value = op == NULL ? NULL : site_get(&at_op_ready, op);
             Py_XDECREF(op);
-            int truth = ready == NULL ? -1 : PyObject_IsTrue(ready);
-            if (truth < 0) {
-                Py_XDECREF(ready);
-                break;
+            int truth = value == NULL ? -1 : PyObject_IsTrue(value);
+            if (truth > 0) {
+                ready[i] = (int64_t)PyLong_AsLongLong(value);
+                if (ready[i] == -1 && PyErr_Occurred())
+                    truth = -1;
             }
-            if (!truth) {
-                Py_DECREF(ready);
-                ready = zero_obj;
-                Py_INCREF(ready);
-            }
-            argv[1 + i] = ready;
+            Py_XDECREF(value);
+            rc = truth < 0 ? -1 : 0;
         }
-        if (argv[2] != NULL
-            && (argv[3] = site_get(&at_ss_lrp_choice, state)) != NULL)
-            rc = call_discard(PyObject_CallMethodObjArgs(
-                lrp, str_train, argv[0], argv[1], argv[2], argv[3], NULL));
-        for (int i = 0; i < 4; i++)
-            Py_XDECREF(argv[i]);
+        if (rc == 0 && site_get_i64(&at_ss_lrp_choice, state, &choice) == 0)
+            rc = lrp_train(lrp, pc, ready[0], ready[1], choice);
+        else
+            rc = -1;
     }
     Py_DECREF(ops);
     return rc;
 }
 
 static int
-issue_finish(PyObject *iq, PyObject *issued, int64_t now)
+issue_finish(Engine *self, PyObject *iq, PyObject *issued, int64_t now)
 {
     /* PyKernelEngine.select_issue's per-entry post-loop, after the engine
      * freed the slots: the iq.issued counter, iq._occupancy,
@@ -2232,16 +2696,13 @@ issue_finish(PyObject *iq, PyObject *issued, int64_t now)
     Py_ssize_t n = PyList_GET_SIZE(issued);
     if (n == 0)
         return 0;
-    PyObject *stat = PyObject_GetAttr(iq, str_stat_issued);
-    int rc = stat == NULL ? -1 : counter_add(stat, n);
-    Py_XDECREF(stat);
-    if (rc < 0 || attr_add_i64(iq, str_occupancy_priv, -(int64_t)n) < 0)
+    if (counter_add(self->b[B_ISSUED], n) < 0
+        || attr_add_i64(iq, str_occupancy_priv, -(int64_t)n) < 0)
         return -1;
     PyObject *lrp = PyObject_GetAttr(iq, str_lrp);
     if (lrp == NULL)
         return -1;
-    PyObject *now_obj = NULL;
-    rc = -1;
+    int rc = -1;
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *entry = PyList_GET_ITEM(issued, i);
         if (site_set(&at_iqe_issued, entry, Py_True) < 0)
@@ -2251,17 +2712,13 @@ issue_finish(PyObject *iq, PyObject *issued, int64_t now)
             goto done;
         PyObject *own = site_get(&at_ss_own, state);
         int step = own == NULL ? -1 : 0;
-        if (own != NULL && own != Py_None) {
-            if (now_obj == NULL)
-                now_obj = PyLong_FromLongLong((long long)now);
-            step = now_obj == NULL ? -1 : call_discard(
-                PyObject_CallMethodOneArg(own, str_on_head_issued, now_obj));
-        }
+        if (own != NULL && own != Py_None)
+            step = chain_head_issued(self, own, now);
         Py_XDECREF(own);
         if (step == 0 && lrp != Py_None) {
             int consulted = site_truth(&at_ss_lrp_consulted, state);
             step = consulted < 0 ? -1
-                   : consulted ? lrp_train(lrp, entry, state) : 0;
+                   : consulted ? entry_lrp_train(lrp, entry, state) : 0;
         }
         Py_DECREF(state);
         if (step < 0)
@@ -2270,7 +2727,6 @@ issue_finish(PyObject *iq, PyObject *issued, int64_t now)
     rc = 0;
 done:
     Py_DECREF(lrp);
-    Py_XDECREF(now_obj);
     return rc;
 }
 
@@ -2411,16 +2867,10 @@ Engine_select_issue(Engine *self, PyObject *const *args, Py_ssize_t nargs)
     Py_XDECREF(fu);
     if (issued == NULL)
         return NULL;
-    PyObject *dist = PyObject_GetAttr(queue, str_stat_seg0_ready);
-    PyObject *num = dist == NULL ? NULL : PyLong_FromSsize_t(count);
-    int rc = num == NULL ? -1 : call_discard(
-        PyObject_CallMethodOneArg(dist, str_sample, num));
-    Py_XDECREF(dist);
-    Py_XDECREF(num);
-    if (rc < 0
+    if (dist_sample_i64(self->b[B_SEG0_READY], (int64_t)count) < 0
         || PyObject_SetAttr(queue, str_issued_this_cycle,
                             PyList_GET_SIZE(issued) ? Py_True : Py_False) < 0
-        || issue_finish(queue, issued, now) < 0) {
+        || issue_finish(self, queue, issued, now) < 0) {
         Py_DECREF(issued);
         return NULL;
     }
@@ -2490,15 +2940,26 @@ Engine_oldest_ineligible(Engine *self, PyObject *args)
 
 /* --------------------------------------------------------- promotion -- */
 
-static PyObject *
-Engine_promote_all(Engine *self, PyObject *args)
+static int
+append_event(Engine *self, PyObject *obj, Py_ssize_t src, Py_ssize_t dst,
+             int pushdown)
 {
-    long long now_ll, width_ll;
-    int enable_pushdown;
-    if (!PyArg_ParseTuple(args, "LLp", &now_ll, &width_ll,
-                          &enable_pushdown))
-        return NULL;
-    int64_t now = (int64_t)now_ll, width = (int64_t)width_ll;
+    /* Buffer one (entry, src, dst, pushdown) promote event. */
+    PyObject *ev = Py_BuildValue("(Onni)", obj, src, dst, pushdown);
+    int rc = ev == NULL ? -1 : PyList_Append(self->events, ev);
+    Py_XDECREF(ev);
+    return rc;
+}
+
+static int
+promote_all_raw(Engine *self, int64_t now, int64_t width,
+                int enable_pushdown, int64_t *promoted_out,
+                int64_t *pushed_out)
+{
+    /* The fused promotion sweep (PyKernelEngine.promote_all): the moves
+     * and pushdowns counted into ``*promoted_out`` and ``*pushed_out``,
+     * the slots that arrived in segment 0 left in self->arrivals in
+     * arrival order.  0, or -1 with an exception set. */
     int64_t cap = self->cap;
     int64_t *occ = self->occ;
     int64_t *free_prev = self->free_prev;
@@ -2512,9 +2973,8 @@ Engine_promote_all(Engine *self, PyObject *args)
     int collect = self->collect;
     int64_t promotions = 0;
     int64_t pushdowns = 0;
-    PyObject *seg0 = PyList_New(0);
-    if (seg0 == NULL)
-        return NULL;
+    i64vec *seg0 = &self->arrivals;
+    seg0->len = 0;
     for (Py_ssize_t k = 1; k < self->num_segments; k++) {
         if (!occ[k])
             continue;       /* empty source: nothing to promote or push */
@@ -2544,7 +3004,6 @@ Engine_promote_all(Engine *self, PyObject *args)
                     members_remove(self, (int64_t)k, slot);
                     e_seg[slot] = (int64_t)dk;
                     members_append(self, (int64_t)dk, slot);
-                    PyObject *obj = self->e_obj[slot];
                     /* Inlined destination schedule (see kernels.py for
                      * why the ready residency is set unconditionally). */
                     int64_t when = eligible_when(self, slot, threshold,
@@ -2561,16 +3020,9 @@ Engine_promote_all(Engine *self, PyObject *args)
                                     (when << SLOT_BITS) | slot) < 0)
                             goto fail;
                     }
-                    if (collect) {
-                        PyObject *ev = Py_BuildValue("(Onni)", obj,
-                                                     (Py_ssize_t)k, dk, 0);
-                        if (ev == NULL
-                            || PyList_Append(self->events, ev) < 0) {
-                            Py_XDECREF(ev);
-                            goto fail;
-                        }
-                        Py_DECREF(ev);
-                    }
+                    if (collect && append_event(self, self->e_obj[slot], k,
+                                                dk, 0) < 0)
+                        goto fail;
                     int64_t own = e_own[slot];
                     if (own >= 0 && c_mode[own] == 0
                         && own_chain_promoted(self, own, (int64_t)dk) < 0)
@@ -2583,22 +3035,14 @@ Engine_promote_all(Engine *self, PyObject *args)
                     members_remove(self, (int64_t)k, slot);
                     e_seg[slot] = 0;
                     members_append(self, 0, slot);
-                    PyObject *obj = self->e_obj[slot];
-                    if (collect) {
-                        PyObject *ev = Py_BuildValue("(Onii)", obj,
-                                                     (Py_ssize_t)k, 0, 0);
-                        if (ev == NULL
-                            || PyList_Append(self->events, ev) < 0) {
-                            Py_XDECREF(ev);
-                            goto fail;
-                        }
-                        Py_DECREF(ev);
-                    }
+                    if (collect && append_event(self, self->e_obj[slot], k,
+                                                0, 0) < 0)
+                        goto fail;
                     int64_t own = e_own[slot];
                     if (own >= 0 && c_mode[own] == 0
                         && own_chain_promoted(self, own, 0) < 0)
                         goto fail;
-                    if (PyList_Append(seg0, obj) < 0)
+                    if (iv_push(seg0, slot) < 0)
                         goto fail;
                 }
             }
@@ -2625,47 +3069,54 @@ Engine_promote_all(Engine *self, PyObject *args)
                 e_seg[slot] = (int64_t)dk;
                 members_append(self, (int64_t)dk, slot);
                 occ[dk]++;
-                PyObject *obj = self->e_obj[slot];
                 pushdowns++;
                 if (dk && schedule_slot(self, slot, (int64_t)dk, now) < 0)
                     goto fail;
-                if (collect) {
-                    PyObject *ev = Py_BuildValue("(Onni)", obj,
-                                                 (Py_ssize_t)k, dk, 1);
-                    if (ev == NULL
-                        || PyList_Append(self->events, ev) < 0) {
-                        Py_XDECREF(ev);
-                        goto fail;
-                    }
-                    Py_DECREF(ev);
-                }
+                if (collect && append_event(self, self->e_obj[slot], k, dk,
+                                            1) < 0)
+                    goto fail;
                 int64_t own = e_own[slot];
                 if (own >= 0 && c_mode[own] == 0
                     && own_chain_promoted(self, own, (int64_t)dk) < 0)
                     goto fail;
-                if (dk == 0 && PyList_Append(seg0, obj) < 0)
+                if (dk == 0 && iv_push(seg0, slot) < 0)
                     goto fail;
             }
         }
     }
-    {
-        PyObject *result = PyTuple_New(3);
-        PyObject *p = PyLong_FromLongLong((long long)promotions);
-        PyObject *q = PyLong_FromLongLong((long long)pushdowns);
-        if (result == NULL || p == NULL || q == NULL) {
-            Py_XDECREF(result);
-            Py_XDECREF(p);
-            Py_XDECREF(q);
-            goto fail;
-        }
-        PyTuple_SET_ITEM(result, 0, p);
-        PyTuple_SET_ITEM(result, 1, q);
-        PyTuple_SET_ITEM(result, 2, seg0);
-        return result;
-    }
+    *promoted_out = promotions;
+    *pushed_out = pushdowns;
+    return 0;
 fail:
-    Py_DECREF(seg0);
-    return NULL;
+    /* The heap and vector helpers fail without setting an exception. */
+    if (!PyErr_Occurred())
+        PyErr_NoMemory();
+    return -1;
+}
+
+static PyObject *
+Engine_promote_all(Engine *self, PyObject *args)
+{
+    /* promote_all(now, width, enable_pushdown) ->
+     * (promotions, pushdowns, seg0_entries) */
+    long long now_ll, width_ll;
+    int enable_pushdown;
+    int64_t promotions, pushdowns;
+    if (!PyArg_ParseTuple(args, "LLp", &now_ll, &width_ll,
+                          &enable_pushdown)
+        || promote_all_raw(self, (int64_t)now_ll, (int64_t)width_ll,
+                           enable_pushdown, &promotions, &pushdowns) < 0)
+        return NULL;
+    PyObject *seg0 = PyList_New(self->arrivals.len);
+    if (seg0 == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < self->arrivals.len; i++) {
+        PyObject *obj = self->e_obj[self->arrivals.data[i]];
+        Py_INCREF(obj);
+        PyList_SET_ITEM(seg0, i, obj);
+    }
+    return Py_BuildValue("(LLN)", (long long)promotions,
+                         (long long)pushdowns, seg0);
 }
 
 static PyObject *
@@ -2703,6 +3154,235 @@ Engine_next_promote_cycle(Engine *self, PyObject *args)
             return PyLong_FromLongLong((long long)now);
     }
     return PyLong_FromLongLong((long long)wake);
+}
+
+/* -------------------------------------------------------- policy ops -- */
+
+static int
+queue_call(PyObject *queue, PyObject *name, PyObject *now_obj)
+{
+    /* queue.<name>(now): the rare policy the queue keeps. */
+    return call_discard(PyObject_CallMethodOneArg(queue, name, now_obj));
+}
+
+static int
+deadlock_check(Engine *self, PyObject *queue, PyObject *now_obj,
+               int64_t now, int promoted)
+{
+    /* PyKernelEngine.cycle's deadlock test (paper section 4.5): recover
+     * when the IQ is not empty and nothing issued, promoted or is in
+     * execution, or when nothing issued or committed for `patience`
+     * cycles. */
+    int issued = attr_truth(queue, str_issued_this_cycle);
+    int64_t occupancy, in_flight = 1, last_issue, last_commit;
+    if (issued < 0
+        || (issued && attr_set_i64(queue, str_last_issue_cycle, now) < 0)
+        || attr_i64(queue, str_occupancy_priv, &occupancy) < 0)
+        return -1;
+    if (occupancy == 0)
+        return attr_set_i64(queue, str_last_issue_cycle, now);
+    if (!issued && !promoted
+        && attr_i64(queue, str_in_flight, &in_flight) < 0)
+        return -1;
+    if (in_flight != 0 || issued || promoted) {
+        if (attr_i64(queue, str_last_issue_cycle, &last_issue) < 0
+            || attr_i64(queue, str_last_commit_cycle_pub, &last_commit) < 0)
+            return -1;
+        if (now - (last_issue > last_commit ? last_issue : last_commit)
+            <= self->patience)
+            return 0;
+    }
+    return queue_call(queue, str_recover, now_obj);
+}
+
+static PyObject *
+Engine_cycle(Engine *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* cycle(queue, now): the whole of PyKernelEngine.cycle. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "cycle expects 2 arguments");
+        return NULL;
+    }
+    if (!dispatch_bound(self))
+        return NULL;
+    PyObject *queue = args[0], *now_obj = args[1];
+    int64_t now = (int64_t)PyLong_AsLongLong(now_obj);
+    if (now == -1 && PyErr_Occurred())
+        return NULL;
+    int64_t width, promotions, pushdowns, occupancy, interval;
+    int pushdown;
+    if (PyObject_SetAttr(queue, str_now, now_obj) < 0
+        || attr_i64(queue, str_issue_width, &width) < 0
+        || (pushdown = attr_truth(queue, str_enable_pushdown)) < 0)
+        return NULL;
+    self->now = now;
+    if (promote_all_raw(self, now, width, pushdown, &promotions,
+                        &pushdowns) < 0)
+        return NULL;
+    int64_t moved = promotions + pushdowns;
+    if (PyObject_SetAttr(queue, str_promoted_this_cycle,
+                         moved ? Py_True : Py_False) < 0
+        || (moved && counter_add(self->b[B_PROMOTIONS], moved) < 0)
+        || (pushdowns && counter_add(self->b[B_PUSHDOWNS], pushdowns) < 0))
+        return NULL;
+    /* Segment-0 arrivals with every operand known become issue
+     * candidates. */
+    for (Py_ssize_t i = 0; i < self->arrivals.len; i++) {
+        int64_t slot = self->arrivals.data[i], unknown, ready;
+        PyObject *entry = self->e_obj[slot];
+        if (site_get_i64(&at_iqe_unknown, entry, &unknown) < 0)
+            return NULL;
+        if (unknown)
+            continue;
+        if (site_get_i64(&at_iqe_ready, entry, &ready) < 0)
+            return NULL;
+        if (ready < now + 1)
+            ready = now + 1;
+        if (hq_push(&self->p0heap, (ready << SLOT_BITS) | slot) < 0)
+            return PyErr_NoMemory();
+    }
+    if ((self->collect && queue_call(queue, str_trace_promotions,
+                                     now_obj) < 0)
+        || deadlock_check(self, queue, now_obj, now, moved != 0) < 0)
+        return NULL;
+    for (Py_ssize_t i = 0; i < self->num_segments; i++)
+        self->free_prev[i] = self->cap - self->occ[i];
+    int resize, adaptive;
+    if (dist_sample_i64(self->b[B_IN_USE],
+                        PyDict_GET_SIZE(self->b[B_ACTIVE])) < 0
+        || attr_i64(queue, str_occupancy_priv, &occupancy) < 0
+        || dist_sample_i64(self->b[B_OCCUPANCY], occupancy) < 0
+        || (resize = attr_truth(queue, str_dynamic_resize)) < 0
+        || (resize && queue_call(queue, str_resize_controller, now_obj) < 0)
+        || (adaptive = attr_truth(queue, str_adaptive_thresholds)) < 0)
+        return NULL;
+    if (adaptive && now) {
+        if (attr_i64(queue, str_threshold_interval, &interval) < 0)
+            return NULL;
+        if (interval == 0) {
+            PyErr_SetString(PyExc_ZeroDivisionError,
+                            "threshold update interval 0");
+            return NULL;
+        }
+        if (now % interval == 0
+            && queue_call(queue, str_refit_thresholds, now_obj) < 0)
+            return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+head_chain(Engine *self, PyObject *inst, PyObject **seq, int pop)
+{
+    /* The chain ``inst`` heads (a new reference, NULL when none: check
+     * PyErr_Occurred), removed from the head-chain map when ``pop``;
+     * ``*seq`` gets a new reference to inst.seq. */
+    if ((*seq = site_get(&at_inst_seq, inst)) == NULL)
+        return NULL;
+    PyObject *chain = PyDict_GetItemWithError(self->b[B_HEAD_CHAINS], *seq);
+    if (chain == NULL)
+        return NULL;
+    Py_INCREF(chain);
+    if (pop && PyDict_DelItem(self->b[B_HEAD_CHAINS], *seq) < 0)
+        Py_CLEAR(chain);
+    return chain;
+}
+
+static int
+policy_args(Engine *self, const char *name, PyObject *const *args,
+            Py_ssize_t nargs, int64_t *now)
+{
+    /* The (queue, inst, now) arguments of the load and writeback ops. */
+    if (nargs != 3) {
+        PyErr_Format(PyExc_TypeError, "%s expects 3 arguments", name);
+        return -1;
+    }
+    if (!dispatch_bound(self))
+        return -1;
+    *now = (int64_t)PyLong_AsLongLong(args[2]);
+    return (*now == -1 && PyErr_Occurred()) ? -1 : 0;
+}
+
+static PyObject *
+Engine_load_miss(Engine *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* load_miss(queue, inst, now): a chain the load heads suspends. */
+    int64_t now;
+    if (policy_args(self, "load_miss", args, nargs, &now) < 0)
+        return NULL;
+    PyObject *seq = NULL, *chain_id = NULL;
+    PyObject *chain = head_chain(self, args[1], &seq, 0);
+    int rc = chain == NULL ? (PyErr_Occurred() ? -1 : 0)
+        : (chain_suspend(self, chain, now) < 0
+           || (chain_id = site_get(&at_chain_id, chain)) == NULL
+           || chains_trace(self, now, str_chain_wire, args[1], chain_id, -1,
+                           str_suspend) < 0) ? -1 : 0;
+    Py_XDECREF(seq);
+    Py_XDECREF(chain);
+    Py_XDECREF(chain_id);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Engine_load_complete(Engine *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* load_complete(queue, inst, now): the HMP trains on the load's
+     * memory level; a chain the load heads resumes and frees its wire. */
+    int64_t now, pc;
+    if (policy_args(self, "load_complete", args, nargs, &now) < 0)
+        return NULL;
+    PyObject *inst = args[1], *seq = NULL, *level = NULL, *chain = NULL;
+    PyObject *chain_id = NULL;
+    int rc = -1;
+    PyObject *hmp = PyObject_GetAttr(args[0], str_hmp);
+    if (hmp == NULL)
+        return NULL;
+    if (hmp != Py_None) {
+        if ((level = site_get(&at_inst_mem_level, inst)) == NULL
+            || (level != Py_None
+                && ((seq = site_get(&at_inst_seq, inst)) == NULL
+                    || site_get_i64(&at_inst_pc, inst, &pc) < 0
+                    || hmp_train(self, hmp, pc, seq, level) < 0)))
+            goto done;
+        Py_CLEAR(seq);
+    }
+    chain = head_chain(self, inst, &seq, 1);
+    if (chain == NULL)
+        rc = PyErr_Occurred() ? -1 : 0;
+    else if (chain_resume(self, chain, now) == 0
+             && (chain_id = site_get(&at_chain_id, chain)) != NULL
+             && chains_trace(self, now, str_chain_wire, inst, chain_id, -1,
+                             str_resume) == 0)
+        rc = chains_free(self, chain, now);
+done:
+    Py_DECREF(hmp);
+    Py_XDECREF(level);
+    Py_XDECREF(seq);
+    Py_XDECREF(chain);
+    Py_XDECREF(chain_id);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Engine_writeback(Engine *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* writeback(queue, inst, now): free the chain wire inst heads. */
+    int64_t now;
+    if (policy_args(self, "writeback", args, nargs, &now) < 0)
+        return NULL;
+    PyObject *seq = NULL;
+    PyObject *chain = head_chain(self, args[1], &seq, 1);
+    int rc = chain == NULL ? (PyErr_Occurred() ? -1 : 0)
+                           : chains_free(self, chain, now);
+    Py_XDECREF(seq);
+    Py_XDECREF(chain);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
 }
 
 /* ------------------------------------------------------------- misc -- */
@@ -2874,6 +3554,11 @@ static PyMethodDef Engine_methods[] = {
     {"oldest_ineligible", (PyCFunction)Engine_oldest_ineligible,
      METH_VARARGS, NULL},
     {"promote_all", (PyCFunction)Engine_promote_all, METH_VARARGS, NULL},
+    {"cycle", (PyCFunction)Engine_cycle, METH_FASTCALL, NULL},
+    {"load_miss", (PyCFunction)Engine_load_miss, METH_FASTCALL, NULL},
+    {"load_complete", (PyCFunction)Engine_load_complete, METH_FASTCALL,
+     NULL},
+    {"writeback", (PyCFunction)Engine_writeback, METH_FASTCALL, NULL},
     {"next_promote_cycle", (PyCFunction)Engine_next_promote_cycle,
      METH_VARARGS, NULL},
     {"refresh_free_prev", (PyCFunction)Engine_refresh_free_prev,
@@ -3559,6 +4244,32 @@ static PyTypeObject DistType = {
     .tp_init = (initproc)Dist_init,
     .tp_new = PyType_GenericNew,
 };
+
+static int
+dist_sample_i64(PyObject *dist, int64_t value)
+{
+    /* dist.sample(value) for an int sample: in place on a compiled
+     * Distribution (a Python int only for a new extreme). */
+    if (Py_TYPE(dist) == &DistType) {
+        DistObj *d = (DistObj *)dist;
+        double v = (double)value;
+        d->count += 1;
+        d->total += v;
+        if (v < d->minimum || v > d->maximum) {
+            PyObject *obj = PyLong_FromLongLong((long long)value);
+            if (obj == NULL)
+                return -1;
+            Dist_fold_extremes(d, obj, v);
+            Py_DECREF(obj);
+        }
+        return 0;
+    }
+    PyObject *obj = PyLong_FromLongLong((long long)value);
+    int rc = obj == NULL ? -1 : call_discard(
+        PyObject_CallMethodOneArg(dist, str_sample, obj));
+    Py_XDECREF(obj);
+    return rc;
+}
 
 /* ------------------------------------------------------------------ */
 /* Compiled event queue (repro.common.events transliteration)         */
@@ -5927,14 +6638,8 @@ MemStage_run(MemStageObj *self, PyObject *const *args, Py_ssize_t nargs)
         return NULL;
     Py_ssize_t occupancy = PyObject_Length(order);
     Py_DECREF(order);
-    PyObject *count = occupancy < 0 ? NULL : PyLong_FromSsize_t(occupancy);
-    if (count == NULL)
-        return NULL;
-    PyObject *sampled = Py_TYPE(self->occupancy) == &DistType
-        ? Dist_sample((DistObj *)self->occupancy, count)
-        : PyObject_CallMethodOneArg(self->occupancy, str_sample, count);
-    Py_DECREF(count);
-    if (call_discard(sampled) < 0)
+    if (occupancy < 0
+        || dist_sample_i64(self->occupancy, (int64_t)occupancy) < 0)
         return NULL;
     PyObject *candidates = PyObject_GetAttr(lsq, str_candidates);
     if (candidates == NULL)

@@ -18,6 +18,17 @@ wires).  The paper itself observes that dispatch-stage delay values "do not
 compensate for the latencies of pipelining the chain promotion wires", so
 the instantaneous-wire model matches the *intended* delay-value semantics.
 DESIGN.md records this simplification.
+
+:class:`Chain` and :class:`ChainManager` are the reference for the chain
+and wire-pool policy, and the state of record: a chain's issue and
+suspension history lives in its slots and the pool in the manager's.
+The segmented IQ's kernel engine makes every call (allocation at
+dispatch, the head's issue, suspend and resume on a miss, the free at
+writeback).  The pure-Python engine calls the methods below; the
+compiled engine runs the same bodies inline on these objects' own
+``__slots__``, and with a tracer attached calls :meth:`ChainManager.trace`
+where the methods below emit, so both backends leave identical chains,
+pools and traces.
 """
 
 from __future__ import annotations
@@ -172,6 +183,10 @@ class Chain:
 class ChainManager:
     """Allocates chain wires; tracks usage statistics for Table 2."""
 
+    __slots__ = ("max_chains", "_active", "_next_id", "_free_ids",
+                 "stat_allocated", "stat_alloc_failures", "stat_in_use",
+                 "peak_in_use", "tracer")
+
     def __init__(self, max_chains: Optional[int], stats: StatGroup) -> None:
         self.max_chains = max_chains
         self._active: dict = {}       # chain_id -> Chain
@@ -211,10 +226,7 @@ class ChainManager:
         if len(self._active) > self.peak_in_use:
             self.peak_in_use = len(self._active)
         if self.tracer is not None:
-            self.tracer.emit(TraceEvent(
-                cycle=now, kind="chain_create", seq=head.seq, pc=head.pc,
-                op=head.static.opcode.value, seg=head_segment,
-                chain=chain_id))
+            self.trace(now, "chain_create", head, chain_id, head_segment)
         return chain
 
     def free(self, chain: Chain, now: int = 0) -> None:
@@ -231,9 +243,20 @@ class ChainManager:
             raise SimulationError(f"double free of chain {chain.chain_id}")
         self._free_ids.append(chain.chain_id)
         if self.tracer is not None:
-            self.tracer.emit(TraceEvent(
-                cycle=now, kind="chain_wire", seq=chain.head.seq,
-                pc=chain.head.pc, chain=chain.chain_id, info="free"))
+            self.trace(now, "chain_wire", chain.head, chain.chain_id,
+                       info="free")
+
+    def trace(self, now: int, kind: str, head: DynInst, chain_id: int,
+              seg: int = -1, info: str = "") -> None:
+        """Emit one chain event for the chain ``chain_id`` headed by
+        ``head``: ``chain_create`` (with the head's opcode and segment)
+        or ``chain_wire`` (``info`` says suspend, resume or free).  The
+        one emit hook of both engines, called only with a tracer
+        attached."""
+        self.tracer.emit(TraceEvent(
+            cycle=now, kind=kind, seq=head.seq, pc=head.pc,
+            op=head.static.opcode.value if kind == "chain_create" else "",
+            seg=seg, chain=chain_id, info=info))
 
     def sample(self) -> None:
         """Record current usage (called once per cycle)."""

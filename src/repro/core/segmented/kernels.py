@@ -22,14 +22,29 @@ instead (``seg_of`` for an entry's segment, ``hseg_of``/``mode_of``/
 ``base_of`` behind the ``Chain`` properties).  Chains are not held at
 all: a ``Chain`` keeps its ``cslot``, and the engine forgets the object.
 
-The engine also runs the segmented IQ's dispatch and issue policy
-around those columns, so ``SegmentedIQ`` makes the same calls on either
-backend: ``bind`` (once: the classes, tables and counters the ops
-below use), ``plan`` (the RIT read and predictor consults behind a
-dispatch plan), ``can_dispatch``, ``dispatch`` (target segment, chain
-allocation, and the IQEntry, SegmentState and RIT entry of the admitted
-instruction), ``select_issue`` (segment-0 issue and its per-entry
-bookkeeping) and ``on_entry_ready_known`` (operand wakeup).
+The engine also runs the segmented IQ's policy around those columns, so
+``SegmentedIQ`` makes the same calls on either backend: ``bind`` (once:
+the classes, tables and counters of the queue that the ops below use),
+``plan`` (the RIT read and predictor consults behind a dispatch plan),
+``can_dispatch``, ``dispatch`` (target segment, chain allocation, and
+the IQEntry, SegmentState and RIT entry of the admitted instruction),
+``select_issue`` (segment-0 issue and its per-entry bookkeeping: the
+chain head's issue signal, left/right-predictor training),
+``on_entry_ready_known`` (operand wakeup), ``cycle`` (the promotion
+sweep and its counters, segment-0 arrivals, deadlock detection, the
+chain-wire and occupancy samples) and the load and writeback hooks
+``load_miss``, ``load_complete`` and ``writeback`` (suspend, resume, the
+wire free and hit/miss training).  What fires rarely stays on the queue,
+and the engine calls it back: deadlock recovery, resizing, threshold
+refits and the trace emission of promotions.
+
+The policy's state stays on its Python objects: ``Chain`` slots, the
+``ChainManager`` pool, the predictors' tables, the queue's counters.
+:class:`PyKernelEngine` calls their methods (``ChainManager.allocate``,
+``Chain.on_head_issued``, ``HitMissPredictor.predict_hit``, ...); the
+compiled engine runs the same bodies inline on the same ``__slots__``,
+and with a tracer attached calls ``ChainManager.trace`` where those
+methods emit, so traces keep their event order.
 
 Two interchangeable backends implement the same engine contract, with
 the same public methods (``tests/core/test_engine_parity.py`` checks
@@ -104,8 +119,10 @@ class PyKernelEngine:
         "p0heap", "r0heap", "tc",
         # Bound once by bind():
         "plan_cls", "state_cls", "rit_cls", "entry_cls", "plan_cache",
-        "rit", "head_chains", "stat_dispatched", "stat_two_chain",
-        "stat_bypass", "stat_chain_heads", "load_latency",
+        "rit", "head_chains", "chains", "stat_dispatched",
+        "stat_two_chain", "stat_bypass", "stat_chain_heads", "stat_issued",
+        "stat_seg0_ready", "stat_promotions", "stat_pushdowns",
+        "stat_occupancy", "load_latency", "patience",
     )
 
     def __init__(self, num_segments: int, capacity: int,
@@ -245,23 +262,28 @@ class PyKernelEngine:
         return slot
 
     # ---------------------------------------------------- dispatch ops --
-    def bind(self, classes, plan_cache: dict, rit_entries: dict,
-             head_chains: dict, counters,
-             predicted_load_latency: int) -> None:
-        """What the dispatch ops build and count, bound once by the
+    def bind(self, classes, tables, counters, constants) -> None:
+        """What the policy ops build, count and call, bound once by the
         segmented IQ: the classes ``(DispatchPlan, SegmentState,
-        RITEntry, IQEntry)``, the queue's plan cache, RIT and head-chain
-        map, the counters ``(iq.dispatched, iq.two_chain_instructions,
-        iq.bypass_dispatches, iq.chain_heads)`` and the predicted load
-        latency."""
-        self.plan_cls, self.state_cls, self.rit_cls, self.entry_cls = \
-            classes
-        self.plan_cache = plan_cache
-        self.rit = rit_entries
-        self.head_chains = head_chains
+        RITEntry, IQEntry, Chain)``; the tables ``(plan cache, RIT
+        entries, head-chain map, ChainManager, its active dict, its free
+        ids)``; the counters ``(iq.dispatched, iq.two_chain_instructions,
+        iq.bypass_dispatches, iq.chain_heads, iq.issued, iq.seg0_ready,
+        iq.promotions, iq.pushdowns, iq.occupancy, chains.allocated,
+        chains.alloc_failures, chains.in_use)``; and the constants
+        ``(predicted load latency, deadlock patience, hit levels)``.
+        This backend builds chains and trains predictors through their
+        own methods; the compiled twin runs those bodies inline on the
+        Chain class, the pool's dict and list and the hit levels."""
+        (self.plan_cls, self.state_cls, self.rit_cls, self.entry_cls,
+         _chain_cls) = classes
+        (self.plan_cache, self.rit, self.head_chains, self.chains,
+         _active, _free_ids) = tables
         (self.stat_dispatched, self.stat_two_chain, self.stat_bypass,
-         self.stat_chain_heads) = counters
-        self.load_latency = predicted_load_latency
+         self.stat_chain_heads, self.stat_issued, self.stat_seg0_ready,
+         self.stat_promotions, self.stat_pushdowns, self.stat_occupancy,
+         _allocated, _alloc_failures, _in_use) = counters
+        self.load_latency, self.patience, _hit_levels = constants
 
     def plan(self, queue, inst, now: int):
         """Decide chain membership / creation for ``inst`` (cached so that
@@ -334,9 +356,9 @@ class PyKernelEngine:
             queue._full_refusals += 1
             return False
         plan = self.plan(queue, inst, queue.now)
-        if plan.needs_chain and not queue.chains.has_free():
+        if plan.needs_chain and not self.chains.has_free():
             queue.blocked_on_chain = True
-            queue.chains.stat_alloc_failures.inc()
+            self.chains.stat_alloc_failures.inc()
             return False
         self.tc = (queue._occupancy, target)
         return True
@@ -366,8 +388,8 @@ class PyKernelEngine:
 
         chain = None
         if plan.needs_chain:
-            chain = queue.chains.allocate(inst, self, target,
-                                          plan.head_latency, now=now)
+            chain = self.chains.allocate(inst, self, target,
+                                         plan.head_latency, now=now)
             if chain is None:
                 raise SimulationError("dispatch without a free chain wire")
             self.head_chains[inst.seq] = chain
@@ -597,10 +619,10 @@ class PyKernelEngine:
         queue._issued_this_cycle = False
         count, issued = self.issue_select(now, queue.issue_width, None,
                                           acquire_fu)
-        queue.stat_seg0_ready.sample(count)
+        self.stat_seg0_ready.sample(count)
         if issued:
             queue._issued_this_cycle = True
-            queue.stat_issued.inc(len(issued))
+            self.stat_issued.inc(len(issued))
             lrp = queue.lrp
             for entry in issued:
                 # The engine freed the slot; finish the object-side issue
@@ -627,6 +649,85 @@ class PyKernelEngine:
             slot = entry.chain_state.slot
             if self.e_seg[slot] == 0:
                 self.p0_push(slot, entry.ready_cycle)
+
+    # ------------------------------------------------------------ cycle --
+    def cycle(self, queue, now: int) -> None:
+        """One cycle of ``queue``'s policy after issue: the promotion
+        sweep and its counters, segment-0 arrivals becoming issue
+        candidates, the promote trace (``queue._trace_promotions`` while
+        collecting), deadlock detection (paper section 4.5;
+        ``queue._recover`` when it fires), the free-space refresh, the
+        chain-wire and occupancy samples, and the resize controller and
+        threshold refit when they are enabled."""
+        queue.now = now
+        self.now = now
+        promotions, pushdowns, seg0_entries = self.promote_all(
+            now, queue.issue_width, queue._enable_pushdown)
+        moved = promotions + pushdowns
+        queue._promoted_this_cycle = moved > 0
+        if moved:
+            self.stat_promotions.inc(moved)
+        if pushdowns:
+            self.stat_pushdowns.inc(pushdowns)
+        later = now + 1
+        for entry in seg0_entries:
+            if not entry.unknown_count:
+                ready = entry.ready_cycle
+                self.p0_push(entry.chain_state.slot,
+                             ready if ready > later else later)
+        if self.collect:
+            queue._trace_promotions(now)
+        # Deadlock: the IQ is not empty and nothing issued, promoted or
+        # is in execution, or nothing issued or committed for `patience`
+        # cycles.
+        issued = queue._issued_this_cycle
+        if issued:
+            queue._last_issue_cycle = now
+        if queue._occupancy == 0:
+            queue._last_issue_cycle = now
+        elif ((not issued and not moved and queue.in_flight == 0)
+              or now - max(queue._last_issue_cycle,
+                           queue.last_commit_cycle) > self.patience):
+            queue._recover(now)
+        self.refresh_free_prev()
+        self.chains.sample()
+        self.stat_occupancy.sample(queue._occupancy)
+        if queue._dynamic_resize:
+            queue._resize_controller(now)
+        if (queue._adaptive_thresholds and now
+                and now % queue._threshold_update_interval == 0):
+            queue._refit_thresholds(now)
+
+    # ------------------------------------------------------ load events --
+    def load_miss(self, queue, inst, now: int) -> None:
+        """A load missed: a chain it heads suspends its countdown."""
+        chain = self.head_chains.get(inst.seq)
+        if chain is not None:
+            chain.suspend(now)
+            if self.chains.tracer is not None:
+                self.chains.trace(now, "chain_wire", inst, chain.chain_id,
+                                  info="suspend")
+
+    def load_complete(self, queue, inst, now: int) -> None:
+        """A load completed: the hit/miss predictor trains on where it
+        was satisfied, and a chain it heads resumes and frees its wire."""
+        hmp = queue.hmp
+        if hmp is not None and inst.mem_level is not None:
+            hmp.train(inst.pc, inst.seq, inst.mem_level)
+        chain = self.head_chains.pop(inst.seq, None)
+        if chain is not None:
+            chain.resume(now)
+            chains = self.chains
+            if chains.tracer is not None:
+                chains.trace(now, "chain_wire", inst, chain.chain_id,
+                             info="resume")
+            chains.free(chain, now=now)
+
+    def writeback(self, queue, inst, now: int) -> None:
+        """An instruction wrote back: free the chain wire it heads."""
+        chain = self.head_chains.pop(inst.seq, None)
+        if chain is not None:
+            self.chains.free(chain, now=now)
 
     # ------------------------------------------------------- eligibility --
     def _eligible_when(self, slot: int, threshold: int, now: int) -> int:

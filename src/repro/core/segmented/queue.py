@@ -11,13 +11,19 @@ predictors (4.3-4.4), and deadlock detection/recovery (4.5).
 The segmented-IQ state (segment membership, eligibility, the promotion
 heaps, chain delay constants) lives only in a struct-of-arrays kernel
 engine (:mod:`repro.core.segmented.kernels`, pure Python or compiled).
-The engine also runs dispatch planning, dispatch and segment-0 issue:
-``_plan``, ``can_dispatch``, ``dispatch`` and ``select_issue`` here are
-one engine call each, made the same way on both backends, and the
-engine's ``on_entry_ready_known`` is installed as this queue's operand
-wakeup hook.  This class keeps the rest of the policy — the
-predictors, the promotion sweep's bookkeeping, deadlock recovery,
-resizing, threshold refits — and reads the engine back for everything
+The engine also runs the segmented IQ's policy, the same calls on both
+backends: ``_plan``, ``can_dispatch``, ``dispatch`` (chain allocation
+and the predictor consults included), ``select_issue`` (with the chain
+head's issue signal and left/right-predictor training), ``cycle`` (the
+promotion sweep and its counters, segment-0 arrivals, deadlock
+detection, the chain-wire and occupancy samples) and the load and
+writeback hooks (suspend, resume, the wire free and hit/miss training)
+are one engine call each, and the engine's ``on_entry_ready_known`` is
+installed as this queue's operand wakeup hook.  This class keeps what
+fires rarely — deadlock recovery (:meth:`SegmentedIQ._recover`),
+resizing and threshold refits, which the engine calls when they fire or
+are enabled — the trace emission of promotions, the event-driven probes
+and the invariant checks, and reads the engine back for everything
 else (:meth:`SegmentedIQ.segment_of`, the ``Chain`` properties).
 """
 
@@ -28,7 +34,8 @@ from typing import Dict, List
 from repro.common.params import IQParams
 from repro.common.stats import StatGroup
 from repro.core.iq_base import IQEntry, InstructionQueue, Operand
-from repro.core.predictors import HitMissPredictor, LeftRightPredictor
+from repro.core.predictors import (HIT_LEVELS, HitMissPredictor,
+                                   LeftRightPredictor)
 from repro.obs.events import TraceEvent
 from repro.core.segmented.chains import Chain, ChainManager
 from repro.core.segmented.kernels import make_engine
@@ -209,16 +216,20 @@ class SegmentedIQ(InstructionQueue):
         self.stat_seg0_ready = stats.distribution(
             "iq.seg0_ready", "issue-ready instructions in segment 0")
 
-        # Dispatch planning, dispatch, segment-0 issue and operand wakeup
-        # run in the engine, the same calls on both backends.  As an
-        # instance attribute the engine's wakeup hook is what producers
-        # call, with no queue frame per woken entry.
+        # The policy runs in the engine, the same calls on both backends.
+        # As an instance attribute the engine's wakeup hook is what
+        # producers call, with no queue frame per woken entry.
+        chains = self.chains
         self._engine.bind(
-            (DispatchPlan, SegmentState, RITEntry, IQEntry),
-            self._plan_cache, self.rit._entries, self._head_chains,
+            (DispatchPlan, SegmentState, RITEntry, IQEntry, Chain),
+            (self._plan_cache, self.rit._entries, self._head_chains,
+             chains, chains._active, chains._free_ids),
             (self.stat_dispatched, self.stat_two_chain, self.stat_bypass,
-             self.stat_chain_heads),
-            PREDICTED_LOAD_LATENCY)
+             self.stat_chain_heads, self.stat_issued, self.stat_seg0_ready,
+             self.stat_promotions, self.stat_pushdowns, self.stat_occupancy,
+             chains.stat_allocated, chains.stat_alloc_failures,
+             chains.stat_in_use),
+            (PREDICTED_LOAD_LATENCY, self.NO_ISSUE_PATIENCE, HIT_LEVELS))
         self.on_entry_ready_known = self._engine.on_entry_ready_known
 
     # ------------------------------------------------------------ space --
@@ -264,41 +275,21 @@ class SegmentedIQ(InstructionQueue):
 
     # -------------------------------------------------------- promotion --
     def cycle(self, now: int) -> None:
-        self.now = now
-        engine = self._engine
-        engine.set_now(now)
-        promotions, pushdowns, seg0_entries = engine.promote_all(
-            now, self.issue_width, self._enable_pushdown)
-        self._promoted_this_cycle = bool(promotions or pushdowns)
-        if promotions or pushdowns:
-            self.stat_promotions.inc(promotions + pushdowns)
-        if pushdowns:
-            self.stat_pushdowns.inc(pushdowns)
-        if seg0_entries:
-            p0_push = engine.p0_push
-            later = now + 1
-            for entry in seg0_entries:
-                if not entry.unknown_count:
-                    ready = entry.ready_cycle
-                    p0_push(entry.chain_state.slot,
-                            ready if ready > later else later)
+        """One cycle of promotion, deadlock detection and bookkeeping
+        (the engine's ``cycle``)."""
+        self._engine.cycle(self, now)
+
+    def _trace_promotions(self, now: int) -> None:
+        """Emit this cycle's promotions and pushdowns, in the order the
+        sweep made them (the engine calls this after the sweep while a
+        tracer is attached)."""
         tracer = self.tracer
-        if tracer is not None:
-            for entry, src, dst, pushdown in engine.drain_events():
+        for entry, src, dst, pushdown in self._engine.drain_events():
+            if tracer is not None:
                 tracer.emit(TraceEvent(
                     cycle=now, kind="promote", seq=entry.seq,
                     pc=entry.inst.pc, op=entry.inst.static.opcode.value,
                     seg=src, dst=dst, info="pushdown" if pushdown else ""))
-
-        self._check_deadlock(now)
-        engine.refresh_free_prev()
-        self.chains.sample()
-        self.stat_occupancy.sample(self._occupancy)
-        if self._dynamic_resize:
-            self._resize_controller(now)
-        if (self._adaptive_thresholds and now
-                and now % self._threshold_update_interval == 0):
-            self._refit_thresholds(now)
 
     # ------------------------------------------------------ event-driven --
     def next_event_cycle(self, now: int) -> int:
@@ -456,33 +447,18 @@ class SegmentedIQ(InstructionQueue):
     #: which commits pause for ~110 cycles) never triggers it.
     NO_ISSUE_PATIENCE = 160
 
-    def _check_deadlock(self, now: int) -> None:
-        """Detect and break resource deadlock (paper section 4.5).
-
-        The paper's condition: the IQ is not empty, nothing issued or
-        promoted, and nothing is in execution.  We add a patience-based
-        backstop for livelock (e.g. pushdown churn with a wedged segment
-        0, which arises from left/right-predictor misassignment exactly
-        as section 4.5 describes).
-        """
-        if self._issued_this_cycle:
-            self._last_issue_cycle = now
-        if self._occupancy == 0:
-            self._last_issue_cycle = now
-            return
-        strict = (not self._issued_this_cycle
-                  and not self._promoted_this_cycle
-                  and self.in_flight == 0)
-        progress = max(self._last_issue_cycle, self.last_commit_cycle)
-        patience_expired = now - progress > self.NO_ISSUE_PATIENCE
-        if not strict and not patience_expired:
-            return
-        self._recover(now)
-
     def _recover(self, now: int) -> None:
         """One recovery cycle: every full segment evicts one instruction
         simultaneously (a circular shift when everything is full), so each
-        segment is guaranteed a free entry next cycle."""
+        segment is guaranteed a free entry next cycle.
+
+        The engine's ``cycle`` detects resource deadlock (paper section
+        4.5) and calls this: when the IQ is not empty and nothing issued,
+        promoted or is in execution (the paper's condition), or when
+        nothing issued or committed for ``NO_ISSUE_PATIENCE`` cycles (a
+        backstop for livelock the strict condition cannot see, such as
+        pushdown churn over a segment 0 wedged by left/right-predictor
+        misassignment, exactly as section 4.5 describes)."""
         self.stat_deadlocks.inc()
         engine = self._engine
         capacity = self.params.segment_size
@@ -535,30 +511,17 @@ class SegmentedIQ(InstructionQueue):
 
     # ------------------------------------------------------------- hooks --
     def notify_load_miss(self, inst, now: int) -> None:
-        chain = self._head_chains.get(inst.seq)
-        if chain is not None:
-            chain.suspend(now)
-            if self.tracer is not None:
-                self.tracer.emit(TraceEvent(
-                    cycle=now, kind="chain_wire", seq=inst.seq, pc=inst.pc,
-                    chain=chain.chain_id, info="suspend"))
+        """A load heading a chain missed: suspend its chain."""
+        self._engine.load_miss(self, inst, now)
 
     def notify_load_complete(self, inst, now: int) -> None:
-        if self.hmp is not None and inst.mem_level is not None:
-            self.hmp.train(inst.pc, inst.seq, inst.mem_level)
-        chain = self._head_chains.pop(inst.seq, None)
-        if chain is not None:
-            chain.resume(now)
-            if self.tracer is not None:
-                self.tracer.emit(TraceEvent(
-                    cycle=now, kind="chain_wire", seq=inst.seq, pc=inst.pc,
-                    chain=chain.chain_id, info="resume"))
-            self.chains.free(chain, now=now)
+        """A load completed: train the hit/miss predictor, resume and
+        free its chain."""
+        self._engine.load_complete(self, inst, now)
 
     def on_writeback(self, inst, now: int) -> None:
-        chain = self._head_chains.pop(inst.seq, None)
-        if chain is not None:
-            self.chains.free(chain, now=now)
+        """An instruction wrote back: free the chain it heads."""
+        self._engine.writeback(self, inst, now)
 
     # -------------------------------------------------------- invariants --
     def iter_entries(self):

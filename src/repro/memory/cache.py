@@ -42,11 +42,13 @@ def _answer(waiter: Waiter, level: str) -> None:
 
 @dataclass
 class _MSHR:
-    """One outstanding miss: the line being fetched and who is waiting."""
+    """One outstanding miss: the line being fetched, who is waiting, and
+    (once the next level answered) where the line came from."""
 
     line_addr: int
     waiters: List[Waiter] = field(default_factory=list)
     any_write: bool = False
+    fill_level: str = ""
 
 
 class MainMemory:
@@ -191,10 +193,8 @@ class Cache:
             self.stat_hits.inc()
             if request.is_write:
                 entry[1] = True
-            events = self._events
-            events.schedule(
-                self.params.hit_latency,
-                lambda: request.complete(self.level_label, events.now))
+            self._events.schedule(self.params.hit_latency,
+                                  self._request_hit, request)
             return True
 
         if line in self._mshrs:
@@ -211,6 +211,9 @@ class Cache:
         self._allocate_mshr(line, request.is_write,
                             (self._request_filled, request))
         return True
+
+    def _request_hit(self, request: MemRequest, cycle: int) -> None:
+        request.complete(self.level_label, cycle)
 
     def _request_filled(self, request: MemRequest, level: str) -> None:
         request.complete(level, self._events.now)
@@ -269,10 +272,11 @@ class Cache:
     def _fill_arrived(self, line: int, fill_level: str) -> None:
         """The next level produced the line; move it over the link, then
         install it and wake all waiters."""
+        self._mshrs[line].fill_level = fill_level
         delay = self._link.request(self.params.line_bytes)
-        self._events.schedule(delay, lambda: self._install(line, fill_level))
+        self._events.schedule(delay, self._install, line)
 
-    def _install(self, line: int, fill_level: str) -> None:
+    def _install(self, line: int, cycle: int) -> None:
         self.version += 1
         mshr = self._mshrs.pop(line)
         cache_set = self._sets[self._set_index(line)]
@@ -283,7 +287,7 @@ class Cache:
                 self._link.request(self.params.line_bytes)
         cache_set.insert(0, [line, mshr.any_write])
         for waiter in mshr.waiters:
-            _answer(waiter, fill_level)
+            _answer(waiter, mshr.fill_level)
         self._drain_mshr_queue()
 
     def _drain_mshr_queue(self) -> None:

@@ -21,6 +21,17 @@ as operand wakeup reaches it).  Their results are compared field by
 field, chains by cslot, together with the two queues' stats, RITs, head
 chains and producer wakeup lists.
 
+The rest of the policy runs on the same two queues: ``cycle`` (the
+promotion sweep, segment-0 arrivals, deadlock detection with recovery
+through each queue's ``_recover``, the samples and the resize
+controller), ``load_miss`` and ``load_complete`` (chain suspend, resume
+and free, hit/miss training) and ``writeback``.  After each, the two
+queues' chain-wire pools, head chains (every ``Chain`` field) and
+predictor tables are compared too.  The reads deadlock recovery makes
+(``max_seq_slot``, ``min_seq_slot``, ``oldest_ineligible``,
+``threshold``), the membership readers (``entries_of``, ``entry_obj``)
+and ``free_entry`` have rules of their own.
+
 The same machine also drives the two function-unit engines of the
 pipeline tier (``PyPipelineEngine`` and the compiled ``Pipeline``) with
 ``fu_accept``, ``fu_can_accept``, ``fu_cache_port`` and
@@ -103,6 +114,10 @@ class Token:
                  "own_chain", "lrp_consulted", "unknown_count",
                  "ready_cycle")
 
+    @property
+    def all_sources_known(self):
+        return not self.unknown_count
+
     def __init__(self, seq):
         self.seq = seq
         self.inst = self
@@ -120,7 +135,7 @@ class Inst:
 
     __slots__ = ("seq", "pc", "thread", "cluster", "srcs", "is_mem",
                  "is_load", "latency", "dest", "value_ready_cycle",
-                 "waiters")
+                 "waiters", "mem_level")
 
     def __init__(self, seq, pc, srcs, is_mem, is_load, latency, dest,
                  value_ready_cycle=None):
@@ -135,6 +150,7 @@ class Inst:
         self.dest = dest
         self.value_ready_cycle = value_ready_cycle
         self.waiters = []
+        self.mem_level = None
 
 
 small = st.integers(min_value=0, max_value=12)
@@ -163,6 +179,20 @@ def _plan_key(plan):
             plan.head_latency)
 
 
+def _chain_fields(chain):
+    return (chain.chain_id, chain.cslot, chain.head.seq, chain.head_latency,
+            chain.issued_cycle, chain.suspended_since, chain.suspended_accum,
+            chain.freed, chain.cluster)
+
+
+def _pool_key(manager):
+    """A chain-wire pool: its active chains field by field, the free ids
+    in pool order, the next id and the peak."""
+    return ({chain_id: _chain_fields(chain)
+             for chain_id, chain in manager._active.items()},
+            list(manager._free_ids), manager._next_id, manager.peak_in_use)
+
+
 def _rit_key(rit):
     return {key: (type(entry), entry.producer.seq, _chain_key(entry.chain),
                   entry.dh, entry.expected_ready)
@@ -178,6 +208,8 @@ def _outcome(call, *args):
 
 
 predictor_sets = st.sampled_from([("lrp", "hmp"), ("lrp",), ("hmp",), ()])
+#: Where a load was satisfied (None: the level is unknown).
+levels = st.sampled_from(["l1", "forward", "l2", "mem", "delayed", None])
 
 
 class EngineParity(RuleBasedStateMachine):
@@ -195,6 +227,7 @@ class EngineParity(RuleBasedStateMachine):
         self.twins = {}         # slot -> (py, compiled) dispatched IQEntry
         self.waiting = []       # (py, compiled) producers of unknown operands
         self.heads = {}         # seq -> dispatched instruction
+        self.loads = {}         # seq -> dispatched load
         # cslot -> (py-side, compiled-side) Chain handles, made on demand
         self.chain_objs = {}
         self.predictors = (self.qpy.lrp, self.qpy.hmp,
@@ -261,14 +294,20 @@ class EngineParity(RuleBasedStateMachine):
         qpy, qc = self.qpy, self.qc
         assert qc.stats.as_dict() == qpy.stats.as_dict()
         for name in ("_occupancy", "_full_refusals", "blocked_on_chain",
-                     "now", "_issued_this_cycle"):
+                     "now", "_issued_this_cycle", "_promoted_this_cycle",
+                     "_last_issue_cycle", "active_segments"):
             assert getattr(qc, name) == getattr(qpy, name), name
         assert _rit_key(qc.rit._entries) == _rit_key(qpy.rit._entries)
-        assert ({seq: chain.cslot for seq, chain in qc._head_chains.items()}
-                == {seq: chain.cslot
+        assert ({seq: _chain_fields(chain)
+                 for seq, chain in qc._head_chains.items()}
+                == {seq: _chain_fields(chain)
                     for seq, chain in qpy._head_chains.items()})
         assert sorted(qc._plan_cache) == sorted(qpy._plan_cache)
-        assert qc.chains.active_count == qpy.chains.active_count
+        assert _pool_key(qc.chains) == _pool_key(qpy.chains)
+        lrp_p, hmp_p, lrp_c, hmp_c = self.predictors
+        assert lrp_c._counters == lrp_p._counters
+        assert hmp_c._counters == hmp_p._counters
+        assert hmp_c._outstanding == hmp_p._outstanding
 
     # --------------------------------------------------------- rules --
     @initialize()
@@ -526,6 +565,8 @@ class EngineParity(RuleBasedStateMachine):
             for op_p, op_c in zip(ops_p, ops_c) if op_p.ready_cycle is None)
         if state_p.own_chain is not None:
             self.heads[inst.seq] = inst
+        if inst.is_load:
+            self.loads[inst.seq] = inst
         self.live[state_p.slot] = entry_p
         self.twins[state_p.slot] = (entry_p, entry_c)
 
@@ -593,6 +634,141 @@ class EngineParity(RuleBasedStateMachine):
         for queue in (self.qpy, self.qc):
             queue.on_writeback(inst, self.now)
         self.same_queues()
+
+    def issue_alone(self, slot):
+        """Place the dispatched entry in ``slot`` in segment 0 (as
+        recovery places it, when there is room) and, once its operands
+        are known, issue it alone on both queues: a chain it heads starts
+        counting down, and a two-operand entry that consulted the LRP
+        trains it."""
+        entry_p, _entry_c = self.twins[slot]
+        self.both("detach", slot)
+        if not self.room(0):
+            self.both("attach", slot, self.py.seg_of(slot), self.now)
+            return
+        for queue in (self.qpy, self.qc):
+            queue._place_recovered(slot, 0, self.now)
+        if entry_p.unknown_count:
+            return
+        self.advance(max(entry_p.ready_cycle - self.now, 1))
+        for queue in (self.qpy, self.qc):
+            issued = queue._engine.select_issue(
+                queue, self.now, lambda inst: inst.seq == entry_p.seq)
+            assert [entry.seq for entry in issued] == [entry_p.seq]
+        self.forget_issued([entry_p])
+        self.same_queues()
+
+    def load_outcome(self, inst, miss, level):
+        """The load ``inst`` misses (a chain it heads suspends on each
+        queue) or completes at memory ``level`` (the hit/miss predictor
+        trains, and the chain resumes and frees its wire)."""
+        if not miss:
+            self.loads.pop(inst.seq, None)
+            self.heads.pop(inst.seq, None)
+            inst.mem_level = level
+        for queue in (self.qpy, self.qc):
+            if miss:
+                queue.notify_load_miss(inst, self.now)
+            else:
+                queue.notify_load_complete(inst, self.now)
+        self.same_queues()
+
+    @precondition(lambda self: self.twins)
+    @rule(data=st.data(), which=predictor_sets)
+    def issue_one(self, data, which):
+        self.use_predictors(which)
+        self.issue_alone(data.draw(st.sampled_from(sorted(self.twins))))
+
+    @precondition(lambda self: self.loads)
+    @rule(data=st.data(), which=predictor_sets, miss=st.booleans(),
+          level=levels)
+    def load_event(self, data, which, miss, level):
+        self.use_predictors(which)
+        seq = data.draw(st.sampled_from(sorted(self.loads)))
+        self.load_outcome(self.loads[seq], miss, level)
+
+    @rule(data=st.data(), which=predictor_sets, two_chain=st.booleans(),
+          pc=st.integers(min_value=0, max_value=7),
+          ready=st.lists(small, min_size=2, max_size=2),
+          outcomes=st.lists(st.tuples(st.booleans(), levels), max_size=3))
+    def head_life(self, data, which, two_chain, pc, ready, outcomes):
+        """One instruction's life on both queues: a load, or a
+        two-operand op whose sources follow two live chains (the LRP
+        picks one, or without an LRP it heads a chain of its own),
+        dispatches into an uncrowded queue and issues alone; a load then
+        misses or completes (``(miss, level)`` each)."""
+        self.use_predictors(which)
+        if two_chain and self.chains:
+            self.write_two_chains(data, ready[0], ready[1])
+            inst = self.new_inst((pc, (1, 2), "alu", 2, None))
+        else:
+            inst = self.new_inst((pc, (), "load", 1, 3))
+        for queue in (self.qpy, self.qc):
+            queue.now = self.now
+            queue.active_segments = NUM_SEGMENTS
+            queue._enable_bypass = True
+        self.dispatch_one(data, inst, ready + [None], True, False)
+        slots = [slot for slot, (entry, _c) in self.twins.items()
+                 if entry.seq == inst.seq]
+        if not slots:
+            return                          # refused
+        self.issue_alone(slots[0])
+        for miss, level in outcomes:
+            if inst.seq in self.loads:
+                self.load_outcome(inst, miss, level)
+
+    @rule(data=st.data(), idle=st.booleans(),
+          in_flight=st.integers(min_value=0, max_value=1),
+          resize=st.booleans())
+    def cycle(self, data, idle, in_flight, resize):
+        """One cycle of each queue (the engines' ``cycle``): with nothing
+        in flight and nothing issued or promoted the strict deadlock
+        condition recovers, after an idle stretch since the last commit
+        the patience backstop does, and ``resize`` runs the resize
+        controller."""
+        if idle:
+            self.advance(SegmentedIQ.NO_ISSUE_PATIENCE + 1)
+        commit = data.draw(st.integers(min_value=0, max_value=self.now))
+        for queue in (self.qpy, self.qc):
+            queue.in_flight = in_flight
+            queue.last_commit_cycle = commit
+            queue._dynamic_resize = resize
+            queue.cycle(self.now)
+        self.same_queues()
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def free_entry(self, data):
+        """An entry leaves its segment for good, as issue frees a slot."""
+        slot = data.draw(st.sampled_from(sorted(self.live)))
+        entries = self.twins.pop(slot, (self.live[slot],))
+        del self.live[slot]
+        self.both("free_entry", slot)
+        for entry in entries:
+            entry.issued = True
+        self.qpy._occupancy -= 1
+        self.qc._occupancy -= 1
+
+    @rule(count=st.integers(min_value=1, max_value=4))
+    def recovery_reads(self, count):
+        """What deadlock recovery reads of each segment: its youngest and
+        oldest occupants, its oldest ineligible ones and its threshold."""
+        for seg in range(NUM_SEGMENTS):
+            self.both("max_seq_slot", seg)
+            self.both("min_seq_slot", seg)
+            self.both("oldest_ineligible", seg, self.now, count)
+            self.both("threshold", seg)
+
+    @rule()
+    def membership(self):
+        """Each segment's entries in membership order, and the entry in
+        every slot (None once freed)."""
+        for seg in range(NUM_SEGMENTS):
+            assert ([entry.seq for entry in self.c.entries_of(seg)]
+                    == [entry.seq for entry in self.py.entries_of(seg)])
+        for slot in range(len(self.py.e_seq)):
+            got, expected = self.c.entry_obj(slot), self.py.entry_obj(slot)
+            assert getattr(got, "seq", None) == getattr(expected, "seq", None)
 
     def both_fu(self, name, *args):
         """Call ``name`` on both pipeline engines; results and counters

@@ -17,7 +17,11 @@ clones every DynInst from a prototype) must free every clone, also when
 a cut-off abandons the stream part-read.  A scatter beyond the L2 drives
 the compiled memory stage through misses, delayed hits and MSHR
 refusals; cut short, it leaves loads in flight and the stage parked as
-a waiter in the L1D's MSHRs, and dropping it must free those too.
+a waiter in the L1D's MSHRs, and dropping it must free those too.  The
+compiled engine runs the segmented IQ's policy on the ``Chain``,
+``ChainManager`` and predictor objects: a dense seg-128/64ch cell (chain
+allocation and frees, suspends, resumes, predictor training) must stay
+flat, and so must one cut short with chains still suspended on misses.
 """
 
 import gc
@@ -28,8 +32,9 @@ import pytest
 
 from repro.common.events import EventQueue, _PyEventQueue
 from repro.core.iq_base import IQEntry, Operand
+from repro.core.predictors import HitMissPredictor, LeftRightPredictor
 from repro.core.segmented import kernels
-from repro.core.segmented.chains import Chain
+from repro.core.segmented.chains import Chain, ChainManager
 from repro.core.segmented.queue import DispatchPlan
 from repro.harness import configs
 from repro.isa import execute
@@ -53,9 +58,11 @@ def _refcounts(program):
     """Reference counts that any leaked object or reference moves: the
     per-instruction classes, interned names, and the static instructions
     every DynInst (and every replayed clone) points at."""
-    watched = [DynInst, Operand, Chain, IQEntry, LSQEntry, DispatchPlan]
+    watched = [DynInst, Operand, Chain, IQEntry, LSQEntry, DispatchPlan,
+               ChainManager, HitMissPredictor, LeftRightPredictor]
     watched += [sys.intern(name) for name in ("seq", "inst", "producer",
-                                              "_peeked", "waiters")]
+                                              "_peeked", "waiters",
+                                              "chain_id", "head")]
     return ([sys.getrefcount(obj) for obj in watched]
             + [sum(map(sys.getrefcount, program.instructions))])
 
@@ -109,6 +116,22 @@ def test_repeated_cut_short_beyond_l2_cell_leaks_nothing():
                  program=build_synthetic(_SCATTER))
 
 
+def test_repeated_seg128_cell_leaks_nothing():
+    """seg-128/64ch beyond the L2: the engine allocates, suspends,
+    resumes and frees chains and trains both predictors."""
+    stats = _assert_flat(configs.segmented(128, 64, "comb"),
+                         program=build_synthetic(_SCATTER)).as_dict()
+    assert stats["chains.allocated"] > 0
+    assert stats["hmp.actual_misses"] > 0 and stats["lrp.correct"] > 0
+
+
+def test_repeated_cut_short_suspended_chains_leak_nothing():
+    """Stopped by max_cycles with chains suspended on misses: dropping
+    the processor frees them."""
+    _assert_flat(configs.segmented(128, 64, "comb"), max_cycles=400,
+                 program=build_synthetic(_SCATTER), suspended=True)
+
+
 def _record(program):
     recording = Recording(program)
     for _ in recording.stream(execute(program,
@@ -150,7 +173,7 @@ def _parked_loads(processor) -> int:
 
 
 def _assert_flat(params, max_cycles=1_000_000, replayed=False,
-                 program=None):
+                 program=None, suspended=False):
     """Run the cell RUNS times; returns the first run's stats."""
     kernels.set_backend("compiled")
     try:
@@ -185,6 +208,9 @@ def _assert_flat(params, max_cycles=1_000_000, replayed=False,
                     assert processor.lsq._c_cycle is not None
                     if program.name == _SCATTER.name:
                         assert _parked_loads(processor)
+                if suspended:
+                    assert any(chain.suspended for chain
+                               in processor.iq.chains._active.values())
             else:
                 assert processor.committed == INSTRUCTIONS
             if first is None:

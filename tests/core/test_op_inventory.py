@@ -27,8 +27,6 @@ _RULE_MARKERS = (stateful.RULE_MARKER, stateful.INVARIANT_MARKER,
 #: The state machine whose rules drive both engines op for op.
 MACHINE = "tests.core.test_engine_parity::EngineParity"
 
-_KERNELS = "tests.core.test_kernels"
-_WHOLE_RUN = f"{_KERNELS}::test_segmented_backend_parity"
 _EVENTS = "tests.common.test_events"
 _FETCH_COMMIT = "tests.pipeline.test_fetch_commit_stage"
 
@@ -41,22 +39,25 @@ INVENTORY = {
         "bind": "rule:dispatch",
         "can_dispatch": "rule:dispatch",
         "chain_set": "rule:chain_event",
+        "cycle": "rule:cycle",
         "detach": "rule:detach_attach",
         "dispatch": "rule:dispatch",
         "drain_events": "rule:promote_all",
-        "entries_of": _WHOLE_RUN,
-        "entry_obj": _WHOLE_RUN,
-        "free_entry": _WHOLE_RUN,
+        "entries_of": "rule:membership",
+        "entry_obj": "rule:membership",
+        "free_entry": "rule:free_entry",
         "hseg_of": "rule:same_state",
         "insert_entry": "rule:insert_entries",
         "issue_select": "rule:issue_select",
-        "max_seq_slot": _WHOLE_RUN,
-        "min_seq_slot": _WHOLE_RUN,
+        "load_complete": "rule:head_life",
+        "load_miss": "rule:head_life",
+        "max_seq_slot": "rule:recovery_reads",
+        "min_seq_slot": "rule:recovery_reads",
         "mode_of": "rule:same_state",
         "next_promote_cycle": "rule:probes",
         "notify": "rule:chain_event",
         "occupancies": "rule:same_state",
-        "oldest_ineligible": _WHOLE_RUN,
+        "oldest_ineligible": "rule:recovery_reads",
         "on_entry_ready_known": "rule:operand_ready",
         "p0_next": "rule:probes",
         "p0_push": "rule:p0_push",
@@ -73,7 +74,8 @@ INVENTORY = {
         "set_threshold": "rule:refit_threshold",
         "slot_seq": "rule:same_state",
         "slots_of": "rule:same_state",
-        "threshold": _WHOLE_RUN,
+        "threshold": "rule:recovery_reads",
+        "writeback": "rule:writeback",
     },
     "Pipeline": {
         "fu_accept": "rule:fu_accept",

@@ -39,6 +39,13 @@ tied to ``memdep_policies.txt``: the one analog where the policy shows,
 its store-set gain over conservative and the store sets matching the
 oracle on every row.  Any other number in either fails, apart from a
 reference to a table or section.
+
+The Ablations section is tied to ``ablations.txt``: the pushdown and
+bypass IPCs it quotes, the segment sizes, the stage count and the IPC
+the small segments lose (range and per benchmark), whether the large
+segments gain on every analog, and the deadlock-recovery rate per
+analog.  Any other number in its bullets fails, apart from a reference
+to a section and the two figures it quotes from the paper.
 """
 
 import math
@@ -690,3 +697,108 @@ def test_memory_disambiguation_quotes_match_the_artifact():
     assert not unchecked, \
         f"the memory-disambiguation bullet quotes {unchecked} with no " \
         f"artifact value checked"
+
+
+class _Ablations:
+    """``ablations.txt``: the design-choice IPCs per benchmark, the
+    segment sizes of its columns and the design's entries, and each
+    analog's deadlock recoveries, cycles and % of cycles."""
+
+    def __init__(self) -> None:
+        text = (ROOT / "benchmarks" / "out" / "ablations.txt").read_text()
+        self.sizes = re.findall(r"(\d+)-entry segs", text)
+        self.entries = int(re.search(r"\((\d+) entries", text).group(1))
+        self.ipcs, self.deadlocks = {}, {}
+        for line in text.splitlines():
+            fields = line.split()
+            if re.fullmatch(r"\w+" + r"\s+\d+\.\d{3}" * 5, line.strip()):
+                self.ipcs[fields[0]] = dict(zip(
+                    ("full", "no pushdown", "no bypass", *self.sizes),
+                    map(float, fields[1:])))
+            elif re.fullmatch(r"\w+\s+\d+\s+\d+\s+\d+\.\d{3}",
+                              line.strip()):
+                self.deadlocks[fields[0]] = fields[3]
+
+    def ipc(self, bench: str, column: str) -> str:
+        return f"{self.ipcs[bench][column]:.2f}"
+
+    def small_loss(self, bench: str) -> int:
+        """Whole % of IPC the smaller segments lose on ``bench``."""
+        row = self.ipcs[bench]
+        return round(100 * (1 - row[self.sizes[0]] / row["full"]))
+
+    def segment_quote(self) -> tuple:
+        small, large = self.sizes
+        losses = [self.small_loss(bench) for bench in self.ipcs]
+        gains = all(row[large] > row["full"] for row in self.ipcs.values())
+        return (small, str(self.entries // int(small)), str(min(losses)),
+                str(max(losses)),
+                *(str(self.small_loss(bench))
+                  for bench in ("swim", "applu", "twolf")),
+                large, "gain IPC on every analog" if gains
+                else "do not gain IPC everywhere")
+
+    def deadlock_quote(self) -> tuple:
+        worst = max(self.deadlocks, key=lambda bench:
+                    float(self.deadlocks[bench]))
+        others = [float(rate) for bench, rate in self.deadlocks.items()
+                  if bench != worst]
+        words = ("zero", "one", "two", "three", "four", "five", "six",
+                 "seven", "eight")
+        return (self.deadlocks[worst], worst,
+                "0" if not any(others) else f"{max(others):.3f}",
+                words[len(others)])
+
+
+#: (first words of the bullet, regex over the bullet, the artifact
+#: values of its groups).
+ABLATION_QUOTES = [
+    ("* **Pushdown", r"swim (\d+\.\d\d) → (\d+\.\d\d) IPC without it",
+     lambda t: (t.ipc("swim", "full"), t.ipc("swim", "no pushdown"))),
+    ("* **Bypass", r"twolf (\d+\.\d\d) → (\d+\.\d\d) without it",
+     lambda t: (t.ipc("twolf", "full"), t.ipc("twolf", "no bypass"))),
+    ("* **Segment size",
+     r"(\d+)-entry segments \((\d+) stages\) lose (\d+)-(\d+) % IPC "
+     r"\(swim −(\d+) %, applu −(\d+) %, twolf −(\d+) %\); (\d+)-entry "
+     r"segments (gain IPC on every analog)",
+     _Ablations.segment_quote),
+    ("* **Deadlock recovery",
+     r"(\d+\.\d+) % of cycles on (\w+), (\d+(?:\.\d+)?) on the other "
+     r"(\w+) analogs",
+     _Ablations.deadlock_quote),
+]
+
+#: Figures the Ablations section quotes from the paper.
+ABLATION_PAPER_QUOTES = [r"the paper picks (\d+)-entry segments",
+                         r"the paper reports (\d+\.\d+) %"]
+
+
+def test_ablation_quotes_match_the_artifact():
+    section = _section("Ablations (§4 design choices; our addition)")
+    table = _Ablations()
+    assert len(table.ipcs) == 3 and len(table.deadlocks) == 8, \
+        "ablations.txt lost rows"
+    quotes = list(ABLATION_QUOTES)
+    for bullet in re.findall(r"^\* .*?(?=^\* |\Z)", section, re.M | re.S):
+        bullet = " ".join(bullet.split())
+        spec = next((quote for quote in quotes
+                     if bullet.startswith(quote[0])), None)
+        checked = []
+        if spec is not None:
+            quotes.remove(spec)
+            _prefix, pattern, artifact_values = spec
+            match = re.search(pattern, bullet)
+            assert match, f"the ablation bullet reads {bullet!r}"
+            assert match.groups() == artifact_values(table), \
+                f"{spec[0]}: EXPERIMENTS.md quotes {match.groups()}, " \
+                f"ablations.txt gives {artifact_values(table)}"
+            checked = [match.span(group)
+                       for group in range(1, len(match.groups()) + 1)]
+        for paper in ABLATION_PAPER_QUOTES:
+            checked += [quote.span(1) for quote in re.finditer(paper, bullet)]
+        unchecked = _unchecked_numbers(bullet, checked)
+        assert not unchecked, \
+            f"the ablation bullet {bullet[:30]!r} quotes {unchecked} with " \
+            f"no artifact value checked in ABLATION_QUOTES"
+    assert not quotes, \
+        f"the Ablations section no longer has {[q[0] for q in quotes]}"

@@ -3,13 +3,15 @@
 import pytest
 
 from repro.common import CacheParams, EventQueue, StatGroup
+from repro.common.events import _PyEventQueue
 from repro.memory import (LEVEL_DELAYED, BandwidthLink, Cache, MainMemory,
                           MemRequest)
 
 
-def make_system(l1_params=None, l2_params=None, mem_latency=100):
+def make_system(l1_params=None, l2_params=None, mem_latency=100,
+                events=None):
     """A two-level hierarchy (L1D -> L2 -> memory) for unit tests."""
-    events = EventQueue()
+    events = events if events is not None else EventQueue()
     stats = StatGroup()
     l1_params = l1_params or CacheParams(
         size_bytes=1024, assoc=2, line_bytes=64, hit_latency=3,
@@ -116,6 +118,34 @@ class TestDelayedHits:
         issue(l1, 16)
         events.advance_to(500)
         assert stats.get("mem.accesses") == 1
+
+
+class TestTypedEventRecords:
+    """Every event the caches schedule is a typed ``(callback, arg)``
+    record on a method: one per hit and per fill, with no closure."""
+
+    def test_hit_is_one_typed_record(self):
+        events, _, l1, _ = make_system(events=_PyEventQueue())
+        l1.warm_line(0)
+        req, done, _ = issue(l1, 8, is_write=True)
+        [(when, _seq, callback, arg)] = events._heap
+        assert (when, callback, arg) == (3, l1._request_hit, req)
+        events.advance_to(3)
+        assert done == {"level": "l1", "cycle": 3}
+
+    def test_miss_path_schedules_no_closure(self):
+        events, _, l1, l2 = make_system(events=_PyEventQueue())
+        _, done, _ = issue(l1, 0)
+        installs = []
+        while not done:
+            for _when, _seq, callback, arg in events._heap:
+                assert callback.__name__ != "<lambda>"
+                if callback.__name__ == "_install":
+                    installs.append((callback.__self__.name, arg))
+            events.advance_to(events.next_event_cycle())
+        assert done["level"] == "mem"
+        assert sorted(set(installs)) == [("l1d", 0), ("l2", 0)]
+        assert not l1._mshrs and not l2._mshrs
 
 
 class TestMSHRLimits:
