@@ -87,7 +87,7 @@ static PyObject *str_pc, *str_lrp, *str_hmp;
 static PyObject *str_blocked_on_chain, *str_active_segments;
 static PyObject *str_enable_bypass, *str_full_refusals, *str_now;
 static PyObject *str_needs_chain, *str_lsq, *str_frontend, *str_pipeline;
-static PyObject *str_violation_flush_until, *str_rob, *str_entries;
+static PyObject *str_violation_flush_until, *str_entries;
 static PyObject *str_size, *str_iq, *str_op_class, *str_rob_index;
 static PyObject *str_dispatched_cycle, *str_completed_cycle;
 static PyObject *str_mispredicted, *str_branch_resolved, *str_popleft;
@@ -127,12 +127,18 @@ static PyObject *str_last_commit_cycle, *str_committed_cycle, *str_commit;
 static PyObject *str_next_pc, *str_mem_addr, *str_taken;
 /* ... and of the memory stage. */
 static PyObject *str_completed, *str_waiting_loads, *str_addr;
-static PyObject *str_word_addr, *str_level, *str_mem_level, *str_candidates;
+static PyObject *str_word_addr, *str_level, *str_mem_level;
 static PyObject *str_refused, *str_refused_version, *str_version;
-static PyObject *str_stores_by_word, *str_true_stores_by_word;
-static PyObject *str_issued_loads_by_word, *str_notify_load_miss;
-static PyObject *str_notify_load_complete, *str_allocate_mshr;
-static PyObject *str_rotate, *str_extend;
+static PyObject *str_notify_load_miss;
+static PyObject *str_notify_load_complete, *str_rotate, *str_extend;
+static PyObject *str_addr_ready_cycle, *str_data_ready_cycle;
+static PyObject *str_predicted_dep, *str_predicted_store, *str_store_fetched;
+static PyObject *str_store_left, *str_detect_violations, *str_remove;
+static PyObject *str_data_access;
+/* ... and of the cache stage. */
+static PyObject *str_line_addr, *str_any_write, *str_fill_level;
+static PyObject *str_is_write, *str_on_complete, *str_on_miss;
+static PyObject *str_next_free, *str_fill_arrived, *str_access_line;
 
 static const struct { PyObject **slot; const char *name; }
 STAGE_NAMES[] = {
@@ -144,7 +150,7 @@ STAGE_NAMES[] = {
     {&str_needs_chain, "needs_chain"}, {&str_lsq, "lsq"},
     {&str_frontend, "frontend"}, {&str_pipeline, "_pipeline"},
     {&str_violation_flush_until, "violation_flush_until"},
-    {&str_rob, "rob"}, {&str_entries, "_entries"}, {&str_size, "size"},
+    {&str_entries, "_entries"}, {&str_size, "size"},
     {&str_iq, "iq"}, {&str_op_class, "op_class"},
     {&str_rob_index, "rob_index"},
     {&str_dispatched_cycle, "dispatched_cycle"},
@@ -209,15 +215,23 @@ STAGE_NAMES[] = {
     {&str_completed, "completed"}, {&str_waiting_loads, "waiting_loads"},
     {&str_addr, "addr"}, {&str_word_addr, "word_addr"},
     {&str_level, "level"}, {&str_mem_level, "mem_level"},
-    {&str_candidates, "_candidates"}, {&str_refused, "_refused"},
+    {&str_refused, "_refused"},
     {&str_refused_version, "_refused_version"}, {&str_version, "version"},
-    {&str_stores_by_word, "_stores_by_word"},
-    {&str_true_stores_by_word, "_true_stores_by_word"},
-    {&str_issued_loads_by_word, "_issued_loads_by_word"},
     {&str_notify_load_miss, "notify_load_miss"},
     {&str_notify_load_complete, "notify_load_complete"},
-    {&str_allocate_mshr, "_allocate_mshr"}, {&str_rotate, "rotate"},
-    {&str_extend, "extend"},
+    {&str_rotate, "rotate"}, {&str_extend, "extend"},
+    {&str_addr_ready_cycle, "addr_ready_cycle"},
+    {&str_data_ready_cycle, "data_ready_cycle"},
+    {&str_predicted_dep, "predicted_dep"},
+    {&str_predicted_store, "predicted_store"},
+    {&str_store_fetched, "store_fetched"}, {&str_store_left, "store_left"},
+    {&str_detect_violations, "_detect_violations"},
+    {&str_remove, "remove"}, {&str_data_access, "data_access"},
+    {&str_line_addr, "line_addr"}, {&str_any_write, "any_write"},
+    {&str_fill_level, "fill_level"}, {&str_is_write, "is_write"},
+    {&str_on_complete, "on_complete"}, {&str_on_miss, "on_miss"},
+    {&str_next_free, "_next_free"}, {&str_fill_arrived, "_fill_arrived"},
+    {&str_access_line, "access_line"},
 };
 
 /* Fused FU acquisition for Engine.issue_select (defined with the
@@ -1114,12 +1128,25 @@ Engine_drain_events(Engine *self, PyObject *Py_UNUSED(ignored))
 
 /* ------------------------------------------------------- thresholds -- */
 
+static int
+index_in(long long index, Py_ssize_t len)
+{
+    /* 0 when ``index`` names a cell of a column of ``len`` cells, else
+     * -1 with IndexError (a negative index too: the columns are not
+     * Python lists). */
+    if (index >= 0 && index < (long long)len)
+        return 0;
+    PyErr_SetString(PyExc_IndexError, "engine column index out of range");
+    return -1;
+}
+
 static PyObject *
 Engine_set_threshold(Engine *self, PyObject *args)
 {
     Py_ssize_t index;
     long long threshold;
-    if (!PyArg_ParseTuple(args, "nL", &index, &threshold))
+    if (!PyArg_ParseTuple(args, "nL", &index, &threshold)
+        || index_in(index, self->num_segments) < 0)
         return NULL;
     self->thr[index] = (int64_t)threshold;
     Py_RETURN_NONE;
@@ -1129,7 +1156,8 @@ static PyObject *
 Engine_threshold(Engine *self, PyObject *arg)
 {
     Py_ssize_t index = PyNumber_AsSsize_t(arg, PyExc_IndexError);
-    if (index == -1 && PyErr_Occurred())
+    if ((index == -1 && PyErr_Occurred())
+        || index_in(index, self->num_segments) < 0)
         return NULL;
     return PyLong_FromLongLong((long long)self->thr[index]);
 }
@@ -2556,7 +2584,7 @@ static PyObject *
 Engine_free_entry(Engine *self, PyObject *arg)
 {
     long long slot = PyLong_AsLongLong(arg);
-    if (slot == -1 && PyErr_Occurred())
+    if ((slot == -1 && PyErr_Occurred()) || index_in(slot, self->e_len) < 0)
         return NULL;
     int64_t seg = self->e_seg[slot];
     members_remove(self, seg, (int64_t)slot);
@@ -2572,7 +2600,7 @@ static PyObject *
 Engine_detach(Engine *self, PyObject *arg)
 {
     long long slot = PyLong_AsLongLong(arg);
-    if (slot == -1 && PyErr_Occurred())
+    if ((slot == -1 && PyErr_Occurred()) || index_in(slot, self->e_len) < 0)
         return NULL;
     int64_t seg = self->e_seg[slot];
     members_remove(self, seg, (int64_t)slot);
@@ -2584,7 +2612,9 @@ static PyObject *
 Engine_attach(Engine *self, PyObject *args)
 {
     long long slot, seg, now;
-    if (!PyArg_ParseTuple(args, "LLL", &slot, &seg, &now))
+    if (!PyArg_ParseTuple(args, "LLL", &slot, &seg, &now)
+        || index_in(slot, self->e_len) < 0
+        || index_in(seg, self->num_segments) < 0)
         return NULL;
     self->e_seg[slot] = (int64_t)seg;
     members_append(self, (int64_t)seg, (int64_t)slot);
@@ -2599,7 +2629,7 @@ static PyObject *
 Engine_entry_obj(Engine *self, PyObject *arg)
 {
     long long slot = PyLong_AsLongLong(arg);
-    if (slot == -1 && PyErr_Occurred())
+    if ((slot == -1 && PyErr_Occurred()) || index_in(slot, self->e_len) < 0)
         return NULL;
     PyObject *obj = self->e_obj[slot];
     if (obj == NULL)
@@ -2618,7 +2648,7 @@ static PyObject *
 Engine_slot_seq(Engine *self, PyObject *arg)
 {
     long long slot = PyLong_AsLongLong(arg);
-    if (slot == -1 && PyErr_Occurred())
+    if ((slot == -1 && PyErr_Occurred()) || index_in(slot, self->e_len) < 0)
         return NULL;
     return PyLong_FromLongLong((long long)self->e_seq[slot]);
 }
@@ -2629,7 +2659,8 @@ static PyObject *
 Engine_p0_push(Engine *self, PyObject *args)
 {
     long long slot, when;
-    if (!PyArg_ParseTuple(args, "LL", &slot, &when))
+    if (!PyArg_ParseTuple(args, "LL", &slot, &when)
+        || index_in(slot, self->e_len) < 0)
         return NULL;
     if (hq_push(&self->p0heap, ((int64_t)when << SLOT_BITS) | slot) < 0)
         return PyErr_NoMemory();
@@ -3417,7 +3448,8 @@ static PyObject *
 Engine_seg_occ(Engine *self, PyObject *arg)
 {
     Py_ssize_t seg = PyNumber_AsSsize_t(arg, PyExc_IndexError);
-    if (seg == -1 && PyErr_Occurred())
+    if ((seg == -1 && PyErr_Occurred())
+        || index_in(seg, self->num_segments) < 0)
         return NULL;
     return PyLong_FromLongLong((long long)self->occ[seg]);
 }
@@ -3443,7 +3475,8 @@ static PyObject *
 Engine_slots_of(Engine *self, PyObject *arg)
 {
     Py_ssize_t seg = PyNumber_AsSsize_t(arg, PyExc_IndexError);
-    if (seg == -1 && PyErr_Occurred())
+    if ((seg == -1 && PyErr_Occurred())
+        || index_in(seg, self->num_segments) < 0)
         return NULL;
     PyObject *out = PyList_New(0);
     if (out == NULL)
@@ -3465,7 +3498,8 @@ static PyObject *
 Engine_entries_of(Engine *self, PyObject *arg)
 {
     Py_ssize_t seg = PyNumber_AsSsize_t(arg, PyExc_IndexError);
-    if (seg == -1 && PyErr_Occurred())
+    if ((seg == -1 && PyErr_Occurred())
+        || index_in(seg, self->num_segments) < 0)
         return NULL;
     PyObject *out = PyList_New(0);
     if (out == NULL)
@@ -3484,7 +3518,8 @@ static PyObject *
 Engine_min_seq_slot(Engine *self, PyObject *arg)
 {
     Py_ssize_t seg = PyNumber_AsSsize_t(arg, PyExc_IndexError);
-    if (seg == -1 && PyErr_Occurred())
+    if ((seg == -1 && PyErr_Occurred())
+        || index_in(seg, self->num_segments) < 0)
         return NULL;
     int64_t best = -1, best_seq = -1;
     for (int64_t slot = self->seg_head[seg]; slot >= 0;
@@ -3501,7 +3536,8 @@ static PyObject *
 Engine_max_seq_slot(Engine *self, PyObject *arg)
 {
     Py_ssize_t seg = PyNumber_AsSsize_t(arg, PyExc_IndexError);
-    if (seg == -1 && PyErr_Occurred())
+    if ((seg == -1 && PyErr_Occurred())
+        || index_in(seg, self->num_segments) < 0)
         return NULL;
     int64_t best = -1, best_seq = -1;
     for (int64_t slot = self->seg_head[seg]; slot >= 0;
@@ -4697,6 +4733,18 @@ fail:
     return NULL;
 }
 
+static PyObject *
+proc_rob0(PyObject *proc)
+{
+    /* proc.robs[0]: thread 0's ROB, as a new reference. */
+    PyObject *robs = PyObject_GetAttr(proc, str_robs);
+    if (robs == NULL)
+        return NULL;
+    PyObject *rob = PySequence_GetItem(robs, 0);
+    Py_DECREF(robs);
+    return rob;
+}
+
 /* ------------------------------------------------- dispatch stage ----- */
 /*                                                                      */
 /* The C twin of Processor._dispatch, one call per cycle, for           */
@@ -4935,7 +4983,9 @@ Stage_run(StageObj *self, PyObject *const *args, Py_ssize_t nargs)
         ok = !err;
         goto done;
     }
-    if ((rob = PyObject_GetAttr(proc, str_rob)) == NULL
+    /* proc.robs[0], not the rob property (a Python frame per call): the
+     * property's setter unbinds this stage whenever the ROB is swapped. */
+    if ((rob = proc_rob0(proc)) == NULL
         || (rob_entries = PyObject_GetAttr(rob, str_entries)) == NULL
         || attr_i64(rob, str_size, &rob_size) < 0
         || (iq = PyObject_GetAttr(proc, str_iq)) == NULL
@@ -5185,10 +5235,16 @@ notify_waiter(PyObject *entry_cls, PyObject *waiter, int64_t cycle,
               PyObject *cycle_obj)
 {
     /* One waiter of DynInst.set_value_ready: a (queue, entry, index)
-     * operand triple, or a callable.  ``entry_cls`` is IQEntry, whose
-     * source_known runs inlined. */
+     * operand triple, a typed record (callback, arg) called as
+     * callback(arg, cycle), or a callable.  ``entry_cls`` is IQEntry,
+     * whose source_known runs inlined. */
     if (!PyTuple_CheckExact(waiter))
         return call_discard(PyObject_CallOneArg(waiter, cycle_obj));
+    if (PyTuple_GET_SIZE(waiter) == 2) {
+        PyObject *argv[2] = {PyTuple_GET_ITEM(waiter, 1), cycle_obj};
+        return call_discard(PyObject_Vectorcall(
+            PyTuple_GET_ITEM(waiter, 0), argv, 2, NULL));
+    }
     if (PyTuple_GET_SIZE(waiter) != 3) {
         PyErr_SetString(PyExc_ValueError,
                         "operand waiter: (queue, entry, index) expected");
@@ -5972,11 +6028,7 @@ CommitStage_run(CommitStageObj *self, PyObject *const *args,
     int64_t now = (int64_t)PyLong_AsLongLong(now_obj);
     if (now == -1 && PyErr_Occurred())
         return NULL;
-    PyObject *robs = PyObject_GetAttr(proc, str_robs);
-    if (robs == NULL)
-        return NULL;
-    PyObject *rob = PySequence_GetItem(robs, 0);
-    Py_DECREF(robs);
+    PyObject *rob = proc_rob0(proc);
     if (rob == NULL)
         return NULL;
     PyObject *entries = PyObject_GetAttr(rob, str_entries);
@@ -6048,56 +6100,7 @@ static PyTypeObject CommitStageType = {
     .tp_new = PyType_GenericNew,
 };
 
-/* ------------------------------------------------------- memory stage -- */
-/*                                                                      */
-/* The C twin of LoadStoreQueue.cycle and the load issue below it       */
-/* (_conflicting_store, _forward, _issue_to_cache with the L1D's        */
-/* core-side load access, _load_filled and _load_done), one run per     */
-/* cycle, bound as lsq._c_cycle on every run on the compiled event      */
-/* queue: traced, clustered, multi-thread and invariant-checked runs    */
-/* too, as the load path emits no trace event and keys its stores by    */
-/* (thread, word).  The L1D's tags, LRU order and MSHRs stay in the     */
-/* Cache object (its _sets lists and _mshrs dict, held here).  A miss   */
-/* calls lsq.iq.notify_load_miss and l1d._allocate_mshr, both looked up */
-/* on every call, and the refill below the L1D stays Python.  A load    */
-/* completes through the typed record (stage, entry), which advance_to  */
-/* fires with no Python frame, and waits in an MSHR as the waiter       */
-/* (stage, entry), which Cache._install calls as stage(entry, level).   */
-
-typedef struct {
-    PyObject_HEAD
-    PyObject *lsq;              /* the LSQ whose loads complete here */
-    PyObject *l1d;              /* lsq._l1d */
-    PyObject *events;           /* lsq._events, the compiled queue */
-    PyObject *fu;               /* lsq.fu_pool's Pipeline engine, or NULL */
-    PyObject *entry_cls;        /* IQEntry, for the waiter walk */
-    PyObject *occupancy;        /* lsq.stat_occupancy */
-    PyObject *forwards, *conflict_waits;
-    PyObject *accesses, *hits, *misses, *delayed_hits, *mshr_full;
-    PyObject *sets, *mshrs;     /* l1d._sets, l1d._mshrs */
-    PyObject *forward_level, *hit_level, *delayed_level;
-    int64_t forward_latency, hit_latency, mshr_entries, num_sets;
-    int line_shift;
-    int oracle;                 /* conflicts by true address */
-    int memdep;                 /* store sets: issued loads are tracked */
-} MemStageObj;
-
-#define MEM_REFS 18
-
-static PyObject **
-mem_refs(MemStageObj *self, int i)
-{
-    PyObject **all[MEM_REFS] = {
-        &self->lsq, &self->l1d, &self->events, &self->fu, &self->entry_cls,
-        &self->occupancy, &self->forwards, &self->conflict_waits,
-        &self->accesses, &self->hits, &self->misses, &self->delayed_hits,
-        &self->mshr_full, &self->sets, &self->mshrs, &self->forward_level,
-        &self->hit_level, &self->delayed_level};
-    return all[i];
-}
-
-/* Outcomes of mem_issue_to_cache (_ISSUED, _NO_PORT, _NO_MSHR). */
-enum { MEM_ISSUED, MEM_NO_PORT, MEM_NO_MSHR };
+/* --------------------------------------------------- stage helpers -- */
 
 static PyObject *
 attr_named(PyObject *obj, const char *name)
@@ -6134,70 +6137,1039 @@ attr_i64_named(PyObject *obj, const char *name, int64_t *out)
 }
 
 static int
+append_to(PyObject *list, PyObject *item)
+{
+    if (PyList_CheckExact(list))
+        return PyList_Append(list, item);
+    return call_discard(PyObject_CallMethodOneArg(list, str_append, item));
+}
+
+static PyObject *
+list_of(PyObject *first, PyObject *second)
+{
+    /* [first] or (``second`` not NULL) [first, second]. */
+    PyObject *list = PyList_New(second == NULL ? 1 : 2);
+    if (list == NULL)
+        return NULL;
+    PyList_SET_ITEM(list, 0, Py_NewRef(first));
+    if (second != NULL)
+        PyList_SET_ITEM(list, 1, Py_NewRef(second));
+    return list;
+}
+
+static int
+extend_with(PyObject *deque, PyObject *items)
+{
+    return call_discard(PyObject_CallMethodOneArg(deque, str_extend, items));
+}
+
+/* -------------------------------------------------------- cache stage -- */
+/*                                                                      */
+/* The C twin of one level of the memory hierarchy: Cache.touch,        */
+/* access, access_line, _fill_arrived and warm_line with everything     */
+/* they reach inside the cache (_find, rejects, _allocate_mshr,         */
+/* _request_line, _install, _drain_mshr_queue, _return_line, the        */
+/* waiters' _answer, the core requests' completion and each line        */
+/* transfer's BandwidthLink.request), or MainMemory.access_line.  Bound */
+/* as owner._c_stage on every run on the compiled event queue: those    */
+/* Python methods stay the entry points and hand their bodies here.     */
+/* State stays in the Python objects: the cache's _sets lists, _mshrs   */
+/* dict of _MSHR records, _mshr_queue deque and version, and the link's */
+/* _next_free.  Events are records (a method of this stage, arg), the   */
+/* Python body's records at the same cycle, in the same order and with  */
+/* the same count, fired with no Python frame; a core request waits in  */
+/* an MSHR as (this stage's _request_filled or _request_merged,         */
+/* request).  Between levels the line goes through the next level's     */
+/* access_line and comes back through the owner's _fill_arrived, both   */
+/* Python methods that stay on the call path.                           */
+
+typedef struct {
+    PyObject_HEAD
+    /* Owned references, first to last (cache_refs walks them). */
+    PyObject *owner;            /* the Cache or MainMemory */
+    PyObject *events;           /* owner._events, the compiled queue */
+    PyObject *next;             /* owner.next_level; NULL: main memory */
+    PyObject *link;             /* owner._link */
+    PyObject *sets, *mshrs, *queue;     /* _sets, _mshrs, _mshr_queue */
+    PyObject *mshr_cls;         /* _MSHR */
+    PyObject *accesses, *hits, *misses, *delayed_hits, *writebacks;
+    PyObject *mshr_full;
+    PyObject *transfers, *busy, *queued;        /* the link's counters */
+    PyObject *level;            /* where a hit (or memory) answers from */
+    PyObject *merged_level;     /* what a merged core request reports */
+    PyObject *on_request_line, *on_install, *on_return_line;
+    PyObject *on_request_hit, *on_request_filled, *on_request_merged;
+    int64_t hit_latency;        /* memory: its access latency */
+    int64_t assoc, mshr_entries, num_sets, line_bytes, link_bytes;
+    int line_shift;
+} CacheStageObj;
+
+#define CACHE_REFS ((offsetof(CacheStageObj, on_request_merged)         \
+                     - offsetof(CacheStageObj, owner))                   \
+                    / sizeof(PyObject *) + 1)
+
+static PyTypeObject CacheStageType;
+
+/* _MSHR and MemRequest (slotted dataclasses), and an L1D line: */
+static slotsite at_mshr_line = {&str_line_addr},
+    at_mshr_waiters = {&str_waiters}, at_mshr_any_write = {&str_any_write},
+    at_mshr_fill_level = {&str_fill_level}, at_req_addr = {&str_addr},
+    at_req_is_write = {&str_is_write}, at_req_on_complete = {&str_on_complete},
+    at_req_on_miss = {&str_on_miss}, at_req_level = {&str_level},
+    at_req_completed = {&str_completed_cycle};
+
+static int mem_filled(PyObject *stage, PyObject *entry, PyObject *level);
+
+static int
+CacheStage_init(CacheStageObj *self, PyObject *args, PyObject *kwds)
+{
+    /* CacheStage(cache, level, merged_level, mshr_cls) for a cache,
+     * CacheStage(memory, level) for main memory. */
+    static char *kwlist[] = {"owner", "level", "merged_level", "mshr_cls",
+                             NULL};
+    PyObject *owner, *level, *merged = NULL, *mshr_cls = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OU|UO!", kwlist, &owner,
+                                     &level, &merged, &PyType_Type,
+                                     &mshr_cls))
+        return -1;
+    if ((merged == NULL) != (mshr_cls == NULL)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "cache stage: a cache takes merged_level and "
+                        "mshr_cls, main memory neither");
+        return -1;
+    }
+    PyObject **refs = &self->owner;
+    for (size_t i = 0; i < CACHE_REFS; i++)
+        Py_CLEAR(refs[i]);
+    Py_INCREF(owner);
+    self->owner = owner;
+    Py_INCREF(level);
+    self->level = level;
+    if (attr_into(owner, "_events", &self->events) < 0
+        || attr_into((PyObject *)self, "_return_line",
+                     &self->on_return_line) < 0)
+        return -1;
+    if (Py_TYPE(self->events) != &EQType) {
+        PyErr_SetString(PyExc_TypeError,
+                        "cache stage: the compiled EventQueue expected");
+        return -1;
+    }
+    if (mshr_cls == NULL)
+        return attr_into(owner, "_accesses", &self->accesses) < 0
+               || attr_i64_named(owner, "latency", &self->hit_latency) < 0
+               ? -1 : 0;
+    PyObject *params = NULL;
+    int64_t line_shift;
+    Py_INCREF(merged);
+    self->merged_level = merged;
+    Py_INCREF(mshr_cls);
+    self->mshr_cls = mshr_cls;
+    if (attr_into(owner, "next_level", &self->next) < 0
+        || attr_into(owner, "_link", &self->link) < 0
+        || attr_into(owner, "_sets", &self->sets) < 0
+        || attr_into(owner, "_mshrs", &self->mshrs) < 0
+        || attr_into(owner, "_mshr_queue", &self->queue) < 0
+        || attr_into(owner, "stat_accesses", &self->accesses) < 0
+        || attr_into(owner, "stat_hits", &self->hits) < 0
+        || attr_into(owner, "stat_misses", &self->misses) < 0
+        || attr_into(owner, "stat_delayed_hits", &self->delayed_hits) < 0
+        || attr_into(owner, "stat_writebacks", &self->writebacks) < 0
+        || attr_into(owner, "stat_mshr_full", &self->mshr_full) < 0
+        || attr_into(self->link, "_transfers", &self->transfers) < 0
+        || attr_into(self->link, "_busy_cycles", &self->busy) < 0
+        || attr_into(self->link, "_queue_cycles", &self->queued) < 0
+        || attr_i64_named(self->link, "bytes_per_cycle",
+                          &self->link_bytes) < 0
+        || attr_i64_named(owner, "_num_sets", &self->num_sets) < 0
+        || attr_i64_named(owner, "_line_shift", &line_shift) < 0
+        || attr_into(owner, "params", &params) < 0
+        || attr_i64_named(params, "mshr_entries", &self->mshr_entries) < 0
+        || attr_i64_named(params, "hit_latency", &self->hit_latency) < 0
+        || attr_i64_named(params, "assoc", &self->assoc) < 0
+        || attr_i64_named(params, "line_bytes", &self->line_bytes) < 0
+        || attr_into((PyObject *)self, "_request_line",
+                     &self->on_request_line) < 0
+        || attr_into((PyObject *)self, "_install", &self->on_install) < 0
+        || attr_into((PyObject *)self, "_request_hit",
+                     &self->on_request_hit) < 0
+        || attr_into((PyObject *)self, "_request_filled",
+                     &self->on_request_filled) < 0
+        || attr_into((PyObject *)self, "_request_merged",
+                     &self->on_request_merged) < 0) {
+        Py_XDECREF(params);
+        return -1;
+    }
+    Py_DECREF(params);
+    if (!PyList_CheckExact(self->sets) || self->num_sets <= 0
+        || PyList_GET_SIZE(self->sets) != self->num_sets
+        || !PyDict_CheckExact(self->mshrs) || line_shift < 0
+        || line_shift > 62 || self->link_bytes <= 0) {
+        PyErr_SetString(PyExc_TypeError, "cache stage: a Cache expected");
+        return -1;
+    }
+    self->line_shift = (int)line_shift;
+    return 0;
+}
+
+static int
+CacheStage_traverse(CacheStageObj *self, visitproc visit, void *arg)
+{
+    PyObject **refs = &self->owner;
+    for (size_t i = 0; i < CACHE_REFS; i++)
+        Py_VISIT(refs[i]);
+    return 0;
+}
+
+static int
+CacheStage_clear(CacheStageObj *self)
+{
+    PyObject **refs = &self->owner;
+    for (size_t i = 0; i < CACHE_REFS; i++)
+        Py_CLEAR(refs[i]);
+    return 0;
+}
+
+static void
+CacheStage_dealloc(CacheStageObj *self)
+{
+    PyObject_GC_UnTrack(self);
+    CacheStage_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static int
+cache_ready(CacheStageObj *self, int tags)
+{
+    /* 0 when the stage is bound (``tags``: to a cache), else -1. */
+    if (self->events == NULL || (tags && self->sets == NULL)) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        tags ? "cache stage: no cache bound"
+                             : "cache stage: cleared");
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+cache_set_of(CacheStageObj *self, int64_t line)
+{
+    /* self._sets[self._set_index(line)], borrowed (Python's modulo: the
+     * index is never negative). */
+    Py_ssize_t index = (Py_ssize_t)(
+        (line % self->num_sets + self->num_sets) % self->num_sets);
+    PyObject *cache_set = index < PyList_GET_SIZE(self->sets)
+                          ? PyList_GET_ITEM(self->sets, index) : NULL;
+    if (cache_set == NULL || !PyList_CheckExact(cache_set)) {
+        PyErr_SetString(PyExc_TypeError, "cache stage: the sets changed");
+        return NULL;
+    }
+    return cache_set;
+}
+
+static int
+cache_find(CacheStageObj *self, int64_t line, int lru, PyObject **found)
+{
+    /* Cache._find (``lru``: a hit moves to the front of its set) or
+     * _find_no_lru: 1 resident (*found, if asked, the [tag, dirty] line,
+     * borrowed), 0 not, -1 on error. */
+    PyObject *cache_set = cache_set_of(self, line);
+    if (cache_set == NULL)
+        return -1;
+    for (Py_ssize_t pos = 0; pos < PyList_GET_SIZE(cache_set); pos++) {
+        PyObject *entry = PyList_GET_ITEM(cache_set, pos);
+        if (!PyList_CheckExact(entry) || PyList_GET_SIZE(entry) < 2) {
+            PyErr_SetString(PyExc_TypeError,
+                            "cache stage: a line is [tag, dirty]");
+            return -1;
+        }
+        long long tag = PyLong_AsLongLong(PyList_GET_ITEM(entry, 0));
+        if (tag == -1 && PyErr_Occurred())
+            return -1;
+        if (tag != line)
+            continue;
+        if (lru && pos) {
+            /* cache_set.pop(pos); cache_set.insert(0, entry) */
+            PyObject **items = ((PyListObject *)cache_set)->ob_item;
+            memmove(items + 1, items, (size_t)pos * sizeof(PyObject *));
+            items[0] = entry;
+        }
+        if (found != NULL)
+            *found = entry;
+        return 1;
+    }
+    return 0;
+}
+
+static int64_t
+cache_link_request(CacheStageObj *self)
+{
+    /* self._link.request(line_bytes): reserve the link for one line;
+     * the delay from now, -1 on error. */
+    int64_t now = ((EQObj *)self->events)->now, next_free;
+    if (attr_i64(self->link, str_next_free, &next_free) < 0)
+        return -1;
+    int64_t start = next_free > now ? next_free : now;
+    int64_t duration = (self->line_bytes + self->link_bytes - 1)
+                       / self->link_bytes;
+    if (attr_set_i64(self->link, str_next_free, start + duration) < 0
+        || counter_inc1(self->transfers) < 0
+        || counter_add(self->busy, (Py_ssize_t)duration) < 0
+        || counter_add(self->queued, (Py_ssize_t)(start - now)) < 0)
+        return -1;
+    return start + duration - now;
+}
+
+static int
+cache_answer(PyObject *waiter, PyObject *level)
+{
+    /* _answer(waiter, level): callback(arg, level); a load parked by the
+     * memory stage completes in C. */
+    if (!PyTuple_CheckExact(waiter) || PyTuple_GET_SIZE(waiter) != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "cache stage: a waiter is (callback, arg)");
+        return -1;
+    }
+    PyObject *callback = PyTuple_GET_ITEM(waiter, 0);
+    PyObject *argv[2] = {PyTuple_GET_ITEM(waiter, 1), level};
+    if (Py_TYPE(callback) == &MemStageType)
+        return mem_filled(callback, argv[0], level);
+    return call_discard(PyObject_Vectorcall(callback, argv, 2, NULL));
+}
+
+static int
+cache_bump_version(CacheStageObj *self)
+{
+    int64_t version;
+    if (attr_i64(self->owner, str_version, &version) < 0)
+        return -1;
+    return attr_set_i64(self->owner, str_version, version + 1);
+}
+
+static int
+cache_allocate_mshr(CacheStageObj *self, PyObject *line_obj,
+                    PyObject *is_write, PyObject *waiter)
+{
+    /* _allocate_mshr: a new MSHR for the line, and the lookup's hit
+     * latency before the miss goes to the next level. */
+    PyTypeObject *tp = (PyTypeObject *)self->mshr_cls;
+    PyObject *mshr = tp->tp_alloc(tp, 0);
+    if (mshr == NULL)
+        return -1;
+    int rc = -1;
+    if (site_set(&at_mshr_line, mshr, line_obj) < 0
+        || site_set_new(&at_mshr_waiters, mshr,
+                        list_of(waiter, NULL)) < 0
+        || site_set(&at_mshr_any_write, mshr, is_write) < 0
+        || site_set(&at_mshr_fill_level, mshr, str_empty) < 0
+        || PyDict_SetItem(self->mshrs, line_obj, mshr) < 0)
+        goto done;
+    EQObj *events = (EQObj *)self->events;
+    rc = eq_push(events, events->now + self->hit_latency,
+                 self->on_request_line, line_obj);
+done:
+    Py_DECREF(mshr);
+    return rc;
+}
+
+static int
+cache_merge(PyObject *mshr, PyObject *is_write, PyObject *waiter)
+{
+    /* A miss merges into the line's MSHR: mshr.any_write =
+     * mshr.any_write or is_write (unless ``is_write`` is NULL), and the
+     * waiter joins. */
+    if (is_write != NULL) {
+        int dirty = site_truth(&at_mshr_any_write, mshr);
+        if (dirty < 0
+            || (!dirty && site_set(&at_mshr_any_write, mshr, is_write) < 0))
+            return -1;
+    }
+    PyObject *waiters = site_get(&at_mshr_waiters, mshr);
+    if (waiters == NULL)
+        return -1;
+    int rc = append_to(waiters, waiter);
+    Py_DECREF(waiters);
+    return rc;
+}
+
+static int
+request_complete(PyObject *request, PyObject *level, int64_t now)
+{
+    /* MemRequest.complete(level, now). */
+    PyObject *callback = NULL;
+    int rc = -1;
+    if (site_set(&at_req_level, request, level) < 0
+        || site_set_i64(&at_req_completed, request, now) < 0
+        || (callback = site_get(&at_req_on_complete, request)) == NULL)
+        goto done;
+    rc = callback == Py_None
+         ? 0 : call_discard(PyObject_CallOneArg(callback, request));
+done:
+    Py_XDECREF(callback);
+    return rc;
+}
+
+static int
+request_notify_miss(PyObject *request)
+{
+    /* MemRequest.notify_miss(). */
+    PyObject *callback = site_get(&at_req_on_miss, request);
+    if (callback == NULL)
+        return -1;
+    int rc = callback == Py_None
+             ? 0 : call_discard(PyObject_CallOneArg(callback, request));
+    Py_DECREF(callback);
+    return rc;
+}
+
+static int
+cache_rejects(CacheStageObj *self, int64_t line, PyObject *line_obj)
+{
+    /* Cache.rejects: 1 when every MSHR is busy and the line is neither
+     * in flight nor resident (counted as a retry), 0 if not, -1 on
+     * error. */
+    if (PyDict_GET_SIZE(self->mshrs) < self->mshr_entries)
+        return 0;
+    int present = PyDict_Contains(self->mshrs, line_obj);
+    if (present == 0)
+        present = cache_find(self, line, 0, NULL);
+    if (present != 0)
+        return present < 0 ? -1 : 0;
+    return counter_inc1(self->mshr_full) < 0 ? -1 : 1;
+}
+
+static PyObject *
+CacheStage_touch(CacheStageObj *self, PyObject *addr_obj)
+{
+    /* touch(addr): on a hit, update LRU and count it. */
+    if (cache_ready(self, 1) < 0)
+        return NULL;
+    long long addr = PyLong_AsLongLong(addr_obj);
+    if (addr == -1 && PyErr_Occurred())
+        return NULL;
+    int resident = cache_find(self, (int64_t)addr >> self->line_shift, 1,
+                              NULL);
+    if (resident < 0)
+        return NULL;
+    if (resident && (counter_inc1(self->accesses) < 0
+                     || counter_inc1(self->hits) < 0))
+        return NULL;
+    return PyBool_FromLong(resident);
+}
+
+static PyObject *
+CacheStage_access(CacheStageObj *self, PyObject *request)
+{
+    /* access(request): the core-side access of a fetch or a store write;
+     * False when it must retry (no MSHR for a new miss). */
+    if (cache_ready(self, 1) < 0)
+        return NULL;
+    int64_t addr;
+    if (site_get_i64(&at_req_addr, request, &addr) < 0)
+        return NULL;
+    int64_t line = addr >> self->line_shift;
+    PyObject *line_obj = PyLong_FromLongLong((long long)line);
+    if (line_obj == NULL)
+        return NULL;
+    PyObject *is_write = NULL, *found = NULL, *waiter = NULL;
+    PyObject *result = NULL;
+    int rejected = cache_rejects(self, line, line_obj);
+    if (rejected) {
+        if (rejected > 0)
+            result = Py_NewRef(Py_False);
+        goto done;
+    }
+    if (counter_inc1(self->accesses) < 0
+        || (is_write = site_get(&at_req_is_write, request)) == NULL)
+        goto done;
+    int resident = cache_find(self, line, 1, &found);
+    if (resident < 0)
+        goto done;
+    if (resident) {
+        EQObj *events = (EQObj *)self->events;
+        int write = PyObject_IsTrue(is_write);
+        if (write < 0 || counter_inc1(self->hits) < 0)
+            goto done;
+        if (write) {
+            Py_INCREF(Py_True);
+            PyList_SetItem(found, 1, Py_True);
+        }
+        if (eq_push(events, events->now + self->hit_latency,
+                    self->on_request_hit, request) < 0)
+            goto done;
+        result = Py_NewRef(Py_True);
+        goto done;
+    }
+    PyObject *mshr = PyDict_GetItemWithError(self->mshrs, line_obj);
+    if (mshr == NULL && PyErr_Occurred())
+        goto done;
+    if (mshr != NULL) {
+        /* Delayed hit: merge into the outstanding miss. */
+        Py_INCREF(mshr);
+        int rc = counter_inc1(self->delayed_hits) < 0
+                 || request_notify_miss(request) < 0
+                 || (waiter = PyTuple_Pack(2, self->on_request_merged,
+                                           request)) == NULL
+                 || cache_merge(mshr, is_write, waiter) < 0;
+        Py_DECREF(mshr);
+        if (rc)
+            goto done;
+    }
+    else if (counter_inc1(self->misses) < 0
+             || request_notify_miss(request) < 0
+             || (waiter = PyTuple_Pack(2, self->on_request_filled,
+                                       request)) == NULL
+             || cache_allocate_mshr(self, line_obj, is_write, waiter) < 0)
+        goto done;
+    result = Py_NewRef(Py_True);
+done:
+    Py_DECREF(line_obj);
+    Py_XDECREF(is_write);
+    Py_XDECREF(waiter);
+    return result;
+}
+
+static PyObject *
+CacheStage_access_line(CacheStageObj *self, PyObject *const *args,
+                       Py_ssize_t nargs)
+{
+    /* access_line(line_byte_addr, is_write, waiter): an upper level's
+     * line access; queues while the MSHRs are full.  Main memory answers
+     * after its latency. */
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "access_line expects 3 arguments");
+        return NULL;
+    }
+    if (cache_ready(self, 0) < 0)
+        return NULL;
+    PyObject *is_write = args[1], *waiter = args[2];
+    EQObj *events = (EQObj *)self->events;
+    if (counter_inc1(self->accesses) < 0)
+        return NULL;
+    if (self->sets == NULL) {
+        if (eq_push(events, events->now + self->hit_latency,
+                    self->on_return_line, waiter) < 0)
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    long long addr = PyLong_AsLongLong(args[0]);
+    if (addr == -1 && PyErr_Occurred())
+        return NULL;
+    int64_t line = (int64_t)addr >> self->line_shift;
+    PyObject *line_obj = PyLong_FromLongLong((long long)line);
+    if (line_obj == NULL)
+        return NULL;
+    PyObject *found = NULL, *queued = NULL;
+    int ok = 0;
+    int resident = cache_find(self, line, 1, &found);
+    if (resident < 0)
+        goto done;
+    if (resident) {
+        int write = PyObject_IsTrue(is_write);
+        if (write < 0 || counter_inc1(self->hits) < 0)
+            goto done;
+        if (write) {
+            Py_INCREF(Py_True);
+            PyList_SetItem(found, 1, Py_True);
+        }
+        ok = eq_push(events, events->now + self->hit_latency,
+                     self->on_return_line, waiter) == 0;
+        goto done;
+    }
+    PyObject *mshr = PyDict_GetItemWithError(self->mshrs, line_obj);
+    if (mshr == NULL && PyErr_Occurred())
+        goto done;
+    if (mshr != NULL) {
+        Py_INCREF(mshr);
+        ok = counter_inc1(self->delayed_hits) == 0
+             && cache_merge(mshr, is_write, waiter) == 0;
+        Py_DECREF(mshr);
+    }
+    else if (PyDict_GET_SIZE(self->mshrs) >= self->mshr_entries)
+        ok = counter_inc1(self->mshr_full) == 0
+             && (queued = PyTuple_Pack(3, line_obj, is_write,
+                                       waiter)) != NULL
+             && call_discard(PyObject_CallMethodOneArg(
+                    self->queue, str_append, queued)) == 0;
+    else
+        ok = counter_inc1(self->misses) == 0
+             && cache_allocate_mshr(self, line_obj, is_write, waiter) == 0;
+done:
+    Py_DECREF(line_obj);
+    Py_XDECREF(queued);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+CacheStage_fill_arrived(CacheStageObj *self, PyObject *const *args,
+                        Py_ssize_t nargs)
+{
+    /* _fill_arrived(line, fill_level): the next level produced the line;
+     * move it over the link, then install it. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "_fill_arrived expects 2 arguments");
+        return NULL;
+    }
+    if (cache_ready(self, 1) < 0)
+        return NULL;
+    PyObject *mshr = PyObject_GetItem(self->mshrs, args[0]);
+    if (mshr == NULL)
+        return NULL;
+    int rc = site_set(&at_mshr_fill_level, mshr, args[1]);
+    Py_DECREF(mshr);
+    int64_t delay = rc < 0 ? -1 : cache_link_request(self);
+    if (delay < 0)
+        return NULL;
+    EQObj *events = (EQObj *)self->events;
+    if (eq_push(events, events->now + delay, self->on_install, args[0]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static int
+cache_insert(CacheStageObj *self, int64_t line, PyObject *line_obj,
+             PyObject *dirty, int count_writeback)
+{
+    /* Put [line, dirty] at the front of its set, evicting the set's LRU
+     * line when full (``count_writeback``: a dirty victim is written
+     * back over the link). */
+    PyObject *cache_set = cache_set_of(self, line);
+    if (cache_set == NULL)
+        return -1;
+    Py_ssize_t size = PyList_GET_SIZE(cache_set);
+    if (size > 0 && size >= self->assoc) {
+        PyObject *victim = PyList_GET_ITEM(cache_set, size - 1);
+        Py_INCREF(victim);
+        int dirty_victim = !count_writeback ? 0
+            : (PyList_CheckExact(victim) && PyList_GET_SIZE(victim) >= 2)
+              ? PyObject_IsTrue(PyList_GET_ITEM(victim, 1)) : -2;
+        int rc = PyList_SetSlice(cache_set, size - 1, size, NULL);
+        Py_DECREF(victim);
+        if (dirty_victim == -2)
+            PyErr_SetString(PyExc_TypeError,
+                            "cache stage: a line is [tag, dirty]");
+        if (rc < 0 || dirty_victim < 0
+            || (dirty_victim && (counter_inc1(self->writebacks) < 0
+                                 || cache_link_request(self) < 0)))
+            return -1;
+    }
+    PyObject *entry = list_of(line_obj, dirty);
+    if (entry == NULL)
+        return -1;
+    int rc = PyList_Insert(cache_set, 0, entry);
+    Py_DECREF(entry);
+    return rc;
+}
+
+static int
+cache_drain(CacheStageObj *self)
+{
+    /* _drain_mshr_queue: queued line accesses take the MSHRs freed. */
+    EQObj *events = (EQObj *)self->events;
+    for (;;) {
+        Py_ssize_t queued = PyObject_Length(self->queue);
+        if (queued < 0)
+            return -1;
+        if (!queued || PyDict_GET_SIZE(self->mshrs) >= self->mshr_entries)
+            return 0;
+        PyObject *item = PyObject_CallMethodNoArgs(self->queue, str_popleft);
+        if (item == NULL)
+            return -1;
+        if (!PyTuple_CheckExact(item) || PyTuple_GET_SIZE(item) != 3) {
+            Py_DECREF(item);
+            PyErr_SetString(PyExc_TypeError,
+                            "cache stage: a queued access is "
+                            "(line, is_write, waiter)");
+            return -1;
+        }
+        PyObject *line_obj = PyTuple_GET_ITEM(item, 0);
+        PyObject *waiter = PyTuple_GET_ITEM(item, 2);
+        long long line = PyLong_AsLongLong(line_obj);
+        int rc = -1;
+        if (line == -1 && PyErr_Occurred())
+            goto next;
+        int resident = cache_find(self, (int64_t)line, 1, NULL);
+        if (resident < 0)
+            goto next;
+        if (resident) {
+            /* Filled while queued: a (late) hit. */
+            rc = counter_inc1(self->hits) < 0
+                 || eq_push(events, events->now + self->hit_latency,
+                            self->on_return_line, waiter) < 0 ? -1 : 0;
+            goto next;
+        }
+        PyObject *mshr = PyDict_GetItemWithError(self->mshrs, line_obj);
+        if (mshr != NULL) {
+            Py_INCREF(mshr);
+            rc = counter_inc1(self->delayed_hits) < 0
+                 || cache_merge(mshr, NULL, waiter) < 0 ? -1 : 0;
+            Py_DECREF(mshr);
+        }
+        else if (!PyErr_Occurred())
+            rc = counter_inc1(self->misses) < 0
+                 || cache_allocate_mshr(self, line_obj,
+                                        PyTuple_GET_ITEM(item, 1),
+                                        waiter) < 0 ? -1 : 0;
+    next:
+        Py_DECREF(item);
+        if (rc < 0)
+            return -1;
+    }
+}
+
+static PyObject *
+CacheStage_install(CacheStageObj *self, PyObject *const *args,
+                   Py_ssize_t nargs)
+{
+    /* The record _install(line, cycle): the line lands, its waiters hear
+     * where it came from, and queued accesses take the freed MSHR. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "_install expects 2 arguments");
+        return NULL;
+    }
+    if (cache_ready(self, 1) < 0 || cache_bump_version(self) < 0)
+        return NULL;
+    PyObject *line_obj = args[0];
+    PyObject *mshr = PyObject_GetItem(self->mshrs, line_obj);
+    if (mshr == NULL)
+        return NULL;
+    PyObject *dirty = NULL, *waiters = NULL, *level = NULL, *fast = NULL;
+    int ok = 0;
+    long long line = PyLong_AsLongLong(line_obj);
+    if ((line == -1 && PyErr_Occurred())
+        || PyDict_DelItem(self->mshrs, line_obj) < 0
+        || (dirty = site_get(&at_mshr_any_write, mshr)) == NULL
+        || cache_insert(self, (int64_t)line, line_obj, dirty, 1) < 0
+        || (waiters = site_get(&at_mshr_waiters, mshr)) == NULL
+        || (level = site_get(&at_mshr_fill_level, mshr)) == NULL
+        || (fast = PySequence_Fast(waiters, "waiters: a list")) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(fast); i++) {
+        PyObject *waiter = PySequence_Fast_GET_ITEM(fast, i);
+        Py_INCREF(waiter);
+        int rc = cache_answer(waiter, level);
+        Py_DECREF(waiter);
+        if (rc < 0)
+            goto done;
+    }
+    ok = cache_drain(self) == 0;
+done:
+    Py_DECREF(mshr);
+    Py_XDECREF(dirty);
+    Py_XDECREF(waiters);
+    Py_XDECREF(level);
+    Py_XDECREF(fast);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+CacheStage_request_line(CacheStageObj *self, PyObject *const *args,
+                        Py_ssize_t nargs)
+{
+    /* The record _request_line(line, cycle): the miss goes to the next
+     * level, which answers through the owner's _fill_arrived. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "_request_line expects 2 arguments");
+        return NULL;
+    }
+    if (cache_ready(self, 1) < 0)
+        return NULL;
+    long long line = PyLong_AsLongLong(args[0]);
+    if (line == -1 && PyErr_Occurred())
+        return NULL;
+    PyObject *fill = PyObject_GetAttr(self->owner, str_fill_arrived);
+    if (fill == NULL)
+        return NULL;
+    PyObject *waiter = PyTuple_Pack(2, fill, args[0]);
+    Py_DECREF(fill);
+    PyObject *addr = waiter == NULL ? NULL
+        : PyLong_FromLongLong(line << self->line_shift);
+    int rc = addr == NULL ? -1 : call_discard(PyObject_CallMethodObjArgs(
+        self->next, str_access_line, addr, Py_False, waiter, NULL));
+    Py_XDECREF(waiter);
+    Py_XDECREF(addr);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+CacheStage_return_line(CacheStageObj *self, PyObject *const *args,
+                       Py_ssize_t nargs)
+{
+    /* The record _return_line(waiter, cycle): a hit (or main memory)
+     * answers the upper level. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "_return_line expects 2 arguments");
+        return NULL;
+    }
+    if (cache_ready(self, 0) < 0 || cache_answer(args[0], self->level) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+CacheStage_request_hit(CacheStageObj *self, PyObject *const *args,
+                       Py_ssize_t nargs)
+{
+    /* The record _request_hit(request, cycle). */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "_request_hit expects 2 arguments");
+        return NULL;
+    }
+    long long cycle = PyLong_AsLongLong(args[1]);
+    if ((cycle == -1 && PyErr_Occurred()) || cache_ready(self, 1) < 0
+        || request_complete(args[0], self->level, (int64_t)cycle) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+CacheStage_request_answered(CacheStageObj *self, PyObject *const *args,
+                            Py_ssize_t nargs, int merged)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "a waiter takes 2 arguments");
+        return NULL;
+    }
+    if (cache_ready(self, 1) < 0
+        || request_complete(args[0], merged ? self->merged_level : args[1],
+                            ((EQObj *)self->events)->now) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+CacheStage_request_filled(CacheStageObj *self, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    /* The waiter _request_filled(request, level): a missing request's
+     * line arrived from ``level``. */
+    return CacheStage_request_answered(self, args, nargs, 0);
+}
+
+static PyObject *
+CacheStage_request_merged(CacheStageObj *self, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    /* The waiter _request_merged(request, level): a delayed hit's line
+     * arrived. */
+    return CacheStage_request_answered(self, args, nargs, 1);
+}
+
+static PyObject *
+CacheStage_warm_line(CacheStageObj *self, PyObject *const *args,
+                     Py_ssize_t nargs)
+{
+    /* warm_line(addr, dirty): pre-install the line holding ``addr``. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "warm_line expects 2 arguments");
+        return NULL;
+    }
+    if (cache_ready(self, 1) < 0)
+        return NULL;
+    long long addr = PyLong_AsLongLong(args[0]);
+    if (addr == -1 && PyErr_Occurred())
+        return NULL;
+    int64_t line = (int64_t)addr >> self->line_shift;
+    int resident = cache_find(self, line, 1, NULL);
+    if (resident < 0)
+        return NULL;
+    if (resident)
+        Py_RETURN_NONE;
+    PyObject *line_obj = PyLong_FromLongLong((long long)line);
+    int rc = line_obj == NULL || cache_bump_version(self) < 0
+             || cache_insert(self, line, line_obj, args[1], 0) < 0;
+    Py_XDECREF(line_obj);
+    if (rc)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef CacheStage_methods[] = {
+    {"touch", (PyCFunction)CacheStage_touch, METH_O, NULL},
+    {"access", (PyCFunction)CacheStage_access, METH_O, NULL},
+    {"access_line", (PyCFunction)CacheStage_access_line, METH_FASTCALL,
+     NULL},
+    {"warm_line", (PyCFunction)CacheStage_warm_line, METH_FASTCALL, NULL},
+    {"_fill_arrived", (PyCFunction)CacheStage_fill_arrived, METH_FASTCALL,
+     NULL},
+    {"_request_line", (PyCFunction)CacheStage_request_line, METH_FASTCALL,
+     NULL},
+    {"_install", (PyCFunction)CacheStage_install, METH_FASTCALL, NULL},
+    {"_return_line", (PyCFunction)CacheStage_return_line, METH_FASTCALL,
+     NULL},
+    {"_request_hit", (PyCFunction)CacheStage_request_hit, METH_FASTCALL,
+     NULL},
+    {"_request_filled", (PyCFunction)CacheStage_request_filled,
+     METH_FASTCALL, NULL},
+    {"_request_merged", (PyCFunction)CacheStage_request_merged,
+     METH_FASTCALL, NULL},
+    {NULL, NULL, 0, NULL}
+};
+
+static PyTypeObject CacheStageType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.core.segmented._ckernels.CacheStage",
+    .tp_basicsize = sizeof(CacheStageObj),
+    .tp_itemsize = 0,
+    .tp_dealloc = (destructor)CacheStage_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Compiled cache level (see memory/cache.py)",
+    .tp_traverse = (traverseproc)CacheStage_traverse,
+    .tp_clear = (inquiry)CacheStage_clear,
+    .tp_methods = CacheStage_methods,
+    .tp_init = (initproc)CacheStage_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ------------------------------------------------------- memory stage -- */
+/*                                                                      */
+/* The C twin of the LoadStoreQueue: its bookkeeping (dispatch with     */
+/* entry creation, address_ready with the store frontier, store         */
+/* completion, commit with the store's write to the L1D) and its        */
+/* per-cycle load issue (cycle: _conflicting_store, _forward,           */
+/* _issue_to_cache with the L1D's core-side load access, _load_filled   */
+/* and _load_done).  Bound on every run on the compiled event queue:    */
+/* traced, clustered, multi-thread and invariant-checked runs too, as   */
+/* the LSQ keys its stores by (thread, word) and only the store-set     */
+/* violation check (a call back into LoadStoreQueue._detect_violations) */
+/* emits trace events.  lsq._c_cycle is the bound run, and dispatch,    */
+/* address_ready and commit, the LSQ's entry points, hand their bodies  */
+/* to the stage (lsq._c_stage).  State stays in the LSQ's dicts, heaps  */
+/* and deques, held here, and in the L1D, reached through its           */
+/* CacheStage.  A load completes through the typed record (stage,       */
+/* entry), which advance_to fires with no Python frame, and waits in an */
+/* MSHR as the waiter (stage, entry), which the cache stage answers in  */
+/* C.  A store's data wait is the producer waiter (the stage's          */
+/* _store_data_ready, entry) and its completion the record (the stage's */
+/* _mark_store_complete, entry).                                        */
+
+typedef struct {
+    PyObject_HEAD
+    /* Owned references, first to last (mem_refs walks them). */
+    PyObject *lsq;              /* the LSQ whose loads complete here */
+    PyObject *cache;            /* the L1D's CacheStage */
+    PyObject *events;           /* lsq._events, the compiled queue */
+    PyObject *fu;               /* lsq.fu_pool's Pipeline engine, or NULL */
+    PyObject *entry_cls;        /* IQEntry, for the waiter walk */
+    PyObject *lsq_entry_cls;    /* LSQEntry */
+    PyObject *request_cls;      /* MemRequest, for a store's write */
+    PyObject *memory;           /* lsq._memory (data_access) */
+    PyObject *memdep;           /* lsq.memdep; NULL: no store sets */
+    PyObject *entries, *order, *unknown_stores, *known_stores;
+    PyObject *stores_by_word, *true_stores_by_word, *issued_loads_by_word;
+    PyObject *candidates, *frontier_blocked;
+    PyObject *occupancy, *forwards, *conflict_waits, *loads, *stores;
+    PyObject *dropped;
+    PyObject *forward_level, *word_bytes;
+    PyObject *heappush, *heappop;       /* _heapq's */
+    PyObject *on_store_data, *on_store_complete;
+    int64_t forward_latency, size;
+    int oracle;                 /* conflicts by true address */
+    int conservative;           /* loads wait for the store frontier */
+} MemStageObj;
+
+#define MEM_REFS ((offsetof(MemStageObj, on_store_complete)              \
+                   - offsetof(MemStageObj, lsq)) / sizeof(PyObject *) + 1)
+
+/* Outcomes of mem_issue_to_cache (_ISSUED, _NO_PORT, _NO_MSHR). */
+enum { MEM_ISSUED, MEM_NO_PORT, MEM_NO_MSHR };
+
+/* LSQEntry slots the bookkeeping writes (the load path's are above): */
+static slotsite at_lsq_is_store = {&str_is_store},
+    at_lsq_addr_ready = {&str_addr_ready_cycle},
+    at_lsq_data_ready = {&str_data_ready_cycle},
+    at_lsq_predicted = {&str_predicted_dep}, at_inst_mem_addr = {&str_mem_addr};
+
+static int
 MemStage_init(MemStageObj *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"lsq", "entry_cls", "forward_latency",
-                             "forward_level", "delayed_level", NULL};
-    PyObject *lsq, *entry_cls, *forward_level, *delayed_level;
+    static char *kwlist[] = {"lsq", "entry_cls", "lsq_entry_cls",
+                             "request_cls", "forward_latency",
+                             "forward_level", "word_bytes", NULL};
+    PyObject *lsq, *entry_cls, *lsq_entry_cls, *request_cls, *forward_level;
+    PyObject *word_bytes;
     long long forward_latency;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO!LOO", kwlist, &lsq,
-                                     &PyType_Type, &entry_cls,
-                                     &forward_latency, &forward_level,
-                                     &delayed_level))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO!O!O!LOO!", kwlist, &lsq,
+                                     &PyType_Type, &entry_cls, &PyType_Type,
+                                     &lsq_entry_cls, &PyType_Type,
+                                     &request_cls, &forward_latency,
+                                     &forward_level, &PyLong_Type,
+                                     &word_bytes))
         return -1;
-    PyObject *fu_pool = NULL, *params = NULL, *policy = NULL;
-    PyObject *memdep = NULL;
-    int64_t line_shift, classify;
+    PyObject **refs = &self->lsq;
+    for (size_t i = 0; i < MEM_REFS; i++)
+        Py_CLEAR(refs[i]);
+    PyObject *fu_pool = NULL, *policy = NULL, *l1d = NULL, *heapq = NULL;
     int rc = -1;
-    Py_INCREF(lsq);
-    Py_XSETREF(self->lsq, lsq);
-    Py_INCREF(entry_cls);
-    Py_XSETREF(self->entry_cls, entry_cls);
-    Py_INCREF(forward_level);
-    Py_XSETREF(self->forward_level, forward_level);
+    self->lsq = Py_NewRef(lsq);
+    self->entry_cls = Py_NewRef(entry_cls);
+    self->lsq_entry_cls = Py_NewRef(lsq_entry_cls);
+    self->request_cls = Py_NewRef(request_cls);
+    self->forward_level = Py_NewRef(forward_level);
+    self->word_bytes = Py_NewRef(word_bytes);
     self->forward_latency = (int64_t)forward_latency;
-    if (attr_into(lsq, "_l1d", &self->l1d) < 0
+    if (attr_into(lsq, "_l1d", &l1d) < 0
+        || attr_into(l1d, "_c_stage", &self->cache) < 0
         || attr_into(lsq, "_events", &self->events) < 0
+        || attr_into(lsq, "_memory", &self->memory) < 0
+        || attr_into(lsq, "memdep", &self->memdep) < 0
+        || attr_into(lsq, "_entries", &self->entries) < 0
+        || attr_into(lsq, "_order", &self->order) < 0
+        || attr_into(lsq, "_unknown_stores", &self->unknown_stores) < 0
+        || attr_into(lsq, "_known_stores", &self->known_stores) < 0
+        || attr_into(lsq, "_stores_by_word", &self->stores_by_word) < 0
+        || attr_into(lsq, "_true_stores_by_word",
+                     &self->true_stores_by_word) < 0
+        || attr_into(lsq, "_issued_loads_by_word",
+                     &self->issued_loads_by_word) < 0
+        || attr_into(lsq, "_candidates", &self->candidates) < 0
+        || attr_into(lsq, "_frontier_blocked", &self->frontier_blocked) < 0
         || attr_into(lsq, "stat_occupancy", &self->occupancy) < 0
         || attr_into(lsq, "stat_forwards", &self->forwards) < 0
         || attr_into(lsq, "stat_conflict_waits", &self->conflict_waits) < 0
+        || attr_into(lsq, "stat_loads", &self->loads) < 0
+        || attr_into(lsq, "stat_stores", &self->stores) < 0
+        || attr_into(lsq, "stat_dropped_store_writes", &self->dropped) < 0
+        || attr_i64_named(lsq, "size", &self->size) < 0
         || attr_into(lsq, "fu_pool", &fu_pool) < 0
         || attr_into(lsq, "policy", &policy) < 0
-        || attr_into(lsq, "memdep", &memdep) < 0)
-        goto done;
-    PyObject *l1d = self->l1d;
-    if (attr_into(l1d, "stat_accesses", &self->accesses) < 0
-        || attr_into(l1d, "stat_hits", &self->hits) < 0
-        || attr_into(l1d, "stat_misses", &self->misses) < 0
-        || attr_into(l1d, "stat_delayed_hits", &self->delayed_hits) < 0
-        || attr_into(l1d, "stat_mshr_full", &self->mshr_full) < 0
-        || attr_into(l1d, "_sets", &self->sets) < 0
-        || attr_into(l1d, "_mshrs", &self->mshrs) < 0
-        || attr_into(l1d, "level_label", &self->hit_level) < 0
-        || attr_into(l1d, "params", &params) < 0
-        || attr_i64_named(l1d, "_num_sets", &self->num_sets) < 0
-        || attr_i64_named(l1d, "_line_shift", &line_shift) < 0
-        || attr_i64_named(l1d, "_classify_delayed", &classify) < 0
-        || attr_i64_named(params, "mshr_entries", &self->mshr_entries) < 0
-        || attr_i64_named(params, "hit_latency", &self->hit_latency) < 0)
+        || (heapq = PyImport_ImportModule("_heapq")) == NULL
+        || attr_into(heapq, "heappush", &self->heappush) < 0
+        || attr_into(heapq, "heappop", &self->heappop) < 0
+        || attr_into((PyObject *)self, "_store_data_ready",
+                     &self->on_store_data) < 0
+        || attr_into((PyObject *)self, "_mark_store_complete",
+                     &self->on_store_complete) < 0)
         goto done;
     if (Py_TYPE(self->events) != &EQType) {
         PyErr_SetString(PyExc_TypeError,
                         "memory stage: the compiled EventQueue expected");
         goto done;
     }
-    if (!PyList_CheckExact(self->sets) || self->num_sets <= 0
-        || PyList_GET_SIZE(self->sets) != self->num_sets
-        || !PyDict_CheckExact(self->mshrs) || line_shift < 0
-        || line_shift > 62) {
-        PyErr_SetString(PyExc_TypeError, "memory stage: an L1D expected");
+    if (Py_TYPE(self->cache) != &CacheStageType
+        || ((CacheStageObj *)self->cache)->sets == NULL) {
+        PyErr_SetString(PyExc_TypeError,
+                        "memory stage: the L1D's cache stage expected");
         goto done;
     }
-    self->line_shift = (int)line_shift;
-    Py_INCREF(classify ? delayed_level : self->hit_level);
-    Py_XSETREF(self->delayed_level,
-               classify ? delayed_level : self->hit_level);
-    Py_CLEAR(self->fu);
+    if (!PyDict_CheckExact(self->entries) || !PyList_CheckExact(
+            self->unknown_stores) || !PySet_CheckExact(self->known_stores)
+        || !PyDict_CheckExact(self->stores_by_word)
+        || !PyDict_CheckExact(self->true_stores_by_word)
+        || !PyDict_CheckExact(self->issued_loads_by_word)
+        || !PyList_CheckExact(self->frontier_blocked)) {
+        PyErr_SetString(PyExc_TypeError, "memory stage: an LSQ expected");
+        goto done;
+    }
+    if (self->memdep == Py_None)
+        Py_CLEAR(self->memdep);
     if (fu_pool != Py_None) {
         if (attr_into(fu_pool, "_engine", &self->fu) < 0)
             goto done;
@@ -6209,29 +7181,32 @@ MemStage_init(MemStageObj *self, PyObject *args, PyObject *kwds)
     }
     self->oracle = PyUnicode_Check(policy)
                    && PyUnicode_CompareWithASCIIString(policy, "oracle") == 0;
-    self->memdep = memdep != Py_None;
+    self->conservative = PyUnicode_Check(policy)
+        && PyUnicode_CompareWithASCIIString(policy, "conservative") == 0;
     rc = 0;
 done:
     Py_XDECREF(fu_pool);
-    Py_XDECREF(params);
     Py_XDECREF(policy);
-    Py_XDECREF(memdep);
+    Py_XDECREF(l1d);
+    Py_XDECREF(heapq);
     return rc;
 }
 
 static int
 MemStage_traverse(MemStageObj *self, visitproc visit, void *arg)
 {
-    for (int i = 0; i < MEM_REFS; i++)
-        Py_VISIT(*mem_refs(self, i));
+    PyObject **refs = &self->lsq;
+    for (size_t i = 0; i < MEM_REFS; i++)
+        Py_VISIT(refs[i]);
     return 0;
 }
 
 static int
 MemStage_clear(MemStageObj *self)
 {
-    for (int i = 0; i < MEM_REFS; i++)
-        Py_CLEAR(*mem_refs(self, i));
+    PyObject **refs = &self->lsq;
+    for (size_t i = 0; i < MEM_REFS; i++)
+        Py_CLEAR(refs[i]);
     return 0;
 }
 
@@ -6244,11 +7219,13 @@ MemStage_dealloc(MemStageObj *self)
 }
 
 static int
-append_to(PyObject *list, PyObject *item)
+mem_ready(MemStageObj *self)
 {
-    if (PyList_CheckExact(list))
-        return PyList_Append(list, item);
-    return call_discard(PyObject_CallMethodOneArg(list, str_append, item));
+    if (self->lsq == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "memory stage: cleared");
+        return -1;
+    }
+    return 0;
 }
 
 static PyObject *
@@ -6271,53 +7248,558 @@ mem_key(PyObject *entry)
 }
 
 static PyObject *
-lsq_dict(PyObject *lsq, PyObject *name)
+mem_true_key(MemStageObj *self, PyObject *inst)
 {
-    PyObject *dict = PyObject_GetAttr(lsq, name);
-    if (dict != NULL && !PyDict_Check(dict)) {
-        Py_DECREF(dict);
-        PyErr_SetString(PyExc_TypeError, "memory stage: a dict expected");
-        return NULL;
-    }
-    return dict;
+    /* LoadStoreQueue._true_key: (inst.thread, inst.mem_addr //
+     * WORD_BYTES). */
+    PyObject *thread = site_get(&at_inst_thread, inst);
+    PyObject *addr = thread == NULL ? NULL
+                     : site_get(&at_inst_mem_addr, inst);
+    PyObject *word = addr == NULL ? NULL
+                     : PyNumber_FloorDivide(addr, self->word_bytes);
+    PyObject *key = word == NULL ? NULL : PyTuple_Pack(2, thread, word);
+    Py_XDECREF(thread);
+    Py_XDECREF(addr);
+    Py_XDECREF(word);
+    return key;
 }
 
 static int
-mem_track_issued(PyObject *lsq, PyObject *entry, PyObject *key)
+mem_file(PyObject *by_word, PyObject *key, PyObject *entry)
 {
-    /* self._issued_loads_by_word.setdefault(key, []).append(entry) */
-    PyObject *by_word = lsq_dict(lsq, str_issued_loads_by_word);
-    if (by_word == NULL)
+    /* by_word.setdefault(key, []).append(entry) (``key`` stolen). */
+    if (key == NULL)
         return -1;
     PyObject *fresh = PyList_New(0);
-    PyObject *loads = fresh == NULL ? NULL
-                      : PyDict_SetDefault(by_word, key, fresh);
-    Py_XINCREF(loads);
+    PyObject *list = fresh == NULL ? NULL
+                     : PyDict_SetDefault(by_word, key, fresh);
+    Py_XINCREF(list);
     Py_XDECREF(fresh);
-    Py_DECREF(by_word);
-    if (loads == NULL)
+    Py_DECREF(key);
+    if (list == NULL)
         return -1;
-    int rc = append_to(loads, entry);
-    Py_DECREF(loads);
+    int rc = append_to(list, entry);
+    Py_DECREF(list);
     return rc;
 }
 
 static int
-mem_conflicting_store(MemStageObj *self, PyObject *lsq, PyObject *entry,
-                      PyObject *key, PyObject **blocker)
+mem_unfile(PyObject *by_word, PyObject *key, PyObject *entry)
+{
+    /* ``entry`` leaves by_word[key], and an emptied key goes (``key``
+     * stolen). */
+    if (key == NULL)
+        return -1;
+    int rc = -1;
+    PyObject *list = PyDict_GetItemWithError(by_word, key);
+    if (list == NULL) {
+        rc = PyErr_Occurred() ? -1 : 0;
+        goto done;
+    }
+    Py_INCREF(list);
+    int filed = PyObject_IsTrue(list);
+    if (filed > 0)
+        filed = PySequence_Contains(list, entry);
+    if (filed > 0) {
+        Py_ssize_t left;
+        if (call_discard(PyObject_CallMethodOneArg(list, str_remove,
+                                                   entry)) < 0
+            || (left = PyObject_Length(list)) < 0
+            || (left == 0 && PyDict_DelItem(by_word, key) < 0))
+            filed = -1;
+    }
+    Py_DECREF(list);
+    rc = filed < 0 ? -1 : 0;
+done:
+    Py_DECREF(key);
+    return rc;
+}
+
+static int
+mem_heappush(MemStageObj *self, PyObject *heap, PyObject *item)
+{
+    /* heapq.heappush(heap, item) (``item`` stolen). */
+    if (item == NULL)
+        return -1;
+    PyObject *argv[2] = {heap, item};
+    int rc = call_discard(PyObject_Vectorcall(self->heappush, argv, 2, NULL));
+    Py_DECREF(item);
+    return rc;
+}
+
+static PyObject *
+mem_heappop(MemStageObj *self, PyObject *heap)
+{
+    return PyObject_Vectorcall(self->heappop, &heap, 1, NULL);
+}
+
+static int
+mem_store_frontier(MemStageObj *self, int64_t *frontier)
+{
+    /* LoadStoreQueue.store_frontier: the smallest store seq whose
+     * address is unknown, dropping known ones off the heap. */
+    PyObject *heap = self->unknown_stores;
+    while (PyList_GET_SIZE(heap)) {
+        int known = PySet_Contains(self->known_stores,
+                                   PyList_GET_ITEM(heap, 0));
+        if (known < 0)
+            return -1;
+        if (!known)
+            break;
+        PyObject *seq = mem_heappop(self, heap);
+        int rc = seq == NULL ? -1 : PySet_Discard(self->known_stores, seq);
+        Py_XDECREF(seq);
+        if (rc < 0)
+            return -1;
+    }
+    if (!PyList_GET_SIZE(heap)) {
+        *frontier = KNEVER;
+        return 0;
+    }
+    long long seq = PyLong_AsLongLong(PyList_GET_ITEM(heap, 0));
+    if (seq == -1 && PyErr_Occurred())
+        return -1;
+    *frontier = (int64_t)seq;
+    return 0;
+}
+
+static int
+mem_advance_frontier(MemStageObj *self)
+{
+    /* _advance_frontier: loads behind the frontier become candidates. */
+    int64_t frontier;
+    if (mem_store_frontier(self, &frontier) < 0)
+        return -1;
+    PyObject *blocked = self->frontier_blocked;
+    while (PyList_GET_SIZE(blocked)) {
+        PyObject *head = PyList_GET_ITEM(blocked, 0);
+        if (!PyTuple_CheckExact(head) || PyTuple_GET_SIZE(head) != 2) {
+            PyErr_SetString(PyExc_TypeError,
+                            "memory stage: a blocked load is (seq, entry)");
+            return -1;
+        }
+        long long seq = PyLong_AsLongLong(PyTuple_GET_ITEM(head, 0));
+        if (seq == -1 && PyErr_Occurred())
+            return -1;
+        if (seq >= frontier)
+            return 0;
+        PyObject *item = mem_heappop(self, blocked);
+        if (item == NULL)
+            return -1;
+        int rc = append_to(self->candidates, PyTuple_GET_ITEM(item, 1));
+        Py_DECREF(item);
+        if (rc < 0)
+            return -1;
+    }
+    return 0;
+}
+
+static int
+mem_release_waiting(MemStageObj *self, PyObject *entry, int if_any)
+{
+    /* The loads parked on ``entry`` go back to the candidates, and the
+     * entry gets a fresh list (``if_any``: only when some are parked). */
+    PyObject *waiting = site_get(&at_lsq_waiting, entry);
+    if (waiting == NULL)
+        return -1;
+    int rc = 0;
+    if (if_any) {
+        rc = PyObject_IsTrue(waiting);
+        if (rc <= 0) {
+            Py_DECREF(waiting);
+            return rc;
+        }
+    }
+    rc = extend_with(self->candidates, waiting) < 0
+         || site_set_new(&at_lsq_waiting, entry, PyList_New(0)) < 0
+         ? -1 : 0;
+    Py_DECREF(waiting);
+    return rc;
+}
+
+static int
+mem_maybe_complete_store(MemStageObj *self, PyObject *entry)
+{
+    /* _maybe_complete_store: with address and data known, the store
+     * completes at the later of the two (now at the earliest). */
+    PyObject *addr_ready = site_get(&at_lsq_addr_ready, entry);
+    PyObject *data_ready = addr_ready == NULL ? NULL
+                           : site_get(&at_lsq_data_ready, entry);
+    int rc = -1;
+    if (data_ready == NULL)
+        goto done;
+    if (addr_ready == Py_None || data_ready == Py_None) {
+        rc = 0;
+        goto done;
+    }
+    long long a = PyLong_AsLongLong(addr_ready);
+    long long d = a == -1 && PyErr_Occurred() ? -1
+                  : PyLong_AsLongLong(data_ready);
+    if (PyErr_Occurred())
+        goto done;
+    EQObj *events = (EQObj *)self->events;
+    int64_t when = events->now;
+    if (a > when)
+        when = a;
+    if (d > when)
+        when = d;
+    if (site_set(&at_lsq_completed, entry, Py_True) < 0)
+        goto done;
+    rc = eq_push_at(events, when, self->on_store_complete, entry);
+done:
+    Py_XDECREF(addr_ready);
+    Py_XDECREF(data_ready);
+    return rc;
+}
+
+static PyObject *
+mem_new_entry(MemStageObj *self, PyObject *inst)
+{
+    /* LSQEntry(inst). */
+    PyTypeObject *tp = (PyTypeObject *)self->lsq_entry_cls;
+    PyObject *entry = tp->tp_alloc(tp, 0);
+    if (entry == NULL)
+        return NULL;
+    if (site_set(&at_lsq_inst, entry, inst) < 0
+        || site_set_new(&at_lsq_seq, entry, site_get(&at_inst_seq, inst)) < 0
+        || site_set_new(&at_lsq_is_store, entry,
+                        site_get(&at_inst_is_store, inst)) < 0
+        || site_set(&at_lsq_addr, entry, Py_None) < 0
+        || site_set(&at_lsq_word, entry, Py_None) < 0
+        || site_set(&at_lsq_addr_ready, entry, Py_None) < 0
+        || site_set(&at_lsq_data_ready, entry, Py_None) < 0
+        || site_set(&at_lsq_issued, entry, Py_False) < 0
+        || site_set(&at_lsq_completed, entry, Py_False) < 0
+        || site_set_new(&at_lsq_waiting, entry, PyList_New(0)) < 0
+        || site_set(&at_lsq_predicted, entry, Py_None) < 0
+        || site_set(&at_lsq_level, entry, Py_None) < 0) {
+        Py_DECREF(entry);
+        return NULL;
+    }
+    return entry;
+}
+
+static PyObject *
+MemStage_dispatch(MemStageObj *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* dispatch(inst, data_operand_ready, data_producer):
+     * LoadStoreQueue.dispatch, the entry allocated at dispatch. */
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "dispatch expects 3 arguments");
+        return NULL;
+    }
+    if (mem_ready(self) < 0)
+        return NULL;
+    PyObject *inst = args[0], *ready = args[1], *producer = args[2];
+    Py_ssize_t held = PyObject_Length(self->order);
+    if (held < 0)
+        return NULL;
+    if (held >= self->size) {
+        PyObject *exc = sim_error();
+        if (exc != NULL)
+            PyErr_SetString(exc, "LSQ dispatch with no space");
+        return NULL;
+    }
+    PyObject *entry = mem_new_entry(self, inst);
+    if (entry == NULL)
+        return NULL;
+    PyObject *seq = NULL, *pc = NULL, *waiters = NULL, *record = NULL;
+    int ok = 0, store;
+    if ((seq = site_get(&at_lsq_seq, entry)) == NULL
+        || PyDict_SetItem(self->entries, seq, entry) < 0
+        || append_to(self->order, entry) < 0
+        || (store = site_truth(&at_lsq_is_store, entry)) < 0)
+        goto done;
+    if (self->memdep != NULL && (pc = site_get(&at_inst_pc, inst)) == NULL)
+        goto done;
+    if (!store) {
+        if (counter_inc1(self->loads) < 0)
+            goto done;
+        /* Store sets: consult the LFST here, in program order. */
+        if (self->memdep != NULL
+            && site_set_new(&at_lsq_predicted, entry,
+                            PyObject_CallMethodOneArg(
+                                self->memdep, str_predicted_store, pc)) < 0)
+            goto done;
+        ok = 1;
+        goto done;
+    }
+    if (counter_inc1(self->stores) < 0
+        || mem_heappush(self, self->unknown_stores, Py_NewRef(seq)) < 0
+        || (!self->conservative
+            && mem_file(self->true_stores_by_word,
+                        mem_true_key(self, inst), entry) < 0)
+        || (self->memdep != NULL
+            && call_discard(PyObject_CallMethodObjArgs(
+                   self->memdep, str_store_fetched, pc, entry, NULL)) < 0))
+        goto done;
+    if (producer != Py_None && ready == Py_None) {
+        /* Wait for the data register: a typed producer waiter. */
+        ok = (waiters = site_get(&at_prod_waiters, producer)) != NULL
+             && (record = PyTuple_Pack(2, self->on_store_data,
+                                       entry)) != NULL
+             && append_to(waiters, record) == 0;
+        goto done;
+    }
+    /* entry.data_ready_cycle = data_operand_ready or 0 */
+    int truth = PyObject_IsTrue(ready);
+    ok = truth >= 0
+         && site_set(&at_lsq_data_ready, entry,
+                     truth ? ready : zero_obj) == 0;
+done:
+    Py_XDECREF(seq);
+    Py_XDECREF(pc);
+    Py_XDECREF(waiters);
+    Py_XDECREF(record);
+    if (!ok) {
+        Py_DECREF(entry);
+        return NULL;
+    }
+    return entry;
+}
+
+static PyObject *
+MemStage_address_ready(MemStageObj *self, PyObject *const *args,
+                       Py_ssize_t nargs)
+{
+    /* address_ready(inst, cycle): LoadStoreQueue.address_ready, the IQ
+     * finished the effective-address calculation. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "address_ready expects 2 arguments");
+        return NULL;
+    }
+    if (mem_ready(self) < 0)
+        return NULL;
+    PyObject *inst = args[0], *cycle = args[1];
+    PyObject *seq = site_get(&at_inst_seq, inst);
+    PyObject *entry = seq == NULL ? NULL
+                      : PyObject_GetItem(self->entries, seq);
+    PyObject *addr = NULL, *predicted = NULL;
+    int ok = 0;
+    if (entry == NULL || (addr = site_get(&at_inst_mem_addr, inst)) == NULL
+        || site_set(&at_lsq_addr, entry, addr) < 0
+        || site_set_new(&at_lsq_word, entry,
+                        PyNumber_FloorDivide(addr, self->word_bytes)) < 0
+        || site_set(&at_lsq_addr_ready, entry, cycle) < 0)
+        goto done;
+    int store = site_truth(&at_lsq_is_store, entry);
+    if (store < 0)
+        goto done;
+    if (store) {
+        /* A newly placed store may conflict with a refused load. */
+        if (PyObject_SetAttr(self->lsq, str_refused, zero_obj) < 0
+            || PySet_Add(self->known_stores, seq) < 0
+            || mem_file(self->stores_by_word, mem_key(entry), entry) < 0
+            || (self->memdep != NULL
+                && call_discard(PyObject_CallMethodObjArgs(
+                       self->lsq, str_detect_violations, entry, cycle,
+                       NULL)) < 0)
+            || mem_release_waiting(self, entry, 1) < 0
+            || mem_maybe_complete_store(self, entry) < 0
+            || mem_advance_frontier(self) < 0)
+            goto done;
+    }
+    else if (self->conservative) {
+        int64_t frontier, order;
+        if (mem_store_frontier(self, &frontier) < 0
+            || site_get_i64(&at_lsq_seq, entry, &order) < 0)
+            goto done;
+        if (order < frontier ? append_to(self->candidates, entry) < 0
+            : mem_heappush(self, self->frontier_blocked,
+                           PyTuple_Pack(2, seq, entry)) < 0)
+            goto done;
+    }
+    else if (self->memdep != NULL) {
+        /* Store sets: wait on the predicted in-flight store. */
+        int64_t order, dep_seq, completed;
+        PyObject *dep_inst = NULL, *dep_seq_obj = NULL;
+        int wait = 0;
+        if ((predicted = site_get(&at_lsq_predicted, entry)) == NULL)
+            goto done;
+        if (predicted != Py_None) {
+            if (site_get_i64(&at_lsq_seq, entry, &order) < 0
+                || (dep_seq_obj = site_get(&at_lsq_seq, predicted)) == NULL
+                || (dep_seq = PyLong_AsLongLong(dep_seq_obj),
+                    dep_seq == -1 && PyErr_Occurred())) {
+                Py_XDECREF(dep_seq_obj);
+                goto done;
+            }
+            if (dep_seq < order) {
+                wait = (dep_inst = site_get(&at_lsq_inst, predicted)) == NULL
+                       || site_get_i64(&at_inst_completed, dep_inst,
+                                       &completed) < 0
+                       ? -1 : completed < 0;
+                if (wait > 0)
+                    wait = PyDict_Contains(self->entries, dep_seq_obj);
+            }
+            Py_XDECREF(dep_inst);
+            Py_DECREF(dep_seq_obj);
+        }
+        if (wait < 0)
+            goto done;
+        if (wait) {
+            PyObject *waiting = site_get(&at_lsq_waiting, predicted);
+            int rc = waiting == NULL || counter_inc1(self->conflict_waits) < 0
+                     || append_to(waiting, entry) < 0;
+            Py_XDECREF(waiting);
+            if (rc)
+                goto done;
+        }
+        else if (append_to(self->candidates, entry) < 0)
+            goto done;
+    }
+    else if (append_to(self->candidates, entry) < 0)     /* oracle */
+        goto done;
+    ok = 1;
+done:
+    Py_XDECREF(seq);
+    Py_XDECREF(entry);
+    Py_XDECREF(addr);
+    Py_XDECREF(predicted);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+MemStage_store_data_ready(MemStageObj *self, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    /* The producer waiter _store_data_ready(entry, cycle): the store's
+     * data register is ready. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "_store_data_ready expects 2 arguments");
+        return NULL;
+    }
+    if (mem_ready(self) < 0
+        || site_set(&at_lsq_data_ready, args[0], args[1]) < 0
+        || mem_maybe_complete_store(self, args[0]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+MemStage_mark_store_complete(MemStageObj *self, PyObject *const *args,
+                             Py_ssize_t nargs)
+{
+    /* The record _mark_store_complete(entry, cycle): the store completes
+     * for the ROB, and loads parked on it can forward from it. */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "_mark_store_complete expects 2 arguments");
+        return NULL;
+    }
+    PyObject *inst = mem_ready(self) < 0 ? NULL
+                     : site_get(&at_lsq_inst, args[0]);
+    int rc = inst == NULL || site_set(&at_inst_completed, inst, args[1]) < 0
+             || mem_release_waiting(self, args[0], 0) < 0;
+    Py_XDECREF(inst);
+    if (rc)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+MemStage_commit(MemStageObj *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    /* commit(inst, now): LoadStoreQueue.commit, the op leaves; a store
+     * writes the data cache (a write the L1D refuses is counted and
+     * dropped). */
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "commit expects 2 arguments");
+        return NULL;
+    }
+    if (mem_ready(self) < 0)
+        return NULL;
+    PyObject *inst = args[0];
+    PyObject *seq = site_get(&at_inst_seq, inst);
+    PyObject *entry = seq == NULL ? NULL
+                      : PyObject_GetItem(self->entries, seq);
+    PyObject *head = NULL, *pc = NULL, *request = NULL, *accepted = NULL;
+    int ok = 0;
+    if (entry == NULL || PyDict_DelItem(self->entries, seq) < 0)
+        goto done;
+    Py_ssize_t held = PyObject_Length(self->order);
+    if (held < 0
+        || (held && (head = PySequence_GetItem(self->order, 0)) == NULL)
+        || call_discard(head == entry
+                        ? PyObject_CallMethodNoArgs(self->order, str_popleft)
+                        : PyObject_CallMethodOneArg(self->order, str_remove,
+                                                    entry)) < 0)
+        goto done;
+    int store = site_truth(&at_lsq_is_store, entry);
+    if (store < 0)
+        goto done;
+    if (!store) {
+        ok = self->memdep == NULL
+             || mem_unfile(self->issued_loads_by_word, mem_key(entry),
+                           entry) == 0;
+        goto done;
+    }
+    if (mem_unfile(self->stores_by_word, mem_key(entry), entry) < 0
+        || (!self->conservative
+            && mem_unfile(self->true_stores_by_word,
+                          mem_true_key(self, inst), entry) < 0)
+        || (self->memdep != NULL
+            && ((pc = site_get(&at_inst_pc, inst)) == NULL
+                || call_discard(PyObject_CallMethodObjArgs(
+                       self->memdep, str_store_left, pc, entry,
+                       NULL)) < 0)))
+        goto done;
+    /* Fire-and-forget write (write-allocate): MemRequest(addr=entry.addr,
+     * is_write=True) through MemoryHierarchy.data_access. */
+    PyTypeObject *tp = (PyTypeObject *)self->request_cls;
+    if ((request = tp->tp_alloc(tp, 0)) == NULL
+        || site_set_new(&at_req_addr, request,
+                        site_get(&at_lsq_addr, entry)) < 0
+        || site_set(&at_req_is_write, request, Py_True) < 0
+        || site_set(&at_req_on_complete, request, Py_None) < 0
+        || site_set(&at_req_on_miss, request, Py_None) < 0
+        || site_set(&at_req_level, request, Py_None) < 0
+        || site_set_i64(&at_req_completed, request, -1) < 0
+        || (accepted = PyObject_CallMethodOneArg(
+                self->memory, str_data_access, request)) == NULL)
+        goto done;
+    int taken = PyObject_IsTrue(accepted);
+    if (taken < 0 || (!taken && counter_inc1(self->dropped) < 0))
+        goto done;
+    /* Loads still parked go back to the candidates. */
+    ok = mem_release_waiting(self, entry, 0) == 0;
+done:
+    Py_XDECREF(seq);
+    Py_XDECREF(entry);
+    Py_XDECREF(head);
+    Py_XDECREF(pc);
+    Py_XDECREF(request);
+    Py_XDECREF(accepted);
+    if (!ok)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static int
+mem_track_issued(MemStageObj *self, PyObject *entry, PyObject *key)
+{
+    /* self._issued_loads_by_word.setdefault(key, []).append(entry) */
+    Py_INCREF(key);
+    return mem_file(self->issued_loads_by_word, key, entry);
+}
+
+static int
+mem_conflicting_store(MemStageObj *self, PyObject *entry, PyObject *key,
+                      PyObject **blocker)
 {
     /* _conflicting_store: *blocker is the youngest earlier store to the
      * load's word (a new reference) or NULL; -1 on error. */
     *blocker = NULL;
-    PyObject *by_word = lsq_dict(
-        lsq, self->oracle ? str_true_stores_by_word : str_stores_by_word);
-    if (by_word == NULL)
-        return -1;
-    PyObject *stores = PyDict_GetItemWithError(by_word, key);
-    Py_XINCREF(stores);
-    Py_DECREF(by_word);
+    PyObject *stores = PyDict_GetItemWithError(
+        self->oracle ? self->true_stores_by_word : self->stores_by_word,
+        key);
     if (stores == NULL)
         return PyErr_Occurred() ? -1 : 0;
+    Py_INCREF(stores);
     int64_t seq;
     PyObject *fast = NULL;
     int rc = -1;
@@ -6348,13 +7830,12 @@ done:
 }
 
 static int
-mem_forward(MemStageObj *self, PyObject *lsq, PyObject *entry,
-            PyObject *key, int64_t now)
+mem_forward(MemStageObj *self, PyObject *entry, PyObject *key, int64_t now)
 {
     /* _forward: the load takes the store's data. */
     if (counter_inc1(self->forwards) < 0
         || site_set(&at_lsq_issued, entry, Py_True) < 0
-        || (self->memdep && mem_track_issued(lsq, entry, key) < 0)
+        || (self->memdep != NULL && mem_track_issued(self, entry, key) < 0)
         || site_set(&at_lsq_level, entry, self->forward_level) < 0)
         return -1;
     return eq_push_at((EQObj *)self->events, now + self->forward_latency,
@@ -6362,52 +7843,15 @@ mem_forward(MemStageObj *self, PyObject *lsq, PyObject *entry,
 }
 
 static int
-l1d_find(MemStageObj *self, int64_t line, int lru)
-{
-    /* Cache._find (``lru``: a hit moves to the front of its set) or
-     * Cache._find_no_lru: 1 resident, 0 not, -1 on error. */
-    /* Python's modulo: the index is never negative. */
-    Py_ssize_t index = (Py_ssize_t)(
-        (line % self->num_sets + self->num_sets) % self->num_sets);
-    PyObject *cache_set = index < PyList_GET_SIZE(self->sets)
-                          ? PyList_GET_ITEM(self->sets, index) : NULL;
-    if (cache_set == NULL || !PyList_CheckExact(cache_set)) {
-        PyErr_SetString(PyExc_TypeError, "memory stage: L1D sets changed");
-        return -1;
-    }
-    for (Py_ssize_t pos = 0; pos < PyList_GET_SIZE(cache_set); pos++) {
-        PyObject *entry = PyList_GET_ITEM(cache_set, pos);
-        if (!PyList_CheckExact(entry) || PyList_GET_SIZE(entry) < 1) {
-            PyErr_SetString(PyExc_TypeError,
-                            "memory stage: an L1D line is [tag, dirty]");
-            return -1;
-        }
-        long long tag = PyLong_AsLongLong(PyList_GET_ITEM(entry, 0));
-        if (tag == -1 && PyErr_Occurred())
-            return -1;
-        if (tag != line)
-            continue;
-        if (lru && pos) {
-            /* cache_set.pop(pos); cache_set.insert(0, entry) */
-            PyObject **items = ((PyListObject *)cache_set)->ob_item;
-            memmove(items + 1, items, (size_t)pos * sizeof(PyObject *));
-            items[0] = entry;
-        }
-        return 1;
-    }
-    return 0;
-}
-
-static int
-mem_miss(MemStageObj *self, PyObject *lsq, PyObject *entry,
-         PyObject *line_obj)
+mem_miss(MemStageObj *self, PyObject *entry, PyObject *line_obj)
 {
     /* A load missed the L1D: the IQ hears of it, then the load merges
      * into the line's MSHR (a delayed hit) or allocates one. */
+    CacheStageObj *cache = (CacheStageObj *)self->cache;
     PyObject *inst = NULL, *iq = NULL, *now_obj = NULL, *waiter = NULL;
-    PyObject *mshr = NULL, *waiters = NULL;
+    PyObject *mshr = NULL;
     int rc = -1;
-    if ((iq = PyObject_GetAttr(lsq, str_iq)) == NULL)
+    if ((iq = PyObject_GetAttr(self->lsq, str_iq)) == NULL)
         goto done;
     if (iq != Py_None
         && ((inst = site_get(&at_lsq_inst, entry)) == NULL
@@ -6418,20 +7862,17 @@ mem_miss(MemStageObj *self, PyObject *lsq, PyObject *entry,
         goto done;
     if ((waiter = PyTuple_Pack(2, (PyObject *)self, entry)) == NULL)
         goto done;
-    mshr = PyDict_GetItemWithError(self->mshrs, line_obj);
+    mshr = PyDict_GetItemWithError(cache->mshrs, line_obj);
     if (mshr != NULL) {
         Py_INCREF(mshr);
-        if (counter_inc1(self->delayed_hits) < 0
-            || site_set(&at_lsq_level, entry, self->delayed_level) < 0
-            || (waiters = PyObject_GetAttr(mshr, str_waiters)) == NULL
-            || append_to(waiters, waiter) < 0)
+        if (counter_inc1(cache->delayed_hits) < 0
+            || site_set(&at_lsq_level, entry, cache->merged_level) < 0
+            || cache_merge(mshr, NULL, waiter) < 0)
             goto done;
     }
     else if (PyErr_Occurred()
-             || counter_inc1(self->misses) < 0
-             || call_discard(PyObject_CallMethodObjArgs(
-                    self->l1d, str_allocate_mshr, line_obj, Py_False,
-                    waiter, NULL)) < 0)
+             || counter_inc1(cache->misses) < 0
+             || cache_allocate_mshr(cache, line_obj, Py_False, waiter) < 0)
         goto done;
     rc = 0;
 done:
@@ -6440,17 +7881,17 @@ done:
     Py_XDECREF(now_obj);
     Py_XDECREF(waiter);
     Py_XDECREF(mshr);
-    Py_XDECREF(waiters);
     return rc;
 }
 
 static int
-mem_issue_to_cache(MemStageObj *self, PyObject *lsq, PyObject *entry,
-                   PyObject *key, int64_t now)
+mem_issue_to_cache(MemStageObj *self, PyObject *entry, PyObject *key,
+                   int64_t now)
 {
     /* _issue_to_cache: MEM_ISSUED, or why the load must retry; -1 on
      * error. */
     PipelineObj *fu = (PipelineObj *)self->fu;
+    CacheStageObj *cache = (CacheStageObj *)self->cache;
     if (fu != NULL) {
         Py_ssize_t base = fu->mem_port * fu->clusters, cluster;
         for (cluster = 0; cluster < fu->clusters; cluster++) {
@@ -6464,42 +7905,35 @@ mem_issue_to_cache(MemStageObj *self, PyObject *lsq, PyObject *entry,
     int64_t addr;
     if (site_get_i64(&at_lsq_addr, entry, &addr) < 0)
         return -1;
-    int64_t line = addr >> self->line_shift;
+    int64_t line = addr >> cache->line_shift;
     PyObject *line_obj = PyLong_FromLongLong((long long)line);
     if (line_obj == NULL)
         return -1;
     int rc = -1;
-    if (PyDict_GET_SIZE(self->mshrs) >= self->mshr_entries) {
-        /* Cache.rejects: every MSHR busy; is the line in flight or
-         * resident? */
-        int present = PyDict_Contains(self->mshrs, line_obj);
-        if (present == 0)
-            present = l1d_find(self, line, 0);
-        if (present < 0)
-            goto done;
-        if (!present) {
-            rc = counter_inc1(self->mshr_full) < 0 ? -1 : MEM_NO_MSHR;
-            goto done;
-        }
-    }
-    if (counter_inc1(self->accesses) < 0)
+    int rejected = cache_rejects(cache, line, line_obj);
+    if (rejected) {
+        if (rejected > 0)
+            rc = MEM_NO_MSHR;
         goto done;
-    int resident = l1d_find(self, line, 1);
+    }
+    if (counter_inc1(cache->accesses) < 0)
+        goto done;
+    int resident = cache_find(cache, line, 1, NULL);
     if (resident < 0)
         goto done;
     if (resident) {
         EQObj *events = (EQObj *)self->events;
-        if (counter_inc1(self->hits) < 0
-            || site_set(&at_lsq_level, entry, self->hit_level) < 0
-            || eq_push(events, events->now + self->hit_latency,
+        if (counter_inc1(cache->hits) < 0
+            || site_set(&at_lsq_level, entry, cache->level) < 0
+            || eq_push(events, events->now + cache->hit_latency,
                        (PyObject *)self, entry) < 0)
             goto done;
     }
-    else if (mem_miss(self, lsq, entry, line_obj) < 0)
+    else if (mem_miss(self, entry, line_obj) < 0)
         goto done;
     if ((fu != NULL && pipeline_cache_port_raw(fu, now) < 0)
         || site_set(&at_lsq_issued, entry, Py_True) < 0
-        || (self->memdep && mem_track_issued(lsq, entry, key) < 0))
+        || (self->memdep != NULL && mem_track_issued(self, entry, key) < 0))
         goto done;
     rc = MEM_ISSUED;
 done:
@@ -6513,10 +7947,8 @@ mem_done(PyObject *stage, PyObject *entry, int64_t when)
     /* LoadStoreQueue._load_done(entry, when): the load's data is
      * available. */
     MemStageObj *self = (MemStageObj *)stage;
-    if (self->lsq == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "memory stage: cleared");
+    if (mem_ready(self) < 0)
         return -1;
-    }
     PyObject *inst = site_get(&at_lsq_inst, entry);
     if (inst == NULL)
         return -1;
@@ -6543,38 +7975,27 @@ done:
     return rc;
 }
 
-static PyObject *
-MemStage_call(MemStageObj *self, PyObject *args, PyObject *kwds)
+static int
+mem_filled(PyObject *stage, PyObject *entry, PyObject *level)
 {
-    /* stage(entry, level), the MSHR waiter: LoadStoreQueue._load_filled,
-     * the line ``entry`` missed on arrived from ``level``. */
-    PyObject *entry, *level;
-    if ((kwds != NULL && PyDict_GET_SIZE(kwds))
-        || !PyArg_UnpackTuple(args, "MemStage", 2, 2, &entry, &level)) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError,
-                            "MemStage() takes no keyword arguments");
-        return NULL;
-    }
-    if (self->events == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "memory stage: cleared");
-        return NULL;
-    }
+    /* LoadStoreQueue._load_filled(entry, level): the line ``entry``
+     * missed on arrived from ``level``. */
+    MemStageObj *self = (MemStageObj *)stage;
+    if (mem_ready(self) < 0)
+        return -1;
     PyObject *known = site_get(&at_lsq_level, entry);
     if (known == NULL)
-        return NULL;
+        return -1;
     int unset = known == Py_None;
     Py_DECREF(known);
-    if ((unset && site_set(&at_lsq_level, entry, level) < 0)
-        || mem_done((PyObject *)self, entry,
-                    ((EQObj *)self->events)->now) < 0)
-        return NULL;
-    Py_RETURN_NONE;
+    if (unset && site_set(&at_lsq_level, entry, level) < 0)
+        return -1;
+    return mem_done(stage, entry, ((EQObj *)self->events)->now);
 }
 
 static int
-mem_candidate(MemStageObj *self, PyObject *lsq, PyObject *entry,
-              int64_t now, int64_t *refused, PyObject *retry)
+mem_candidate(MemStageObj *self, PyObject *entry, int64_t now,
+              int64_t *refused, PyObject *retry)
 {
     /* One candidate of LoadStoreQueue.cycle's loop. */
     int issued = site_truth(&at_lsq_issued, entry);
@@ -6584,7 +8005,7 @@ mem_candidate(MemStageObj *self, PyObject *lsq, PyObject *entry,
     PyObject *waiting = NULL;
     int rc = -1;
     if (key == NULL
-        || mem_conflicting_store(self, lsq, entry, key, &blocker) < 0)
+        || mem_conflicting_store(self, entry, key, &blocker) < 0)
         goto done;
     if (blocker != NULL) {
         int64_t completed;
@@ -6592,13 +8013,13 @@ mem_candidate(MemStageObj *self, PyObject *lsq, PyObject *entry,
             || site_get_i64(&at_inst_completed, inst, &completed) < 0)
             goto done;
         if (completed >= 0)
-            rc = mem_forward(self, lsq, entry, key, now);
+            rc = mem_forward(self, entry, key, now);
         else if (counter_inc1(self->conflict_waits) == 0
                  && (waiting = site_get(&at_lsq_waiting, blocker)) != NULL)
             rc = append_to(waiting, entry);
         goto done;
     }
-    int outcome = mem_issue_to_cache(self, lsq, entry, key, now);
+    int outcome = mem_issue_to_cache(self, entry, key, now);
     if (outcome < 0)
         goto done;
     if (outcome != MEM_ISSUED) {
@@ -6628,72 +8049,62 @@ MemStage_run(MemStageObj *self, PyObject *const *args, Py_ssize_t nargs)
     int64_t now = (int64_t)PyLong_AsLongLong(args[1]);
     if (now == -1 && PyErr_Occurred())
         return NULL;
-    if (self->l1d == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "memory stage: cleared");
+    if (mem_ready(self) < 0)
+        return NULL;
+    if (lsq != self->lsq) {
+        PyErr_SetString(PyExc_ValueError, "memory stage: another LSQ");
         return NULL;
     }
     /* self.stat_occupancy.sample(len(self._order)) */
-    PyObject *order = PyObject_GetAttr(lsq, str_order);
-    if (order == NULL)
-        return NULL;
-    Py_ssize_t occupancy = PyObject_Length(order);
-    Py_DECREF(order);
+    Py_ssize_t occupancy = PyObject_Length(self->order);
     if (occupancy < 0
         || dist_sample_i64(self->occupancy, (int64_t)occupancy) < 0)
         return NULL;
-    PyObject *candidates = PyObject_GetAttr(lsq, str_candidates);
-    if (candidates == NULL)
-        return NULL;
+    PyObject *candidates = self->candidates, *owner;
     PyObject *retry = NULL, *entry = NULL;
-    int ok = 0;
     int64_t version, refused_version, refused = 0;
     Py_ssize_t pending = PyObject_Length(candidates);
-    if (pending <= 0) {
-        ok = pending == 0;
-        goto done;
-    }
-    if (attr_i64(self->l1d, str_version, &version) < 0
+    if (pending <= 0)
+        return pending < 0 ? NULL : Py_NewRef(Py_None);
+    owner = ((CacheStageObj *)self->cache)->owner;
+    if (attr_i64(owner, str_version, &version) < 0
         || attr_i64(lsq, str_refused_version, &refused_version) < 0
         || (refused_version == version
             && attr_i64(lsq, str_refused, &refused) < 0))
-        goto done;
+        return NULL;
     if (refused) {
-        if (counter_add(self->mshr_full, (Py_ssize_t)refused) < 0)
-            goto done;
-        if (refused == pending) {
-            ok = 1;
-            goto done;
-        }
+        if (counter_add(((CacheStageObj *)self->cache)->mshr_full,
+                        (Py_ssize_t)refused) < 0)
+            return NULL;
+        if (refused == pending)
+            Py_RETURN_NONE;
         /* Attempt only the candidates behind the refused prefix. */
         PyObject *shift = PyLong_FromLongLong(-(long long)refused);
-        if (shift == NULL
-            || call_discard(PyObject_CallMethodOneArg(
-                   candidates, str_rotate, shift)) < 0) {
-            Py_XDECREF(shift);
-            goto done;
-        }
-        Py_DECREF(shift);
+        int rc = shift == NULL || call_discard(PyObject_CallMethodOneArg(
+                     candidates, str_rotate, shift)) < 0;
+        Py_XDECREF(shift);
+        if (rc)
+            return NULL;
     }
     if ((retry = PyList_New(0)) == NULL)
-        goto done;
+        return NULL;
+    int ok = 0;
     Py_ssize_t attempts = pending - (Py_ssize_t)refused;
     for (Py_ssize_t i = 0; i < attempts; i++) {
         if ((entry = PyObject_CallMethodNoArgs(candidates,
                                                str_popleft)) == NULL
-            || mem_candidate(self, lsq, entry, now, &refused, retry) < 0)
+            || mem_candidate(self, entry, now, &refused, retry) < 0)
             goto done;
         Py_CLEAR(entry);
     }
-    if (call_discard(PyObject_CallMethodOneArg(candidates, str_extend,
-                                               retry)) < 0
+    if (extend_with(candidates, retry) < 0
         || attr_set_i64(lsq, str_refused, refused) < 0
-        || attr_i64(self->l1d, str_version, &version) < 0
+        || attr_i64(owner, str_version, &version) < 0
         || attr_set_i64(lsq, str_refused_version, version) < 0)
         goto done;
     ok = 1;
 done:
-    Py_DECREF(candidates);
-    Py_XDECREF(retry);
+    Py_DECREF(retry);
     Py_XDECREF(entry);
     if (!ok)
         return NULL;
@@ -6702,6 +8113,14 @@ done:
 
 static PyMethodDef MemStage_methods[] = {
     {"run", (PyCFunction)MemStage_run, METH_FASTCALL, NULL},
+    {"dispatch", (PyCFunction)MemStage_dispatch, METH_FASTCALL, NULL},
+    {"address_ready", (PyCFunction)MemStage_address_ready, METH_FASTCALL,
+     NULL},
+    {"commit", (PyCFunction)MemStage_commit, METH_FASTCALL, NULL},
+    {"_store_data_ready", (PyCFunction)MemStage_store_data_ready,
+     METH_FASTCALL, NULL},
+    {"_mark_store_complete", (PyCFunction)MemStage_mark_store_complete,
+     METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL}
 };
 
@@ -6711,7 +8130,6 @@ static PyTypeObject MemStageType = {
     .tp_basicsize = sizeof(MemStageObj),
     .tp_itemsize = 0,
     .tp_dealloc = (destructor)MemStage_dealloc,
-    .tp_call = (ternaryfunc)MemStage_call,
     /* Not subclassable: the event queue fires the stage's records by
      * its exact type. */
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
@@ -6878,7 +8296,8 @@ PyInit__ckernels(void)
     static const struct { PyTypeObject *type; const char *name; }
     more[] = {{&FetchStageType, "FetchStage"},
               {&CommitStageType, "CommitStage"},
-              {&MemStageType, "MemStage"}, {&ReplayType, "Replay"}};
+              {&MemStageType, "MemStage"}, {&CacheStageType, "CacheStage"},
+              {&ReplayType, "Replay"}};
     for (size_t i = 0; i < sizeof(more) / sizeof(*more); i++) {
         if (PyType_Ready(more[i].type) < 0
             || PyModule_AddObjectRef(module, more[i].name,

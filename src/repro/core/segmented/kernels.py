@@ -105,6 +105,14 @@ SLOT_MASK = (1 << SLOT_BITS) - 1
 _new = object.__new__
 
 
+def _in_range(index: int, column) -> None:
+    """IndexError unless ``index`` names a cell of ``column``: the
+    columns are not Python lists to the compiled engine, so a negative
+    index names no cell there either."""
+    if not 0 <= index < len(column):
+        raise IndexError("engine column index out of range")
+
+
 class PyKernelEngine:
     """Pure-Python struct-of-arrays engine (the reference backend)."""
 
@@ -187,9 +195,11 @@ class PyKernelEngine:
 
     # ------------------------------------------------------- thresholds --
     def set_threshold(self, index: int, threshold: int) -> None:
+        _in_range(index, self.thr)
         self.thr[index] = threshold
 
     def threshold(self, index: int) -> int:
+        _in_range(index, self.thr)
         return self.thr[index]
 
     # ------------------------------------------------------------ chains --
@@ -208,12 +218,15 @@ class PyKernelEngine:
         self.c_hseg[cslot] = head_segment
 
     def mode_of(self, cslot: int) -> int:
+        _in_range(cslot, self.c_mode)
         return self.c_mode[cslot]
 
     def base_of(self, cslot: int) -> int:
+        _in_range(cslot, self.c_base)
         return self.c_base[cslot]
 
     def hseg_of(self, cslot: int) -> int:
+        _in_range(cslot, self.c_hseg)
         return self.c_hseg[cslot]
 
     # ----------------------------------------------------------- entries --
@@ -521,6 +534,7 @@ class PyKernelEngine:
         return entry
 
     def free_entry(self, slot: int) -> None:
+        _in_range(slot, self.e_seg)
         seg = self.e_seg[slot]
         del self.members[seg][slot]
         self.occ[seg] -= 1
@@ -529,11 +543,14 @@ class PyKernelEngine:
         self.free_slots.append(slot)
 
     def detach(self, slot: int) -> None:
+        _in_range(slot, self.e_seg)
         seg = self.e_seg[slot]
         del self.members[seg][slot]
         self.occ[seg] -= 1
 
     def attach(self, slot: int, seg: int, now: int) -> None:
+        _in_range(slot, self.e_seg)
+        _in_range(seg, self.occ)
         self.e_seg[slot] = seg
         self.members[seg][slot] = None
         self.occ[seg] += 1
@@ -541,18 +558,22 @@ class PyKernelEngine:
             self._schedule(slot, seg, now)
 
     def entry_obj(self, slot: int):
+        _in_range(slot, self.e_obj)
         return self.e_obj[slot]
 
     def seg_of(self, slot: int) -> int:
+        _in_range(slot, self.e_seg)
         return self.e_seg[slot]
 
     def slot_seq(self, slot: int) -> int:
+        _in_range(slot, self.e_seq)
         return self.e_seq[slot]
 
     # ---------------------------------------------------- segment-0 issue --
     def p0_push(self, slot: int, when: int) -> None:
         """Record that the entry in ``slot`` (fully known, in segment 0)
         becomes an issue candidate at cycle ``when``."""
+        _in_range(slot, self.e_seq)
         heappush(self.p0heap, (when << SLOT_BITS) | slot)
 
     def p0_next(self, now: int) -> int:
@@ -1137,19 +1158,23 @@ class PyKernelEngine:
                 self._schedule(slot, seg, now)
 
     def seg_occ(self, seg: int) -> int:
+        _in_range(seg, self.occ)
         return self.occ[seg]
 
     def occupancies(self) -> List[int]:
         return list(self.occ)
 
     def slots_of(self, seg: int) -> List[int]:
+        _in_range(seg, self.members)
         return list(self.members[seg])
 
     def entries_of(self, seg: int) -> List:
+        _in_range(seg, self.members)
         e_obj = self.e_obj
         return [e_obj[slot] for slot in self.members[seg]]
 
     def min_seq_slot(self, seg: int) -> int:
+        _in_range(seg, self.members)
         best = -1
         best_seq = -1
         e_seq = self.e_seq
@@ -1160,6 +1185,7 @@ class PyKernelEngine:
         return best
 
     def max_seq_slot(self, seg: int) -> int:
+        _in_range(seg, self.members)
         best = -1
         best_seq = -1
         e_seq = self.e_seq

@@ -129,9 +129,11 @@ class DynInst:
     # loads at data return).
     value_ready_cycle: Optional[int] = None
     # Waiters notified when value_ready_cycle becomes known.  Consumers
-    # dispatched before the producer issues register here: either a
-    # callable invoked with the ready cycle, or a (queue, entry, index)
-    # operand-wakeup triple (see InstructionQueue._subscribe).
+    # dispatched before the producer issues register here: a callable
+    # invoked with the ready cycle, a (queue, entry, index) operand-wakeup
+    # triple (see InstructionQueue._subscribe), or a typed record
+    # (callback, arg) invoked as callback(arg, cycle) (a store's data
+    # register, see LoadStoreQueue.dispatch).
     waiters: list = field(default_factory=list)
 
     def set_value_ready(self, cycle: int) -> None:
@@ -141,6 +143,11 @@ class DynInst:
         waiters, self.waiters = self.waiters, []
         for waiter in waiters:
             if type(waiter) is tuple:
+                if len(waiter) == 2:
+                    # A typed record (callback, arg), e.g. a store's data.
+                    callback, arg = waiter
+                    callback(arg, cycle)
+                    continue
                 queue, entry, index = waiter
                 if entry.source_known(index, cycle):
                     queue.on_entry_ready_known(entry)

@@ -9,13 +9,29 @@ of being fetched", section 6.1).
 Each cache talks to the next level through ``access_line`` and receives
 fills through a *waiter*, a pair ``(callback, arg)`` answered as
 ``callback(arg, level)``; line transfers are serialized on a
-:class:`~repro.memory.link.BandwidthLink`.  The core reaches the caches
-with a :class:`~repro.memory.request.MemRequest` (instruction fetch and
-store writes, through :meth:`Cache.access`), except for loads: the LSQ
-runs the L1D's core-side load access itself on this cache's state
-(:meth:`repro.pipeline.lsq.LoadStoreQueue._issue_to_cache`), with no
-request object, and parks each missing load in an MSHR as the waiter
-``(completion, lsq_entry)``.
+:class:`~repro.memory.link.BandwidthLink`.  Every event a cache schedules
+is a typed record on one of its methods (``_request_line``,
+``_install``, ``_return_line``, ``_request_hit``).  The core reaches the
+caches with a :class:`~repro.memory.request.MemRequest` (instruction
+fetch and store writes, through :meth:`Cache.access`), except for
+loads: the LSQ runs the L1D's core-side load access itself on this
+cache's state (:meth:`repro.pipeline.lsq.LoadStoreQueue._issue_to_cache`),
+with no request object, and parks each missing load in an MSHR as the
+waiter ``(completion, lsq_entry)``.
+
+On the compiled event queue the processor binds a compiled twin
+(``_ckernels.CacheStage``) to each cache and to main memory as
+``_c_stage``: :meth:`Cache.touch`, :meth:`~Cache.access`,
+:meth:`~Cache.access_line`, :meth:`~Cache._fill_arrived`,
+:meth:`~Cache.warm_line` and :meth:`MainMemory.access_line` stay the
+entry points and hand it their bodies, and it runs everything below
+them on this module's state (``_sets``, ``_mshrs`` with their
+:class:`_MSHR` records, ``_mshr_queue``, ``version`` and the link's
+``_next_free``), its events being the same records on its own methods
+of the same names.  A line still travels between levels through the
+next level's ``access_line`` and the requester's ``_fill_arrived``.
+The Python bodies here are the py backend and the reference the parity
+tests compare with.
 """
 
 from __future__ import annotations
@@ -40,7 +56,7 @@ def _answer(waiter: Waiter, level: str) -> None:
     callback(arg, level)
 
 
-@dataclass
+@dataclass(slots=True)
 class _MSHR:
     """One outstanding miss: the line being fetched, who is waiting, and
     (once the next level answered) where the line came from."""
@@ -61,10 +77,18 @@ class MainMemory:
         self.latency = latency
         self._events = events
         self._accesses = stats.counter("mem.accesses", "main memory accesses")
+        #: The compiled twin (``_ckernels.CacheStage``), bound by the
+        #: processor on the compiled event queue; ``None`` runs the
+        #: Python bodies.
+        self._c_stage = None
 
     def access_line(self, line_addr: int, is_write: bool,
                     waiter: Waiter) -> None:
         """Answer ``waiter`` with the line after the access latency."""
+        stage = self._c_stage
+        if stage is not None:
+            stage.access_line(line_addr, is_write, waiter)
+            return
         self._accesses.inc()
         self._events.schedule(self.latency, self._return_line, waiter)
 
@@ -104,6 +128,12 @@ class Cache:
         #: into an accepted one (an MSHR freeing, a line becoming
         #: resident); the LSQ compares it to skip provably futile retries.
         self.version = 0
+        #: The compiled twin (``_ckernels.CacheStage``), bound by the
+        #: processor on the compiled event queue: :meth:`touch`,
+        #: :meth:`access`, :meth:`access_line`, :meth:`_fill_arrived` and
+        #: :meth:`warm_line` hand it their bodies.  ``None`` runs the
+        #: Python bodies.
+        self._c_stage = None
 
         self.stat_accesses = stats.counter(f"{name}.accesses")
         self.stat_hits = stats.counter(f"{name}.hits")
@@ -159,6 +189,9 @@ class Cache:
         return False without allocating anything.  The fetch unit uses this
         to test line availability before committing to a fill request.
         """
+        stage = self._c_stage
+        if stage is not None:
+            return stage.touch(addr)
         if self._find(self.line_addr(addr)) is not None:
             self.stat_accesses.inc()
             self.stat_hits.inc()
@@ -183,6 +216,9 @@ class Cache:
         """Core-side access.  Returns False if the request must retry
         (no MSHR available for a new miss).  Rejected attempts are not
         counted as accesses, so replays do not inflate the access stats."""
+        stage = self._c_stage
+        if stage is not None:
+            return stage.access(request)
         if self.rejects(request.addr):
             return False
         line = self.line_addr(request.addr)
@@ -225,6 +261,10 @@ class Cache:
     def access_line(self, line_byte_addr: int, is_write: bool,
                     waiter: Waiter) -> None:
         """Upper-level access (line granularity).  Queues if MSHRs are full."""
+        stage = self._c_stage
+        if stage is not None:
+            stage.access_line(line_byte_addr, is_write, waiter)
+            return
         self.stat_accesses.inc()
         line = self.line_addr(line_byte_addr)
 
@@ -272,6 +312,10 @@ class Cache:
     def _fill_arrived(self, line: int, fill_level: str) -> None:
         """The next level produced the line; move it over the link, then
         install it and wake all waiters."""
+        stage = self._c_stage
+        if stage is not None:
+            stage._fill_arrived(line, fill_level)
+            return
         self._mshrs[line].fill_level = fill_level
         delay = self._link.request(self.params.line_bytes)
         self._events.schedule(delay, self._install, line)
@@ -308,6 +352,10 @@ class Cache:
     # ------------------------------------------------------------- admin --
     def warm_line(self, addr: int, dirty: bool = False) -> None:
         """Pre-install the line containing ``addr`` (for tests/warmup)."""
+        stage = self._c_stage
+        if stage is not None:
+            stage.warm_line(addr, dirty)
+            return
         line = self.line_addr(addr)
         if self._find(line) is not None:
             return

@@ -3,6 +3,8 @@
 Instruction fetch and store writes reach the caches as a
 :class:`MemRequest`; loads do not (the LSQ runs the L1D's load access
 itself, see :mod:`repro.memory.cache`), but report the same levels.
+The compiled memory stage makes the store writes' requests itself, so
+the class keeps its fields in slots.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ CompleteCallback = Callable[["MemRequest"], None]
 MissCallback = Callable[["MemRequest"], None]
 
 
-@dataclass
+@dataclass(slots=True)
 class MemRequest:
     """One cache access.
 

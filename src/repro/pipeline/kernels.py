@@ -28,13 +28,16 @@ dispatch stage, pinned untraced by
 operand wakeup and completion, pinned by
 ``tests/pipeline/test_issue_stage.py``), ``FetchStage`` and
 ``CommitStage`` (pinned untraced by
-``tests/pipeline/test_fetch_commit_stage.py``) and ``MemStage`` (LSQ
-load issue, the L1D's core-side load access and each load's
-completion, pinned by ``tests/pipeline/test_mem_stage.py``).
+``tests/pipeline/test_fetch_commit_stage.py``) and ``MemStage`` (the
+LSQ's bookkeeping and load issue, the L1D's core-side load access and
+each load's completion, pinned by ``tests/pipeline/test_mem_stage.py``
+and ``tests/pipeline/test_memory_parity.py``), with a ``CacheStage``
+per cache level and main memory (their accesses and the refill chain
+below the L1D, pinned by ``tests/pipeline/test_memory_parity.py``).
 ``Processor.__init__`` takes them from the same lookup and binds them
-once.  The memory stage also binds on traced, multi-thread, clustered
-and invariant-checked runs, whose other stages keep their Python
-twins.
+once.  The memory and cache stages also bind on traced, multi-thread,
+clustered and invariant-checked runs, whose other stages keep their
+Python twins.
 
 Column layout (one heap per (FU class, cluster) pair, flattened):
 

@@ -17,10 +17,21 @@ A load that goes to the cache runs the L1D's core-side access here, on
 the cache's own state (:meth:`LoadStoreQueue._issue_to_cache`), with no
 request object and no closure: its completion is the typed event record
 ``(self._load_done, entry)``, and a load that misses waits in its line's
-MSHR as the waiter ``(self._load_filled, entry)``.  On the compiled
-backend the processor binds ``_ckernels.MemStage``, the
-operation-for-operation C twin of :meth:`LoadStoreQueue.cycle` and
-everything below it, whose records and waiters name the stage itself.
+MSHR as the waiter ``(self._load_filled, entry)``.  A store waits for
+its data register as the typed producer waiter
+``(self._store_data_ready, entry)`` and completes through the record
+``(self._mark_store_complete, entry)``.
+
+On the compiled event queue the processor binds ``_ckernels.MemStage``,
+the operation-for-operation C twin of this class's bookkeeping and load
+issue: :meth:`~LoadStoreQueue.dispatch`,
+:meth:`~LoadStoreQueue.address_ready`, :meth:`~LoadStoreQueue.commit`
+and :meth:`~LoadStoreQueue.cycle` stay the entry points and hand it
+their bodies (``_c_stage``, ``_c_cycle``), and it runs everything below
+them on this object's dicts, heaps and deques.  Its records and waiters
+name the stage or its methods of the same names; the store-set
+violation check, which emits a trace event, stays Python and is called
+back.
 """
 
 from __future__ import annotations
@@ -121,8 +132,11 @@ class LoadStoreQueue:
         #: Observability sink (see :mod:`repro.obs`); installed by the
         #: processor, ``None`` disables tracing.
         self.tracer = None
-        #: The compiled memory stage's ``run``, bound by the processor
-        #: (see :meth:`cycle`).
+        #: The compiled memory stage (``_ckernels.MemStage``) and its
+        #: ``run``, bound by the processor: :meth:`dispatch`,
+        #: :meth:`address_ready`, :meth:`commit` and :meth:`cycle` hand
+        #: it their bodies.
+        self._c_stage = None
         self._c_cycle = None
         if policy == "store_sets":
             from repro.pipeline.memdep import StoreSetPredictor
@@ -158,6 +172,9 @@ class LoadStoreQueue:
         For stores, ``data_operand_ready``/``data_producer`` describe the
         store-data register (the address register is tracked through the IQ).
         """
+        stage = self._c_stage
+        if stage is not None:
+            return stage.dispatch(inst, data_operand_ready, data_producer)
         if not self.has_space():
             raise SimulationError("LSQ dispatch with no space")
         entry = LSQEntry(inst)
@@ -172,8 +189,9 @@ class LoadStoreQueue:
             if self.memdep is not None:
                 self.memdep.store_fetched(inst.pc, entry)
             if data_producer is not None and data_operand_ready is None:
-                data_producer.waiters.append(
-                    lambda cycle, e=entry: self._store_data_ready(e, cycle))
+                # A typed producer waiter, called as (callback)(entry,
+                # cycle) when the data register is written.
+                data_producer.waiters.append((self._store_data_ready, entry))
             else:
                 entry.data_ready_cycle = data_operand_ready or 0
         else:
@@ -194,6 +212,10 @@ class LoadStoreQueue:
 
     def address_ready(self, inst: DynInst, cycle: int) -> None:
         """The IQ finished the effective-address calculation."""
+        stage = self._c_stage
+        if stage is not None:
+            stage.address_ready(inst, cycle)
+            return
         entry = self._entries[inst.seq]
         entry.addr = inst.mem_addr
         entry.word_addr = inst.mem_addr // WORD_BYTES
@@ -482,6 +504,10 @@ class LoadStoreQueue:
     # ------------------------------------------------------------ commit --
     def commit(self, inst: DynInst, now: int) -> None:
         """Remove the op at commit; stores write the data cache here."""
+        stage = self._c_stage
+        if stage is not None:
+            stage.commit(inst, now)
+            return
         entry = self._entries.pop(inst.seq)
         if self._order and self._order[0] is entry:
             self._order.popleft()

@@ -32,12 +32,14 @@ from repro.core.segmented.kernels import compiled_module
 from repro.core.segmented.links import NEVER
 from repro.frontend.fetch import INST_BYTES, FrontEnd
 from repro.isa.instruction import DynInst
-from repro.isa.opcodes import FUClass, OpClass
+from repro.isa.opcodes import WORD_BYTES, FUClass, OpClass
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.request import LEVEL_DELAYED, LEVEL_FORWARD
+from repro.memory.cache import _MSHR
+from repro.memory.request import (LEVEL_DELAYED, LEVEL_FORWARD, LEVEL_MEM,
+                                  MemRequest)
 from repro.obs.events import TraceEvent
 from repro.pipeline.fu import FUAcquire, FUPool
-from repro.pipeline.lsq import FORWARD_LATENCY, LoadStoreQueue
+from repro.pipeline.lsq import FORWARD_LATENCY, LoadStoreQueue, LSQEntry
 from repro.pipeline.rob import ReorderBuffer
 
 #: Per-thread address-space offsets of a multi-thread run.
@@ -264,13 +266,27 @@ class Processor:
         module = compiled_module()
         self._c_dispatch = self._c_issue = self._c_commit = None
         if module is not None and EventQueue is not _PyEventQueue:
-            # Memory: LoadStoreQueue.cycle hands each cycle to the stage,
-            # whose load completions fire in C from the compiled event
-            # queue.  The load path emits no trace event and keys its
-            # stores by (thread, word), so every run binds it.
-            self.lsq._c_cycle = module.MemStage(
-                self.lsq, IQEntry, FORWARD_LATENCY, LEVEL_FORWARD,
-                LEVEL_DELAYED).run
+            # Memory: each cache level and main memory hand their
+            # accesses, fills and refills to a cache stage, and the LSQ
+            # its dispatch, address_ready, commit and each cycle to the
+            # memory stage; their records fire in C from the compiled
+            # event queue.  The memory system emits no trace event (the
+            # store-set violation check, which does, stays Python) and
+            # the LSQ keys its stores by (thread, word), so every run
+            # binds them.
+            memory = self.memory
+            main_memory = memory.main_memory
+            main_memory._c_stage = module.CacheStage(main_memory, LEVEL_MEM)
+            for cache in (memory.l2, memory.l1d, memory.l1i):
+                cache._c_stage = module.CacheStage(
+                    cache, cache.level_label,
+                    LEVEL_DELAYED if cache._classify_delayed
+                    else cache.level_label, _MSHR)
+            stage = module.MemStage(self.lsq, IQEntry, LSQEntry, MemRequest,
+                                    FORWARD_LATENCY, LEVEL_FORWARD,
+                                    WORD_BYTES)
+            self.lsq._c_stage = stage
+            self.lsq._c_cycle = stage.run
         if module is not None and threads == 1 and tracer is None:
             if not self._clustered:
                 # Dispatch: one C call per cycle runs _dispatch's loop.

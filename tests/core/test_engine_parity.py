@@ -30,7 +30,9 @@ queues' chain-wire pools, head chains (every ``Chain`` field) and
 predictor tables are compared too.  The reads deadlock recovery makes
 (``max_seq_slot``, ``min_seq_slot``, ``oldest_ineligible``,
 ``threshold``), the membership readers (``entries_of``, ``entry_obj``)
-and ``free_entry`` have rules of their own.
+and ``free_entry`` have rules of their own, and every call that takes
+a slot, segment or chain index is fed indices outside its column
+(negative ones too): both engines raise ``IndexError``.
 
 The same machine also drives the two function-unit engines of the
 pipeline tier (``PyPipelineEngine`` and the compiled ``Pipeline``) with
@@ -208,6 +210,29 @@ def _outcome(call, *args):
 
 
 predictor_sets = st.sampled_from([("lrp", "hmp"), ("lrp",), ("hmp",), ()])
+
+#: The engine calls that take a slot, segment or chain index: (method,
+#: the column the index names, its arguments around the index ``bad``).
+_INDEXED = (
+    ("entry_obj", "slot", lambda bad, now: (bad,)),
+    ("slot_seq", "slot", lambda bad, now: (bad,)),
+    ("seg_of", "slot", lambda bad, now: (bad,)),
+    ("free_entry", "slot", lambda bad, now: (bad,)),
+    ("detach", "slot", lambda bad, now: (bad,)),
+    ("attach", "slot", lambda bad, now: (bad, 0, now)),
+    ("attach", "segment", lambda bad, now: (0, bad, now)),
+    ("p0_push", "slot", lambda bad, now: (bad, now)),
+    ("seg_occ", "segment", lambda bad, now: (bad,)),
+    ("threshold", "segment", lambda bad, now: (bad,)),
+    ("set_threshold", "segment", lambda bad, now: (bad, 3)),
+    ("slots_of", "segment", lambda bad, now: (bad,)),
+    ("entries_of", "segment", lambda bad, now: (bad,)),
+    ("min_seq_slot", "segment", lambda bad, now: (bad,)),
+    ("max_seq_slot", "segment", lambda bad, now: (bad,)),
+    ("mode_of", "chain", lambda bad, now: (bad,)),
+    ("base_of", "chain", lambda bad, now: (bad,)),
+    ("hseg_of", "chain", lambda bad, now: (bad,)),
+)
 #: Where a load was satisfied (None: the level is unknown).
 levels = st.sampled_from(["l1", "forward", "l2", "mem", "delayed", None])
 
@@ -418,6 +443,20 @@ class EngineParity(RuleBasedStateMachine):
     def p0_push(self, data, delay):
         slot = data.draw(st.sampled_from(sorted(self.live)))
         self.both("p0_push", slot, self.now + delay)
+
+    @rule(call=st.sampled_from(_INDEXED), below=st.booleans(),
+          offset=st.integers(min_value=0, max_value=1 << 30))
+    def bad_index(self, call, below, offset):
+        """An index outside its column, a negative one too, raises
+        IndexError on both engines and changes nothing (the compiled
+        engine touches no memory outside the column)."""
+        name, column, arguments = call
+        length = {"slot": len(self.py.e_seq), "segment": NUM_SEGMENTS,
+                  "chain": self.chains}[column]
+        bad = -1 - offset if below else length + offset
+        for engine in (self.py, self.c):
+            with pytest.raises(IndexError):
+                getattr(engine, name)(*arguments(bad, self.now))
 
     @rule(seg=st.integers(min_value=1, max_value=NUM_SEGMENTS - 1),
           threshold=st.integers(min_value=0, max_value=10))

@@ -17,13 +17,18 @@ clones every DynInst from a prototype) must free every clone, also when
 a cut-off abandons the stream part-read.  A scatter beyond the L2 drives
 the compiled memory stage through misses, delayed hits and MSHR
 refusals; cut short, it leaves loads in flight and the stage parked as
-a waiter in the L1D's MSHRs, and dropping it must free those too.  The
+a waiter in the L1D's MSHRs, and dropping it must free those too.  A
+store-heavy scatter over an L2 with two MSHRs runs the LSQ's
+bookkeeping and the refill chain below the L1D in C (LSQ entries,
+MSHRs and store-write requests made there); cut short, it leaves
+refills in flight and line accesses queued.  The
 compiled engine runs the segmented IQ's policy on the ``Chain``,
 ``ChainManager`` and predictor objects: a dense seg-128/64ch cell (chain
 allocation and frees, suspends, resumes, predictor training) must stay
 flat, and so must one cut short with chains still suspended on misses.
 """
 
+import dataclasses
 import gc
 import sys
 import tracemalloc
@@ -40,6 +45,8 @@ from repro.harness import configs
 from repro.isa import execute
 from repro.isa.instruction import DynInst
 from repro.isa.record import Recording
+from repro.memory.cache import _MSHR
+from repro.memory.request import MemRequest
 from repro.pipeline import Processor
 from repro.pipeline.lsq import LSQEntry
 from repro.workloads import build_mgrid
@@ -59,10 +66,13 @@ def _refcounts(program):
     per-instruction classes, interned names, and the static instructions
     every DynInst (and every replayed clone) points at."""
     watched = [DynInst, Operand, Chain, IQEntry, LSQEntry, DispatchPlan,
-               ChainManager, HitMissPredictor, LeftRightPredictor]
+               ChainManager, HitMissPredictor, LeftRightPredictor, _MSHR,
+               MemRequest]
     watched += [sys.intern(name) for name in ("seq", "inst", "producer",
                                               "_peeked", "waiters",
-                                              "chain_id", "head")]
+                                              "chain_id", "head",
+                                              "_fill_arrived", "fill_level",
+                                              "_next_free")]
     return ([sys.getrefcount(obj) for obj in watched]
             + [sum(map(sys.getrefcount, program.instructions))])
 
@@ -114,6 +124,36 @@ def test_repeated_cut_short_beyond_l2_cell_leaks_nothing():
     parked as a waiter in the L1D's MSHRs."""
     _assert_flat(configs.segmented(512, 128, "comb"), max_cycles=400,
                  program=build_synthetic(_SCATTER))
+
+
+#: The scatter with two stores an iteration, over an L2 with two MSHRs:
+#: store writes (hits, merges, misses and drops) and refills queued for
+#: an L2 MSHR.
+_STORES = dataclasses.replace(_SCATTER, name="scatter-stores-2mb",
+                              stores_per_iteration=2)
+
+
+def _two_l2_mshrs(params):
+    memory = params.memory
+    return params.replace(memory=dataclasses.replace(
+        memory, l2=dataclasses.replace(memory.l2, mshr_entries=2)))
+
+
+def test_repeated_store_heavy_refill_cell_leaks_nothing():
+    """The LSQ's bookkeeping and the refill chain below the L1D in C:
+    LSQ entries, MSHRs and store-write requests are all freed."""
+    stats = _assert_flat(_two_l2_mshrs(configs.ideal(256)),
+                         program=build_synthetic(_STORES)).as_dict()
+    assert stats["lsq.stores"] > 0
+    assert stats["l2.mshr_full_retries"] > 0
+    assert stats["lsq.dropped_store_writes"] > 0
+
+
+def test_repeated_cut_short_refill_cell_leaks_nothing():
+    """Stopped by max_cycles with refills in flight and line accesses
+    queued for an L2 MSHR."""
+    _assert_flat(_two_l2_mshrs(configs.ideal(256)), max_cycles=400,
+                 program=build_synthetic(_STORES), refilling=True)
 
 
 def test_repeated_seg128_cell_leaks_nothing():
@@ -173,7 +213,7 @@ def _parked_loads(processor) -> int:
 
 
 def _assert_flat(params, max_cycles=1_000_000, replayed=False,
-                 program=None, suspended=False):
+                 program=None, suspended=False, refilling=False):
     """Run the cell RUNS times; returns the first run's stats."""
     kernels.set_backend("compiled")
     try:
@@ -208,6 +248,11 @@ def _assert_flat(params, max_cycles=1_000_000, replayed=False,
                     assert processor.lsq._c_cycle is not None
                     if program.name == _SCATTER.name:
                         assert _parked_loads(processor)
+                if refilling:
+                    l2 = processor.memory.l2
+                    assert l2._mshrs and l2._mshr_queue
+                    assert ((l2._c_stage is not None)
+                            == (EventQueue is not _PyEventQueue))
                 if suspended:
                     assert any(chain.suspended for chain
                                in processor.iq.chains._active.values())

@@ -29,6 +29,7 @@ MACHINE = "tests.core.test_engine_parity::EngineParity"
 
 _EVENTS = "tests.common.test_events"
 _FETCH_COMMIT = "tests.pipeline.test_fetch_commit_stage"
+_MEMORY = "tests.pipeline.test_memory_parity"
 
 #: type -> {method: "rule:<name>" or "<module>::<test>"}.
 INVENTORY = {
@@ -105,6 +106,15 @@ INVENTORY = {
     "MemStage": {
         "run": "tests.pipeline.test_mem_stage"
                "::test_dense_segmented_stage_parity",
+        "dispatch": f"{_MEMORY}::test_aliasing_policy_parity",
+        "address_ready": f"{_MEMORY}::test_aliasing_policy_parity",
+        "commit": f"{_MEMORY}::test_dropped_store_write_parity",
+    },
+    "CacheStage": {
+        "touch": f"{_MEMORY}::test_cold_code_parity",
+        "access": f"{_MEMORY}::test_cold_code_parity",
+        "access_line": f"{_MEMORY}::test_l2_mshr_queue_parity",
+        "warm_line": f"{_MEMORY}::test_dirty_l2_victim_parity",
     },
     "Replay": {
         "__next__": "tests.isa.test_functional_record"
