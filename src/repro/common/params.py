@@ -37,6 +37,15 @@ class BranchPredictorParams:
                 raise ConfigurationError(f"{name} must be a power of two, got {value}")
         if self.btb_entries % self.btb_assoc:
             raise ConfigurationError("btb_entries must be divisible by btb_assoc")
+        if self.local_history_regs <= 0:
+            raise ConfigurationError(
+                f"local_history_regs must be positive, got {self.local_history_regs}")
+        for name in ("global_history_bits", "local_history_bits",
+                     "choice_history_bits"):
+            value = getattr(self, name)
+            if not 0 <= value <= 62:
+                # Histories are kept in 64-bit table slots.
+                raise ConfigurationError(f"{name} must be in [0, 62], got {value}")
 
 
 @dataclass(frozen=True)

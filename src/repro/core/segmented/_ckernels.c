@@ -120,7 +120,8 @@ static PyObject *str_stat_correct, *str_stat_wrong;
 /* ... and of the fetch and commit stages. */
 static PyObject *str_icache_stalled, *str_waiting_branch, *str_resume_cycle;
 static PyObject *str_peeked, *str_stream_done, *str_stream, *str_code_base;
-static PyObject *str_line_available, *str_predict, *str_is_control;
+static PyObject *str_line_available, *str_is_control;
+static PyObject *str_global_history, *str_predicted_taken;
 static PyObject *str_fetched_cycle, *str_is_halt, *str_robs;
 static PyObject *str_commit_listeners, *str_halted, *str_committed;
 static PyObject *str_last_commit_cycle, *str_committed_cycle, *str_commit;
@@ -203,7 +204,9 @@ STAGE_NAMES[] = {
     {&str_resume_cycle, "_resume_cycle"}, {&str_peeked, "_peeked"},
     {&str_stream_done, "_stream_done"}, {&str_stream, "_stream"},
     {&str_code_base, "code_base"},
-    {&str_line_available, "_line_available"}, {&str_predict, "_predict"},
+    {&str_line_available, "_line_available"},
+    {&str_global_history, "_global_history"},
+    {&str_predicted_taken, "predicted_taken"},
     {&str_is_control, "is_control"}, {&str_fetched_cycle, "fetched_cycle"},
     {&str_is_halt, "is_halt"}, {&str_robs, "robs"},
     {&str_commit_listeners, "commit_listeners"}, {&str_halted, "_halted"},
@@ -5690,6 +5693,72 @@ static PyTypeObject ReplayType = {
     .tp_new = PyType_GenericNew,
 };
 
+/* ------------------------------------- attribute and table helpers -- */
+
+static PyObject *
+attr_named(PyObject *obj, const char *name)
+{
+    /* obj.<name> by an interned name: the interpreter's type attribute
+     * cache keeps the names it sees, so a fresh string per lookup would
+     * pile up there, one set per stage built. */
+    PyObject *key = PyUnicode_InternFromString(name);
+    if (key == NULL)
+        return NULL;
+    PyObject *value = PyObject_GetAttr(obj, key);
+    Py_DECREF(key);
+    return value;
+}
+
+static int
+attr_into(PyObject *obj, const char *name, PyObject **out)
+{
+    /* *out = obj.<name>, replacing what *out held. */
+    PyObject *value = attr_named(obj, name);
+    if (value == NULL)
+        return -1;
+    Py_XSETREF(*out, value);
+    return 0;
+}
+
+static int
+attr_i64_named(PyObject *obj, const char *name, int64_t *out)
+{
+    PyObject *key = PyUnicode_InternFromString(name);
+    int rc = key == NULL ? -1 : attr_i64(obj, key, out);
+    Py_XDECREF(key);
+    return rc;
+}
+
+static int
+table_export(PyObject *owner, const char *name, Py_buffer *view,
+             Py_ssize_t itemsize, Py_ssize_t count)
+{
+    /* Hold a writable buffer export of owner.<name>, a flat table of
+     * ``count`` items (any positive number if ``count`` is 0) of
+     * ``itemsize`` bytes: an array('q') of int64_t or a bytearray.  An
+     * export held before is released first.  While the export is held
+     * the table cannot be resized; PyBuffer_Release(view) drops it. */
+    PyBuffer_Release(view);
+    PyObject *table = attr_named(owner, name);
+    if (table == NULL)
+        return -1;
+    int rc = PyObject_GetBuffer(table, view, PyBUF_CONTIG | PyBUF_FORMAT);
+    Py_DECREF(table);
+    if (rc < 0)
+        return -1;
+    const char *format = view->format != NULL ? view->format : "B";
+    if (view->ndim != 1 || view->itemsize != itemsize
+        || strcmp(format, itemsize == 8 ? "q" : "B") != 0
+        || (count ? view->len != count * itemsize : view->len <= 0)) {
+        PyBuffer_Release(view);
+        PyErr_Format(PyExc_TypeError, "%s: a flat %s of the table's size "
+                     "expected", name,
+                     itemsize == 8 ? "array('q')" : "bytearray");
+        return -1;
+    }
+    return 0;
+}
+
 /* -------------------------------------------------------- fetch stage -- */
 /*                                                                      */
 /* The C twin of FrontEnd.cycle, one call per cycle, for one-thread,    */
@@ -5697,33 +5766,55 @@ static PyTypeObject ReplayType = {
 /* stall checks and their counters come first, in the Python order;     */
 /* then up to ``width`` instructions are pulled from the stream through */
 /* the iterator protocol, with the I-cache probed through               */
-/* frontend._line_available on each new line (same-line fetches are    */
-/* coalesced into one counter bump), control instructions capped at    */
-/* ``max_branches`` and predicted through frontend._predict, and each   */
-/* one appended to the decode pipeline as (ready_at, inst).  Fetch      */
-/* stops at a mispredict (which fetch then waits on) or a halt.  Every  */
-/* normal exit from the loop writes back _peeked, _stream_done and      */
-/* _waiting_branch; an exception leaves them as they were.              */
+/* frontend._line_available on each new line (same-line fetches are     */
+/* coalesced into one counter bump), control instructions capped at     */
+/* ``max_branches`` and predicted here, and each one appended to the    */
+/* decode pipeline as (ready_at, inst).  Prediction is FrontEnd._predict */
+/* inline: the BTB's lookup and insert on its _pcs array and the hybrid */
+/* predictor's update on its pattern tables and local histories, all    */
+/* through buffer exports the stage holds while it lives (so none of    */
+/* them can be resized), with the predictor's _global_history and the   */
+/* same counters.  Fetch stops at a mispredict (which fetch then waits  */
+/* on) or a halt.  Every normal exit from the loop writes back _peeked, */
+/* _stream_done and _waiting_branch; an exception leaves them as they   */
+/* were.                                                                */
+
+/* The tables a fetch stage holds exports of. */
+enum { FT_BTB, FT_GLOBAL, FT_LOCAL, FT_CHOICE, FT_HISTORIES, FT_TABLES };
 
 typedef struct {
     PyObject_HEAD
-    Py_ssize_t width, max_branches, buffer_cap;
-    int64_t depth, inst_bytes;
-    int line_shift;
+    /* Owned references, first to last (FETCH_REFS walks them). */
     PyObject *stall_icache, *stall_branch, *buffer_full;
     PyObject *fetched, *fetch_cycles, *icache_accesses, *icache_hits;
+    PyObject *btb_hits, *btb_misses, *correct, *mispredicts;
+    PyObject *bpred;            /* the HybridBranchPredictor */
+    PyObject *jump;             /* OpClass.JUMP */
+    Py_buffer tables[FT_TABLES];        /* .obj NULL: not held */
+    Py_ssize_t width, max_branches, buffer_cap;
+    int64_t depth, inst_bytes, btb_sets, btb_assoc;
+    int64_t global_mask, local_mask, choice_mask;
+    int line_shift;
 } FetchStageObj;
 
-#define FETCH_COUNTERS 7
+#define FETCH_REFS ((offsetof(FetchStageObj, jump)                      \
+                     - offsetof(FetchStageObj, stall_icache))            \
+                    / sizeof(PyObject *) + 1)
 
-static PyObject **
-fetch_counters(FetchStageObj *self, int i)
+/* The predictor's global history: */
+static slotsite at_bp_history = {&str_global_history},
+    at_inst_predicted_taken = {&str_predicted_taken},
+    at_inst_taken = {&str_taken};
+
+static int
+FetchStage_clear(FetchStageObj *self)
 {
-    PyObject **all[FETCH_COUNTERS] = {
-        &self->stall_icache, &self->stall_branch, &self->buffer_full,
-        &self->fetched, &self->fetch_cycles, &self->icache_accesses,
-        &self->icache_hits};
-    return all[i];
+    for (int i = 0; i < FT_TABLES; i++)
+        PyBuffer_Release(&self->tables[i]);
+    PyObject **refs = &self->stall_icache;
+    for (size_t i = 0; i < FETCH_REFS; i++)
+        Py_CLEAR(refs[i]);
+    return 0;
 }
 
 static int
@@ -5733,34 +5824,210 @@ FetchStage_init(FetchStageObj *self, PyObject *args, PyObject *kwds)
                              "inst_bytes", "line_shift", "stall_icache",
                              "stall_branch", "buffer_full", "fetched",
                              "fetch_cycles", "icache_accesses",
-                             "icache_hits", NULL};
-    PyObject *items[FETCH_COUNTERS];
+                             "icache_hits", "btb", "bpred", "jump", NULL};
+    PyObject *items[7], *btb, *bpred, *jump;
     long long depth, inst_bytes;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "nnLnLiOOOOOOO", kwlist, &self->width,
+            args, kwds, "nnLnLiOOOOOOOOOO", kwlist, &self->width,
             &self->max_branches, &depth, &self->buffer_cap, &inst_bytes,
             &self->line_shift, &items[0], &items[1], &items[2], &items[3],
-            &items[4], &items[5], &items[6]))
+            &items[4], &items[5], &items[6], &btb, &bpred, &jump))
         return -1;
     if (self->line_shift < 0 || self->line_shift > 62) {
         PyErr_SetString(PyExc_ValueError, "fetch stage: bad line_shift");
         return -1;
     }
+    FetchStage_clear(self);
     self->depth = (int64_t)depth;
     self->inst_bytes = (int64_t)inst_bytes;
-    for (int i = 0; i < FETCH_COUNTERS; i++) {
-        Py_INCREF(items[i]);
-        Py_XSETREF(*fetch_counters(self, i), items[i]);
+    PyObject **refs = &self->stall_icache;
+    for (int i = 0; i < 7; i++)
+        refs[i] = Py_NewRef(items[i]);
+    self->bpred = Py_NewRef(bpred);
+    self->jump = Py_NewRef(jump);
+    if (attr_into(btb, "stat_hits", &self->btb_hits) < 0
+        || attr_into(btb, "stat_misses", &self->btb_misses) < 0
+        || attr_into(bpred, "stat_correct", &self->correct) < 0
+        || attr_into(bpred, "stat_mispredicts", &self->mispredicts) < 0
+        || attr_i64_named(btb, "num_sets", &self->btb_sets) < 0
+        || attr_i64_named(btb, "assoc", &self->btb_assoc) < 0
+        || attr_i64_named(bpred, "_global_mask", &self->global_mask) < 0
+        || attr_i64_named(bpred, "_local_mask", &self->local_mask) < 0
+        || attr_i64_named(bpred, "_choice_mask", &self->choice_mask) < 0)
+        goto fail;
+    if (self->btb_sets <= 0 || self->btb_assoc <= 0
+        || self->btb_sets > PY_SSIZE_T_MAX / 8 / self->btb_assoc
+        || self->global_mask < 0 || self->local_mask < 0
+        || self->choice_mask < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "fetch stage: bad BTB geometry or history mask");
+        goto fail;
     }
+    if (table_export(btb, "_pcs", &self->tables[FT_BTB], 8,
+                     self->btb_sets * self->btb_assoc) < 0
+        || table_export(bpred, "_global_pht", &self->tables[FT_GLOBAL], 1,
+                        0) < 0
+        || table_export(bpred, "_local_pht", &self->tables[FT_LOCAL], 1,
+                        0) < 0
+        || table_export(bpred, "_choice_pht", &self->tables[FT_CHOICE], 1,
+                        0) < 0
+        || table_export(bpred, "_local_histories",
+                        &self->tables[FT_HISTORIES], 8, 0) < 0)
+        goto fail;
+    return 0;
+fail:
+    FetchStage_clear(self);
+    return -1;
+}
+
+static int
+FetchStage_traverse(FetchStageObj *self, visitproc visit, void *arg)
+{
+    PyObject **refs = &self->stall_icache;
+    for (size_t i = 0; i < FETCH_REFS; i++)
+        Py_VISIT(refs[i]);
     return 0;
 }
 
 static void
 FetchStage_dealloc(FetchStageObj *self)
 {
-    for (int i = 0; i < FETCH_COUNTERS; i++)
-        Py_CLEAR(*fetch_counters(self, i));
+    PyObject_GC_UnTrack(self);
+    FetchStage_clear(self);
     Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static inline Py_ssize_t
+table_index(int64_t value, Py_ssize_t size)
+{
+    /* value % size with Python's sign (``size`` > 0). */
+    int64_t index = value % size;
+    return (Py_ssize_t)(index < 0 ? index + size : index);
+}
+
+static int
+fetch_btb_lookup(FetchStageObj *self, int64_t pc)
+{
+    /* BranchTargetBuffer.lookup(pc): 1 hit (moved to the front of its
+     * set), 0 miss, -1 on error. */
+    int64_t *set = (int64_t *)self->tables[FT_BTB].buf
+                   + table_index(pc, self->btb_sets) * self->btb_assoc;
+    for (int64_t way = 0; way < self->btb_assoc; way++)
+        if (set[way] == pc) {
+            memmove(set + 1, set, (size_t)way * sizeof(int64_t));
+            set[0] = pc;
+            return counter_inc1(self->btb_hits) < 0 ? -1 : 1;
+        }
+    return counter_inc1(self->btb_misses) < 0 ? -1 : 0;
+}
+
+static void
+fetch_btb_insert(FetchStageObj *self, int64_t pc)
+{
+    /* BranchTargetBuffer.insert(pc): to the front of its set, the set's
+     * LRU PC dropped if it was absent. */
+    int64_t *set = (int64_t *)self->tables[FT_BTB].buf
+                   + table_index(pc, self->btb_sets) * self->btb_assoc;
+    int64_t way = self->btb_assoc - 1;
+    for (int64_t i = 0; i < way; i++)
+        if (set[i] == pc) {
+            way = i;
+            break;
+        }
+    memmove(set + 1, set, (size_t)way * sizeof(int64_t));
+    set[0] = pc;
+}
+
+static inline uint8_t
+saturate_update(uint8_t counter, int taken)
+{
+    /* _saturate_update(counter, taken): a 2-bit counter. */
+    if (taken)
+        return counter >= 3 ? 3 : counter + 1;
+    return counter == 0 ? 0 : counter - 1;
+}
+
+static int
+fetch_bpred_update(FetchStageObj *self, int64_t pc, int taken)
+{
+    /* HybridBranchPredictor.update(pc, taken): 1 when the prediction
+     * was correct, 0 when not, -1 on error. */
+    int64_t history;
+    if (site_get_i64(&at_bp_history, self->bpred, &history) < 0)
+        return -1;
+    Py_buffer *tables = self->tables;
+    uint8_t *global = tables[FT_GLOBAL].buf, *local = tables[FT_LOCAL].buf;
+    uint8_t *choice = tables[FT_CHOICE].buf;
+    int64_t *histories = tables[FT_HISTORIES].buf;
+    Py_ssize_t global_index = table_index(history & self->global_mask,
+                                          tables[FT_GLOBAL].len);
+    Py_ssize_t reg = table_index(pc, tables[FT_HISTORIES].len / 8);
+    Py_ssize_t local_index = table_index(histories[reg] & self->local_mask,
+                                         tables[FT_LOCAL].len);
+    Py_ssize_t choice_index = table_index(history & self->choice_mask,
+                                          tables[FT_CHOICE].len);
+    int global_pred = global[global_index] >= 2;
+    int local_pred = local[local_index] >= 2;
+    int prediction = choice[choice_index] >= 2 ? global_pred : local_pred;
+    int correct = prediction == taken;
+    if (counter_inc1(correct ? self->correct : self->mispredicts) < 0)
+        return -1;
+    /* The choice table trains only on disagreement. */
+    if (global_pred != local_pred)
+        choice[choice_index] = saturate_update(choice[choice_index],
+                                               global_pred == taken);
+    global[global_index] = saturate_update(global[global_index], taken);
+    local[local_index] = saturate_update(local[local_index], taken);
+    histories[reg] = (int64_t)(((uint64_t)histories[reg] << 1
+                                | (uint64_t)taken)
+                               & (uint64_t)self->local_mask);
+    history = (int64_t)(((uint64_t)history << 1 | (uint64_t)taken)
+                        & (uint64_t)self->global_mask);
+    if (site_set_i64(&at_bp_history, self->bpred, history) < 0)
+        return -1;
+    return correct;
+}
+
+static int
+fetch_predict(FetchStageObj *self, PyObject *inst, int64_t pc)
+{
+    /* FrontEnd._predict(inst) for a control instruction: branch
+     * prediction and BTB lookups, marking mispredictions. */
+    PyObject *op_class = site_get(&at_inst_op_class, inst);
+    if (op_class == NULL)
+        return -1;
+    int jump = op_class == self->jump;
+    Py_DECREF(op_class);
+    int hit;
+    if (jump) {
+        /* Unconditional: the target must be in the BTB to redirect
+         * fetch this cycle. */
+        if (site_set(&at_inst_predicted_taken, inst, Py_True) < 0
+            || (hit = fetch_btb_lookup(self, pc)) < 0
+            || (!hit && site_set(&at_inst_mispredicted, inst, Py_True) < 0))
+            return -1;
+        fetch_btb_insert(self, pc);
+        return 0;
+    }
+    int branch = site_truth(&at_inst_is_branch, inst);
+    if (branch <= 0)
+        return branch;
+    int taken = site_truth(&at_inst_taken, inst);
+    int correct = taken < 0 ? -1 : fetch_bpred_update(self, pc, taken);
+    if (correct < 0
+        || site_set(&at_inst_predicted_taken, inst,
+                    (correct ? taken : !taken) ? Py_True : Py_False) < 0
+        || site_set(&at_inst_mispredicted, inst,
+                    correct ? Py_False : Py_True) < 0)
+        return -1;
+    if (taken) {
+        if (correct && ((hit = fetch_btb_lookup(self, pc)) < 0
+                        || (!hit && site_set(&at_inst_mispredicted, inst,
+                                             Py_True) < 0)))
+            return -1;
+        fetch_btb_insert(self, pc);
+    }
+    return 0;
 }
 
 static int
@@ -5794,6 +6061,10 @@ FetchStage_run(FetchStageObj *self, PyObject *const *args, Py_ssize_t nargs)
     /* run(frontend, now): one cycle of FrontEnd.cycle, untraced. */
     if (nargs != 2) {
         PyErr_SetString(PyExc_TypeError, "run expects 2 arguments");
+        return NULL;
+    }
+    if (self->tables[FT_BTB].obj == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "fetch stage: cleared");
         return NULL;
     }
     PyObject *fe = args[0], *now_obj = args[1];
@@ -5871,8 +6142,7 @@ FetchStage_run(FetchStageObj *self, PyObject *const *args, Py_ssize_t nargs)
             if (branches >= self->max_branches)
                 break;
             branches++;
-            if (call_discard(PyObject_CallMethodOneArg(
-                    fe, str_predict, inst)) < 0)
+            if (fetch_predict(self, inst, pcv) < 0)
                 goto done;
         }
         if (site_set(&at_inst_fetched, inst, now_obj) < 0)
@@ -5939,8 +6209,10 @@ static PyTypeObject FetchStageType = {
     .tp_basicsize = sizeof(FetchStageObj),
     .tp_itemsize = 0,
     .tp_dealloc = (destructor)FetchStage_dealloc,
-    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "Compiled fetch stage (see pipeline/kernels.py)",
+    .tp_traverse = (traverseproc)FetchStage_traverse,
+    .tp_clear = (inquiry)FetchStage_clear,
     .tp_methods = FetchStage_methods,
     .tp_init = (initproc)FetchStage_init,
     .tp_new = PyType_GenericNew,
@@ -6102,40 +6374,6 @@ static PyTypeObject CommitStageType = {
 
 /* --------------------------------------------------- stage helpers -- */
 
-static PyObject *
-attr_named(PyObject *obj, const char *name)
-{
-    /* obj.<name> by an interned name: the interpreter's type attribute
-     * cache keeps the names it sees, so a fresh string per lookup would
-     * pile up there, one set per stage built. */
-    PyObject *key = PyUnicode_InternFromString(name);
-    if (key == NULL)
-        return NULL;
-    PyObject *value = PyObject_GetAttr(obj, key);
-    Py_DECREF(key);
-    return value;
-}
-
-static int
-attr_into(PyObject *obj, const char *name, PyObject **out)
-{
-    /* *out = obj.<name>, replacing what *out held. */
-    PyObject *value = attr_named(obj, name);
-    if (value == NULL)
-        return -1;
-    Py_XSETREF(*out, value);
-    return 0;
-}
-
-static int
-attr_i64_named(PyObject *obj, const char *name, int64_t *out)
-{
-    PyObject *key = PyUnicode_InternFromString(name);
-    int rc = key == NULL ? -1 : attr_i64(obj, key, out);
-    Py_XDECREF(key);
-    return rc;
-}
-
 static int
 append_to(PyObject *list, PyObject *item)
 {
@@ -6173,7 +6411,9 @@ extend_with(PyObject *deque, PyObject *items)
 /* transfer's BandwidthLink.request), or MainMemory.access_line.  Bound */
 /* as owner._c_stage on every run on the compiled event queue: those    */
 /* Python methods stay the entry points and hand their bodies here.     */
-/* State stays in the Python objects: the cache's _sets lists, _mshrs   */
+/* State stays in the Python objects: the cache's _tags array (through  */
+/* a buffer export the stage holds while bound, so the array cannot be  */
+/* resized under it; no tag is boxed and no list is built), _mshrs      */
 /* dict of _MSHR records, _mshr_queue deque and version, and the link's */
 /* _next_free.  Events are records (a method of this stage, arg), the   */
 /* Python body's records at the same cycle, in the same order and with  */
@@ -6190,7 +6430,7 @@ typedef struct {
     PyObject *events;           /* owner._events, the compiled queue */
     PyObject *next;             /* owner.next_level; NULL: main memory */
     PyObject *link;             /* owner._link */
-    PyObject *sets, *mshrs, *queue;     /* _sets, _mshrs, _mshr_queue */
+    PyObject *mshrs, *queue;            /* _mshrs, _mshr_queue */
     PyObject *mshr_cls;         /* _MSHR */
     PyObject *accesses, *hits, *misses, *delayed_hits, *writebacks;
     PyObject *mshr_full;
@@ -6199,6 +6439,7 @@ typedef struct {
     PyObject *merged_level;     /* what a merged core request reports */
     PyObject *on_request_line, *on_install, *on_return_line;
     PyObject *on_request_hit, *on_request_filled, *on_request_merged;
+    Py_buffer tags;             /* _tags; .obj NULL: main memory */
     int64_t hit_latency;        /* memory: its access latency */
     int64_t assoc, mshr_entries, num_sets, line_bytes, link_bytes;
     int line_shift;
@@ -6238,6 +6479,7 @@ CacheStage_init(CacheStageObj *self, PyObject *args, PyObject *kwds)
                         "mshr_cls, main memory neither");
         return -1;
     }
+    PyBuffer_Release(&self->tags);
     PyObject **refs = &self->owner;
     for (size_t i = 0; i < CACHE_REFS; i++)
         Py_CLEAR(refs[i]);
@@ -6266,7 +6508,6 @@ CacheStage_init(CacheStageObj *self, PyObject *args, PyObject *kwds)
     self->mshr_cls = mshr_cls;
     if (attr_into(owner, "next_level", &self->next) < 0
         || attr_into(owner, "_link", &self->link) < 0
-        || attr_into(owner, "_sets", &self->sets) < 0
         || attr_into(owner, "_mshrs", &self->mshrs) < 0
         || attr_into(owner, "_mshr_queue", &self->queue) < 0
         || attr_into(owner, "stat_accesses", &self->accesses) < 0
@@ -6300,15 +6541,16 @@ CacheStage_init(CacheStageObj *self, PyObject *args, PyObject *kwds)
         return -1;
     }
     Py_DECREF(params);
-    if (!PyList_CheckExact(self->sets) || self->num_sets <= 0
-        || PyList_GET_SIZE(self->sets) != self->num_sets
+    if (self->num_sets <= 0 || self->assoc <= 0
+        || self->num_sets > PY_SSIZE_T_MAX / 8 / self->assoc
         || !PyDict_CheckExact(self->mshrs) || line_shift < 0
         || line_shift > 62 || self->link_bytes <= 0) {
         PyErr_SetString(PyExc_TypeError, "cache stage: a Cache expected");
         return -1;
     }
     self->line_shift = (int)line_shift;
-    return 0;
+    return table_export(owner, "_tags", &self->tags, 8,
+                        self->num_sets * self->assoc);
 }
 
 static int
@@ -6323,6 +6565,7 @@ CacheStage_traverse(CacheStageObj *self, visitproc visit, void *arg)
 static int
 CacheStage_clear(CacheStageObj *self)
 {
+    PyBuffer_Release(&self->tags);
     PyObject **refs = &self->owner;
     for (size_t i = 0; i < CACHE_REFS; i++)
         Py_CLEAR(refs[i]);
@@ -6341,7 +6584,7 @@ static int
 cache_ready(CacheStageObj *self, int tags)
 {
     /* 0 when the stage is bound (``tags``: to a cache), else -1. */
-    if (self->events == NULL || (tags && self->sets == NULL)) {
+    if (self->events == NULL || (tags && self->tags.obj == NULL)) {
         PyErr_SetString(PyExc_RuntimeError,
                         tags ? "cache stage: no cache bound"
                              : "cache stage: cleared");
@@ -6350,54 +6593,43 @@ cache_ready(CacheStageObj *self, int tags)
     return 0;
 }
 
-static PyObject *
-cache_set_of(CacheStageObj *self, int64_t line)
+static inline int64_t *
+cache_set(CacheStageObj *self, int64_t line)
 {
-    /* self._sets[self._set_index(line)], borrowed (Python's modulo: the
-     * index is never negative). */
-    Py_ssize_t index = (Py_ssize_t)(
-        (line % self->num_sets + self->num_sets) % self->num_sets);
-    PyObject *cache_set = index < PyList_GET_SIZE(self->sets)
-                          ? PyList_GET_ITEM(self->sets, index) : NULL;
-    if (cache_set == NULL || !PyList_CheckExact(cache_set)) {
-        PyErr_SetString(PyExc_TypeError, "cache stage: the sets changed");
-        return NULL;
-    }
-    return cache_set;
+    /* The first of the line's set's slots in _tags (Python's modulo:
+     * the set index is never negative). */
+    return (int64_t *)self->tags.buf
+           + table_index(line, self->num_sets) * self->assoc;
 }
 
-static int
-cache_find(CacheStageObj *self, int64_t line, int lru, PyObject **found)
+static Py_ssize_t
+cache_find(CacheStageObj *self, int64_t line, int lru)
 {
     /* Cache._find (``lru``: a hit moves to the front of its set) or
-     * _find_no_lru: 1 resident (*found, if asked, the [tag, dirty] line,
-     * borrowed), 0 not, -1 on error. */
-    PyObject *cache_set = cache_set_of(self, line);
-    if (cache_set == NULL)
-        return -1;
-    for (Py_ssize_t pos = 0; pos < PyList_GET_SIZE(cache_set); pos++) {
-        PyObject *entry = PyList_GET_ITEM(cache_set, pos);
-        if (!PyList_CheckExact(entry) || PyList_GET_SIZE(entry) < 2) {
-            PyErr_SetString(PyExc_TypeError,
-                            "cache stage: a line is [tag, dirty]");
-            return -1;
-        }
-        long long tag = PyLong_AsLongLong(PyList_GET_ITEM(entry, 0));
-        if (tag == -1 && PyErr_Occurred())
-            return -1;
-        if (tag != line)
+     * _find_no_lru: the index in _tags of the slot holding the line, or
+     * -1 when it is not resident. */
+    int64_t *set = cache_set(self, line);
+    for (int64_t way = 0; way < self->assoc; way++) {
+        int64_t tag = set[way];
+        if (tag >> 1 != line)
             continue;
-        if (lru && pos) {
-            /* cache_set.pop(pos); cache_set.insert(0, entry) */
-            PyObject **items = ((PyListObject *)cache_set)->ob_item;
-            memmove(items + 1, items, (size_t)pos * sizeof(PyObject *));
-            items[0] = entry;
-        }
-        if (found != NULL)
-            *found = entry;
-        return 1;
+        if (!lru)
+            return set + way - (int64_t *)self->tags.buf;
+        memmove(set + 1, set, (size_t)way * sizeof(int64_t));
+        set[0] = tag;
+        return set - (int64_t *)self->tags.buf;
     }
-    return 0;
+    return -1;
+}
+
+static PyObject *
+line_box(int64_t line, PyObject **box)
+{
+    /* The line as a Python int, the key of _mshrs, made into *box at its
+     * first use (a hit makes none); NULL on error. */
+    if (*box == NULL)
+        *box = PyLong_FromLongLong((long long)line);
+    return *box;
 }
 
 static int64_t
@@ -6522,16 +6754,18 @@ request_notify_miss(PyObject *request)
 }
 
 static int
-cache_rejects(CacheStageObj *self, int64_t line, PyObject *line_obj)
+cache_rejects(CacheStageObj *self, int64_t line, PyObject **line_obj)
 {
     /* Cache.rejects: 1 when every MSHR is busy and the line is neither
      * in flight nor resident (counted as a retry), 0 if not, -1 on
-     * error. */
+     * error.  ``*line_obj`` is the line's box (line_box). */
     if (PyDict_GET_SIZE(self->mshrs) < self->mshr_entries)
         return 0;
-    int present = PyDict_Contains(self->mshrs, line_obj);
+    if (line_box(line, line_obj) == NULL)
+        return -1;
+    int present = PyDict_Contains(self->mshrs, *line_obj);
     if (present == 0)
-        present = cache_find(self, line, 0, NULL);
+        present = cache_find(self, line, 0) >= 0;
     if (present != 0)
         return present < 0 ? -1 : 0;
     return counter_inc1(self->mshr_full) < 0 ? -1 : 1;
@@ -6546,10 +6780,8 @@ CacheStage_touch(CacheStageObj *self, PyObject *addr_obj)
     long long addr = PyLong_AsLongLong(addr_obj);
     if (addr == -1 && PyErr_Occurred())
         return NULL;
-    int resident = cache_find(self, (int64_t)addr >> self->line_shift, 1,
-                              NULL);
-    if (resident < 0)
-        return NULL;
+    int resident = cache_find(self, (int64_t)addr >> self->line_shift,
+                              1) >= 0;
     if (resident && (counter_inc1(self->accesses) < 0
                      || counter_inc1(self->hits) < 0))
         return NULL;
@@ -6567,12 +6799,9 @@ CacheStage_access(CacheStageObj *self, PyObject *request)
     if (site_get_i64(&at_req_addr, request, &addr) < 0)
         return NULL;
     int64_t line = addr >> self->line_shift;
-    PyObject *line_obj = PyLong_FromLongLong((long long)line);
-    if (line_obj == NULL)
-        return NULL;
-    PyObject *is_write = NULL, *found = NULL, *waiter = NULL;
+    PyObject *line_obj = NULL, *is_write = NULL, *waiter = NULL;
     PyObject *result = NULL;
-    int rejected = cache_rejects(self, line, line_obj);
+    int rejected = cache_rejects(self, line, &line_obj);
     if (rejected) {
         if (rejected > 0)
             result = Py_NewRef(Py_False);
@@ -6581,24 +6810,22 @@ CacheStage_access(CacheStageObj *self, PyObject *request)
     if (counter_inc1(self->accesses) < 0
         || (is_write = site_get(&at_req_is_write, request)) == NULL)
         goto done;
-    int resident = cache_find(self, line, 1, &found);
-    if (resident < 0)
-        goto done;
-    if (resident) {
+    Py_ssize_t slot = cache_find(self, line, 1);
+    if (slot >= 0) {
         EQObj *events = (EQObj *)self->events;
         int write = PyObject_IsTrue(is_write);
         if (write < 0 || counter_inc1(self->hits) < 0)
             goto done;
-        if (write) {
-            Py_INCREF(Py_True);
-            PyList_SetItem(found, 1, Py_True);
-        }
+        if (write)
+            ((int64_t *)self->tags.buf)[slot] |= 1;
         if (eq_push(events, events->now + self->hit_latency,
                     self->on_request_hit, request) < 0)
             goto done;
         result = Py_NewRef(Py_True);
         goto done;
     }
+    if (line_box(line, &line_obj) == NULL)
+        goto done;
     PyObject *mshr = PyDict_GetItemWithError(self->mshrs, line_obj);
     if (mshr == NULL && PyErr_Occurred())
         goto done;
@@ -6622,7 +6849,7 @@ CacheStage_access(CacheStageObj *self, PyObject *request)
         goto done;
     result = Py_NewRef(Py_True);
 done:
-    Py_DECREF(line_obj);
+    Py_XDECREF(line_obj);
     Py_XDECREF(is_write);
     Py_XDECREF(waiter);
     return result;
@@ -6645,7 +6872,7 @@ CacheStage_access_line(CacheStageObj *self, PyObject *const *args,
     EQObj *events = (EQObj *)self->events;
     if (counter_inc1(self->accesses) < 0)
         return NULL;
-    if (self->sets == NULL) {
+    if (self->tags.obj == NULL) {
         if (eq_push(events, events->now + self->hit_latency,
                     self->on_return_line, waiter) < 0)
             return NULL;
@@ -6655,26 +6882,21 @@ CacheStage_access_line(CacheStageObj *self, PyObject *const *args,
     if (addr == -1 && PyErr_Occurred())
         return NULL;
     int64_t line = (int64_t)addr >> self->line_shift;
-    PyObject *line_obj = PyLong_FromLongLong((long long)line);
-    if (line_obj == NULL)
-        return NULL;
-    PyObject *found = NULL, *queued = NULL;
+    PyObject *line_obj = NULL, *queued = NULL;
     int ok = 0;
-    int resident = cache_find(self, line, 1, &found);
-    if (resident < 0)
-        goto done;
-    if (resident) {
+    Py_ssize_t slot = cache_find(self, line, 1);
+    if (slot >= 0) {
         int write = PyObject_IsTrue(is_write);
         if (write < 0 || counter_inc1(self->hits) < 0)
             goto done;
-        if (write) {
-            Py_INCREF(Py_True);
-            PyList_SetItem(found, 1, Py_True);
-        }
+        if (write)
+            ((int64_t *)self->tags.buf)[slot] |= 1;
         ok = eq_push(events, events->now + self->hit_latency,
                      self->on_return_line, waiter) == 0;
         goto done;
     }
+    if (line_box(line, &line_obj) == NULL)
+        goto done;
     PyObject *mshr = PyDict_GetItemWithError(self->mshrs, line_obj);
     if (mshr == NULL && PyErr_Occurred())
         goto done;
@@ -6694,7 +6916,7 @@ CacheStage_access_line(CacheStageObj *self, PyObject *const *args,
         ok = counter_inc1(self->misses) == 0
              && cache_allocate_mshr(self, line_obj, is_write, waiter) == 0;
 done:
-    Py_DECREF(line_obj);
+    Py_XDECREF(line_obj);
     Py_XDECREF(queued);
     if (!ok)
         return NULL;
@@ -6729,38 +6951,21 @@ CacheStage_fill_arrived(CacheStageObj *self, PyObject *const *args,
 }
 
 static int
-cache_insert(CacheStageObj *self, int64_t line, PyObject *line_obj,
-             PyObject *dirty, int count_writeback)
+cache_insert(CacheStageObj *self, int64_t line, int dirty,
+             int count_writeback)
 {
-    /* Put [line, dirty] at the front of its set, evicting the set's LRU
-     * line when full (``count_writeback``: a dirty victim is written
-     * back over the link). */
-    PyObject *cache_set = cache_set_of(self, line);
-    if (cache_set == NULL)
+    /* Cache._insert: put the line at the front of its set, dropping the
+     * set's LRU line when the set is full (``count_writeback``: a dirty
+     * victim is written back over the link). */
+    int64_t *set = cache_set(self, line);
+    int64_t victim = set[self->assoc - 1];
+    memmove(set + 1, set, (size_t)(self->assoc - 1) * sizeof(int64_t));
+    set[0] = (int64_t)((uint64_t)line << 1) | (dirty ? 1 : 0);
+    if (count_writeback && victim != -1 && (victim & 1)
+        && (counter_inc1(self->writebacks) < 0
+            || cache_link_request(self) < 0))
         return -1;
-    Py_ssize_t size = PyList_GET_SIZE(cache_set);
-    if (size > 0 && size >= self->assoc) {
-        PyObject *victim = PyList_GET_ITEM(cache_set, size - 1);
-        Py_INCREF(victim);
-        int dirty_victim = !count_writeback ? 0
-            : (PyList_CheckExact(victim) && PyList_GET_SIZE(victim) >= 2)
-              ? PyObject_IsTrue(PyList_GET_ITEM(victim, 1)) : -2;
-        int rc = PyList_SetSlice(cache_set, size - 1, size, NULL);
-        Py_DECREF(victim);
-        if (dirty_victim == -2)
-            PyErr_SetString(PyExc_TypeError,
-                            "cache stage: a line is [tag, dirty]");
-        if (rc < 0 || dirty_victim < 0
-            || (dirty_victim && (counter_inc1(self->writebacks) < 0
-                                 || cache_link_request(self) < 0)))
-            return -1;
-    }
-    PyObject *entry = list_of(line_obj, dirty);
-    if (entry == NULL)
-        return -1;
-    int rc = PyList_Insert(cache_set, 0, entry);
-    Py_DECREF(entry);
-    return rc;
+    return 0;
 }
 
 static int
@@ -6790,10 +6995,7 @@ cache_drain(CacheStageObj *self)
         int rc = -1;
         if (line == -1 && PyErr_Occurred())
             goto next;
-        int resident = cache_find(self, (int64_t)line, 1, NULL);
-        if (resident < 0)
-            goto next;
-        if (resident) {
+        if (cache_find(self, (int64_t)line, 1) >= 0) {
             /* Filled while queued: a (late) hit. */
             rc = counter_inc1(self->hits) < 0
                  || eq_push(events, events->now + self->hit_latency,
@@ -6835,13 +7037,13 @@ CacheStage_install(CacheStageObj *self, PyObject *const *args,
     PyObject *mshr = PyObject_GetItem(self->mshrs, line_obj);
     if (mshr == NULL)
         return NULL;
-    PyObject *dirty = NULL, *waiters = NULL, *level = NULL, *fast = NULL;
-    int ok = 0;
+    PyObject *waiters = NULL, *level = NULL, *fast = NULL;
+    int ok = 0, dirty;
     long long line = PyLong_AsLongLong(line_obj);
     if ((line == -1 && PyErr_Occurred())
         || PyDict_DelItem(self->mshrs, line_obj) < 0
-        || (dirty = site_get(&at_mshr_any_write, mshr)) == NULL
-        || cache_insert(self, (int64_t)line, line_obj, dirty, 1) < 0
+        || (dirty = site_truth(&at_mshr_any_write, mshr)) < 0
+        || cache_insert(self, (int64_t)line, dirty, 1) < 0
         || (waiters = site_get(&at_mshr_waiters, mshr)) == NULL
         || (level = site_get(&at_mshr_fill_level, mshr)) == NULL
         || (fast = PySequence_Fast(waiters, "waiters: a list")) == NULL)
@@ -6857,7 +7059,6 @@ CacheStage_install(CacheStageObj *self, PyObject *const *args,
     ok = cache_drain(self) == 0;
 done:
     Py_DECREF(mshr);
-    Py_XDECREF(dirty);
     Py_XDECREF(waiters);
     Py_XDECREF(level);
     Py_XDECREF(fast);
@@ -6977,16 +7178,11 @@ CacheStage_warm_line(CacheStageObj *self, PyObject *const *args,
     if (addr == -1 && PyErr_Occurred())
         return NULL;
     int64_t line = (int64_t)addr >> self->line_shift;
-    int resident = cache_find(self, line, 1, NULL);
-    if (resident < 0)
-        return NULL;
-    if (resident)
+    if (cache_find(self, line, 1) >= 0)
         Py_RETURN_NONE;
-    PyObject *line_obj = PyLong_FromLongLong((long long)line);
-    int rc = line_obj == NULL || cache_bump_version(self) < 0
-             || cache_insert(self, line, line_obj, args[1], 0) < 0;
-    Py_XDECREF(line_obj);
-    if (rc)
+    int dirty = PyObject_IsTrue(args[1]);
+    if (dirty < 0 || cache_bump_version(self) < 0
+        || cache_insert(self, line, dirty, 0) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -7154,7 +7350,7 @@ MemStage_init(MemStageObj *self, PyObject *args, PyObject *kwds)
         goto done;
     }
     if (Py_TYPE(self->cache) != &CacheStageType
-        || ((CacheStageObj *)self->cache)->sets == NULL) {
+        || ((CacheStageObj *)self->cache)->tags.obj == NULL) {
         PyErr_SetString(PyExc_TypeError,
                         "memory stage: the L1D's cache stage expected");
         goto done;
@@ -7906,11 +8102,9 @@ mem_issue_to_cache(MemStageObj *self, PyObject *entry, PyObject *key,
     if (site_get_i64(&at_lsq_addr, entry, &addr) < 0)
         return -1;
     int64_t line = addr >> cache->line_shift;
-    PyObject *line_obj = PyLong_FromLongLong((long long)line);
-    if (line_obj == NULL)
-        return -1;
+    PyObject *line_obj = NULL;
     int rc = -1;
-    int rejected = cache_rejects(cache, line, line_obj);
+    int rejected = cache_rejects(cache, line, &line_obj);
     if (rejected) {
         if (rejected > 0)
             rc = MEM_NO_MSHR;
@@ -7918,10 +8112,7 @@ mem_issue_to_cache(MemStageObj *self, PyObject *entry, PyObject *key,
     }
     if (counter_inc1(cache->accesses) < 0)
         goto done;
-    int resident = cache_find(cache, line, 1, NULL);
-    if (resident < 0)
-        goto done;
-    if (resident) {
+    if (cache_find(cache, line, 1) >= 0) {
         EQObj *events = (EQObj *)self->events;
         if (counter_inc1(cache->hits) < 0
             || site_set(&at_lsq_level, entry, cache->level) < 0
@@ -7929,7 +8120,8 @@ mem_issue_to_cache(MemStageObj *self, PyObject *entry, PyObject *key,
                        (PyObject *)self, entry) < 0)
             goto done;
     }
-    else if (mem_miss(self, entry, line_obj) < 0)
+    else if (line_box(line, &line_obj) == NULL
+             || mem_miss(self, entry, line_obj) < 0)
         goto done;
     if ((fu != NULL && pipeline_cache_port_raw(fu, now) < 0)
         || site_set(&at_lsq_issued, entry, Py_True) < 0
@@ -7937,7 +8129,7 @@ mem_issue_to_cache(MemStageObj *self, PyObject *entry, PyObject *key,
         goto done;
     rc = MEM_ISSUED;
 done:
-    Py_DECREF(line_obj);
+    Py_XDECREF(line_obj);
     return rc;
 }
 

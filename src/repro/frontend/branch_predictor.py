@@ -10,11 +10,18 @@ Three structures, all of 2-bit saturating counters:
 
 The choice table trains toward whichever component was correct when they
 disagree, as in the 21264 tournament scheme.
+
+Each table is one flat typed array: the three pattern tables are
+``bytearray``s of counters and the local histories one ``array('q')``.
+On one-thread, untraced compiled runs the fetch stage
+(``_ckernels.FetchStage``) trains them itself through buffer exports,
+with ``_global_history`` and the same counters; :meth:`update` is its
+Python twin.
 """
 
 from __future__ import annotations
 
-from typing import List
+from array import array
 
 from repro.common.params import BranchPredictorParams
 from repro.common.stats import StatGroup
@@ -29,17 +36,24 @@ def _saturate_update(counter: int, taken: bool, maximum: int = 3) -> int:
 class HybridBranchPredictor:
     """Tournament predictor with local and global components."""
 
+    # Slotted: the compiled fetch stage reads and writes _global_history
+    # through its slot.
+    __slots__ = ("params", "_global_history", "_global_mask", "_global_pht",
+                 "_local_histories", "_local_mask", "_local_pht",
+                 "_choice_pht", "_choice_mask", "stat_lookups",
+                 "stat_correct", "stat_mispredicts")
+
     def __init__(self, params: BranchPredictorParams,
                  stats: StatGroup) -> None:
         params.validate()
         self.params = params
         self._global_history = 0
         self._global_mask = (1 << params.global_history_bits) - 1
-        self._global_pht: List[int] = [1] * params.global_pht_entries
-        self._local_histories: List[int] = [0] * params.local_history_regs
+        self._global_pht = bytearray([1]) * params.global_pht_entries
+        self._local_histories = array("q", [0]) * params.local_history_regs
         self._local_mask = (1 << params.local_history_bits) - 1
-        self._local_pht: List[int] = [1] * params.local_pht_entries
-        self._choice_pht: List[int] = [2] * params.choice_pht_entries
+        self._local_pht = bytearray([1]) * params.local_pht_entries
+        self._choice_pht = bytearray([2]) * params.choice_pht_entries
         self._choice_mask = (1 << params.choice_history_bits) - 1
 
         self.stat_lookups = stats.counter("bpred.lookups")

@@ -10,6 +10,13 @@ modelling wrong-path cache pollution.  DESIGN.md records this substitution.
 Fetched instructions traverse a ``fetch_to_decode + decode_to_dispatch``-
 cycle pipeline (Table 1: 10 + 5 cycles; complex IQs add one more) before the
 dispatch stage may consume them.
+
+On one-thread, untraced compiled runs :meth:`FrontEnd.cycle` hands each
+cycle to ``_ckernels.FetchStage``, which also predicts inline: it runs
+:meth:`FrontEnd._predict`'s body on the BTB's and the hybrid predictor's
+flat tables (:mod:`repro.frontend.btb`,
+:mod:`repro.frontend.branch_predictor`) with the same counters.
+:meth:`FrontEnd._predict` and the tables' methods are its Python twin.
 """
 
 from __future__ import annotations

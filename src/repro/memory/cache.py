@@ -6,6 +6,20 @@ cache tracks tags, LRU state, dirty bits, and miss status holding registers
 paper's *delayed hits* ("a load references a block which is in the process
 of being fetched", section 6.1).
 
+The tag store is one flat ``array('q')``, ``Cache._tags``, of
+``num_sets * assoc`` slots: each set's slots hold its lines most recently
+used first as ``line << 1 | dirty``, and -1 marks an empty slot (a set's
+empty slots trail its lines).  A cache of any size is then one object,
+which the cyclic garbage collector never walks.
+
+No access sets a dirty bit below the L1s: :meth:`Cache._request_line`
+asks the next level with ``is_write=False`` even for a store's miss, and
+a dirty L1D victim's write-back only reserves the link
+(``_link.request``) without writing the L2.  So only
+``warm_line(addr, dirty=True)`` makes an L2 line dirty, and
+``l2.writebacks`` is 0 on every benchmark cell.  This is a known gap of
+the model (ROADMAP item 6); closing it moves stats.
+
 Each cache talks to the next level through ``access_line`` and receives
 fills through a *waiter*, a pair ``(callback, arg)`` answered as
 ``callback(arg, level)``; line transfers are serialized on a
@@ -25,20 +39,24 @@ On the compiled event queue the processor binds a compiled twin
 :meth:`~Cache.access_line`, :meth:`~Cache._fill_arrived`,
 :meth:`~Cache.warm_line` and :meth:`MainMemory.access_line` stay the
 entry points and hand it their bodies, and it runs everything below
-them on this module's state (``_sets``, ``_mshrs`` with their
+them on this module's state (``_tags``, ``_mshrs`` with their
 :class:`_MSHR` records, ``_mshr_queue``, ``version`` and the link's
 ``_next_free``), its events being the same records on its own methods
-of the same names.  A line still travels between levels through the
-next level's ``access_line`` and the requester's ``_fill_arrived``.
+of the same names.  The stage works on ``_tags`` through a buffer
+export that it holds while bound, so the array cannot be resized under
+it (``_tags.append`` raises ``BufferError``).  A line still travels
+between levels through the next level's ``access_line`` and the
+requester's ``_fill_arrived``.
 The Python bodies here are the py backend and the reference the parity
 tests compare with.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Tuple
 
 from repro.common.events import EventQueue
 from repro.common.params import CacheParams
@@ -118,9 +136,11 @@ class Cache:
         self._classify_delayed = classify_delayed
 
         self._num_sets = params.num_sets
+        self._assoc = params.assoc
         self._line_shift = params.line_bytes.bit_length() - 1
-        # Per set: list of [tag, dirty], most-recently-used first.
-        self._sets: List[List[List]] = [[] for _ in range(self._num_sets)]
+        #: The tag store: set ``s`` is slots ``s * assoc`` onwards, most
+        #: recently used first, each ``line << 1 | dirty`` or -1 (empty).
+        self._tags = array("q", [-1]) * (self._num_sets * self._assoc)
         self._mshrs: Dict[int, _MSHR] = {}
         # Requests waiting for a free MSHR (back-pressure from next level).
         self._mshr_queue: Deque[Tuple[int, bool, Waiter]] = deque()
@@ -152,29 +172,48 @@ class Cache:
         return line_addr % self._num_sets
 
     # ------------------------------------------------------------ lookup --
-    def _find_no_lru(self, line_addr: int) -> Optional[List]:
-        """Residence check without touching LRU state."""
-        for entry in self._sets[self._set_index(line_addr)]:
-            if entry[0] == line_addr:
-                return entry
-        return None
+    def _find_no_lru(self, line_addr: int) -> int:
+        """The slot holding ``line_addr``, or -1 when it is not resident;
+        the LRU order stays as it is."""
+        tags = self._tags
+        base = self._set_index(line_addr) * self._assoc
+        for slot in range(base, base + self._assoc):
+            if tags[slot] >> 1 == line_addr:
+                return slot
+        return -1
 
-    def _find(self, line_addr: int) -> Optional[List]:
-        """Return the [tag, dirty] entry if resident, updating LRU order."""
-        cache_set = self._sets[self._set_index(line_addr)]
-        for position, entry in enumerate(cache_set):
-            if entry[0] == line_addr:
-                if position:
-                    cache_set.pop(position)
-                    cache_set.insert(0, entry)
-                return entry
-        return None
+    def _find(self, line_addr: int) -> int:
+        """The slot holding ``line_addr`` once it moved to the front of its
+        set (most recently used), or -1 when it is not resident."""
+        tags = self._tags
+        base = self._set_index(line_addr) * self._assoc
+        for slot in range(base, base + self._assoc):
+            tag = tags[slot]
+            if tag >> 1 == line_addr:
+                while slot > base:
+                    tags[slot] = tags[slot - 1]
+                    slot -= 1
+                tags[base] = tag
+                return base
+        return -1
+
+    def _insert(self, line: int, dirty: bool) -> int:
+        """Put ``line`` at the front of its set, dropping the set's least
+        recently used line when the set is full; returns the dropped
+        slot's value (-1: none)."""
+        tags = self._tags
+        base = self._set_index(line) * self._assoc
+        slot = base + self._assoc - 1
+        victim = tags[slot]
+        while slot > base:
+            tags[slot] = tags[slot - 1]
+            slot -= 1
+        tags[base] = line << 1 | (1 if dirty else 0)
+        return victim
 
     def contains(self, addr: int) -> bool:
         """Non-destructive residence check (no LRU update) for tests."""
-        line = self.line_addr(addr)
-        return any(entry[0] == line
-                   for entry in self._sets[self._set_index(line)])
+        return self._find_no_lru(self.line_addr(addr)) >= 0
 
     def would_hit(self, addr: int) -> bool:
         """Would an access to ``addr`` hit right now (resident, not in-flight)?
@@ -192,7 +231,7 @@ class Cache:
         stage = self._c_stage
         if stage is not None:
             return stage.touch(addr)
-        if self._find(self.line_addr(addr)) is not None:
+        if self._find(self.line_addr(addr)) >= 0:
             self.stat_accesses.inc()
             self.stat_hits.inc()
             return True
@@ -207,7 +246,7 @@ class Cache:
         if len(self._mshrs) < self.params.mshr_entries:
             return False
         line = self.line_addr(addr)
-        if line in self._mshrs or self._find_no_lru(line) is not None:
+        if line in self._mshrs or self._find_no_lru(line) >= 0:
             return False
         self.stat_mshr_full.inc()
         return True
@@ -224,11 +263,11 @@ class Cache:
         line = self.line_addr(request.addr)
         self.stat_accesses.inc()
 
-        entry = self._find(line)
-        if entry is not None:
+        slot = self._find(line)
+        if slot >= 0:
             self.stat_hits.inc()
             if request.is_write:
-                entry[1] = True
+                self._tags[slot] |= 1
             self._events.schedule(self.params.hit_latency,
                                   self._request_hit, request)
             return True
@@ -268,11 +307,11 @@ class Cache:
         self.stat_accesses.inc()
         line = self.line_addr(line_byte_addr)
 
-        entry = self._find(line)
-        if entry is not None:
+        slot = self._find(line)
+        if slot >= 0:
             self.stat_hits.inc()
             if is_write:
-                entry[1] = True
+                self._tags[slot] |= 1
             self._events.schedule(self.params.hit_latency, self._return_line,
                                   waiter)
             return
@@ -323,13 +362,10 @@ class Cache:
     def _install(self, line: int, cycle: int) -> None:
         self.version += 1
         mshr = self._mshrs.pop(line)
-        cache_set = self._sets[self._set_index(line)]
-        if len(cache_set) >= self.params.assoc:
-            victim = cache_set.pop()
-            if victim[1]:
-                self.stat_writebacks.inc()
-                self._link.request(self.params.line_bytes)
-        cache_set.insert(0, [line, mshr.any_write])
+        victim = self._insert(line, mshr.any_write)
+        if victim != -1 and victim & 1:
+            self.stat_writebacks.inc()
+            self._link.request(self.params.line_bytes)
         for waiter in mshr.waiters:
             _answer(waiter, mshr.fill_level)
         self._drain_mshr_queue()
@@ -337,7 +373,7 @@ class Cache:
     def _drain_mshr_queue(self) -> None:
         while self._mshr_queue and len(self._mshrs) < self.params.mshr_entries:
             line, is_write, waiter = self._mshr_queue.popleft()
-            if self._find(line) is not None:
+            if self._find(line) >= 0:
                 # Filled while queued: a (late) hit.
                 self.stat_hits.inc()
                 self._events.schedule(self.params.hit_latency,
@@ -357,13 +393,10 @@ class Cache:
             stage.warm_line(addr, dirty)
             return
         line = self.line_addr(addr)
-        if self._find(line) is not None:
+        if self._find(line) >= 0:
             return
         self.version += 1
-        cache_set = self._sets[self._set_index(line)]
-        if len(cache_set) >= self.params.assoc:
-            cache_set.pop()
-        cache_set.insert(0, [line, dirty])
+        self._insert(line, dirty)
 
     @property
     def outstanding_misses(self) -> int:

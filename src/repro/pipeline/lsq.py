@@ -435,7 +435,7 @@ class LoadStoreQueue:
             return _NO_MSHR
         line = l1d.line_addr(load.addr)
         l1d.stat_accesses.inc()
-        if l1d._find(line) is not None:
+        if l1d._find(line) >= 0:
             l1d.stat_hits.inc()
             load.level = l1d.level_label
             self._events.schedule(l1d.params.hit_latency, self._load_done,

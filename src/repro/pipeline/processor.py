@@ -323,7 +323,8 @@ class Processor:
                 frontend.stat_branch_stall_cycles,
                 frontend.stat_buffer_full_cycles,
                 frontend.stat_fetched, frontend.stat_fetch_cycles,
-                icache.stat_accesses, icache.stat_hits).run
+                icache.stat_accesses, icache.stat_hits, frontend.btb,
+                frontend.bpred, OpClass.JUMP).run
             self._c_commit = module.CommitStage(self._commit_width).run
 
         # Event-driven cycle skipping (docs/performance.md).  Enabled only

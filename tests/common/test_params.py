@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.common import (CacheParams, ConfigurationError, IQParams,
-                          ProcessorParams)
+from repro.common import (BranchPredictorParams, CacheParams,
+                          ConfigurationError, IQParams, ProcessorParams)
 from repro.harness import configs
 
 
@@ -128,6 +128,17 @@ class TestCacheParams:
         with pytest.raises(ConfigurationError):
             CacheParams(size_bytes=1024, assoc=1, line_bytes=64,
                         hit_latency=0).validate()
+
+
+class TestBranchPredictorParams:
+    @pytest.mark.parametrize("field, value", [
+        ("global_history_bits", 63), ("local_history_bits", 64),
+        ("choice_history_bits", -1), ("local_history_regs", 0)])
+    def test_tables_that_do_not_fit_are_rejected(self, field, value):
+        """Histories live in 64-bit table slots, one per register."""
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(BranchPredictorParams(),
+                                **{field: value}).validate()
 
 
 class TestReplaceHelpers:

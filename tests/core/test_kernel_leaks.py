@@ -64,7 +64,14 @@ MEMORY_BOUND = 64 * 1024
 def _refcounts(program):
     """Reference counts that any leaked object or reference moves: the
     per-instruction classes, interned names, and the static instructions
-    every DynInst (and every replayed clone) points at."""
+    every DynInst (and every replayed clone) points at.
+
+    The interpreter's type attribute cache holds a reference to each
+    attribute name it caches, and unrelated lookups evict its entries,
+    so a name's count drifts by one from run to run.  Clearing the cache
+    first counts only the references the program holds: a leaked
+    reference still raises the count."""
+    sys._clear_type_cache()
     watched = [DynInst, Operand, Chain, IQEntry, LSQEntry, DispatchPlan,
                ChainManager, HitMissPredictor, LeftRightPredictor, _MSHR,
                MemRequest]

@@ -1,5 +1,8 @@
 """Tests for the hybrid branch predictor and BTB."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.common import BranchPredictorParams, StatGroup
 from repro.frontend import BranchTargetBuffer, HybridBranchPredictor
 
@@ -95,3 +98,55 @@ class TestBTB:
         btb.lookup(4)
         assert stats.get("btb.misses") == 1
         assert stats.get("btb.hits") == 1
+
+
+class _ListBTB:
+    """The reference BTB: one list per set, most recently used first."""
+
+    def __init__(self, num_sets, assoc):
+        self.assoc = assoc
+        self.sets = [[] for _ in range(num_sets)]
+
+    def lookup(self, pc):
+        btb_set = self.sets[pc % len(self.sets)]
+        if pc in btb_set:
+            btb_set.remove(pc)
+            btb_set.insert(0, pc)
+            return True
+        return False
+
+    def insert(self, pc):
+        btb_set = self.sets[pc % len(self.sets)]
+        if pc in btb_set:
+            btb_set.remove(pc)
+        elif len(btb_set) >= self.assoc:
+            btb_set.pop()
+        btb_set.insert(0, pc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(assoc=st.sampled_from([1, 2, 4]),
+       ops=st.lists(st.tuples(st.booleans(), st.integers(0, 40)),
+                    max_size=120))
+def test_flat_btb_matches_list_reference(assoc, ops):
+    """Random lookups and inserts: the flat array gives the hits and
+    misses of a list-of-lists BTB and holds each set in its MRU order,
+    empty slots (-1) trailing."""
+    stats = StatGroup()
+    btb = BranchTargetBuffer(
+        BranchPredictorParams(btb_entries=4 * assoc, btb_assoc=assoc), stats)
+    reference = _ListBTB(4, assoc)
+    hits = 0
+    for is_lookup, pc in ops:
+        if is_lookup:
+            found = reference.lookup(pc)
+            assert btb.lookup(pc) == found
+            hits += found
+        else:
+            btb.insert(pc)
+            reference.insert(pc)
+    assert stats.get("btb.hits") == hits
+    assert stats.get("btb.misses") == sum(op for op, _pc in ops) - hits
+    assert [list(btb._pcs[s * assoc:(s + 1) * assoc])
+            for s in range(4)] == [ways + [-1] * (assoc - len(ways))
+                                   for ways in reference.sets]

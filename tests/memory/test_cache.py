@@ -1,6 +1,8 @@
 """Tests for the cache model: hits, misses, MSHRs, LRU, writebacks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import CacheParams, EventQueue, StatGroup
 from repro.common.events import _PyEventQueue
@@ -284,3 +286,82 @@ class TestBandwidthLink:
         events.advance_to(2000)
         assert len(completions) == 4
         assert max(completions) - min(completions) >= 3 * 8
+
+
+class _ListTags:
+    """The reference tag store: one list of [line, dirty] per set, most
+    recently used first."""
+
+    def __init__(self, num_sets, assoc):
+        self.assoc = assoc
+        self.sets = [[] for _ in range(num_sets)]
+
+    def touch(self, line):
+        cache_set = self.sets[line % len(self.sets)]
+        for position, entry in enumerate(cache_set):
+            if entry[0] == line:
+                cache_set.insert(0, cache_set.pop(position))
+                return True
+        return False
+
+    def warm(self, line, dirty):
+        if self.touch(line):
+            return
+        cache_set = self.sets[line % len(self.sets)]
+        if len(cache_set) >= self.assoc:
+            cache_set.pop()
+        cache_set.insert(0, [line, dirty])
+
+    def slots(self):
+        """The flat layout: ``line << 1 | dirty`` per way, -1 empty."""
+        out = []
+        for cache_set in self.sets:
+            out += [line << 1 | dirty for line, dirty in cache_set]
+            out += [-1] * (self.assoc - len(cache_set))
+        return out
+
+
+def _stage_binder():
+    """Binds a compiled cache stage to a cache, or None when the compiled
+    kernels or event queue are not in use."""
+    from repro.core.segmented import kernels
+    from repro.memory.cache import _MSHR
+    try:
+        module = kernels.compiled_module()
+    except RuntimeError:
+        module = None
+    if module is None or EventQueue is _PyEventQueue:
+        return None
+
+    def bind(cache):
+        cache._c_stage = module.CacheStage(cache, cache.level_label,
+                                           LEVEL_DELAYED, _MSHR)
+    return bind
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 40),
+                              st.booleans()), max_size=100))
+def test_flat_tags_match_list_reference(ops):
+    """Random touches and warm fills of a 4-set, 2-way cache, on the
+    Python twin and (when built) the compiled stage: the same hits, and
+    each set's lines in the reference's LRU order with its dirty bits."""
+    binders = [None] + [bind for bind in [_stage_binder()] if bind]
+    for bind in binders:
+        _events, stats, l1, _l2 = make_system(CacheParams(
+            size_bytes=512, assoc=2, line_bytes=64, hit_latency=3,
+            mshr_entries=4))
+        if bind is not None:
+            bind(l1)
+        reference = _ListTags(4, 2)
+        hits = 0
+        for is_touch, line, dirty in ops:
+            if is_touch:
+                found = reference.touch(line)
+                assert l1.touch(line * 64) == found
+                hits += found
+            else:
+                reference.warm(line, dirty)
+                l1.warm_line(line * 64 + 8, dirty)
+        assert stats.get("l1d.hits") == hits
+        assert list(l1._tags) == reference.slots()

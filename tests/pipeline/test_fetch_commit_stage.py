@@ -11,8 +11,14 @@ side is fed by the compiled replay of a functional record
 The backend parity suites in ``tests/core/test_kernels.py`` pass a
 tracer, which keeps those runs on the Python bodies, so the runs here
 carry no tracer: they compare ``py`` with ``compiled`` on cycles, every
-stat and a per-instruction digest of each retired instruction's
-pipeline timestamps, recorded through ``commit_listeners``.
+stat, a per-instruction digest of each retired instruction's pipeline
+timestamps, recorded through ``commit_listeners``, and the tables the run
+leaves behind: the BTB's ``_pcs`` in MRU order, the branch predictor's
+pattern tables, local histories and global history, and each cache's
+``_tags``.  The compiled fetch stage predicts inline on those tables, so
+a compiled run calls none of ``FrontEnd._predict``,
+``BranchTargetBuffer.lookup``/``insert`` and
+``HybridBranchPredictor.update``; the py run calls them all.
 """
 
 import functools
@@ -21,8 +27,13 @@ import json
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.common.params import BranchPredictorParams
 from repro.core.segmented import kernels
+from repro.frontend.branch_predictor import HybridBranchPredictor
+from repro.frontend.btb import BranchTargetBuffer
 from repro.frontend.fetch import FrontEnd
 from repro.harness import configs
 from repro.harness.runner import resolve_workload
@@ -131,6 +142,19 @@ def _front_state(processor):
             processor._halted)
 
 
+def _tables(processor):
+    """The tables a run leaves: the BTB (MRU order), the predictor's
+    counters and histories, and every cache's lines with LRU order and
+    dirty bits."""
+    frontend, memory = processor.frontend, processor.memory
+    bpred = frontend.bpred
+    return (list(frontend.btb._pcs), bytes(bpred._global_pht),
+            bytes(bpred._local_pht), bytes(bpred._choice_pht),
+            list(bpred._local_histories), bpred._global_history,
+            [list(cache._tags)
+             for cache in (memory.l1i, memory.l1d, memory.l2)])
+
+
 def _assert_same(params, workload, **options):
     py_proc, py_digest = _simulate(params, workload, "py", **options)
     c_proc, c_digest = _simulate(params, workload, "compiled", **options)
@@ -143,6 +167,7 @@ def _assert_same(params, workload, **options):
     assert _stat_bytes(c_proc) == _stat_bytes(py_proc)
     assert c_digest == py_digest
     assert _front_state(c_proc) == _front_state(py_proc)
+    assert _tables(c_proc) == _tables(py_proc)
     return c_proc
 
 
@@ -172,22 +197,70 @@ def test_beyond_l2_stage_parity():
 
 
 @requires_stage
-def test_mispredict_heavy_stage_parity(monkeypatch):
-    """gcc mispredicts often: fetch stops at each mispredict, waits on it
-    and predicts every control instruction through FrontEnd._predict."""
-    predicted = []
-    original = FrontEnd._predict
-
-    def counting(self, inst):
-        predicted.append(inst.seq)
-        return original(self, inst)
-
-    monkeypatch.setattr(FrontEnd, "_predict", counting)
+def test_mispredict_heavy_stage_parity():
+    """gcc mispredicts often: fetch stops at each mispredict and waits on
+    it, with the BTB and the predictor's tables trained alike."""
     processor = _assert_same(configs.segmented(256, 64, "comb"), "gcc")
     stats = processor.stats.as_dict()
     assert stats["bpred.mispredicts"] > 100
+    assert stats["btb.hits"] > 100
     assert stats["fetch.branch_stall_cycles"] > 0
-    assert len(predicted) > 200
+
+
+#: An 8-entry 4-way BTB over small pattern tables: random branch PCs
+#: fill its two sets and evict.
+_SMALL_TABLES = BranchPredictorParams(
+    global_history_bits=5, global_pht_entries=32, local_history_regs=8,
+    local_history_bits=4, local_pht_entries=16, choice_history_bits=5,
+    choice_pht_entries=32, btb_entries=8, btb_assoc=4)
+
+
+def _branch_statics():
+    """A conditional branch, a jump and an add, by name."""
+    b = ProgramBuilder("branches")
+    b.label("top")
+    b.bne(R(1), R(0), "top")
+    b.jmp("top")
+    b.addi(R(2), R(2), 1)
+    b.halt()
+    bne, jmp, addi, _halt = b.build().instructions
+    return {"bne": bne, "jmp": jmp, "addi": addi}
+
+
+@requires_stage
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 11),
+                          st.sampled_from(["bne", "jmp", "addi"]),
+                          st.booleans()),
+                min_size=1, max_size=60))
+# A mispredicted taken branch enters the BTB with no lookup first, so
+# the insert finds its PC in the middle of a set.
+@example([(0, "jmp", True), (2, "jmp", True), (4, "jmp", True),
+          (0, "bne", True)])
+def test_random_branches_stage_parity(ops):
+    """Random PCs of conditional branches and jumps over small tables:
+    the fetch stage's inline BTB (hits, misses, evictions, MRU order)
+    and predictor training leave what the Python twins leave."""
+    statics = _branch_statics()
+    params = configs.segmented(128, 64, "comb").replace(branch=_SMALL_TABLES)
+    results = []
+    for backend in ("py", "compiled"):
+        stream = [DynInst(seq, pc, statics[kind],
+                          taken=kind == "jmp" or (kind == "bne" and taken))
+                  for seq, (pc, kind, taken) in enumerate(ops)]
+        kernels.set_backend(backend)
+        try:
+            processor = Processor(params, iter(stream))
+            processor.run()
+        finally:
+            kernels.set_backend(None)
+        assert (processor.frontend._c_fetch is None) == (backend == "py")
+        assert processor.committed == len(ops)
+        results.append((processor.cycle, _stat_bytes(processor),
+                        _tables(processor),
+                        [(inst.predicted_taken, inst.mispredicted)
+                         for inst in stream]))
+    assert results[0] == results[1]
 
 
 @requires_stage
@@ -445,6 +518,39 @@ def test_python_bodies_run(case, monkeypatch):
                for frontend in processor.frontends)
     assert digest
     assert calls["fetch"] and calls["retire"]
+
+
+#: The prediction twins the compiled fetch stage runs inline.
+PREDICTION = {"FrontEnd._predict": (FrontEnd, "_predict"),
+              "BranchTargetBuffer.lookup": (BranchTargetBuffer, "lookup"),
+              "BranchTargetBuffer.insert": (BranchTargetBuffer, "insert"),
+              "HybridBranchPredictor.update":
+                  (HybridBranchPredictor, "update")}
+
+
+@pytest.mark.parametrize("backend", ["py", "compiled"])
+def test_prediction_runs_inline_in_the_stage(backend, monkeypatch):
+    """A compiled run predicts in the fetch stage, calling none of the
+    Python prediction methods; a py run calls every one of them."""
+    if backend == "compiled" and not _compiled_stage_available():
+        pytest.skip("compiled kernel backend not built")
+    calls = dict.fromkeys(PREDICTION, 0)
+    for name, (owner, attr) in PREDICTION.items():
+        original = getattr(owner, attr)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, attr, counting)
+    processor, _digest = _simulate(configs.segmented(256, 64, "comb"),
+                                   "gcc", backend)
+    assert processor.stats.get("btb.hits") > 100
+    if backend == "compiled":
+        assert processor.frontend._c_fetch is not None
+        assert calls == dict.fromkeys(PREDICTION, 0)
+    else:
+        assert all(calls.values()), calls
 
 
 @requires_stage

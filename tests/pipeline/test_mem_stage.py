@@ -131,7 +131,7 @@ def _memory_state(processor):
              for entry in lsq._order],
             [entry.seq for entry in lsq._candidates],
             lsq._refused, lsq._refused_version, l1d.version,
-            [list(map(list, cache_set)) for cache_set in l1d._sets],
+            list(l1d._tags),
             sorted((line, mshr.any_write,
                     [_waiter(waiter) for waiter in mshr.waiters])
                    for line, mshr in l1d._mshrs.items()),

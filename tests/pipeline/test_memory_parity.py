@@ -80,7 +80,7 @@ def _name(waiter):
 
 def _cache_state(cache):
     return (cache.version,
-            [list(map(list, cache_set)) for cache_set in cache._sets],
+            list(cache._tags),
             sorted((line, mshr.line_addr, mshr.any_write, mshr.fill_level,
                     [_name(waiter) for waiter in mshr.waiters])
                    for line, mshr in cache._mshrs.items()),
@@ -268,6 +268,7 @@ def test_held_out_seed_parity(regime):
 #: Functions whose whole body the compiled stages run.
 MOVED = {
     "Cache._find": Cache._find, "Cache._find_no_lru": Cache._find_no_lru,
+    "Cache._insert": Cache._insert,
     "Cache.rejects": Cache.rejects,
     "Cache._allocate_mshr": Cache._allocate_mshr,
     "Cache._request_line": Cache._request_line,
